@@ -1,15 +1,16 @@
 """End-to-end sweep benchmark: the full Fig. 2 pipeline, wall to wall.
 
 One measured round is one complete Fig. 2-scale campaign — task-set
-generation for every (point, sample) item, batched pair-table compilation
-per sweep point, the dominance-ordered variant evaluation with
+generation for every (point, sample) item, interference-table compilation
+per chunk of task sets, the dominance-ordered variant evaluation with
 cross-point warm-start chains, and the final ratio aggregation.  This is
-the regime the batched sweep-point kernel was built for, so its median is
-gated by the bench-smoke job (``benchmarks/thresholds.json``, see
-``scripts/bench_smoke.py``): a regression here means the compounding of
-the kernel layers broke, even if every micro benchmark still looks fine.
+the regime the compiled tables and the fused evaluator were built for, so
+its median is gated by the bench-smoke job (``benchmarks/thresholds.json``,
+see ``scripts/bench_smoke.py``): a regression here means the compounding
+of the kernel layers broke, even if every micro benchmark still looks
+fine.
 
-The two variants deliberately gate the two production regimes:
+The three variants deliberately gate the three production regimes:
 
 * ``test_bench_e2e_fig2_sweep`` (sequential) measures the
   *resident-replay* regime.  The process-global
@@ -25,6 +26,10 @@ The two variants deliberately gate the two production regimes:
   state planes start empty every round and the full generation + compile
   + cold-analysis pipeline is paid each time (warmth only accrues within
   a round, across the chunks each worker serves).
+* ``test_bench_e2e_fig2_sweep_cold`` measures the *cold sequential*
+  regime: the same single-process campaign with the state plane reset
+  before every round, so each round pays generation, table compilation
+  and the cold fixed points — the pipeline a fresh process runs.
 """
 
 from dataclasses import replace
@@ -32,6 +37,7 @@ from dataclasses import replace
 from conftest import attach_series
 
 from repro.experiments.fig2 import run_fig2
+from repro.experiments.stateplane import reset_resident_plane
 
 
 def _check_curves(result, settings):
@@ -71,3 +77,23 @@ def test_bench_e2e_fig2_sweep_jobs2(benchmark, fig2_settings):
     )
     attach_series(benchmark, result)
     _check_curves(result, settings)
+
+
+def test_bench_e2e_fig2_sweep_cold(benchmark, fig2_settings):
+    """The sequential campaign with nothing resident between rounds.
+
+    ``reset_resident_plane()`` before every round drops the resident task
+    sets with their compiled tables and warm-start seeds, so no round can
+    replay a previous one.  A regression here with the replay bench
+    healthy points at generation, table compilation or the cold fixed
+    point.
+    """
+    result = benchmark.pedantic(
+        run_fig2,
+        args=(fig2_settings,),
+        setup=reset_resident_plane,
+        rounds=3,
+        iterations=1,
+    )
+    attach_series(benchmark, result)
+    _check_curves(result, fig2_settings)

@@ -43,11 +43,12 @@ def test_bench_wcrt_analysis(benchmark):
 
 
 def test_bench_cpro_terms(benchmark):
-    """Pairwise CPRO eviction counts + CRPD gammas from cold pair caches.
+    """Pairwise CPRO eviction counts + CRPD gammas through fresh calculators.
 
-    Fresh calculators every round (the shared interference table persists,
-    as it does across real analysis runs), so each round pays the full
-    AND+popcount kernel once per task pair rather than a dict probe.
+    The shared interference table persists across rounds, as it does
+    across real analysis runs, so its per-cut values are compiled in the
+    first round and every later query is two dict lookups and an index;
+    the calculators themselves hold no per-pair state.
     """
     platform = default_platform()
     taskset = generate_taskset(random.Random(3), platform, 0.5)

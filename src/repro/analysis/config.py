@@ -39,25 +39,23 @@ class AnalysisConfig:
         bitset_kernel: evaluate the cache-set intersection/union terms
             (Eq. 2 CRPD, Eq. 14 CPRO, the multiset refinements) from the
             task set's precompiled
-            :class:`~repro.model.interference.InterferenceTable` as packed
-            integer AND+popcount operations instead of ``frozenset``
-            algebra.  Bit-identical results either way — the set-based
-            path is retained as the reference for the ``bitset-identity``
+            :class:`~repro.model.interference.InterferenceTable` — packed
+            integer AND+popcount operations, compiled once into per-cut
+            CRPD/CPRO values — instead of ``frozenset`` algebra per pair.
+            Bit-identical results either way — the set-based path is
+            retained as the reference for the ``bitset-identity``
             differential oracle of :mod:`repro.verify`.
-        array_kernel: batch-compile the per-pair CRPD/CPRO cardinality
-            tables of a task set (and, when analysing a whole sweep
-            point, of every sampled task set at once) through
-            :class:`~repro.model.interference.BatchInterferenceTable`
-            before the fixed point runs, instead of filling the pair
-            caches lazily one lookup at a time.  When numpy is importable
-            (optional extra: ``pip install .[fast]``) and every cache
-            mask fits in 64 bits, the popcounts of a batch are lowered to
-            one vectorised ``uint64`` ``bitwise_count`` call; otherwise a
-            tight pure-Python loop over the packed masks is used.  Either
-            way the counts are exact integers, so results are
-            bit-identical to the lazy path — which is retained as the
+        array_kernel: evaluate each task's bus-access total through the
+            fused evaluator (:func:`repro.businterference.arbiters.
+            make_bat`): one specialised closure over row slices of the
+            interference table instead of the per-term, memoized
+            :math:`BAS`/:math:`BAO` entry points.  Gates only the fused
+            evaluator — the table itself serves every bitmask-kernel
+            analysis.  Exact integer arithmetic either way, so results are
+            bit-identical to the per-term path, which is retained as the
             reference for the ``batch-identity`` differential oracle.
-            Requires ``bitset_kernel``; ignored without it.
+            Requires ``bitset_kernel`` and ``memoization``; ignored
+            without them.
         lockstep_kernel: allow the lockstep multi-sample engine
             (:mod:`repro.analysis.lockstep`) to iterate the cold fixed
             points of *several* task sets together as structure-of-arrays

@@ -32,9 +32,9 @@ Bit-identity discipline
 Every lane executes *exactly* the operation sequence of the scalar
 reference (:func:`repro.analysis.wcrt.analyze_taskset` with
 ``lockstep_kernel=False``): the same per-analysis preamble (interference
-table build, batch prefill, warm-seed verification, adjacent-hint
-seeding), the same isolated-WCET precheck, the same outer-round /
-remote-epoch skip structure, the same inner-iteration boundaries — each
+table compile, warm-seed verification, adjacent-hint seeding), the same
+isolated-WCET precheck, the same outer-round / remote-epoch skip
+structure, the same inner-iteration boundaries — each
 lane's :class:`~repro.budget.Budget` is ticked at its own boundary, its
 perf counters bump per lane, and a lane retires the moment the scalar path
 would have returned (convergence, deadline miss, budget abort, iteration
@@ -73,11 +73,7 @@ from repro.budget import Budget
 from repro.businterference.arbiters import make_bat
 from repro.businterference.context import AnalysisContext
 from repro.errors import AnalysisAborted, AnalysisError, ConvergenceError
-from repro.model.interference import (
-    InterferenceTable,
-    note_array_kernel_unavailable,
-    prefill_batch,
-)
+from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, Platform
 from repro.model.task import TaskSet
 from repro.perf import PerfCounters
@@ -98,6 +94,39 @@ _INT64_GUARD = 2 ** 62
 #: per-call overhead (three ufunc dispatches plus an array build per
 #: positioning) only amortises over wide rows.
 _SOA_MIN_ROWS = 24
+
+_ARRAY_KERNEL_WARNED = False
+
+
+def note_array_kernel_unavailable(perf: Optional[PerfCounters] = None) -> None:
+    """Record that the vectorised row fold was requested without numpy.
+
+    ``AnalysisConfig(lockstep_kernel=True)`` is on by default, but the
+    numpy backend behind its row fold is an optional extra
+    (``pip install .[fast]``).  The pure-Python fallback is bit-identical,
+    so silently falling back would be *correct* — and would just as
+    silently forfeit the speedup the caller asked for.  This hook makes
+    the fallback observable instead: the first occurrence per process
+    emits a ``RuntimeWarning`` and every occurrence bumps the
+    ``array_kernel_unavailable`` perf counter (merged across sweep workers
+    like every other counter, so ``--profile`` and the daemon's
+    ``/stats`` show fleet-wide totals).
+    """
+    global _ARRAY_KERNEL_WARNED
+    if perf is not None:
+        perf.array_kernel_unavailable += 1
+    if not _ARRAY_KERNEL_WARNED:
+        _ARRAY_KERNEL_WARNED = True
+        import warnings
+
+        warnings.warn(
+            "lockstep row fold requested but numpy is not importable; "
+            "running the bit-identical pure-Python fallback (install the "
+            "optional extra: pip install '.[fast]' for the vectorised "
+            "backend)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 @dataclass
@@ -433,14 +462,9 @@ def _lane_preamble(
     """
     counters = PerfCounters()
     if config.bitset_kernel:
-        InterferenceTable.shared(taskset, perf=counters)
-        if config.array_kernel:
-            prefill_batch(
-                (taskset,),
-                config.crpd_approach,
-                config.cpro_approach,
-                perf=counters,
-            )
+        prefill_batch(
+            (taskset,), config.crpd_approach, config.cpro_approach, perf=counters
+        )
     counters.analyses += 1
     if budget is not None:
         budget.start()
@@ -508,7 +532,7 @@ def analyze_taskset_batch(
     together in one structure-of-arrays loop (``lockstep_batches`` /
     ``lane_retirements`` perf counters); numpy's absence engages the
     bit-identical pure-Python fold and is reported through
-    :func:`~repro.model.interference.note_array_kernel_unavailable`.
+    :func:`note_array_kernel_unavailable`.
     """
     tasksets = list(tasksets)
     n = len(tasksets)

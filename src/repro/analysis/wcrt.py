@@ -35,7 +35,7 @@ from repro.businterference.arbiters import make_bat, total_bus_accesses
 from repro.businterference.context import AnalysisContext
 from repro.crpd.approaches import CrpdCalculator
 from repro.errors import AnalysisAborted, ConvergenceError
-from repro.model.interference import InterferenceTable, prefill_batch
+from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, Platform
 from repro.model.task import Task, TaskSet
 from repro.perf import PerfCounters
@@ -271,19 +271,13 @@ def analyze_taskset(
     """
     counters = PerfCounters()
     if config.bitset_kernel:
-        # Build (or fetch) the task set's interference table up front so the
-        # construction is attributed to this run's counters rather than
-        # hiding inside the first calculator access.
-        InterferenceTable.shared(taskset, perf=counters)
-        if config.array_kernel:
-            # Batch-compile the per-pair CRPD/CPRO tables (no-op when the
-            # sweep layer already compiled this task set's point batch).
-            prefill_batch(
-                (taskset,),
-                config.crpd_approach,
-                config.cpro_approach,
-                perf=counters,
-            )
+        # Build (or fetch) the task set's interference table and its cut
+        # tables up front so the compilation is attributed to this run's
+        # counters rather than hiding inside the first calculator access
+        # (a no-op when the sweep layer already compiled this task set).
+        prefill_batch(
+            (taskset,), config.crpd_approach, config.cpro_approach, perf=counters
+        )
     counters.analyses += 1
     if budget is not None:
         budget.start()

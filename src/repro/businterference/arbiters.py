@@ -25,12 +25,12 @@ reproduces.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.businterference.context import AnalysisContext
 from repro.businterference.requests import (
     _bas_fast_b,
     _bas_fast_p,
-    _bas_rows_fast,
-    _w_rows_fast,
     _w_sum_fast_b,
     _w_sum_fast_p,
     bao,
@@ -109,9 +109,9 @@ def _bat_perfect(ctx: AnalysisContext, task_i: Task, t: int) -> int:
 # sweep the epoch-keyed caches hit essentially never on the default path:
 # the outer loop revises some estimate between consecutive evaluations of
 # the same window.)  The fused path therefore skips memoization entirely
-# and evaluates a whole BAT with tight loops over a per-task plan of flat
-# integer rows, specialised per persistence flavour so the hot loops carry
-# no flag tests.  Flattening only reorders exact integer additions, so
+# and evaluates a whole BAT with tight loops over flat integer rows,
+# sliced per task from the interference table's rows at the task's
+# priority cuts.  Flattening only reorders exact integer additions, so
 # every value — and thus every analysis result — is bit-identical to the
 # per-term path; the memo hit/miss counters stay zero on the fused path
 # because no cache exists there (documented in docs/PERFORMANCE.md; the
@@ -120,82 +120,50 @@ def _bat_perfect(ctx: AnalysisContext, task_i: Task, t: int) -> int:
 
 
 def _bat_plan(ctx: AnalysisContext, task_i: Task) -> tuple:
-    """Static evaluation plan of ``task_i``'s fused BAT.
+    """Row slices of ``task_i``'s fused BAT evaluation.
 
-    ``(md_i, bas_p, bas_b, flat_higher_p, flat_higher_b, flat_lower_p,
-    flat_lower_b, per_core_rr_p, per_core_rr_b, blocking)`` — the ``_p``
-    members are persistence-aware rows, the ``_b`` members baseline rows;
-    unused members are ``()`` for policies that do not read them.  Pure
-    function of the task set, the approach enums, the kernel flags and the
-    platform, so plans are shared across contexts via ``TaskSet.derived``
-    (the backing dict's key, see
-    :class:`~repro.businterference.context.AnalysisContext`).  Tunables a
+    ``(bas, higher, lower, per_core, blocking)``: each of the first four
+    is a ``(persistence_rows, baseline_rows)`` pair cut from ``ctx._rows``
+    (see :meth:`~repro.model.interference.InterferenceTable.rows`) at
+    ``task_i``'s cut of each core — ``bas`` the members before it on its
+    own core; for the FP bus ``higher`` / ``lower`` every remote core's
+    members before / from the cut, concatenated; for the RR bus
+    ``per_core`` every remote core whole (the lowest-priority task's
+    cut), one tuple per core.  Members a policy does not read stay empty.
+    The slices share the table's row objects; plans are cached per task
+    set, approach pair and platform (``ctx._bat_plans``), and tunables a
     caller may flip on a live context (persistence flags, TDMA slot
-    alignment) are read at evaluation time, never baked into a plan.
+    alignment) are read by :func:`make_bat`, never baked into a plan.
     """
     plan = ctx._bat_plans.get(task_i.priority)
-    if plan is None:
-        policy = ctx.platform.bus_policy
-        bas_p, bas_b = _bas_rows_fast(ctx, task_i)
-        fh_p: tuple = ()
-        fh_b: tuple = ()
-        fl_p: tuple = ()
-        fl_b: tuple = ()
-        rr_p: tuple = ()
-        rr_b: tuple = ()
-        if policy is BusPolicy.FP:
-            # One pass over the whole task set instead of six per-core
-            # ``_w_rows_fast`` builds: the flat row tables end up ordered by
-            # task-set iteration order rather than grouped per remote core,
-            # which only reorders exact integer additions in the fused sums.
-            core_i = task_i.core
-            pri_i = task_i.priority
-            d_mem = ctx.platform.d_mem
-            slot_of = ctx._slot_of
-            gamma_of = ctx.crpd.gamma
-            evictions = ctx.cpro.eviction_count
-            higher_p, higher_b, lower_p, lower_b = [], [], [], []
-            for task_l in ctx.taskset:
-                if task_l.core == core_i:
-                    continue
-                gamma = gamma_of(task_i, task_l)
-                period = int(task_l.period)
-                job_demand = task_l.md + gamma
-                jdd = job_demand * d_mem
-                slot = slot_of[task_l.priority]
-                row_p = (
-                    slot,
-                    gamma,
-                    period,
-                    task_l.md,
-                    task_l.md_r,
-                    len(task_l.pcbs),
-                    evictions(task_l, task_i),
-                    job_demand,
-                    jdd,
-                )
-                row_b = (slot, period, job_demand, jdd)
-                if task_l.priority <= pri_i:
-                    higher_p.append(row_p)
-                    higher_b.append(row_b)
-                else:
-                    lower_p.append(row_p)
-                    lower_b.append(row_b)
-            fh_p = tuple(higher_p)
-            fh_b = tuple(higher_b)
-            fl_p = tuple(lower_p)
-            fl_b = tuple(lower_b)
-        elif policy is BusPolicy.RR:
-            lowest = ctx.taskset.lowest_priority_task
-            pairs = tuple(
-                _w_rows_fast(ctx, lowest, core, lower=False)
-                for core in ctx.remote_cores(task_i.core)
-            )
-            rr_p = tuple(pair[0] for pair in pairs)
-            rr_b = tuple(pair[1] for pair in pairs)
-        blocking = blocking_accesses(ctx, task_i)
-        plan = (task_i.md, bas_p, bas_b, fh_p, fh_b, fl_p, fl_b, rr_p, rr_b, blocking)
-        ctx._bat_plans[task_i.priority] = plan
+    if plan is not None:
+        return plan
+    rows = ctx._rows
+    cut = ctx._cut[task_i.priority]
+    own = rows[task_i.core]
+    k = cut[task_i.core]
+    bas = (own[k][0][: k - 1], own[k][1][: k - 1])
+    remote = [core for core in ctx.remote_cores(task_i.core) if core in rows]
+    higher = lower = per_core = ((), ())
+    policy = ctx.platform.bus_policy
+    if policy is BusPolicy.FP:
+        at_cuts = [(rows[core][cut[core]], cut[core]) for core in remote]
+        higher = tuple(
+            tuple(chain.from_iterable(at[form][:j] for at, j in at_cuts))
+            for form in (0, 1)
+        )
+        lower = tuple(
+            tuple(chain.from_iterable(at[form][j:] for at, j in at_cuts))
+            for form in (0, 1)
+        )
+    elif policy is BusPolicy.RR:
+        per_core = tuple(
+            tuple(rows[core][-1][form] for core in remote) for form in (0, 1)
+        )
+    # blocking_accesses: a lower-priority task shares the core iff the
+    # task's cut of its own core leaves members out.
+    blocking = 1 if k < len(own) - 1 else 0
+    plan = ctx._bat_plans[task_i.priority] = (bas, higher, lower, per_core, blocking)
     return plan
 
 
@@ -203,184 +171,78 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     """Specialised ``bat(t)`` evaluator for one task's fixed point.
 
     Hoists everything a :math:`BAT^x_i(t)` evaluation needs besides the
-    window length — the fused plan, the policy dispatch, the persistence
-    flavour, ``d_mem`` and the estimate slot list — out of the per-
-    iteration path, so the inner fixed point pays one closure call per
-    iteration instead of re-dispatching policy and flags every time.
-    Tunables are bound at *creation* time: the WCRT loops create a fresh
-    evaluator per task, so flag flips between analyses are honoured, and
-    callers must pass ``t >= 0`` (the ascent never goes negative; the
-    guarded entry point is :func:`total_bus_accesses`).  Falls back to a
-    plain :func:`total_bus_accesses` wrapper when the fused kernel is off
-    or the policy has no fused form, so values are always identical.
+    window length — the row slices of :func:`_bat_plan`, the policy
+    dispatch, the persistence flavour, ``d_mem`` and the estimate slot
+    list — out of the per-iteration path, so the inner fixed point pays
+    one closure call per iteration.  Tunables are bound at *creation*
+    time: the WCRT loops create a fresh evaluator per task, so flag flips
+    between analyses are honoured, and callers must pass ``t >= 0`` (the
+    ascent never goes negative; the guarded entry point is
+    :func:`total_bus_accesses`).  Falls back to a plain
+    :func:`total_bus_accesses` wrapper when the fused kernel is off, so
+    values are always identical.
     """
-    policy = ctx.platform.bus_policy
-    if not ctx.fused or not (
-        policy is BusPolicy.FP
-        or policy is BusPolicy.RR
-        or policy is BusPolicy.TDMA
-        or policy is BusPolicy.PERFECT
-    ):
+    if not ctx.fused:
         return lambda t: total_bus_accesses(ctx, task_i, t)
-    plan = _bat_plan(ctx, task_i)
+    policy = ctx.platform.bus_policy
+    bas, higher, lower, per_core, blocking = _bat_plan(ctx, task_i)
     persistence = ctx.persistence
     drop_pcb = FAULTS.drop_pcb_term
-    md_i = plan[0]
-    bas_rows = plan[1] if persistence else plan[2]
-    blocking = plan[9]
-    est = ctx._est
-    d_mem = ctx.platform.d_mem
+    form = 0 if persistence else 1
+    own_sum = _bas_fast_p if persistence else _bas_fast_b
+    bas_rows = bas[form]
+    md_i = task_i.md
     if policy is BusPolicy.PERFECT:
-        if persistence:
-            return lambda t: _bas_fast_p(bas_rows, t, md_i, drop_pcb)
-        return lambda t: _bas_fast_b(bas_rows, t, md_i)
+        return lambda t: own_sum(bas_rows, t, md_i, drop_pcb)
     if policy is BusPolicy.TDMA:
         wait_slots = (ctx.platform.num_cores - 1) * ctx.platform.slot_size
         if ctx.tdma_slot_alignment:
             wait_slots += 1
         # own + wait_slots * own == own * (1 + wait_slots), exactly.
         factor = 1 + wait_slots
-        if persistence:
-            return (
-                lambda t: _bas_fast_p(bas_rows, t, md_i, drop_pcb) * factor
-                + blocking
-            )
-        return lambda t: _bas_fast_b(bas_rows, t, md_i) * factor + blocking
-    if policy is BusPolicy.FP:
-        if persistence:
-            higher_rows = plan[3]
-            if ctx.persistence_in_low:
-                lower_rows = plan[5]
-
-                def bat(t: int) -> int:
-                    own = _bas_fast_p(bas_rows, t, md_i, drop_pcb)
-                    lower = _w_sum_fast_p(est, lower_rows, t, d_mem, drop_pcb)
-                    return (
-                        own
-                        + _w_sum_fast_p(est, higher_rows, t, d_mem, drop_pcb)
-                        + blocking
-                        + (own if own < lower else lower)
-                    )
-
-                return bat
-            lower_rows = plan[6]
-
-            def bat(t: int) -> int:
-                own = _bas_fast_p(bas_rows, t, md_i, drop_pcb)
-                lower = _w_sum_fast_b(est, lower_rows, t, d_mem)
-                return (
-                    own
-                    + _w_sum_fast_p(est, higher_rows, t, d_mem, drop_pcb)
-                    + blocking
-                    + (own if own < lower else lower)
-                )
-
-            return bat
-        higher_rows = plan[4]
-        lower_rows = plan[6]
+        return lambda t: own_sum(bas_rows, t, md_i, drop_pcb) * factor + blocking
+    est = ctx._est
+    d_mem = ctx.platform.d_mem
+    w_sum = _w_sum_fast_p if persistence else _w_sum_fast_b
+    if policy is BusPolicy.RR:
+        slot_size = ctx.platform.slot_size
+        core_rows = per_core[form]
 
         def bat(t: int) -> int:
-            own = _bas_fast_b(bas_rows, t, md_i)
-            lower = _w_sum_fast_b(est, lower_rows, t, d_mem)
-            return (
-                own
-                + _w_sum_fast_b(est, higher_rows, t, d_mem)
-                + blocking
-                + (own if own < lower else lower)
-            )
-
-        return bat
-    # RR
-    slot_size = ctx.platform.slot_size
-    if persistence:
-        per_core = plan[7]
-
-        def bat(t: int) -> int:
-            own = _bas_fast_p(bas_rows, t, md_i, drop_pcb)
+            own = own_sum(bas_rows, t, md_i, drop_pcb)
             cap = slot_size * own
             remote = 0
-            for rows in per_core:
-                demand = _w_sum_fast_p(est, rows, t, d_mem, drop_pcb)
+            for rows in core_rows:
+                demand = w_sum(est, rows, t, d_mem, drop_pcb)
                 remote += demand if demand < cap else cap
             return own + remote + blocking
 
         return bat
-    per_core = plan[8]
+    # FP: the lower-priority term stays persistence oblivious unless
+    # ``persistence_in_low`` extends it (see ``bao_low``).
+    low_aware = persistence and ctx.persistence_in_low
+    low_sum = _w_sum_fast_p if low_aware else _w_sum_fast_b
+    higher_rows = higher[form]
+    lower_rows = lower[0 if low_aware else 1]
 
     def bat(t: int) -> int:
-        own = _bas_fast_b(bas_rows, t, md_i)
-        cap = slot_size * own
-        remote = 0
-        for rows in per_core:
-            demand = _w_sum_fast_b(est, rows, t, d_mem)
-            remote += demand if demand < cap else cap
-        return own + remote + blocking
+        own = own_sum(bas_rows, t, md_i, drop_pcb)
+        low = low_sum(est, lower_rows, t, d_mem, drop_pcb)
+        return (
+            own
+            + w_sum(est, higher_rows, t, d_mem, drop_pcb)
+            + blocking
+            + (own if own < low else low)
+        )
 
     return bat
 
 
-def _bat_fused(ctx: AnalysisContext, task_i: Task, t: int) -> int:
-    """One fused :math:`BAT^x_i(t)` evaluation over flat integer rows.
-
-    Live tunables (persistence flags, ``tdma_slot_alignment``) select the
-    specialised row tables / wait terms at evaluation time, so flipping
-    them on a live context takes effect immediately, exactly as on the
-    per-term path.
-    """
-    policy = ctx.platform.bus_policy
-    persistence = ctx.persistence
-    drop_pcb = FAULTS.drop_pcb_term
-    plan = _bat_plan(ctx, task_i)
-    md_i = plan[0]
-    if persistence:
-        own = _bas_fast_p(plan[1], t, md_i, drop_pcb)
-    else:
-        own = _bas_fast_b(plan[2], t, md_i)
-    if policy is BusPolicy.PERFECT:
-        return own
-    if policy is BusPolicy.TDMA:
-        wait_slots = (ctx.platform.num_cores - 1) * ctx.platform.slot_size
-        if ctx.tdma_slot_alignment:
-            wait_slots += 1
-        return own + wait_slots * own + plan[9]
-    est = ctx._est
-    d_mem = ctx.platform.d_mem
-    if policy is BusPolicy.FP:
-        if persistence:
-            higher = _w_sum_fast_p(est, plan[3], t, d_mem, drop_pcb)
-        else:
-            higher = _w_sum_fast_b(est, plan[4], t, d_mem)
-        if persistence and ctx.persistence_in_low:
-            lower = _w_sum_fast_p(est, plan[5], t, d_mem, drop_pcb)
-        else:
-            lower = _w_sum_fast_b(est, plan[6], t, d_mem)
-        return own + higher + plan[9] + min(own, lower)
-    # RR
-    slot_cap = ctx.platform.slot_size * own
-    remote = 0
-    per_core = plan[7] if persistence else plan[8]
-    if persistence:
-        for rows in per_core:
-            demand = _w_sum_fast_p(est, rows, t, d_mem, drop_pcb)
-            remote += demand if demand < slot_cap else slot_cap
-    else:
-        for rows in per_core:
-            demand = _w_sum_fast_b(est, rows, t, d_mem)
-            remote += demand if demand < slot_cap else slot_cap
-    return own + remote + plan[9]
-
-
 def total_bus_accesses(ctx: AnalysisContext, task_i: Task, t: int) -> int:
     """Dispatch :math:`BAT^x_i(t)` on the platform's bus policy."""
-    policy = ctx.platform.bus_policy
     if ctx.fused and t >= 0:
-        if (
-            policy is BusPolicy.FP
-            or policy is BusPolicy.RR
-            or policy is BusPolicy.TDMA
-            or policy is BusPolicy.PERFECT
-        ):
-            return _bat_fused(ctx, task_i, t)
+        return make_bat(ctx, task_i)(t)
+    policy = ctx.platform.bus_policy
     if policy is BusPolicy.FP:
         return _bat_fp(ctx, task_i, t)
     if policy is BusPolicy.RR:

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple
 from repro.budget import Budget
 from repro.crpd.approaches import CrpdApproach, CrpdCalculator
 from repro.errors import AnalysisError
+from repro.model.interference import InterferenceTable
 from repro.model.platform import Platform
 from repro.model.task import Task, TaskSet
 from repro.perf import PerfCounters
@@ -65,19 +66,18 @@ class AnalysisContext:
             Results are bit-identical either way; disabling selects the
             reference path used by the differential correctness test.
         array_kernel: allow the fused tight-loop evaluator for the bus
-            terms (see ``_w_sum_fast_p``/``_w_sum_fast_b`` in
-            :mod:`repro.businterference.requests` and ``_bat_fused`` in
-            :mod:`repro.businterference.arbiters`): a whole BAT evaluation
-            becomes one pass over flat integer rows with response-time
-            estimates resolved through a slot list instead of a
-            ``Task``-keyed dict probe, and no per-term memo caches are
-            consulted (they essentially never hit on this path, so the
-            memo hit/miss counters read zero under the fused evaluator).
-            Engages only where the closed forms apply (``fast_demand`` and
-            a window-oblivious CRPD approach) and only when ``memoize`` is
-            also set, so the ``memoize=False`` reference stays the
-            untouched legacy evaluation.  Computed values are bit-identical
-            either way.
+            terms (``make_bat`` in :mod:`repro.businterference.arbiters`):
+            a whole BAT evaluation becomes one pass over slices of the
+            task set's :meth:`~repro.model.interference.InterferenceTable.
+            rows`, with response-time estimates resolved through a slot
+            list instead of a ``Task``-keyed dict probe, and no per-term
+            memo caches are consulted (they essentially never hit on this
+            path, so the memo hit/miss counters read zero under the fused
+            evaluator).  Engages only on the bitmask kernel, where the
+            closed forms apply (``fast_demand`` and a window-oblivious
+            CRPD approach) and when ``memoize`` is also set, so the
+            ``memoize=False`` reference stays the untouched legacy
+            evaluation.  Computed values are bit-identical either way.
         perf: counters recording iteration counts and memo hits/misses.
         budget: optional :class:`~repro.budget.Budget` ticked at every
             inner fixed-point iteration (and checked inside the expensive
@@ -164,9 +164,15 @@ class AnalysisContext:
         # iteration order), so the hot row loops replace the Task-keyed
         # dict probe with a plain list subscript.  The slot list mirrors
         # ``response_times`` exactly — same values, same isolated-WCET
-        # fallback — and is maintained by :meth:`set_response_time`.
+        # fallback — and is maintained by :meth:`set_response_time`.  The
+        # rows come from the bitmask kernel's interference table, so the
+        # ``frozenset`` reference kernel always takes the per-term path.
         self.fused: bool = (
-            self.memoize and self.array_kernel and self.window_oblivious
+            self.memoize
+            and self.array_kernel
+            and self.window_oblivious
+            and self.crpd.bitset
+            and self.cpro.bitset
         )
         self._slot_of: Dict[int, int] = self.taskset.derived(
             "est-slots",
@@ -174,23 +180,21 @@ class AnalysisContext:
         )
         d_mem = self.platform.d_mem
         self._est = [int(t.pd + t.md * d_mem) for t in self.taskset]
-        self._w_rows_fast: Dict[Tuple[int, int, bool], tuple] = (
-            self.taskset.derived(
-                ("w-rows-fast",) + approaches + (self.platform.d_mem,), dict
+        if self.fused:
+            table = InterferenceTable.shared(self.taskset)
+            self._cut = table.cut
+            self._rows = table.rows(
+                self.crpd.approach, self.cpro.approach, d_mem
             )
-        )
-        self._bas_rows_fast: Dict[int, tuple] = self.taskset.derived(
-            ("bas-rows-fast",) + approaches, dict
-        )
-        # Per-task fused BAT plans (see repro.businterference.arbiters):
-        # everything one total-bus-accesses evaluation needs, flattened into
-        # integer rows.  Keyed by the full platform (policy, d_mem, slot
-        # size, core count) on top of the approach/kernel flags; tunables
-        # read live at evaluation time (persistence flags, TDMA alignment)
-        # are deliberately *not* baked into plans.
-        self._bat_plans: Dict[int, tuple] = self.taskset.derived(
-            ("bat-plans",) + approaches + (self.platform,), dict
-        )
+            # Per-task row slices of the fused BAT (see
+            # repro.businterference.arbiters._bat_plan), shared across
+            # contexts: keyed by the full platform (policy, d_mem, cores)
+            # on top of the approach pair.
+            self._bat_plans: Dict[int, tuple] = self.taskset.derived(
+                ("bat-plans", self.crpd.approach, self.cpro.approach,
+                 self.platform),
+                dict,
+            )
         # Per-task specialised BAT evaluators (``make_bat`` closures), built
         # once per context: they close over this context's estimate list and
         # bind the tunables at creation time, so unlike the plans they must

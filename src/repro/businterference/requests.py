@@ -30,8 +30,6 @@ to the un-memoized reference path (``ctx.memoize = False``).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.businterference.context import AnalysisContext
 from repro.crpd.approaches import CrpdApproach
 from repro.errors import AnalysisError
@@ -118,54 +116,18 @@ def _bas_rows(ctx: AnalysisContext, task_i: Task) -> tuple:
     return rows
 
 
-def _bas_rows_fast(ctx: AnalysisContext, task_i: Task) -> Tuple[tuple, tuple]:
-    """Integer-only forms of :func:`_bas_rows` for the fused evaluator.
-
-    Returns ``(persistence_rows, baseline_rows)``: the persistence-aware
-    loop reads ``(period, md, md_r, |PCB|, gamma, evictable)`` per row,
-    the baseline loop only ``(period, md + gamma)`` — same values as
-    :func:`_bas_rows` minus the ``Task`` object and with the per-row
-    constants the respective closed form actually touches.
-    """
-    rows = ctx._bas_rows_fast.get(task_i.priority)
-    if rows is None:
-        # Built directly from the calculators (the same sources
-        # :func:`_bas_rows` reads) rather than via the legacy table, so the
-        # fused path never materialises the ``Task``-laden rows it does not
-        # need.  Values are identical by construction.
-        gamma_of = ctx.crpd.gamma
-        evictions = ctx.cpro.eviction_count
-        rows_p = []
-        rows_b = []
-        for task_j in ctx.taskset.hp_on_core(task_i, task_i.core):
-            gamma = gamma_of(task_i, task_j)
-            period = int(task_j.period)
-            md = task_j.md
-            rows_p.append(
-                (
-                    period,
-                    md,
-                    task_j.md_r,
-                    len(task_j.pcbs),
-                    gamma,
-                    evictions(task_j, task_i),
-                )
-            )
-            rows_b.append((period, md + gamma))
-        rows = (tuple(rows_p), tuple(rows_b))
-        ctx._bas_rows_fast[task_i.priority] = rows
-    return rows
-
-
 def _bas_fast_p(rows: tuple, t: int, md_i: int, drop_pcb: bool) -> int:
     """Fused persistence-aware :func:`bas` body (fast-demand only).
 
-    Row-for-row the same arithmetic as the ``fast`` branch of :func:`bas`;
-    exact integer operations make the two evaluation orders literally
-    identical, which the differential tests and oracles pin down.
+    ``rows`` are the same-core higher-priority tasks' persistence rows of
+    :meth:`~repro.model.interference.InterferenceTable.rows`, read at the
+    analysed task's own cut.  Row-for-row the same arithmetic as the
+    ``fast`` branch of :func:`bas`; exact integer operations make the two
+    evaluation orders literally identical, which the differential tests
+    and oracles pin down.
     """
     total = md_i
-    for period, md, md_r, pcbs, gamma, evictable in rows:
+    for _, gamma, period, md, md_r, pcbs, evictable, _, _ in rows:
         n_jobs = -((-t) // period)
         isolated = n_jobs * md
         persistent = n_jobs * md_r + (0 if drop_pcb else pcbs)
@@ -177,11 +139,15 @@ def _bas_fast_p(rows: tuple, t: int, md_i: int, drop_pcb: bool) -> int:
     return total
 
 
-def _bas_fast_b(rows: tuple, t: int, md_i: int) -> int:
-    """Fused baseline :func:`bas` body: ``md_i + sum ceil(t/T) * (md + gamma)``."""
+def _bas_fast_b(rows: tuple, t: int, md_i: int, drop_pcb: bool = False) -> int:
+    """Fused baseline :func:`bas` body: ``md_i + sum ceil(t/T) * (md + gamma)``.
+
+    Reads baseline rows; ``drop_pcb`` only mirrors :func:`_bas_fast_p`'s
+    signature (the baseline has no PCB term).
+    """
     total = md_i
-    for period, mdg in rows:
-        total += -((-t) // period) * mdg
+    for _, period, job_demand, _ in rows:
+        total += -((-t) // period) * job_demand
     return total
 
 
@@ -196,11 +162,6 @@ def bas(ctx: AnalysisContext, task_i: Task, t: int) -> int:
     """
     if t < 0:
         raise AnalysisError(f"window length must be non-negative, got {t}")
-    if ctx.fused:
-        rows_p, rows_b = _bas_rows_fast(ctx, task_i)
-        if ctx.persistence:
-            return _bas_fast_p(rows_p, t, task_i.md, FAULTS.drop_pcb_term)
-        return _bas_fast_b(rows_b, t, task_i.md)
     multiset_crpd = ctx.crpd.approach is CrpdApproach.ECB_UNION_MULTISET
     persistence = ctx.persistence
     fast = ctx.fast_demand
@@ -364,69 +325,14 @@ def _w_sum(
     return total
 
 
-def _w_rows_fast(
-    ctx: AnalysisContext, task_k: Task, core_y: int, lower: bool
-) -> Tuple[tuple, tuple]:
-    """Integer-only forms of :func:`_w_rows` for the fused evaluator.
-
-    Returns ``(persistence_rows, baseline_rows)``.  Both carry ``slot`` —
-    the index of the member task in the context's estimate list, resolving
-    to the same value the dict probe of :func:`_w_sum` would (including
-    the isolated-WCET fallback) — and the folded per-row constants
-    ``job_demand = md + gamma`` and ``job_demand * d_mem``.  The
-    persistence rows additionally carry the closed-form demand parameters
-    ``(md, md_r, |PCB|, evictable)``; the baseline rows only ``md + gamma``
-    once more as the per-full-job charge.
-    """
-    key = (core_y, task_k.priority, lower)
-    rows = ctx._w_rows_fast.get(key)
-    if rows is None:
-        # Built directly from the calculators (the same sources
-        # :func:`_w_rows` reads) rather than via the legacy table, so the
-        # fused path never materialises the ``Task``-laden rows it does not
-        # need.  Values are identical by construction.
-        members = (
-            ctx.taskset.lp_on_core(task_k, core_y)
-            if lower
-            else ctx.taskset.hep_on_core(task_k, core_y)
-        )
-        d_mem = ctx.platform.d_mem
-        slot_of = ctx._slot_of
-        gamma_of = ctx.crpd.gamma
-        evictions = ctx.cpro.eviction_count
-        rows_p = []
-        rows_b = []
-        for task_l in members:
-            gamma = gamma_of(task_k, task_l)
-            period = int(task_l.period)
-            job_demand = task_l.md + gamma
-            jdd = job_demand * d_mem
-            slot = slot_of[task_l.priority]
-            rows_p.append(
-                (
-                    slot,
-                    gamma,
-                    period,
-                    task_l.md,
-                    task_l.md_r,
-                    len(task_l.pcbs),
-                    evictions(task_l, task_k),
-                    job_demand,
-                    jdd,
-                )
-            )
-            rows_b.append((slot, period, job_demand, jdd))
-        rows = (tuple(rows_p), tuple(rows_b))
-        ctx._w_rows_fast[key] = rows
-    return rows
-
-
 def _w_sum_fast_p(est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool) -> int:
     """Fused persistence-aware :func:`_w_sum` body (fast-demand only).
 
-    Same arithmetic, row order and integer operations as the ``fast``
-    branch of :func:`_w_sum`; the only differences are mechanical — the
-    estimate comes from a slot list instead of a ``Task``-keyed dict and
+    ``rows`` are persistence rows of
+    :meth:`~repro.model.interference.InterferenceTable.rows`.  Same
+    arithmetic and integer operations as the ``fast`` branch of
+    :func:`_w_sum`; the only differences are mechanical — the estimate
+    comes from a slot list instead of a ``Task``-keyed dict and
     ``job_demand * d_mem`` is a precomputed row constant — so values are
     bit-identical by construction.
     """
@@ -450,11 +356,14 @@ def _w_sum_fast_p(est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool) ->
     return total
 
 
-def _w_sum_fast_b(est: list, rows: tuple, t: int, d_mem: int) -> int:
-    """Fused baseline :func:`_w_sum` body.
+def _w_sum_fast_b(
+    est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool = False
+) -> int:
+    """Fused baseline :func:`_w_sum` body over baseline rows.
 
     The baseline per-full-job charge is ``md + gamma = job_demand``, so
-    the row needs only the window parameters.
+    the row needs only the window parameters; ``drop_pcb`` only mirrors
+    :func:`_w_sum_fast_p`'s signature.
     """
     total = 0
     for slot, period, jd, jdd in rows:
@@ -491,17 +400,8 @@ def bao(ctx: AnalysisContext, core_y: int, task_k: Task, t: int) -> int:
         ctx.perf.bao_hits += 1
         return cached[1]
     ctx.perf.bao_misses += 1
-    if ctx.fused:
-        rows_p, rows_b = _w_rows_fast(ctx, task_k, core_y, lower=False)
-        if ctx.persistence:
-            value = _w_sum_fast_p(
-                ctx._est, rows_p, t, ctx.platform.d_mem, FAULTS.drop_pcb_term
-            )
-        else:
-            value = _w_sum_fast_b(ctx._est, rows_b, t, ctx.platform.d_mem)
-    else:
-        rows = _w_rows(ctx, task_k, core_y, lower=False)
-        value = _w_sum(ctx, task_k, rows, t, ctx.persistence)
+    rows = _w_rows(ctx, task_k, core_y, lower=False)
+    value = _w_sum(ctx, task_k, rows, t, ctx.persistence)
     ctx._bao_cache[key] = (epoch, value)
     return value
 
@@ -528,16 +428,7 @@ def bao_low(ctx: AnalysisContext, core_y: int, task_k: Task, t: int) -> int:
         ctx.perf.bao_low_hits += 1
         return cached[1]
     ctx.perf.bao_low_misses += 1
-    if ctx.fused:
-        rows_p, rows_b = _w_rows_fast(ctx, task_k, core_y, lower=True)
-        if persistence:
-            value = _w_sum_fast_p(
-                ctx._est, rows_p, t, ctx.platform.d_mem, FAULTS.drop_pcb_term
-            )
-        else:
-            value = _w_sum_fast_b(ctx._est, rows_b, t, ctx.platform.d_mem)
-    else:
-        rows = _w_rows(ctx, task_k, core_y, lower=True)
-        value = _w_sum(ctx, task_k, rows, t, persistence)
+    rows = _w_rows(ctx, task_k, core_y, lower=True)
+    value = _w_sum(ctx, task_k, rows, t, persistence)
     ctx._bao_low_cache[key] = (epoch, value)
     return value

@@ -103,56 +103,6 @@ _APPROACHES: Dict[CrpdApproach, Callable[[TaskSet, Task, Task], int]] = {
 }
 
 
-# -- bitmask kernel (AND + popcount over the interference table) ------------
-
-
-def _crpd_ecb_union_bitset(
-    table: InterferenceTable, taskset: TaskSet, task_i: Task, task_j: Task
-) -> int:
-    """Bitmask form of :func:`crpd_ecb_union` (Eq. 2)."""
-    core = task_j.core
-    affected = taskset.aff_on_core(task_i, task_j, core)
-    if not affected:
-        return 0
-    evicting = table.hep_ecb_mask(task_j, core)
-    ucb = table.ucb_mask
-    return max((ucb[t.priority] & evicting).bit_count() for t in affected)
-
-
-def _crpd_ucb_only_bitset(
-    table: InterferenceTable, taskset: TaskSet, task_i: Task, task_j: Task
-) -> int:
-    """UCB-only bound from cached popcounts (no intersection needed)."""
-    core = task_j.core
-    affected = taskset.aff_on_core(task_i, task_j, core)
-    if not affected:
-        return 0
-    ucb = table.ucb_mask
-    return max(ucb[t.priority].bit_count() for t in affected)
-
-
-def _crpd_ecb_only_bitset(
-    table: InterferenceTable, taskset: TaskSet, task_i: Task, task_j: Task
-) -> int:
-    """ECB-only bound from the preempting task's mask popcount."""
-    core = task_j.core
-    affected = taskset.aff_on_core(task_i, task_j, core)
-    if not affected:
-        return 0
-    return table.ecb_mask[task_j.priority].bit_count()
-
-
-_BITSET_APPROACHES: Dict[
-    CrpdApproach, Callable[[InterferenceTable, TaskSet, Task, Task], int]
-] = {
-    CrpdApproach.ECB_UNION: _crpd_ecb_union_bitset,
-    CrpdApproach.ECB_UNION_MULTISET: _crpd_ecb_union_bitset,
-    CrpdApproach.UCB_ONLY: _crpd_ucb_only_bitset,
-    CrpdApproach.ECB_ONLY: _crpd_ecb_only_bitset,
-    CrpdApproach.NONE: lambda table, taskset, task_i, task_j: 0,
-}
-
-
 class CrpdCalculator:
     """Memoising front-end over the CRPD approaches.
 
@@ -160,11 +110,12 @@ class CrpdCalculator:
     pairs at every iteration; the values only depend on the (static) task
     set, so they are computed once and cached.
 
-    With ``bitset=True`` (the default) :math:`\\gamma` and the multiset
-    pair data are evaluated from the task set's
-    :class:`~repro.model.interference.InterferenceTable` as AND+popcount
+    With ``bitset=True`` (the default) :math:`\\gamma` is read from the
+    task set's :class:`~repro.model.interference.InterferenceTable` cut
+    table and the multiset pair data is evaluated there as AND+popcount
     operations; ``bitset=False`` selects the retained ``frozenset``
-    reference path (``bitset-identity`` oracle of :mod:`repro.verify`).
+    reference path (``bitset-identity`` oracle of :mod:`repro.verify`),
+    the only one that fills the per-pair cache.
     """
 
     def __init__(
@@ -177,7 +128,6 @@ class CrpdCalculator:
         self._approach = approach
         self._bitset = bitset
         self._fn = _APPROACHES[approach]
-        self._bitset_fn = _BITSET_APPROACHES[approach]
         self._table: Optional[InterferenceTable] = (
             InterferenceTable.shared(taskset) if bitset else None
         )
@@ -214,17 +164,6 @@ class CrpdCalculator:
         """Whether this calculator runs on the bitmask kernel."""
         return self._bitset
 
-    def prefill_pairs(self, pairs: Dict[Tuple[int, int], int]) -> None:
-        """Adopt batch-compiled gamma values, keyed ``(pri_i, pri_j)``.
-
-        Fed by :class:`~repro.model.interference.BatchInterferenceTable`;
-        every value equals what :meth:`gamma` would compute lazily, so
-        adopting them only removes cache misses.  Lazily-computed entries
-        already present are identical and simply retained.
-        """
-        for key, value in pairs.items():
-            self._cache.setdefault(key, value)
-
     def gamma(self, task_i: Task, task_j: Task) -> int:
         """CRPD (in memory requests) charged per preemption by ``task_j``.
 
@@ -233,13 +172,14 @@ class CrpdCalculator:
         and determines the core.  Mirrors :math:`\\gamma_{i,j,x}` with
         :math:`x =` ``task_j.core``.
         """
+        table = self._table
+        if table is not None:
+            return table.gamma_cuts(self._approach)[task_j.priority][
+                table.cut[task_i.priority][task_j.core]
+            ]
         key = (task_i.priority, task_j.priority)
         if key not in self._cache:
-            if self._table is not None:
-                value = self._bitset_fn(self._table, self._taskset, task_i, task_j)
-            else:
-                value = self._fn(self._taskset, task_i, task_j)
-            self._cache[key] = value
+            self._cache[key] = self._fn(self._taskset, task_i, task_j)
         return self._cache[key]
 
     def multiset_window(

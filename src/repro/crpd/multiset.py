@@ -88,16 +88,18 @@ def multiset_pair_data_bitset(
     """Bitmask form of :func:`multiset_pair_data`.
 
     The per-affected-task reload cost :math:`c_g` is one AND+popcount of
-    the cached UCB mask against the (priority, core)-cached evicting ECB
-    union.  Entry order matches the reference builder exactly: affected
-    tasks are enumerated in the same (priority) order and the sort is
-    stable, so ties resolve identically.
+    the table's UCB mask against the folded evicting ECB union.  Entry
+    order matches the reference builder exactly: affected tasks are
+    enumerated in the same (priority) order and the sort is stable, so
+    ties resolve identically.
     """
     core = task_j.core
     affected = taskset.aff_on_core(task_i, task_j, core)
     if not affected:
         return ()
-    evicting = table.hep_ecb_mask(task_j, core)
+    evicting = 0
+    for task_h in taskset.hep_on_core(task_j, core):
+        evicting |= table.ecb_mask[task_h.priority]
     ucb = table.ucb_mask
     entries = [
         (cost, int(task_g.period), task_g)

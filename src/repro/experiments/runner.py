@@ -232,8 +232,8 @@ def evaluate_sample(
     The task set is generated once from ``base_platform`` (generation only
     depends on ``d_mem``, the cache geometry and the core count, not on the
     arbitration policy) and shared across variants; passing ``taskset``
-    skips the generation (the sweep layer pre-generates whole points so
-    their pair tables batch-compile together).  Variants are evaluated in
+    skips the generation (the sweep layer pre-generates whole points and
+    compiles their interference tables together).  Variants are evaluated in
     dominance order: once a tighter variant fails with a genuine deadline
     miss, the variants it dominates are recorded unschedulable without
     running their analyses (``perf.dominance_skips``) — the verdict tuple,
@@ -325,17 +325,17 @@ def prewarm_items(
     perf: Optional[PerfCounters] = None,
     context: Optional[Dict] = None,
 ) -> Optional[Dict]:
-    """Pre-generate a chunk's task sets and batch-compile their pair tables.
+    """Pre-generate a chunk's task sets and compile their interference tables.
 
     Fills ``context["tasksets"]`` (seed-keyed) so :func:`evaluate_item`
     skips per-sample generation, then runs one
     :func:`~repro.model.interference.prefill_batch` per distinct
-    CRPD/CPRO approach pair among the array-kernel variants — the whole
-    point's per-pair tables compile in a single batch instead of one lazy
-    lookup at a time.  Task sets come from the worker-resident
+    CRPD/CPRO approach pair among the bitmask-kernel variants, compiling
+    every task set's per-cut CRPD/CPRO values before the first analysis.
+    Task sets come from the worker-resident
     :func:`~repro.experiments.stateplane.resident_plane`, so a chunk
     re-visiting a sample another chunk of this worker already touched
-    reuses the same object — generation, compiled pair tables and
+    reuses the same object — generation, compiled tables and
     warm-start seeds included (``perf.resident_table_hits``); the
     re-prefill of a resident task set is an idempotent no-op.  Purely an
     optimisation: every step is idempotent and the analyses recompute
@@ -358,7 +358,7 @@ def prewarm_items(
         combos = {
             (variant.analysis.crpd_approach, variant.analysis.cpro_approach)
             for variant in variants
-            if variant.analysis.array_kernel and variant.analysis.bitset_kernel
+            if variant.analysis.bitset_kernel
         }
         for crpd_approach, cpro_approach in sorted(
             combos, key=lambda pair: (pair[0].name, pair[1].name)

@@ -3,8 +3,8 @@
 A parallel sweep deals point-aligned chunks of ``(point, sample)`` items to
 spawn workers.  Before this module each chunk arrived stateless: the worker
 re-generated every task set, re-compiled its
-:class:`~repro.model.interference.BatchInterferenceTable` pair tables and
-re-derived every warm-start seed from scratch, even when the previous chunk
+:class:`~repro.model.interference.InterferenceTable` and re-derived every
+warm-start seed from scratch, even when the previous chunk
 it ran — or a neighbouring chunk of the same sweep — had already paid for
 identical state.  The :class:`StatePlane` is a small fingerprint-keyed LRU
 that keeps exactly that state resident in the worker process across chunks:
@@ -13,9 +13,9 @@ that keeps exactly that state resident in the worker process across chunks:
   ``(platform, generation, utilization, seed)``.  Generation is a pure
   function of the key (the RNG is seeded from ``seed`` alone), so a cached
   task set is *the same value* a fresh generation would produce — along
-  with every ``TaskSet.derived`` store hanging off it: interference
-  tables, batch-compiled pair tables, warm-start seeds.  A plane hit
-  therefore replaces generation + batch compile + cold fixed points with
+  with every ``TaskSet.derived`` store hanging off it: the interference
+  table with its compiled per-cut values and rows, warm-start seeds.  A
+  plane hit therefore replaces generation + compile + cold fixed points with
   the (strictly re-verified, bit-identical) warm-start path.
 * **Warm-hint chains**, keyed by a caller-supplied chain scope plus the
   sample index, so adjacent utilisation points of one sample seed each

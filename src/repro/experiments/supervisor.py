@@ -326,7 +326,7 @@ def run_resident_chunk(payload):
 
     Together with the process-global
     :func:`~repro.experiments.stateplane.resident_plane` the worker keeps
-    between chunks (task sets, compiled pair tables, warm-start seeds,
+    between chunks (task sets, compiled interference tables, warm-start seeds,
     hint chains), this makes workers stateful across chunks while leaving
     every recovery path untouched: a respawned pool simply re-runs
     :func:`_worker_init` and starts with an empty plane.

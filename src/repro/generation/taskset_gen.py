@@ -31,7 +31,7 @@ from repro.data.benchmarks import BenchmarkSpec, benchmark_table
 from repro.errors import GenerationError
 from repro.generation.uunifast import uunifast
 from repro.model.platform import Platform
-from repro.model.task import Task, TaskSet, assign_deadline_monotonic_priorities
+from repro.model.task import Task, TaskSet
 from repro.program.malardalen import benchmark_program, reference_geometry
 
 #: Utilisations below this are clamped to keep generated periods finite.
@@ -157,8 +157,12 @@ def _place_sets(
         start = 0
     else:
         start = rng.randrange(num_sets)
-    ecbs = frozenset((start + offset) % num_sets for offset in range(spec.n_ecb))
-    ordered = sorted(ecbs)
+    # The run start, start + 1, ... wraps past the last set to set 0; list
+    # the wrapped head first so the run comes out sorted.
+    n_ecb = min(spec.n_ecb, num_sets)
+    ordered = list(range(max(start + n_ecb - num_sets, 0)))
+    ordered += range(start, min(start + n_ecb, num_sets))
+    ecbs = frozenset(ordered)
     n_ucb = min(spec.n_ucb, len(ordered))
     n_pcb = min(spec.n_pcb, len(ordered))
     ucbs = frozenset(rng.sample(ordered, n_ucb))
@@ -191,28 +195,36 @@ def generate_taskset(
         raise GenerationError("benchmark pool is empty")
     num_sets = platform.cache.num_sets
     d_mem = platform.d_mem
-    tasks: List[Task] = []
+    drawn = []
     for core in platform.cores:
         utilizations = uunifast(rng, config.tasks_per_core, core_utilization)
         for index, utilization in enumerate(utilizations):
             utilization = max(utilization, _MIN_TASK_UTILIZATION)
             spec = rng.choice(pool)
-            ecbs, ucbs, pcbs = _place_sets(rng, spec, num_sets, config.placement)
+            sets = _place_sets(rng, spec, num_sets, config.placement)
             wcet = spec.pd + spec.md * d_mem
             period = max(int(round(wcet / utilization)), wcet)
-            tasks.append(
-                Task(
-                    name=f"{spec.name}#c{core}t{index}",
-                    pd=spec.pd,
-                    md=spec.md,
-                    md_r=spec.md_r,
-                    period=period,
-                    deadline=period,
-                    priority=len(tasks),  # placeholder, replaced below
-                    core=core,
-                    ecbs=ecbs,
-                    ucbs=ucbs,
-                    pcbs=pcbs,
-                )
+            drawn.append((period, core, index, spec, sets))
+    # Deadline-monotonic priorities with ties broken by draw order (as
+    # assign_deadline_monotonic_priorities does), ranked before any task
+    # is built so each one is constructed once with its final priority.
+    ranked = sorted(range(len(drawn)), key=lambda n: (drawn[n][0], n))
+    tasks: List[Task] = []
+    for priority, n in enumerate(ranked, 1):
+        period, core, index, spec, (ecbs, ucbs, pcbs) = drawn[n]
+        tasks.append(
+            Task(
+                name=f"{spec.name}#c{core}t{index}",
+                pd=spec.pd,
+                md=spec.md,
+                md_r=spec.md_r,
+                period=period,
+                deadline=period,
+                priority=priority,
+                core=core,
+                ecbs=ecbs,
+                ucbs=ucbs,
+                pcbs=pcbs,
             )
-    return TaskSet(assign_deadline_monotonic_priorities(tasks))
+        )
+    return TaskSet(tasks)

@@ -13,36 +13,51 @@ intersection cardinality becomes one ``&`` plus one popcount
 cache size: indices beyond 63 simply spill into further limbs of the same
 integer, so nothing special happens at the 64-bit word boundary.
 
-:class:`InterferenceTable` is the per-task-set compilation of that idea:
+:class:`InterferenceTable` is the per-task-set compilation of that idea.
+Besides the per-task ``ecb``/``ucb``/``pcb`` masks it holds the two
+per-pair quantities the fixed point reads: :math:`\\gamma` of Eq. (2)
+(and its UCB-only / ECB-only ablations) and the CPRO eviction count of
+Eq. (14) (and its global ablation).  Both depend on the analysed task
+:math:`\\tau_i` only through its **priority cut** on the other task's
+core — the number of that core's tasks whose priority is at least
+:math:`\\tau_i`'s (:attr:`InterferenceTable.cut`): :math:`aff(i, j)` on
+:math:`\\tau_j`'s core is that core's tasks after :math:`\\tau_j` and
+before the cut, and the evicting tasks of :math:`\\tau_j`'s PCBs are the
+core's tasks before the cut, :math:`\\tau_j` excluded.  The table
+therefore stores one value per core member and cut
+(:meth:`~InterferenceTable.gamma_cuts`,
+:meth:`~InterferenceTable.eviction_cuts`: 2 x 288 small integers for 32
+tasks on 4 cores) and, per ``d_mem``, the fused BAT evaluator's integer
+rows of every member at every cut (:meth:`~InterferenceTable.rows`), so a
+task's evaluation plan is a handful of slices.
 
-* per-task ``ecb``/``ucb``/``pcb`` masks (and their popcounts),
-* the per-(priority, core) union masks the bounds keep re-folding
-  (:meth:`hep_ecb_mask` — the evicting union of Eq. 2/14),
-* the pairwise eviction masks behind the CPRO bounds
-  (:meth:`evicting_ecb_mask`, :meth:`core_ecb_mask_excluding`).
-
-The table is a pure function of the (immutable) task set, so it is built
-at most once per task set (shared via :meth:`~repro.model.task.TaskSet.
-derived`) and reused by every analysis run, variant and calculator; the
-build is counted by the ``bitset_table_builds`` perf counter.  The
-set-based implementations in :mod:`repro.persistence.cpro`,
-:mod:`repro.crpd.approaches` and :mod:`repro.crpd.multiset` are retained
-as the reference path (``AnalysisConfig(bitset_kernel=False)``); the
-``bitset-identity`` oracle of :mod:`repro.verify.oracles` proves the two
-kernels bit-identical on every fuzz case and corpus entry.
+Every part is a pure function of the (immutable) task set and the
+approaches, so the table is built at most once per task set (shared via
+:meth:`~repro.model.task.TaskSet.derived`) and each part lazily on first
+use; the table build is counted by the ``bitset_table_builds`` perf
+counter and the cut compilation of :func:`prefill_batch` by
+``batch_analyses``.  The set-based implementations in
+:mod:`repro.persistence.cpro`, :mod:`repro.crpd.approaches` and
+:mod:`repro.crpd.multiset` are retained as the reference path
+(``AnalysisConfig(bitset_kernel=False)``); the ``bitset-identity`` oracle
+of :mod:`repro.verify.oracles` proves the two kernels bit-identical on
+every fuzz case and corpus entry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.model.task import Task, TaskSet
 
-try:  # Optional acceleration only — never a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the import-block tests
-    _np = None
+#: Values of one core member at every cut ``0..len(core)`` of its core.
+Cuts = Dict[int, Tuple[int, ...]]
+
+#: ``rows[core][cut]``: the ``(persistence_rows, baseline_rows)`` of every
+#: member of ``core`` at that cut (see :meth:`InterferenceTable.rows`).
+FusedRows = Dict[int, Tuple[Tuple[tuple, tuple], ...]]
 
 
 def blocks_to_mask(blocks: Iterable[int]) -> int:
@@ -78,10 +93,10 @@ def mask_to_blocks(mask: int) -> FrozenSet[int]:
 class InterferenceTable:
     """Precompiled bitmask views of one task set's cache-block sets.
 
-    All task-indexed lookups are keyed by *priority* (unique per task set,
-    exactly like the calculators' pair caches).  Union masks are computed
-    lazily and cached: the WCRT fixed point asks for the same
-    (priority, core) unions for every pair, so each is folded once.
+    Task-indexed lookups are keyed by *priority* (unique per task set).
+    The approach enums live above this module in the dependency graph
+    (their modules import this one), so the cut builders match them by
+    name.
     """
 
     def __init__(self, taskset: TaskSet):
@@ -89,16 +104,25 @@ class InterferenceTable:
         self.ecb_mask: Dict[int, int] = {}
         self.ucb_mask: Dict[int, int] = {}
         self.pcb_mask: Dict[int, int] = {}
-        self.pcb_count: Dict[int, int] = {}
         for task in taskset:
             key = task.priority
             self.ecb_mask[key] = blocks_to_mask(task.ecbs)
             self.ucb_mask[key] = blocks_to_mask(task.ucbs)
             self.pcb_mask[key] = blocks_to_mask(task.pcbs)
-            self.pcb_count[key] = len(task.pcbs)
-        self._hep_ecb_cache: Dict[Tuple[int, int], int] = {}
-        self._evicting_cache: Dict[Tuple[int, int, int], int] = {}
-        self._core_excl_cache: Dict[Tuple[int, int], int] = {}
+        #: Tasks of every core that has any, highest priority first.
+        self.members: Dict[int, Tuple[Task, ...]] = {
+            core: taskset.on_core(core) for core in taskset.cores
+        }
+        #: ``cut[priority][core]``: how many of ``core``'s tasks have a
+        #: priority at least as high as the task's.
+        self.cut: Dict[int, Dict[int, int]] = {}
+        counts = dict.fromkeys(self.members, 0)
+        for task in taskset:
+            counts[task.core] += 1
+            self.cut[task.priority] = dict(counts)
+        self._gamma: Dict[object, Cuts] = {}
+        self._evictions: Dict[object, Cuts] = {}
+        self._rows: Dict[tuple, FusedRows] = {}
 
     @classmethod
     def shared(
@@ -118,359 +142,124 @@ class InterferenceTable:
 
         return taskset.derived("interference-table", build)
 
-    def union_ecb_mask(self, tasks: Iterable[Task]) -> int:
-        """Fold of the ECB masks of ``tasks`` (uncached building block)."""
-        mask = 0
+    def gamma_cuts(self, crpd_approach) -> Cuts:
+        """:math:`\\gamma` per preempting task and cut of its core.
+
+        ``gamma_cuts(a)[j][k]`` is :math:`\\gamma_{i,j}` under CRPD
+        approach ``a`` for every :math:`\\tau_i` whose cut on
+        :math:`\\tau_j`'s core is ``k``: the running maximum of the reload
+        costs of the core's tasks after :math:`\\tau_j` and before the cut
+        (0 while that range is empty).  The per-job value of the multiset
+        refinement is plain ECB-union.
+        """
+        cuts = self._gamma.get(crpd_approach)
+        if cuts is not None:
+            return cuts
+        cuts = {}
+        name = crpd_approach.name
+        ecb, ucb = self.ecb_mask, self.ucb_mask
+        for members in self.members.values():
+            hep = 0
+            for position, task_j in enumerate(members):
+                hep |= ecb[task_j.priority]
+                later = members[position + 1:]
+                if name == "UCB_ONLY":
+                    costs = [ucb[t.priority].bit_count() for t in later]
+                elif name == "ECB_ONLY":
+                    costs = [ecb[task_j.priority].bit_count()] * len(later)
+                elif name == "NONE":
+                    costs = [0] * len(later)
+                else:  # ECB_UNION, ECB_UNION_MULTISET
+                    costs = [(ucb[t.priority] & hep).bit_count() for t in later]
+                cuts[task_j.priority] = (0,) * (position + 2) + tuple(
+                    accumulate(costs, max)
+                )
+        self._gamma[crpd_approach] = cuts
+        return cuts
+
+    def eviction_cuts(self, cpro_approach) -> Cuts:
+        """CPRO eviction count per PCB owner and cut of its core.
+
+        ``eviction_cuts(a)[j][k]`` is the number of :math:`\\tau_j`'s PCBs
+        overlapped by the ECBs of the core's first ``k`` tasks other than
+        :math:`\\tau_j` — for the global ablation, of every other task of
+        the core whatever the cut.  The multiset approach reads the union
+        count where no window is known.
+        """
+        cuts = self._evictions.get(cpro_approach)
+        if cuts is not None:
+            return cuts
+        cuts = {}
+        name = cpro_approach.name
         ecb = self.ecb_mask
-        for task in tasks:
-            mask |= ecb[task.priority]
-        return mask
+        for members in self.members.values():
+            for task_j in members:
+                pcb = self.pcb_mask[task_j.priority]
+                union = 0
+                counts = [0]
+                for task in members:
+                    if task is not task_j:
+                        union |= ecb[task.priority]
+                    counts.append((pcb & union).bit_count())
+                if name == "GLOBAL":
+                    counts = [counts[-1]] * len(counts)
+                elif name == "NONE":
+                    counts = [0] * len(counts)
+                cuts[task_j.priority] = tuple(counts)
+        self._evictions[cpro_approach] = cuts
+        return cuts
 
-    def hep_ecb_mask(self, task: Task, core: int) -> int:
-        """Bitmask form of :meth:`~repro.model.task.TaskSet.hep_ecb_union`.
+    def rows(self, crpd_approach, cpro_approach, d_mem: int) -> FusedRows:
+        """The fused BAT evaluator's integer rows at every cut.
 
-        :math:`\\bigcup_{h \\in \\Gamma_{core} \\cap hep(task)} ECB_h` — the
-        evicting union of the ECB-union CRPD bound (Eq. 2) and its multiset
-        refinement.
+        ``rows(...)[core][k]`` is ``(persistence_rows, baseline_rows)``
+        with one row per member of ``core`` (priority order), its
+        :math:`\\gamma` and eviction count read at cut ``k``:
+
+        * persistence rows ``(slot, gamma, T, MD, MDr, |PCB|, evictable,
+          MD + gamma, (MD + gamma) * d_mem)``;
+        * baseline rows ``(slot, T, MD + gamma, (MD + gamma) * d_mem)``;
+
+        ``slot`` is the member's position in task-set order (its index in
+        the evaluator's estimate list).  A member whose values do not
+        change between two cuts shares one row tuple across them.
         """
-        key = (task.priority, core)
-        mask = self._hep_ecb_cache.get(key)
-        if mask is None:
-            mask = self.union_ecb_mask(self._taskset.hep_on_core(task, core))
-            self._hep_ecb_cache[key] = mask
-        return mask
-
-    def evicting_ecb_mask(self, task_j: Task, task_i: Task) -> int:
-        """CPRO eviction mask of Eq. (14): ECBs of the tasks that can run
-        between two jobs of ``task_j`` inside ``task_i``'s busy window —
-        same-core tasks of priority :math:`\\geq` ``task_i``'s, minus
-        ``task_j`` itself.
-        """
-        core = task_j.core
-        key = (task_j.priority, task_i.priority, core)
-        mask = self._evicting_cache.get(key)
-        if mask is None:
-            mask = self.union_ecb_mask(
-                t
-                for t in self._taskset.hep_on_core(task_i, core)
-                if t is not task_j
-            )
-            self._evicting_cache[key] = mask
-        return mask
-
-    def core_ecb_mask_excluding(self, task_j: Task) -> int:
-        """ECB union of every *other* task on ``task_j``'s core.
-
-        The coarse eviction mask of the global CPRO ablation variant
-        (:func:`repro.persistence.cpro.cpro_eviction_count_global`).
-        """
-        core = task_j.core
-        key = (task_j.priority, core)
-        mask = self._core_excl_cache.get(key)
-        if mask is None:
-            mask = self.union_ecb_mask(
-                t for t in self._taskset.on_core(core) if t is not task_j
-            )
-            self._core_excl_cache[key] = mask
-        return mask
+        key = (crpd_approach, cpro_approach, d_mem)
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows
+        gamma = self.gamma_cuts(crpd_approach)
+        evictions = self.eviction_cuts(cpro_approach)
+        slot = {task.priority: index for index, task in enumerate(self._taskset)}
+        rows = {}
+        for core, members in self.members.items():
+            made: Dict[tuple, Tuple[tuple, tuple]] = {}
+            per_cut = []
+            for k in range(len(members) + 1):
+                rows_p, rows_b = [], []
+                for task in members:
+                    values = (task.priority, gamma[task.priority][k],
+                              evictions[task.priority][k])
+                    pair = made.get(values)
+                    if pair is None:
+                        _, g, evictable = values
+                        period = int(task.period)
+                        jd = task.md + g
+                        pair = made[values] = (
+                            (slot[task.priority], g, period, task.md,
+                             task.md_r, len(task.pcbs), evictable, jd,
+                             jd * d_mem),
+                            (slot[task.priority], period, jd, jd * d_mem),
+                        )
+                    rows_p.append(pair[0])
+                    rows_b.append(pair[1])
+                per_cut.append((tuple(rows_p), tuple(rows_b)))
+            rows[core] = tuple(per_cut)
+        self._rows[key] = rows
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InterferenceTable({len(self.ecb_mask)} tasks)"
-
-
-# -- batched sweep-point kernel ---------------------------------------------
-
-
-def _array_popcounts_available() -> bool:
-    """Whether the vectorised uint64 popcount backend can run at all."""
-    return _np is not None and hasattr(_np, "bitwise_count")
-
-
-_ARRAY_KERNEL_WARNED = False
-
-
-def note_array_kernel_unavailable(perf: Optional[object] = None) -> None:
-    """Record that a vectorised kernel was requested without numpy.
-
-    ``AnalysisConfig(array_kernel=True)`` / ``lockstep_kernel=True`` are on
-    by default, but the numpy backend behind them is an optional extra
-    (``pip install .[fast]``).  The pure-Python fallbacks are bit-identical,
-    so silently falling back would be *correct* — and would just as
-    silently forfeit the speedup the caller asked for.  This hook makes the
-    fallback observable instead: the first occurrence per process emits a
-    ``RuntimeWarning`` and every occurrence bumps the
-    ``array_kernel_unavailable`` perf counter (merged across sweep workers
-    like every other counter, so ``--profile`` and the daemon's ``/stats``
-    show fleet-wide totals).
-    """
-    global _ARRAY_KERNEL_WARNED
-    if perf is not None:
-        perf.array_kernel_unavailable += 1
-    if not _ARRAY_KERNEL_WARNED:
-        _ARRAY_KERNEL_WARNED = True
-        import warnings
-
-        warnings.warn(
-            "array/lockstep kernel requested but numpy is not importable; "
-            "running the bit-identical pure-Python fallback (install the "
-            "optional extra: pip install '.[fast]' for the vectorised "
-            "backend)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-class _PopcountBatch:
-    """Flat buffer of AND-mask popcount jobs spanning a whole batch.
-
-    Jobs are appended while the per-task-set compilation walks its running
-    unions; :meth:`resolve` then evaluates every popcount in one pass —
-    vectorised through numpy's ``uint64`` ``bitwise_count`` when available
-    and every mask fits one machine word, a tight ``int.bit_count()`` loop
-    otherwise.  Both backends are exact integer popcounts, so the choice is
-    invisible in the results.
-    """
-
-    def __init__(self) -> None:
-        self.masks: List[int] = []
-        self._union = 0
-
-    def add(self, mask: int) -> int:
-        """Queue one popcount job; returns its index in the flat buffer."""
-        self.masks.append(mask)
-        self._union |= mask
-        return len(self.masks) - 1
-
-    @property
-    def fits_uint64(self) -> bool:
-        return (self._union >> 64) == 0
-
-    def resolve(self, arrays: bool) -> Tuple[List[int], bool]:
-        """All queued popcounts, plus whether the array backend ran."""
-        if (
-            arrays
-            and self.masks
-            and self.fits_uint64
-            and _array_popcounts_available()
-        ):
-            flat = _np.array(self.masks, dtype=_np.uint64)
-            return _np.bitwise_count(flat).tolist(), True
-        return [mask.bit_count() for mask in self.masks], False
-
-
-class BatchInterferenceTable:
-    """Batch compilation of per-pair CRPD/CPRO tables across task sets.
-
-    One sweep point analyses hundreds of task sets under the same platform
-    and analysis configuration; each analysis keeps re-deriving the same
-    kinds of per-pair quantities — hep/evicting/core-excluding ECB union
-    masks and the CRPD (:math:`\\gamma`, Eq. 2) and CPRO (Eq. 14)
-    cardinalities — through lazy per-lookup folds.  This class compiles
-    them for a whole batch in three flat passes:
-
-    1. *union masks*: one running-OR walk per (core, task set) fills every
-       ``(priority, core)`` hep union (and the evicting/core-excluding
-       variants) in O(tasks x cores) — no per-pair refolds;
-    2. *popcounts*: every ``|A ∩ B|`` the pair tables need is queued as a
-       single AND mask in a :class:`_PopcountBatch` and evaluated in one
-       pass over the whole batch (numpy-vectorised for <= 64-set
-       platforms when the optional ``fast`` extra is installed);
-    3. *tables*: the per-pair values are derived from the flat counts with
-       running maxima (CRPD bands) and scattered into the shared
-       :class:`~repro.crpd.approaches.CrpdCalculator` /
-       :class:`~repro.persistence.cpro.CproCalculator` caches, which the
-       fixed point then hits without ever taking a lazy miss.
-
-    Every value equals what the lazy bitset kernel would have computed, so
-    the batch is invisible in the results — pinned by the
-    ``batch-identity`` oracle and ``TestBatchKernelIsInvisible``.
-    """
-
-    def __init__(
-        self,
-        tasksets: Sequence[TaskSet],
-        crpd_approach,
-        cpro_approach,
-        perf: Optional[object] = None,
-        arrays: bool = True,
-    ):
-        self.tasksets = tuple(tasksets)
-        self.crpd_approach = crpd_approach
-        self.cpro_approach = cpro_approach
-        self.used_arrays = False
-        #: Per-task-set pair tables, keyed exactly like the calculators'
-        #: caches: gamma by (priority_i, priority_j), CPRO eviction counts
-        #: by (priority_j, priority_i).
-        self.gamma_tables: List[Dict[Tuple[int, int], int]] = []
-        self.cpro_tables: List[Dict[Tuple[int, int], int]] = []
-        self._compile(perf, arrays)
-
-    # The approach enums live above this module in the dependency graph
-    # (their modules import InterferenceTable), so they are matched by name.
-    _CRPD_BAND_MAX = ("ECB_UNION", "ECB_UNION_MULTISET", "UCB_ONLY")
-    _CPRO_UNION = ("UNION", "MULTISET")
-
-    def _compile(self, perf: Optional[object], arrays: bool) -> None:
-        crpd = getattr(self.crpd_approach, "name", None)
-        cpro = getattr(self.cpro_approach, "name", None)
-        batch = _PopcountBatch()
-        plans = []
-        for taskset in self.tasksets:
-            plans.append(self._plan(taskset, crpd, cpro, batch, perf))
-        counts, self.used_arrays = batch.resolve(arrays)
-        if arrays and _np is None:
-            # The caller asked for the vectorised backend but the optional
-            # ``.[fast]`` extra is absent: fall back loudly, not silently.
-            note_array_kernel_unavailable(perf)
-        for plan in plans:
-            gamma, evictions = self._scatter(plan, crpd, cpro, counts)
-            self.gamma_tables.append(gamma)
-            self.cpro_tables.append(evictions)
-        if perf is not None:
-            perf.batch_analyses += len(self.tasksets)
-            if self.used_arrays:
-                perf.array_kernel_batches += 1
-
-    def _plan(self, taskset, crpd, cpro, batch, perf):
-        """Pass 1+2: running unions and popcount-job collection."""
-        table = InterferenceTable.shared(taskset, perf)
-        tasks = sorted(taskset, key=lambda t: t.priority)
-        cores = sorted({t.core for t in tasks})
-        on_core = {c: [t for t in tasks if t.core == c] for c in cores}
-        ecb, ucb, pcb = table.ecb_mask, table.ucb_mask, table.pcb_mask
-
-        # Running-OR hep unions for every (priority, core) pair.
-        for core in cores:
-            acc = 0
-            for task in tasks:
-                if task.core == core:
-                    acc |= ecb[task.priority]
-                table._hep_ecb_cache[(task.priority, core)] = acc
-
-        crpd_rows = []  # (pri_j, core, [(pri_g, job_index), ...])
-        if crpd in self._CRPD_BAND_MAX:
-            for core in cores:
-                for task_j in on_core[core]:
-                    hep_j = table._hep_ecb_cache[(task_j.priority, core)]
-                    jobs = []
-                    for task_g in on_core[core]:
-                        if crpd == "UCB_ONLY":
-                            mask = ucb[task_g.priority]
-                        else:
-                            mask = ucb[task_g.priority] & hep_j
-                        jobs.append((task_g.priority, batch.add(mask)))
-                    crpd_rows.append((task_j.priority, core, jobs))
-        elif crpd == "ECB_ONLY":
-            for core in cores:
-                for task_j in on_core[core]:
-                    crpd_rows.append(
-                        (
-                            task_j.priority,
-                            core,
-                            [(task_j.priority, batch.add(ecb[task_j.priority]))],
-                        )
-                    )
-
-        cpro_rows = []  # (pri_j, [(pri_i, job_index), ...])
-        if cpro in self._CPRO_UNION:
-            for core in cores:
-                for task_j in on_core[core]:
-                    acc = 0
-                    pcb_j = pcb[task_j.priority]
-                    jobs = []
-                    # The running union only grows at same-core tasks, so
-                    # one popcount job per distinct union state covers the
-                    # whole run of other-core tasks that shares it.  The
-                    # union masks themselves are not recorded anywhere:
-                    # ``install`` hands the finished *counts* to the
-                    # calculators, and the lazy per-mask cache refills on
-                    # demand for whatever the batch did not cover.
-                    index = batch.add(0)
-                    for task_i in tasks:
-                        if task_i.core == core and task_i is not task_j:
-                            acc |= ecb[task_i.priority]
-                            index = batch.add(pcb_j & acc)
-                        jobs.append((task_i.priority, index))
-                    cpro_rows.append((task_j.priority, jobs))
-        elif cpro == "GLOBAL":
-            for core in cores:
-                for task_j in on_core[core]:
-                    acc = 0
-                    for other in on_core[core]:
-                        if other is not task_j:
-                            acc |= ecb[other.priority]
-                    table._core_excl_cache[(task_j.priority, core)] = acc
-                    jobs = [
-                        (task_i.priority, batch.add(pcb[task_j.priority] & acc))
-                        for task_i in tasks
-                    ]
-                    cpro_rows.append((task_j.priority, jobs))
-
-        priorities = [t.priority for t in tasks]
-        return (priorities, on_core, crpd_rows, cpro_rows)
-
-    def _scatter(self, plan, crpd, cpro, counts):
-        """Pass 3: derive the pair tables from the flat popcounts."""
-        priorities, on_core, crpd_rows, cpro_rows = plan
-        gamma: Dict[Tuple[int, int], int] = {}
-        if crpd in self._CRPD_BAND_MAX:
-            for pri_j, core, jobs in crpd_rows:
-                # Band maximum gamma(i, j) = max C[g] over same-core g with
-                # pri_j < pri_g <= pri_i, walked once in priority order.
-                cursor = 0
-                running = 0
-                for pri_i in priorities:
-                    while cursor < len(jobs) and jobs[cursor][0] <= pri_i:
-                        pri_g, index = jobs[cursor]
-                        if pri_g > pri_j:
-                            running = max(running, counts[index])
-                        cursor += 1
-                    gamma[(pri_i, pri_j)] = running if pri_i > pri_j else 0
-        elif crpd == "ECB_ONLY":
-            for pri_j, core, jobs in crpd_rows:
-                ecb_count = counts[jobs[0][1]]
-                band = sorted(t.priority for t in on_core[core])
-                cursor = 0
-                affected = 0
-                for pri_i in priorities:
-                    while cursor < len(band) and band[cursor] <= pri_i:
-                        if band[cursor] > pri_j:
-                            affected += 1
-                        cursor += 1
-                    gamma[(pri_i, pri_j)] = (
-                        ecb_count if pri_i > pri_j and affected else 0
-                    )
-        # The NONE approaches are left to their (constant-zero) lazy path.
-
-        evictions: Dict[Tuple[int, int], int] = {}
-        if cpro in self._CPRO_UNION or cpro == "GLOBAL":
-            for pri_j, jobs in cpro_rows:
-                for pri_i, index in jobs:
-                    evictions[(pri_j, pri_i)] = counts[index]
-        return gamma, evictions
-
-    def install(self, perf: Optional[object] = None) -> None:
-        """Scatter the compiled tables into the shared pair caches.
-
-        Imported lazily: the calculator modules sit above this one in the
-        dependency graph.  Only the bitset-kernel calculators are filled —
-        the reference kernel must keep taking genuinely independent lazy
-        paths for the differential oracles to mean anything.
-        """
-        from repro.crpd.approaches import CrpdCalculator
-        from repro.persistence.cpro import CproCalculator
-
-        for taskset, gamma, evictions in zip(
-            self.tasksets, self.gamma_tables, self.cpro_tables
-        ):
-            if gamma:
-                CrpdCalculator.shared(
-                    taskset, self.crpd_approach, bitset=True
-                ).prefill_pairs(gamma)
-            if evictions:
-                CproCalculator.shared(
-                    taskset, self.cpro_approach, bitset=True
-                ).prefill_pairs(evictions)
 
 
 def prefill_batch(
@@ -478,29 +267,26 @@ def prefill_batch(
     crpd_approach,
     cpro_approach,
     perf: Optional[object] = None,
-    arrays: bool = True,
-) -> Optional[BatchInterferenceTable]:
-    """Batch-compile and install the pair tables for ``tasksets``.
+) -> int:
+    """Compile the :math:`\\gamma` and eviction-count cuts of ``tasksets``.
 
-    Idempotent per (task set, approach pair): already-compiled task sets
-    are skipped via a marker in the task set's derived store, so calling
-    this once per sweep point and again inside every
-    :func:`~repro.analysis.wcrt.analyze_taskset` costs one dict probe.
-    Returns the compiled batch (``None`` when everything was already
-    done).
+    The compile entry point: sweeps call it once per chunk of task sets,
+    :func:`~repro.analysis.wcrt.analyze_taskset` once per analysis.
+    Idempotent per (task set, approach pair) — already-compiled task sets
+    cost two dict probes — so the fused rows, the calculators and every
+    later call read the same table.  Bumps ``perf.batch_analyses`` by the
+    number of task sets compiled here, and returns it.
     """
-    fresh = []
+    compiled = 0
     for taskset in tasksets:
-        marker = taskset.derived(
-            ("batch-prefill", crpd_approach, cpro_approach), dict
-        )
-        if not marker:
-            marker["done"] = True
-            fresh.append(taskset)
-    if not fresh:
-        return None
-    batch = BatchInterferenceTable(
-        fresh, crpd_approach, cpro_approach, perf=perf, arrays=arrays
-    )
-    batch.install(perf)
-    return batch
+        table = InterferenceTable.shared(taskset, perf)
+        if (
+            crpd_approach not in table._gamma
+            or cpro_approach not in table._evictions
+        ):
+            table.gamma_cuts(crpd_approach)
+            table.eviction_cuts(cpro_approach)
+            compiled += 1
+    if perf is not None:
+        perf.batch_analyses += compiled
+    return compiled

@@ -12,9 +12,9 @@ of guessed.  :class:`PerfCounters` tracks
 * how often the warm-started fixed point and the bitmask cache-set kernel
   engaged (``warm_starts``, ``warm_start_iterations_saved``,
   ``bitset_table_builds``),
-* how much cross-analysis work the sweep layer avoided: batch-compiled
-  task sets and vectorised popcount batches (``batch_analyses``,
-  ``array_kernel_batches``), accepted adjacent-point/-variant warm starts
+* how much cross-analysis work the sweep layer avoided: task sets whose
+  interference-table cuts were compiled (``batch_analyses``), accepted
+  adjacent-point/-variant warm starts
   and the outer rounds they skipped (``adjacent_warm_starts``,
   ``adjacent_warm_start_iterations_saved``), and analyses skipped via the
   variant dominance ordering (``dominance_skips``), and
@@ -66,11 +66,12 @@ class PerfCounters:
     #: Interference-table constructions (one per task set on first use of
     #: the bitmask kernel; reused across runs through ``TaskSet.derived``).
     bitset_table_builds: int = 0
-    #: Task sets whose per-pair CRPD/CPRO tables were batch-compiled by the
-    #: :class:`~repro.model.interference.BatchInterferenceTable` kernel.
+    #: Task sets whose per-cut CRPD/CPRO values were compiled by
+    #: :func:`repro.model.interference.prefill_batch`.
     batch_analyses: int = 0
-    #: Batch compilations whose popcounts ran on the vectorised numpy
-    #: backend (<= 64-set platforms with the optional ``fast`` extra).
+    #: Always 0: it counted compilations on a numpy popcount backend the
+    #: interference table no longer has; kept so readers of the field
+    #: (benchmarks, ``/stats`` consumers) still find it.
     array_kernel_batches: int = 0
     #: Analyses skipped entirely because a dominating variant of the same
     #: task set already failed with a genuine deadline miss (see
@@ -85,18 +86,18 @@ class PerfCounters:
     lane_retirements: int = 0
     #: Task sets served from the worker-resident state plane
     #: (:mod:`repro.experiments.stateplane`) with their compiled
-    #: interference tables, batch-prefill markers and warm seeds intact.
+    #: interference tables and warm seeds intact.
     resident_table_hits: int = 0
     #: State-plane lookups that had to generate (and compile) fresh state.
     resident_table_misses: int = 0
     #: Queued multi-item chunks split in two by the supervisor's
     #: work-stealing scheduler so idle workers could pick up the half.
     chunks_stolen: int = 0
-    #: Batches that requested the vectorised array/lockstep kernels while
+    #: Lockstep batches that requested the vectorised row fold while
     #: numpy (the optional ``.[fast]`` extra) was not importable — the
     #: bit-identical pure-Python fallback ran instead (a one-time warning
     #: accompanies the first occurrence; see
-    #: :func:`repro.model.interference.note_array_kernel_unavailable`).
+    #: :func:`repro.analysis.lockstep.note_array_kernel_unavailable`).
     array_kernel_unavailable: int = 0
     #: Analyses aborted cooperatively by a budget or cancel token (see
     #: :mod:`repro.budget`) instead of running to a verdict.
@@ -244,10 +245,7 @@ class PerfCounters:
                 f"dominance skips {self.dominance_skips:>4d}"
             )
         if self.batch_analyses:
-            lines.append(
-                f"  batched tasksets  {self.batch_analyses:>12d}   "
-                f"array batches    {self.array_kernel_batches:>10d}"
-            )
+            lines.append(f"  compiled tasksets {self.batch_analyses:>12d}")
         if self.lockstep_batches:
             lines.append(
                 f"  lockstep batches  {self.lockstep_batches:>12d}   "

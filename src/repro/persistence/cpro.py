@@ -136,39 +136,6 @@ _APPROACHES: Dict[CproApproach, Callable[[TaskSet, Task, Task], int]] = {
 }
 
 
-# -- bitmask kernel (AND + popcount over the interference table) ------------
-
-
-def _eviction_count_union_bitset(
-    table: InterferenceTable, task_j: Task, task_i: Task
-) -> int:
-    """Bitmask form of :func:`cpro_eviction_count_union`."""
-    return (
-        table.pcb_mask[task_j.priority]
-        & table.evicting_ecb_mask(task_j, task_i)
-    ).bit_count()
-
-
-def _eviction_count_global_bitset(
-    table: InterferenceTable, task_j: Task, task_i: Task
-) -> int:
-    """Bitmask form of :func:`cpro_eviction_count_global`."""
-    return (
-        table.pcb_mask[task_j.priority]
-        & table.core_ecb_mask_excluding(task_j)
-    ).bit_count()
-
-
-_BITSET_APPROACHES: Dict[
-    CproApproach, Callable[[InterferenceTable, Task, Task], int]
-] = {
-    CproApproach.UNION: _eviction_count_union_bitset,
-    CproApproach.GLOBAL: _eviction_count_global_bitset,
-    CproApproach.MULTISET: _eviction_count_union_bitset,
-    CproApproach.NONE: lambda table, task_j, task_i: 0,
-}
-
-
 #: Per-(task_j, task_i) overlap table for the multiset CPRO bound: one
 #: entry per PCB of ``task_j`` that at least one relevant evictor overlaps,
 #: holding the periods of those evictors.  PCBs nobody can evict contribute
@@ -185,11 +152,11 @@ class CproCalculator:
     scan is additionally precomputed into a per-pair table, so the per-call
     work of :meth:`rho_window` is a pure arithmetic fold.
 
-    With ``bitset=True`` (the default) the eviction counts are evaluated
-    from the task set's :class:`~repro.model.interference.InterferenceTable`
-    as single AND+popcount operations; ``bitset=False`` selects the
-    retained ``frozenset``-algebra reference path.  The two are
-    bit-identical (``bitset-identity`` oracle of :mod:`repro.verify`).
+    With ``bitset=True`` (the default) the eviction counts are read from
+    the task set's :class:`~repro.model.interference.InterferenceTable`
+    cut table; ``bitset=False`` selects the retained ``frozenset``-algebra
+    reference path, the only one that fills the per-pair cache.  The two
+    are bit-identical (``bitset-identity`` oracle of :mod:`repro.verify`).
     """
 
     def __init__(
@@ -202,7 +169,6 @@ class CproCalculator:
         self._approach = approach
         self._bitset = bitset
         self._fn = _APPROACHES[approach]
-        self._bitset_fn = _BITSET_APPROACHES[approach]
         self._table: Optional[InterferenceTable] = (
             InterferenceTable.shared(taskset) if bitset else None
         )
@@ -240,29 +206,16 @@ class CproCalculator:
         """Whether this calculator runs on the bitmask kernel."""
         return self._bitset
 
-    def prefill_pairs(self, pairs: Dict[Tuple[int, int], int]) -> None:
-        """Adopt batch-compiled eviction counts, keyed ``(pri_j, pri_i)``.
-
-        Fed by :class:`~repro.model.interference.BatchInterferenceTable`;
-        every value equals what :meth:`eviction_count` would compute
-        lazily, so adopting them only removes cache misses.
-
-        Note the key order: CPRO pairs are keyed evictee-first, mirroring
-        :meth:`eviction_count`'s signature — the reverse of the CRPD
-        calculator's ``(pri_i, pri_j)``.
-        """
-        for key, value in pairs.items():
-            self._cache.setdefault(key, value)
-
     def eviction_count(self, task_j: Task, task_i: Task) -> int:
         """Evictable-PCB count of ``task_j`` within ``task_i``'s window."""
+        table = self._table
+        if table is not None:
+            return table.eviction_cuts(self._approach)[task_j.priority][
+                table.cut[task_i.priority][task_j.core]
+            ]
         key = (task_j.priority, task_i.priority)
         if key not in self._cache:
-            if self._table is not None:
-                value = self._bitset_fn(self._table, task_j, task_i)
-            else:
-                value = self._fn(self._taskset, task_j, task_i)
-            self._cache[key] = value
+            self._cache[key] = self._fn(self._taskset, task_j, task_i)
         return self._cache[key]
 
     def rho(self, task_j: Task, task_i: Task, n_jobs: int) -> int:

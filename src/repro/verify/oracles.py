@@ -21,11 +21,11 @@ fuzz noise:
     warm shortcut actually engages for schedulable sets.  Also
     ``always_replay``.
 ``batch-identity``
-    Batch-compiling the per-pair CRPD/CPRO tables up front
-    (:class:`~repro.model.interference.BatchInterferenceTable`, numpy
-    popcounts when available) returns results bit-identical to the lazy
-    per-lookup fills (``AnalysisConfig(array_kernel=False)``).  Also
-    ``always_replay``.
+    The fused BAT evaluator, reading row slices of the interference
+    table's per-cut rows (:meth:`~repro.model.interference.
+    InterferenceTable.rows`), returns results bit-identical to the
+    per-term evaluation over the same table
+    (``AnalysisConfig(array_kernel=False)``).  Also ``always_replay``.
 ``adjacent-warmstart-identity``
     Seeding an analysis with a :class:`~repro.analysis.wcrt.WarmHint`
     from an adjacent converged analysis returns a result bit-identical
@@ -83,7 +83,6 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import WarmHint, WcrtResult, analyze_taskset
 from repro.cacheanalysis.extraction import extract_parameters_cached
 from repro.cacheanalysis.simulator import simulate_trace
-from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, CacheGeometry
 from repro.model.task import Task, TaskSet
 from repro.persistence.demand import multi_job_demand
@@ -301,34 +300,35 @@ def _check_warm_start_identity(case: TasksetCase) -> List[str]:
 @register(
     "batch-identity",
     ("taskset",),
-    "batched pair-table compilation == lazy per-lookup fills, bit for bit",
+    "fused BAT evaluation == per-term evaluation over the same table, "
+    "bit for bit",
     always_replay=True,
 )
 def _check_batch_identity(case: TasksetCase) -> List[str]:
     taskset = case.taskset()
-    batched_config = replace(
-        case.config, bitset_kernel=True, array_kernel=True
+    fused = analyze_taskset(
+        taskset,
+        case.platform,
+        replace(
+            case.config, bitset_kernel=True, array_kernel=True, memoization=True
+        ),
     )
-    prefill_batch(
-        (taskset,),
-        batched_config.crpd_approach,
-        batched_config.cpro_approach,
-    )
-    batched = analyze_taskset(taskset, case.platform, batched_config)
     reference = analyze_taskset(
-        taskset, case.platform, replace(case.config, array_kernel=False)
+        taskset,
+        case.platform,
+        replace(case.config, bitset_kernel=True, array_kernel=False),
     )
-    if batched != reference:
+    if fused != reference:
         by_priority = _by_priority(reference)
         diffs = [
             f"{task.name!r}: {bound} vs {by_priority.get(task.priority)}"
-            for task, bound in batched.response_times.items()
+            for task, bound in fused.response_times.items()
             if by_priority.get(task.priority) != bound
         ]
         return [
-            "batched pair tables differ from lazy fills: "
-            f"schedulable {batched.schedulable} vs {reference.schedulable}, "
-            f"outer {batched.outer_iterations} vs {reference.outer_iterations}"
+            "fused evaluation differs from per-term evaluation: "
+            f"schedulable {fused.schedulable} vs {reference.schedulable}, "
+            f"outer {fused.outer_iterations} vs {reference.outer_iterations}"
             + (f", bounds: {'; '.join(diffs)}" if diffs else "")
         ]
     return []

@@ -9,6 +9,8 @@ broad differential grids live in ``tests/test_differential.py``; this file
 pins the edge cases down directly at the table level.
 """
 
+import random
+
 import pytest
 
 from repro.crpd.approaches import CrpdApproach, CrpdCalculator
@@ -83,7 +85,10 @@ class TestInterferenceTableEdges:
         assert table.ecb_mask == {1: 0, 2: 0, 3: 0}
         assert table.pcb_mask == {1: 0, 2: 0, 3: 0}
         a, _, c = tasks
-        assert table.hep_ecb_mask(c, 0) == 0
+        for approach in CrpdApproach:
+            assert table.gamma_cuts(approach) == {
+                priority: (0, 0, 0, 0) for priority in (1, 2, 3)
+            }
         for approach in CproApproach:
             bitset = CproCalculator(taskset, approach, bitset=True)
             reference = CproCalculator(taskset, approach, bitset=False)
@@ -102,7 +107,7 @@ class TestInterferenceTableEdges:
         table = InterferenceTable(taskset)
         assert table.pcb_mask[3] == blocks_to_mask({5})
         a, _, c = tasks
-        assert table.evicting_ecb_mask(c, a) == 0
+        assert table.eviction_cuts(CproApproach.UNION)[3] == (0, 0, 0, 0)
         for approach in CproApproach:
             bitset = CproCalculator(taskset, approach, bitset=True)
             reference = CproCalculator(taskset, approach, bitset=False)
@@ -154,8 +159,9 @@ class TestInterferenceTableEdges:
         taskset = TaskSet(tasks)
         table = InterferenceTable(taskset)
         solo0, solo1 = tasks
-        assert table.evicting_ecb_mask(solo0, solo0) == 0
-        assert table.core_ecb_mask_excluding(solo0) == 0
+        assert table.cut == {1: {0: 1, 1: 0}, 2: {0: 1, 1: 1}}
+        for approach in CproApproach:
+            assert table.eviction_cuts(approach) == {1: (0, 0), 2: (0, 0)}
         for approach in CproApproach:
             calculator = CproCalculator(taskset, approach, bitset=True)
             assert calculator.eviction_count(solo0, solo0) == 0
@@ -171,6 +177,131 @@ class TestInterferenceTableEdges:
         tasks = (_task("a", 1, ecbs={1, 64}), _task("b", 2, ecbs={64, 200}))
         assert evicting_ecb_union(tasks) == frozenset({1, 64, 200})
         assert evicting_ecb_union(()) == frozenset()
+
+
+def _pin_against_reference(taskset, d_mem=7):
+    """Every approach pair: table values == ``frozenset`` reference values.
+
+    For all 5 x 4 CRPD/CPRO approach pairs and every (tau_i, tau_j) pair
+    the bitmask calculators, which answer from the task set's cut table,
+    must return the ``bitset_kernel=False`` values; the fused rows must
+    hold exactly the table's values at every cut of every core.
+    """
+    table = InterferenceTable.shared(taskset)
+    slot = {task.priority: index for index, task in enumerate(taskset)}
+    for crpd in CrpdApproach:
+        for cpro in CproApproach:
+            crpd_bit = CrpdCalculator(taskset, crpd, bitset=True)
+            crpd_ref = CrpdCalculator(taskset, crpd, bitset=False)
+            cpro_bit = CproCalculator(taskset, cpro, bitset=True)
+            cpro_ref = CproCalculator(taskset, cpro, bitset=False)
+            for task_i in taskset:
+                for task_j in taskset:
+                    assert crpd_bit.gamma(task_i, task_j) == crpd_ref.gamma(
+                        task_i, task_j
+                    ), (crpd, task_i.name, task_j.name)
+                    assert cpro_bit.eviction_count(
+                        task_j, task_i
+                    ) == cpro_ref.eviction_count(task_j, task_i), (
+                        cpro,
+                        task_j.name,
+                        task_i.name,
+                    )
+            assert not crpd_bit._cache and not cpro_bit._cache
+            gamma = table.gamma_cuts(crpd)
+            evictions = table.eviction_cuts(cpro)
+            rows = table.rows(crpd, cpro, d_mem)
+            assert set(rows) == set(taskset.cores)
+            for core, members in table.members.items():
+                assert len(rows[core]) == len(members) + 1
+                for k, (rows_p, rows_b) in enumerate(rows[core]):
+                    assert len(rows_p) == len(rows_b) == len(members)
+                    for task, row_p, row_b in zip(members, rows_p, rows_b):
+                        g = gamma[task.priority][k]
+                        jd = task.md + g
+                        assert row_p == (
+                            slot[task.priority], g, int(task.period), task.md,
+                            task.md_r, len(task.pcbs),
+                            evictions[task.priority][k], jd, jd * d_mem,
+                        )
+                        assert row_b == (
+                            slot[task.priority], int(task.period), jd, jd * d_mem
+                        )
+
+
+class TestCutTableMatchesReference:
+    def test_empty_core(self):
+        # Cores 0 and 2 hold tasks, core 1 none: no cut exists for it and
+        # no pair may read one.
+        tasks = (
+            _task("a", 1, core=0, ecbs={1, 2, 3}, ucbs={1, 2}, pcbs={3}),
+            _task("b", 2, core=2, ecbs={2, 3, 4}, ucbs={4}, pcbs={2, 3}),
+            _task("c", 3, core=0, ecbs={3, 4, 5}, ucbs={3, 5}, pcbs={4}),
+            _task("d", 4, core=2, ecbs={1, 5}, ucbs={1}, pcbs={5}),
+        )
+        taskset = TaskSet(tasks)
+        assert InterferenceTable.shared(taskset).cut[4] == {0: 2, 2: 2}
+        _pin_against_reference(taskset)
+
+    def test_single_task_core(self):
+        tasks = (
+            _task("a", 1, core=0, ecbs={1, 2}, ucbs={1}, pcbs={2}),
+            _task("solo", 2, core=1, ecbs={1, 2, 3}, ucbs={1, 3}, pcbs={1, 2}),
+            _task("b", 3, core=0, ecbs={2, 3}, ucbs={2, 3}, pcbs={3}),
+            _task("c", 4, core=0, ecbs={1, 3}, ucbs={1}, pcbs={1}),
+        )
+        _pin_against_reference(TaskSet(tasks))
+
+    def test_non_contiguous_core_ids(self):
+        tasks = (
+            _task("a", 1, core=7, ecbs={1, 2, 9}, ucbs={9}, pcbs={1}),
+            _task("b", 2, core=0, ecbs={2, 3}, ucbs={2}, pcbs={2, 3}),
+            _task("c", 3, core=3, ecbs={1, 9}, ucbs={1, 9}, pcbs={9}),
+            _task("d", 4, core=7, ecbs={9, 10}, ucbs={10}, pcbs={9}),
+            _task("e", 5, core=0, ecbs={3, 4}, ucbs={3}, pcbs={4}),
+            _task("f", 6, core=3, ecbs={2, 10}, ucbs={2}, pcbs={2, 10}),
+        )
+        _pin_against_reference(TaskSet(tasks))
+
+    def test_indices_beyond_64_and_256(self):
+        tasks = (
+            _task("a", 1, core=0, ecbs={0, 63, 64, 255}, ucbs={64, 255},
+                  pcbs={63}),
+            _task("b", 2, core=1, ecbs={255, 256, 300}, ucbs={256},
+                  pcbs={255, 300}),
+            _task("c", 3, core=0, ecbs={63, 256, 1000}, ucbs={63, 1000},
+                  pcbs={256}),
+            _task("d", 4, core=1, ecbs={64, 300, 1000}, ucbs={300},
+                  pcbs={64, 1000}),
+            _task("e", 5, core=0, ecbs={0, 255, 300}, ucbs={0, 300},
+                  pcbs={255}),
+        )
+        _pin_against_reference(TaskSet(tasks))
+
+    def test_empty_ucb_and_pcb_sets(self):
+        tasks = (
+            _task("a", 1, core=0, ecbs={1, 2, 3}),
+            _task("b", 2, core=0, ecbs={2, 3}, ucbs={2}),
+            _task("c", 3, core=1, ecbs={1, 3}, pcbs={3}),
+            _task("d", 4, core=0, ecbs={3, 4}),
+            _task("e", 5, core=1),
+        )
+        _pin_against_reference(TaskSet(tasks))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_task_sets(self, seed):
+        rng = random.Random(seed)
+        cores = rng.sample([0, 1, 2, 5, 9], rng.randint(1, 4))
+        tasks = []
+        for priority in range(1, rng.randint(2, 10)):
+            ecbs = set(rng.sample(range(320), rng.randint(0, 40)))
+            ucbs = set(rng.sample(sorted(ecbs), rng.randint(0, len(ecbs))))
+            pcbs = set(rng.sample(sorted(ecbs), rng.randint(0, len(ecbs))))
+            tasks.append(
+                _task(f"t{priority}", priority, rng.choice(cores), ecbs, ucbs,
+                      pcbs)
+            )
+        _pin_against_reference(TaskSet(tasks))
 
 
 class TestKernelSelection:

@@ -13,9 +13,9 @@ iteration counts):
   ``frozenset`` algebra (``AnalysisConfig(bitset_kernel=False)``);
 * the warm-started fixed point (re-verifying a previously converged map)
   versus a cold analysis of a fresh task-set object;
-* the batched sweep-point pair-table compilation
-  (:class:`repro.model.interference.BatchInterferenceTable`, with or
-  without the numpy popcount backend) versus lazy per-lookup fills
+* the fused BAT evaluator over the interference table's per-cut rows
+  (:meth:`repro.model.interference.InterferenceTable.rows`) versus the
+  per-term evaluation over the same table
   (``AnalysisConfig(array_kernel=False)``);
 * the adjacent warm-start chains (cross-utilisation hint chains of
   :func:`repro.experiments.runner.evaluate_sample` and the hint-chained
@@ -57,9 +57,9 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import _sample_seed, evaluate_sample, run_curve
 from repro.generation.taskset_gen import GenerationConfig, generate_taskset
-from repro.model import interference as interference_mod
 from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, CacheGeometry
+from repro.model.task import Task, TaskSet
 from repro.perf import PerfCounters
 from repro.persistence.cpro import CproApproach
 
@@ -284,17 +284,16 @@ class TestWarmStartIsInvisible:
 def _small_platform():
     """The default platform shrunk to 64 cache sets.
 
-    Every mask of a 64-set cache fits one machine word, which is the
-    precondition for the numpy ``uint64`` popcount backend — the grid
-    over this platform therefore exercises the vectorised path whenever
-    numpy is importable, and the pure-Python word loop otherwise.
+    Every mask of a 64-set cache fits one machine word, so the grid over
+    this platform keeps the kernels honest where block sets overlap far
+    more than on the paper's 256 sets.
     """
     base = default_platform()
     return replace(base, cache=CacheGeometry(num_sets=64, block_size=32))
 
 
 def _compare_batch(taskset, platform, config):
-    """Batched pair-table compilation vs the lazy reference, bit for bit."""
+    """Fused evaluation vs per-term evaluation over one table, bit for bit."""
     batched_config = replace(config, bitset_kernel=True, array_kernel=True)
     prefill_batch(
         (taskset,),
@@ -333,8 +332,6 @@ class TestBatchKernelIsInvisible:
 
     @pytest.mark.parametrize("seed,utilization", SAMPLE_GRID[::4])
     def test_small_platform_identical(self, seed, utilization):
-        # <= 64 cache sets: the numpy uint64 popcount backend engages
-        # when numpy is importable (pure-Python word loop otherwise).
         small = _small_platform()
         taskset = generate_taskset(random.Random(seed), small, utilization)
         for policy in BusPolicy:
@@ -342,49 +339,69 @@ class TestBatchKernelIsInvisible:
                 taskset, small.with_bus_policy(policy), AnalysisConfig()
             )
 
-    def test_vector_backend_engages_on_small_platform(self):
-        small = _small_platform()
-        taskset = generate_taskset(random.Random(900), small, 0.4)
-        perf = PerfCounters()
-        batch = prefill_batch(
-            (taskset,),
-            AnalysisConfig().crpd_approach,
-            AnalysisConfig().cpro_approach,
-            perf=perf,
-        )
-        assert batch is not None
-        assert perf.batch_analyses == 1
-        if interference_mod._array_popcounts_available():
-            assert perf.array_kernel_batches == 1
-        else:
-            assert perf.array_kernel_batches == 0
-
-    def test_numpy_absent_pure_python_fallback(self, monkeypatch):
-        # Simulate a container without the optional `.[fast]` extra: the
-        # batch must compile through the pure-Python word loop and stay
-        # bit-identical to the lazy reference.
-        monkeypatch.setattr(interference_mod, "_np", None)
-        assert not interference_mod._array_popcounts_available()
+    def test_prefill_batch_compiles_each_taskset_once(self):
         small = _small_platform()
         config = AnalysisConfig()
-        for seed in (901, 902):
-            taskset = generate_taskset(random.Random(seed), small, 0.45)
-            perf = PerfCounters()
-            prefill_batch(
-                (taskset,),
-                config.crpd_approach,
-                config.cpro_approach,
-                perf=perf,
-            )
-            assert perf.batch_analyses == 1
-            assert perf.array_kernel_batches == 0
-            for policy in (BusPolicy.FP, BusPolicy.TDMA):
-                platform = small.with_bus_policy(policy)
-                batched = analyze_taskset(taskset, platform, config)
-                reference = analyze_taskset(
-                    taskset, platform, replace(config, array_kernel=False)
+        tasksets = [
+            generate_taskset(random.Random(seed), small, 0.4)
+            for seed in (900, 901)
+        ]
+        perf = PerfCounters()
+        compiled = prefill_batch(
+            tasksets, config.crpd_approach, config.cpro_approach, perf=perf
+        )
+        assert compiled == 2
+        assert perf.batch_analyses == 2
+        assert perf.bitset_table_builds == 2
+        assert perf.array_kernel_batches == 0
+        again = prefill_batch(
+            tasksets, config.crpd_approach, config.cpro_approach, perf=perf
+        )
+        assert again == 0
+        assert perf.batch_analyses == 2
+        # An analysis of a compiled task set compiles nothing further.
+        result = analyze_taskset(tasksets[0], small, config)
+        assert result.perf.batch_analyses == 0
+        assert result.perf.bitset_table_builds == 0
+
+    def test_platform_core_without_tasks(self):
+        # A three-core platform whose middle core holds no task: the fused
+        # FP/RR evaluators find no rows for it and must agree with the
+        # per-term path, which sums an empty core to zero, and with the
+        # frozenset reference.
+        tasks = []
+        for index in range(6):
+            period = 40000 + 9000 * index
+            ecbs = frozenset(range(10 * index, 10 * index + 30))
+            tasks.append(
+                Task(
+                    name=f"t{index}",
+                    pd=300 + 50 * index,
+                    md=20 + index,
+                    md_r=8,
+                    period=period,
+                    deadline=period,
+                    priority=index + 1,
+                    core=(0, 2)[index % 2],
+                    ecbs=ecbs,
+                    ucbs=frozenset(sorted(ecbs)[::3]),
+                    pcbs=frozenset(sorted(ecbs)[1::4]),
                 )
-                assert batched == reference
+            )
+        taskset = TaskSet(tasks)
+        platform = replace(default_platform(), num_cores=3)
+        for policy in BusPolicy:
+            for persistence in (True, False):
+                config = AnalysisConfig(persistence=persistence)
+                fused = _compare_batch(
+                    taskset, platform.with_bus_policy(policy), config
+                )
+                reference = analyze_taskset(
+                    taskset,
+                    platform.with_bus_policy(policy),
+                    replace(config, bitset_kernel=False, memoization=False),
+                )
+                assert fused == reference
 
 
 class TestAdjacentWarmStartIsInvisible:
@@ -581,7 +598,7 @@ class TestLockstepIsInvisible:
         from repro.analysis.lockstep import analyze_taskset_batch
 
         monkeypatch.setattr(lockstep_mod, "_np", None)
-        monkeypatch.setattr(interference_mod, "_ARRAY_KERNEL_WARNED", True)
+        monkeypatch.setattr(lockstep_mod, "_ARRAY_KERNEL_WARNED", True)
         base = default_platform()
         perf = PerfCounters()
         batch = analyze_taskset_batch(

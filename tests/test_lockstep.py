@@ -23,7 +23,6 @@ from repro.budget import Budget
 from repro.errors import AnalysisAborted, AnalysisError, BudgetExceeded
 from repro.experiments.config import default_platform
 from repro.generation.taskset_gen import generate_taskset
-from repro.model import interference as interference_mod
 from repro.model.task import Task, TaskSet
 from repro.perf import PerfCounters
 
@@ -91,7 +90,7 @@ class TestBatchMatchesScalar:
 
     def test_numpy_absent_fallback_identical(self, monkeypatch):
         monkeypatch.setattr(lockstep_mod, "_np", None)
-        monkeypatch.setattr(interference_mod, "_ARRAY_KERNEL_WARNED", True)
+        monkeypatch.setattr(lockstep_mod, "_ARRAY_KERNEL_WARNED", True)
         platform = default_platform()
         perf = PerfCounters()
         batch = analyze_taskset_batch(
@@ -103,7 +102,7 @@ class TestBatchMatchesScalar:
 
     def test_numpy_absent_warns_once(self, monkeypatch):
         monkeypatch.setattr(lockstep_mod, "_np", None)
-        monkeypatch.setattr(interference_mod, "_ARRAY_KERNEL_WARNED", False)
+        monkeypatch.setattr(lockstep_mod, "_ARRAY_KERNEL_WARNED", False)
         platform = default_platform()
         with pytest.warns(RuntimeWarning, match="pure-Python fallback"):
             analyze_taskset_batch(_tasksets((0, 1), 0.4), platform, LOCKSTEP)
