@@ -3,6 +3,8 @@
 These use pytest-benchmark's normal auto-calibrated timing (many rounds):
 
 * one full WCRT analysis of a paper-default task set (32 tasks, 4 cores);
+* one cold WCRT analysis under both multiset refinements on a 64-set
+  cache;
 * the per-pair CPRO/CRPD cache-set term kernel from cold calculator caches;
 * static parameter extraction of the heaviest benchmark model;
 * task-set generation;
@@ -12,19 +14,24 @@ Note that ``test_bench_wcrt_analysis`` re-analyses the *same* task-set
 object every round, so from the second round on it measures the
 warm-started re-verification path (plus the shared interference table and
 calculator caches) — exactly the regime sweep re-runs and repeated
-schedulability checks operate in.  ``test_bench_cpro_terms`` isolates the
-bitmask kernel itself by rebuilding the calculators (cold pair caches)
-each round.
+schedulability checks operate in.  ``test_bench_wcrt_multiset`` is its
+cold counterpart on the multiset path: every round analyses a fresh
+task-set container, so the interference table, its per-cut multiset
+tables and fused rows are rebuilt and nothing warm-starts.
+``test_bench_cpro_terms`` isolates the bitmask kernel itself by
+rebuilding the calculators (cold pair caches) each round.
 """
 
 import random
+from dataclasses import replace
 
 from repro.analysis import PERSISTENCE_AWARE, analyze_taskset
 from repro.cacheanalysis.extraction import extract_parameters
 from repro.crpd.approaches import CrpdApproach, CrpdCalculator
 from repro.experiments.config import default_platform
 from repro.generation import generate_taskset
-from repro.model.platform import BusPolicy, Platform
+from repro.model.platform import BusPolicy, CacheGeometry, Platform
+from repro.model.task import TaskSet
 from repro.persistence.cpro import CproApproach, CproCalculator
 from repro.program.malardalen import benchmark_program, reference_geometry
 from repro.sim import (
@@ -40,6 +47,29 @@ def test_bench_wcrt_analysis(benchmark):
     taskset = generate_taskset(random.Random(1), platform, 0.3)
     result = benchmark(analyze_taskset, taskset, platform, PERSISTENCE_AWARE)
     assert result.response_times
+
+
+def test_bench_wcrt_multiset(benchmark):
+    """Cold FP-P analysis with multiset CRPD and CPRO on a 64-set cache."""
+    platform = replace(
+        default_platform(), cache=CacheGeometry(num_sets=64, block_size=32)
+    )
+    tasks = tuple(generate_taskset(random.Random(11), platform, 0.4))
+    config = replace(
+        PERSISTENCE_AWARE,
+        crpd_approach=CrpdApproach.ECB_UNION_MULTISET,
+        cpro_approach=CproApproach.MULTISET,
+    )
+
+    def fresh_taskset():
+        return (TaskSet(tasks), platform, config), {}
+
+    result = benchmark.pedantic(
+        analyze_taskset, setup=fresh_taskset, rounds=40, iterations=1
+    )
+    assert result.schedulable
+    assert result.perf.bitset_table_builds == 1
+    assert result.perf.warm_starts == 0
 
 
 def test_bench_cpro_terms(benchmark):

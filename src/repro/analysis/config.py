@@ -49,13 +49,15 @@ class AnalysisConfig:
             fused evaluator (:func:`repro.businterference.arbiters.
             make_bat`): one specialised closure over row slices of the
             interference table instead of the per-term, memoized
-            :math:`BAS`/:math:`BAO` entry points.  Gates only the fused
-            evaluator — the table itself serves every bitmask-kernel
-            analysis.  Exact integer arithmetic either way, so results are
-            bit-identical to the per-term path, which is retained as the
-            reference for the ``batch-identity`` differential oracle.
-            Requires ``bitset_kernel`` and ``memoization``; ignored
-            without them.
+            :math:`BAS`/:math:`BAO` entry points, for every CRPD/CPRO
+            approach pair (the multiset refinements included).  Gates
+            only the fused evaluator — the table itself serves every
+            bitmask-kernel analysis.  Exact integer arithmetic either way,
+            so results are bit-identical to the per-term path, which is
+            retained as the reference for the ``batch-identity``
+            differential oracle and is the only one that consults the
+            memo caches.  Requires ``bitset_kernel`` and ``memoization``;
+            ignored without them.
         lockstep_kernel: allow the lockstep multi-sample engine
             (:mod:`repro.analysis.lockstep`) to iterate the cold fixed
             points of *several* task sets together as structure-of-arrays

@@ -25,18 +25,23 @@ reproduces.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 
 from repro.businterference.context import AnalysisContext
 from repro.businterference.requests import (
     _bas_fast_b,
     _bas_fast_p,
+    _bas_multiset_b,
+    _bas_multiset_p,
     _w_sum_fast_b,
     _w_sum_fast_p,
+    _w_sum_multiset_p,
     bao,
     bao_low,
     bas,
 )
+from repro.crpd.approaches import CrpdApproach
 from repro.errors import AnalysisError
 from repro.model.platform import BusPolicy
 from repro.model.task import Task
@@ -181,6 +186,12 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     :func:`total_bus_accesses`).  Falls back to a plain
     :func:`total_bus_accesses` wrapper when the fused kernel is off, so
     values are always identical.
+
+    A pair with a multiset side reads the extended persistence rows: the
+    same-core sum folds their multiset CRPD entries and CPRO overlap rows,
+    the persistence-aware remote sums their CPRO overlap rows with
+    carry-in.  Baseline remote sums read no multiset data and keep the
+    baseline rows.
     """
     if not ctx.fused:
         return lambda t: total_bus_accesses(ctx, task_i, t)
@@ -189,8 +200,15 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     persistence = ctx.persistence
     drop_pcb = FAULTS.drop_pcb_term
     form = 0 if persistence else 1
-    own_sum = _bas_fast_p if persistence else _bas_fast_b
-    bas_rows = bas[form]
+    est = ctx._est
+    # Only a multiset side makes an approach pair window aware.
+    multiset = not ctx.window_oblivious
+    own_sum, own_form = (_bas_fast_p, 0) if persistence else (_bas_fast_b, 1)
+    if multiset and persistence:
+        own_sum = partial(_bas_multiset_p, est.__getitem__)
+    elif multiset and ctx.crpd.approach is CrpdApproach.ECB_UNION_MULTISET:
+        own_sum, own_form = partial(_bas_multiset_b, est.__getitem__), 0
+    bas_rows = bas[own_form]
     md_i = task_i.md
     if policy is BusPolicy.PERFECT:
         return lambda t: own_sum(bas_rows, t, md_i, drop_pcb)
@@ -201,9 +219,9 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
         # own + wait_slots * own == own * (1 + wait_slots), exactly.
         factor = 1 + wait_slots
         return lambda t: own_sum(bas_rows, t, md_i, drop_pcb) * factor + blocking
-    est = ctx._est
     d_mem = ctx.platform.d_mem
-    w_sum = _w_sum_fast_p if persistence else _w_sum_fast_b
+    aware_sum = _w_sum_multiset_p if multiset else _w_sum_fast_p
+    w_sum = aware_sum if persistence else _w_sum_fast_b
     if policy is BusPolicy.RR:
         slot_size = ctx.platform.slot_size
         core_rows = per_core[form]
@@ -221,7 +239,7 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     # FP: the lower-priority term stays persistence oblivious unless
     # ``persistence_in_low`` extends it (see ``bao_low``).
     low_aware = persistence and ctx.persistence_in_low
-    low_sum = _w_sum_fast_p if low_aware else _w_sum_fast_b
+    low_sum = aware_sum if low_aware else _w_sum_fast_b
     higher_rows = higher[form]
     lower_rows = lower[0 if low_aware else 1]
 

@@ -20,7 +20,9 @@ the epoch of the core it reads.  A cache hit is by construction a
 recomputation with identical inputs, so memoized results are bit-identical
 to the naive evaluation — the differential test in
 ``tests/test_differential.py`` pins this down.  Set ``memoize=False`` (via
-``AnalysisConfig(memoization=False)``) to force the reference path.
+``AnalysisConfig(memoization=False)``) to force the reference path.  The
+caches serve only the per-term evaluator; the default fused evaluator
+(``array_kernel``) consults none.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, Optional, Tuple
 from repro.budget import Budget
 from repro.crpd.approaches import CrpdApproach, CrpdCalculator
 from repro.errors import AnalysisError
-from repro.model.interference import InterferenceTable
+from repro.model.interference import InterferenceTable, estimate_slots
 from repro.model.platform import Platform
 from repro.model.task import Task, TaskSet
 from repro.perf import PerfCounters
@@ -73,11 +75,12 @@ class AnalysisContext:
             list instead of a ``Task``-keyed dict probe, and no per-term
             memo caches are consulted (they essentially never hit on this
             path, so the memo hit/miss counters read zero under the fused
-            evaluator).  Engages only on the bitmask kernel, where the
-            closed forms apply (``fast_demand`` and a window-oblivious
-            CRPD approach) and when ``memoize`` is also set, so the
-            ``memoize=False`` reference stays the untouched legacy
-            evaluation.  Computed values are bit-identical either way.
+            evaluator).  Serves every CRPD/CPRO approach pair — the
+            multiset refinements fold their per-cut tables inside the
+            rows — but engages only on the bitmask kernel and when
+            ``memoize`` is also set, so the ``memoize=False`` reference
+            stays the untouched legacy evaluation.  Computed values are
+            bit-identical either way.
         perf: counters recording iteration counts and memo hits/misses.
         budget: optional :class:`~repro.budget.Budget` ticked at every
             inner fixed-point iteration (and checked inside the expensive
@@ -164,20 +167,18 @@ class AnalysisContext:
         # iteration order), so the hot row loops replace the Task-keyed
         # dict probe with a plain list subscript.  The slot list mirrors
         # ``response_times`` exactly — same values, same isolated-WCET
-        # fallback — and is maintained by :meth:`set_response_time`.  The
-        # rows come from the bitmask kernel's interference table, so the
-        # ``frozenset`` reference kernel always takes the per-term path.
+        # fallback — and is maintained by :meth:`set_response_time`; the
+        # multiset folds read same-core estimates from it too, so every
+        # approach pair runs fused.  The rows come from the bitmask
+        # kernel's interference table, so the ``frozenset`` reference
+        # kernel always takes the per-term path.
         self.fused: bool = (
             self.memoize
             and self.array_kernel
-            and self.window_oblivious
             and self.crpd.bitset
             and self.cpro.bitset
         )
-        self._slot_of: Dict[int, int] = self.taskset.derived(
-            "est-slots",
-            lambda: {t.priority: i for i, t in enumerate(self.taskset)},
-        )
+        self._slot_of: Dict[int, int] = estimate_slots(self.taskset)
         d_mem = self.platform.d_mem
         self._est = [int(t.pd + t.md * d_mem) for t in self.taskset]
         if self.fused:

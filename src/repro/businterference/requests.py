@@ -32,8 +32,10 @@ from __future__ import annotations
 
 from repro.businterference.context import AnalysisContext
 from repro.crpd.approaches import CrpdApproach
+from repro.crpd.multiset import multiset_window_from_pairs
 from repro.errors import AnalysisError
 from repro.model.task import Task
+from repro.persistence.cpro import overlap_groups_window
 from repro.persistence.demand import FAULTS, multi_job_demand
 
 
@@ -148,6 +150,60 @@ def _bas_fast_b(rows: tuple, t: int, md_i: int, drop_pcb: bool = False) -> int:
     total = md_i
     for _, period, job_demand, _ in rows:
         total += -((-t) // period) * job_demand
+    return total
+
+
+def _bas_multiset_p(
+    estimate, rows: tuple, t: int, md_i: int, drop_pcb: bool
+) -> int:
+    """Fused persistence-aware :func:`bas` body for a multiset pair.
+
+    ``rows`` are the extended persistence rows of
+    :meth:`~repro.model.interference.InterferenceTable.rows`: a member
+    with grouped overlap rows charges the multiset CPRO of
+    :func:`~repro.persistence.cpro.overlap_groups_window` instead of
+    ``(n - 1) * evictable``, one with multiset entries the greedy CRPD of
+    :func:`~repro.crpd.multiset.multiset_window_from_pairs` instead of
+    ``n * gamma``, reading each :math:`R_g` through ``estimate`` (the
+    estimate list's ``__getitem__``).  Otherwise the arithmetic of
+    :func:`_bas_fast_p`; both folds are the per-term path's, so values
+    are bit-identical.
+    """
+    total = md_i
+    for _, gamma, period, md, md_r, pcbs, evictable, _, _, overlaps, entries in rows:
+        n_jobs = -((-t) // period)
+        isolated = n_jobs * md
+        persistent = n_jobs * md_r + (0 if drop_pcb else pcbs)
+        if persistent > isolated:
+            persistent = isolated
+        if n_jobs > 1:
+            # n_jobs > 1 implies t > 0, the multiset fold's window guard.
+            if overlaps is None:
+                persistent += (n_jobs - 1) * evictable
+            else:
+                persistent += overlap_groups_window(overlaps, n_jobs - 1, t, 0)
+        total += persistent if persistent < isolated else isolated
+        if entries is None:
+            total += n_jobs * gamma
+        elif entries:
+            total += multiset_window_from_pairs(entries, period, t, estimate)
+    return total
+
+
+def _bas_multiset_b(
+    estimate, rows: tuple, t: int, md_i: int, drop_pcb: bool = False
+) -> int:
+    """Fused baseline :func:`bas` body under the multiset CRPD approach.
+
+    ``md_i + sum(ceil(t/T) * md + multiset CRPD)`` over extended
+    persistence rows (their multiset entries are never ``None`` here);
+    ``drop_pcb`` only mirrors :func:`_bas_multiset_p`'s signature.
+    """
+    total = md_i
+    for _, _, period, md, _, _, _, _, _, _, entries in rows:
+        total += -((-t) // period) * md
+        if entries:
+            total += multiset_window_from_pairs(entries, period, t, estimate)
     return total
 
 
@@ -372,6 +428,40 @@ def _w_sum_fast_b(
             continue
         n_full = numerator // period
         total += n_full * jd
+        remainder = numerator - n_full * period
+        if remainder > 0:
+            carry_out = -((-remainder) // d_mem)
+            total += carry_out if carry_out < jd else jd
+    return total
+
+
+def _w_sum_multiset_p(
+    est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool
+) -> int:
+    """Fused persistence-aware :func:`_w_sum` body for a multiset pair.
+
+    :func:`_w_sum_fast_p` over extended persistence rows, with a member's
+    grouped overlap rows, where present, charging the carry-in multiset
+    CPRO of :func:`~repro.persistence.cpro.overlap_groups_window` in
+    place of ``(n - 1) * evictable``.  The CRPD stays per-job ECB-union
+    (``gamma``), as on the per-term path.
+    """
+    total = 0
+    for slot, gamma, period, md, md_r, pcbs, evictable, jd, jdd, overlaps, _ in rows:
+        numerator = t + est[slot] - jdd
+        if numerator < 0:
+            continue
+        n_full = numerator // period
+        isolated = n_full * md
+        persistent = n_full * md_r + (0 if drop_pcb else pcbs)
+        if persistent > isolated:
+            persistent = isolated
+        if n_full > 1:
+            if overlaps is None:
+                persistent += (n_full - 1) * evictable
+            elif t > 0:
+                persistent += overlap_groups_window(overlaps, n_full - 1, t, 1)
+        total += (persistent if persistent < isolated else isolated) + n_full * gamma
         remainder = numerator - n_full * period
         if remainder > 0:
             carry_out = -((-remainder) // d_mem)

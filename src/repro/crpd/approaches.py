@@ -28,11 +28,7 @@ import enum
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.budget import Budget
-from repro.crpd.multiset import (
-    multiset_pair_data,
-    multiset_pair_data_bitset,
-    multiset_window_from_pairs,
-)
+from repro.crpd.multiset import multiset_pair_data, multiset_window_from_pairs
 from repro.model.interference import InterferenceTable
 from repro.model.task import Task, TaskSet
 
@@ -110,12 +106,12 @@ class CrpdCalculator:
     pairs at every iteration; the values only depend on the (static) task
     set, so they are computed once and cached.
 
-    With ``bitset=True`` (the default) :math:`\\gamma` is read from the
-    task set's :class:`~repro.model.interference.InterferenceTable` cut
-    table and the multiset pair data is evaluated there as AND+popcount
-    operations; ``bitset=False`` selects the retained ``frozenset``
-    reference path (``bitset-identity`` oracle of :mod:`repro.verify`),
-    the only one that fills the per-pair cache.
+    With ``bitset=True`` (the default) :math:`\\gamma` and the multiset
+    entries are read from the task set's
+    :class:`~repro.model.interference.InterferenceTable` cut tables;
+    ``bitset=False`` selects the retained ``frozenset`` reference path
+    (``bitset-identity`` oracle of :mod:`repro.verify`), the only one
+    that fills the per-pair caches.
     """
 
     def __init__(
@@ -192,22 +188,31 @@ class CrpdCalculator:
     ) -> int:
         """Window-level multiset CRPD (see :mod:`repro.crpd.multiset`).
 
-        The static per-pair data (reload costs, periods) is extracted once
-        per (task_i, task_j) pair; only the window-dependent greedy sum runs
-        per call.  ``budget`` adds one cooperative cancellation point per
-        fold without affecting the computed value.
+        The static data (reload costs, periods) is extracted once — on the
+        bitmask kernel per (``task_j``, cut of ``task_i``) in the table's
+        :meth:`~repro.model.interference.InterferenceTable.
+        crpd_multiset_cuts`, on the reference path per pair — so only the
+        window-dependent greedy sum runs per call.  ``budget`` adds one
+        cooperative cancellation point per fold without affecting the
+        computed value.
         """
         if budget is not None:
             budget.check()
+        table = self._table
+        if table is not None:
+            tasks = self._taskset.tasks
+            return multiset_window_from_pairs(
+                table.crpd_multiset_cuts()[task_j.priority][
+                    table.cut[task_i.priority][task_j.core]
+                ],
+                int(task_j.period),
+                window,
+                lambda slot: response_time_of(tasks[slot]),
+            )
         key = (task_i.priority, task_j.priority)
         data = self._multiset_cache.get(key)
         if data is None:
-            if self._table is not None:
-                entries = multiset_pair_data_bitset(
-                    self._table, self._taskset, task_i, task_j
-                )
-            else:
-                entries = multiset_pair_data(self._taskset, task_i, task_j)
+            entries = multiset_pair_data(self._taskset, task_i, task_j)
             data = (int(task_j.period), entries)
             self._multiset_cache[key] = data
         period_j, entries = data

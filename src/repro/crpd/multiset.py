@@ -31,21 +31,24 @@ Performance note: because :math:`M_{i,j}(t)` reads the response-time
 estimates :math:`R_g` of *same-core* tasks, this approach is **not**
 window oblivious — a task's Eq. (19) right-hand side depends on its
 neighbours' (and its own) current estimates, not just on remote cores.
-The analysis therefore excludes multiset runs from the fused array-kernel
-evaluator and from the outer loop's remote-epoch convergence shortcut
-(see ``AnalysisContext.window_oblivious`` in
-:mod:`repro.businterference.context`); they run on the per-term memoized
-path, where the epoch-keyed caches track exactly these dependencies.
-The exclusion is load-bearing: skipping a multiset task on "no remote
-change" evidence can declare convergence at a non-fixed point (caught by
-the fault-injection suite via the ``warm-start-identity`` oracle).
+The analysis therefore keeps the outer loop's remote-epoch convergence
+shortcut off for multiset runs (see ``AnalysisContext.window_oblivious``
+in :mod:`repro.businterference.context`).  The exclusion is
+load-bearing: skipping a multiset task on "no remote change" evidence can
+declare convergence at a non-fixed point (caught by the fault-injection
+suite via the ``warm-start-identity`` oracle).  The bound itself runs on
+the fused BAT evaluator like every other approach: the bitmask kernel
+compiles the static entries of every (preempting task, priority cut)
+once (:meth:`~repro.model.interference.InterferenceTable.
+crpd_multiset_cuts`) and the greedy sum of
+:func:`multiset_window_from_pairs` reads the estimates from the
+evaluator's slot list.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from repro.model.interference import InterferenceTable
 from repro.model.task import Task, TaskSet
 
 #: Static per-pair multiset data: ``(cost, period_g, task_g)`` triples for
@@ -82,45 +85,21 @@ def multiset_pair_data(
     return tuple(entries)
 
 
-def multiset_pair_data_bitset(
-    table: InterferenceTable, taskset: TaskSet, task_i: Task, task_j: Task
-) -> MultisetPairData:
-    """Bitmask form of :func:`multiset_pair_data`.
-
-    The per-affected-task reload cost :math:`c_g` is one AND+popcount of
-    the table's UCB mask against the folded evicting ECB union.  Entry
-    order matches the reference builder exactly: affected tasks are
-    enumerated in the same (priority) order and the sort is stable, so
-    ties resolve identically.
-    """
-    core = task_j.core
-    affected = taskset.aff_on_core(task_i, task_j, core)
-    if not affected:
-        return ()
-    evicting = 0
-    for task_h in taskset.hep_on_core(task_j, core):
-        evicting |= table.ecb_mask[task_h.priority]
-    ucb = table.ucb_mask
-    entries = [
-        (cost, int(task_g.period), task_g)
-        for task_g in affected
-        if (cost := (ucb[task_g.priority] & evicting).bit_count()) > 0
-    ]
-    entries.sort(key=lambda entry: entry[0], reverse=True)
-    return tuple(entries)
-
-
 def multiset_window_from_pairs(
-    entries: MultisetPairData,
+    entries: Tuple[Tuple[int, int, object], ...],
     period_j: int,
     window: int,
-    response_time_of: Callable[[Task], int],
+    response_time_of: Callable[[object], int],
 ) -> int:
     """Greedy evaluation of the multiset bound from precomputed pair data.
 
     Sums the :math:`E_j(t)` largest multiset elements: walk the per-task
     costs in decreasing order, each available with multiplicity
     :math:`E_j(R_g) \\cdot E_g(t)`, until the preemption budget is spent.
+    The third field of an entry is whatever ``response_time_of`` maps to
+    :math:`R_g`: the affected task in :func:`multiset_pair_data`, its
+    estimate slot in the bitmask kernel's
+    :meth:`~repro.model.interference.InterferenceTable.crpd_multiset_cuts`.
     """
     if window <= 0 or not entries:
         return 0

@@ -331,7 +331,8 @@ def prewarm_items(
     skips per-sample generation, then runs one
     :func:`~repro.model.interference.prefill_batch` per distinct
     CRPD/CPRO approach pair among the bitmask-kernel variants, compiling
-    every task set's per-cut CRPD/CPRO values before the first analysis.
+    every task set's per-cut CRPD/CPRO values and fused rows before the
+    first analysis.
     Task sets come from the worker-resident
     :func:`~repro.experiments.stateplane.resident_plane`, so a chunk
     re-visiting a sample another chunk of this worker already touched
@@ -363,7 +364,10 @@ def prewarm_items(
         for crpd_approach, cpro_approach in sorted(
             combos, key=lambda pair: (pair[0].name, pair[1].name)
         ):
-            prefill_batch(tuple(fresh), crpd_approach, cpro_approach, perf=perf)
+            prefill_batch(
+                tuple(fresh), crpd_approach, cpro_approach, perf=perf,
+                d_mem=base_platform.d_mem,
+            )
     return context
 
 

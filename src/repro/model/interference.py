@@ -27,9 +27,12 @@ core's tasks before the cut, :math:`\\tau_j` excluded.  The table
 therefore stores one value per core member and cut
 (:meth:`~InterferenceTable.gamma_cuts`,
 :meth:`~InterferenceTable.eviction_cuts`: 2 x 288 small integers for 32
-tasks on 4 cores) and, per ``d_mem``, the fused BAT evaluator's integer
-rows of every member at every cut (:meth:`~InterferenceTable.rows`), so a
-task's evaluation plan is a handful of slices.
+tasks on 4 cores), likewise the static data of the window-aware multiset
+refinements (:meth:`~InterferenceTable.cpro_multiset_cuts`,
+:meth:`~InterferenceTable.crpd_multiset_cuts`) and, per ``d_mem``, the
+fused BAT evaluator's integer rows of every member at every cut
+(:meth:`~InterferenceTable.rows`), so a task's evaluation plan is a
+handful of slices.
 
 Every part is a pure function of the (immutable) task set and the
 approaches, so the table is built at most once per task set (shared via
@@ -58,6 +61,16 @@ Cuts = Dict[int, Tuple[int, ...]]
 #: ``rows[core][cut]``: the ``(persistence_rows, baseline_rows)`` of every
 #: member of ``core`` at that cut (see :meth:`InterferenceTable.rows`).
 FusedRows = Dict[int, Tuple[Tuple[tuple, tuple], ...]]
+
+#: Multiset CPRO rows of one PCB owner at one cut: ``(count, periods)``,
+#: ``count`` PCBs overlapped by evictors with exactly these (sorted)
+#: periods (see :meth:`InterferenceTable.cpro_multiset_cuts`).
+OverlapGroups = Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+#: Multiset CRPD entries of one preempting task at one cut:
+#: ``(cost, period_g, slot_g)`` (see
+#: :meth:`InterferenceTable.crpd_multiset_cuts`).
+MultisetEntries = Tuple[Tuple[int, int, int], ...]
 
 
 def blocks_to_mask(blocks: Iterable[int]) -> int:
@@ -90,6 +103,18 @@ def mask_to_blocks(mask: int) -> FrozenSet[int]:
     return frozenset(blocks)
 
 
+def estimate_slots(taskset: TaskSet) -> Dict[int, int]:
+    """Each task's position in task-set order (its estimate slot), by priority.
+
+    One dict per task set (:meth:`~repro.model.task.TaskSet.derived`),
+    shared by its interference table and every analysis context.
+    """
+    return taskset.derived(
+        "est-slots",
+        lambda: {task.priority: index for index, task in enumerate(taskset)},
+    )
+
+
 class InterferenceTable:
     """Precompiled bitmask views of one task set's cache-block sets.
 
@@ -113,6 +138,8 @@ class InterferenceTable:
         self.members: Dict[int, Tuple[Task, ...]] = {
             core: taskset.on_core(core) for core in taskset.cores
         }
+        #: Each task's position in task-set order (its estimate slot).
+        self.slot: Dict[int, int] = estimate_slots(taskset)
         #: ``cut[priority][core]``: how many of ``core``'s tasks have a
         #: priority at least as high as the task's.
         self.cut: Dict[int, Dict[int, int]] = {}
@@ -122,6 +149,8 @@ class InterferenceTable:
             self.cut[task.priority] = dict(counts)
         self._gamma: Dict[object, Cuts] = {}
         self._evictions: Dict[object, Cuts] = {}
+        self._overlaps: Optional[Dict[int, Tuple[OverlapGroups, ...]]] = None
+        self._multiset: Optional[Dict[int, Tuple[MultisetEntries, ...]]] = None
         self._rows: Dict[tuple, FusedRows] = {}
 
     @classmethod
@@ -209,6 +238,98 @@ class InterferenceTable:
         self._evictions[cpro_approach] = cuts
         return cuts
 
+    def cpro_multiset_cuts(self) -> Dict[int, Tuple[OverlapGroups, ...]]:
+        """Multiset CPRO rows per PCB owner and cut of its core.
+
+        ``cpro_multiset_cuts()[j][k]`` holds :math:`\\tau_j`'s PCBs that
+        the ECBs of the core's first ``k`` tasks other than
+        :math:`\\tau_j` overlap, merged into ``(count, periods)`` rows by
+        the sorted periods of the tasks overlapping them.  The bound of
+        :func:`~repro.persistence.cpro.cpro_multiset_window` charges each
+        PCB :math:`\\min(n - 1, \\sum_e (\\lceil t/T_e \\rceil + c))`, a
+        function of those periods alone, so the PCBs of one row add the
+        same term and the row adds ``count`` times it.  PCBs no such task
+        overlaps add nothing and get no row; the counts of a cut sum to
+        its union eviction count.  Built incrementally, one evictor
+        joining per cut, with rows shared across cuts when unchanged.
+        """
+        cuts = self._overlaps
+        if cuts is not None:
+            return cuts
+        cuts = {}
+        ecb = self.ecb_mask
+        for members in self.members.values():
+            evictors = [(t, ecb[t.priority], int(t.period)) for t in members]
+            for task_j in members:
+                pcb = self.pcb_mask[task_j.priority]
+                # Sorted evictor periods -> mask of the PCBs they overlap.
+                groups: Dict[Tuple[int, ...], int] = {(): pcb}
+                rows: OverlapGroups = ()
+                per_cut = [rows]
+                for task, evicts, period in evictors:
+                    evicts &= pcb
+                    if task is not task_j and evicts:
+                        merged: Dict[Tuple[int, ...], int] = {}
+                        for periods, mask in groups.items():
+                            hit = mask & evicts
+                            if hit:
+                                key = tuple(sorted(periods + (period,)))
+                                merged[key] = merged.get(key, 0) | hit
+                            if hit != mask:
+                                merged[periods] = merged.get(periods, 0) | (
+                                    mask ^ hit
+                                )
+                        groups = merged
+                        rows = tuple([
+                            (mask.bit_count(), periods)
+                            for periods, mask in groups.items()
+                            if periods
+                        ])
+                    per_cut.append(rows)
+                cuts[task_j.priority] = tuple(per_cut)
+        self._overlaps = cuts
+        return cuts
+
+    def crpd_multiset_cuts(self) -> Dict[int, Tuple[MultisetEntries, ...]]:
+        """Multiset CRPD entries per preempting task and cut of its core.
+
+        ``crpd_multiset_cuts()[j][k]`` holds one ``(cost, period_g,
+        slot_g)`` entry per task :math:`\\tau_g` of the core after
+        :math:`\\tau_j` and before the cut whose reload cost
+        :math:`c_g = |UCB_g \\cap \\bigcup_{h \\in hep(j)} ECB_h|` is
+        nonzero — ``slot_g`` is its position in task-set order — sorted
+        by decreasing cost, ties in priority order: the entries and order
+        of :func:`~repro.crpd.multiset.multiset_pair_data`.  Each cut
+        adds at most one entry, inserted after every entry of equal or
+        higher cost.
+        """
+        cuts = self._multiset
+        if cuts is not None:
+            return cuts
+        cuts = {}
+        ecb, ucb, slot = self.ecb_mask, self.ucb_mask, self.slot
+        for members in self.members.values():
+            hep = 0
+            for position, task_j in enumerate(members):
+                hep |= ecb[task_j.priority]
+                entries: MultisetEntries = ()
+                per_cut = [entries] * (position + 2)
+                for task_g in members[position + 1:]:
+                    cost = (ucb[task_g.priority] & hep).bit_count()
+                    if cost > 0:
+                        at = 0
+                        while at < len(entries) and entries[at][0] >= cost:
+                            at += 1
+                        entries = (
+                            entries[:at]
+                            + ((cost, int(task_g.period), slot[task_g.priority]),)
+                            + entries[at:]
+                        )
+                    per_cut.append(entries)
+                cuts[task_j.priority] = tuple(per_cut)
+        self._multiset = cuts
+        return cuts
+
     def rows(self, crpd_approach, cpro_approach, d_mem: int) -> FusedRows:
         """The fused BAT evaluator's integer rows at every cut.
 
@@ -217,7 +338,11 @@ class InterferenceTable:
         :math:`\\gamma` and eviction count read at cut ``k``:
 
         * persistence rows ``(slot, gamma, T, MD, MDr, |PCB|, evictable,
-          MD + gamma, (MD + gamma) * d_mem)``;
+          MD + gamma, (MD + gamma) * d_mem)``, for a pair with a multiset
+          side extended by ``(overlaps, entries)``: the member's
+          :meth:`cpro_multiset_cuts` rows under the multiset CPRO approach
+          and its :meth:`crpd_multiset_cuts` entries under the multiset
+          CRPD approach, ``None`` for the other side;
         * baseline rows ``(slot, T, MD + gamma, (MD + gamma) * d_mem)``;
 
         ``slot`` is the member's position in task-set order (its index in
@@ -230,31 +355,44 @@ class InterferenceTable:
             return rows
         gamma = self.gamma_cuts(crpd_approach)
         evictions = self.eviction_cuts(cpro_approach)
-        slot = {task.priority: index for index, task in enumerate(self._taskset)}
+        overlaps = (
+            self.cpro_multiset_cuts()
+            if cpro_approach.name == "MULTISET" else None
+        )
+        entries = (
+            self.crpd_multiset_cuts()
+            if crpd_approach.name == "ECB_UNION_MULTISET" else None
+        )
+        multiset = overlaps is not None or entries is not None
         rows = {}
         for core, members in self.members.items():
-            made: Dict[tuple, Tuple[tuple, tuple]] = {}
-            per_cut = []
-            for k in range(len(members) + 1):
-                rows_p, rows_b = [], []
-                for task in members:
-                    values = (task.priority, gamma[task.priority][k],
-                              evictions[task.priority][k])
-                    pair = made.get(values)
-                    if pair is None:
-                        _, g, evictable = values
-                        period = int(task.period)
+            unset = (None,) * (len(members) + 1)
+            columns = []
+            for task in members:
+                priority = task.priority
+                slot = self.slot[priority]
+                period = int(task.period)
+                column = []
+                last = None
+                for values in zip(
+                    gamma[priority],
+                    evictions[priority],
+                    unset if overlaps is None else overlaps[priority],
+                    unset if entries is None else entries[priority],
+                ):
+                    if values != last:
+                        g, evictable, overlap, entry = last = values
                         jd = task.md + g
-                        pair = made[values] = (
-                            (slot[task.priority], g, period, task.md,
-                             task.md_r, len(task.pcbs), evictable, jd,
-                             jd * d_mem),
-                            (slot[task.priority], period, jd, jd * d_mem),
-                        )
-                    rows_p.append(pair[0])
-                    rows_b.append(pair[1])
-                per_cut.append((tuple(rows_p), tuple(rows_b)))
-            rows[core] = tuple(per_cut)
+                        row_p = (slot, g, period, task.md, task.md_r,
+                                 len(task.pcbs), evictable, jd, jd * d_mem)
+                        if multiset:
+                            row_p += (overlap, entry)
+                        pair = (row_p, (slot, period, jd, jd * d_mem))
+                    column.append(pair)
+                columns.append(column)
+            rows[core] = tuple(
+                tuple(zip(*at_cut)) for at_cut in zip(*columns)
+            )
         self._rows[key] = rows
         return rows
 
@@ -267,25 +405,44 @@ def prefill_batch(
     crpd_approach,
     cpro_approach,
     perf: Optional[object] = None,
+    d_mem: Optional[int] = None,
 ) -> int:
-    """Compile the :math:`\\gamma` and eviction-count cuts of ``tasksets``.
+    """Compile the per-cut tables of ``tasksets`` for one approach pair.
 
     The compile entry point: sweeps call it once per chunk of task sets,
-    :func:`~repro.analysis.wcrt.analyze_taskset` once per analysis.
-    Idempotent per (task set, approach pair) — already-compiled task sets
-    cost two dict probes — so the fused rows, the calculators and every
-    later call read the same table.  Bumps ``perf.batch_analyses`` by the
-    number of task sets compiled here, and returns it.
+    :func:`~repro.analysis.wcrt.analyze_taskset` once per analysis.  It
+    compiles the :math:`\\gamma` and eviction-count cuts, only for a pair
+    that reads them the multiset CPRO rows and multiset CRPD entries, and,
+    given ``d_mem``, the fused evaluator's :meth:`~InterferenceTable.rows`
+    (analyses otherwise build those on first use).  Idempotent per (task
+    set, approach pair, ``d_mem``) — already-compiled task sets cost a few
+    dict probes — so the fused rows, the calculators and every later call
+    read the same table.  Bumps ``perf.batch_analyses`` by the number of
+    task sets compiled here, and returns it.
     """
+    multiset_cpro = cpro_approach.name == "MULTISET"
+    multiset_crpd = crpd_approach.name == "ECB_UNION_MULTISET"
     compiled = 0
     for taskset in tasksets:
         table = InterferenceTable.shared(taskset, perf)
         if (
             crpd_approach not in table._gamma
             or cpro_approach not in table._evictions
+            or (multiset_cpro and table._overlaps is None)
+            or (multiset_crpd and table._multiset is None)
+            or (
+                d_mem is not None
+                and (crpd_approach, cpro_approach, d_mem) not in table._rows
+            )
         ):
             table.gamma_cuts(crpd_approach)
             table.eviction_cuts(cpro_approach)
+            if multiset_cpro:
+                table.cpro_multiset_cuts()
+            if multiset_crpd:
+                table.crpd_multiset_cuts()
+            if d_mem is not None:
+                table.rows(crpd_approach, cpro_approach, d_mem)
             compiled += 1
     if perf is not None:
         perf.batch_analyses += compiled

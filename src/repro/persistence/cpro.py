@@ -30,7 +30,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.budget import Budget
 from repro.errors import AnalysisError
-from repro.model.interference import InterferenceTable
+from repro.model.interference import InterferenceTable, OverlapGroups
 from repro.model.task import Task, TaskSet
 
 
@@ -136,11 +136,35 @@ _APPROACHES: Dict[CproApproach, Callable[[TaskSet, Task, Task], int]] = {
 }
 
 
-#: Per-(task_j, task_i) overlap table for the multiset CPRO bound: one
+#: Per-(task_j, task_i) overlap table of the ``frozenset`` reference: one
 #: entry per PCB of ``task_j`` that at least one relevant evictor overlaps,
 #: holding the periods of those evictors.  PCBs nobody can evict contribute
 #: zero reloads and are dropped.
 _OverlapTable = Tuple[Tuple[int, ...], ...]
+
+
+def overlap_groups_window(
+    groups: OverlapGroups, per_boundary: int, window: int, extra: int
+) -> int:
+    """The multiset CPRO sum over grouped overlap rows.
+
+    ``groups`` are ``(count, periods)`` rows of
+    :meth:`~repro.model.interference.InterferenceTable.cpro_multiset_cuts`;
+    each adds ``count * min(per_boundary, sum(ceil(window / T) + extra))``
+    over its periods — exactly what its ``count`` PCBs add one by one in
+    :func:`cpro_multiset_window` (``per_boundary = n_jobs - 1``, ``extra``
+    1 with carry-in, else 0).  Callers handle ``n_jobs <= 1`` and
+    ``window <= 0``.
+    """
+    total = 0
+    for count, periods in groups:
+        opportunities = 0
+        for period in periods:
+            opportunities += -((-window) // period) + extra
+        total += count * (
+            opportunities if opportunities < per_boundary else per_boundary
+        )
+    return total
 
 
 class CproCalculator:
@@ -149,14 +173,15 @@ class CproCalculator:
     Only the per-window-per-task eviction *count* is cached; the job count
     multiplier of Eq. (14) varies with the window length and is applied in
     :meth:`rho`.  For the ``MULTISET`` approach the per-PCB evictor-overlap
-    scan is additionally precomputed into a per-pair table, so the per-call
-    work of :meth:`rho_window` is a pure arithmetic fold.
+    scan is precomputed too, so the per-call work of :meth:`rho_window` is
+    a pure arithmetic fold.
 
-    With ``bitset=True`` (the default) the eviction counts are read from
-    the task set's :class:`~repro.model.interference.InterferenceTable`
-    cut table; ``bitset=False`` selects the retained ``frozenset``-algebra
-    reference path, the only one that fills the per-pair cache.  The two
-    are bit-identical (``bitset-identity`` oracle of :mod:`repro.verify`).
+    With ``bitset=True`` (the default) the eviction counts and the
+    multiset overlap rows are read from the task set's
+    :class:`~repro.model.interference.InterferenceTable` cut tables;
+    ``bitset=False`` selects the retained ``frozenset``-algebra reference
+    path, the only one that fills the per-pair caches.  The two are
+    bit-identical (``bitset-identity`` oracle of :mod:`repro.verify`).
     """
 
     def __init__(
@@ -231,12 +256,7 @@ class CproCalculator:
         return (n_jobs - 1) * self.eviction_count(task_j, task_i)
 
     def _overlap_table(self, task_j: Task, task_i: Task) -> Optional[_OverlapTable]:
-        """Precomputed evictor-period table behind the multiset bound.
-
-        On the bitmask kernel the per-PCB overlap test is a single-bit
-        probe of each evictor's ECB mask; the reference path keeps the
-        ``frozenset`` membership test.  Both enumerate the same rows.
-        """
+        """Precomputed evictor-period table behind the reference bound."""
         key = (task_j.priority, task_i.priority)
         if key in self._overlap_cache:
             return self._overlap_cache[key]
@@ -247,20 +267,6 @@ class CproCalculator:
         table: Optional[_OverlapTable]
         if not others:
             table = None
-        elif self._table is not None:
-            ecb_mask = self._table.ecb_mask
-            evictors = [(int(t.period), ecb_mask[t.priority]) for t in others]
-            table = tuple(
-                periods
-                for pcb in sorted(task_j.pcbs)
-                if (
-                    periods := tuple(
-                        period
-                        for period, mask in evictors
-                        if (mask >> pcb) & 1
-                    )
-                )
-            )
         else:
             table = tuple(
                 periods
@@ -287,13 +293,13 @@ class CproCalculator:
     ) -> int:
         """Window-aware CPRO bound.
 
-        Evaluates the multiset bound of :func:`cpro_multiset_window` (from
-        the precomputed per-pair overlap table) for the ``MULTISET``
-        approach and the window-oblivious :meth:`rho` otherwise.  The
-        multiset value never exceeds the union value.  ``budget`` adds one
-        cooperative cancellation point per fold — the multiset fold is the
-        most expensive straight-line stretch between two inner-iteration
-        ticks — without affecting the computed value.
+        Evaluates the multiset bound of :func:`cpro_multiset_window` for
+        the ``MULTISET`` approach — on the bitmask kernel from the grouped
+        rows of ``task_i``'s cut (:func:`overlap_groups_window`), on the
+        reference path from the per-pair overlap table — and the
+        window-oblivious :meth:`rho` otherwise.  The multiset value never
+        exceeds the union value.  ``budget`` adds one cooperative
+        cancellation point per fold without affecting the computed value.
         """
         if budget is not None:
             budget.check()
@@ -302,6 +308,14 @@ class CproCalculator:
         cap = self.rho(task_j, task_i, n_jobs)
         if cap == 0 or n_jobs <= 1 or window <= 0:
             return 0
+        if self._table is not None:
+            groups = self._table.cpro_multiset_cuts()[task_j.priority][
+                self._table.cut[task_i.priority][task_j.core]
+            ]
+            extra = 1 if carry_in else 0
+            return min(
+                overlap_groups_window(groups, n_jobs - 1, window, extra), cap
+            )
         table = self._overlap_table(task_j, task_i)
         if table is None:
             return 0

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.crpd.approaches import CrpdApproach, CrpdCalculator
+from repro.crpd.multiset import multiset_pair_data
 from repro.errors import ModelError
 from repro.model.interference import (
     InterferenceTable,
@@ -26,18 +27,20 @@ from repro.persistence.cpro import (
     CproCalculator,
     cpro_eviction_count_global,
     cpro_eviction_count_union,
+    cpro_multiset_window,
     evicting_ecb_union,
+    overlap_groups_window,
 )
 
 
-def _task(name, priority, core=0, ecbs=(), ucbs=(), pcbs=()):
+def _task(name, priority, core=0, ecbs=(), ucbs=(), pcbs=(), period=1000):
     return Task(
         name=name,
         pd=100,
         md=10,
         md_r=5,
-        period=1000,
-        deadline=1000,
+        period=period,
+        deadline=period,
         priority=priority,
         core=core,
         ecbs=frozenset(ecbs),
@@ -179,16 +182,111 @@ class TestInterferenceTableEdges:
         assert evicting_ecb_union(()) == frozenset()
 
 
+#: Job counts and windows the multiset CPRO rows are evaluated at: the
+#: ``n <= 1`` / ``t <= 0`` guards, windows on and next to period
+#: multiples, and windows long enough for every PCB to saturate.
+_JOB_COUNTS = (0, 1, 2, 3, 5, 40)
+_WINDOWS = (-5, 0, 1, 299, 300, 301, 700, 1000, 2500, 99_999)
+
+
+def _ceil(numerator, denominator):
+    return -((-numerator) // denominator)
+
+
+def _pin_multiset_tables(taskset):
+    """Multiset CPRO rows and CRPD entries == ``frozenset`` reference.
+
+    At every cut of every core member the grouped CPRO rows, evaluated
+    at several windows and job counts with carry-in on and off, must
+    equal a per-PCB transcription of the reference bound over the cut's
+    evictors, and for every (tau_j, tau_i) pair
+    :func:`cpro_multiset_window` and the bitmask calculator's
+    ``rho_window``.  The CRPD entries of every cut must be the sorted
+    nonzero reload costs of the tasks between tau_j and the cut, and for
+    every pair exactly :func:`multiset_pair_data`, order included.
+    """
+    table = InterferenceTable.shared(taskset)
+    overlaps = table.cpro_multiset_cuts()
+    entries = table.crpd_multiset_cuts()
+    slot = table.slot
+
+    def folded(groups, n_jobs, window, carry_in):
+        if n_jobs <= 1 or window <= 0:
+            return 0
+        return overlap_groups_window(groups, n_jobs - 1, window, int(carry_in))
+
+    for members in table.members.values():
+        for position, task_j in enumerate(members):
+            assert len(overlaps[task_j.priority]) == len(members) + 1
+            assert len(entries[task_j.priority]) == len(members) + 1
+            evicting = taskset.hep_ecb_union(task_j, task_j.core)
+            for k in range(len(members) + 1):
+                groups = overlaps[task_j.priority][k]
+                evictors = [t for t in members[:k] if t is not task_j]
+                assert all(count > 0 and periods for count, periods in groups)
+                assert sum(count for count, _ in groups) == len(
+                    task_j.pcbs & evicting_ecb_union(evictors)
+                )
+                for n_jobs in _JOB_COUNTS:
+                    for window in _WINDOWS:
+                        for carry_in in (False, True):
+                            expected = 0
+                            if n_jobs > 1 and window > 0:
+                                for pcb in task_j.pcbs:
+                                    expected += min(n_jobs - 1, sum(
+                                        _ceil(window, int(e.period)) + carry_in
+                                        for e in evictors
+                                        if pcb in e.ecbs
+                                    ))
+                            assert folded(
+                                groups, n_jobs, window, carry_in
+                            ) == expected, (task_j.name, k, n_jobs, window)
+                affected = [
+                    (cost, int(t.period), slot[t.priority])
+                    for t in members[position + 1:k]
+                    if (cost := len(t.ucbs & evicting)) > 0
+                ]
+                affected.sort(key=lambda entry: entry[0], reverse=True)
+                assert entries[task_j.priority][k] == tuple(affected)
+    cpro_bit = CproCalculator(taskset, CproApproach.MULTISET, bitset=True)
+    for task_i in taskset:
+        for task_j in taskset:
+            k = table.cut[task_i.priority][task_j.core]
+            assert entries[task_j.priority][k] == tuple(
+                (cost, period, slot[task_g.priority])
+                for cost, period, task_g in multiset_pair_data(
+                    taskset, task_i, task_j
+                )
+            ), (task_i.name, task_j.name)
+            groups = overlaps[task_j.priority][k]
+            for n_jobs in _JOB_COUNTS:
+                for window in _WINDOWS[1:]:
+                    for carry_in in (False, True):
+                        expected = cpro_multiset_window(
+                            taskset, task_j, task_i, n_jobs, window, carry_in
+                        )
+                        assert folded(groups, n_jobs, window, carry_in) == expected
+                        assert cpro_bit.rho_window(
+                            task_j, task_i, n_jobs, window, carry_in
+                        ) == expected
+    assert not cpro_bit._overlap_cache
+
+
 def _pin_against_reference(taskset, d_mem=7):
     """Every approach pair: table values == ``frozenset`` reference values.
 
     For all 5 x 4 CRPD/CPRO approach pairs and every (tau_i, tau_j) pair
     the bitmask calculators, which answer from the task set's cut table,
     must return the ``bitset_kernel=False`` values; the fused rows must
-    hold exactly the table's values at every cut of every core.
+    hold exactly the table's values at every cut of every core, extended
+    by the multiset rows and entries for a pair with a multiset side
+    (see :func:`_pin_multiset_tables`).
     """
+    _pin_multiset_tables(taskset)
     table = InterferenceTable.shared(taskset)
-    slot = {task.priority: index for index, task in enumerate(taskset)}
+    slot = table.slot
+    overlaps = table.cpro_multiset_cuts()
+    entries = table.crpd_multiset_cuts()
     for crpd in CrpdApproach:
         for cpro in CproApproach:
             crpd_bit = CrpdCalculator(taskset, crpd, bitset=True)
@@ -211,6 +309,8 @@ def _pin_against_reference(taskset, d_mem=7):
             gamma = table.gamma_cuts(crpd)
             evictions = table.eviction_cuts(cpro)
             rows = table.rows(crpd, cpro, d_mem)
+            multiset_cpro = cpro is CproApproach.MULTISET
+            multiset_crpd = crpd is CrpdApproach.ECB_UNION_MULTISET
             assert set(rows) == set(taskset.cores)
             for core, members in table.members.items():
                 assert len(rows[core]) == len(members) + 1
@@ -219,11 +319,19 @@ def _pin_against_reference(taskset, d_mem=7):
                     for task, row_p, row_b in zip(members, rows_p, rows_b):
                         g = gamma[task.priority][k]
                         jd = task.md + g
-                        assert row_p == (
+                        expected = (
                             slot[task.priority], g, int(task.period), task.md,
                             task.md_r, len(task.pcbs),
                             evictions[task.priority][k], jd, jd * d_mem,
                         )
+                        if multiset_cpro or multiset_crpd:
+                            expected += (
+                                overlaps[task.priority][k]
+                                if multiset_cpro else None,
+                                entries[task.priority][k]
+                                if multiset_crpd else None,
+                            )
+                        assert row_p == expected
                         assert row_b == (
                             slot[task.priority], int(task.period), jd, jd * d_mem
                         )
@@ -234,10 +342,13 @@ class TestCutTableMatchesReference:
         # Cores 0 and 2 hold tasks, core 1 none: no cut exists for it and
         # no pair may read one.
         tasks = (
-            _task("a", 1, core=0, ecbs={1, 2, 3}, ucbs={1, 2}, pcbs={3}),
-            _task("b", 2, core=2, ecbs={2, 3, 4}, ucbs={4}, pcbs={2, 3}),
-            _task("c", 3, core=0, ecbs={3, 4, 5}, ucbs={3, 5}, pcbs={4}),
-            _task("d", 4, core=2, ecbs={1, 5}, ucbs={1}, pcbs={5}),
+            _task("a", 1, core=0, ecbs={1, 2, 3}, ucbs={1, 2}, pcbs={3},
+                  period=300),
+            _task("b", 2, core=2, ecbs={2, 3, 4}, ucbs={4}, pcbs={2, 3},
+                  period=700),
+            _task("c", 3, core=0, ecbs={3, 4, 5}, ucbs={3, 5}, pcbs={3, 4}),
+            _task("d", 4, core=2, ecbs={1, 2, 5}, ucbs={1, 2}, pcbs={2, 5},
+                  period=2500),
         )
         taskset = TaskSet(tasks)
         assert InterferenceTable.shared(taskset).cut[4] == {0: 2, 2: 2}
@@ -245,10 +356,12 @@ class TestCutTableMatchesReference:
 
     def test_single_task_core(self):
         tasks = (
-            _task("a", 1, core=0, ecbs={1, 2}, ucbs={1}, pcbs={2}),
-            _task("solo", 2, core=1, ecbs={1, 2, 3}, ucbs={1, 3}, pcbs={1, 2}),
-            _task("b", 3, core=0, ecbs={2, 3}, ucbs={2, 3}, pcbs={3}),
-            _task("c", 4, core=0, ecbs={1, 3}, ucbs={1}, pcbs={1}),
+            _task("a", 1, core=0, ecbs={1, 2}, ucbs={1}, pcbs={2}, period=300),
+            _task("solo", 2, core=1, ecbs={1, 2, 3}, ucbs={1, 3}, pcbs={1, 2},
+                  period=700),
+            _task("b", 3, core=0, ecbs={2, 3}, ucbs={2, 3}, pcbs={2, 3}),
+            _task("c", 4, core=0, ecbs={1, 3}, ucbs={1}, pcbs={1, 3},
+                  period=2500),
         )
         _pin_against_reference(TaskSet(tasks))
 
@@ -265,16 +378,16 @@ class TestCutTableMatchesReference:
 
     def test_indices_beyond_64_and_256(self):
         tasks = (
-            _task("a", 1, core=0, ecbs={0, 63, 64, 255}, ucbs={64, 255},
-                  pcbs={63}),
+            _task("a", 1, core=0, ecbs={0, 63, 64, 255, 256}, ucbs={64, 255},
+                  pcbs={63}, period=300),
             _task("b", 2, core=1, ecbs={255, 256, 300}, ucbs={256},
-                  pcbs={255, 300}),
+                  pcbs={255, 300}, period=700),
             _task("c", 3, core=0, ecbs={63, 256, 1000}, ucbs={63, 1000},
-                  pcbs={256}),
+                  pcbs={63, 256}),
             _task("d", 4, core=1, ecbs={64, 300, 1000}, ucbs={300},
-                  pcbs={64, 1000}),
-            _task("e", 5, core=0, ecbs={0, 255, 300}, ucbs={0, 300},
-                  pcbs={255}),
+                  pcbs={64, 300, 1000}, period=2500),
+            _task("e", 5, core=0, ecbs={0, 63, 255, 256, 300},
+                  ucbs={0, 256, 300}, pcbs={0, 63, 255, 256}, period=2500),
         )
         _pin_against_reference(TaskSet(tasks))
 
@@ -291,6 +404,7 @@ class TestCutTableMatchesReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_task_sets(self, seed):
         rng = random.Random(seed)
+        periods = random.Random(1000 + seed)
         cores = rng.sample([0, 1, 2, 5, 9], rng.randint(1, 4))
         tasks = []
         for priority in range(1, rng.randint(2, 10)):
@@ -299,9 +413,31 @@ class TestCutTableMatchesReference:
             pcbs = set(rng.sample(sorted(ecbs), rng.randint(0, len(ecbs))))
             tasks.append(
                 _task(f"t{priority}", priority, rng.choice(cores), ecbs, ucbs,
-                      pcbs)
+                      pcbs, period=periods.choice((300, 700, 1000, 2500)))
             )
         _pin_against_reference(TaskSet(tasks))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_64_set_footprints(self, seed):
+        # Footprints covering most of a 64-set cache, with repeated
+        # periods: PCBs overlapped by different evictors of equal periods
+        # share one overlap row, so the rows merge.
+        rng = random.Random(100 + seed)
+        tasks = []
+        for priority in range(1, 9):
+            ecbs = set(rng.sample(range(64), rng.randint(30, 64)))
+            tasks.append(
+                _task(f"t{priority}", priority, priority % 2, ecbs,
+                      set(rng.sample(sorted(ecbs), len(ecbs) // 2)),
+                      set(rng.sample(sorted(ecbs), len(ecbs) // 2)),
+                      period=rng.choice((300, 1000)))
+            )
+        taskset = TaskSet(tasks)
+        _pin_against_reference(taskset)
+        table = InterferenceTable.shared(taskset)
+        lowest = tasks[-1]
+        rows = table.cpro_multiset_cuts()[lowest.priority][-1]
+        assert len(rows) < len(lowest.pcbs)
 
 
 class TestKernelSelection:

@@ -16,7 +16,8 @@ iteration counts):
 * the fused BAT evaluator over the interference table's per-cut rows
   (:meth:`repro.model.interference.InterferenceTable.rows`) versus the
   per-term evaluation over the same table
-  (``AnalysisConfig(array_kernel=False)``);
+  (``AnalysisConfig(array_kernel=False)``), on the multiset approach
+  pairs also versus the ``frozenset`` reference;
 * the adjacent warm-start chains (cross-utilisation hint chains of
   :func:`repro.experiments.runner.evaluate_sample` and the hint-chained
   sensitivity bisections) versus hint-free cold runs;
@@ -402,6 +403,73 @@ class TestBatchKernelIsInvisible:
                     replace(config, bitset_kernel=False, memoization=False),
                 )
                 assert fused == reference
+
+
+#: The approach pairs with a multiset side: the fused evaluator folds
+#: their multiset CRPD entries and CPRO overlap rows.
+MULTISET_PAIRS = tuple(
+    (crpd, cpro)
+    for crpd in CrpdApproach
+    for cpro in CproApproach
+    if crpd is CrpdApproach.ECB_UNION_MULTISET or cpro is CproApproach.MULTISET
+)
+
+#: Analysis flag sets of the multiset grid: the persistence-aware and
+#: baseline bounds, and the two opt-in tightenings/corrections.
+MULTISET_FLAGS = (
+    {},
+    {"persistence": False},
+    {"persistence_in_low": True},
+    {"tdma_slot_alignment": True},
+)
+
+
+class TestFusedMultisetIsInvisible:
+    """The fused evaluator on multiset pairs == per-term == ``frozenset``.
+
+    Every approach pair with a multiset side under every bus policy and
+    flag set: the fused run, the per-term run over the same table
+    (``array_kernel=False``) and the reference kernel return equal
+    results with equal iteration counts, and the fused run makes no memo
+    probe.  Cache sizes rotate through 64, 16 and 256 sets across the
+    pairs: overlap-heavy small caches make the multiset folds bind.
+    """
+
+    @pytest.mark.parametrize(
+        "index,pair",
+        list(enumerate(MULTISET_PAIRS)),
+        ids=[f"{crpd.value}+{cpro.value}" for crpd, cpro in MULTISET_PAIRS],
+    )
+    def test_fused_matches_per_term_and_reference(self, index, pair):
+        crpd, cpro = pair
+        base = replace(
+            default_platform(),
+            cache=CacheGeometry(num_sets=(64, 16, 256)[index % 3], block_size=32),
+        )
+        taskset = generate_taskset(random.Random(1300 + index), base, 0.45)
+        for policy in BusPolicy:
+            platform = base.with_bus_policy(policy)
+            for flags in MULTISET_FLAGS:
+                config = AnalysisConfig(
+                    crpd_approach=crpd, cpro_approach=cpro, warm_start=False,
+                    **flags,
+                )
+                fused = analyze_taskset(taskset, platform, config)
+                per_term = analyze_taskset(
+                    taskset, platform, replace(config, array_kernel=False)
+                )
+                reference = analyze_taskset(
+                    taskset,
+                    platform,
+                    replace(config, bitset_kernel=False, memoization=False),
+                )
+                assert fused == per_term == reference, (policy, flags)
+                assert (
+                    fused.perf.inner_iterations
+                    == per_term.perf.inner_iterations
+                    == reference.perf.inner_iterations
+                )
+                assert fused.perf.memo_hits + fused.perf.memo_misses == 0
 
 
 class TestAdjacentWarmStartIsInvisible:
