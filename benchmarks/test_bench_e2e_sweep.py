@@ -2,8 +2,8 @@
 
 One measured round is one complete Fig. 2-scale campaign — task-set
 generation for every (point, sample) item, interference-table compilation
-per chunk of task sets, the dominance-ordered variant evaluation with
-cross-point warm-start chains, and the final ratio aggregation.  This is
+per chunk of task sets, the dominance-ordered variant evaluation of
+every sample, and the final ratio aggregation.  This is
 the regime the compiled tables and the fused evaluator were built for, so
 its median is gated by the bench-smoke job (``benchmarks/thresholds.json``,
 see ``scripts/bench_smoke.py``): a regression here means the compounding

@@ -13,12 +13,10 @@ from repro.analysis.ladder import (
     coarse_bound,
     run_ladder,
 )
-from repro.analysis.lockstep import LaneOutcome, analyze_taskset_batch
 from repro.analysis.sensitivity import breakdown_d_mem, breakdown_period_scale
 from repro.analysis.schedulability import (
     SchedulabilityVerdict,
     check_schedulability,
-    check_schedulability_batch,
     is_schedulable,
 )
 from repro.analysis.wcrt import WcrtResult, analyze_taskset
@@ -35,16 +33,13 @@ __all__ = [
     "breakdown_period_scale",
     "SchedulabilityVerdict",
     "check_schedulability",
-    "check_schedulability_batch",
     "is_schedulable",
     "AnalysisLadder",
     "LadderResult",
     "LadderTier",
     "coarse_bound",
     "run_ladder",
-    "LaneOutcome",
     "WcrtResult",
     "analyze_taskset",
-    "analyze_taskset_batch",
     "weighted_schedulability",
 ]

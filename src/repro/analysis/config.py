@@ -58,23 +58,10 @@ class AnalysisConfig:
             differential oracle and is the only one that consults the
             memo caches.  Requires ``bitset_kernel`` and ``memoization``;
             ignored without them.
-        lockstep_kernel: allow the lockstep multi-sample engine
-            (:mod:`repro.analysis.lockstep`) to iterate the cold fixed
-            points of *several* task sets together as structure-of-arrays
-            lanes — one inner Eq. (19) step per lane per round, with the
-            same-core interference folds evaluated across all active
-            lanes at once (vectorised via numpy when the optional
-            ``.[fast]`` extra is importable, through a bit-identical
-            pure-Python array fallback otherwise).  Every lane executes
-            exactly the operation sequence of the scalar path — same
-            iteration boundaries, same budget ticks, same early exits —
-            so results are bit-identical; the scalar path is retained as
-            the differential reference under ``lockstep_kernel=False``
-            and pinned by the ``lockstep-identity`` oracle.  Only
-            consulted by the batch entry points
-            (:func:`repro.analysis.lockstep.analyze_taskset_batch`,
-            :func:`repro.analysis.schedulability.check_schedulability_batch`);
-            single-analysis calls never pay lane bookkeeping.
+        lockstep_kernel: read by nothing.  Kept only because
+            ``perfbench/metrics.py`` sets it by name (its reference
+            configuration and ``run.py --ablate``); the sweep journal's
+            fingerprint leaves it out.
         warm_start: seed each task's response-time iteration from the
             converged estimates of a previous analysis of the *same*
             (task set, platform, config) triple, re-verifying the fixed

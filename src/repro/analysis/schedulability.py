@@ -156,127 +156,6 @@ def check_schedulability(
     )
 
 
-def check_schedulability_batch(
-    tasksets,
-    platform: Platform,
-    config: AnalysisConfig = AnalysisConfig(),
-    perf: Optional[PerfCounters] = None,
-    budgets=None,
-    warm_hints=None,
-    result_cache: Optional[ResultCache] = None,
-):
-    """Schedulability verdicts for a whole batch of task sets.
-
-    The batch equivalent of calling :func:`check_schedulability` once per
-    task set, in order — same prechecks, same reasons, same result-cache
-    interaction — except that the cold WCRT fixed points of the batch run
-    together through the lockstep engine
-    (:func:`repro.analysis.lockstep.analyze_taskset_batch`) when
-    ``config.lockstep_kernel`` allows.  Returns one
-    :class:`SchedulabilityVerdict` *or* exception per lane (exceptions are
-    returned, not raised, so one poisoned sample cannot take down its
-    batch — callers re-raise where scalar semantics demand it).
-    """
-    from repro.analysis.lockstep import analyze_taskset_batch
-
-    tasksets = list(tasksets)
-    n = len(tasksets)
-    budgets = list(budgets) if budgets is not None else [None] * n
-    warm_hints = list(warm_hints) if warm_hints is not None else [None] * n
-    d_mem = platform.d_mem
-    perfect = platform.bus_policy is BusPolicy.PERFECT
-
-    verdicts = [None] * n
-    bus_utils = [None] * n
-    pending = []  # lanes that need the WCRT analysis
-    for i, taskset in enumerate(tasksets):
-        overloaded = None
-        for core in taskset.cores:
-            if taskset.core_utilization(core, d_mem) > 1.0:
-                overloaded = core
-                break
-        if overloaded is not None:
-            verdicts[i] = SchedulabilityVerdict(
-                schedulable=False,
-                reason=f"core {overloaded} utilisation exceeds 1",
-            )
-            continue
-        if perfect:
-            bus_util = taskset.bus_utilization(d_mem, residual=True)
-            if bus_util > 1.0:
-                verdicts[i] = SchedulabilityVerdict(
-                    schedulable=False,
-                    bus_utilization=bus_util,
-                    reason="bus utilisation exceeds 1",
-                )
-                continue
-            bus_utils[i] = bus_util
-        pending.append(i)
-
-    # Durable recall first, in lane order, exactly as the scalar wrapper.
-    analyses = []  # lanes the cache could not serve
-    fingerprints = {}
-    results = {}
-    for i in pending:
-        if result_cache is None:
-            analyses.append(i)
-            continue
-        fingerprint = request_fingerprint(tasksets[i], platform, config)
-        fingerprints[i] = fingerprint
-        payload = result_cache.get(fingerprint, perf=perf)
-        if payload is not None:
-            try:
-                results[i] = result_from_payload(tasksets[i], payload)
-                continue
-            except ModelError:
-                result_cache.invalidate(fingerprint)
-        analyses.append(i)
-
-    outcomes = analyze_taskset_batch(
-        [tasksets[i] for i in analyses],
-        platform,
-        config,
-        perf=perf,
-        budgets=[budgets[i] for i in analyses],
-        warm_hints=[warm_hints[i] for i in analyses],
-    )
-    for i, outcome in zip(analyses, outcomes):
-        if outcome.error is not None:
-            verdicts[i] = outcome.error
-            continue
-        results[i] = outcome.result
-        if result_cache is not None:
-            result_cache.put(
-                fingerprints[i], result_payload(outcome.result), perf=perf
-            )
-
-    for i in pending:
-        result = results.get(i)
-        if result is None:
-            continue  # errored lane, verdict already holds the exception
-        if perfect:
-            verdicts[i] = SchedulabilityVerdict(
-                schedulable=result.schedulable,
-                wcrt=result,
-                bus_utilization=bus_utils[i],
-                reason=(
-                    "" if result.schedulable else "deadline miss (perfect bus)"
-                ),
-            )
-        elif result.schedulable:
-            verdicts[i] = SchedulabilityVerdict(schedulable=True, wcrt=result)
-        else:
-            failed = (
-                result.failed_task.name if result.failed_task else "<outer loop>"
-            )
-            verdicts[i] = SchedulabilityVerdict(
-                schedulable=False,
-                wcrt=result,
-                reason=f"deadline miss: {failed}",
-            )
-    return verdicts
-
-
 def is_schedulable(
     taskset: TaskSet,
     platform: Platform,

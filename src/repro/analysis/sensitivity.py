@@ -11,45 +11,20 @@ Classic schedulability tooling built on top of the WCRT analysis:
   memory slows down).  Useful to compare how much latency headroom the
   persistence-aware analysis buys over the baseline.
 
-Both bisections chain warm hints between consecutive probes: each
-schedulable probe's converged response-time map is offered as a
-:class:`~repro.analysis.wcrt.WarmHint` to the next one.  Hints are
-strictly re-verified (one exact outer round, cold fallback on any
-mismatch — see :mod:`repro.analysis.wcrt`), so every probe's verdict, and
-therefore every breakdown value, is bit-identical to hint-free probing;
-only the executed work can shrink.
+Every probe is an independent analysis of its own task set (or
+platform), so each breakdown value is a pure function of the inputs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.schedulability import (
-    check_schedulability,
-    check_schedulability_batch,
-)
-from repro.analysis.wcrt import WarmHint
+from repro.analysis.schedulability import check_schedulability
 from repro.errors import AnalysisError
 from repro.model.platform import Platform
 from repro.model.task import TaskSet
 from repro.perf import PerfCounters
-
-
-def _chained_probe(hint_cell: List[Optional[WarmHint]], verdict) -> bool:
-    """Record a probe's converged map as the next probe's warm hint."""
-    wcrt = verdict.wcrt
-    if wcrt is not None and wcrt.schedulable:
-        hint_cell[0] = WarmHint(
-            response_times={
-                task.priority: value
-                for task, value in wcrt.response_times.items()
-            },
-            outer_iterations=wcrt.outer_iterations,
-        )
-    else:
-        hint_cell[0] = None
-    return verdict.schedulable
 
 
 def _scaled_taskset(taskset: TaskSet, factor: float) -> TaskSet:
@@ -82,41 +57,15 @@ def breakdown_period_scale(
     if not 0 < lower < upper:
         raise AnalysisError("need 0 < lower < upper")
 
-    hint_cell: List[Optional[WarmHint]] = [None]
-
     def schedulable_at(factor: float) -> bool:
-        verdict = check_schedulability(
-            _scaled_taskset(taskset, factor), platform, config,
-            perf=perf, warm_hint=hint_cell[0],
-        )
-        return _chained_probe(hint_cell, verdict)
+        return check_schedulability(
+            _scaled_taskset(taskset, factor), platform, config, perf=perf
+        ).schedulable
 
-    # The two bracket probes are independent task sets on one platform —
-    # exactly a two-lane lockstep batch.  Verdicts (and the hint-cell
-    # state the bisection starts from) are bit-identical to probing them
-    # one at a time: _chained_probe is applied in the scalar order, and a
-    # failed upper probe returns before the lower lane's outcome — even
-    # an exceptional one, which the scalar path would never have seen —
-    # is consulted.  (breakdown_d_mem cannot batch its probes: its lanes
-    # differ in platform, which a lockstep batch shares.)
-    if config.lockstep_kernel:
-        bracket = check_schedulability_batch(
-            [_scaled_taskset(taskset, upper), _scaled_taskset(taskset, lower)],
-            platform, config, perf=perf,
-        )
-        if isinstance(bracket[0], BaseException):
-            raise bracket[0]
-        if not _chained_probe(hint_cell, bracket[0]):
-            return None
-        if isinstance(bracket[1], BaseException):
-            raise bracket[1]
-        if _chained_probe(hint_cell, bracket[1]):
-            return lower
-    else:
-        if not schedulable_at(upper):
-            return None
-        if schedulable_at(lower):
-            return lower
+    if not schedulable_at(upper):
+        return None
+    if schedulable_at(lower):
+        return lower
     low, high = lower, upper  # unschedulable at low, schedulable at high
     while high - low > precision:
         mid = (low + high) / 2
@@ -145,14 +94,10 @@ def breakdown_d_mem(
     if upper < 1:
         raise AnalysisError(f"upper must be at least 1, got {upper}")
 
-    hint_cell: List[Optional[WarmHint]] = [None]
-
     def schedulable_at(d_mem: int) -> bool:
-        verdict = check_schedulability(
-            taskset, platform.with_d_mem(d_mem), config,
-            perf=perf, warm_hint=hint_cell[0],
-        )
-        return _chained_probe(hint_cell, verdict)
+        return check_schedulability(
+            taskset, platform.with_d_mem(d_mem), config, perf=perf
+        ).schedulable
 
     if not schedulable_at(1):
         return None

@@ -50,14 +50,19 @@ _WarmSeed = Tuple[Dict[Task, int], int]
 
 @dataclass(frozen=True)
 class WarmHint:
-    """A converged response-time map offered to seed an *adjacent* analysis.
+    """A converged response-time map offered to seed another analysis.
 
     Unlike the same-triple warm-start seeds the analysis records for
-    itself, a hint crosses an analysis boundary: a neighbouring sweep
-    point's sample, the previous probe of a sensitivity bisection, or a
-    dominating analysis variant of the same task set.  ``response_times``
-    is keyed by task *priority* (unique per task set) so a hint survives
-    task-object identity changes between equivalent task sets.
+    itself, a hint crosses an analysis boundary: the service persists the
+    converged map of every schedulable request
+    (:class:`~repro.resultcache.WarmSeedStore`) and hands it back, via
+    :func:`~repro.resultcache.hint_from_seed`, to a later analysis of an
+    equal task set in whichever process serves it.  ``response_times`` is
+    keyed by task *priority* (unique per task set) so a hint survives
+    task-object identity changes between equivalent task sets.  Sweeps
+    and sensitivity bisections pass none: a neighbouring problem's map
+    almost never passes the exact check below, so its hint would only
+    add a verification round.
 
     Every hint is verified with one strict outer round before it is
     trusted: each task must satisfy Eq. (19) *exactly* at the hinted value
@@ -170,7 +175,10 @@ def _task_fixed_point(
     bat = ctx._bat_fns.get(task.priority)
     if bat is None:
         bat = make_bat(ctx, task)
-        ctx._bat_fns[task.priority] = bat
+        if ctx.fused:
+            # The per-term fallback closes over ``ctx``; caching it here
+            # would make every reference-path context a reference cycle.
+            ctx._bat_fns[task.priority] = bat
     r = start
     for _ in range(config.max_inner_iterations):
         # The tick sits at the iteration boundary, *before* any work of the
@@ -262,12 +270,12 @@ def analyze_taskset(
     record a warm-start seed, and the per-run memo caches die with the
     run's context.
 
-    ``warm_hint`` (optional) offers an *adjacent* converged map — see
-    :class:`WarmHint` — consulted only when no same-triple seed exists and
-    ``config.warm_start`` is on.  An accepted hint changes nothing but the
-    executed work; a hinted run reports the outer rounds it actually
-    executed in ``outer_iterations`` (fewer than the cold count —
-    documented semantics change, see docs/PERFORMANCE.md).
+    ``warm_hint`` (optional) offers the converged map of another analysis
+    — see :class:`WarmHint` — consulted only when no same-triple seed
+    exists and ``config.warm_start`` is on.  An accepted hint changes
+    nothing but the executed work; the result reports the donor's
+    ``outer_iterations``, as the same-triple warm start reports its
+    stored cold count.
     """
     counters = PerfCounters()
     if config.bitset_kernel:

@@ -196,10 +196,11 @@ class AnalysisContext:
                  self.platform),
                 dict,
             )
-        # Per-task specialised BAT evaluators (``make_bat`` closures), built
-        # once per context: they close over this context's estimate list and
+        # Per-task fused BAT evaluators (``make_bat`` closures), built once
+        # per context: they close over this context's estimate list and
         # bind the tunables at creation time, so unlike the plans they must
-        # not outlive the context.
+        # not outlive the context.  Only fused closures are kept: the
+        # per-term fallback closes over the context itself.
         self._bat_fns: Dict[int, object] = {}
 
     # -- response-time estimates --------------------------------------------

@@ -25,6 +25,7 @@ multiplies by ``d_mem`` where needed.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.budget import Budget
@@ -120,7 +121,11 @@ class CrpdCalculator:
         approach: CrpdApproach = CrpdApproach.ECB_UNION,
         bitset: bool = True,
     ):
-        self._taskset = taskset
+        # Weak: the shared calculator lives in the task set's derived
+        # store, so a strong reference back would make every task set a
+        # reference cycle that only a full collection frees.  Callers of
+        # the constructor keep the task set alive while they use it.
+        self._taskset = weakref.proxy(taskset)
         self._approach = approach
         self._bitset = bitset
         self._fn = _APPROACHES[approach]

@@ -89,9 +89,10 @@ def sweep_description(
     descriptions = []
     for variant in variants:
         analysis = _jsonable(variant.analysis)
-        # The batched and lockstep kernels are invisible optimisations
-        # (bit-identical results); keep them out of the fingerprint so
-        # journals written before the knobs existed stay resumable.
+        # The fused evaluator is an invisible optimisation (bit-identical
+        # results) and ``lockstep_kernel`` is read by nothing; keep both
+        # out of the fingerprint so journals written before the knobs
+        # existed stay resumable.
         analysis.pop("array_kernel", None)
         analysis.pop("lockstep_kernel", None)
         descriptions.append(

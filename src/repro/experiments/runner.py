@@ -32,37 +32,27 @@ sweep.
 
 from __future__ import annotations
 
-import itertools
+import gc
 import os
 import random
-import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.schedulability import (
-    check_schedulability,
-    check_schedulability_batch,
-)
-from repro.analysis.wcrt import WarmHint
+from repro.analysis.schedulability import check_schedulability
 from repro.analysis.weighted import weighted_schedulability
 from repro.budget import Budget
-from repro.errors import AnalysisAborted, AnalysisError, JournalError
+from repro.errors import AnalysisError, JournalError
 from repro.experiments.config import SweepSettings, Variant
 from repro.experiments.journal import RunJournal, sweep_description, sweep_fingerprint
 from repro.experiments.stateplane import resident_plane
-from repro.experiments.supervisor import (
-    SampleFailure,
-    SweepSupervisor,
-    WorkItem,
-    _digest,
-)
+from repro.experiments.supervisor import SampleFailure, SweepSupervisor, WorkItem
 from repro.generation.taskset_gen import GenerationConfig, generate_taskset
 from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, Platform
 from repro.perf import PerfCounters
 from repro.resultcache import ResultCache
-from repro.verify.faults import SweepFault, trigger_sweep_fault
+from repro.verify.faults import SweepFault
 
 #: Environment variable pointing sweep workers at a shared persistent
 #: result cache (see :mod:`repro.resultcache`).  An env var rather than a
@@ -225,7 +215,6 @@ def evaluate_sample(
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
     taskset=None,
-    hint_chain: Optional[MutableMapping[int, WarmHint]] = None,
 ) -> SampleOutcome:
     """Generate one task set and test it under every variant.
 
@@ -239,14 +228,12 @@ def evaluate_sample(
     running their analyses (``perf.dominance_skips``) — the verdict tuple,
     reported in the caller's variant order, is bit-identical either way.
 
-    ``hint_chain`` (optional, mutated in place) maps variant index to the
-    :class:`~repro.analysis.wcrt.WarmHint` of the previous sample in an
-    adjacent-point chain; each schedulable verdict replaces the variant's
-    entry with this sample's converged map, so consecutive utilisation
-    steps of one sample index seed each other.  Hints are strictly
-    re-verified before use (cold fallback on any mismatch), so chained
-    verdicts — and the full WCRT results behind them — stay bit-identical
-    to cold runs.
+    The cyclic garbage collector is paused for the variant loop and
+    restored to its previous state afterwards, also when an analysis
+    raises.  The loop allocates many small objects but no reference
+    cycles (contexts, closures and the task set's derived stores are
+    acyclic), so the generational collections it would trigger only
+    re-traverse the live sweep state; see docs/PERFORMANCE.md.
 
     ``budget`` (one :class:`~repro.budget.Budget` covering *all* variants
     of the sample) lets an over-budget analysis abort cooperatively with
@@ -269,51 +256,39 @@ def evaluate_sample(
     result_cache = _result_cache()
     verdicts: List[bool] = [False] * len(variants)
     missed: List[bool] = [False] * len(variants)
-    for index in order:
-        variant = variants[index]
-        if any(verdicts[dom] for dom in dominated[index]):
-            # A dominated variant is schedulable: this variant's
-            # (pointwise smaller) WCRT bounds converge below the same
-            # deadlines.  No converged map exists to donate to the hint
-            # chain, so any stale entry is dropped.
-            verdicts[index] = True
-            if perf is not None:
-                perf.dominance_skips += 1
-            if hint_chain is not None:
-                hint_chain.pop(index, None)
-            continue
-        if any(missed[dom] for dom in dominators[index]):
-            # A dominating variant already saw a genuine deadline miss:
-            # this variant's (larger) WCRT bound misses it too.
-            if perf is not None:
-                perf.dominance_skips += 1
-            continue
-        hint = hint_chain.get(index) if hint_chain is not None else None
-        verdict = check_schedulability(
-            taskset,
-            base_platform.with_bus_policy(variant.policy),
-            variant.analysis,
-            perf=perf,
-            budget=budget,
-            warm_hint=hint,
-            result_cache=result_cache,
-        )
-        verdicts[index] = verdict.schedulable
-        wcrt = verdict.wcrt
-        missed[index] = wcrt is not None and wcrt.failed_task is not None
-        if hint_chain is not None:
-            if wcrt is not None and wcrt.schedulable:
-                hint_chain[index] = WarmHint(
-                    response_times={
-                        task.priority: value
-                        for task, value in wcrt.response_times.items()
-                    },
-                    outer_iterations=wcrt.outer_iterations,
-                )
-            else:
-                # A donor is only useful while the chain stays schedulable;
-                # drop it rather than offer a stale map to every later step.
-                hint_chain.pop(index, None)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for index in order:
+            variant = variants[index]
+            if any(verdicts[dom] for dom in dominated[index]):
+                # A dominated variant is schedulable: this variant's
+                # (pointwise smaller) WCRT bounds converge below the same
+                # deadlines.
+                verdicts[index] = True
+                if perf is not None:
+                    perf.dominance_skips += 1
+                continue
+            if any(missed[dom] for dom in dominators[index]):
+                # A dominating variant already saw a genuine deadline miss:
+                # this variant's (larger) WCRT bound misses it too.
+                if perf is not None:
+                    perf.dominance_skips += 1
+                continue
+            verdict = check_schedulability(
+                taskset,
+                base_platform.with_bus_policy(variant.policy),
+                variant.analysis,
+                perf=perf,
+                budget=budget,
+                result_cache=result_cache,
+            )
+            verdicts[index] = verdict.schedulable
+            wcrt = verdict.wcrt
+            missed[index] = wcrt is not None and wcrt.failed_task is not None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return SampleOutcome(weight=weight, verdicts=tuple(verdicts))
 
 
@@ -380,228 +355,33 @@ def evaluate_item(
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
     *,
-    point: Optional[int] = None,
-    sample: Optional[int] = None,
     context: Optional[Dict] = None,
 ) -> Tuple[float, Tuple[bool, ...]]:
     """Supervisor-facing adapter: :func:`evaluate_sample` as raw payload.
 
     Module-level so it pickles by reference into spawn workers.  The
-    keyword-only ``point``/``sample``/``context`` trio implements the
-    supervisor's shared-context protocol (``supports_context`` below):
-    ``context`` carries the pre-generated task sets of
-    :func:`prewarm_items` (consumed here, one use each) and the per-sample
-    warm-hint chains threaded through consecutive utilisation points.
-    Chains live in the worker-resident
-    :func:`~repro.experiments.stateplane.resident_plane` (scoped by
-    platform/variants/generation so unrelated sweeps sharing a worker
-    never exchange hints), so they survive chunk boundaries: parallel
-    runs now chain adjacent points exactly like the sequential path.
-    Hints are verify-or-cold, so chain residency never changes verdicts.
+    keyword-only ``context`` implements the supervisor's shared-context
+    protocol (``supports_context`` below): it carries the pre-generated
+    task sets of :func:`prewarm_items`, consumed here, one use each.
     """
     taskset = None
-    hint_chain = None
     if context is not None:
         taskset = context.setdefault("tasksets", {}).pop(sample_seed, None)
-        if sample is not None:
-            scope = (base_platform, tuple(variants), generation)
-            hint_chain = context.setdefault("chains", {}).setdefault(
-                sample, resident_plane().chain(scope, sample)
-            )
     outcome = evaluate_sample(
         base_platform, utilization, variants, generation, sample_seed, perf,
-        budget=budget, taskset=taskset, hint_chain=hint_chain,
+        budget=budget, taskset=taskset,
     )
     return outcome.weight, outcome.verdicts
 
 
-def _evaluate_point_batch(
-    base_platform: Platform,
-    utilization: float,
-    variants: Tuple[Variant, ...],
-    generation: GenerationConfig,
-    group: List[WorkItem],
-    perf: PerfCounters,
-    sample_budget: Optional[float],
-    results_by_key: Dict,
-) -> None:
-    """Evaluate one point's items together through the lockstep engine.
-
-    The batch twin of running :func:`evaluate_sample` over ``group`` item
-    by item: same dominance orders and skip rules (one utilisation per
-    point, so one order covers the whole group), same warm-hint chain
-    updates, same per-item :class:`~repro.budget.Budget` spanning all
-    variants, same result-cache interaction — but each variant's analyses
-    run as one :func:`~repro.analysis.schedulability.check_schedulability_batch`
-    call, so the cold fixed points of the whole group iterate in lockstep.
-    Verdicts are bit-identical to the scalar sequence.  An item whose
-    analysis raises is recorded with the scalar path's tuple shape
-    (``budget``/``err``) and excluded from later variants, exactly as the
-    exception would have aborted the scalar per-item evaluation.
-    """
-    plane = resident_plane()
-    scope = (base_platform, variants, generation)
-    context: Dict = {}
-    prewarm_items(base_platform, variants, generation, group, perf, context)
-    pool = context.get("tasksets", {})
-    tasksets: Dict = {}
-    for item in group:
-        taskset = pool.pop(item.seed, None)
-        if taskset is None:
-            taskset = plane.taskset(
-                base_platform, generation, item.utilization, item.seed, perf
-            )
-        tasksets[item.key] = taskset
-    budgets = {
-        item.key: (
-            Budget(wall_seconds=sample_budget)
-            if sample_budget is not None
-            else None
-        )
-        for item in group
-    }
-    chains = {item.key: plane.chain(scope, item.sample) for item in group}
-    weights = {
-        item.key: tasksets[item.key].total_utilization(base_platform.d_mem)
-        for item in group
-    }
-    order, dominators, loose_order, dominated = _dominance_plan(variants)
-    if utilization <= _SUCCESS_ORDER_UTILIZATION:
-        order = loose_order
-    result_cache = _result_cache()
-    verdicts = {item.key: [False] * len(variants) for item in group}
-    missed = {item.key: [False] * len(variants) for item in group}
-    dead: set = set()
-    for index in order:
-        variant = variants[index]
-        lanes: List[WorkItem] = []
-        for item in group:
-            key = item.key
-            if key in dead:
-                continue
-            if any(verdicts[key][dom] for dom in dominated[index]):
-                verdicts[key][index] = True
-                perf.dominance_skips += 1
-                chains[key].pop(index, None)
-                continue
-            if any(missed[key][dom] for dom in dominators[index]):
-                perf.dominance_skips += 1
-                continue
-            lanes.append(item)
-        if not lanes:
-            continue
-        batch = check_schedulability_batch(
-            [tasksets[item.key] for item in lanes],
-            base_platform.with_bus_policy(variant.policy),
-            variant.analysis,
-            perf=perf,
-            budgets=[budgets[item.key] for item in lanes],
-            warm_hints=[chains[item.key].get(index) for item in lanes],
-            result_cache=result_cache,
-        )
-        for item, verdict in zip(lanes, batch):
-            key = item.key
-            if isinstance(verdict, BaseException):
-                dead.add(key)
-                kind = (
-                    "budget" if isinstance(verdict, AnalysisAborted) else "err"
-                )
-                results_by_key[key] = (
-                    kind,
-                    key,
-                    type(verdict).__name__,
-                    str(verdict),
-                    _digest("".join(traceback.format_exception(verdict))),
-                )
-                continue
-            verdicts[key][index] = verdict.schedulable
-            wcrt = verdict.wcrt
-            missed[key][index] = wcrt is not None and wcrt.failed_task is not None
-            chain = chains[key]
-            if wcrt is not None and wcrt.schedulable:
-                chain[index] = WarmHint(
-                    response_times={
-                        task.priority: value
-                        for task, value in wcrt.response_times.items()
-                    },
-                    outer_iterations=wcrt.outer_iterations,
-                )
-            else:
-                chain.pop(index, None)
-    for item in group:
-        key = item.key
-        if key in dead:
-            continue
-        results_by_key[key] = ("ok", key, weights[key], tuple(verdicts[key]))
-
-
-def evaluate_items_batch(
-    base_platform: Platform,
-    variants: Sequence[Variant],
-    generation: GenerationConfig,
-    chunk,
-    fault: Optional[SweepFault] = None,
-    sample_budget: Optional[float] = None,
-):
-    """``run_chunk``-compatible batch evaluation of one chunk (worker side).
-
-    Accepts the supervisor's ``(item, attempt)`` chunk payload and returns
-    the same ``(results, perf)`` pair :func:`repro.experiments.supervisor.run_chunk`
-    produces from the per-item path — with the same per-item fault
-    injection and the same per-sample isolation (one poisoned item yields
-    its ``err``/``budget`` tuple; the rest of the chunk completes).  Items
-    are grouped by sweep point (chunks are point-aligned, so normally one
-    group) and each group runs through :func:`_evaluate_point_batch`.
-    """
-    perf = PerfCounters()
-    variants = tuple(variants)
-    chunk = list(chunk)
-    results_by_key: Dict = {}
-    alive: List[WorkItem] = []
-    for item, attempt in chunk:
-        try:
-            trigger_sweep_fault(fault, item.point, item.sample, attempt)
-        except AnalysisAborted as abort:
-            results_by_key[item.key] = (
-                "budget",
-                item.key,
-                type(abort).__name__,
-                str(abort),
-                _digest(traceback.format_exc()),
-            )
-            continue
-        except Exception as error:  # noqa: BLE001 — the isolation boundary
-            results_by_key[item.key] = (
-                "err",
-                item.key,
-                type(error).__name__,
-                str(error),
-                _digest(traceback.format_exc()),
-            )
-            continue
-        alive.append(item)
-    for (point, utilization), grouped in itertools.groupby(
-        alive, key=lambda item: (item.point, item.utilization)
-    ):
-        _evaluate_point_batch(
-            base_platform,
-            utilization,
-            variants,
-            generation,
-            list(grouped),
-            perf,
-            sample_budget,
-            results_by_key,
-        )
-    return [results_by_key[item.key] for item, _attempt in chunk], perf
-
-
-#: Supervisor protocol: accept the ``point``/``sample``/``context`` kwargs.
+#: Supervisor protocol: accept the keyword-only ``context`` argument.
 evaluate_item.supports_context = True
 #: Supervisor protocol: per-chunk batch prewarming hook.
 evaluate_item.prewarm = prewarm_items
-#: Supervisor protocol: whole-chunk batch evaluation via the lockstep engine.
-evaluate_item.evaluate_batch = evaluate_items_batch
+
+#: ``perfbench/tracing.py`` wraps this name; it is the only user and
+#: nothing in the program calls it.
+check_schedulability_batch = check_schedulability
 
 
 class CurveOutcomes(Dict[float, List[SampleOutcome]]):
@@ -682,16 +462,9 @@ def run_curve(
     worker processes; results are bit-identical to the sequential run
     because the per-sample seeds do not depend on execution order.
 
-    Cross-point warm-start chains: each sample index carries its
-    converged response-time maps from utilisation ``u`` into ``u + δ`` as
-    :class:`~repro.analysis.wcrt.WarmHint`\\ s (strictly re-verified, cold
-    fallback — see :func:`evaluate_sample`).  The chains live in the
-    worker-resident :func:`~repro.experiments.stateplane.resident_plane`,
-    so they survive chunk boundaries: sequential runs chain through the
-    whole curve and parallel workers chain whatever adjacent points they
-    happen to execute.  Chains are pure warm-start donors, so verdicts
-    are bit-identical with any chunk-to-worker assignment — including
-    the adaptive chunk sizes and tail work stealing of
+    Every item is evaluated on its own (:func:`evaluate_sample`), so
+    verdicts are bit-identical with any chunk-to-worker assignment —
+    including the adaptive chunk sizes and tail work stealing of
     :class:`~repro.experiments.supervisor.SweepSupervisor`.
 
     ``journal_dir`` checkpoints every completed item into an append-only

@@ -17,19 +17,14 @@ that keeps exactly that state resident in the worker process across chunks:
   table with its compiled per-cut values and rows, warm-start seeds.  A
   plane hit therefore replaces generation + compile + cold fixed points with
   the (strictly re-verified, bit-identical) warm-start path.
-* **Warm-hint chains**, keyed by a caller-supplied chain scope plus the
-  sample index, so adjacent utilisation points of one sample seed each
-  other even when their chunks arrive at different times.  Hints are
-  verify-or-cold (see :class:`~repro.analysis.wcrt.WarmHint`), so chain
-  reuse under *any* chunk ordering — including work stealing — never
-  changes a verdict.
 * **Canonical documents** (:meth:`canonical`), a generic build-once slot
   the service tier uses to map equal request payloads onto one resident
   task-set object per worker.
 
-Everything the plane caches is either a pure function of its key or
-verify-before-use, so the plane is invisible in results by construction —
-pinned by the ``resident-plane-identity`` oracle of :mod:`repro.verify`.
+Everything the plane caches is a pure function of its key (warm-start
+seeds are verified before use), so the plane is invisible in results by
+construction — pinned by the ``resident-plane-identity`` oracle of
+:mod:`repro.verify`.
 Capacity is bounded (LRU, :data:`DEFAULT_CAPACITY` entries per kind) and
 tunable via the ``REPRO_STATE_PLANE_CAP`` environment variable; ``0``
 disables residency entirely (every lookup misses), which is also the
@@ -42,7 +37,7 @@ import os
 import random
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from repro.generation.taskset_gen import GenerationConfig, generate_taskset
 from repro.model.platform import Platform
@@ -88,7 +83,6 @@ class StatePlane:
     def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity = _env_capacity() if capacity is None else max(0, capacity)
         self._tasksets: "OrderedDict[Hashable, TaskSet]" = OrderedDict()
-        self._chains: "OrderedDict[Hashable, Dict]" = OrderedDict()
         self._documents: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -110,7 +104,7 @@ class StatePlane:
             while len(store) > self.capacity:
                 store.popitem(last=False)
 
-    # -- the three kinds of resident state -----------------------------------
+    # -- the two kinds of resident state -------------------------------------
 
     def taskset(
         self,
@@ -141,21 +135,6 @@ class StatePlane:
         self._put(self._tasksets, key, taskset)
         return taskset
 
-    def chain(self, scope: Hashable, sample: int) -> Dict:
-        """The warm-hint chain of one sample index within ``scope``.
-
-        ``scope`` should fingerprint everything the chain's hints depend
-        on (platform, variants, generation) so unrelated sweeps sharing a
-        worker never exchange hints.  The returned dict is mutated in
-        place by :func:`repro.experiments.runner.evaluate_sample`.
-        """
-        key = (scope, sample)
-        chain = self._get(self._chains, key)
-        if chain is None:
-            chain = {}
-            self._put(self._chains, key, chain)
-        return chain
-
     def canonical(
         self,
         key: Hashable,
@@ -185,7 +164,6 @@ class StatePlane:
         """Drop all resident state (tests and respawned workers)."""
         with self._lock:
             self._tasksets.clear()
-            self._chains.clear()
             self._documents.clear()
 
 

@@ -202,10 +202,10 @@ def _prepare_context(
     """Build the optional shared evaluation context for a batch of items.
 
     The context protocol: an ``evaluate`` callable may declare
-    ``evaluate.supports_context = True`` to receive keyword-only
-    ``point``/``sample``/``context`` arguments, and may additionally
-    expose ``evaluate.prewarm(platform, variants, generation, items,
-    perf, context)`` to pre-populate the context for a whole chunk (e.g.
+    ``evaluate.supports_context = True`` to receive a keyword-only
+    ``context`` argument, and may additionally expose
+    ``evaluate.prewarm(platform, variants, generation, items, perf,
+    context)`` to pre-populate the context for a whole chunk (e.g.
     batch-compiling every task set of a sweep point at once).  Prewarming
     is strictly an optimisation — a failing hook is ignored and the
     per-item evaluation recomputes whatever is missing, so results never
@@ -234,7 +234,7 @@ def _call_evaluate(
         )
     return evaluate(
         platform, item.utilization, variants, generation, item.seed,
-        perf, budget, point=item.point, sample=item.sample, context=context,
+        perf, budget, context=context,
     )
 
 
@@ -249,23 +249,8 @@ def run_chunk(args):
     reported as a ``"budget"`` record so the supervisor can quarantine it
     without charging retries.  Returns the result list plus the chunk's
     perf counters for the parent to merge.
-
-    An ``evaluate`` exposing ``evaluate.evaluate_batch`` (the lockstep
-    protocol — see :func:`repro.experiments.runner.evaluate_items_batch`)
-    evaluates the whole chunk in one call, with identical per-item fault
-    injection and isolation semantics and bit-identical results; any
-    unexpected failure of the batch layer itself falls back to the
-    per-item path below.
     """
     evaluate, platform, variants, generation, chunk, fault, sample_budget = args
-    batch = getattr(evaluate, "evaluate_batch", None)
-    if batch is not None:
-        try:
-            return batch(
-                platform, variants, generation, chunk, fault, sample_budget
-            )
-        except Exception:  # noqa: BLE001 — batch layer bug: per-item fallback
-            pass
     perf = PerfCounters()
     context = _prepare_context(
         evaluate, platform, variants, generation,
@@ -326,8 +311,8 @@ def run_resident_chunk(payload):
 
     Together with the process-global
     :func:`~repro.experiments.stateplane.resident_plane` the worker keeps
-    between chunks (task sets, compiled interference tables, warm-start seeds,
-    hint chains), this makes workers stateful across chunks while leaving
+    between chunks (task sets, compiled interference tables, warm-start
+    seeds), this makes workers stateful across chunks while leaving
     every recovery path untouched: a respawned pool simply re-runs
     :func:`_worker_init` and starts with an empty plane.
     """
@@ -431,11 +416,8 @@ class SweepSupervisor:
 
         No hang watchdog and no crash recovery are possible in-process;
         use ``jobs >= 2`` for full supervision.  One shared evaluation
-        context (see :func:`_prepare_context`) survives the whole run —
-        prewarmed point by point as execution reaches it — so
-        context-aware evaluators can chain warm hints across adjacent
-        sweep points, something the per-chunk contexts of the parallel
-        path cannot offer.
+        context (see :func:`_prepare_context`) survives the whole run,
+        prewarmed point by point as execution reaches it.
         """
         completed: Dict[ItemKey, ItemResult] = {}
         failures: List[SampleFailure] = []
@@ -443,7 +425,6 @@ class SweepSupervisor:
         by_key: Dict[ItemKey, WorkItem] = {item.key: item for item in items}
         queue: Deque[WorkItem] = deque(items)
         perf = PerfCounters()
-        batch = getattr(self.evaluate, "evaluate_batch", None)
         supports_context = getattr(self.evaluate, "supports_context", False)
         prewarm = (
             getattr(self.evaluate, "prewarm", None) if supports_context else None
@@ -458,58 +439,6 @@ class SweepSupervisor:
             self._check_interrupt()
             item = queue.popleft()
             attempt = attempts[item.key]
-            if (
-                batch is not None
-                and attempt == 0
-                and queue
-                and queue[0].point == item.point
-                and attempts[queue[0].key] == 0
-            ):
-                # First-attempt items of one point at the head of the
-                # queue: evaluate them as a single lockstep batch.  Items
-                # the batch reports as failed re-queue for the per-item
-                # path below, which owns retries, backoff and quarantine.
-                run = [item]
-                while (
-                    queue
-                    and queue[0].point == item.point
-                    and attempts[queue[0].key] == 0
-                ):
-                    run.append(queue.popleft())
-                payload = tuple((it, 0) for it in run)
-                try:
-                    results, chunk_perf = batch(
-                        self.platform, self.variants, self.generation,
-                        payload, self.fault, self.settings.sample_budget,
-                    )
-                except Exception:  # noqa: BLE001 — batch bug: per-item redo
-                    for it in reversed(run):
-                        queue.appendleft(it)
-                    batch = None
-                    continue
-                perf.merge(chunk_perf)
-                for result in results:
-                    if result[0] == "ok":
-                        _, key, weight, verdicts = result
-                        self._complete(key, weight, tuple(verdicts), completed)
-                    elif result[0] == "budget":
-                        _, key, exception, message, digest = result
-                        attempts[key] += 1
-                        self._quarantine(
-                            by_key[key], "budget", exception, message, digest,
-                            attempts[key], failures,
-                        )
-                    else:
-                        _, key, exception, message, digest = result
-                        attempts[key] += 1
-                        if attempts[key] > self.settings.retries:
-                            self._quarantine(
-                                by_key[key], "exception", exception, message,
-                                digest, attempts[key], failures,
-                            )
-                        else:
-                            queue.append(by_key[key])
-                continue
             if prewarm is not None and item.point not in prewarmed_points:
                 prewarmed_points.add(item.point)
                 try:

@@ -125,7 +125,6 @@ class InterferenceTable:
     """
 
     def __init__(self, taskset: TaskSet):
-        self._taskset = taskset
         self.ecb_mask: Dict[int, int] = {}
         self.ucb_mask: Dict[int, int] = {}
         self.pcb_mask: Dict[int, int] = {}

@@ -12,10 +12,10 @@ of guessed.  :class:`PerfCounters` tracks
 * how often the warm-started fixed point and the bitmask cache-set kernel
   engaged (``warm_starts``, ``warm_start_iterations_saved``,
   ``bitset_table_builds``),
-* how much cross-analysis work the sweep layer avoided: task sets whose
+* how much cross-analysis work was avoided: task sets whose
   interference-table cuts were compiled (``batch_analyses``), accepted
-  adjacent-point/-variant warm starts
-  and the outer rounds they skipped (``adjacent_warm_starts``,
+  warm starts from another analysis' converged map and the outer rounds
+  they skipped (``adjacent_warm_starts``,
   ``adjacent_warm_start_iterations_saved``), and analyses skipped via the
   variant dominance ordering (``dominance_skips``), and
 * per-phase wall-clock time (task-set ``generation`` vs ``analysis``).
@@ -55,10 +55,9 @@ class PerfCounters:
     #: Outer rounds skipped by warm starts: the recorded cold run's
     #: ``outer_iterations`` minus the single re-verification round.
     warm_start_iterations_saved: int = 0
-    #: Analyses seeded from an *adjacent* converged map — a neighbouring
-    #: sweep point's sample, the previous probe of a sensitivity bisection,
-    #: or a dominating analysis variant of the same task set — accepted
-    #: after re-verification (see ``WarmHint`` in :mod:`repro.analysis.wcrt`).
+    #: Analyses seeded from another analysis' converged map (the service's
+    #: persisted warm seeds) and accepted after re-verification (see
+    #: ``WarmHint`` in :mod:`repro.analysis.wcrt`).
     adjacent_warm_starts: int = 0
     #: Outer rounds skipped by accepted adjacent warm starts: the donor's
     #: recorded round count minus the rounds the hinted run executed.
@@ -77,12 +76,10 @@ class PerfCounters:
     #: task set already failed with a genuine deadline miss (see
     #: :mod:`repro.experiments.runner`).
     dominance_skips: int = 0
-    #: Cold fixed-point batches executed by the lockstep multi-sample
-    #: engine (:mod:`repro.analysis.lockstep`) — one per group of lanes
-    #: iterated together as structure-of-arrays state.
+    #: Always 0, like ``lane_retirements``: they counted the lockstep
+    #: multi-sample engine, which is gone; ``perfbench/sweeps.py`` still
+    #: reads both on every rep.
     lockstep_batches: int = 0
-    #: Lanes retired from a lockstep batch, whatever the exit: converged
-    #: schedulable, deadline miss, budget abort or a per-lane error.
     lane_retirements: int = 0
     #: Task sets served from the worker-resident state plane
     #: (:mod:`repro.experiments.stateplane`) with their compiled
@@ -93,12 +90,6 @@ class PerfCounters:
     #: Queued multi-item chunks split in two by the supervisor's
     #: work-stealing scheduler so idle workers could pick up the half.
     chunks_stolen: int = 0
-    #: Lockstep batches that requested the vectorised row fold while
-    #: numpy (the optional ``.[fast]`` extra) was not importable — the
-    #: bit-identical pure-Python fallback ran instead (a one-time warning
-    #: accompanies the first occurrence; see
-    #: :func:`repro.analysis.lockstep.note_array_kernel_unavailable`).
-    array_kernel_unavailable: int = 0
     #: Analyses aborted cooperatively by a budget or cancel token (see
     #: :mod:`repro.budget`) instead of running to a verdict.
     budget_aborts: int = 0
@@ -246,11 +237,6 @@ class PerfCounters:
             )
         if self.batch_analyses:
             lines.append(f"  compiled tasksets {self.batch_analyses:>12d}")
-        if self.lockstep_batches:
-            lines.append(
-                f"  lockstep batches  {self.lockstep_batches:>12d}   "
-                f"lane retirements {self.lane_retirements:>10d}"
-            )
         if self.resident_table_hits or self.resident_table_misses:
             lookups = self.resident_table_hits + self.resident_table_misses
             ratio = self.resident_table_hits / lookups if lookups else 0.0
@@ -261,11 +247,6 @@ class PerfCounters:
             )
         if self.chunks_stolen:
             lines.append(f"  chunks stolen     {self.chunks_stolen:>12d}")
-        if self.array_kernel_unavailable:
-            lines.append(
-                f"  array kernel unavailable (no numpy) "
-                f"{self.array_kernel_unavailable:>10d}"
-            )
         if self.budget_aborts:
             lines.append(f"  budget aborts     {self.budget_aborts:>12d}")
         if (

@@ -31,12 +31,6 @@ fuzz noise:
     from an adjacent converged analysis returns a result bit-identical
     to the cold analysis, and an exact hint actually engages.  Also
     ``always_replay``.
-``lockstep-identity``
-    The lockstep multi-sample engine
-    (:func:`~repro.analysis.lockstep.analyze_taskset_batch`) returns
-    outcomes bit-identical to analysing the same lanes one at a time
-    with ``AnalysisConfig(lockstep_kernel=False)`` — including the error
-    class and message of exceptional lanes.  Also ``always_replay``.
 ``resident-plane-identity``
     Serving repeated equal inputs from a worker-resident
     :class:`~repro.experiments.stateplane.StatePlane` (one canonical
@@ -611,64 +605,6 @@ def _check_fixed_point_sanity(case: TasksetCase) -> List[str]:
             messages.append(
                 f"task {task.name!r}: schedulable verdict but bound {bound} "
                 f"> deadline {int(task.deadline)}"
-            )
-    return messages
-
-
-@register(
-    "lockstep-identity",
-    ("taskset",),
-    "lockstep multi-lane batch == sequential scalar analyses, bit for bit",
-    always_replay=True,
-)
-def _check_lockstep_identity(case: TasksetCase) -> List[str]:
-    from repro.analysis.lockstep import analyze_taskset_batch
-
-    lanes = 3
-    # Fresh task-set objects per lane: lanes share no derived stores, so
-    # every lane is an independent cold analysis — exactly what the
-    # sequential scalar reference below computes.
-    outcomes = analyze_taskset_batch(
-        [case.taskset() for _ in range(lanes)],
-        case.platform,
-        replace(case.config, lockstep_kernel=True),
-    )
-    scalar_config = replace(case.config, lockstep_kernel=False)
-    messages: List[str] = []
-    for index, outcome in enumerate(outcomes):
-        try:
-            reference: Optional[WcrtResult] = analyze_taskset(
-                case.taskset(), case.platform, scalar_config
-            )
-            reference_error: Optional[BaseException] = None
-        except Exception as error:  # noqa: BLE001 — compared, not raised
-            reference = None
-            reference_error = error
-        if reference_error is not None:
-            if outcome.error is None or (
-                type(outcome.error) is not type(reference_error)
-                or str(outcome.error) != str(reference_error)
-            ):
-                messages.append(
-                    f"lane {index}: scalar raised "
-                    f"{type(reference_error).__name__}: {reference_error} "
-                    f"but lockstep returned "
-                    f"{outcome.error!r} / {outcome.result!r}"
-                )
-        elif outcome.error is not None:
-            messages.append(
-                f"lane {index}: lockstep raised "
-                f"{type(outcome.error).__name__}: {outcome.error} "
-                f"but the scalar analysis succeeded"
-            )
-        elif outcome.result != reference:
-            messages.append(
-                f"lane {index}: lockstep result differs from scalar: "
-                f"schedulable {outcome.result.schedulable} vs "
-                f"{reference.schedulable}, outer "
-                f"{outcome.result.outer_iterations} vs "
-                f"{reference.outer_iterations}, response times equal: "
-                f"{outcome.result.response_times == reference.response_times}"
             )
     return messages
 

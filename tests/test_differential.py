@@ -18,16 +18,13 @@ iteration counts):
   per-term evaluation over the same table
   (``AnalysisConfig(array_kernel=False)``), on the multiset approach
   pairs also versus the ``frozenset`` reference;
-* the adjacent warm-start chains (cross-utilisation hint chains of
-  :func:`repro.experiments.runner.evaluate_sample` and the hint-chained
-  sensitivity bisections) versus hint-free cold runs;
+* warm hints (:class:`repro.analysis.wcrt.WarmHint`, the service's
+  persisted seeds) versus hint-free cold runs, and sensitivity bisections
+  with warm starts versus without;
 * the dominance-ordered variant evaluation of ``evaluate_sample`` (both
   the tightest-first and loosest-first orders) versus brute-forcing every
-  variant independently;
-* the lockstep multi-sample engine
-  (:func:`repro.analysis.lockstep.analyze_taskset_batch`, with and
-  without the numpy row fold) versus the sequential per-lane path
-  (``AnalysisConfig(lockstep_kernel=False)``);
+  variant independently, and the supervised sweep and its prewarmed
+  per-chunk path versus evaluating each sample on its own;
 * the worker-resident state plane
   (:class:`repro.experiments.stateplane.StatePlane` replaying resident
   task sets through re-verified warm starts) versus residency disabled
@@ -36,8 +33,8 @@ iteration counts):
 This file pins them down over broad randomized samples; the fuzzing
 counterparts are the ``memo-identity`` / ``bitset-identity`` /
 ``warm-start-identity`` / ``batch-identity`` /
-``adjacent-warmstart-identity`` / ``lockstep-identity`` /
-``resident-plane-identity`` oracles of :mod:`repro.verify.oracles`.
+``adjacent-warmstart-identity`` / ``resident-plane-identity`` oracles of
+:mod:`repro.verify.oracles`.
 """
 
 import random
@@ -473,79 +470,7 @@ class TestFusedMultisetIsInvisible:
 
 
 class TestAdjacentWarmStartIsInvisible:
-    """Cross-analysis hint chains never change a verdict or a bound."""
-
-    def test_chained_sample_identical_and_chain_engages(self):
-        base = default_platform()
-        variants = standard_variants(True)
-        generation = GenerationConfig()
-        taskset = generate_taskset(random.Random(9000), base, 0.3)
-        chain = {}
-        first = evaluate_sample(
-            base, 0.3, variants, generation, 9000,
-            taskset=taskset, hint_chain=chain,
-        )
-        assert chain  # schedulable analyses donated converged maps
-        # Re-evaluate an equal-but-fresh task set with the chain attached:
-        # hints verify exactly, and the verdicts stay bit-identical to a
-        # chain-free evaluation.
-        again = generate_taskset(random.Random(9000), base, 0.3)
-        perf = PerfCounters()
-        chained = evaluate_sample(
-            base, 0.3, variants, generation, 9000, perf,
-            taskset=again, hint_chain=chain,
-        )
-        cold = evaluate_sample(
-            base, 0.3, variants, generation, 9000,
-            taskset=generate_taskset(random.Random(9000), base, 0.3),
-        )
-        assert chained.verdicts == cold.verdicts == first.verdicts
-        assert perf.adjacent_warm_starts >= 1
-        assert perf.adjacent_warm_start_iterations_saved >= 0
-
-    def test_curve_chains_bit_identical_to_cold_samples(self):
-        base = default_platform()
-        variants = standard_variants(True)
-        settings = SweepSettings(
-            samples=4,
-            seed=77,
-            utilizations=(0.3, 0.4, 0.5),
-            jobs=1,
-        )
-        outcomes = run_curve(base, variants, settings)
-        for point, utilization in enumerate(settings.utilizations):
-            for i, outcome in enumerate(outcomes[utilization]):
-                seed = _sample_seed(settings.seed, point, i)
-                cold = evaluate_sample(
-                    base, utilization, variants, settings.generation, seed
-                )
-                assert outcome.verdicts == cold.verdicts
-                assert outcome.weight == cold.weight
-
-    @pytest.mark.parametrize("policy", [BusPolicy.FP, BusPolicy.RR])
-    def test_hint_chained_bisections_identical(self, policy):
-        base = default_platform().with_bus_policy(policy)
-        chained_config = AnalysisConfig()
-        cold_config = replace(chained_config, warm_start=False)
-        for seed in (9100, 9101, 9102):
-            taskset = generate_taskset(random.Random(seed), base, 0.4)
-            perf = PerfCounters()
-            assert breakdown_d_mem(
-                taskset, base, chained_config, perf=perf
-            ) == breakdown_d_mem(
-                generate_taskset(random.Random(seed), base, 0.4),
-                base,
-                cold_config,
-            )
-            assert breakdown_period_scale(
-                generate_taskset(random.Random(seed), base, 0.4),
-                base,
-                chained_config,
-            ) == breakdown_period_scale(
-                generate_taskset(random.Random(seed), base, 0.4),
-                base,
-                cold_config,
-            )
+    """Warm hints from another analysis never change a verdict or a bound."""
 
     def test_foreign_hint_never_perturbs_a_cold_analysis(self):
         # A hint from a *different* problem (scaled periods) must either
@@ -586,6 +511,76 @@ class TestAdjacentWarmStartIsInvisible:
                 for task, value in cold.response_times.items()
             }
 
+    def test_accepted_hint_reproduces_the_donor(self):
+        # An equal problem's converged map is what the service hands back
+        # from its persisted seeds.  Where it passes the exact check it
+        # skips the donor's outer rounds; accepted or not, the result is
+        # the donor's.
+        base = default_platform()
+        accepted = 0
+        for policy in BusPolicy:
+            platform = base.with_bus_policy(policy)
+            for seed in (9300, 9301, 9302, 9303):
+                donor = analyze_taskset(
+                    generate_taskset(random.Random(seed), base, 0.4), platform
+                )
+                if not donor.schedulable:
+                    continue
+                hint = WarmHint(
+                    response_times={
+                        task.priority: value
+                        for task, value in donor.response_times.items()
+                    },
+                    outer_iterations=donor.outer_iterations,
+                )
+                perf = PerfCounters()
+                hinted = analyze_taskset(
+                    generate_taskset(random.Random(seed), base, 0.4),
+                    platform,
+                    AnalysisConfig(),
+                    perf=perf,
+                    warm_hint=hint,
+                )
+                assert _snapshot(hinted) == _snapshot(donor), (policy, seed)
+                if perf.adjacent_warm_starts:
+                    accepted += 1
+                    assert perf.adjacent_warm_start_iterations_saved == (
+                        donor.outer_iterations - 1
+                    )
+        assert accepted
+
+
+class TestBisectionProbesAreIndependent:
+    """Sensitivity bisections give the same breakdown with warm starts off."""
+
+    @pytest.mark.parametrize("policy", [BusPolicy.FP, BusPolicy.RR])
+    def test_bisections_identical_with_and_without_warm_start(self, policy):
+        # One task-set object probed at every latency (its memo and
+        # warm-start stores shared by the probes) must find what fresh
+        # objects find with warm starts off.  No probe seeds another.
+        base = default_platform().with_bus_policy(policy)
+        warm_config = AnalysisConfig()
+        cold_config = replace(warm_config, warm_start=False)
+        for seed in (9100, 9101, 9102):
+            taskset = generate_taskset(random.Random(seed), base, 0.4)
+            perf = PerfCounters()
+            assert breakdown_d_mem(
+                taskset, base, warm_config, perf=perf
+            ) == breakdown_d_mem(
+                generate_taskset(random.Random(seed), base, 0.4),
+                base,
+                cold_config,
+            )
+            assert perf.analyses > 0
+            assert perf.adjacent_warm_starts == 0
+            assert breakdown_period_scale(
+                taskset, base, warm_config
+            ) == breakdown_period_scale(
+                generate_taskset(random.Random(seed), base, 0.4),
+                base,
+                cold_config,
+            )
+
 
 class TestDominanceSkipsAreInvisible:
     """Skipped analyses report the verdict brute force would have."""
@@ -616,86 +611,34 @@ class TestDominanceSkipsAreInvisible:
             )
             assert outcome.verdicts == brute
 
-
-def _lockstep_snapshot(result):
-    """Object-independent projection of a WcrtResult (Task compares by id)."""
-    return (
-        result.schedulable,
-        result.outer_iterations,
-        None if result.failed_task is None else result.failed_task.priority,
-        {task.priority: r for task, r in result.response_times.items()},
-    )
-
-
-class TestLockstepIsInvisible:
-    """The lockstep batch engine vs the sequential scalar path, bit for bit.
-
-    The edge-case tests live in ``tests/test_lockstep.py``; here the broad
-    randomized grid pins the equivalence across utilisations, bus
-    policies, and the numpy-absent pure-Python fold.
-    """
-
-    @pytest.mark.parametrize("utilization", [0.15, 0.35, 0.5, 0.65, 0.85])
-    def test_batch_matches_scalar_sequence(self, utilization):
-        from repro.analysis.lockstep import analyze_taskset_batch
-
+    def test_curve_matches_per_sample_evaluation(self):
         base = default_platform()
-        for policy in (BusPolicy.FP, BusPolicy.TDMA, BusPolicy.PERFECT):
-            platform = base.with_bus_policy(policy)
-
-            def fresh():
-                return [
-                    generate_taskset(random.Random(seed), base, utilization)
-                    for seed in range(5)
-                ]
-
-            batch = analyze_taskset_batch(
-                fresh(), platform, AnalysisConfig(lockstep_kernel=True)
-            )
-            scalar_config = AnalysisConfig(lockstep_kernel=False)
-            for outcome, taskset in zip(batch, fresh()):
-                assert outcome.ok
-                reference = analyze_taskset(taskset, platform, scalar_config)
-                assert _lockstep_snapshot(outcome.result) == _lockstep_snapshot(
-                    reference
-                )
-
-    @pytest.mark.parametrize("utilization", [0.35, 0.65])
-    def test_numpy_absent_fold_identical(self, utilization, monkeypatch):
-        from repro.analysis import lockstep as lockstep_mod
-        from repro.analysis.lockstep import analyze_taskset_batch
-
-        monkeypatch.setattr(lockstep_mod, "_np", None)
-        monkeypatch.setattr(lockstep_mod, "_ARRAY_KERNEL_WARNED", True)
-        base = default_platform()
-        perf = PerfCounters()
-        batch = analyze_taskset_batch(
-            [
-                generate_taskset(random.Random(seed), base, utilization)
-                for seed in range(4)
-            ],
-            base,
-            AnalysisConfig(lockstep_kernel=True),
-            perf=perf,
+        variants = standard_variants(True)
+        settings = SweepSettings(
+            samples=4,
+            seed=77,
+            utilizations=(0.3, 0.4, 0.5),
+            jobs=1,
         )
-        assert perf.array_kernel_unavailable == 1
-        scalar_config = AnalysisConfig(lockstep_kernel=False)
-        for outcome, seed in zip(batch, range(4)):
-            assert outcome.ok
-            reference = analyze_taskset(
-                generate_taskset(random.Random(seed), base, utilization),
-                base,
-                scalar_config,
-            )
-            assert _lockstep_snapshot(outcome.result) == _lockstep_snapshot(
-                reference
-            )
+        outcomes = run_curve(base, variants, settings)
+        for point, utilization in enumerate(settings.utilizations):
+            for i, outcome in enumerate(outcomes[utilization]):
+                seed = _sample_seed(settings.seed, point, i)
+                cold = evaluate_sample(
+                    base, utilization, variants, settings.generation, seed
+                )
+                assert outcome.verdicts == cold.verdicts
+                assert outcome.weight == cold.weight
+
+
+class TestPrewarmedItemsAreInvisible:
+    """The supervisor's per-chunk path matches evaluating each sample alone."""
 
     @pytest.mark.parametrize("utilization", [0.3, 0.6])
-    def test_batch_worker_path_matches_per_item_path(self, utilization):
+    def test_prewarmed_items_match_per_sample_path(self, utilization):
+        from repro.experiments.runner import evaluate_item, prewarm_items
         from repro.experiments.stateplane import reset_resident_plane
         from repro.experiments.supervisor import WorkItem
-        from repro.experiments.runner import evaluate_items_batch, evaluate_sample
 
         base = default_platform()
         variants = standard_variants(True)
@@ -704,21 +647,41 @@ class TestLockstepIsInvisible:
             WorkItem(0, i, utilization, _sample_seed(55, 0, i))
             for i in range(6)
         ]
+        expected = [
+            evaluate_sample(base, utilization, variants, generation, item.seed)
+            for item in items
+        ]
         reset_resident_plane()
-        results, _perf = evaluate_items_batch(
-            base, variants, generation, [(item, 0) for item in items]
-        )
-        reset_resident_plane()
-        for item, result in zip(items, results):
-            assert result[0] == "ok"
-            _tag, key, weight, verdicts = result
-            assert key == item.key
-            outcome = evaluate_sample(
-                base, utilization, variants, generation, item.seed
-            )
-            assert verdicts == outcome.verdicts
-            assert weight == outcome.weight
-        reset_resident_plane()
+        try:
+            # The second visit replays the worker-resident task sets, with
+            # their compiled tables and warm-start seeds.
+            for visit in range(2):
+                perf = PerfCounters()
+                context = prewarm_items(
+                    base, variants, generation, items, perf, context={}
+                )
+                if visit == 0:
+                    assert perf.resident_table_misses == len(items)
+                else:
+                    assert perf.resident_table_hits == len(items)
+                for item, outcome in zip(items, expected):
+                    assert evaluate_item(
+                        base, utilization, variants, generation, item.seed,
+                        perf, context=context,
+                    ) == (outcome.weight, outcome.verdicts)
+                assert context["tasksets"] == {}  # each consumed once
+        finally:
+            reset_resident_plane()
+
+
+def _snapshot(result):
+    """Object-independent projection of a WcrtResult (Task compares by id)."""
+    return (
+        result.schedulable,
+        result.outer_iterations,
+        None if result.failed_task is None else result.failed_task.priority,
+        {task.priority: r for task, r in result.response_times.items()},
+    )
 
 
 class TestResidentPlaneIsInvisible:
@@ -762,7 +725,7 @@ class TestResidentPlaneIsInvisible:
             warm = analyze_taskset(
                 plane.canonical(("case", seed), build), base, config
             )
-            assert _lockstep_snapshot(cold) == _lockstep_snapshot(fresh)
-            assert _lockstep_snapshot(warm) == _lockstep_snapshot(fresh)
+            assert _snapshot(cold) == _snapshot(fresh)
+            assert _snapshot(warm) == _snapshot(fresh)
             if fresh.schedulable:
                 assert warm.perf.warm_starts == 1

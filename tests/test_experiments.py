@@ -156,6 +156,69 @@ class TestRunner:
             max_gap({"A": [0.5]}, "A", "missing")
 
 
+class TestEvaluateSampleCollector:
+    """``evaluate_sample`` pauses the cyclic collector and restores it."""
+
+    @staticmethod
+    def _evaluate(budget=None):
+        from repro.experiments.runner import evaluate_sample
+        from repro.generation.taskset_gen import GenerationConfig
+
+        return evaluate_sample(
+            default_platform(), 0.6, standard_variants(True),
+            GenerationConfig(), 5, budget=budget,
+        )
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        import gc
+
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_paused_during_the_variant_loop(self, collector, monkeypatch):
+        import gc
+
+        from repro.experiments import runner
+
+        seen = []
+        check = runner.check_schedulability
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "check_schedulability", spy)
+        self._evaluate()
+        assert seen and not any(seen)
+        assert gc.isenabled() is collector
+
+    def test_restored_when_an_analysis_raises(self, collector, monkeypatch):
+        import gc
+
+        from repro.experiments import runner
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("analysis failed")
+
+        monkeypatch.setattr(runner, "check_schedulability", boom)
+        with pytest.raises(RuntimeError, match="analysis failed"):
+            self._evaluate()
+        assert gc.isenabled() is collector
+
+    def test_restored_when_a_budget_aborts(self, collector):
+        import gc
+
+        from repro.budget import Budget
+        from repro.errors import AnalysisAborted
+
+        with pytest.raises(AnalysisAborted):
+            self._evaluate(budget=Budget(max_iterations=1))
+        assert gc.isenabled() is collector
+
+
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self):

@@ -61,6 +61,23 @@ class TestFingerprint:
         # A run interrupted at --jobs 8 must resume at --jobs 2.
         assert fingerprint(changed) == fingerprint()
 
+    @pytest.mark.parametrize("knob", ["array_kernel", "lockstep_kernel"])
+    def test_insensitive_to_result_neutral_kernel_knobs(self, knob):
+        # Neither knob changes a verdict, so journals written with either
+        # setting resume under the other.
+        variants = tuple(
+            replace(v, analysis=replace(v.analysis, **{knob: False}))
+            for v in VARIANTS
+        )
+        assert sweep_fingerprint(PLATFORM, variants, SETTINGS, 0) == fingerprint()
+
+    def test_matches_the_recorded_catalogue_fingerprint(self):
+        # Existing journals must keep resuming: the full catalogue's
+        # fingerprint at default settings is pinned to the recorded value.
+        assert sweep_fingerprint(
+            PLATFORM, standard_variants(True), SweepSettings(), 0
+        ) == "1b358a4c651a3f3507ba45ccc6d30c474cb73195490bab37e394c1e2822b444f"
+
     def test_description_is_plain_json(self):
         import json
 

@@ -3,10 +3,13 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from repro.analysis.config import PERSISTENCE_AWARE
 from repro.analysis.wcrt import analyze_taskset
 from repro.experiments.config import default_platform
 from repro.generation.taskset_gen import generate_taskset
+from repro.model.platform import BusPolicy
 from repro.perf import (
     PerfCounters,
     global_counters,
@@ -55,7 +58,6 @@ class TestPerfCounters:
             resident_table_hits=5,
             resident_table_misses=1,
             chunks_stolen=2,
-            array_kernel_unavailable=1,
         )
         a.merge(b)
         assert a.lockstep_batches == 3
@@ -63,7 +65,6 @@ class TestPerfCounters:
         assert a.resident_table_hits == 7
         assert a.resident_table_misses == 1
         assert a.chunks_stolen == 2
-        assert a.array_kernel_unavailable == 1
 
     def test_new_counters_survive_the_worker_transport(self):
         # Worker processes return their counters by pickling (see
@@ -77,7 +78,6 @@ class TestPerfCounters:
             resident_table_hits=3,
             resident_table_misses=2,
             chunks_stolen=1,
-            array_kernel_unavailable=6,
         )
         shipped = pickle.loads(pickle.dumps(counters))
         aggregate = PerfCounters(lockstep_batches=1)
@@ -87,7 +87,6 @@ class TestPerfCounters:
         assert aggregate.resident_table_hits == 3
         assert aggregate.resident_table_misses == 2
         assert aggregate.chunks_stolen == 1
-        assert aggregate.array_kernel_unavailable == 6
 
     def test_reset_zeroes_everything(self):
         counters = PerfCounters(analyses=5, bao_hits=2, outer_iterations=9)
@@ -165,3 +164,58 @@ class TestGlobalCounters:
         assert global_counters().bao_hits == 1
         reset_global_counters()
         assert global_counters().analyses == 0
+
+
+class TestNamesTheBenchmarkHarnessReads:
+    """``perfbench/`` patches or reads these names on every run.
+
+    The lockstep engine they belonged to is gone; each stays as a binding
+    with the same behaviour the harness measured through it.
+    """
+
+    def test_make_bat_is_bound_where_the_tracer_patches_it(self):
+        from repro.analysis import lockstep, wcrt
+        from repro.businterference.arbiters import make_bat
+
+        assert lockstep.make_bat is make_bat
+        assert wcrt.make_bat is make_bat
+
+    def test_check_schedulability_batch_is_the_scalar_check(self):
+        from repro.experiments import runner
+
+        assert runner.check_schedulability_batch is runner.check_schedulability
+
+    @pytest.mark.parametrize("policy", list(BusPolicy))
+    def test_lockstep_kernel_is_inert(self, policy):
+        taskset, base = _taskset(seed=3, utilization=0.55)
+        platform = base.with_bus_policy(policy)
+        off = analyze_taskset(
+            taskset, platform, replace(PERSISTENCE_AWARE, lockstep_kernel=False)
+        )
+        on = analyze_taskset(
+            _taskset(seed=3, utilization=0.55)[0], platform, PERSISTENCE_AWARE
+        )
+        assert (off.schedulable, off.outer_iterations) == (
+            on.schedulable, on.outer_iterations
+        )
+        assert {t.priority: r for t, r in off.response_times.items()} == {
+            t.priority: r for t, r in on.response_times.items()
+        }
+
+    def test_retired_lockstep_counters_stay_zero(self):
+        from repro.experiments.config import SweepSettings, standard_variants
+        from repro.experiments.runner import run_curve
+
+        reset_global_counters()
+        try:
+            run_curve(
+                default_platform(),
+                standard_variants(False)[:2],
+                SweepSettings(samples=3, seed=5, utilizations=(0.4,), jobs=1),
+            )
+            counters = global_counters()
+            assert counters.analyses > 0
+            assert counters.lockstep_batches == 0
+            assert counters.lane_retirements == 0
+        finally:
+            reset_global_counters()

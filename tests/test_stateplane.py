@@ -1,10 +1,17 @@
 """Tests of the worker-resident sweep state plane."""
 
+import gc
 import random
+import weakref
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.config import default_platform
+from repro.analysis.config import AnalysisConfig
+from repro.analysis.wcrt import analyze_taskset
+from repro.crpd.approaches import CrpdApproach
+from repro.experiments.config import default_platform, standard_variants
+from repro.experiments.runner import evaluate_sample
 from repro.experiments.stateplane import (
     DEFAULT_CAPACITY,
     STATE_PLANE_CAP_ENV,
@@ -14,6 +21,7 @@ from repro.experiments.stateplane import (
 )
 from repro.generation.taskset_gen import GenerationConfig, generate_taskset
 from repro.perf import PerfCounters
+from repro.persistence.cpro import CproApproach
 
 
 @pytest.fixture(autouse=True)
@@ -70,14 +78,53 @@ class TestTasksetResidency:
         assert perf.resident_table_misses == 1  # seed 2 was evicted
 
 
-class TestChains:
-    def test_chain_is_resident_and_mutable(self):
+class TestDroppedStateIsFreedByRefcount:
+    """Resident task sets and everything derived from them are acyclic.
+
+    Sweeps pause the cyclic collector while they evaluate a sample, so a
+    task set the plane drops must be freed by reference counting alone.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(array_kernel=False),
+            dict(memoization=False, bitset_kernel=False, array_kernel=False,
+                 warm_start=False),
+        ],
+        ids=["default", "per-term", "reference"],
+    )
+    def test_cleared_plane_frees_its_task_sets(self, overrides):
+        platform = default_platform()
+        generation = GenerationConfig()
+        variants = tuple(
+            replace(v, analysis=replace(v.analysis, **overrides))
+            for v in standard_variants(True)
+        )
+        multiset = replace(
+            AnalysisConfig(**overrides),
+            crpd_approach=CrpdApproach.ECB_UNION_MULTISET,
+            cpro_approach=CproApproach.MULTISET,
+        )
         plane = StatePlane(capacity=8)
-        chain = plane.chain(("scope",), 3)
-        chain[0] = "hint"
-        assert plane.chain(("scope",), 3) is chain
-        assert plane.chain(("scope",), 4) is not chain
-        assert plane.chain(("other",), 3) is not chain
+        gc.collect()
+        gc.disable()
+        try:
+            refs = []
+            for seed in range(4):
+                taskset = plane.taskset(platform, generation, 0.45, seed)
+                evaluate_sample(
+                    platform, 0.45, variants, generation, seed, taskset=taskset
+                )
+                analyze_taskset(taskset, platform, multiset)
+                refs.append(weakref.ref(taskset))
+                del taskset
+            assert all(ref() is not None for ref in refs)
+            plane.clear()
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestCanonical:
@@ -125,13 +172,12 @@ class TestCapacity:
         platform = default_platform()
         generation = GenerationConfig()
         resident = plane.taskset(platform, generation, 0.4, 5)
-        plane.chain("scope", 1)["x"] = 1
         plane.canonical("key", lambda: "doc")
         plane.clear()
         perf = PerfCounters()
         assert plane.taskset(platform, generation, 0.4, 5, perf) is not resident
         assert perf.resident_table_misses == 1
-        assert plane.chain("scope", 1) == {}
+        assert plane.canonical("key", lambda: "rebuilt") == "rebuilt"
 
 
 class TestResidentSingleton:

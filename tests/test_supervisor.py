@@ -105,8 +105,8 @@ class TestChunking:
         chunks = chunked(items, jobs=jobs)
         assert [item for chunk in chunks for item in chunk] == items
         assert all(chunks)
-        # Chunks never span sweep points (prewarm and the lockstep batch
-        # rely on one-point chunks).
+        # Chunks never span sweep points (prewarm compiles one point's
+        # task sets together).
         for chunk in chunks:
             assert len({item.point for item in chunk}) == 1
         # Within a point the guided sizes never grow head-to-tail.
@@ -119,18 +119,16 @@ class TestChunking:
 
 class TestResidentWorkers:
     def test_worker_counters_merge_across_processes(self):
-        # The lockstep/residency counters bump inside spawn workers and
-        # must surface in the parent's global aggregate (the transport is
-        # the pickled PerfCounters of each chunk result).
+        # The analysis and residency counters bump inside spawn workers
+        # and must surface in the parent's global aggregate (the transport
+        # is the pickled PerfCounters of each chunk result).
         from repro.perf import global_counters, reset_global_counters
 
         reset_global_counters()
-        # 16 samples per point: the guided chunk sizes start at 4, so the
-        # workers' lockstep batches hold several lanes each.
         run_curve(default_platform(), VARIANTS, replace(SETTINGS, samples=16))
         counters = global_counters()
-        assert counters.lockstep_batches > 0
-        assert counters.lane_retirements > 0
+        assert counters.analyses > 0
+        assert counters.inner_iterations > 0
         assert counters.resident_table_misses > 0
 
     def test_forced_stealing_is_counted_and_invisible(self, clean, monkeypatch):

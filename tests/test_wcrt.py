@@ -232,3 +232,42 @@ class TestIterationBudgets:
         else:
             # Budget was never the binding constraint here; both agree.
             assert strict.schedulable == generous.schedulable
+
+
+class TestNoReferenceCycles:
+    """An analysis leaves no cyclic garbage behind, on any kernel path.
+
+    Sweeps pause the cyclic collector around each sample's variant loop,
+    so whatever an analysis allocates must be freed by reference counting.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(array_kernel=False),
+            dict(memoization=False, bitset_kernel=False, array_kernel=False,
+                 warm_start=False),
+        ],
+        ids=["fused", "per-term", "reference"],
+    )
+    @pytest.mark.parametrize("policy", list(BusPolicy))
+    def test_analysis_leaves_nothing_for_the_collector(self, overrides, policy):
+        import gc
+        import random
+
+        from repro.experiments.config import default_platform
+        from repro.generation.taskset_gen import generate_taskset
+
+        platform = default_platform().with_bus_policy(policy)
+        config = AnalysisConfig(**overrides)
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(3):
+                taskset = generate_taskset(random.Random(seed), platform, 0.45)
+                analyze_taskset(taskset, platform, config)
+                del taskset
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
