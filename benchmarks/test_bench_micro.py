@@ -5,7 +5,8 @@ These use pytest-benchmark's normal auto-calibrated timing (many rounds):
 * one full WCRT analysis of a paper-default task set (32 tasks, 4 cores);
 * one cold WCRT analysis under both multiset refinements on a 64-set
   cache;
-* the per-pair CPRO/CRPD cache-set term kernel from cold calculator caches;
+* the per-pair CPRO eviction counts and CRPD gammas as the production
+  kernel reads them from the shared interference table;
 * static parameter extraction of the heaviest benchmark model;
 * task-set generation;
 * one simulator run of a small scenario.
@@ -18,8 +19,8 @@ schedulability checks operate in.  ``test_bench_wcrt_multiset`` is its
 cold counterpart on the multiset path: every round analyses a fresh
 task-set container, so the interference table, its per-cut multiset
 tables and fused rows are rebuilt and nothing warm-starts.
-``test_bench_cpro_terms`` isolates the bitmask kernel itself by
-rebuilding the calculators (cold pair caches) each round.
+``test_bench_cpro_terms`` isolates the table's per-cut pair values, the
+bitmask view every production analysis reads its CPRO/CRPD terms from.
 """
 
 import random
@@ -27,12 +28,13 @@ from dataclasses import replace
 
 from repro.analysis import PERSISTENCE_AWARE, analyze_taskset
 from repro.cacheanalysis.extraction import extract_parameters
-from repro.crpd.approaches import CrpdApproach, CrpdCalculator
+from repro.crpd.approaches import CrpdApproach
 from repro.experiments.config import default_platform
 from repro.generation import generate_taskset
+from repro.model.interference import InterferenceTable
 from repro.model.platform import BusPolicy, CacheGeometry, Platform
 from repro.model.task import TaskSet
-from repro.persistence.cpro import CproApproach, CproCalculator
+from repro.persistence.cpro import CproApproach
 from repro.program.malardalen import benchmark_program, reference_geometry
 from repro.sim import (
     ScenarioSpec,
@@ -73,31 +75,36 @@ def test_bench_wcrt_multiset(benchmark):
 
 
 def test_bench_cpro_terms(benchmark):
-    """Pairwise CPRO eviction counts + CRPD gammas through fresh calculators.
+    """Pairwise CPRO eviction counts + CRPD gammas read from the table.
 
-    The shared interference table persists across rounds, as it does
-    across real analysis runs, so its per-cut values are compiled in the
-    first round and every later query is two dict lookups and an index;
-    the calculators themselves hold no per-pair state.
+    Each pair is read the way the fused kernel reads it: the preempting
+    or PCB-owning task's per-cut value at the analysed task's cut of that
+    core.  The shared interference table persists across rounds, as it
+    does across real analysis runs, so its per-cut values are compiled in
+    the first round and every later query is a few dict lookups and an
+    index.
     """
     platform = default_platform()
     taskset = generate_taskset(random.Random(3), platform, 0.5)
     tasks = tuple(taskset)
 
     def evaluate() -> int:
-        cpro = CproCalculator(taskset, CproApproach.UNION)
-        crpd = CrpdCalculator(taskset, CrpdApproach.ECB_UNION)
+        table = InterferenceTable.shared(taskset)
+        evictions = table.eviction_cuts(CproApproach.UNION)
+        gammas = table.gamma_cuts(CrpdApproach.ECB_UNION)
         total = 0
         for task_i in tasks:
+            cut = table.cut[task_i.priority]
             for task_j in tasks:
                 if task_i is task_j:
                     continue
-                total += cpro.eviction_count(task_j, task_i)
+                at_cut = cut[task_j.core]
+                total += evictions[task_j.priority][at_cut]
                 if (
                     task_j.core == task_i.core
                     and task_j.priority < task_i.priority
                 ):
-                    total += crpd.gamma(task_i, task_j)
+                    total += gammas[task_j.priority][at_cut]
         return total
 
     total = benchmark(evaluate)

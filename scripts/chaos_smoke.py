@@ -32,6 +32,11 @@ job):
    deadlines clamp to the minimum budget, and no admitted request ever
    carries a budget exceeding its propagated deadline.
 
+Every server's descendant processes (spawn pool workers, the
+multiprocessing resource tracker) are recorded from ``/proc`` before the
+server is stopped or killed; the run ends by expecting all of them to
+have exited within 10 s, so no scenario leaves an orphan behind.
+
 Exits non-zero with a diagnostic on the first violated expectation.
 """
 
@@ -52,6 +57,7 @@ import urllib.request
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.experiments import default_platform  # noqa: E402
 from repro.generation import generate_taskset  # noqa: E402
@@ -62,6 +68,7 @@ from repro.resultcache import (  # noqa: E402
 )
 from repro.serialization import taskset_to_json  # noqa: E402
 from repro.service.protocol import parse_request  # noqa: E402
+from tests.proctree import alive, descendants  # noqa: E402
 
 ENV = dict(
     os.environ,
@@ -123,7 +130,42 @@ def start_daemon(cache_dir, extra=(), env=None):
     return start_process(args, env=env)
 
 
+#: ``(pid, start time)`` of every descendant of a server that was stopped
+#: or killed (see :mod:`tests.proctree`).
+DESCENDANTS = set()
+
+
+def record_descendants(process):
+    """Add every live descendant of ``process`` to :data:`DESCENDANTS`."""
+    DESCENDANTS.update(descendants(process.pid))
+
+
+def kill(process):
+    """SIGKILL ``process`` after recording its descendants, and reap it."""
+    record_descendants(process)
+    process.kill()
+    process.wait(timeout=30)
+
+
+def expect_no_orphans(timeout=10.0):
+    """Every recorded descendant exits (or is a zombie) within ``timeout``."""
+
+    def survivors():
+        return sorted(pid for pid, _ in filter(alive, DESCENDANTS))
+
+    deadline = time.monotonic() + timeout
+    while survivors() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = survivors()
+    expect(
+        not left,
+        f"all {len(DESCENDANTS)} descendants of stopped or killed servers "
+        f"exited within {timeout:.0f}s (alive: {left})",
+    )
+
+
 def stop(process, expect_code=None, sig=signal.SIGTERM):
+    record_descendants(process)
     if process.poll() is None:
         process.send_signal(sig)
     try:
@@ -210,7 +252,19 @@ def kill_mid_write_scenario(cache_dir, committed_envelope, committed_body):
     chaos_env = dict(ENV)
     chaos_env[CHAOS_FAULT_ENV] = "kill-mid-write"
     process, url = start_daemon(cache_dir, env=chaos_env)
-    status, body = http("POST", f"{url}/analyze", {"id": "victim", "taskset": victim})
+    reply = {}
+    request = threading.Thread(
+        target=lambda: reply.update(
+            result=http("POST", f"{url}/analyze", {"id": "victim", "taskset": victim})
+        )
+    )
+    request.start()
+    # The daemon kills itself; record its pool while it still has one.
+    while process.poll() is None and request.is_alive():
+        record_descendants(process)
+        time.sleep(0.05)
+    request.join(timeout=60)
+    status, body = reply.get("result", (None, None))
     expect(
         status is None or status >= 500,
         f"request died with the daemon (status={status})",
@@ -440,8 +494,7 @@ def router_scenario(workdir):
             os.kill(shard_a.pid, signal.SIGCONT)
 
         # Dead shard: SIGKILL shard 1; its requests fail over to shard 0.
-        shard_b.kill()
-        shard_b.wait(timeout=30)
+        kill(shard_b)
         status, body = http(
             "POST", f"{url}/analyze", {"id": "dead", "taskset": by_shard[1]}
         )
@@ -458,8 +511,7 @@ def router_scenario(workdir):
         )
 
         # Total loss: kill the last shard; the router degrades typed.
-        shard_a.kill()
-        shard_a.wait(timeout=30)
+        kill(shard_a)
         status, body = http(
             "POST", f"{url}/analyze", {"id": "nobody", "taskset": by_shard[0]}
         )
@@ -476,8 +528,7 @@ def router_scenario(workdir):
     finally:
         for process in (*shards, router):
             if process.poll() is None:
-                process.kill()
-                process.communicate(timeout=10)
+                kill(process)
 
 
 # -- scenario 6: overload storm ------------------------------------------------
@@ -795,6 +846,8 @@ def main():
         router_scenario(workdir)
         overload_storm_scenario(workdir)
         deadline_storm_scenario()
+        print("[8] no orphaned processes", flush=True)
+        expect_no_orphans()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print("chaos-smoke: all scenarios passed", flush=True)

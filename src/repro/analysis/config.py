@@ -30,45 +30,31 @@ class AnalysisConfig:
         max_outer_iterations: bound on the outer loop that resolves the
             circular dependency between task response times.
         max_inner_iterations: bound on the per-task fixed point of Eq. (19).
-        memoization: cache the window-level interference terms
-            (:math:`W`, :math:`BAO`, :math:`BAO_{low}`, multiset CRPD) on
-            their inputs plus the epoch of the response-time estimates they
-            read.  Bit-identical results either way — the un-memoized path
-            exists as the reference for the differential correctness test
-            and costs a multiple of the run time.
-        bitset_kernel: evaluate the cache-set intersection/union terms
-            (Eq. 2 CRPD, Eq. 14 CPRO, the multiset refinements) from the
-            task set's precompiled
-            :class:`~repro.model.interference.InterferenceTable` — packed
-            integer AND+popcount operations, compiled once into per-cut
-            CRPD/CPRO values — instead of ``frozenset`` algebra per pair.
-            Bit-identical results either way — the set-based path is
-            retained as the reference for the ``bitset-identity``
-            differential oracle of :mod:`repro.verify`.
-        array_kernel: evaluate each task's bus-access total through the
-            fused evaluator (:func:`repro.businterference.arbiters.
-            make_bat`): one specialised closure over row slices of the
-            interference table instead of the per-term, memoized
-            :math:`BAS`/:math:`BAO` entry points, for every CRPD/CPRO
-            approach pair (the multiset refinements included).  Gates
-            only the fused evaluator — the table itself serves every
-            bitmask-kernel analysis.  Exact integer arithmetic either way,
-            so results are bit-identical to the per-term path, which is
-            retained as the reference for the ``batch-identity``
-            differential oracle and is the only one that consults the
-            memo caches.  Requires ``bitset_kernel`` and ``memoization``;
-            ignored without them.
+        memoization, bitset_kernel, array_kernel: select the kernel.
+            All three on (the default) run the production kernel: each
+            task's :math:`BAT` is one fused pass over the integer rows the
+            task set's :class:`~repro.model.interference.InterferenceTable`
+            compiles per priority cut (``make_bat`` in
+            :mod:`repro.businterference.arbiters`).  Any of them off runs
+            the reference (:attr:`reference`): the per-term transcription
+            of Eq. (1)-(18) in :mod:`repro.businterference.requests` over
+            the ``frozenset`` CRPD/CPRO calculators, which builds no table.
+            Results are bit-identical either way (the ``kernel-identity``
+            oracle of :mod:`repro.verify`).  The three names stay, although
+            only their conjunction matters, because outside readers name
+            them: perfbench's ``REFERENCE_OFF`` and ``run.py --ablate``,
+            the service wire protocol's ``_CONFIG_FIELDS``, the
+            ``tests/corpus`` case files and the sweep journal's
+            fingerprint.
         lockstep_kernel: read by nothing.  Kept only because
             ``perfbench/metrics.py`` sets it by name (its reference
             configuration and ``run.py --ablate``); the sweep journal's
             fingerprint leaves it out.
-        warm_start: seed each task's response-time iteration from the
-            converged estimates of a previous analysis of the *same*
-            (task set, platform, config) triple, re-verifying the fixed
-            point instead of re-deriving it from the cold isolated-WCET
-            seeds.  Monotonicity of Eq. (19) makes re-verification exact:
-            a converged map passes one outer round unchanged; any change
-            (non-convergence) falls back to a cold run.  Results are
+        warm_start: replay the stored result of a previous cold analysis
+            of the *same* (task set, platform, config) triple after
+            checking it: one outer round over the stored estimates must
+            find ``f(r) <= r`` for every task, the test the inner loop
+            stops at; any failure falls back to a cold run.  Results are
             bit-identical to a cold run except for ``outer_iterations``
             in the perf counters.  Seeds are only kept for schedulable
             results — an unschedulable run leaves a partially-refined map
@@ -99,6 +85,11 @@ class AnalysisConfig:
                 f"max_inner_iterations must be positive, "
                 f"got {self.max_inner_iterations}"
             )
+
+    @property
+    def reference(self) -> bool:
+        """Whether this configuration runs the reference kernel."""
+        return not (self.memoization and self.bitset_kernel and self.array_kernel)
 
     def with_persistence(self, persistence: bool) -> "AnalysisConfig":
         """Copy of this configuration with persistence toggled."""

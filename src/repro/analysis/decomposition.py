@@ -34,27 +34,19 @@ value when the recurrence dips.  ``total <= response_time`` always holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import WcrtResult, analyze_taskset
 from repro.budget import Budget
 from repro.businterference.arbiters import total_bus_accesses
 from repro.businterference.context import AnalysisContext
-from repro.businterference.requests import (
-    bao,
-    bas,
-    carried_out_accesses,
-    full_jobs_in_window,
-    jobs_in_window,
-)
-from repro.crpd.approaches import CrpdApproach, CrpdCalculator
-from repro.crpd.multiset import ecb_union_multiset_window
+from repro.businterference.requests import bao, bas, jobs_in_window, pair_terms
+from repro.crpd.approaches import CrpdCalculator
 from repro.errors import AnalysisError
 from repro.model.platform import BusPolicy, Platform
 from repro.model.task import Task, TaskSet
 from repro.persistence.cpro import CproCalculator
-from repro.persistence.demand import multi_job_demand
 
 
 @dataclass(frozen=True)
@@ -117,61 +109,6 @@ class WcrtBreakdown:
         return "\n".join(lines)
 
 
-def _same_core_parts(
-    ctx: AnalysisContext, task: Task, t: int
-) -> Tuple[int, int, int]:
-    """(hp processing, hp memory accesses, hp CRPD accesses) on own core."""
-    processing = 0
-    memory = 0
-    crpd = 0
-    multiset_crpd = ctx.crpd.approach is CrpdApproach.ECB_UNION_MULTISET
-    for task_j in ctx.taskset.hp_on_core(task, task.core):
-        n_jobs = jobs_in_window(t, int(task_j.period))
-        processing += n_jobs * int(task_j.pd)
-        isolated = n_jobs * task_j.md
-        if ctx.persistence:
-            persistent = multi_job_demand(task_j, n_jobs) + ctx.cpro.rho_window(
-                task_j, task, n_jobs, t, budget=ctx.budget
-            )
-            memory += min(isolated, persistent)
-        else:
-            memory += isolated
-        if multiset_crpd:
-            crpd += ecb_union_multiset_window(
-                ctx.taskset, task, task_j, t, ctx.response_time
-            )
-        else:
-            crpd += n_jobs * ctx.crpd.gamma(task, task_j)
-    return processing, memory, crpd
-
-
-def _remote_parts(ctx: AnalysisContext, task: Task, t: int) -> Tuple[int, int]:
-    """(remote memory accesses incl. carry-out, remote CRPD accesses).
-
-    Counts the same jobs as :func:`repro.businterference.requests.bao` for
-    every remote core, split into demand and CRPD.
-    """
-    memory = 0
-    crpd = 0
-    for core in ctx.platform.cores:
-        if core == task.core:
-            continue
-        for task_l in ctx.taskset.hep_on_core(task, core):
-            n_full = full_jobs_in_window(ctx, task, task_l, t)
-            gamma = ctx.crpd.gamma(task, task_l)
-            isolated = n_full * task_l.md
-            if ctx.persistence:
-                persistent = multi_job_demand(task_l, n_full) + ctx.cpro.rho_window(
-                    task_l, task, n_full, t, carry_in=True, budget=ctx.budget
-                )
-                memory += min(isolated, persistent)
-            else:
-                memory += isolated
-            memory += carried_out_accesses(ctx, task, task_l, t, n_full)
-            crpd += n_full * gamma
-    return memory, crpd
-
-
 def decompose(
     ctx: AnalysisContext, task: Task, response_time: int
 ) -> WcrtBreakdown:
@@ -185,8 +122,24 @@ def decompose(
         ctx.budget.check()
     d_mem = ctx.platform.d_mem
     t = response_time
-    core_processing, same_memory, same_crpd = _same_core_parts(ctx, task, t)
-    remote_memory, remote_crpd = _remote_parts(ctx, task, t)
+    core_processing = same_memory = same_crpd = 0
+    for task_j in ctx.taskset.hp_on_core(task, task.core):
+        core_processing += jobs_in_window(t, int(task_j.period)) * int(task_j.pd)
+        memory, crpd, _ = pair_terms(
+            ctx, task, task_j, t, remote=False, persistence=ctx.persistence
+        )
+        same_memory += memory
+        same_crpd += crpd
+    # The remote jobs bao counts on every remote core; the carry-out job
+    # is remote memory demand.
+    remote_memory = remote_crpd = 0
+    for core in ctx.remote_cores(task.core):
+        for task_l in ctx.taskset.hep_on_core(task, core):
+            memory, crpd, carry_out = pair_terms(
+                ctx, task, task_l, t, remote=True, persistence=ctx.persistence
+            )
+            remote_memory += memory + carry_out
+            remote_crpd += crpd
 
     total_accesses = total_bus_accesses(ctx, task, t)
     counted = task.md + same_memory + same_crpd
@@ -247,21 +200,17 @@ def decompose_taskset(
         budget.start()
     if result is None:
         result = analyze_taskset(taskset, platform, config, budget=budget)
-    # Reuse the task set's shared calculators (same kernel as the analysis
-    # run) so the decomposition re-evaluates the recurrence from the very
-    # caches the fixed point warmed up.
+    # The total of each breakdown comes from the analysis run's kernel; the
+    # per-term split always from the reference functions.
     ctx = AnalysisContext(
         taskset=taskset,
         platform=platform,
         persistence=config.persistence,
-        crpd=CrpdCalculator.shared(
-            taskset, config.crpd_approach, config.bitset_kernel
-        ),
-        cpro=CproCalculator.shared(
-            taskset, config.cpro_approach, config.bitset_kernel
-        ),
+        crpd=CrpdCalculator.shared(taskset, config.crpd_approach),
+        cpro=CproCalculator.shared(taskset, config.cpro_approach),
         persistence_in_low=config.persistence_in_low,
         tdma_slot_alignment=config.tdma_slot_alignment,
+        reference=config.reference,
         budget=budget,
     )
     for task, estimate in result.response_times.items():

@@ -23,9 +23,10 @@ bounds are pointwise tighter, hence also under the deadlines).
     A single-outer-round sufficient test: every *remote* response-time
     estimate is pinned at its task's deadline (the largest value any
     schedulable fixed point can reach) and each task runs one inner
-    Eq. (19) fixed point against that frozen context.  The interference
-    terms are non-decreasing in the remote estimates — the same
-    monotonicity the outer loop's soundness rests on — so the resting
+    Eq. (19) fixed point against that frozen context.  The tier runs the
+    persistence-oblivious baseline, whose interference terms are
+    non-decreasing in the remote estimates (the persistence-aware remote
+    term is not; see :mod:`repro.analysis.wcrt`), so the resting
     values dominate the exact fixed point, and "every bound under its
     deadline" soundly implies schedulability.  One outer round, no
     cross-core iteration, order-independent.
@@ -238,8 +239,9 @@ def coarse_bound(
     Pins every response-time estimate at its task's deadline — the
     largest value any schedulable fixed point can reach — and runs each
     task's inner Eq. (19) fixed point once against that frozen context.
-    Because the interference terms are non-decreasing in the remote
-    estimates, each resting value dominates the task's exact bound, so
+    Because the baseline's interference terms are non-decreasing in the
+    remote estimates, each resting value dominates the task's exact
+    bound, so
 
     * every resting value under its deadline ⇒ ``schedulable`` with
       sound per-task bounds (the exact analysis agrees), while

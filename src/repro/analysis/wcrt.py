@@ -16,12 +16,26 @@ points: every response time is initialised to the task's isolated WCET
 :math:`PD_i + MD_i \\cdot d_{mem}` and the whole system is iterated until
 nothing changes or some task overruns its deadline.
 
-Both loops are monotone (all interference terms are non-decreasing in every
-response-time estimate and in the window length), so:
+The interference terms are *not* all non-decreasing.  The
+persistence-aware remote term of Lemma 2 can drop when a window or a
+remote estimate grows, because the carry-out job, charged its full
+``MD + gamma``, becomes a full job charged at the persistence rate: one
+remote task with period 400, MD 10, MDr 2, |PCB| 3, gamma 1 and
+``d_mem`` 10 contributes 11 accesses to a window of 300 at
+:math:`R_l = 200` and 6 at :math:`R_l = 210`.  The loops therefore rely on
+no monotonicity; they do the following:
 
-* estimates only ever grow across outer iterations,
-* once a task's estimate exceeds its deadline it will never shrink back,
-  making "deem unschedulable and stop" sound.
+* each inner fixed point starts from the task's current estimate and stops
+  at the first ``r`` with ``f(r) <= r``, so an estimate is only ever
+  replaced by a larger one;
+* a task whose iterate exceeds its deadline is reported unschedulable and
+  analysis stops; a sufficient test may always answer "unschedulable";
+* a warm replay returns the stored cold result only after checking
+  ``f(r) <= r`` for every task at the stored estimates (see
+  :func:`_warm_verify`).
+
+The argument that the resulting bounds are sound without monotonicity is
+item 2 of ``ROADMAP.md``.
 """
 
 from __future__ import annotations
@@ -102,9 +116,9 @@ class WcrtResult:
             the failing task maps to a value exceeding its deadline.
         failed_task: first task found unschedulable, if any.
         outer_iterations: outer-loop rounds executed.
-        perf: iteration and memo-cache counters of this analysis run.
-            Excluded from equality so memoized and reference runs with
-            identical verdicts compare equal.
+        perf: iteration counters of this analysis run.  Excluded from
+            equality so production and reference runs with identical
+            verdicts compare equal.
     """
 
     schedulable: bool
@@ -162,9 +176,8 @@ def _task_fixed_point(
 ) -> Optional[int]:
     """Iterate Eq. (19) for one task from ``start``.
 
-    Returns the fixed point, or ``None`` as soon as the estimate exceeds the
-    task's deadline (the iteration is non-decreasing, so it can never come
-    back below the deadline).
+    Returns the first iterate ``r`` with ``f(r) <= r``, or ``None`` as soon
+    as an iterate exceeds the task's deadline.
     """
     d_mem = ctx.platform.d_mem
     hp_rows = _hp_rows_for(ctx, task)
@@ -175,16 +188,16 @@ def _task_fixed_point(
     bat = ctx._bat_fns.get(task.priority)
     if bat is None:
         bat = make_bat(ctx, task)
-        if ctx.fused:
-            # The per-term fallback closes over ``ctx``; caching it here
-            # would make every reference-path context a reference cycle.
+        if not ctx.reference:
+            # The reference evaluator closes over ``ctx``; caching it here
+            # would make every reference context a reference cycle.
             ctx._bat_fns[task.priority] = bat
     r = start
     for _ in range(config.max_inner_iterations):
         # The tick sits at the iteration boundary, *before* any work of the
         # iteration: an abort therefore never leaves a half-evaluated term
         # behind, and the boundary index is bit-identical across the
-        # memoization/bitset/warm-start kernel variants.
+        # production and reference kernels and warm starts.
         if budget is not None:
             budget.tick()
         perf.inner_iterations += 1
@@ -214,16 +227,11 @@ def _make_context(
         taskset=taskset,
         platform=platform,
         persistence=config.persistence,
-        crpd=CrpdCalculator.shared(
-            taskset, config.crpd_approach, config.bitset_kernel
-        ),
-        cpro=CproCalculator.shared(
-            taskset, config.cpro_approach, config.bitset_kernel
-        ),
+        crpd=CrpdCalculator.shared(taskset, config.crpd_approach),
+        cpro=CproCalculator.shared(taskset, config.cpro_approach),
         persistence_in_low=config.persistence_in_low,
         tdma_slot_alignment=config.tdma_slot_alignment,
-        memoize=config.memoization,
-        array_kernel=config.array_kernel,
+        reference=config.reference,
         perf=counters,
         budget=budget,
     )
@@ -240,19 +248,19 @@ def analyze_taskset(
     """Compute WCRT bounds for every task of ``taskset`` on ``platform``.
 
     Implements the outer loop of Sec. IV.  Analysis stops early — reporting
-    the set unschedulable — as soon as any task's estimate exceeds its
-    deadline, which is sound because estimates are non-decreasing.
+    the set unschedulable — as soon as any task's iterate exceeds its
+    deadline; a sufficient test may always answer "unschedulable" (see the
+    module docstring for what the loops rely on).
 
     With ``config.warm_start`` (the default), a repeat analysis of the same
-    (task set, platform, config) triple is seeded from the previously
-    converged response-time map and merely *re-verified*: monotonicity of
-    Eq. (19) means a converged map passes one outer round unchanged, so the
-    replay costs one inner iteration per task instead of the full fixed
-    point.  The returned result is bit-identical to the cold run's (it even
-    reports the cold run's ``outer_iterations``); only the perf counters
-    reveal the shortcut.  If re-verification observes *any* change the seed
-    is discarded and a cold run is performed — so a stale seed can slow an
-    analysis down but never alter its outcome.
+    (task set, platform, config) triple replays the stored result of the
+    previous cold run after checking it: one outer round over the stored
+    map must find ``f(r) <= r`` for every task, which costs one inner
+    iteration per task instead of the full fixed point.  The returned
+    result is the cold run's (it even reports the cold run's
+    ``outer_iterations``); only the perf counters reveal the shortcut.  If
+    the check fails the seed is discarded and a cold run is performed — so
+    a stale seed can slow an analysis down but never alter its outcome.
 
     Each call collects a fresh set of :class:`~repro.perf.PerfCounters`
     (returned as ``result.perf``); pass ``perf`` to additionally accumulate
@@ -267,8 +275,7 @@ def analyze_taskset(
     result is bit-identical to a budget-less run, and all shared caches
     (derived tables, calculator caches, warm-start seeds) stay exactly as
     consistent after an abort as after a cold start — aborted runs never
-    record a warm-start seed, and the per-run memo caches die with the
-    run's context.
+    record a warm-start seed.
 
     ``warm_hint`` (optional) offers the converged map of another analysis
     — see :class:`WarmHint` — consulted only when no same-triple seed
@@ -278,11 +285,11 @@ def analyze_taskset(
     stored cold count.
     """
     counters = PerfCounters()
-    if config.bitset_kernel:
+    if not config.reference:
         # Build (or fetch) the task set's interference table and its cut
         # tables up front so the compilation is attributed to this run's
-        # counters rather than hiding inside the first calculator access
-        # (a no-op when the sweep layer already compiled this task set).
+        # counters rather than hiding inside the first context (a no-op
+        # when the sweep layer already compiled this task set).
         prefill_batch(
             (taskset,), config.crpd_approach, config.cpro_approach, perf=counters
         )
@@ -355,17 +362,17 @@ def _warm_verify(
     stored: _WarmSeed,
     config: AnalysisConfig,
 ) -> Optional[WcrtResult]:
-    """Re-verify a previously converged response-time map in one round.
+    """Check a previously converged response-time map in one round.
 
     Seeds every task's estimate with the stored converged value and runs a
-    single outer round.  Because Eq. (19) is monotone and the map was a
-    fixed point of *identical* inputs, every per-task iteration terminates
-    immediately with the seeded value; any deviation means the seed does
-    not fit (it should not happen for identical inputs, but correctness
-    must not depend on that) and the caller falls back to a cold run.
+    single outer round.  The map is where the cold run stopped on
+    *identical* inputs, so every per-task iteration should find
+    ``f(r) <= r`` there and return the seeded value at once; any deviation
+    means the seed does not fit (correctness must not depend on it fitting)
+    and the caller falls back to a cold run.
 
-    Returns the (bit-identical) schedulable result, or ``None`` to request
-    the cold fallback.
+    Returns the stored schedulable result, or ``None`` to request the cold
+    fallback.
     """
     seed_map, cold_outer = stored
     taskset = ctx.taskset
@@ -400,9 +407,9 @@ def _hint_seeded(
     """Attempt an adjacent-hint-seeded analysis; ``None`` requests cold.
 
     Returning ``None`` always leaves the caller to rerun on a *fresh*
-    context: the hinted attempt may have advanced estimates past their
-    cold trajectory, and the epoch-keyed memo entries recorded against
-    them must not leak into the fallback.
+    context: the hinted attempt may have advanced estimates and epoch
+    counters past their cold trajectory, and neither may leak into the
+    fallback.
 
     The hint gets one strict verification round (see :func:`_apply_once`)
     and is discarded on the first mismatch; any failure shape (deadline
@@ -478,9 +485,9 @@ def _analyze(
     # without evaluating anything.  The multiset approaches void the
     # premise (their window terms read same-core estimates — see
     # ``AnalysisContext.window_oblivious``), so the shortcut stays off
-    # there.  Where it applies it fires identically across the kernel
-    # variants (it reads no kernel state), so results and iteration
-    # boundaries stay bit-identical between them.
+    # there.  Where it applies it fires identically on both kernels (it
+    # reads no kernel state), so results and iteration boundaries stay
+    # bit-identical between them.
     may_skip = ctx.window_oblivious
     # The TDMA and perfect buses read no remote estimates at all — their
     # BAT is a function of the window length and static parameters only —
@@ -529,9 +536,10 @@ def _analyze(
                 response_times=dict(ctx.response_times),
                 outer_iterations=outer,
             )
-    # The outer loop is monotone over bounded integers, so it does converge
-    # eventually; running out of the iteration budget first is answered with
-    # the conservative (sound for a sufficient test) verdict "unschedulable".
+    # Estimates only grow and stay at or below the deadlines, so the outer
+    # loop does converge eventually; running out of the iteration budget
+    # first is answered with the conservative (sound for a sufficient test)
+    # verdict "unschedulable".
     return WcrtResult(
         schedulable=False,
         response_times=dict(ctx.response_times),

@@ -1,7 +1,7 @@
 """Deadline budgets and cooperative cancellation for long-running analyses.
 
-The WCRT fixed point of Eq. (19) is monotone but its iteration count is
-unbounded in practice: a wildly over-utilised task set can spend enormous
+The iteration count of the WCRT fixed point of Eq. (19) is unbounded in
+practice: a wildly over-utilised task set can spend enormous
 numbers of inner iterations before any estimate crosses a deadline.  Before
 this module the only defence was the sweep supervisor's *chunk-level* hang
 watchdog — a blunt instrument that kills a whole worker process and
@@ -20,7 +20,7 @@ Design constraints, in order:
    infinite budget threaded through the whole kernel.
 2. **Deterministic abort points.**  The iteration ceiling counts *inner
    fixed-point iterations* — a quantity that is itself bit-identical
-   across the memoization/bitset/warm-start kernel variants — so a ceiling
+   across the production and reference kernels and warm starts — so a ceiling
    abort happens at the same boundary on every machine and every rerun.
    Wall-clock deadlines are inherently nondeterministic; tests make them
    deterministic by injecting a fake ``clock``.
@@ -31,9 +31,8 @@ Design constraints, in order:
 Abort consistency: an aborted analysis leaves all shared state (derived
 interference tables, calculator caches, warm-start seeds) exactly as
 sound for the next run as a cold start — the shared tables are pure
-functions of the immutable task set, per-run memo caches die with the
-run's context, and warm-start seeds are only recorded after a fully
-*successful* schedulable analysis.  ``tests/test_budget.py`` asserts the
+functions of the immutable task set, and warm-start seeds are only
+recorded after a fully *successful* schedulable analysis.  ``tests/test_budget.py`` asserts the
 rerun-after-abort is bit-identical to a cold run at every possible abort
 boundary.
 """

@@ -104,24 +104,15 @@ def _bat_perfect(ctx: AnalysisContext, task_i: Task, t: int) -> int:
     return bas(ctx, task_i, t)
 
 
-# -- fused evaluation (array kernel) ----------------------------------------
+# -- fused evaluation (production kernel) ------------------------------------
 #
-# The per-term entry points above pay, for every inner fixed-point
-# iteration, one function call + one memo probe + one epoch lookup per term
-# — seven of each for the FP bus on a quad-core.  During an ascent the
-# window length changes every iteration, so those probes are almost all
-# misses and the bookkeeping is pure overhead.  (Measured on the fig2
-# sweep the epoch-keyed caches hit essentially never on the default path:
-# the outer loop revises some estimate between consecutive evaluations of
-# the same window.)  The fused path therefore skips memoization entirely
-# and evaluates a whole BAT with tight loops over flat integer rows,
-# sliced per task from the interference table's rows at the task's
-# priority cuts.  Flattening only reorders exact integer additions, so
-# every value — and thus every analysis result — is bit-identical to the
-# per-term path; the memo hit/miss counters stay zero on the fused path
-# because no cache exists there (documented in docs/PERFORMANCE.md; the
-# per-term memo subsystem remains fully active under
-# ``array_kernel=False``).
+# The per-term functions above are the reference: one call per term and
+# per remote task, each reading the CRPD/CPRO calculators.  Production
+# contexts evaluate a whole BAT instead with tight loops over flat integer
+# rows, sliced per task from the interference table's rows at the task's
+# priority cuts.  Both evaluate the same exact integer arithmetic, so
+# every value — and thus every analysis result — is bit-identical; the
+# ``kernel-identity`` oracle and the differential grid check it.
 
 
 def _bat_plan(ctx: AnalysisContext, task_i: Task) -> tuple:
@@ -183,9 +174,9 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     time: the WCRT loops create a fresh evaluator per task, so flag flips
     between analyses are honoured, and callers must pass ``t >= 0`` (the
     ascent never goes negative; the guarded entry point is
-    :func:`total_bus_accesses`).  Falls back to a plain
-    :func:`total_bus_accesses` wrapper when the fused kernel is off, so
-    values are always identical.
+    :func:`total_bus_accesses`).  On a reference context it returns a
+    plain :func:`total_bus_accesses` wrapper, which evaluates the per-term
+    functions.
 
     A pair with a multiset side reads the extended persistence rows: the
     same-core sum folds their multiset CRPD entries and CPRO overlap rows,
@@ -193,7 +184,7 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     carry-in.  Baseline remote sums read no multiset data and keep the
     baseline rows.
     """
-    if not ctx.fused:
+    if ctx.reference:
         return lambda t: total_bus_accesses(ctx, task_i, t)
     policy = ctx.platform.bus_policy
     bas, higher, lower, per_core, blocking = _bat_plan(ctx, task_i)
@@ -258,7 +249,7 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
 
 def total_bus_accesses(ctx: AnalysisContext, task_i: Task, t: int) -> int:
     """Dispatch :math:`BAT^x_i(t)` on the platform's bus policy."""
-    if ctx.fused and t >= 0:
+    if not ctx.reference and t >= 0:
         return make_bat(ctx, task_i)(t)
     policy = ctx.platform.bus_policy
     if policy is BusPolicy.FP:

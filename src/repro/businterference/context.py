@@ -6,23 +6,20 @@ whether cache persistence is exploited) plus the current worst-case response
 time estimates of all tasks (Eq. 5/6 need :math:`R_l`, which the outer loop
 of Sec. IV refines iteratively).  :class:`AnalysisContext` bundles them.
 
-Epoch-keyed memoization
------------------------
+Two kernels read a context.  A production context (the default) evaluates
+each task's :math:`BAT` in one pass over integer rows sliced from the task
+set's :class:`~repro.model.interference.InterferenceTable` (``make_bat`` in
+:mod:`repro.businterference.arbiters`), with the estimates in a list
+indexed by each task's slot.  A reference context (``reference=True``,
+selected by :attr:`repro.analysis.config.AnalysisConfig.reference`) runs
+the per-term functions of :mod:`repro.businterference.requests` over the
+``frozenset`` CRPD/CPRO calculators and builds no table.  Both give
+bit-identical results; the ``kernel-identity`` oracle checks it.
 
-The remote-core terms :math:`W`, :math:`BAO` and :math:`BAO_{low}` depend,
-besides the window length ``t``, only on the response-time estimates of the
-tasks on *one* remote core — estimates that are frozen while a single
-task's inner fixed point runs and change only when the outer loop records a
-refined value.  :class:`AnalysisContext` therefore keeps one *epoch*
-counter per core (plus a global one), bumped exactly when a task on that
-core gets a new estimate, and caches each term keyed by its inputs plus
-the epoch of the core it reads.  A cache hit is by construction a
-recomputation with identical inputs, so memoized results are bit-identical
-to the naive evaluation — the differential test in
-``tests/test_differential.py`` pins this down.  Set ``memoize=False`` (via
-``AnalysisConfig(memoization=False)``) to force the reference path.  The
-caches serve only the per-term evaluator; the default fused evaluator
-(``array_kernel``) consults none.
+The context keeps one estimate-revision counter (*epoch*) per core plus a
+global one, bumped exactly when a task's estimate changes; the outer loop
+of :mod:`repro.analysis.wcrt` reads them to skip tasks whose remote
+estimates have not moved.
 """
 
 from __future__ import annotations
@@ -51,8 +48,10 @@ class AnalysisContext:
         persistence: when ``True`` the persistence-aware bounds of Lemmas 1
             and 2 are used; when ``False`` the baseline bounds of Davis et
             al. (Eq. 1 and 3).
-        crpd: memoising CRPD calculator (:math:`\\gamma` of Eq. 2).
-        cpro: memoising CPRO calculator (:math:`\\hat{\\rho}` of Eq. 14).
+        crpd: CRPD calculator (:math:`\\gamma` of Eq. 2) of the per-term
+            functions; the fused rows read only its approach.
+        cpro: CPRO calculator (:math:`\\hat{\\rho}` of Eq. 14) of the
+            per-term functions; the fused rows read only its approach.
         response_times: current WCRT estimate of every task, refined by the
             outer fixed-point loop.  Tasks missing from the mapping fall back
             to their isolated WCET, the value the outer loop starts from.
@@ -63,25 +62,10 @@ class AnalysisContext:
             default for fidelity.
         tdma_slot_alignment: charge one extra TDMA slot of waiting per
             access (see :class:`repro.analysis.config.AnalysisConfig`).
-        memoize: cache the window-level interference terms keyed by their
-            inputs plus the epoch of the core whose estimates they read.
-            Results are bit-identical either way; disabling selects the
-            reference path used by the differential correctness test.
-        array_kernel: allow the fused tight-loop evaluator for the bus
-            terms (``make_bat`` in :mod:`repro.businterference.arbiters`):
-            a whole BAT evaluation becomes one pass over slices of the
-            task set's :meth:`~repro.model.interference.InterferenceTable.
-            rows`, with response-time estimates resolved through a slot
-            list instead of a ``Task``-keyed dict probe, and no per-term
-            memo caches are consulted (they essentially never hit on this
-            path, so the memo hit/miss counters read zero under the fused
-            evaluator).  Serves every CRPD/CPRO approach pair — the
-            multiset refinements fold their per-cut tables inside the
-            rows — but engages only on the bitmask kernel and when
-            ``memoize`` is also set, so the ``memoize=False`` reference
-            stays the untouched legacy evaluation.  Computed values are
-            bit-identical either way.
-        perf: counters recording iteration counts and memo hits/misses.
+        reference: run the per-term reference kernel instead of the
+            fused rows (see the module docstring).  A reference context
+            builds no interference table.
+        perf: counters recording iteration counts.
         budget: optional :class:`~repro.budget.Budget` ticked at every
             inner fixed-point iteration (and checked inside the expensive
             window folds), so an over-budget or cancelled analysis aborts
@@ -97,8 +81,7 @@ class AnalysisContext:
     response_times: Dict[Task, int] = field(default_factory=dict)
     persistence_in_low: bool = False
     tdma_slot_alignment: bool = False
-    memoize: bool = True
-    array_kernel: bool = True
+    reference: bool = False
     perf: PerfCounters = field(default_factory=PerfCounters)
     budget: Optional[Budget] = None
 
@@ -111,9 +94,8 @@ class AnalysisContext:
             self.crpd = CrpdCalculator.shared(self.taskset, CrpdApproach.ECB_UNION)
         if self.cpro is None:
             self.cpro = CproCalculator.shared(self.taskset, CproApproach.UNION)
-        # Per-core epoch counters: cache keys embed the epoch of the core a
-        # term reads, so revising one core's estimate leaves cached terms
-        # about the other cores valid.
+        # Per-core epoch counters: the outer loop's remote-epoch skip
+        # reads them (see repro.analysis.wcrt).
         self._core_epoch: Dict[int, int] = {
             core: 0 for core in self.platform.cores
         }
@@ -121,36 +103,7 @@ class AnalysisContext:
             core: tuple(c for c in self.platform.cores if c != core)
             for core in self.platform.cores
         }
-        # Memo caches of the window-level interference terms.  Values store
-        # the epoch they were computed at; a mismatch is treated as a miss.
-        self._bao_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        self._bao_low_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        self._crpd_window_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        # Static parameter tables (see repro.businterference.requests):
-        # everything a BAS / W evaluation needs besides the window length and
-        # the current response-time estimates.  Pure functions of the task
-        # set, the two approach enums and ``d_mem``, so they are shared
-        # across every context analysing the same task set (kept warm
-        # between runs and across sweep variants).  The kernel flags are
-        # part of the key: rows built from the bitmask kernel must never be
-        # reused by the reference path (or vice versa), else the
-        # ``bitset-identity`` oracle would compare a value against itself.
-        approaches = (
-            self.crpd.approach,
-            self.crpd.bitset,
-            self.cpro.approach,
-            self.cpro.bitset,
-        )
-        self._bas_rows: Dict[int, tuple] = self.taskset.derived(
-            ("bas-rows",) + approaches, dict
-        )
-        self._w_rows: Dict[Tuple[int, int, bool], tuple] = self.taskset.derived(
-            ("w-rows",) + approaches + (self.platform.d_mem,), dict
-        )
         self._hp_rows: Dict[int, tuple] = self.taskset.derived("hp-rows", dict)
-        # With a window-oblivious CPRO approach the per-pair demand terms
-        # reduce to closed-form arithmetic over the prefetched parameters.
-        self.fast_demand: bool = self.cpro.approach is not CproApproach.MULTISET
         # With *both* approaches window oblivious, every same-core term of
         # Eq. (19) is a pure function of static parameters and the window
         # length: a task's right-hand side then depends only on its own
@@ -159,29 +112,18 @@ class AnalysisContext:
         # same-core tasks (and of the analysed task itself) — so the outer
         # loop's remote-epoch convergence shortcut must not engage there.
         self.window_oblivious: bool = (
-            self.fast_demand
+            self.cpro.approach is not CproApproach.MULTISET
             and self.crpd.approach is not CrpdApproach.ECB_UNION_MULTISET
         )
-        # Fused tight-loop evaluation of the window terms: estimates live in
-        # a list indexed by a per-task-set slot (the task's position in
-        # iteration order), so the hot row loops replace the Task-keyed
-        # dict probe with a plain list subscript.  The slot list mirrors
-        # ``response_times`` exactly — same values, same isolated-WCET
-        # fallback — and is maintained by :meth:`set_response_time`; the
-        # multiset folds read same-core estimates from it too, so every
-        # approach pair runs fused.  The rows come from the bitmask
-        # kernel's interference table, so the ``frozenset`` reference
-        # kernel always takes the per-term path.
-        self.fused: bool = (
-            self.memoize
-            and self.array_kernel
-            and self.crpd.bitset
-            and self.cpro.bitset
-        )
+        # The fused rows read estimates from a list indexed by a per-task-set
+        # slot (the task's position in iteration order) instead of a
+        # Task-keyed dict.  The list mirrors ``response_times`` exactly —
+        # same values, same isolated-WCET fallback — and is maintained by
+        # :meth:`set_response_time`.
         self._slot_of: Dict[int, int] = estimate_slots(self.taskset)
         d_mem = self.platform.d_mem
         self._est = [int(t.pd + t.md * d_mem) for t in self.taskset]
-        if self.fused:
+        if not self.reference:
             table = InterferenceTable.shared(self.taskset)
             self._cut = table.cut
             self._rows = table.rows(
@@ -197,10 +139,9 @@ class AnalysisContext:
                 dict,
             )
         # Per-task fused BAT evaluators (``make_bat`` closures), built once
-        # per context: they close over this context's estimate list and
-        # bind the tunables at creation time, so unlike the plans they must
-        # not outlive the context.  Only fused closures are kept: the
-        # per-term fallback closes over the context itself.
+        # per production context: they close over this context's estimate
+        # list and bind the tunables at creation time, so unlike the plans
+        # they must not outlive the context.
         self._bat_fns: Dict[int, object] = {}
 
     # -- response-time estimates --------------------------------------------
@@ -216,8 +157,7 @@ class AnalysisContext:
         """Record a refined WCRT estimate for ``task``.
 
         Bumps the epoch of the task's core (and the global epoch) when the
-        estimate actually changes, invalidating exactly the cached terms
-        that could have read the old value.
+        estimate actually changes.
         """
         if value < 0:
             raise AnalysisError(
@@ -231,10 +171,6 @@ class AnalysisContext:
         slot = self._slot_of.get(task.priority)
         if slot is not None:
             self._est[slot] = value
-
-    def core_epoch(self, core: int) -> int:
-        """Estimate-revision counter of ``core`` (cache-key ingredient)."""
-        return self._core_epoch.get(core, 0)
 
     def remote_cores(self, core: int) -> Tuple[int, ...]:
         """All platform cores except ``core`` (precomputed)."""

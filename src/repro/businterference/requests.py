@@ -18,17 +18,21 @@ time.  Window lengths and all task parameters are integers (cycles /
 request counts) so every bound is exact — no floating-point ceil/floor
 pitfalls.
 
-Memoization: within one run of the outer loop of Sec. IV the response-time
-estimates a remote-core term reads are frozen, so :func:`bao`,
-:func:`bao_low` (each a fused sum of the per-pair :math:`W` terms over one
-remote core) and the window-level multiset CRPD term are cached on
-``(inputs, epoch-of-the-core-they-read)`` — see
-:class:`~repro.businterference.context.AnalysisContext`.  A cache hit
-replays a computation with identical inputs, so results are bit-identical
-to the un-memoized reference path (``ctx.memoize = False``).
+Two evaluations of the same equations live here.  :func:`bas`,
+:func:`bao` and :func:`bao_low` are the reference: sums of
+:func:`pair_terms`, a term-by-term transcription over the ``frozenset``
+CRPD/CPRO calculators that evaluates Eq. (10) + (14) through
+:func:`~repro.persistence.demand.multi_job_demand` and ``rho_window``.
+The ``_bas_*`` / ``_w_sum_*`` bodies are the production kernel's fused
+sums over the integer rows of
+:meth:`~repro.model.interference.InterferenceTable.rows`, which
+:func:`~repro.businterference.arbiters.make_bat` slices per task.  The
+``kernel-identity`` oracle checks that both give the same value.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 from repro.businterference.context import AnalysisContext
 from repro.crpd.approaches import CrpdApproach
@@ -36,7 +40,7 @@ from repro.crpd.multiset import multiset_window_from_pairs
 from repro.errors import AnalysisError
 from repro.model.task import Task
 from repro.persistence.cpro import overlap_groups_window
-from repro.persistence.demand import FAULTS, multi_job_demand
+from repro.persistence.demand import multi_job_demand
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -62,71 +66,14 @@ def jobs_in_window(t: int, period: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def crpd_multiset_window(ctx: AnalysisContext, task_i: Task, task_j: Task, t: int) -> int:
-    """Window-level multiset CRPD term of :math:`BAS`, memoized per epoch.
-
-    The term reads the response-time estimates of the affected tasks on
-    ``task_j``'s core, so cached values are keyed by that core's epoch.
-    """
-    if not ctx.memoize:
-        return ctx.crpd.multiset_window(
-            task_i, task_j, t, ctx.response_time, budget=ctx.budget
-        )
-    key = (task_i.priority, task_j.priority, t)
-    epoch = ctx.core_epoch(task_j.core)
-    cached = ctx._crpd_window_cache.get(key)
-    if cached is not None and cached[0] == epoch:
-        ctx.perf.crpd_window_hits += 1
-        return cached[1]
-    ctx.perf.crpd_window_misses += 1
-    value = ctx.crpd.multiset_window(
-        task_i, task_j, t, ctx.response_time, budget=ctx.budget
-    )
-    ctx._crpd_window_cache[key] = (epoch, value)
-    return value
-
-
-def _bas_rows(ctx: AnalysisContext, task_i: Task) -> tuple:
-    """Prefetched static parameters of ``task_i``'s same-core BAS loop.
-
-    One row per same-core higher-priority task ``task_j``:
-    ``(task_j, period, md, md_r, |PCB|, gamma(i, j), evictable_pcbs(j, i))``.
-    Every entry is constant for the lifetime of the context, so the BAS
-    evaluation in the fixed point reduces to integer arithmetic over rows —
-    the closed-form demand below mirrors
-    :func:`repro.persistence.demand.multi_job_demand_from_params`.  The
-    ``gamma`` / ``evictable`` entries come from whichever cache-set kernel
-    (bitmask or ``frozenset`` reference) the context's calculators run, so
-    the backing store is keyed by the kernel flags (see
-    :class:`~repro.businterference.context.AnalysisContext`).
-    """
-    rows = ctx._bas_rows.get(task_i.priority)
-    if rows is None:
-        rows = tuple(
-            (
-                task_j,
-                int(task_j.period),
-                task_j.md,
-                task_j.md_r,
-                len(task_j.pcbs),
-                ctx.crpd.gamma(task_i, task_j),
-                ctx.cpro.eviction_count(task_j, task_i),
-            )
-            for task_j in ctx.taskset.hp_on_core(task_i, task_i.core)
-        )
-        ctx._bas_rows[task_i.priority] = rows
-    return rows
-
-
 def _bas_fast_p(rows: tuple, t: int, md_i: int, drop_pcb: bool) -> int:
-    """Fused persistence-aware :func:`bas` body (fast-demand only).
+    """Fused persistence-aware :func:`bas` body (window-oblivious pairs).
 
     ``rows`` are the same-core higher-priority tasks' persistence rows of
     :meth:`~repro.model.interference.InterferenceTable.rows`, read at the
-    analysed task's own cut.  Row-for-row the same arithmetic as the
-    ``fast`` branch of :func:`bas`; exact integer operations make the two
-    evaluation orders literally identical, which the differential tests
-    and oracles pin down.
+    analysed task's own cut.  :func:`bas` with :math:`\\hat{MD}(n)`
+    (Eq. 10) and :math:`\\hat{\\rho}(n)` (Eq. 14) in closed form over each
+    row's parameters, for ``n = ceil(t / T)`` jobs.
     """
     total = md_i
     for _, gamma, period, md, md_r, pcbs, evictable, _, _ in rows:
@@ -166,8 +113,7 @@ def _bas_multiset_p(
     :func:`~repro.crpd.multiset.multiset_window_from_pairs` instead of
     ``n * gamma``, reading each :math:`R_g` through ``estimate`` (the
     estimate list's ``__getitem__``).  Otherwise the arithmetic of
-    :func:`_bas_fast_p`; both folds are the per-term path's, so values
-    are bit-identical.
+    :func:`_bas_fast_p`.
     """
     total = md_i
     for _, gamma, period, md, md_r, pcbs, evictable, _, _, overlaps, entries in rows:
@@ -218,35 +164,11 @@ def bas(ctx: AnalysisContext, task_i: Task, t: int) -> int:
     """
     if t < 0:
         raise AnalysisError(f"window length must be non-negative, got {t}")
-    multiset_crpd = ctx.crpd.approach is CrpdApproach.ECB_UNION_MULTISET
     persistence = ctx.persistence
-    fast = ctx.fast_demand
-    drop_pcb = FAULTS.drop_pcb_term
-    total = task_i.md
-    for task_j, period, md, md_r, pcbs, gamma, evictable in _bas_rows(ctx, task_i):
-        n_jobs = -((-t) // period)
-        isolated = n_jobs * md
-        if persistence:
-            if fast:
-                # multi_job_demand + rho in closed form (Eq. 10 + Eq. 14).
-                persistent = min(
-                    isolated, n_jobs * md_r + (0 if drop_pcb else pcbs)
-                )
-                if n_jobs > 1:
-                    persistent += (n_jobs - 1) * evictable
-            else:
-                persistent = multi_job_demand(task_j, n_jobs) + ctx.cpro.rho_window(
-                    task_j, task_i, n_jobs, t, budget=ctx.budget
-                )
-            demand = persistent if persistent < isolated else isolated
-        else:
-            demand = isolated
-        if multiset_crpd:
-            crpd = crpd_multiset_window(ctx, task_i, task_j, t)
-        else:
-            crpd = n_jobs * gamma
-        total += demand + crpd
-    return total
+    return task_i.md + sum(
+        sum(pair_terms(ctx, task_i, task_j, t, remote=False, persistence=persistence))
+        for task_j in ctx.taskset.hp_on_core(task_i, task_i.core)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,106 +213,62 @@ def carried_out_accesses(
     return min(_ceil_div(remainder, d_mem), demand)
 
 
-def _w_rows(ctx: AnalysisContext, task_k: Task, core_y: int, lower: bool) -> tuple:
-    """Prefetched static parameters of one remote-core :math:`W` sum.
-
-    One row per task ``task_l`` on ``core_y`` with priority at least
-    (``lower=False``) or below (``lower=True``) ``task_k``'s:
-    ``(task_l, gamma(k, l), period, md, md_r, |PCB|, evictable_pcbs(l, k),
-    md + gamma, isolated_wcrt)``.  The last entry is the estimate the outer
-    loop starts every task from, so the hot loop can resolve :math:`R_l`
-    with a plain dict probe.  Rows are pure functions of the task set, the
-    approach enums, the cache-set kernel flags and ``d_mem``, so they are
-    shared across contexts via :meth:`~repro.model.task.TaskSet.derived`
-    (one table per kernel — see the ``bitset-identity`` oracle).
-    """
-    key = (core_y, task_k.priority, lower)
-    rows = ctx._w_rows.get(key)
-    if rows is None:
-        members = (
-            ctx.taskset.lp_on_core(task_k, core_y)
-            if lower
-            else ctx.taskset.hep_on_core(task_k, core_y)
-        )
-        d_mem = ctx.platform.d_mem
-        rows = tuple(
-            (
-                task_l,
-                gamma := ctx.crpd.gamma(task_k, task_l),
-                int(task_l.period),
-                task_l.md,
-                task_l.md_r,
-                len(task_l.pcbs),
-                ctx.cpro.eviction_count(task_l, task_k),
-                task_l.md + gamma,
-                int(task_l.pd + task_l.md * d_mem),
-            )
-            for task_l in members
-        )
-        ctx._w_rows[key] = rows
-    return rows
-
-
-def _w_sum(
+def pair_terms(
     ctx: AnalysisContext,
-    task_k: Task,
-    rows: tuple,
+    task_i: Task,
+    task_j: Task,
     t: int,
+    *,
+    remote: bool,
     persistence: bool,
-) -> int:
-    """Fused evaluation of :math:`\\sum_l W` over one remote core.
+) -> Tuple[int, int, int]:
+    """``(memory demand, CRPD, carry-out)`` accesses of ``task_j``'s jobs.
 
-    Each row is Eq. (4)/(18) plus carry-out (Eq. 5) — semantically
-    ``full_jobs_in_window`` + demand + ``carried_out_accesses`` — evaluated
-    in a single pass over the prefetched parameters of :func:`_w_rows`.
+    The jobs of ``task_j`` that delay ``task_i`` in a window of length
+    ``t``.  Same-core (``remote=False``): the :math:`\\lceil t/T_j \\rceil`
+    jobs of Eq. (1)/(16), with the per-job :math:`\\gamma` or the
+    window-level multiset CRPD, and no carry-out.  Remote: the
+    :math:`N^y` full jobs of Eq. (6) with their CRPD, as in Eq. (4)/(18),
+    plus the carry-out job of Eq. (5).  With ``persistence`` the jobs are
+    charged :math:`\\min(n \\cdot MD, \\hat{MD}(n) + \\hat{\\rho}(n))`
+    (Eq. 10 + 14), with carry-in CPRO for remote jobs, since no release
+    synchronisation holds across cores.
     """
-    d_mem = ctx.platform.d_mem
-    fast = ctx.fast_demand
-    drop_pcb = FAULTS.drop_pcb_term
-    estimates = ctx.response_times
-    total = 0
-    for task_l, gamma, period_l, md_l, md_r_l, pcbs_l, evictable, job_demand, iso in rows:
-        r_l = estimates.get(task_l)
-        if r_l is None:
-            r_l = iso
-        numerator = t + r_l - job_demand * d_mem
-        if numerator < 0:
-            continue
-        n_full = numerator // period_l
-        isolated = n_full * md_l
-        if persistence:
-            if fast:
-                # multi_job_demand + rho in closed form (Eq. 10 + Eq. 14).
-                persistent = n_full * md_r_l + (0 if drop_pcb else pcbs_l)
-                if persistent > isolated:
-                    persistent = isolated
-                if n_full > 1:
-                    persistent += (n_full - 1) * evictable
-            else:
-                persistent = multi_job_demand(task_l, n_full) + ctx.cpro.rho_window(
-                    task_l, task_k, n_full, t, carry_in=True, budget=ctx.budget
-                )
-            demand = persistent if persistent < isolated else isolated
-        else:
-            demand = isolated
-        total += demand + n_full * gamma
-        remainder = numerator - n_full * period_l
-        if remainder > 0:
-            carry_out = -((-remainder) // d_mem)
-            total += carry_out if carry_out < job_demand else job_demand
-    return total
+    if remote:
+        n_jobs = full_jobs_in_window(ctx, task_i, task_j, t)
+    else:
+        n_jobs = jobs_in_window(t, int(task_j.period))
+    demand = n_jobs * task_j.md
+    if persistence:
+        demand = min(
+            demand,
+            multi_job_demand(task_j, n_jobs)
+            + ctx.cpro.rho_window(
+                task_j, task_i, n_jobs, t, carry_in=remote, budget=ctx.budget
+            ),
+        )
+    if remote:
+        return (
+            demand,
+            n_jobs * ctx.crpd.gamma(task_i, task_j),
+            carried_out_accesses(ctx, task_i, task_j, t, n_jobs),
+        )
+    if ctx.crpd.approach is CrpdApproach.ECB_UNION_MULTISET:
+        crpd = ctx.crpd.multiset_window(
+            task_i, task_j, t, ctx.response_time, budget=ctx.budget
+        )
+    else:
+        crpd = n_jobs * ctx.crpd.gamma(task_i, task_j)
+    return demand, crpd, 0
 
 
 def _w_sum_fast_p(est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool) -> int:
-    """Fused persistence-aware :func:`_w_sum` body (fast-demand only).
+    """Fused persistence-aware :math:`\\sum_l \\hat{W}` over persistence rows.
 
     ``rows`` are persistence rows of
-    :meth:`~repro.model.interference.InterferenceTable.rows`.  Same
-    arithmetic and integer operations as the ``fast`` branch of
-    :func:`_w_sum`; the only differences are mechanical — the estimate
-    comes from a slot list instead of a ``Task``-keyed dict and
-    ``job_demand * d_mem`` is a precomputed row constant — so values are
-    bit-identical by construction.
+    :meth:`~repro.model.interference.InterferenceTable.rows`; each adds
+    the remote :func:`pair_terms` sum with Eq. (10) and (14) in closed
+    form, reading :math:`R_l` from the estimate list ``est``.
     """
     total = 0
     for slot, gamma, period, md, md_r, pcbs, evictable, jd, jdd in rows:
@@ -415,7 +293,7 @@ def _w_sum_fast_p(est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool) ->
 def _w_sum_fast_b(
     est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool = False
 ) -> int:
-    """Fused baseline :func:`_w_sum` body over baseline rows.
+    """Fused baseline :math:`\\sum_l W` over baseline rows.
 
     The baseline per-full-job charge is ``md + gamma = job_demand``, so
     the row needs only the window parameters; ``drop_pcb`` only mirrors
@@ -438,13 +316,13 @@ def _w_sum_fast_b(
 def _w_sum_multiset_p(
     est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool
 ) -> int:
-    """Fused persistence-aware :func:`_w_sum` body for a multiset pair.
+    """Fused persistence-aware :math:`\\sum_l \\hat{W}` for a multiset pair.
 
     :func:`_w_sum_fast_p` over extended persistence rows, with a member's
     grouped overlap rows, where present, charging the carry-in multiset
     CPRO of :func:`~repro.persistence.cpro.overlap_groups_window` in
     place of ``(n - 1) * evictable``.  The CRPD stays per-job ECB-union
-    (``gamma``), as on the per-term path.
+    (``gamma``), as in :func:`pair_terms`.
     """
     total = 0
     for slot, gamma, period, md, md_r, pcbs, evictable, jd, jdd, overlaps, _ in rows:
@@ -474,26 +352,15 @@ def bao(ctx: AnalysisContext, core_y: int, task_k: Task, t: int) -> int:
 
     Total bus accesses generated in a window of length ``t`` by the tasks of
     core ``core_y`` whose priority is at least that of ``task_k``.
-    Persistence-aware (Lemma 2) when ``ctx.persistence`` is set.  Memoized
-    per ``(core, priority, t)`` and the epoch of ``core_y`` — the sum only
-    reads estimates of tasks on that core.
+    Persistence-aware (Lemma 2) when ``ctx.persistence`` is set.
     """
     if t < 0:
         raise AnalysisError(f"window length must be non-negative, got {t}")
-    if not ctx.memoize:
-        rows = _w_rows(ctx, task_k, core_y, lower=False)
-        return _w_sum(ctx, task_k, rows, t, ctx.persistence)
-    key = (core_y, task_k.priority, t)
-    epoch = ctx.core_epoch(core_y)
-    cached = ctx._bao_cache.get(key)
-    if cached is not None and cached[0] == epoch:
-        ctx.perf.bao_hits += 1
-        return cached[1]
-    ctx.perf.bao_misses += 1
-    rows = _w_rows(ctx, task_k, core_y, lower=False)
-    value = _w_sum(ctx, task_k, rows, t, ctx.persistence)
-    ctx._bao_cache[key] = (epoch, value)
-    return value
+    persistence = ctx.persistence
+    return sum(
+        sum(pair_terms(ctx, task_k, task_l, t, remote=True, persistence=persistence))
+        for task_l in ctx.taskset.hep_on_core(task_k, core_y)
+    )
 
 
 def bao_low(ctx: AnalysisContext, core_y: int, task_k: Task, t: int) -> int:
@@ -503,22 +370,11 @@ def bao_low(ctx: AnalysisContext, core_y: int, task_k: Task, t: int) -> int:
     higher-priority access.  The paper keeps this term persistence oblivious
     (plain :math:`W`); set ``ctx.persistence_in_low`` to apply the — equally
     sound, slightly tighter — persistence-aware :math:`\\hat{W}` instead.
-    Memoized like :func:`bao`.
     """
     if t < 0:
         raise AnalysisError(f"window length must be non-negative, got {t}")
     persistence = ctx.persistence and ctx.persistence_in_low
-    if not ctx.memoize:
-        rows = _w_rows(ctx, task_k, core_y, lower=True)
-        return _w_sum(ctx, task_k, rows, t, persistence)
-    key = (core_y, task_k.priority, t)
-    epoch = ctx.core_epoch(core_y)
-    cached = ctx._bao_low_cache.get(key)
-    if cached is not None and cached[0] == epoch:
-        ctx.perf.bao_low_hits += 1
-        return cached[1]
-    ctx.perf.bao_low_misses += 1
-    rows = _w_rows(ctx, task_k, core_y, lower=True)
-    value = _w_sum(ctx, task_k, rows, t, persistence)
-    ctx._bao_low_cache[key] = (epoch, value)
-    return value
+    return sum(
+        sum(pair_terms(ctx, task_k, task_l, t, remote=True, persistence=persistence))
+        for task_l in ctx.taskset.lp_on_core(task_k, core_y)
+    )

@@ -30,7 +30,6 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.budget import Budget
 from repro.crpd.multiset import multiset_pair_data, multiset_window_from_pairs
-from repro.model.interference import InterferenceTable
 from repro.model.task import Task, TaskSet
 
 
@@ -101,25 +100,19 @@ _APPROACHES: Dict[CrpdApproach, Callable[[TaskSet, Task, Task], int]] = {
 
 
 class CrpdCalculator:
-    """Memoising front-end over the CRPD approaches.
+    """Memoising front-end over the CRPD approaches (the reference kernel).
 
     The WCRT fixed point evaluates :math:`\\gamma_{i,j,x}` for the same task
     pairs at every iteration; the values only depend on the (static) task
-    set, so they are computed once and cached.
-
-    With ``bitset=True`` (the default) :math:`\\gamma` and the multiset
-    entries are read from the task set's
-    :class:`~repro.model.interference.InterferenceTable` cut tables;
-    ``bitset=False`` selects the retained ``frozenset`` reference path
-    (``bitset-identity`` oracle of :mod:`repro.verify`), the only one
-    that fills the per-pair caches.
+    set, so they are computed once per pair with ``frozenset`` algebra and
+    cached.  The production kernel reads the same values from the task
+    set's :class:`~repro.model.interference.InterferenceTable` instead.
     """
 
     def __init__(
         self,
         taskset: TaskSet,
         approach: CrpdApproach = CrpdApproach.ECB_UNION,
-        bitset: bool = True,
     ):
         # Weak: the shared calculator lives in the task set's derived
         # store, so a strong reference back would make every task set a
@@ -127,11 +120,7 @@ class CrpdCalculator:
         # the constructor keep the task set alive while they use it.
         self._taskset = weakref.proxy(taskset)
         self._approach = approach
-        self._bitset = bitset
         self._fn = _APPROACHES[approach]
-        self._table: Optional[InterferenceTable] = (
-            InterferenceTable.shared(taskset) if bitset else None
-        )
         self._cache: Dict[Tuple[int, int], int] = {}
         self._multiset_cache: Dict[Tuple[int, int], Tuple[int, tuple]] = {}
 
@@ -140,30 +129,21 @@ class CrpdCalculator:
         cls,
         taskset: TaskSet,
         approach: CrpdApproach = CrpdApproach.ECB_UNION,
-        bitset: bool = True,
     ) -> "CrpdCalculator":
-        """The task set's shared calculator for ``(approach, bitset)``.
+        """The task set's shared calculator for ``approach``.
 
         CRPD values are pure functions of the (immutable) task set, so one
-        calculator per (task set, approach, kernel) triple serves every
-        analysis run and keeps its pair cache warm across them.  The two
-        kernels do not share caches, keeping the differential oracle's
-        comparison independent.
+        calculator per (task set, approach) pair serves every analysis run
+        and keeps its pair cache warm across them.
         """
         return taskset.derived(
-            ("crpd-calculator", approach, bitset),
-            lambda: cls(taskset, approach, bitset),
+            ("crpd-calculator", approach), lambda: cls(taskset, approach)
         )
 
     @property
     def approach(self) -> CrpdApproach:
         """The CRPD approach this calculator applies."""
         return self._approach
-
-    @property
-    def bitset(self) -> bool:
-        """Whether this calculator runs on the bitmask kernel."""
-        return self._bitset
 
     def gamma(self, task_i: Task, task_j: Task) -> int:
         """CRPD (in memory requests) charged per preemption by ``task_j``.
@@ -173,11 +153,6 @@ class CrpdCalculator:
         and determines the core.  Mirrors :math:`\\gamma_{i,j,x}` with
         :math:`x =` ``task_j.core``.
         """
-        table = self._table
-        if table is not None:
-            return table.gamma_cuts(self._approach)[task_j.priority][
-                table.cut[task_i.priority][task_j.core]
-            ]
         key = (task_i.priority, task_j.priority)
         if key not in self._cache:
             self._cache[key] = self._fn(self._taskset, task_i, task_j)
@@ -193,27 +168,13 @@ class CrpdCalculator:
     ) -> int:
         """Window-level multiset CRPD (see :mod:`repro.crpd.multiset`).
 
-        The static data (reload costs, periods) is extracted once — on the
-        bitmask kernel per (``task_j``, cut of ``task_i``) in the table's
-        :meth:`~repro.model.interference.InterferenceTable.
-        crpd_multiset_cuts`, on the reference path per pair — so only the
-        window-dependent greedy sum runs per call.  ``budget`` adds one
-        cooperative cancellation point per fold without affecting the
-        computed value.
+        The static data (reload costs, periods) is extracted once per pair,
+        so only the window-dependent greedy sum runs per call.  ``budget``
+        adds one cooperative cancellation point per fold without affecting
+        the computed value.
         """
         if budget is not None:
             budget.check()
-        table = self._table
-        if table is not None:
-            tasks = self._taskset.tasks
-            return multiset_window_from_pairs(
-                table.crpd_multiset_cuts()[task_j.priority][
-                    table.cut[task_i.priority][task_j.core]
-                ],
-                int(task_j.period),
-                window,
-                lambda slot: response_time_of(tasks[slot]),
-            )
         key = (task_i.priority, task_j.priority)
         data = self._multiset_cache.get(key)
         if data is None:

@@ -23,11 +23,10 @@ class AnalysisError(ReproError):
 class ConvergenceError(AnalysisError):
     """A fixed-point iteration exceeded its iteration budget.
 
-    The WCRT recurrence of Eq. (19) is monotone, so failing to converge within
-    the configured bound almost always means the task set is wildly
-    over-utilised; the analyses treat that as "unschedulable" rather than
-    raising, and this error is reserved for misconfiguration (e.g. a zero
-    iteration limit).
+    Failing to converge within the configured bound almost always means
+    the task set is wildly over-utilised; the analyses treat that as
+    "unschedulable" rather than raising, and this error is reserved for
+    misconfiguration (e.g. a zero iteration limit).
     """
 
 

@@ -334,7 +334,7 @@ def prewarm_items(
         combos = {
             (variant.analysis.crpd_approach, variant.analysis.cpro_approach)
             for variant in variants
-            if variant.analysis.bitset_kernel
+            if not variant.analysis.reference
         }
         for crpd_approach, cpro_approach in sorted(
             combos, key=lambda pair: (pair[0].name, pair[1].name)

@@ -52,7 +52,7 @@ The supervisor is deliberately generic: it executes a picklable
 ``evaluate`` callable over :class:`WorkItem`\\ s and neither imports nor
 knows about the figure drivers.  Worker processes are always created with
 the **spawn** start method, so worker behaviour (fresh imports, no
-inherited memoization epochs or perf-counter state, no accidentally
+inherited derived tables or perf-counter state, no accidentally
 shared fault flags) and all recovery semantics are identical on Linux and
 macOS; ``fork`` would also duplicate the parent's signal handlers and
 journal file descriptors into the children.
@@ -69,6 +69,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import multiprocessing
+import os
 import signal
 import sys
 import threading
@@ -97,6 +99,9 @@ ItemResult = Tuple[float, Tuple[bool, ...]]
 
 #: Upper bound on any single backoff sleep, seconds.
 BACKOFF_CAP = 2.0
+
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_SECONDS = 0.5
 
 #: Poll granularity of the supervision loop, seconds.  Bounds both the
 #: watchdog's detection latency and the reaction time to SIGINT/SIGTERM.
@@ -300,9 +305,32 @@ def run_chunk(args):
 _WORKER_STATE: Optional[Tuple] = None
 
 
+def exit_with_parent() -> None:
+    """Start a daemon thread that ends this pool worker once its parent dies.
+
+    A spawn worker holds both ends of its pool's call-queue pipe, so after
+    its parent is SIGKILLed it waits for work forever, and the
+    multiprocessing resource tracker, whose pipe it also holds, lives on
+    with it.  The thread exits the process as soon as ``os.getppid()`` no
+    longer names the parent that spawned the worker.  Every spawn pool
+    calls it from its initializer: the sweep's :func:`_worker_init` and
+    the analysis service's pool.
+    """
+    spawner = multiprocessing.parent_process()
+    parent = spawner.pid if spawner is not None else os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _worker_init(evaluate, platform, variants, generation, fault, sample_budget):
     """Pool initializer: park the sweep's shared state in the worker."""
     global _WORKER_STATE
+    exit_with_parent()
     _WORKER_STATE = (evaluate, platform, variants, generation, fault, sample_budget)
 
 

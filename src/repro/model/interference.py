@@ -39,12 +39,13 @@ approaches, so the table is built at most once per task set (shared via
 :meth:`~repro.model.task.TaskSet.derived`) and each part lazily on first
 use; the table build is counted by the ``bitset_table_builds`` perf
 counter and the cut compilation of :func:`prefill_batch` by
-``batch_analyses``.  The set-based implementations in
+``batch_analyses``.  The production kernel reads its CRPD/CPRO values
+only from this table.  The ``frozenset`` implementations in
 :mod:`repro.persistence.cpro`, :mod:`repro.crpd.approaches` and
-:mod:`repro.crpd.multiset` are retained as the reference path
-(``AnalysisConfig(bitset_kernel=False)``); the ``bitset-identity`` oracle
-of :mod:`repro.verify.oracles` proves the two kernels bit-identical on
-every fuzz case and corpus entry.
+:mod:`repro.crpd.multiset` serve the reference kernel
+(:attr:`repro.analysis.config.AnalysisConfig.reference`), which builds no
+table; the ``kernel-identity`` oracle of :mod:`repro.verify.oracles`
+checks that the two agree on every fuzz case and corpus entry.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class InterferenceTable:
 
     Task-indexed lookups are keyed by *priority* (unique per task set).
     The approach enums live above this module in the dependency graph
-    (their modules import this one), so the cut builders match them by
-    name.
+    (:mod:`repro.persistence.cpro` imports this one), so the cut builders
+    match them by name.
     """
 
     def __init__(self, taskset: TaskSet):
@@ -415,8 +416,8 @@ def prefill_batch(
     given ``d_mem``, the fused evaluator's :meth:`~InterferenceTable.rows`
     (analyses otherwise build those on first use).  Idempotent per (task
     set, approach pair, ``d_mem``) — already-compiled task sets cost a few
-    dict probes — so the fused rows, the calculators and every later call
-    read the same table.  Bumps ``perf.batch_analyses`` by the number of
+    dict probes — so the fused rows and every later call read the same
+    table.  Bumps ``perf.batch_analyses`` by the number of
     task sets compiled here, and returns it.
     """
     multiset_cpro = cpro_approach.name == "MULTISET"

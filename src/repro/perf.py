@@ -6,9 +6,6 @@ of guessed.  :class:`PerfCounters` tracks
 
 * how hard the fixed point worked (``analyses``, ``outer_iterations``,
   ``inner_iterations``),
-* how well the epoch-keyed memoization performed (per-term cache hits and
-  misses for the ``bao`` / ``bao_low`` / multiset-CRPD window terms; the
-  per-pair :math:`W` terms are fused into the ``bao`` sums),
 * how often the warm-started fixed point and the bitmask cache-set kernel
   engaged (``warm_starts``, ``warm_start_iterations_saved``,
   ``bitset_table_builds``),
@@ -43,12 +40,6 @@ class PerfCounters:
     analyses: int = 0
     outer_iterations: int = 0
     inner_iterations: int = 0
-    bao_hits: int = 0
-    bao_misses: int = 0
-    bao_low_hits: int = 0
-    bao_low_misses: int = 0
-    crpd_window_hits: int = 0
-    crpd_window_misses: int = 0
     #: Analyses seeded from a previously converged response-time map (same
     #: task set, platform and config) instead of the cold isolated WCETs.
     warm_starts: int = 0
@@ -151,19 +142,17 @@ class PerfCounters:
 
     @property
     def memo_hits(self) -> int:
-        """Total cache hits across every memoized interference term."""
-        return self.bao_hits + self.bao_low_hits + self.crpd_window_hits
+        """Always 0, like :attr:`memo_misses`.
+
+        They counted the per-term memo caches, which are gone;
+        ``perfbench/sweeps.py`` still reads both on every rep.
+        """
+        return 0
 
     @property
     def memo_misses(self) -> int:
-        """Total cache misses across every memoized interference term."""
-        return self.bao_misses + self.bao_low_misses + self.crpd_window_misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of memoized-term lookups served from cache (0 if none)."""
-        lookups = self.memo_hits + self.memo_misses
-        return self.memo_hits / lookups if lookups else 0.0
+        """Always 0 (see :attr:`memo_hits`)."""
+        return 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -205,23 +194,6 @@ class PerfCounters:
             f"  analyses          {self.analyses:>12d}   "
             f"outer iterations {self.outer_iterations:>10d}   "
             f"inner iterations {self.inner_iterations:>10d}"
-        )
-        terms = (
-            ("bao", self.bao_hits, self.bao_misses),
-            ("bao_low", self.bao_low_hits, self.bao_low_misses),
-            ("crpd-window", self.crpd_window_hits, self.crpd_window_misses),
-        )
-        for label, hits, misses in terms:
-            lookups = hits + misses
-            ratio = hits / lookups if lookups else 0.0
-            lines.append(
-                f"  memo {label:<12} hits {hits:>10d}   misses {misses:>10d}   "
-                f"hit ratio {100 * ratio:5.1f}%"
-            )
-        lines.append(
-            f"  memo total        hits {self.memo_hits:>10d}   "
-            f"misses {self.memo_misses:>10d}   "
-            f"hit ratio {100 * self.hit_ratio:5.1f}%"
         )
         if self.warm_starts or self.bitset_table_builds:
             lines.append(

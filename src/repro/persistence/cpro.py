@@ -31,7 +31,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.budget import Budget
 from repro.errors import AnalysisError
-from repro.model.interference import InterferenceTable, OverlapGroups
+from repro.model.interference import OverlapGroups
 from repro.model.task import Task, TaskSet
 
 
@@ -169,27 +169,22 @@ def overlap_groups_window(
 
 
 class CproCalculator:
-    """Memoising front-end over the CPRO approaches.
+    """Memoising front-end over the CPRO approaches (the reference kernel).
 
-    Only the per-window-per-task eviction *count* is cached; the job count
-    multiplier of Eq. (14) varies with the window length and is applied in
-    :meth:`rho`.  For the ``MULTISET`` approach the per-PCB evictor-overlap
-    scan is precomputed too, so the per-call work of :meth:`rho_window` is
-    a pure arithmetic fold.
-
-    With ``bitset=True`` (the default) the eviction counts and the
-    multiset overlap rows are read from the task set's
-    :class:`~repro.model.interference.InterferenceTable` cut tables;
-    ``bitset=False`` selects the retained ``frozenset``-algebra reference
-    path, the only one that fills the per-pair caches.  The two are
-    bit-identical (``bitset-identity`` oracle of :mod:`repro.verify`).
+    Only the per-window-per-task eviction *count* is cached, computed once
+    per pair with ``frozenset`` algebra; the job count multiplier of
+    Eq. (14) varies with the window length and is applied in :meth:`rho`.
+    For the ``MULTISET`` approach the per-PCB evictor-overlap scan is
+    precomputed too, so the per-call work of :meth:`rho_window` is a pure
+    arithmetic fold.  The production kernel reads the same values from the
+    task set's :class:`~repro.model.interference.InterferenceTable`
+    instead.
     """
 
     def __init__(
         self,
         taskset: TaskSet,
         approach: CproApproach = CproApproach.UNION,
-        bitset: bool = True,
     ):
         # Weak: the shared calculator lives in the task set's derived
         # store, so a strong reference back would make every task set a
@@ -197,11 +192,7 @@ class CproCalculator:
         # the constructor keep the task set alive while they use it.
         self._taskset = weakref.proxy(taskset)
         self._approach = approach
-        self._bitset = bitset
         self._fn = _APPROACHES[approach]
-        self._table: Optional[InterferenceTable] = (
-            InterferenceTable.shared(taskset) if bitset else None
-        )
         self._cache: Dict[Tuple[int, int], int] = {}
         self._overlap_cache: Dict[Tuple[int, int], Optional[_OverlapTable]] = {}
 
@@ -210,20 +201,15 @@ class CproCalculator:
         cls,
         taskset: TaskSet,
         approach: CproApproach = CproApproach.UNION,
-        bitset: bool = True,
     ) -> "CproCalculator":
-        """The task set's shared calculator for ``(approach, bitset)``.
+        """The task set's shared calculator for ``approach``.
 
         CPRO eviction counts are pure functions of the (immutable) task
-        set, so one calculator per (task set, approach, kernel) triple
-        serves every analysis run and keeps its pair cache warm across
-        them.  The bitset and reference kernels deliberately do *not*
-        share caches, so the differential oracle compares genuinely
-        independent evaluations.
+        set, so one calculator per (task set, approach) pair serves every
+        analysis run and keeps its pair cache warm across them.
         """
         return taskset.derived(
-            ("cpro-calculator", approach, bitset),
-            lambda: cls(taskset, approach, bitset),
+            ("cpro-calculator", approach), lambda: cls(taskset, approach)
         )
 
     @property
@@ -231,18 +217,8 @@ class CproCalculator:
         """The CPRO approach this calculator applies."""
         return self._approach
 
-    @property
-    def bitset(self) -> bool:
-        """Whether this calculator runs on the bitmask kernel."""
-        return self._bitset
-
     def eviction_count(self, task_j: Task, task_i: Task) -> int:
         """Evictable-PCB count of ``task_j`` within ``task_i``'s window."""
-        table = self._table
-        if table is not None:
-            return table.eviction_cuts(self._approach)[task_j.priority][
-                table.cut[task_i.priority][task_j.core]
-            ]
         key = (task_j.priority, task_i.priority)
         if key not in self._cache:
             self._cache[key] = self._fn(self._taskset, task_j, task_i)
@@ -299,9 +275,7 @@ class CproCalculator:
         """Window-aware CPRO bound.
 
         Evaluates the multiset bound of :func:`cpro_multiset_window` for
-        the ``MULTISET`` approach — on the bitmask kernel from the grouped
-        rows of ``task_i``'s cut (:func:`overlap_groups_window`), on the
-        reference path from the per-pair overlap table — and the
+        the ``MULTISET`` approach, from the per-pair overlap table, and the
         window-oblivious :meth:`rho` otherwise.  The multiset value never
         exceeds the union value.  ``budget`` adds one cooperative
         cancellation point per fold without affecting the computed value.
@@ -313,14 +287,6 @@ class CproCalculator:
         cap = self.rho(task_j, task_i, n_jobs)
         if cap == 0 or n_jobs <= 1 or window <= 0:
             return 0
-        if self._table is not None:
-            groups = self._table.cpro_multiset_cuts()[task_j.priority][
-                self._table.cut[task_i.priority][task_j.core]
-            ]
-            extra = 1 if carry_in else 0
-            return min(
-                overlap_groups_window(groups, n_jobs - 1, window, extra), cap
-            )
         table = self._overlap_table(task_j, task_i)
         if table is None:
             return 0

@@ -46,23 +46,6 @@ class FaultHooks:
 FAULTS = FaultHooks()
 
 
-def multi_job_demand_from_params(
-    n_jobs: int, md: int, md_r: int, pcb_count: int
-) -> int:
-    """Closed form of Eq. 10 over prefetched task parameters.
-
-    The single definition of the persistence-aware multi-job ``min`` that
-    :func:`multi_job_demand` and the fused fast paths of
-    :mod:`repro.businterference.requests` (which inline it over the
-    bitmask-kernel row tables) must agree on.  ``n_jobs <= 0`` contributes
-    nothing; fault hooks are the *caller's* responsibility (the fuzzer's
-    injection points sit where the parameters are read).
-    """
-    if n_jobs <= 0:
-        return 0
-    return min(n_jobs * md, n_jobs * md_r + pcb_count)
-
-
 def multi_job_demand(task: Task, n_jobs: int) -> int:
     """Upper bound :math:`\\hat{MD}(n)` on the memory requests of ``n_jobs``
     successive jobs of ``task`` executing in isolation (Eq. 10).
@@ -72,4 +55,4 @@ def multi_job_demand(task: Task, n_jobs: int) -> int:
     if n_jobs < 0:
         raise AnalysisError(f"n_jobs must be non-negative, got {n_jobs}")
     pcb_term = 0 if FAULTS.drop_pcb_term else len(task.pcbs)
-    return multi_job_demand_from_params(n_jobs, task.md, task.md_r, pcb_term)
+    return min(n_jobs * task.md, n_jobs * task.md_r + pcb_term)

@@ -1,11 +1,11 @@
 """Persistent, content-addressed cache of analysis results.
 
 The WCRT bounds are *deterministic* functions of the analysed
-``(task set, platform, config)`` triple: every kernel variant
-(memoization, bitmasks, batching, warm starts) is pinned bit-identical by
-the differential oracles, and a completed budgeted run equals an
-uncapped one.  That determinism makes durable memoization sound — the
-same canonical-JSON fingerprinting the sweep journal relies on for
+``(task set, platform, config)`` triple: the production and reference
+kernels and warm starts are pinned bit-identical by the differential
+oracles, and a completed budgeted run equals an uncapped one.  That
+determinism makes durable memoization sound — the same canonical-JSON
+fingerprinting the sweep journal relies on for
 bit-identical ``--resume`` (see :mod:`repro.experiments.journal`) keys a
 persistent result cache shared by the service daemon and the sweep
 runner:

@@ -45,6 +45,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.experiments.stateplane import resident_plane
+from repro.experiments.supervisor import exit_with_parent
 from repro.perf import PerfCounters
 from repro.resultcache import hint_from_seed
 from repro.serialization import canonical_json
@@ -221,7 +222,9 @@ class AnalysisPool:
 
     def _new_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=get_context("spawn")
+            max_workers=self.workers,
+            mp_context=get_context("spawn"),
+            initializer=exit_with_parent,
         )
 
     def allowance_for(self, budget_seconds: Optional[float]) -> Optional[float]:

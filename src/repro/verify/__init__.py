@@ -2,7 +2,7 @@
 
 An always-on verification subsystem that hunts for unsoundness in the
 analytical bounds: random adversarial cases are generated, checked against
-a registry of provable oracles (memoization identity, simulation-vs-bound
+a registry of provable oracles (kernel identity, simulation-vs-bound
 soundness, Eq. 10 ground truth, dominance and monotonicity relations),
 and any violation is delta-debugged to a minimal reproducer and persisted
 into a replayable corpus.  See ``docs/VERIFY.md`` for the workflow and

@@ -5,7 +5,7 @@ on.  Three kinds exist, mirroring the three ways the library's bounds can
 be exercised:
 
 * :class:`TasksetCase` — a synthetic task set plus platform and analysis
-  configuration; target of the purely analytical oracles (memoization
+  configuration; target of the purely analytical oracles (kernel
   identity, persistence/perfect dominance, metamorphic monotonicity).
 * :class:`ScenarioCase` — benchmark programs placed on cores, analysed
   *and* executed by the discrete-event simulator; target of the

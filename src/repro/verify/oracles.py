@@ -5,27 +5,19 @@ against ground truth, dominance between configurations, or a metamorphic
 monotonicity relation — so any reported violation is a genuine bug, never
 fuzz noise:
 
-``memo-identity``
-    Epoch-keyed memoization is invisible: ``AnalysisConfig(memoization=
-    True)`` and the brute-force reference path return bit-identical
-    :class:`~repro.analysis.wcrt.WcrtResult`\\ s.
-``bitset-identity``
-    The packed-bitmask cache-set kernel
-    (:class:`~repro.model.interference.InterferenceTable`) and the
-    retained ``frozenset`` reference path return bit-identical results.
-    Flagged ``always_replay``: corpus replay runs it on every task-set
-    entry, including entries recorded before the kernel existed.
+``kernel-identity``
+    The production kernel (fused rows of the packed-bitmask
+    :class:`~repro.model.interference.InterferenceTable`) and the reference
+    kernel (per-term evaluation over ``frozenset`` calculators,
+    :attr:`~repro.analysis.config.AnalysisConfig.reference`) return
+    bit-identical :class:`~repro.analysis.wcrt.WcrtResult`\\ s.  Flagged
+    ``always_replay``: corpus replay runs it on every task-set entry,
+    including entries recorded before it existed.
 ``warm-start-identity``
     Re-analysing the same (task set, platform, config) with warm starts
     enabled returns a result bit-identical to the cold analysis, and the
     warm shortcut actually engages for schedulable sets.  Also
     ``always_replay``.
-``batch-identity``
-    The fused BAT evaluator, reading row slices of the interference
-    table's per-cut rows (:meth:`~repro.model.interference.
-    InterferenceTable.rows`), returns results bit-identical to the
-    per-term evaluation over the same table
-    (``AnalysisConfig(array_kernel=False)``).  Also ``always_replay``.
 ``adjacent-warmstart-identity``
     Seeding an analysis with a :class:`~repro.analysis.wcrt.WarmHint`
     from an adjacent converged analysis returns a result bit-identical
@@ -209,54 +201,35 @@ def _compare_pointwise(
 
 
 @register(
-    "memo-identity",
+    "kernel-identity",
     ("taskset",),
-    "memoized analysis == brute-force reference, bit for bit",
-)
-def _check_memo_identity(case: TasksetCase) -> List[str]:
-    taskset = case.taskset()
-    memoized = analyze_taskset(
-        taskset, case.platform, replace(case.config, memoization=True)
-    )
-    reference = analyze_taskset(
-        taskset, case.platform, replace(case.config, memoization=False)
-    )
-    if memoized != reference:
-        return [
-            "memoized result differs from reference: "
-            f"schedulable {memoized.schedulable} vs {reference.schedulable}, "
-            f"outer {memoized.outer_iterations} vs {reference.outer_iterations}, "
-            f"response times equal: "
-            f"{memoized.response_times == reference.response_times}"
-        ]
-    return []
-
-
-@register(
-    "bitset-identity",
-    ("taskset",),
-    "bitmask cache-set kernel == frozenset reference path, bit for bit",
+    "production kernel == reference kernel, bit for bit",
     always_replay=True,
 )
-def _check_bitset_identity(case: TasksetCase) -> List[str]:
+def _check_kernel_identity(case: TasksetCase) -> List[str]:
     taskset = case.taskset()
-    bitset = analyze_taskset(
-        taskset, case.platform, replace(case.config, bitset_kernel=True)
+    production = analyze_taskset(
+        taskset,
+        case.platform,
+        replace(
+            case.config, memoization=True, bitset_kernel=True, array_kernel=True
+        ),
     )
     reference = analyze_taskset(
         taskset, case.platform, replace(case.config, bitset_kernel=False)
     )
-    if bitset != reference:
+    if production != reference:
         by_priority = _by_priority(reference)
         diffs = [
             f"{task.name!r}: {bound} vs {by_priority.get(task.priority)}"
-            for task, bound in bitset.response_times.items()
+            for task, bound in production.response_times.items()
             if by_priority.get(task.priority) != bound
         ]
         return [
-            "bitmask kernel differs from frozenset reference: "
-            f"schedulable {bitset.schedulable} vs {reference.schedulable}, "
-            f"outer {bitset.outer_iterations} vs {reference.outer_iterations}"
+            "production kernel differs from the reference: "
+            f"schedulable {production.schedulable} vs {reference.schedulable}, "
+            f"outer {production.outer_iterations} vs "
+            f"{reference.outer_iterations}"
             + (f", bounds: {'; '.join(diffs)}" if diffs else "")
         ]
     return []
@@ -289,43 +262,6 @@ def _check_warm_start_identity(case: TasksetCase) -> List[str]:
             "re-verification on identical inputs"
         )
     return messages
-
-
-@register(
-    "batch-identity",
-    ("taskset",),
-    "fused BAT evaluation == per-term evaluation over the same table, "
-    "bit for bit",
-    always_replay=True,
-)
-def _check_batch_identity(case: TasksetCase) -> List[str]:
-    taskset = case.taskset()
-    fused = analyze_taskset(
-        taskset,
-        case.platform,
-        replace(
-            case.config, bitset_kernel=True, array_kernel=True, memoization=True
-        ),
-    )
-    reference = analyze_taskset(
-        taskset,
-        case.platform,
-        replace(case.config, bitset_kernel=True, array_kernel=False),
-    )
-    if fused != reference:
-        by_priority = _by_priority(reference)
-        diffs = [
-            f"{task.name!r}: {bound} vs {by_priority.get(task.priority)}"
-            for task, bound in fused.response_times.items()
-            if by_priority.get(task.priority) != bound
-        ]
-        return [
-            "fused evaluation differs from per-term evaluation: "
-            f"schedulable {fused.schedulable} vs {reference.schedulable}, "
-            f"outer {fused.outer_iterations} vs {reference.outer_iterations}"
-            + (f", bounds: {'; '.join(diffs)}" if diffs else "")
-        ]
-    return []
 
 
 @register(

@@ -49,6 +49,18 @@ def _task(name, priority, core=0, ecbs=(), ucbs=(), pcbs=(), period=1000):
     )
 
 
+def _gamma(table, approach, task_i, task_j):
+    """gamma(i, j) as the production kernel reads it: j's value at i's cut."""
+    cut = table.cut[task_i.priority][task_j.core]
+    return table.gamma_cuts(approach)[task_j.priority][cut]
+
+
+def _evictable(table, approach, task_j, task_i):
+    """Evictable PCBs of j in i's window, read like :func:`_gamma`."""
+    cut = table.cut[task_i.priority][task_j.core]
+    return table.eviction_cuts(approach)[task_j.priority][cut]
+
+
 class TestMaskPacking:
     def test_round_trip_small_indices(self):
         blocks = frozenset({0, 3, 17})
@@ -93,10 +105,9 @@ class TestInterferenceTableEdges:
                 priority: (0, 0, 0, 0) for priority in (1, 2, 3)
             }
         for approach in CproApproach:
-            bitset = CproCalculator(taskset, approach, bitset=True)
-            reference = CproCalculator(taskset, approach, bitset=False)
-            assert bitset.eviction_count(c, a) == reference.eviction_count(c, a)
-            assert bitset.eviction_count(c, a) == 0
+            reference = CproCalculator(taskset, approach)
+            assert _evictable(table, approach, c, a) == 0
+            assert reference.eviction_count(c, a) == 0
 
     def test_pcbs_with_empty_evictors(self):
         # The PCB owner is the only task with any cache footprint: the
@@ -112,10 +123,9 @@ class TestInterferenceTableEdges:
         a, _, c = tasks
         assert table.eviction_cuts(CproApproach.UNION)[3] == (0, 0, 0, 0)
         for approach in CproApproach:
-            bitset = CproCalculator(taskset, approach, bitset=True)
-            reference = CproCalculator(taskset, approach, bitset=False)
-            assert bitset.eviction_count(c, a) == reference.eviction_count(c, a)
-            assert bitset.eviction_count(c, a) == 0
+            reference = CproCalculator(taskset, approach)
+            assert _evictable(table, approach, c, a) == 0
+            assert reference.eviction_count(c, a) == 0
 
     def test_blocks_beyond_word_boundary_match_reference(self):
         # ECB/UCB/PCB indices spread across several 64-bit limbs; the
@@ -133,24 +143,22 @@ class TestInterferenceTableEdges:
         )
         taskset = TaskSet(tasks)
         hi, mid, lo = tasks
+        table = InterferenceTable(taskset)
         for task_j in tasks:
             for task_i in tasks:
                 if task_j is task_i:
                     continue
-                bitset = CproCalculator(taskset, CproApproach.UNION, bitset=True)
-                assert bitset.eviction_count(
-                    task_j, task_i
+                assert _evictable(
+                    table, CproApproach.UNION, task_j, task_i
                 ) == cpro_eviction_count_union(taskset, task_j, task_i)
-                coarse = CproCalculator(
-                    taskset, CproApproach.GLOBAL, bitset=True
-                )
-                assert coarse.eviction_count(
-                    task_j, task_i
+                assert _evictable(
+                    table, CproApproach.GLOBAL, task_j, task_i
                 ) == cpro_eviction_count_global(taskset, task_j, task_i)
-        crpd_bit = CrpdCalculator(taskset, CrpdApproach.ECB_UNION, bitset=True)
-        crpd_ref = CrpdCalculator(taskset, CrpdApproach.ECB_UNION, bitset=False)
-        assert crpd_bit.gamma(lo, hi) == crpd_ref.gamma(lo, hi)
-        assert crpd_bit.gamma(lo, mid) == crpd_ref.gamma(lo, mid)
+        crpd_ref = CrpdCalculator(taskset, CrpdApproach.ECB_UNION)
+        for task_j in (hi, mid):
+            assert _gamma(
+                table, CrpdApproach.ECB_UNION, lo, task_j
+            ) == crpd_ref.gamma(lo, task_j)
 
     def test_single_task_core_has_no_evictors(self):
         # One task per core: hep/evicting unions over "the others" are
@@ -166,7 +174,7 @@ class TestInterferenceTableEdges:
         for approach in CproApproach:
             assert table.eviction_cuts(approach) == {1: (0, 0), 2: (0, 0)}
         for approach in CproApproach:
-            calculator = CproCalculator(taskset, approach, bitset=True)
+            calculator = CproCalculator(taskset, approach)
             assert calculator.eviction_count(solo0, solo0) == 0
             assert calculator.rho(solo0, solo0, 5) == 0
 
@@ -200,7 +208,7 @@ def _pin_multiset_tables(taskset):
     at several windows and job counts with carry-in on and off, must
     equal a per-PCB transcription of the reference bound over the cut's
     evictors, and for every (tau_j, tau_i) pair
-    :func:`cpro_multiset_window` and the bitmask calculator's
+    :func:`cpro_multiset_window` and the reference calculator's
     ``rho_window``.  The CRPD entries of every cut must be the sorted
     nonzero reload costs of the tasks between tau_j and the cut, and for
     every pair exactly :func:`multiset_pair_data`, order included.
@@ -248,7 +256,7 @@ def _pin_multiset_tables(taskset):
                 ]
                 affected.sort(key=lambda entry: entry[0], reverse=True)
                 assert entries[task_j.priority][k] == tuple(affected)
-    cpro_bit = CproCalculator(taskset, CproApproach.MULTISET, bitset=True)
+    cpro_ref = CproCalculator(taskset, CproApproach.MULTISET)
     for task_i in taskset:
         for task_j in taskset:
             k = table.cut[task_i.priority][task_j.core]
@@ -266,18 +274,17 @@ def _pin_multiset_tables(taskset):
                             taskset, task_j, task_i, n_jobs, window, carry_in
                         )
                         assert folded(groups, n_jobs, window, carry_in) == expected
-                        assert cpro_bit.rho_window(
+                        assert cpro_ref.rho_window(
                             task_j, task_i, n_jobs, window, carry_in
                         ) == expected
-    assert not cpro_bit._overlap_cache
 
 
 def _pin_against_reference(taskset, d_mem=7):
     """Every approach pair: table values == ``frozenset`` reference values.
 
     For all 5 x 4 CRPD/CPRO approach pairs and every (tau_i, tau_j) pair
-    the bitmask calculators, which answer from the task set's cut table,
-    must return the ``bitset_kernel=False`` values; the fused rows must
+    the task set's cut table, read at tau_i's cut, must hold the
+    ``frozenset`` calculators' values; the fused rows must
     hold exactly the table's values at every cut of every core, extended
     by the multiset rows and entries for a pair with a multiset side
     (see :func:`_pin_multiset_tables`).
@@ -289,23 +296,20 @@ def _pin_against_reference(taskset, d_mem=7):
     entries = table.crpd_multiset_cuts()
     for crpd in CrpdApproach:
         for cpro in CproApproach:
-            crpd_bit = CrpdCalculator(taskset, crpd, bitset=True)
-            crpd_ref = CrpdCalculator(taskset, crpd, bitset=False)
-            cpro_bit = CproCalculator(taskset, cpro, bitset=True)
-            cpro_ref = CproCalculator(taskset, cpro, bitset=False)
+            crpd_ref = CrpdCalculator(taskset, crpd)
+            cpro_ref = CproCalculator(taskset, cpro)
             for task_i in taskset:
                 for task_j in taskset:
-                    assert crpd_bit.gamma(task_i, task_j) == crpd_ref.gamma(
+                    assert _gamma(table, crpd, task_i, task_j) == crpd_ref.gamma(
                         task_i, task_j
                     ), (crpd, task_i.name, task_j.name)
-                    assert cpro_bit.eviction_count(
-                        task_j, task_i
+                    assert _evictable(
+                        table, cpro, task_j, task_i
                     ) == cpro_ref.eviction_count(task_j, task_i), (
                         cpro,
                         task_j.name,
                         task_i.name,
                     )
-            assert not crpd_bit._cache and not cpro_bit._cache
             gamma = table.gamma_cuts(crpd)
             evictions = table.eviction_cuts(cpro)
             rows = table.rows(crpd, cpro, d_mem)
@@ -441,21 +445,19 @@ class TestCutTableMatchesReference:
 
 
 class TestKernelSelection:
-    def test_shared_calculators_keyed_by_kernel(self):
-        # The two kernels must not share cache state: a bitset calculator
-        # and a reference calculator for the same approach are distinct.
+    def test_shared_calculators_keyed_by_approach(self):
+        # Both kernels read one frozenset calculator per (task set,
+        # approach): the production kernel only its approach, the
+        # reference its values.  Sharing one compiles no table.
         taskset = TaskSet((_task("a", 1, ecbs={1}), _task("b", 2, ecbs={2})))
-        bit = CproCalculator.shared(taskset, CproApproach.UNION, bitset=True)
-        ref = CproCalculator.shared(taskset, CproApproach.UNION, bitset=False)
-        assert bit is not ref
-        assert bit.bitset and not ref.bitset
-        assert bit is CproCalculator.shared(
-            taskset, CproApproach.UNION, bitset=True
+        union = CproCalculator.shared(taskset, CproApproach.UNION)
+        assert union is CproCalculator.shared(taskset, CproApproach.UNION)
+        assert union is not CproCalculator.shared(taskset, CproApproach.GLOBAL)
+        assert union.approach is CproApproach.UNION
+        crpd = CrpdCalculator.shared(taskset, CrpdApproach.ECB_UNION)
+        assert crpd is CrpdCalculator.shared(taskset, CrpdApproach.ECB_UNION)
+        assert crpd is not CrpdCalculator.shared(
+            taskset, CrpdApproach.UCB_ONLY
         )
-        crpd_bit = CrpdCalculator.shared(
-            taskset, CrpdApproach.ECB_UNION, bitset=True
-        )
-        crpd_ref = CrpdCalculator.shared(
-            taskset, CrpdApproach.ECB_UNION, bitset=False
-        )
-        assert crpd_bit is not crpd_ref
+        assert crpd.approach is CrpdApproach.ECB_UNION
+        assert "interference-table" not in taskset._derived

@@ -240,24 +240,22 @@ class TestAbortLeavesCachesSound:
 
     def test_abort_points_are_deterministic_across_kernels(self):
         # The ceiling counts inner iterations — identical across the
-        # memoization/bitset kernel variants — so the same ceiling aborts
-        # with the same partial estimates everywhere.
+        # production and reference kernels — so the same ceiling aborts
+        # with the same partial estimates on both.
         platform = default_platform()
         partials = []
-        for memo in (True, False):
-            for bitset in (True, False):
-                taskset = generate_taskset(random.Random(13), platform, 0.5)
-                config = AnalysisConfig(memoization=memo, bitset_kernel=bitset)
-                with pytest.raises(BudgetExceeded) as info:
-                    analyze_taskset(
-                        taskset,
-                        platform,
-                        config,
-                        budget=Budget(max_iterations=7),
-                    )
-                partials.append(
-                    (info.value.iterations, _canonical(info.value.partial))
+        for config in (AnalysisConfig(), AnalysisConfig(bitset_kernel=False)):
+            taskset = generate_taskset(random.Random(13), platform, 0.5)
+            with pytest.raises(BudgetExceeded) as info:
+                analyze_taskset(
+                    taskset,
+                    platform,
+                    config,
+                    budget=Budget(max_iterations=7),
                 )
+            partials.append(
+                (info.value.iterations, _canonical(info.value.partial))
+            )
         assert len(set(partials)) == 1
 
 

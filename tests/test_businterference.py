@@ -4,6 +4,7 @@ import pytest
 
 from repro.businterference.context import AnalysisContext
 from repro.businterference.requests import (
+    _w_sum_fast_p,
     bao,
     bao_low,
     bas,
@@ -180,6 +181,40 @@ class TestBao:
         taskset, platform, t1, t2, t3 = system
         with pytest.raises(AnalysisError):
             bao(make_ctx(taskset, platform, False), 1, t3, -1)
+
+
+class TestPersistentRemoteTermIsNotMonotone:
+    """Lemma 2's remote term can drop when a remote estimate grows.
+
+    One remote task with period 400, MD 10, MDr 2, |PCB| 3 and gamma 1,
+    ``d_mem`` 10, window 300.  At R_l = 200 the window holds no full job,
+    only a carry-out job charged MD + gamma = 11; at R_l = 210 that job
+    is a full one, charged min(MD, MDr + |PCB|) + gamma = 6.  Both
+    kernels must show the same dip: neither may assume monotonicity.
+    """
+
+    def test_both_kernels_dip_alike(self):
+        remote = make_task("l", 1, core=1, md=10, md_r=2, period=400,
+                           ecbs={1, 2, 3, 5}, pcbs={1, 2, 3})
+        # gamma(k, l) = 1: the intermediate task's one UCB is in l's ECBs.
+        # It has no demand of its own, so it adds nothing to the sum.
+        intermediate = make_task("g", 2, core=1, md=0, period=10000,
+                                 ecbs={5}, ucbs={5})
+        analysed = make_task("k", 3, core=0)
+        taskset = TaskSet([remote, intermediate, analysed])
+        platform = Platform(num_cores=2, d_mem=10)
+        reference = AnalysisContext(
+            taskset=taskset, platform=platform, reference=True
+        )
+        production = AnalysisContext(taskset=taskset, platform=platform)
+        rows = production._rows[1][production._cut[analysed.priority][1]][0]
+        assert reference.crpd.gamma(analysed, remote) == 1
+        assert rows[0][1:6] == (1, 400, 10, 2, 3)  # gamma, T, MD, MDr, |PCB|
+        for r_l, accesses in ((200, 11), (210, 6)):
+            reference.set_response_time(remote, r_l)
+            production.set_response_time(remote, r_l)
+            assert bao(reference, 1, analysed, 300) == accesses
+            assert _w_sum_fast_p(production._est, rows, 300, 10, False) == accesses
 
 
 class TestBaoLow:

@@ -106,15 +106,12 @@ class TestCalculator:
         calc = CrpdCalculator(taskset)
         first = calc.gamma(t3, t1)
         assert calc.gamma(t3, t1) == first
-        # The bitmask kernel answers from the task set's shared cut table:
-        # gamma(t3, t1) is t1's value at t3's cut of core 0.
+        assert len(calc._cache) == 1
+        # The production kernel reads the same value from the task set's
+        # shared cut table: t1's value at t3's cut of core 0.
         table = InterferenceTable.shared(taskset)
         cut = table.cut[t3.priority][t1.core]
         assert table.gamma_cuts(CrpdApproach.ECB_UNION)[t1.priority][cut] == first
-        # The frozenset reference keeps its per-pair cache.
-        reference = CrpdCalculator(taskset, bitset=False)
-        assert reference.gamma(t3, t1) == first
-        assert len(reference._cache) == 1
 
     def test_approach_property(self, three_tasks):
         taskset, _, _, _ = three_tasks

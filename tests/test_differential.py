@@ -1,23 +1,17 @@
 """Differential correctness tests of the analysis-kernel optimisations.
 
-Three optimisations must each be an *invisible* one — for every task set,
-platform and approach combination they have to return results identical to
-their reference path (same verdict, same per-task response times, same
+Each optimisation must be an *invisible* one — for every task set,
+platform and approach combination it has to return results identical to
+its reference path (same verdict, same per-task response times, same
 iteration counts):
 
-* the epoch-keyed memoization of the interference terms (see
-  :class:`repro.businterference.context.AnalysisContext`) versus
-  ``AnalysisConfig(memoization=False)``;
-* the packed-bitmask cache-set kernel (see
-  :class:`repro.model.interference.InterferenceTable`) versus the retained
-  ``frozenset`` algebra (``AnalysisConfig(bitset_kernel=False)``);
+* the production kernel, whose fused evaluator reads the per-cut rows of
+  the packed-bitmask :class:`repro.model.interference.InterferenceTable`,
+  versus the reference kernel, the per-term evaluation over ``frozenset``
+  calculators (``AnalysisConfig(bitset_kernel=False)``, or any other
+  kernel flag off);
 * the warm-started fixed point (re-verifying a previously converged map)
   versus a cold analysis of a fresh task-set object;
-* the fused BAT evaluator over the interference table's per-cut rows
-  (:meth:`repro.model.interference.InterferenceTable.rows`) versus the
-  per-term evaluation over the same table
-  (``AnalysisConfig(array_kernel=False)``), on the multiset approach
-  pairs also versus the ``frozenset`` reference;
 * warm hints (:class:`repro.analysis.wcrt.WarmHint`, the service's
   persisted seeds) versus hint-free cold runs, and sensitivity bisections
   with warm starts versus without;
@@ -31,12 +25,12 @@ iteration counts):
   (``REPRO_STATE_PLANE_CAP=0``).
 
 This file pins them down over broad randomized samples; the fuzzing
-counterparts are the ``memo-identity`` / ``bitset-identity`` /
-``warm-start-identity`` / ``batch-identity`` /
+counterparts are the ``kernel-identity`` / ``warm-start-identity`` /
 ``adjacent-warmstart-identity`` / ``resident-plane-identity`` oracles of
 :mod:`repro.verify.oracles`.
 """
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -71,17 +65,67 @@ SAMPLE_GRID = tuple(
 
 
 def _compare(taskset, platform, config):
-    memoized = analyze_taskset(taskset, platform, config)
+    """Production kernel vs reference kernel, bit for bit."""
+    production = analyze_taskset(taskset, platform, config)
     reference = analyze_taskset(
-        taskset, platform, replace(config, memoization=False)
+        taskset, platform, replace(config, bitset_kernel=False)
     )
     # WcrtResult equality covers verdict, per-task response times, failing
-    # task and outer iteration count (perf counters are excluded).
-    assert memoized == reference
-    return memoized
+    # task and outer iteration count (perf counters are excluded); both
+    # kernels share the fixed-point loops, so the inner iterations agree too.
+    assert production == reference
+    assert production.perf.inner_iterations == reference.perf.inner_iterations
+    return production
 
 
-class TestMemoizationIsInvisible:
+def _small_platform():
+    """The default platform shrunk to 64 cache sets.
+
+    Every mask of a 64-set cache fits one machine word, so the grid over
+    this platform keeps the kernels honest where block sets overlap far
+    more than on the paper's 256 sets.
+    """
+    base = default_platform()
+    return replace(base, cache=CacheGeometry(num_sets=64, block_size=32))
+
+
+#: The approach pairs with a multiset side: the fused evaluator folds
+#: their multiset CRPD entries and CPRO overlap rows.
+MULTISET_PAIRS = tuple(
+    (crpd, cpro)
+    for crpd in CrpdApproach
+    for cpro in CproApproach
+    if crpd is CrpdApproach.ECB_UNION_MULTISET or cpro is CproApproach.MULTISET
+)
+
+#: Analysis flag sets of the multiset grid: the persistence-aware and
+#: baseline bounds, and the two opt-in tightenings/corrections.
+MULTISET_FLAGS = (
+    {},
+    {"persistence": False},
+    {"persistence_in_low": True},
+    {"tdma_slot_alignment": True},
+)
+
+
+#: The configuration flags that select the kernel: any one off selects
+#: the reference (see :attr:`AnalysisConfig.reference`).
+KERNEL_FLAGS = ("memoization", "bitset_kernel", "array_kernel")
+
+
+def _flags_id(flags):
+    """Test id of one on/off combination of :data:`KERNEL_FLAGS`."""
+    off = [name for name, on in zip(KERNEL_FLAGS, flags) if not on]
+    return "+".join(off) + "-off" if off else "all-on"
+
+
+#: First seeds of the task-set draws of the approach-combination grid.
+COMBINATION_DRAWS = (100, 400, 800)
+
+
+class TestKernelIsInvisible:
+    """Production kernel == reference kernel on every input."""
+
     @pytest.mark.parametrize("seed,utilization", SAMPLE_GRID)
     def test_default_analysis_identical(self, seed, utilization):
         base = default_platform()
@@ -89,14 +133,15 @@ class TestMemoizationIsInvisible:
         for policy in BusPolicy:
             _compare(taskset, base.with_bus_policy(policy), AnalysisConfig())
 
+    @pytest.mark.parametrize("first_seed", COMBINATION_DRAWS)
     @pytest.mark.parametrize("crpd", list(CrpdApproach))
     @pytest.mark.parametrize("cpro", list(CproApproach))
-    def test_every_crpd_cpro_combination_identical(self, crpd, cpro):
+    def test_every_crpd_cpro_combination_identical(self, crpd, cpro, first_seed):
         base = default_platform()
         config = AnalysisConfig(crpd_approach=crpd, cpro_approach=cpro)
         for seed in range(4):
             taskset = generate_taskset(
-                random.Random(100 + seed), base, 0.4 + 0.1 * seed
+                random.Random(first_seed + seed), base, 0.4 + 0.1 * seed
             )
             for policy in (BusPolicy.FP, BusPolicy.RR):
                 _compare(taskset, base.with_bus_policy(policy), config)
@@ -135,51 +180,114 @@ class TestMemoizationIsInvisible:
         ]
         assert first == second
 
-
-def _compare_bitset(taskset, platform, config):
-    bitset = analyze_taskset(
-        taskset, platform, replace(config, bitset_kernel=True)
-    )
-    reference = analyze_taskset(
-        taskset, platform, replace(config, bitset_kernel=False)
-    )
-    assert bitset == reference
-    return bitset
-
-
-class TestBitsetKernelIsInvisible:
-    @pytest.mark.parametrize("seed,utilization", SAMPLE_GRID[::3])
-    def test_default_analysis_identical(self, seed, utilization):
-        base = default_platform()
-        taskset = generate_taskset(random.Random(seed), base, utilization)
+    @pytest.mark.parametrize("seed,utilization", SAMPLE_GRID[::2])
+    def test_small_platform_identical(self, seed, utilization):
+        small = _small_platform()
+        taskset = generate_taskset(random.Random(seed), small, utilization)
         for policy in BusPolicy:
-            _compare_bitset(
-                taskset, base.with_bus_policy(policy), AnalysisConfig()
-            )
+            _compare(taskset, small.with_bus_policy(policy), AnalysisConfig())
 
-    @pytest.mark.parametrize("crpd", list(CrpdApproach))
-    @pytest.mark.parametrize("cpro", list(CproApproach))
-    def test_every_crpd_cpro_combination_identical(self, crpd, cpro):
-        base = default_platform()
-        config = AnalysisConfig(crpd_approach=crpd, cpro_approach=cpro)
-        for seed in range(3):
-            taskset = generate_taskset(
-                random.Random(400 + seed), base, 0.35 + 0.15 * seed
-            )
-            for policy in (BusPolicy.FP, BusPolicy.RR):
-                _compare_bitset(taskset, base.with_bus_policy(policy), config)
+    @pytest.mark.parametrize(
+        "num_sets", (64, 16, 256), ids=lambda sets: f"{sets}sets"
+    )
+    @pytest.mark.parametrize(
+        "index,pair",
+        list(enumerate(MULTISET_PAIRS)),
+        ids=[f"{crpd.value}+{cpro.value}" for crpd, cpro in MULTISET_PAIRS],
+    )
+    def test_multiset_pairs_identical(self, index, pair, num_sets):
+        # Every approach pair with a multiset side under every bus policy,
+        # flag set and cache size: overlap-heavy small caches make the
+        # multiset folds bind, the paper's 256 sets leave them slack.
+        crpd, cpro = pair
+        base = replace(
+            default_platform(),
+            cache=CacheGeometry(num_sets=num_sets, block_size=32),
+        )
+        taskset = generate_taskset(random.Random(1300 + index), base, 0.45)
+        for policy in BusPolicy:
+            for flags in MULTISET_FLAGS:
+                config = AnalysisConfig(
+                    crpd_approach=crpd, cpro_approach=cpro, warm_start=False,
+                    **flags,
+                )
+                _compare(taskset, base.with_bus_policy(policy), config)
 
-    def test_reference_path_never_builds_a_table(self):
+    def test_platform_core_without_tasks(self):
+        # A three-core platform whose middle core holds no task: the fused
+        # FP/RR evaluators find no rows for it and must agree with the
+        # reference, which sums an empty core to zero.
+        tasks = []
+        for index in range(6):
+            period = 40000 + 9000 * index
+            ecbs = frozenset(range(10 * index, 10 * index + 30))
+            tasks.append(
+                Task(
+                    name=f"t{index}",
+                    pd=300 + 50 * index,
+                    md=20 + index,
+                    md_r=8,
+                    period=period,
+                    deadline=period,
+                    priority=index + 1,
+                    core=(0, 2)[index % 2],
+                    ecbs=ecbs,
+                    ucbs=frozenset(sorted(ecbs)[::3]),
+                    pcbs=frozenset(sorted(ecbs)[1::4]),
+                )
+            )
+        taskset = TaskSet(tasks)
+        platform = replace(default_platform(), num_cores=3)
+        for policy in BusPolicy:
+            for persistence in (True, False):
+                _compare(
+                    taskset,
+                    platform.with_bus_policy(policy),
+                    AnalysisConfig(persistence=persistence),
+                )
+
+    def test_prefill_batch_compiles_each_taskset_once(self):
+        small = _small_platform()
+        config = AnalysisConfig()
+        tasksets = [
+            generate_taskset(random.Random(seed), small, 0.4)
+            for seed in (900, 901)
+        ]
+        perf = PerfCounters()
+        compiled = prefill_batch(
+            tasksets, config.crpd_approach, config.cpro_approach, perf=perf
+        )
+        assert compiled == 2
+        assert perf.batch_analyses == 2
+        assert perf.bitset_table_builds == 2
+        again = prefill_batch(
+            tasksets, config.crpd_approach, config.cpro_approach, perf=perf
+        )
+        assert again == 0
+        assert perf.batch_analyses == 2
+        # An analysis of a compiled task set compiles nothing further.
+        result = analyze_taskset(tasksets[0], small, config)
+        assert result.perf.batch_analyses == 0
+        assert result.perf.bitset_table_builds == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        list(itertools.product((True, False), repeat=len(KERNEL_FLAGS))),
+        ids=_flags_id,
+    )
+    def test_any_kernel_flag_off_selects_the_reference(self, flags):
+        # Every combination of the three kernel flags: one off is enough
+        # to select the reference, which builds no table; all on is the
+        # production kernel, which builds one.  Both give one result.
+        config = AnalysisConfig(**dict(zip(KERNEL_FLAGS, flags)))
+        assert config.reference is not all(flags)
         base = default_platform()
         taskset = generate_taskset(random.Random(500), base, 0.4)
-        result = analyze_taskset(
-            taskset, base, AnalysisConfig(bitset_kernel=False)
-        )
-        assert result.perf.bitset_table_builds == 0
-        result = analyze_taskset(
-            taskset, base, AnalysisConfig(bitset_kernel=True)
-        )
-        assert result.perf.bitset_table_builds == 1
+        result = analyze_taskset(taskset, base, config)
+        built = "interference-table" in taskset._derived
+        assert built is not config.reference
+        assert result.perf.bitset_table_builds == int(built)
+        assert result == analyze_taskset(taskset, base, AnalysisConfig())
 
 
 class TestBudgetIsInvisible:
@@ -277,196 +385,6 @@ class TestWarmStartIsInvisible:
         assert second == first
         assert second.perf.warm_starts == 0
         assert second.perf.outer_iterations == first.perf.outer_iterations
-
-
-def _small_platform():
-    """The default platform shrunk to 64 cache sets.
-
-    Every mask of a 64-set cache fits one machine word, so the grid over
-    this platform keeps the kernels honest where block sets overlap far
-    more than on the paper's 256 sets.
-    """
-    base = default_platform()
-    return replace(base, cache=CacheGeometry(num_sets=64, block_size=32))
-
-
-def _compare_batch(taskset, platform, config):
-    """Fused evaluation vs per-term evaluation over one table, bit for bit."""
-    batched_config = replace(config, bitset_kernel=True, array_kernel=True)
-    prefill_batch(
-        (taskset,),
-        batched_config.crpd_approach,
-        batched_config.cpro_approach,
-    )
-    batched = analyze_taskset(taskset, platform, batched_config)
-    reference = analyze_taskset(
-        taskset, platform, replace(config, array_kernel=False)
-    )
-    assert batched == reference
-    return batched
-
-
-class TestBatchKernelIsInvisible:
-    @pytest.mark.parametrize("seed,utilization", SAMPLE_GRID[::3])
-    def test_default_analysis_identical(self, seed, utilization):
-        base = default_platform()
-        taskset = generate_taskset(random.Random(seed), base, utilization)
-        for policy in BusPolicy:
-            _compare_batch(
-                taskset, base.with_bus_policy(policy), AnalysisConfig()
-            )
-
-    @pytest.mark.parametrize("crpd", list(CrpdApproach))
-    @pytest.mark.parametrize("cpro", list(CproApproach))
-    def test_every_crpd_cpro_combination_identical(self, crpd, cpro):
-        base = default_platform()
-        config = AnalysisConfig(crpd_approach=crpd, cpro_approach=cpro)
-        for seed in range(3):
-            taskset = generate_taskset(
-                random.Random(800 + seed), base, 0.35 + 0.15 * seed
-            )
-            for policy in (BusPolicy.FP, BusPolicy.RR):
-                _compare_batch(taskset, base.with_bus_policy(policy), config)
-
-    @pytest.mark.parametrize("seed,utilization", SAMPLE_GRID[::4])
-    def test_small_platform_identical(self, seed, utilization):
-        small = _small_platform()
-        taskset = generate_taskset(random.Random(seed), small, utilization)
-        for policy in BusPolicy:
-            _compare_batch(
-                taskset, small.with_bus_policy(policy), AnalysisConfig()
-            )
-
-    def test_prefill_batch_compiles_each_taskset_once(self):
-        small = _small_platform()
-        config = AnalysisConfig()
-        tasksets = [
-            generate_taskset(random.Random(seed), small, 0.4)
-            for seed in (900, 901)
-        ]
-        perf = PerfCounters()
-        compiled = prefill_batch(
-            tasksets, config.crpd_approach, config.cpro_approach, perf=perf
-        )
-        assert compiled == 2
-        assert perf.batch_analyses == 2
-        assert perf.bitset_table_builds == 2
-        assert perf.array_kernel_batches == 0
-        again = prefill_batch(
-            tasksets, config.crpd_approach, config.cpro_approach, perf=perf
-        )
-        assert again == 0
-        assert perf.batch_analyses == 2
-        # An analysis of a compiled task set compiles nothing further.
-        result = analyze_taskset(tasksets[0], small, config)
-        assert result.perf.batch_analyses == 0
-        assert result.perf.bitset_table_builds == 0
-
-    def test_platform_core_without_tasks(self):
-        # A three-core platform whose middle core holds no task: the fused
-        # FP/RR evaluators find no rows for it and must agree with the
-        # per-term path, which sums an empty core to zero, and with the
-        # frozenset reference.
-        tasks = []
-        for index in range(6):
-            period = 40000 + 9000 * index
-            ecbs = frozenset(range(10 * index, 10 * index + 30))
-            tasks.append(
-                Task(
-                    name=f"t{index}",
-                    pd=300 + 50 * index,
-                    md=20 + index,
-                    md_r=8,
-                    period=period,
-                    deadline=period,
-                    priority=index + 1,
-                    core=(0, 2)[index % 2],
-                    ecbs=ecbs,
-                    ucbs=frozenset(sorted(ecbs)[::3]),
-                    pcbs=frozenset(sorted(ecbs)[1::4]),
-                )
-            )
-        taskset = TaskSet(tasks)
-        platform = replace(default_platform(), num_cores=3)
-        for policy in BusPolicy:
-            for persistence in (True, False):
-                config = AnalysisConfig(persistence=persistence)
-                fused = _compare_batch(
-                    taskset, platform.with_bus_policy(policy), config
-                )
-                reference = analyze_taskset(
-                    taskset,
-                    platform.with_bus_policy(policy),
-                    replace(config, bitset_kernel=False, memoization=False),
-                )
-                assert fused == reference
-
-
-#: The approach pairs with a multiset side: the fused evaluator folds
-#: their multiset CRPD entries and CPRO overlap rows.
-MULTISET_PAIRS = tuple(
-    (crpd, cpro)
-    for crpd in CrpdApproach
-    for cpro in CproApproach
-    if crpd is CrpdApproach.ECB_UNION_MULTISET or cpro is CproApproach.MULTISET
-)
-
-#: Analysis flag sets of the multiset grid: the persistence-aware and
-#: baseline bounds, and the two opt-in tightenings/corrections.
-MULTISET_FLAGS = (
-    {},
-    {"persistence": False},
-    {"persistence_in_low": True},
-    {"tdma_slot_alignment": True},
-)
-
-
-class TestFusedMultisetIsInvisible:
-    """The fused evaluator on multiset pairs == per-term == ``frozenset``.
-
-    Every approach pair with a multiset side under every bus policy and
-    flag set: the fused run, the per-term run over the same table
-    (``array_kernel=False``) and the reference kernel return equal
-    results with equal iteration counts, and the fused run makes no memo
-    probe.  Cache sizes rotate through 64, 16 and 256 sets across the
-    pairs: overlap-heavy small caches make the multiset folds bind.
-    """
-
-    @pytest.mark.parametrize(
-        "index,pair",
-        list(enumerate(MULTISET_PAIRS)),
-        ids=[f"{crpd.value}+{cpro.value}" for crpd, cpro in MULTISET_PAIRS],
-    )
-    def test_fused_matches_per_term_and_reference(self, index, pair):
-        crpd, cpro = pair
-        base = replace(
-            default_platform(),
-            cache=CacheGeometry(num_sets=(64, 16, 256)[index % 3], block_size=32),
-        )
-        taskset = generate_taskset(random.Random(1300 + index), base, 0.45)
-        for policy in BusPolicy:
-            platform = base.with_bus_policy(policy)
-            for flags in MULTISET_FLAGS:
-                config = AnalysisConfig(
-                    crpd_approach=crpd, cpro_approach=cpro, warm_start=False,
-                    **flags,
-                )
-                fused = analyze_taskset(taskset, platform, config)
-                per_term = analyze_taskset(
-                    taskset, platform, replace(config, array_kernel=False)
-                )
-                reference = analyze_taskset(
-                    taskset,
-                    platform,
-                    replace(config, bitset_kernel=False, memoization=False),
-                )
-                assert fused == per_term == reference, (policy, flags)
-                assert (
-                    fused.perf.inner_iterations
-                    == per_term.perf.inner_iterations
-                    == reference.perf.inner_iterations
-                )
-                assert fused.perf.memo_hits + fused.perf.memo_misses == 0
 
 
 class TestAdjacentWarmStartIsInvisible:

@@ -1,11 +1,12 @@
 """Tests of the :mod:`repro.perf` counters and their kernel integration."""
 
+import dataclasses
 import random
 from dataclasses import replace
 
 import pytest
 
-from repro.analysis.config import PERSISTENCE_AWARE
+from repro.analysis.config import PERSISTENCE_AWARE, AnalysisConfig
 from repro.analysis.wcrt import analyze_taskset
 from repro.experiments.config import default_platform
 from repro.generation.taskset_gen import generate_taskset
@@ -27,21 +28,18 @@ class TestPerfCounters:
     def test_fresh_counters_are_zero(self):
         counters = PerfCounters()
         assert counters.analyses == 0
-        assert counters.memo_hits == 0
-        assert counters.memo_misses == 0
-        assert counters.hit_ratio == 0.0
         assert counters.phase_seconds == {}
 
     def test_merge_accumulates(self):
-        a = PerfCounters(analyses=1, bao_hits=3, bao_misses=2)
+        a = PerfCounters(analyses=1, warm_starts=3, dominance_skips=2)
         a.phase_seconds["analysis"] = 0.5
-        b = PerfCounters(analyses=2, bao_hits=1, inner_iterations=7)
+        b = PerfCounters(analyses=2, warm_starts=1, inner_iterations=7)
         b.phase_seconds["analysis"] = 0.25
         b.phase_seconds["generation"] = 0.1
         a.merge(b)
         assert a.analyses == 3
-        assert a.bao_hits == 4
-        assert a.bao_misses == 2
+        assert a.warm_starts == 4
+        assert a.dominance_skips == 2
         assert a.inner_iterations == 7
         assert a.phase_seconds["analysis"] == 0.75
         assert a.phase_seconds["generation"] == 0.1
@@ -89,7 +87,7 @@ class TestPerfCounters:
         assert aggregate.chunks_stolen == 1
 
     def test_reset_zeroes_everything(self):
-        counters = PerfCounters(analyses=5, bao_hits=2, outer_iterations=9)
+        counters = PerfCounters(analyses=5, warm_starts=2, outer_iterations=9)
         counters.phase_seconds["analysis"] = 1.0
         counters.reset()
         assert counters == PerfCounters()
@@ -104,39 +102,27 @@ class TestPerfCounters:
         assert set(counters.phase_seconds) == {"busy"}
 
     def test_render_mentions_all_sections(self):
-        counters = PerfCounters(analyses=1, bao_hits=10, bao_misses=30)
+        counters = PerfCounters(
+            analyses=1, result_cache_hits=10, result_cache_misses=30
+        )
         counters.phase_seconds["analysis"] = 0.125
         text = counters.render()
         assert "analyses" in text
-        assert "bao" in text and "crpd-window" in text
+        assert "result cache" in text
         assert "25.0%" in text  # 10 hits / 40 lookups
         assert "analysis" in text
 
 
 class TestKernelIntegration:
-    def test_converged_analysis_reports_memo_hits(self):
+    def test_analysis_reports_its_iterations(self):
         taskset, platform = _taskset()
-        # The fused array kernel bypasses the per-term memo caches, so pin
-        # the configuration where the memo subsystem is active.
-        config = replace(PERSISTENCE_AWARE, array_kernel=False)
-        result = analyze_taskset(taskset, platform, config)
+        result = analyze_taskset(taskset, platform, PERSISTENCE_AWARE)
         perf = result.perf
         assert perf is not None
         assert perf.analyses == 1
         assert perf.outer_iterations == result.outer_iterations
         assert perf.inner_iterations > 0
-        # The outer loop replays converged windows, so the epoch-keyed
-        # caches must see some reuse.
-        assert perf.memo_hits > 0
         assert perf.phase_seconds.get("analysis", 0.0) > 0.0
-
-    def test_disabled_memoization_reports_zero_hits(self):
-        taskset, platform = _taskset()
-        reference = replace(PERSISTENCE_AWARE, memoization=False)
-        perf = analyze_taskset(taskset, platform, reference).perf
-        assert perf.memo_hits == 0
-        assert perf.memo_misses == 0
-        assert perf.inner_iterations > 0
 
     def test_counters_reset_between_analyses(self):
         taskset, platform = _taskset()
@@ -158,10 +144,10 @@ class TestKernelIntegration:
 class TestGlobalCounters:
     def test_merge_global_and_reset(self):
         reset_global_counters()
-        merge_global(PerfCounters(analyses=4, bao_hits=1))
+        merge_global(PerfCounters(analyses=4, warm_starts=1))
         merge_global(None)  # no-op
         assert global_counters().analyses == 4
-        assert global_counters().bao_hits == 1
+        assert global_counters().warm_starts == 1
         reset_global_counters()
         assert global_counters().analyses == 0
 
@@ -169,9 +155,39 @@ class TestGlobalCounters:
 class TestNamesTheBenchmarkHarnessReads:
     """``perfbench/`` patches or reads these names on every run.
 
-    The lockstep engine they belonged to is gone; each stays as a binding
-    with the same behaviour the harness measured through it.
+    The lockstep engine and the memo caches they belonged to are gone;
+    each stays as a binding with the same behaviour the harness measured
+    through it.  The configuration names come from ``perfbench.metrics``
+    itself, so the harness's correctness check stays a real comparison.
     """
+
+    def test_reference_off_selects_the_table_free_reference(self):
+        from perfbench.metrics import REFERENCE_OFF
+
+        config = replace(PERSISTENCE_AWARE, **REFERENCE_OFF)
+        assert config.reference
+        assert not PERSISTENCE_AWARE.reference
+        taskset, platform = _taskset(seed=5)
+        result = analyze_taskset(taskset, platform, config)
+        assert result.perf.bitset_table_builds == 0
+        assert "interference-table" not in taskset._derived
+
+    def test_every_ablation_is_a_config_field_but_the_state_plane(self):
+        from perfbench.metrics import ABLATIONS
+
+        fields = {field.name for field in dataclasses.fields(AnalysisConfig)}
+        assert set(ABLATIONS) - fields == {"state_plane"}
+        for name in set(ABLATIONS) & fields:
+            assert getattr(replace(PERSISTENCE_AWARE, **{name: False}), name) is False
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_memo_counters_read_zero_on_both_kernels(self, reference):
+        taskset, platform = _taskset()
+        config = replace(PERSISTENCE_AWARE, bitset_kernel=not reference)
+        assert config.reference is reference
+        perf = analyze_taskset(taskset, platform, config).perf
+        assert perf.inner_iterations > 0
+        assert (perf.memo_hits, perf.memo_misses) == (0, 0)
 
     def test_make_bat_is_bound_where_the_tracer_patches_it(self):
         from repro.analysis import lockstep, wcrt

@@ -735,14 +735,28 @@ class TestOverloadControl:
     def test_batch_priority_is_shed_first(self, envelope):
         gate = threading.Event()
         release = threading.Event()
+        lock = threading.Lock()
+        blocked = []
 
         def blocking(document):
-            gate.set()
-            release.wait(timeout=30)
+            # Only the two admitted requests block (``gate`` opens once
+            # both are in the pool), so the interactive probe at the end
+            # returns at once.
+            with lock:
+                block = len(blocked) < 2
+                if block:
+                    blocked.append(document)
+                    if len(blocked) == 2:
+                        gate.set()
+            if block:
+                release.wait(timeout=30)
             return service_worker(document)
 
-        # batch_cap defaults to max_in_flight // 2 = 2.
-        service = make_service(pool=StubPool(blocking), max_in_flight=4)
+        # batch_cap defaults to max_in_flight // 2 = 2.  Without coalescing
+        # each admitted request makes its own pool call.
+        service = make_service(
+            pool=StubPool(blocking), max_in_flight=4, coalesce=False
+        )
         results = {}
         workers = [
             threading.Thread(

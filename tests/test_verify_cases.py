@@ -131,7 +131,7 @@ class TestCorpusEntries:
 
     def test_save_is_idempotent(self, tmp_path):
         case = generate_case("taskset", random.Random(6))
-        entry = CorpusEntry(case=case, oracles=("memo-identity",))
+        entry = CorpusEntry(case=case, oracles=("kernel-identity",))
         first = save_entry(entry, tmp_path)
         second = save_entry(entry, tmp_path)
         assert first == second

@@ -7,6 +7,8 @@ unsoundness (dropping the ``|PCB|`` term from Eq. 10) the campaign both
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +82,7 @@ class TestOracleRegistry:
     def test_expected_oracles_registered(self):
         names = oracle_names()
         for expected in (
-            "memo-identity",
+            "kernel-identity",
             "persistence-tightens",
             "perfect-dominance",
             "mono-period-shrink",
@@ -91,6 +93,13 @@ class TestOracleRegistry:
         ):
             assert expected in names
 
+    def test_verify_doc_lists_every_registered_oracle(self):
+        doc = Path(__file__).resolve().parent.parent / "docs" / "VERIFY.md"
+        section = doc.read_text().split("## Oracle registry", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `([a-z0-9-]+)` \|", section, re.MULTILINE)
+        assert sorted(listed) == list(oracle_names())
+
     def test_every_kind_has_oracles(self):
         for kind in CASE_KINDS:
             assert applicable_oracles(kind)
@@ -98,7 +107,7 @@ class TestOracleRegistry:
     def test_run_oracles_rejects_kind_mismatch(self):
         case = generate_case("demand", random.Random(0))
         with pytest.raises(ValueError):
-            run_oracles(case, names=["memo-identity"])
+            run_oracles(case, names=["kernel-identity"])
 
     def test_unknown_oracle_rejected(self):
         with pytest.raises(KeyError):
