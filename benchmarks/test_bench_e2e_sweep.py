@@ -16,9 +16,9 @@ The three variants deliberately gate the three production regimes:
   *resident-replay* regime.  The process-global
   :class:`~repro.experiments.stateplane.StatePlane` survives between
   rounds, so round one pays the full cold pipeline while later rounds
-  replay resident task sets through the (strictly re-verified,
-  bit-identical) warm-start path — exactly what a resident sweep worker
-  or ``repro.service.pool`` worker sees on repeat analyses.  The median
+  replay resident task sets through the (re-verified, bit-identical)
+  warm-start path — exactly what a resident sweep worker sees on repeat
+  analyses.  The median
   of three rounds therefore sits on the warm side; a regression here
   means the residency or warm-replay layers broke.
 * ``test_bench_e2e_fig2_sweep_jobs2`` measures the *cold parallel*

@@ -5,11 +5,11 @@ full admission / fingerprint / cache / breaker path — against an
 in-process worker pool, so the numbers isolate the service core from
 process-spawn and HTTP costs:
 
-* **cold** — every round starts with no trace of the task set: its
-  result-cache entry and persisted warm seed are invalidated and the
-  in-process worker's resident state plane is reset, so the request is
-  fingerprinted, analysed from scratch (no warm start of any kind,
-  asserted per round) and written back to disk;
+* **cold** — every round starts with the task set's result-cache entry
+  invalidated.  The worker analyses the task set it parsed from the
+  request, so nothing else can replay the previous round: the request is
+  fingerprinted, analysed from scratch (no warm start, asserted per
+  round) and written back to disk;
 * **warm** — the entry is primed once and every round is a durable cache
   hit: fingerprint, disk read, checksum re-validation, id rewrite.
 
@@ -27,7 +27,6 @@ import random
 import pytest
 
 from repro.experiments import default_platform
-from repro.experiments.stateplane import reset_resident_plane
 from repro.generation import generate_taskset
 from repro.resultcache import request_fingerprint
 from repro.serialization import taskset_to_json
@@ -76,26 +75,19 @@ def test_bench_service_cache_cold(benchmark, service, document):
     warm = []
 
     def cold():
-        perf = service.perf
-        before = (perf.warm_starts, perf.adjacent_warm_starts)
+        before = service.perf.warm_starts
         status, body = service.handle(document)
         assert status == 200 and body["status"] == "ok"
         assert "cache" not in body  # every round really computed
-        warm.append(
-            (perf.warm_starts - before[0], perf.adjacent_warm_starts - before[1])
-        )
+        warm.append(service.perf.warm_starts - before)
 
     def forget():
-        # Drop every trace of the previous round: the result-cache entry,
-        # the persisted warm seed (an adjacent hint) and the worker's
-        # resident task set with its warm-start seeds and compiled tables.
+        # Drop the previous round's result-cache entry, the only replay.
         # (pedantic setup must return None, not invalidate's bool)
         service.cache.invalidate(fingerprint)
-        service.seeds.invalidate(fingerprint)
-        reset_resident_plane()
 
     benchmark.pedantic(cold, setup=forget, rounds=10, iterations=1)
-    assert warm == [(0, 0)] * 10
+    assert warm == [0] * 10
 
 
 def test_bench_service_cache_warm(benchmark, service, document):

@@ -229,7 +229,7 @@ def breaker_scenario(url, envelope):
     expect(stats["breaker"]["trips"] >= 1, "stats record the breaker trip")
 
 
-def cache_scenario(url, envelope):
+def cache_scenario(url, envelope, cache_dir):
     """Repeat request hits the durable cache; /stats reports the counters."""
     status, cold = http(
         "POST", f"{url}/analyze", {"id": "cache-cold", "taskset": envelope}
@@ -275,8 +275,12 @@ def cache_scenario(url, envelope):
         f"/stats exposes entry and byte totals ({cache['entries']} entries)",
     )
     expect(
-        cache.get("seeds", {}).get("entries", 0) >= 0,
-        "/stats exposes the warm-seed store",
+        "seeds" not in cache,
+        "/stats reports no warm-seed store (the result cache is the only replay)",
+    )
+    expect(
+        not os.path.exists(os.path.join(cache_dir, "seeds")),
+        "the cache directory holds no seeds/ subtree",
     )
 
 
@@ -321,7 +325,7 @@ def main():
         status, body = http("GET", f"{url}/healthz")
         expect(status == 200 and body["status"] == "ok", "daemon is live")
         budget_scenario(url, envelope)
-        cache_scenario(url, envelope)
+        cache_scenario(url, envelope, cache_dir)
         breaker_scenario(url, envelope)
         drain_scenario(process, url, envelope)
     finally:

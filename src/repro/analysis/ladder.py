@@ -50,7 +50,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import (
-    WarmHint,
     WcrtResult,
     _make_context,
     _task_fixed_point,
@@ -150,7 +149,6 @@ class AnalysisLadder:
         config: AnalysisConfig = AnalysisConfig(),
         budget: Optional[Budget] = None,
         perf: Optional[PerfCounters] = None,
-        warm_hint: Optional[WarmHint] = None,
     ) -> LadderResult:
         """Descend the ladder until a tier completes.
 
@@ -194,9 +192,6 @@ class AnalysisLadder:
                         tier_config,
                         perf=perf,
                         budget=slice_budget,
-                        warm_hint=(
-                            warm_hint if tier.name == TIER_EXACT else None
-                        ),
                     )
             except Cancelled:
                 raise
@@ -219,11 +214,10 @@ def run_ladder(
     config: AnalysisConfig = AnalysisConfig(),
     budget: Optional[Budget] = None,
     perf: Optional[PerfCounters] = None,
-    warm_hint: Optional[WarmHint] = None,
 ) -> LadderResult:
     """Convenience wrapper: run the default ladder once."""
     return AnalysisLadder().run(
-        taskset, platform, config, budget=budget, perf=perf, warm_hint=warm_hint
+        taskset, platform, config, budget=budget, perf=perf
     )
 
 

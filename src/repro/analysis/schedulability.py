@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.wcrt import WarmHint, WcrtResult, analyze_taskset
+from repro.analysis.wcrt import WcrtResult, analyze_taskset
 from repro.budget import Budget
 from repro.errors import ModelError
 from repro.perf import PerfCounters
@@ -53,7 +53,6 @@ def _analyze(
     config: AnalysisConfig,
     perf: Optional[PerfCounters],
     budget: Optional[Budget],
-    warm_hint: Optional[WarmHint],
     result_cache: Optional[ResultCache],
 ) -> WcrtResult:
     """Run (or durably recall) one WCRT analysis.
@@ -67,10 +66,7 @@ def _analyze(
     partials never land in the cache.
     """
     if result_cache is None:
-        return analyze_taskset(
-            taskset, platform, config, perf=perf, budget=budget,
-            warm_hint=warm_hint,
-        )
+        return analyze_taskset(taskset, platform, config, perf=perf, budget=budget)
     fingerprint = request_fingerprint(taskset, platform, config)
     payload = result_cache.get(fingerprint, perf=perf)
     if payload is not None:
@@ -81,10 +77,7 @@ def _analyze(
             # set (possible only under fingerprint collision or a foreign
             # file renamed into place): drop it and recompute.
             result_cache.invalidate(fingerprint)
-    result = analyze_taskset(
-        taskset, platform, config, perf=perf, budget=budget,
-        warm_hint=warm_hint,
-    )
+    result = analyze_taskset(taskset, platform, config, perf=perf, budget=budget)
     result_cache.put(fingerprint, result_payload(result), perf=perf)
     return result
 
@@ -95,7 +88,6 @@ def check_schedulability(
     config: AnalysisConfig = AnalysisConfig(),
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    warm_hint: Optional[WarmHint] = None,
     result_cache: Optional[ResultCache] = None,
 ) -> SchedulabilityVerdict:
     """Full schedulability verdict with the underlying WCRT result.
@@ -107,9 +99,7 @@ def check_schedulability(
     :func:`repro.analysis.wcrt.analyze_taskset`), so re-checking a verdict
     is much cheaper than the first check — and bit-identical to it.
     ``budget`` threads a :class:`~repro.budget.Budget` through the WCRT
-    analysis (see :mod:`repro.budget`); ``warm_hint`` offers an adjacent
-    converged map to seed it (see
-    :class:`~repro.analysis.wcrt.WarmHint`); ``result_cache`` consults a
+    analysis (see :mod:`repro.budget`); ``result_cache`` consults a
     persistent :class:`~repro.resultcache.ResultCache` before running the
     WCRT iteration and stores completed verdicts back into it.
     """
@@ -133,9 +123,7 @@ def check_schedulability(
                 bus_utilization=bus_util,
                 reason="bus utilisation exceeds 1",
             )
-        result = _analyze(
-            taskset, platform, config, perf, budget, warm_hint, result_cache
-        )
+        result = _analyze(taskset, platform, config, perf, budget, result_cache)
         return SchedulabilityVerdict(
             schedulable=result.schedulable,
             wcrt=result,
@@ -143,9 +131,7 @@ def check_schedulability(
             reason="" if result.schedulable else "deadline miss (perfect bus)",
         )
 
-    result = _analyze(
-        taskset, platform, config, perf, budget, warm_hint, result_cache
-    )
+    result = _analyze(taskset, platform, config, perf, budget, result_cache)
     if result.schedulable:
         return SchedulabilityVerdict(schedulable=True, wcrt=result)
     failed = result.failed_task.name if result.failed_task else "<outer loop>"
@@ -162,11 +148,10 @@ def is_schedulable(
     config: AnalysisConfig = AnalysisConfig(),
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    warm_hint: Optional[WarmHint] = None,
     result_cache: Optional[ResultCache] = None,
 ) -> bool:
     """Boolean schedulability predicate used by the experiment sweeps."""
     return check_schedulability(
         taskset, platform, config, perf=perf, budget=budget,
-        warm_hint=warm_hint, result_cache=result_cache,
+        result_cache=result_cache,
     ).schedulable

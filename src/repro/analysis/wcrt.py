@@ -41,11 +41,11 @@ item 2 of ``ROADMAP.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.config import AnalysisConfig
 from repro.budget import Budget
-from repro.businterference.arbiters import make_bat, total_bus_accesses
+from repro.businterference.arbiters import make_bat
 from repro.businterference.context import AnalysisContext
 from repro.crpd.approaches import CrpdCalculator
 from repro.errors import AnalysisAborted, ConvergenceError
@@ -60,48 +60,6 @@ from repro.persistence.cpro import CproCalculator
 #: outer rounds that analysis took (reported again on warm replays so
 #: results stay observationally identical).
 _WarmSeed = Tuple[Dict[Task, int], int]
-
-
-@dataclass(frozen=True)
-class WarmHint:
-    """A converged response-time map offered to seed another analysis.
-
-    Unlike the same-triple warm-start seeds the analysis records for
-    itself, a hint crosses an analysis boundary: the service persists the
-    converged map of every schedulable request
-    (:class:`~repro.resultcache.WarmSeedStore`) and hands it back, via
-    :func:`~repro.resultcache.hint_from_seed`, to a later analysis of an
-    equal task set in whichever process serves it.  ``response_times`` is
-    keyed by task *priority* (unique per task set) so a hint survives
-    task-object identity changes between equivalent task sets.  Sweeps
-    and sensitivity bisections pass none: a neighbouring problem's map
-    almost never passes the exact check below, so its hint would only
-    add a verification round.
-
-    Every hint is verified with one strict outer round before it is
-    trusted: each task must satisfy Eq. (19) *exactly* at the hinted value
-    (``f(r) == r``, see :func:`_apply_once`), and the hint is discarded on
-    the first mismatch.  Exact fixedness — rather than the pre-fixed-point
-    test ``f(r) <= r`` the same-triple warm start uses — is what keeps
-    foreign maps safe: the cold ascent's resting point is trajectory
-    dependent (the window functions are not monotone in the estimate, so
-    the inner ascent can overshoot), and a foreign pre-fixed point above
-    the cold resting point would verify under ``<=`` yet differ from the
-    cold map.  A rejected hint falls back to an untouched cold run on a
-    fresh context, so hints can only ever save work, never change a
-    result.
-
-    ``outer_iterations`` carries the donor's executed round count.  An
-    accepted hint reports it as the result's ``outer_iterations`` —
-    mirroring how the same-triple warm start reports its stored cold
-    count — and uses it to account
-    ``adjacent_warm_start_iterations_saved``; when donor and recipient
-    analyse identical inputs the hinted result is therefore bit-identical
-    to the donor, ``WcrtResult`` equality included.
-    """
-
-    response_times: Mapping[int, int]
-    outer_iterations: int = 0
 
 
 @dataclass
@@ -132,42 +90,6 @@ class WcrtResult:
         return self.response_times[task]
 
 
-def _hp_rows_for(ctx: AnalysisContext, task: Task) -> Tuple[Tuple[int, int], ...]:
-    """The (period, PD) rows of ``task``'s same-core higher-priority tasks."""
-    hp_rows = ctx._hp_rows.get(task.priority)
-    if hp_rows is None:
-        hp_rows = tuple(
-            (int(tj.period), int(tj.pd))
-            for tj in ctx.taskset.hp_on_core(task, task.core)
-        )
-        ctx._hp_rows[task.priority] = hp_rows
-    return hp_rows
-
-
-def _apply_once(ctx: AnalysisContext, task: Task, r: int) -> int:
-    """One application of Eq. (19) at estimate ``r`` — no convergence logic.
-
-    The strict verification round of a :class:`WarmHint` must test *exact*
-    fixedness (``f(r) == r``).  It cannot reuse :func:`_task_fixed_point`,
-    which returns ``r`` for any ``f(r) <= r`` and would therefore accept
-    estimates strictly above the cold resting point.  Note the converse
-    also exists: the window functions are not monotone in ``r``, so a cold
-    ascent can overshoot and rest on an ``r`` with ``f(r) < r`` — such a
-    map *fails* the strict test and the hint is (harmlessly) discarded.
-    Strictness trades a few missed reuses for exactness: an accepted map
-    is an exact solution of Eq. (19), the only kind of map a cold run can
-    agree with regardless of its trajectory — pinned bit-identical by the
-    differential grids and the ``adjacent-warmstart-identity`` oracle.
-    """
-    if ctx.budget is not None:
-        ctx.budget.tick()
-    ctx.perf.inner_iterations += 1
-    value = int(task.pd) + total_bus_accesses(ctx, task, r) * ctx.platform.d_mem
-    for period, pd_j in _hp_rows_for(ctx, task):
-        value += -((-r) // period) * pd_j
-    return value
-
-
 def _task_fixed_point(
     ctx: AnalysisContext,
     task: Task,
@@ -180,7 +102,13 @@ def _task_fixed_point(
     as an iterate exceeds the task's deadline.
     """
     d_mem = ctx.platform.d_mem
-    hp_rows = _hp_rows_for(ctx, task)
+    hp_rows = ctx._hp_rows.get(task.priority)
+    if hp_rows is None:
+        hp_rows = tuple(
+            (int(tj.period), int(tj.pd))
+            for tj in ctx.taskset.hp_on_core(task, task.core)
+        )
+        ctx._hp_rows[task.priority] = hp_rows
     pd_i = int(task.pd)
     deadline = int(task.deadline)
     perf = ctx.perf
@@ -243,7 +171,6 @@ def analyze_taskset(
     config: AnalysisConfig = AnalysisConfig(),
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    warm_hint: Optional[WarmHint] = None,
 ) -> WcrtResult:
     """Compute WCRT bounds for every task of ``taskset`` on ``platform``.
 
@@ -276,13 +203,6 @@ def analyze_taskset(
     (derived tables, calculator caches, warm-start seeds) stay exactly as
     consistent after an abort as after a cold start — aborted runs never
     record a warm-start seed.
-
-    ``warm_hint`` (optional) offers the converged map of another analysis
-    — see :class:`WarmHint` — consulted only when no same-triple seed
-    exists and ``config.warm_start`` is on.  An accepted hint changes
-    nothing but the executed work; the result reports the donor's
-    ``outer_iterations``, as the same-triple warm start reports its
-    stored cold count.
     """
     counters = PerfCounters()
     if not config.reference:
@@ -307,21 +227,6 @@ def analyze_taskset(
             if seeds is not None and (stored := seeds.get(seed_key)) is not None:
                 ctx = _make_context(taskset, platform, config, counters, budget)
                 result = _warm_verify(ctx, stored, config)
-            if (
-                result is None
-                and warm_hint is not None
-                and config.warm_start
-            ):
-                ctx = _make_context(taskset, platform, config, counters, budget)
-                result = _hint_seeded(ctx, warm_hint, config)
-                if result is not None and seeds is not None:
-                    # The hinted run converged to the exact fixed point;
-                    # record it so same-triple replays stay warm (they will
-                    # re-report this run's executed round count).
-                    seeds[seed_key] = (
-                        dict(result.response_times),
-                        result.outer_iterations,
-                    )
             if result is None:
                 ctx = _make_context(taskset, platform, config, counters, budget)
                 result = _analyze(ctx, taskset, platform, config)
@@ -396,61 +301,6 @@ def _warm_verify(
         schedulable=True,
         response_times=dict(ctx.response_times),
         outer_iterations=cold_outer,
-    )
-
-
-def _hint_seeded(
-    ctx: AnalysisContext,
-    hint: WarmHint,
-    config: AnalysisConfig,
-) -> Optional[WcrtResult]:
-    """Attempt an adjacent-hint-seeded analysis; ``None`` requests cold.
-
-    Returning ``None`` always leaves the caller to rerun on a *fresh*
-    context: the hinted attempt may have advanced estimates and epoch
-    counters past their cold trajectory, and neither may leak into the
-    fallback.
-
-    The hint gets one strict verification round (see :func:`_apply_once`)
-    and is discarded on the first mismatch; any failure shape (deadline
-    miss, isolated overrun) is likewise left entirely to the cold
-    reference path so rejected hints reproduce it bit-for-bit.
-    """
-    taskset = ctx.taskset
-    d_mem = ctx.platform.d_mem
-    hinted = hint.response_times
-    starts: Dict[Task, int] = {}
-    for task in taskset:
-        value = hinted.get(task.priority)
-        if value is None:
-            return None
-        isolated = int(task.pd) + task.md * d_mem
-        if isolated > task.deadline:
-            # Cold analysis short-circuits before estimates matter; let it.
-            return None
-        start = max(isolated, int(value))
-        if start > task.deadline:
-            # The hint claims an over-deadline bound; the verdict (and the
-            # failure shape) must come from the cold reference path.
-            return None
-        starts[task] = start
-
-    perf = ctx.perf
-    for task, start in starts.items():
-        ctx.set_response_time(task, start)
-    perf.outer_iterations += 1
-    for task, start in starts.items():
-        if _apply_once(ctx, task, start) != start:
-            return None
-    perf.adjacent_warm_starts += 1
-    perf.adjacent_warm_start_iterations_saved += max(0, hint.outer_iterations - 1)
-    return WcrtResult(
-        schedulable=True,
-        response_times=dict(ctx.response_times),
-        # Report the donor's round count, exactly as the same-triple warm
-        # start reports its stored cold count: a hint between identical
-        # problems then reproduces the donor bit for bit.
-        outer_iterations=max(1, hint.outer_iterations),
     )
 
 

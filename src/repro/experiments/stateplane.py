@@ -8,24 +8,20 @@ warm-start seed from scratch, even when the previous chunk
 it ran — or a neighbouring chunk of the same sweep — had already paid for
 identical state.  The :class:`StatePlane` is a small fingerprint-keyed LRU
 that keeps exactly that state resident in the worker process across chunks:
-
-* **Task sets**, keyed by the full generation fingerprint
-  ``(platform, generation, utilization, seed)``.  Generation is a pure
-  function of the key (the RNG is seeded from ``seed`` alone), so a cached
-  task set is *the same value* a fresh generation would produce — along
-  with every ``TaskSet.derived`` store hanging off it: the interference
-  table with its compiled per-cut values and rows, warm-start seeds.  A
-  plane hit therefore replaces generation + compile + cold fixed points with
-  the (strictly re-verified, bit-identical) warm-start path.
-* **Canonical documents** (:meth:`canonical`), a generic build-once slot
-  the service tier uses to map equal request payloads onto one resident
-  task-set object per worker.
+task sets, keyed by the full generation fingerprint
+``(platform, generation, utilization, seed)``.  Generation is a pure
+function of the key (the RNG is seeded from ``seed`` alone), so a cached
+task set is *the same value* a fresh generation would produce — along
+with every ``TaskSet.derived`` store hanging off it: the interference
+table with its compiled per-cut values and rows, warm-start seeds.  A
+plane hit therefore replaces generation + compile + cold fixed points with
+the (re-verified, bit-identical) warm-start path.
 
 Everything the plane caches is a pure function of its key (warm-start
 seeds are verified before use), so the plane is invisible in results by
-construction — pinned by the ``resident-plane-identity`` oracle of
-:mod:`repro.verify`.
-Capacity is bounded (LRU, :data:`DEFAULT_CAPACITY` entries per kind) and
+construction — pinned by ``TestResidentPlaneIsInvisible`` in
+``tests/test_differential.py``.
+Capacity is bounded (LRU, :data:`DEFAULT_CAPACITY` task sets) and
 tunable via the ``REPRO_STATE_PLANE_CAP`` environment variable; ``0``
 disables residency entirely (every lookup misses), which is also the
 differential reference configuration.
@@ -37,21 +33,21 @@ import os
 import random
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.generation.taskset_gen import GenerationConfig, generate_taskset
 from repro.model.platform import Platform
 from repro.model.task import TaskSet
 from repro.perf import PerfCounters
 
-#: Environment variable bounding the per-kind LRU capacity of the
+#: Environment variable bounding the LRU capacity of the
 #: process-global plane (``0`` disables residency; unset uses
 #: :data:`DEFAULT_CAPACITY`).  Purely an execution knob — like ``--jobs``
 #: it can never change results — so it is deliberately absent from every
 #: fingerprint.
 STATE_PLANE_CAP_ENV = "REPRO_STATE_PLANE_CAP"
 
-#: Default per-kind LRU capacity.  A fig2-scale sweep touches
+#: Default LRU capacity.  A fig2-scale sweep touches
 #: ``points x samples`` task sets per worker in the worst case (400 for
 #: the paper's grids), and a repeat sweep touches them *in the same
 #: order* — the LRU's worst case, where any capacity below the working
@@ -76,35 +72,13 @@ class StatePlane:
 
     Thread-safe for the lookups themselves; the cached *values* follow the
     repo-wide single-threaded analysis discipline (one analysis at a time
-    per task set object), which both the supervisor workers and the
-    service pool already guarantee.
+    per task set object), which the supervisor workers guarantee.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity = _env_capacity() if capacity is None else max(0, capacity)
         self._tasksets: "OrderedDict[Hashable, TaskSet]" = OrderedDict()
-        self._documents: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-
-    # -- generic LRU plumbing ------------------------------------------------
-
-    def _get(self, store: OrderedDict, key: Hashable):
-        with self._lock:
-            if key in store:
-                store.move_to_end(key)
-                return store[key]
-            return None
-
-    def _put(self, store: OrderedDict, key: Hashable, value) -> None:
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            store[key] = value
-            store.move_to_end(key)
-            while len(store) > self.capacity:
-                store.popitem(last=False)
-
-    # -- the two kinds of resident state -------------------------------------
 
     def taskset(
         self,
@@ -122,7 +96,10 @@ class StatePlane:
         ``resident_table_hits`` / ``resident_table_misses``.
         """
         key = (platform, generation, utilization, seed)
-        cached = self._get(self._tasksets, key)
+        with self._lock:
+            cached = self._tasksets.get(key)
+            if cached is not None:
+                self._tasksets.move_to_end(key)
         if cached is not None:
             if perf is not None:
                 perf.resident_table_hits += 1
@@ -132,39 +109,18 @@ class StatePlane:
         taskset = generate_taskset(
             random.Random(seed), platform, utilization, generation
         )
-        self._put(self._tasksets, key, taskset)
+        if self.capacity > 0:
+            with self._lock:
+                self._tasksets[key] = taskset
+                self._tasksets.move_to_end(key)
+                while len(self._tasksets) > self.capacity:
+                    self._tasksets.popitem(last=False)
         return taskset
-
-    def canonical(
-        self,
-        key: Hashable,
-        builder: Callable[[], object],
-        perf: Optional[PerfCounters] = None,
-    ) -> object:
-        """Build-once slot mapping equal documents onto one resident object.
-
-        The service tier keys this by the canonical-JSON digest of a
-        request's task set so repeated identical requests served by one
-        resident worker share a single task-set object (and its derived
-        tables and warm-start seeds) instead of re-materialising it per
-        request.
-        """
-        cached = self._get(self._documents, key)
-        if cached is not None:
-            if perf is not None:
-                perf.resident_table_hits += 1
-            return cached
-        if perf is not None:
-            perf.resident_table_misses += 1
-        value = builder()
-        self._put(self._documents, key, value)
-        return value
 
     def clear(self) -> None:
         """Drop all resident state (tests and respawned workers)."""
         with self._lock:
             self._tasksets.clear()
-            self._documents.clear()
 
 
 _PLANE: Optional[StatePlane] = None
@@ -172,7 +128,7 @@ _PLANE_LOCK = threading.Lock()
 
 
 def resident_plane() -> StatePlane:
-    """The process-global plane shared by sweep workers and service workers.
+    """The process-global plane of a sweep process or worker.
 
     Created lazily on first use (so spawn workers build theirs after the
     fork/spawn boundary) and shared for the life of the process.  The

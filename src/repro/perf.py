@@ -10,11 +10,10 @@ of guessed.  :class:`PerfCounters` tracks
   engaged (``warm_starts``, ``warm_start_iterations_saved``,
   ``bitset_table_builds``),
 * how much cross-analysis work was avoided: task sets whose
-  interference-table cuts were compiled (``batch_analyses``), accepted
-  warm starts from another analysis' converged map and the outer rounds
-  they skipped (``adjacent_warm_starts``,
-  ``adjacent_warm_start_iterations_saved``), and analyses skipped via the
-  variant dominance ordering (``dominance_skips``), and
+  interference-table cuts were compiled (``batch_analyses``) and analyses
+  skipped via the variant dominance ordering (``dominance_skips``),
+* what the sweep's state plane and the service's result cache served
+  (``resident_table_*``, ``result_cache_*``), and
 * per-phase wall-clock time (task-set ``generation`` vs ``analysis``).
 
 Counters are plain integers so the bookkeeping stays cheap enough to leave
@@ -46,13 +45,6 @@ class PerfCounters:
     #: Outer rounds skipped by warm starts: the recorded cold run's
     #: ``outer_iterations`` minus the single re-verification round.
     warm_start_iterations_saved: int = 0
-    #: Analyses seeded from another analysis' converged map (the service's
-    #: persisted warm seeds) and accepted after re-verification (see
-    #: ``WarmHint`` in :mod:`repro.analysis.wcrt`).
-    adjacent_warm_starts: int = 0
-    #: Outer rounds skipped by accepted adjacent warm starts: the donor's
-    #: recorded round count minus the rounds the hinted run executed.
-    adjacent_warm_start_iterations_saved: int = 0
     #: Interference-table constructions (one per task set on first use of
     #: the bitmask kernel; reused across runs through ``TaskSet.derived``).
     bitset_table_builds: int = 0
@@ -74,7 +66,7 @@ class PerfCounters:
     lane_retirements: int = 0
     #: Task sets served from the worker-resident state plane
     #: (:mod:`repro.experiments.stateplane`) with their compiled
-    #: interference tables and warm seeds intact.
+    #: interference tables and warm-start seeds intact.
     resident_table_hits: int = 0
     #: State-plane lookups that had to generate (and compile) fresh state.
     resident_table_misses: int = 0
@@ -94,14 +86,9 @@ class PerfCounters:
     result_cache_stores: int = 0
     #: Entries dropped by the LRU / byte-budget eviction policy.
     result_cache_evictions: int = 0
-    #: Corrupt cache/seed files moved aside by the tolerant loader
+    #: Corrupt cache files moved aside by the tolerant loader
     #: (truncated JSON, checksum mismatches, empty files, foreign tags).
     result_cache_quarantines: int = 0
-    #: Warm-start seeds loaded from the persisted seed store and offered
-    #: to an analysis (each is strictly re-verified before use).
-    warm_seed_hits: int = 0
-    #: Converged schedulable maps persisted into the warm-seed store.
-    warm_seed_stores: int = 0
     #: Requests that joined an identical in-flight computation instead of
     #: running their own analysis (see the service daemon's coalescing).
     coalesced_requests: int = 0
@@ -154,6 +141,14 @@ class PerfCounters:
         """Always 0 (see :attr:`memo_hits`)."""
         return 0
 
+    @property
+    def adjacent_warm_starts(self) -> int:
+        """Always 0: it counted accepted warm hints, which are gone.
+
+        ``perfbench/sweeps.py`` still reads it on every rep.
+        """
+        return 0
+
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
@@ -201,12 +196,8 @@ class PerfCounters:
                 f"outer rounds saved {self.warm_start_iterations_saved:>8d}   "
                 f"bitset tables {self.bitset_table_builds:>6d}"
             )
-        if self.adjacent_warm_starts or self.dominance_skips:
-            lines.append(
-                f"  adjacent warm     {self.adjacent_warm_starts:>12d}   "
-                f"outer rounds saved {self.adjacent_warm_start_iterations_saved:>8d}   "
-                f"dominance skips {self.dominance_skips:>4d}"
-            )
+        if self.dominance_skips:
+            lines.append(f"  dominance skips   {self.dominance_skips:>12d}")
         if self.batch_analyses:
             lines.append(f"  compiled tasksets {self.batch_analyses:>12d}")
         if self.resident_table_hits or self.resident_table_misses:
@@ -237,11 +228,6 @@ class PerfCounters:
                 f"  result cache      stores {self.result_cache_stores:>8d}   "
                 f"evictions {self.result_cache_evictions:>7d}   "
                 f"quarantines {self.result_cache_quarantines:>4d}"
-            )
-        if self.warm_seed_hits or self.warm_seed_stores:
-            lines.append(
-                f"  warm seeds        loads {self.warm_seed_hits:>9d}   "
-                f"stores {self.warm_seed_stores:>10d}"
             )
         if self.coalesced_requests:
             lines.append(

@@ -25,12 +25,8 @@ runner:
   fingerprints — instead of failing the daemon.  An in-memory LRU index
   (seeded from file mtimes, refreshed via ``os.utime`` on hit so recency
   survives restarts) enforces ``max_entries`` / ``max_bytes`` eviction.
-* :class:`WarmSeedStore` persists the converged response-time map of
-  schedulable results (keyed by task priority, the representation
-  :class:`~repro.analysis.wcrt.WarmHint` verifies strictly before
-  trusting), so a restarted daemon keeps the warm-start path: the first
-  recompute after a restart is seeded from disk and re-verified, never
-  blindly believed.
+  A stored verdict is the only replay the service has: a miss runs a
+  cold analysis of the parsed request.
 
 Only completed results are cacheable.  ``budget-exceeded`` / ``cancelled``
 partials are *rejected at the store layer* (:meth:`ResultCache.put`
@@ -56,10 +52,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.wcrt import WarmHint, WcrtResult
+from repro.analysis.wcrt import WcrtResult
 from repro.atomicio import atomic_write_text
 from repro.errors import CacheError, ModelError
 from repro.model.platform import Platform
@@ -71,9 +67,6 @@ PathLike = Union[str, Path]
 
 #: Format tag of a result-cache entry file.
 CACHE_TAG = "repro-result-cache-entry"
-
-#: Format tag of a warm-seed entry file.
-SEED_TAG = "repro-warm-seed"
 
 #: Format tag of the fingerprinted request description.
 REQUEST_TAG = "repro-analysis-request"
@@ -188,72 +181,6 @@ def result_from_payload(taskset: TaskSet, payload: Dict) -> WcrtResult:
         ) from error
 
 
-def seed_payload(result: WcrtResult) -> Optional[Dict]:
-    """Warm-seed payload of a *schedulable* result (else ``None``).
-
-    Response times are keyed by task priority — the representation
-    :class:`~repro.analysis.wcrt.WarmHint` carries — because priorities
-    are unique per task set and survive task-object identity changes.
-    Unschedulable maps are never stored: they are partially-refined, not
-    converged, and could never pass the hint's strict ``f(r) == r``
-    verification.
-    """
-    if not result.schedulable:
-        return None
-    return {
-        "response_times": {
-            str(task.priority): int(bound)
-            for task, bound in result.response_times.items()
-        },
-        "outer_iterations": int(result.outer_iterations),
-    }
-
-
-def seed_payload_from_response(taskset: TaskSet, body: Dict) -> Optional[Dict]:
-    """Warm-seed payload from a service ``"ok"`` response body.
-
-    The body keys response times by task *name*; ``taskset`` (the parsed
-    request) supplies the name-to-priority mapping.  Returns ``None`` for
-    unschedulable verdicts or any body that does not line up with the
-    task set.
-    """
-    if not body.get("schedulable"):
-        return None
-    response_times = body.get("response_times")
-    if not isinstance(response_times, dict):
-        return None
-    try:
-        return {
-            "response_times": {
-                str(task.priority): int(response_times[task.name])
-                for task in taskset
-            },
-            "outer_iterations": int(body.get("outer_iterations", 0)),
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def hint_from_seed(payload: Dict) -> WarmHint:
-    """Build the :class:`~repro.analysis.wcrt.WarmHint` of a stored seed.
-
-    The hint is *offered*, never trusted: the analysis re-verifies it
-    with one strict outer round and falls back to a cold run on any
-    mismatch, so a stale or corrupt seed can cost at most one wasted
-    round.  Raises :class:`~repro.errors.ModelError` on malformed seeds.
-    """
-    try:
-        return WarmHint(
-            response_times={
-                int(priority): int(bound)
-                for priority, bound in payload["response_times"].items()
-            },
-            outer_iterations=int(payload.get("outer_iterations", 0)),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise ModelError(f"malformed warm seed: {error!r}") from error
-
-
 # -- fault injection (TEST ONLY) ----------------------------------------------
 
 
@@ -284,11 +211,27 @@ class _IndexEntry:
     size: int
 
 
-class _JsonStore:
-    """Shared machinery of the checksummed, quarantining JSON stores.
+def _ok_payload(payload: Dict) -> bool:
+    """Cacheability predicate: only completed ``"ok"`` results qualify."""
+    return isinstance(payload, dict) and payload.get("status") == "ok"
 
-    Thread-safe (one re-entrant lock per store).  Multiple *processes*
-    may safely share a store directory: every write is atomic, identical
+
+class ResultCache:
+    """Content-addressed, crash-safe store of completed analysis results.
+
+    Layout under ``root``::
+
+        entries/<fp[:2]>/<fp>.json   one checksummed entry per fingerprint
+        quarantine/                  corrupt files moved aside, never deleted
+
+    The scan walks ``entries/`` only, so anything else under ``root`` —
+    such as the ``seeds/`` subtree older daemons wrote — is left alone.
+
+    ``put`` refuses any payload whose ``status`` is not ``"ok"`` — see the
+    module docstring for why aborted partials must never land here.
+
+    Thread-safe (one re-entrant lock per cache).  Multiple *processes*
+    may safely share a cache directory: every write is atomic, identical
     fingerprints produce identical bytes, and readers treat a file that
     vanished under them (evicted by a sibling) as a plain miss.
     """
@@ -296,12 +239,9 @@ class _JsonStore:
     def __init__(
         self,
         root: PathLike,
-        tag: str,
-        counters: Dict[str, str],
         max_entries: int = 4096,
         max_bytes: Optional[int] = None,
         perf: Optional[PerfCounters] = None,
-        validate_payload: Optional[Callable[[Dict], bool]] = None,
     ) -> None:
         if max_entries < 1:
             raise CacheError(f"max_entries must be >= 1, got {max_entries}")
@@ -311,27 +251,22 @@ class _JsonStore:
                 f"got {max_bytes}"
             )
         self.root = Path(root)
-        self.tag = tag
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.entries_dir = self.root / "entries"
         self.quarantine_dir = self.root / "quarantine"
-        self._counters = counters
         self._perf = perf
-        self._validate_payload = validate_payload
         self._lock = threading.RLock()
         #: fingerprint -> entry, ordered least- to most-recently used.
         self._index: "OrderedDict[str, _IndexEntry]" = OrderedDict()
-        #: Files quarantined since this store was opened.
+        #: Files quarantined since this cache was opened.
         self.quarantined_files = 0
         self.scan()
 
     # -- counters ------------------------------------------------------------
 
-    def _count(self, event: str, perf: Optional[PerfCounters] = None) -> None:
-        name = self._counters.get(event)
-        if name is None:
-            return
+    def _count(self, name: str, perf: Optional[PerfCounters] = None) -> None:
+        """Add one to counter ``name`` of the cache's and the caller's perf."""
         targets = []
         if self._perf is not None:
             targets.append(self._perf)
@@ -406,7 +341,7 @@ class _JsonStore:
             document = json.loads(text)
         except json.JSONDecodeError:
             raise _BadEntry("truncated-or-invalid-json") from None
-        if not isinstance(document, dict) or document.get("format") != self.tag:
+        if not isinstance(document, dict) or document.get("format") != CACHE_TAG:
             raise _BadEntry("bad-envelope")
         if document.get("version") != CACHE_VERSION:
             raise _BadEntry("unsupported-version")
@@ -425,9 +360,7 @@ class _JsonStore:
         ).hexdigest()
         if document.get("sha256") != digest:
             raise _BadEntry("checksum-mismatch")
-        if self._validate_payload is not None and not self._validate_payload(
-            payload
-        ):
+        if not _ok_payload(payload):
             raise _BadEntry("invalid-payload")
         return fingerprint, payload
 
@@ -439,7 +372,7 @@ class _JsonStore:
         except OSError:
             path.unlink(missing_ok=True)
         self.quarantined_files += 1
-        self._count("quarantine")
+        self._count("result_cache_quarantines")
 
     # -- the cache interface -------------------------------------------------
 
@@ -457,21 +390,21 @@ class _JsonStore:
         with self._lock:
             entry = self._index.get(fingerprint)
             if entry is None:
-                self._count("miss", perf)
+                self._count("result_cache_misses", perf)
                 return None
             try:
                 _fingerprint, payload = self._load_file(entry.path)
             except _BadEntry as bad:
                 self._index.pop(fingerprint, None)
                 self._quarantine(entry.path, bad.args[0])
-                self._count("miss", perf)
+                self._count("result_cache_misses", perf)
                 return None
             self._index.move_to_end(fingerprint)
             try:
                 os.utime(entry.path)
             except OSError:
                 pass  # recency refresh is best-effort
-            self._count("hit", perf)
+            self._count("result_cache_hits", perf)
             return payload
 
     def put(
@@ -483,17 +416,15 @@ class _JsonStore:
         """Store ``payload`` under ``fingerprint``; ``False`` if refused.
 
         Refusal (rather than an exception) is the contract for payloads
-        the store's validator rejects — e.g. a ``budget-exceeded``
-        partial offered to a :class:`ResultCache` — so callers cannot
-        poison the cache even by mistake.
+        that are not completed ``"ok"`` results — e.g. a
+        ``budget-exceeded`` partial — so callers cannot poison the cache
+        even by mistake.
         """
         self._check_fingerprint(fingerprint)
-        if self._validate_payload is not None and not self._validate_payload(
-            payload
-        ):
+        if not _ok_payload(payload):
             return False
         entry = {
-            "format": self.tag,
+            "format": CACHE_TAG,
             "version": CACHE_VERSION,
             "fingerprint": fingerprint,
             "payload": payload,
@@ -511,7 +442,7 @@ class _JsonStore:
                 path=path, size=len(text.encode("utf-8"))
             )
             self._index.move_to_end(fingerprint)
-            self._count("store", perf)
+            self._count("result_cache_stores", perf)
             self._evict_if_needed(perf)
         return True
 
@@ -534,7 +465,7 @@ class _JsonStore:
         ):
             _fingerprint, entry = self._index.popitem(last=False)
             entry.path.unlink(missing_ok=True)
-            self._count("evict", perf)
+            self._count("result_cache_evictions", perf)
 
     # -- introspection -------------------------------------------------------
 
@@ -561,80 +492,13 @@ class _JsonStore:
             }
 
 
-def _ok_payload(payload: Dict) -> bool:
-    """Cacheability predicate: only completed ``"ok"`` results qualify."""
-    return isinstance(payload, dict) and payload.get("status") == "ok"
+class WarmSeedStore:
+    """Empty stand-in for the removed warm-seed store.
 
-
-def _seed_shape(payload: Dict) -> bool:
-    return isinstance(payload, dict) and isinstance(
-        payload.get("response_times"), dict
-    )
-
-
-class ResultCache(_JsonStore):
-    """Content-addressed, crash-safe store of completed analysis results.
-
-    Layout under ``root``::
-
-        entries/<fp[:2]>/<fp>.json   one checksummed entry per fingerprint
-        quarantine/                  corrupt files moved aside, never deleted
-
-    ``put`` refuses any payload whose ``status`` is not ``"ok"`` — see the
-    module docstring for why aborted partials must never land here.
+    The result cache is the service's only replay, so nothing constructs
+    this class or calls :meth:`put`; ``perfbench/tracing.py`` still wraps
+    ``put`` by name.
     """
 
-    def __init__(
-        self,
-        root: PathLike,
-        max_entries: int = 4096,
-        max_bytes: Optional[int] = None,
-        perf: Optional[PerfCounters] = None,
-    ) -> None:
-        super().__init__(
-            root,
-            tag=CACHE_TAG,
-            counters={
-                "hit": "result_cache_hits",
-                "miss": "result_cache_misses",
-                "store": "result_cache_stores",
-                "evict": "result_cache_evictions",
-                "quarantine": "result_cache_quarantines",
-            },
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            perf=perf,
-            validate_payload=_ok_payload,
-        )
-
-
-class WarmSeedStore(_JsonStore):
-    """Persisted warm-start seeds keeping the warm path across restarts.
-
-    Stores the converged (strictly verifiable) response-time map of
-    schedulable results under the same request fingerprint as the result
-    cache.  Seeds are *hints*: the analysis re-verifies every one before
-    use, so this store can accelerate but never change a result.
-    """
-
-    def __init__(
-        self,
-        root: PathLike,
-        max_entries: int = 4096,
-        max_bytes: Optional[int] = None,
-        perf: Optional[PerfCounters] = None,
-    ) -> None:
-        super().__init__(
-            root,
-            tag=SEED_TAG,
-            counters={
-                "hit": "warm_seed_hits",
-                "store": "warm_seed_stores",
-                "evict": "result_cache_evictions",
-                "quarantine": "result_cache_quarantines",
-            },
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            perf=perf,
-            validate_payload=_seed_shape,
-        )
+    def put(self, fingerprint: str, payload: Dict) -> bool:
+        return False

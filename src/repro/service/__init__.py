@@ -25,9 +25,10 @@ failure mode the resilience layer knows about:
   answers from the coarse tier when the queue or breaker indicates
   overload, and priority classes (``interactive``/``batch``) shed
   lowest-first at admission,
-* an optional persistent content-addressed result cache with warm-start
-  seeds (:mod:`repro.resultcache`) and coalescing of identical
-  concurrent requests onto one computation,
+* an optional persistent content-addressed result cache
+  (:mod:`repro.resultcache`), the service's only replay of earlier
+  verdicts, and coalescing of identical concurrent requests onto one
+  computation,
 * a fingerprint-sharded, health-checked router
   (``python -m repro.service.router``) that spreads requests across
   several daemons and fails idempotent work over to surviving shards.

@@ -55,12 +55,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.perf import PerfCounters
-from repro.resultcache import (
-    ResultCache,
-    WarmSeedStore,
-    request_fingerprint,
-    seed_payload_from_response,
-)
+from repro.resultcache import ResultCache, request_fingerprint
 from repro.service.breaker import CircuitBreaker, OPEN
 from repro.service.pool import AnalysisPool
 from repro.service.protocol import (
@@ -99,7 +94,7 @@ class ServiceConfig:
     #: Root of the persistent content-addressed result cache
     #: (:mod:`repro.resultcache`); ``None`` disables durable caching.
     cache_dir: Optional[str] = None
-    #: LRU entry cap of the result cache (and of the warm-seed store).
+    #: LRU entry cap of the result cache.
     cache_max_entries: int = 4096
     #: Optional byte budget of the result cache (``None`` = unbounded).
     cache_max_bytes: Optional[int] = None
@@ -265,7 +260,7 @@ class AnalysisService:
        outcome (including failures and budget aborts).
     3. **Pool** — the leader runs through the circuit breaker and worker
        pool as before.  Only completed ``"ok"`` results are written back
-       to the cache and the warm-seed store; aborted partials never are.
+       to the cache; aborted partials never are.
     """
 
     def __init__(
@@ -295,18 +290,11 @@ class AnalysisService:
         self.stats = ServiceStats()
         self.perf = PerfCounters()
         self.cache: Optional[ResultCache] = None
-        self.seeds: Optional[WarmSeedStore] = None
         if config.cache_dir is not None:
-            root = Path(config.cache_dir)
             self.cache = ResultCache(
-                root,
+                Path(config.cache_dir),
                 max_entries=config.cache_max_entries,
                 max_bytes=config.cache_max_bytes,
-                perf=self.perf,
-            )
-            self.seeds = WarmSeedStore(
-                root / "seeds",
-                max_entries=config.cache_max_entries,
                 perf=self.perf,
             )
         self._lock = threading.Lock()
@@ -499,14 +487,6 @@ class AnalysisService:
             if leader_flight is None:
                 return self._await_flight(request_id, document, flight)
             flight = leader_flight
-        if (
-            fingerprint is not None
-            and self.seeds is not None
-            and request.config.warm_start
-        ):
-            seed = self.seeds.get(fingerprint)
-            if seed is not None:
-                document = dict(document, warm_seed=seed)
         status = 500
         body: Dict = error_response(
             request_id,
@@ -523,27 +503,23 @@ class AnalysisService:
                 flight.done.set()
             if (
                 fingerprint is not None
+                and self.cache is not None
                 and status == 200
                 and body.get("status") == "ok"
                 and "degraded" not in body
             ):
-                # Degraded bodies never enter the stores: the fingerprint
+                # Degraded bodies never enter the cache: the fingerprint
                 # names the *exact* result, and a looser-but-sound bound
                 # must not be replayed as it once the pressure is gone.
-                # Only completed results are durable; the store's own
+                # Only completed results are durable; the cache's own
                 # validator additionally refuses anything else, so aborted
-                # partials can never poison the cache.
-                if self.cache is not None:
-                    payload = {
-                        key: value
-                        for key, value in body.items()
-                        if key not in ("id", "cache")
-                    }
-                    self.cache.put(fingerprint, payload)
-                if self.seeds is not None:
-                    seed = seed_payload_from_response(request.taskset, body)
-                    if seed is not None:
-                        self.seeds.put(fingerprint, seed)
+                # partials can never poison it.
+                payload = {
+                    key: value
+                    for key, value in body.items()
+                    if key not in ("id", "cache")
+                }
+                self.cache.put(fingerprint, payload)
 
     def _brownout(
         self, request: AnalysisRequest, document: Dict
@@ -743,8 +719,6 @@ class AnalysisService:
             }
             if self.cache is not None:
                 cache.update(self.cache.stats())
-            if self.seeds is not None:
-                cache["seeds"] = self.seeds.stats()
             return {
                 "requests": self.stats.to_dict(),
                 "in_flight": len(self._active),

@@ -23,7 +23,6 @@ failures respawn the pool once, not once per waiter.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
@@ -36,7 +35,7 @@ from repro.analysis.ladder import (
     TIER_EXACT,
     run_ladder,
 )
-from repro.analysis.wcrt import WarmHint, analyze_taskset
+from repro.analysis.wcrt import analyze_taskset
 from repro.budget import Budget
 from repro.errors import (
     AnalysisAborted,
@@ -44,11 +43,8 @@ from repro.errors import (
     ChunkTimeoutError,
     WorkerCrashError,
 )
-from repro.experiments.stateplane import resident_plane
 from repro.experiments.supervisor import exit_with_parent
 from repro.perf import PerfCounters
-from repro.resultcache import hint_from_seed
-from repro.serialization import canonical_json
 from repro.service.protocol import (
     abort_response,
     degraded_response,
@@ -73,6 +69,8 @@ def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
     Top-level so it pickles by reference into spawn workers.  The document
     was already validated by the daemon; it is re-parsed here because the
     worker is a separate process and the model objects do not travel.
+    Each request analyses the task set it parsed: repeats are served by
+    the daemon's result cache, never by state kept in the worker.
     Returns ``(response document, perf counters)`` — analysis failures of
     every kind are *data* in the response, never exceptions, so the only
     exceptional outcomes the parent sees are real worker deaths.
@@ -102,37 +100,6 @@ def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
             while True:
                 if budget is not None:
                     budget.tick()
-        # The daemon may attach a persisted warm-start seed (see
-        # repro.resultcache.WarmSeedStore).  It is only ever a *hint*:
-        # the analysis re-verifies it strictly and falls back to a cold
-        # run on any mismatch, so a malformed or stale seed is dropped
-        # here rather than failing the request.
-        warm_hint: Optional[WarmHint] = None
-        seed = document.get("warm_seed")
-        if seed is not None and request.config.warm_start:
-            try:
-                warm_hint = hint_from_seed(seed)
-            except Exception:  # noqa: BLE001 — seeds must never hurt
-                warm_hint = None
-        # Resident-plane canonicalisation: map equal taskset envelopes
-        # onto one task-set object per worker, keyed by the envelope's
-        # canonical-JSON digest.  Repeated identical requests served by a
-        # resident worker then share derived tables and warm-start seeds
-        # (their replays take the strictly re-verified warm path), so a
-        # re-check costs one verification round instead of a cold fixed
-        # point — bit-identical either way, pinned by the
-        # ``resident-plane-identity`` oracle.
-        try:
-            digest = hashlib.sha256(
-                canonical_json(document["taskset"]).encode("utf-8")
-            ).hexdigest()
-            taskset = resident_plane().canonical(
-                ("service-taskset", digest),
-                lambda: request.taskset,
-                perf=perf,
-            )
-        except Exception:  # noqa: BLE001 — residency must never hurt
-            taskset = request.taskset
         # The degradation ladder engages when the daemon (or the caller)
         # asked for it and there is a budget to degrade under; without
         # pressure the exact path runs exactly as before, bit for bit.
@@ -146,12 +113,11 @@ def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
         )
         if use_ladder:
             outcome = run_ladder(
-                taskset,
+                request.taskset,
                 request.platform,
                 request.config,
                 budget=budget,
                 perf=perf,
-                warm_hint=warm_hint,
             )
             if outcome.soundness != SOUND_UNKNOWN:
                 if outcome.tier == TIER_EXACT:
@@ -183,12 +149,11 @@ def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
             }
             return body, perf
         result = analyze_taskset(
-            taskset,
+            request.taskset,
             request.platform,
             request.config,
             perf=perf,
             budget=budget,
-            warm_hint=warm_hint,
         )
     except AnalysisAborted as abort:
         return abort_response(request.request_id, abort), perf

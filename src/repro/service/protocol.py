@@ -255,9 +255,9 @@ def degraded_response(
     """An ``"ok"`` answer produced by a degraded ladder tier.
 
     The body is the normal :func:`ok_response` plus a typed ``degraded``
-    marker; the marker keeps degraded answers out of the result cache and
-    the warm-seed store (their bounds are sound but not the exact
-    fingerprinted result) and lets clients and the chaos harness tell a
+    marker; the marker keeps degraded answers out of the result cache
+    (their bounds are sound but not the exact fingerprinted result) and
+    lets clients and the chaos harness tell a
     weaker-but-sound verdict from an exact one.
     """
     body = ok_response(request_id, result)

@@ -5,7 +5,7 @@ thin HTTP router that partitions requests across several
 :mod:`repro.service` daemons by **result fingerprint**
 (:func:`repro.resultcache.request_fingerprint`): identical requests
 always land on the same shard, so each shard's persistent result cache
-and warm-seed store stay hot for its slice of the request space and no
+stays hot for its slice of the request space and no
 fingerprint is ever computed twice by two shards at once.
 
 Routing is resilience-first:

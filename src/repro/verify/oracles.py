@@ -18,17 +18,6 @@ fuzz noise:
     enabled returns a result bit-identical to the cold analysis, and the
     warm shortcut actually engages for schedulable sets.  Also
     ``always_replay``.
-``adjacent-warmstart-identity``
-    Seeding an analysis with a :class:`~repro.analysis.wcrt.WarmHint`
-    from an adjacent converged analysis returns a result bit-identical
-    to the cold analysis, and an exact hint actually engages.  Also
-    ``always_replay``.
-``resident-plane-identity``
-    Serving repeated equal inputs from a worker-resident
-    :class:`~repro.experiments.stateplane.StatePlane` (one canonical
-    task-set object, warm-start seeds resident across requests) returns
-    results bit-identical to fresh-object cold analyses.  Also
-    ``always_replay``.
 ``persistence-tightens``
     The persistence-aware bounds of Lemmas 1-2 never exceed the baseline
     bounds of Davis et al., and never flip a baseline-schedulable set to
@@ -66,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.wcrt import WarmHint, WcrtResult, analyze_taskset
+from repro.analysis.wcrt import WcrtResult, analyze_taskset
 from repro.cacheanalysis.extraction import extract_parameters_cached
 from repro.cacheanalysis.simulator import simulate_trace
 from repro.model.platform import BusPolicy, CacheGeometry
@@ -260,53 +249,6 @@ def _check_warm_start_identity(case: TasksetCase) -> List[str]:
             "warm start did not engage on a schedulable replay "
             f"(warm_starts = {warm.perf.warm_starts}): the seed failed "
             "re-verification on identical inputs"
-        )
-    return messages
-
-
-@register(
-    "adjacent-warmstart-identity",
-    ("taskset",),
-    "hint-seeded analysis == cold analysis, bit for bit",
-    always_replay=True,
-)
-def _check_adjacent_warmstart_identity(case: TasksetCase) -> List[str]:
-    config = replace(case.config, warm_start=True)
-    donor = analyze_taskset(case.taskset(), case.platform, config)
-    if not donor.schedulable:
-        # Unschedulable maps never donate hints (see WarmHint); the
-        # chain layers drop them, so there is nothing to check here.
-        return []
-    hint = WarmHint(
-        response_times={
-            task.priority: value
-            for task, value in donor.response_times.items()
-        },
-        outer_iterations=donor.outer_iterations,
-    )
-    # A fresh task-set container has no same-triple seeds, so the hint is
-    # the only shortcut on offer.  Acceptance is *not* guaranteed even for
-    # identical inputs: the cold ascent may rest at a pre-fixed point
-    # (``f(r) < r`` after an inner overshoot), which the strict exactness
-    # test deliberately rejects — the property to pin is that accepted or
-    # not, the result is bit-identical to the donor.  (Deterministic
-    # engagement is pinned by ``TestAdjacentWarmStartIsInvisible``.)
-    hinted = analyze_taskset(
-        case.taskset(), case.platform, config, warm_hint=hint
-    )
-    messages: List[str] = []
-    if hinted != donor:
-        messages.append(
-            "hint-seeded analysis differs from its cold donor: "
-            f"schedulable {hinted.schedulable} vs {donor.schedulable}, "
-            f"outer {hinted.outer_iterations} vs {donor.outer_iterations}, "
-            f"response times equal: "
-            f"{hinted.response_times == donor.response_times}"
-        )
-    if hinted.perf is not None and hinted.perf.adjacent_warm_starts not in (0, 1):
-        messages.append(
-            "adjacent_warm_starts outside {0, 1} for a single hinted "
-            f"analysis: {hinted.perf.adjacent_warm_starts}"
         )
     return messages
 
@@ -542,51 +484,6 @@ def _check_fixed_point_sanity(case: TasksetCase) -> List[str]:
                 f"task {task.name!r}: schedulable verdict but bound {bound} "
                 f"> deadline {int(task.deadline)}"
             )
-    return messages
-
-
-@register(
-    "resident-plane-identity",
-    ("taskset",),
-    "resident-plane canonical replays == fresh-object cold analyses, bit for bit",
-    always_replay=True,
-)
-def _check_resident_plane_identity(case: TasksetCase) -> List[str]:
-    from repro.experiments.stateplane import StatePlane
-
-    plane = StatePlane(capacity=4)
-    config = replace(case.config, warm_start=True)
-    fresh = analyze_taskset(case.taskset(), case.platform, config)
-    first = plane.canonical("case", case.taskset)
-    second = plane.canonical("case", case.taskset)
-    messages: List[str] = []
-    if second is not first:
-        messages.append(
-            "plane.canonical rebuilt the document instead of returning the "
-            "resident object"
-        )
-    # First analysis on the resident object is cold; the replay takes the
-    # strictly re-verified warm-start path off the object's derived seeds.
-    resident_cold = analyze_taskset(first, case.platform, config)
-    resident_warm = analyze_taskset(second, case.platform, config)
-    for label, result in (("cold", resident_cold), ("warm", resident_warm)):
-        if result != fresh:
-            messages.append(
-                f"resident-plane {label} analysis differs from the "
-                f"fresh-object analysis: schedulable {result.schedulable} vs "
-                f"{fresh.schedulable}, outer {result.outer_iterations} vs "
-                f"{fresh.outer_iterations}, response times equal: "
-                f"{result.response_times == fresh.response_times}"
-            )
-    if (
-        fresh.schedulable
-        and resident_warm.perf is not None
-        and resident_warm.perf.warm_starts != 1
-    ):
-        messages.append(
-            "warm start did not engage on the resident replay "
-            f"(warm_starts = {resident_warm.perf.warm_starts})"
-        )
     return messages
 
 

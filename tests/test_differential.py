@@ -11,10 +11,8 @@ iteration counts):
   calculators (``AnalysisConfig(bitset_kernel=False)``, or any other
   kernel flag off);
 * the warm-started fixed point (re-verifying a previously converged map)
-  versus a cold analysis of a fresh task-set object;
-* warm hints (:class:`repro.analysis.wcrt.WarmHint`, the service's
-  persisted seeds) versus hint-free cold runs, and sensitivity bisections
-  with warm starts versus without;
+  versus a cold analysis of a fresh task-set object, and sensitivity
+  bisections with warm starts versus without;
 * the dominance-ordered variant evaluation of ``evaluate_sample`` (both
   the tightest-first and loosest-first orders) versus brute-forcing every
   variant independently, and the supervised sweep and its prewarmed
@@ -25,9 +23,8 @@ iteration counts):
   (``REPRO_STATE_PLANE_CAP=0``).
 
 This file pins them down over broad randomized samples; the fuzzing
-counterparts are the ``kernel-identity`` / ``warm-start-identity`` /
-``adjacent-warmstart-identity`` / ``resident-plane-identity`` oracles of
-:mod:`repro.verify.oracles`.
+counterparts are the ``kernel-identity`` / ``warm-start-identity``
+oracles of :mod:`repro.verify.oracles`.
 """
 
 import itertools
@@ -39,7 +36,7 @@ import pytest
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.schedulability import check_schedulability
 from repro.analysis.sensitivity import breakdown_d_mem, breakdown_period_scale
-from repro.analysis.wcrt import WarmHint, analyze_taskset
+from repro.analysis.wcrt import analyze_taskset
 from repro.budget import Budget
 from repro.crpd.approaches import CrpdApproach
 from repro.experiments.config import (
@@ -387,87 +384,6 @@ class TestWarmStartIsInvisible:
         assert second.perf.outer_iterations == first.perf.outer_iterations
 
 
-class TestAdjacentWarmStartIsInvisible:
-    """Warm hints from another analysis never change a verdict or a bound."""
-
-    def test_foreign_hint_never_perturbs_a_cold_analysis(self):
-        # A hint from a *different* problem (scaled periods) must either
-        # verify exactly or be discarded — the result is bit-identical to
-        # the cold analysis in both cases.
-        base = default_platform()
-        config = AnalysisConfig()
-        for seed in (9200, 9201):
-            taskset = generate_taskset(random.Random(seed), base, 0.45)
-            donor_set = generate_taskset(random.Random(seed), base, 0.45)
-            scaled = donor_set  # same structure, analysed independently
-            donor = analyze_taskset(scaled, base, config)
-            if not donor.schedulable:
-                continue
-            hint = WarmHint(
-                response_times={
-                    task.priority: value
-                    for task, value in donor.response_times.items()
-                },
-                outer_iterations=donor.outer_iterations,
-            )
-            fresh = generate_taskset(random.Random(seed), base, 0.45)
-            hinted = analyze_taskset(fresh, base, config, warm_hint=hint)
-            cold = analyze_taskset(
-                generate_taskset(random.Random(seed), base, 0.45),
-                base,
-                config,
-            )
-            # The two runs analyse equal-but-distinct task objects, so
-            # compare by priority (task equality is identity-based).
-            assert hinted.schedulable == cold.schedulable
-            assert hinted.outer_iterations == cold.outer_iterations
-            assert {
-                task.priority: value
-                for task, value in hinted.response_times.items()
-            } == {
-                task.priority: value
-                for task, value in cold.response_times.items()
-            }
-
-    def test_accepted_hint_reproduces_the_donor(self):
-        # An equal problem's converged map is what the service hands back
-        # from its persisted seeds.  Where it passes the exact check it
-        # skips the donor's outer rounds; accepted or not, the result is
-        # the donor's.
-        base = default_platform()
-        accepted = 0
-        for policy in BusPolicy:
-            platform = base.with_bus_policy(policy)
-            for seed in (9300, 9301, 9302, 9303):
-                donor = analyze_taskset(
-                    generate_taskset(random.Random(seed), base, 0.4), platform
-                )
-                if not donor.schedulable:
-                    continue
-                hint = WarmHint(
-                    response_times={
-                        task.priority: value
-                        for task, value in donor.response_times.items()
-                    },
-                    outer_iterations=donor.outer_iterations,
-                )
-                perf = PerfCounters()
-                hinted = analyze_taskset(
-                    generate_taskset(random.Random(seed), base, 0.4),
-                    platform,
-                    AnalysisConfig(),
-                    perf=perf,
-                    warm_hint=hint,
-                )
-                assert _snapshot(hinted) == _snapshot(donor), (policy, seed)
-                if perf.adjacent_warm_starts:
-                    accepted += 1
-                    assert perf.adjacent_warm_start_iterations_saved == (
-                        donor.outer_iterations - 1
-                    )
-        assert accepted
-
-
 class TestBisectionProbesAreIndependent:
     """Sensitivity bisections give the same breakdown with warm starts off."""
 
@@ -490,7 +406,6 @@ class TestBisectionProbesAreIndependent:
                 cold_config,
             )
             assert perf.analyses > 0
-            assert perf.adjacent_warm_starts == 0
             assert breakdown_period_scale(
                 taskset, base, warm_config
             ) == breakdown_period_scale(
@@ -592,16 +507,6 @@ class TestPrewarmedItemsAreInvisible:
             reset_resident_plane()
 
 
-def _snapshot(result):
-    """Object-independent projection of a WcrtResult (Task compares by id)."""
-    return (
-        result.schedulable,
-        result.outer_iterations,
-        None if result.failed_task is None else result.failed_task.priority,
-        {task.priority: r for task, r in result.response_times.items()},
-    )
-
-
 class TestResidentPlaneIsInvisible:
     """Worker-resident state (capacity on vs 0) never changes outcomes."""
 
@@ -626,24 +531,3 @@ class TestResidentPlaneIsInvisible:
         reset_resident_plane()
         assert dict(without) == dict(with_plane)
         assert not without.failures and not with_plane.failures
-
-    def test_canonical_replay_matches_fresh_analysis(self):
-        from repro.experiments.stateplane import StatePlane
-
-        base = default_platform()
-        plane = StatePlane(capacity=4)
-        config = AnalysisConfig(warm_start=True)
-        for seed in range(4):
-            def build(seed=seed):
-                return generate_taskset(random.Random(seed), base, 0.4)
-
-            fresh = analyze_taskset(build(), base, config)
-            resident = plane.canonical(("case", seed), build)
-            cold = analyze_taskset(resident, base, config)
-            warm = analyze_taskset(
-                plane.canonical(("case", seed), build), base, config
-            )
-            assert _snapshot(cold) == _snapshot(fresh)
-            assert _snapshot(warm) == _snapshot(fresh)
-            if fresh.schedulable:
-                assert warm.perf.warm_starts == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from contextlib import ExitStack
 from dataclasses import replace
 
 import pytest
@@ -113,6 +114,13 @@ class TestPerfCounters:
         assert "analysis" in text
 
 
+    def test_render_gives_dominance_skips_their_own_line(self):
+        text = PerfCounters(analyses=3, dominance_skips=4).render()
+        assert "  dominance skips              4" in text.splitlines()
+        assert "adjacent" not in text
+        assert "dominance" not in PerfCounters(analyses=3).render()
+
+
 class TestKernelIntegration:
     def test_analysis_reports_its_iterations(self):
         taskset, platform = _taskset()
@@ -217,6 +225,24 @@ class TestNamesTheBenchmarkHarnessReads:
         assert {t.priority: r for t, r in off.response_times.items()} == {
             t.priority: r for t, r in on.response_times.items()
         }
+
+    @pytest.mark.parametrize(
+        "install", ["install_sweep_layers", "install_service_layers"]
+    )
+    def test_every_layer_the_tracer_wraps_exists(self, install):
+        # mock.patch.object raises AttributeError on a missing name.
+        from perfbench import tracing
+
+        with ExitStack() as stack:
+            getattr(tracing, install)(tracing.Tracer(), stack)
+
+    def test_every_counter_the_harness_reads_exists(self):
+        from perfbench.sweeps import _COUNTERS
+
+        counters = PerfCounters()
+        assert {
+            name: getattr(counters, attr) for name, attr in _COUNTERS.items()
+        } == dict.fromkeys(_COUNTERS, 0)
 
     def test_retired_lockstep_counters_stay_zero(self):
         from repro.experiments.config import SweepSettings, standard_variants

@@ -9,6 +9,7 @@ state untouched.  The end-to-end counterpart against real daemon
 processes is ``scripts/chaos_smoke.py`` (CI's ``chaos-smoke`` job).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -29,14 +30,11 @@ from repro.resultcache import (
     CHAOS_FAULT_ENV,
     CHAOS_KILL_STATUS,
     ResultCache,
-    WarmSeedStore,
-    hint_from_seed,
     request_fingerprint,
     result_from_payload,
     result_payload,
-    seed_payload,
-    seed_payload_from_response,
 )
+from repro.serialization import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -101,25 +99,6 @@ class TestPayloadRoundtrip:
         payload = dict(result_payload(result), response_times={"ghost": 1})
         with pytest.raises(ModelError):
             result_from_payload(taskset, payload)
-
-    def test_seed_round_trips_through_hint(self, result):
-        seed = seed_payload(result)
-        if not result.schedulable:
-            pytest.skip("fixture task set must be schedulable for this test")
-        hint = hint_from_seed(json.loads(json.dumps(seed)))
-        assert hint.response_times == {
-            task.priority: bound
-            for task, bound in result.response_times.items()
-        }
-        assert hint.outer_iterations == result.outer_iterations
-
-    def test_seed_payload_matches_response_form(self, taskset, result):
-        body = dict(result_payload(result), id="x")
-        assert seed_payload_from_response(taskset, body) == seed_payload(result)
-
-    def test_malformed_seed_raises_model_error(self):
-        with pytest.raises(ModelError):
-            hint_from_seed({"response_times": {"1": "not-a-number"}})
 
 
 class TestResultCache:
@@ -263,20 +242,71 @@ class TestResultCache:
         assert stats["quarantined_files"] == 0
 
 
-class TestWarmSeedStore:
-    def test_round_trip(self, tmp_path, result, fingerprint):
-        if not result.schedulable:
-            pytest.skip("fixture task set must be schedulable for this test")
-        store = WarmSeedStore(tmp_path)
-        seed = seed_payload(result)
-        assert store.put(fingerprint, seed)
-        assert store.get(fingerprint) == seed
-        assert WarmSeedStore(tmp_path).get(fingerprint) == seed
+class TestOlderCacheLayout:
+    """Directories written by daemons that still kept a warm-seed store."""
 
-    def test_refuses_shapeless_payloads(self, tmp_path, fingerprint):
-        store = WarmSeedStore(tmp_path)
-        assert not store.put(fingerprint, {"response_times": "not-a-map"})
-        assert store.get(fingerprint) is None
+    @pytest.mark.parametrize(
+        "seed_text",
+        [
+            lambda text: text,
+            lambda text: text[: len(text) // 2],  # torn seed entry
+            lambda text: "",  # empty seed entry
+        ],
+        ids=["valid", "truncated", "empty"],
+    )
+    def test_seeds_subtree_is_ignored_and_left_untouched(
+        self, tmp_path, taskset, result, fingerprint, seed_text
+    ):
+        payload = result_payload(result)
+        ResultCache(tmp_path).put(fingerprint, payload)
+        entry = next((tmp_path / "entries").rglob("*.json"))
+        entry_bytes = entry.read_bytes()
+        # The layout the removed seed store wrote: its own entries/ and
+        # quarantine/ under seeds/, one envelope per fingerprint.
+        seed = {
+            "response_times": {
+                str(task.priority): bound
+                for task, bound in result.response_times.items()
+            },
+            "outer_iterations": result.outer_iterations,
+        }
+        seed_file = (
+            tmp_path / "seeds" / "entries" / fingerprint[:2]
+            / f"{fingerprint}.json"
+        )
+        seed_file.parent.mkdir(parents=True)
+        (tmp_path / "seeds" / "quarantine").mkdir()
+        seed_file.write_text(seed_text(json.dumps({
+            "format": "repro-warm-seed",
+            "version": 1,
+            "fingerprint": fingerprint,
+            "payload": seed,
+            "sha256": hashlib.sha256(
+                canonical_json(seed).encode("utf-8")
+            ).hexdigest(),
+        }, sort_keys=True)))
+        before = {
+            path.relative_to(tmp_path): path.read_bytes()
+            for path in (tmp_path / "seeds").rglob("*") if path.is_file()
+        }
+
+        cache = ResultCache(tmp_path)
+        assert cache.quarantined_files == 0
+        assert list(cache.fingerprints()) == [fingerprint]
+        served = cache.get(fingerprint)
+        assert served == payload
+        assert result_from_payload(taskset, served) == result
+        assert entry.read_bytes() == entry_bytes
+        assert not any((tmp_path / "quarantine").iterdir())
+        assert {
+            path.relative_to(tmp_path): path.read_bytes()
+            for path in (tmp_path / "seeds").rglob("*") if path.is_file()
+        } == before
+        assert sorted(
+            path.relative_to(tmp_path).as_posix()
+            for path in (tmp_path / "seeds").rglob("*") if path.is_dir()
+        ) == ["seeds/entries", f"seeds/entries/{fingerprint[:2]}",
+              "seeds/quarantine"]
 
 
 class TestKillMidWrite:

@@ -118,6 +118,18 @@ class TestServiceWorker:
         assert isinstance(perf, PerfCounters)
         assert perf.analyses == 1
 
+    def test_each_request_analyses_the_task_set_it_parsed(self, envelope):
+        # The worker keeps no task sets between requests: a repeat is a
+        # full cold analysis with a bit-identical body, never a replay.
+        first, first_perf = service_worker(request_document(envelope))
+        again, again_perf = service_worker(request_document(envelope))
+        assert again == first
+        for perf in (first_perf, again_perf):
+            assert perf.analyses == 1
+            assert perf.warm_starts == 0
+            assert (perf.resident_table_hits, perf.resident_table_misses) == (0, 0)
+        assert again_perf.inner_iterations == first_perf.inner_iterations
+
     def test_budget_abort_response_carries_partials(self, envelope):
         response, perf = service_worker(
             request_document(envelope, max_iterations=2)
@@ -474,29 +486,40 @@ class TestResultCacheIntegration:
         status, body = service.handle(request_document(envelope, id="warm"))
         assert status == 200 and body["cache"] == "hit"
 
-    def test_completed_results_seed_the_warm_start_store(
-        self, tmp_path, envelope
-    ):
-        seen = {}
+    def test_recomputations_carry_no_warm_seed(self, tmp_path, envelope):
+        documents = []
 
         def spy(document):
-            seen.clear()
-            seen.update(document)
+            documents.append(dict(document))
             return service_worker(document)
 
         service = self.make_cached_service(tmp_path, pool=StubPool(spy))
-        service.handle(request_document(envelope))
-        assert "warm_seed" not in seen  # nothing to offer on the first run
-        assert len(service.seeds) >= 0
+        status, first = service.handle(request_document(envelope))
+        assert status == 200 and first["status"] == "ok"
+        # Recompute the same fingerprint after dropping its cache entry:
+        # the pool gets the request as sent, with no converged map, and
+        # the worker analyses the task set it parsed from scratch.
         fingerprint = next(iter(service.cache.fingerprints()))
-        if service.seeds.get(fingerprint) is None:
-            pytest.skip("fixture task set must be schedulable to seed")
-        # Recompute the same fingerprint (cache entry dropped, seed kept):
-        # the pool document now carries the converged map as a seed.
         service.cache.invalidate(fingerprint)
-        service.handle(request_document(envelope, id="re-run"))
-        assert "warm_seed" in seen
-        assert seen["warm_seed"]["response_times"]
+        status, again = service.handle(request_document(envelope, id="re-run"))
+        assert status == 200 and "cache" not in again
+        assert [document["id"] for document in documents] == ["req-1", "re-run"]
+        assert all("warm_seed" not in document for document in documents)
+        assert service.perf.warm_starts == 0
+        assert dict(again, id="req-1") == first
+        assert not (tmp_path / "seeds").exists()
+
+    def test_without_a_cache_dir_repeats_are_reanalysed(self, envelope):
+        pool = StubPool()
+        service = make_service(pool=pool)
+        status, first = service.handle(request_document(envelope))
+        assert status == 200 and first["status"] == "ok"
+        status, again = service.handle(request_document(envelope, id="req-2"))
+        assert status == 200 and "cache" not in again
+        assert pool.calls == 2
+        assert service.perf.analyses == 2
+        assert service.perf.warm_starts == 0
+        assert dict(again, id="req-1") == first
 
     def test_stats_document_reports_the_cache(self, tmp_path, envelope):
         service = self.make_cached_service(tmp_path)
@@ -505,7 +528,9 @@ class TestResultCacheIntegration:
         assert cache["enabled"] and cache["coalesce"]
         assert cache["coalescing_flights"] == 0
         assert cache["entries"] == 1 and cache["bytes"] > 0
-        assert "seeds" in cache
+        assert "seeds" not in cache
+        perf = service.stats_document()["perf"]
+        assert "warm_seed_hits" not in perf and "warm_seed_stores" not in perf
         bare = make_service().stats_document()["cache"]
         assert not bare["enabled"]
         assert "entries" not in bare

@@ -127,23 +127,6 @@ class TestDroppedStateIsFreedByRefcount:
             gc.enable()
 
 
-class TestCanonical:
-    def test_builder_runs_once_per_key(self):
-        plane = StatePlane(capacity=8)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return object()
-
-        perf = PerfCounters()
-        first = plane.canonical("digest", build, perf)
-        second = plane.canonical("digest", build, perf)
-        assert second is first
-        assert len(calls) == 1
-        assert (perf.resident_table_misses, perf.resident_table_hits) == (1, 1)
-
-
 class TestCapacity:
     def test_zero_capacity_disables_residency(self):
         plane = StatePlane(capacity=0)
@@ -172,12 +155,10 @@ class TestCapacity:
         platform = default_platform()
         generation = GenerationConfig()
         resident = plane.taskset(platform, generation, 0.4, 5)
-        plane.canonical("key", lambda: "doc")
         plane.clear()
         perf = PerfCounters()
         assert plane.taskset(platform, generation, 0.4, 5, perf) is not resident
         assert perf.resident_table_misses == 1
-        assert plane.canonical("key", lambda: "rebuilt") == "rebuilt"
 
 
 class TestResidentSingleton:
