@@ -162,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["jobs"] = args.jobs
     if args.profile_cprofile is not None:
         # cProfile instruments only this process; spawn workers would show
-        # up as one opaque wait.  Profile the inline path instead.
+        # up as one opaque wait.  With one job the chunks run in-process.
         overrides["jobs"] = 1
     if args.timeout is not None:
         overrides["timeout"] = args.timeout

@@ -297,9 +297,9 @@ def prewarm_items(
     variants: Sequence[Variant],
     generation: GenerationConfig,
     items: Sequence[WorkItem],
-    perf: Optional[PerfCounters] = None,
-    context: Optional[Dict] = None,
-) -> Optional[Dict]:
+    perf: Optional[PerfCounters],
+    context: Dict,
+) -> Dict:
     """Pre-generate a chunk's task sets and compile their interference tables.
 
     Fills ``context["tasksets"]`` (seed-keyed) so :func:`evaluate_item`
@@ -316,10 +316,8 @@ def prewarm_items(
     re-prefill of a resident task set is an idempotent no-op.  Purely an
     optimisation: every step is idempotent and the analyses recompute
     anything missing, so a skipped or failed prewarm never changes
-    results.
+    results.  Returns ``context``.
     """
-    if context is None:
-        return None
     tasksets = context.setdefault("tasksets", {})
     plane = resident_plane()
     fresh = []
@@ -360,9 +358,9 @@ def evaluate_item(
     """Supervisor-facing adapter: :func:`evaluate_sample` as raw payload.
 
     Module-level so it pickles by reference into spawn workers.  The
-    keyword-only ``context`` implements the supervisor's shared-context
-    protocol (``supports_context`` below): it carries the pre-generated
-    task sets of :func:`prewarm_items`, consumed here, one use each.
+    keyword-only ``context`` is the supervisor's per-chunk evaluation
+    context: it carries the pre-generated task sets of
+    :func:`prewarm_items`, consumed here, one use each.
     """
     taskset = None
     if context is not None:
@@ -373,11 +371,6 @@ def evaluate_item(
     )
     return outcome.weight, outcome.verdicts
 
-
-#: Supervisor protocol: accept the keyword-only ``context`` argument.
-evaluate_item.supports_context = True
-#: Supervisor protocol: per-chunk batch prewarming hook.
-evaluate_item.prewarm = prewarm_items
 
 #: ``perfbench/tracing.py`` wraps this name; it is the only user and
 #: nothing in the program calls it.
@@ -434,7 +427,8 @@ def run_point(
         for i in range(settings.samples)
     ]
     supervisor = SweepSupervisor(
-        evaluate_item, base_platform, tuple(variants), settings.generation, settings
+        evaluate_item, base_platform, tuple(variants), settings.generation,
+        settings, prewarm=prewarm_items,
     )
     completed, _failures = supervisor.run(items)
     return [
@@ -522,6 +516,7 @@ def run_curve(
             settings,
             journal=journal,
             fault=fault,
+            prewarm=prewarm_items,
         )
         fresh, failures = supervisor.run(pending)
     completed = {**prior, **fresh}

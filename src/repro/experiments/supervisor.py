@@ -32,9 +32,9 @@ layers, ordered from cheapest to most drastic:
    every other sample in the chunk completes normally.  The watchdog
    remains as a *fallback* for non-cooperative hangs (e.g. a bug looping
    between budget checkpoints): when only ``sample_budget`` is set, each
-   chunk gets a derived allowance of ``sample_budget x chunk size x``
-   :data:`BUDGET_WATCHDOG_FACTOR` ``+`` :data:`BUDGET_WATCHDOG_GRACE`
-   seconds before the pool is killed.
+   chunk gets the derived allowance
+   :func:`~repro.workers.watchdog_allowance` ``(sample_budget, chunk
+   size)`` before the pool is killed.
 
 3. **Crash recovery.**  ``BrokenProcessPool`` (worker died: segfault,
    ``os._exit``, OOM kill) triggers a pool respawn.  The executor cannot
@@ -50,12 +50,12 @@ layers, ordered from cheapest to most drastic:
 
 The supervisor is deliberately generic: it executes a picklable
 ``evaluate`` callable over :class:`WorkItem`\\ s and neither imports nor
-knows about the figure drivers.  Worker processes are always created with
-the **spawn** start method, so worker behaviour (fresh imports, no
-inherited derived tables or perf-counter state, no accidentally
-shared fault flags) and all recovery semantics are identical on Linux and
-macOS; ``fork`` would also duplicate the parent's signal handlers and
-journal file descriptors into the children.
+knows about the per-figure modules.  With ``jobs >= 2`` chunks run in the
+spawn workers of a :class:`~repro.workers.SpawnPool`, the substrate the
+analysis service uses too.  With ``jobs == 1`` the same supervision loop
+runs each chunk in this process at submission: its result is ready before
+the loop waits on it, so the watchdog and crash recovery never fire, and
+SIGINT/SIGTERM are honoured between chunks.
 
 Completed items are checkpointed to an optional
 :class:`~repro.experiments.journal.RunJournal` the moment their chunk
@@ -66,22 +66,20 @@ an interrupted campaign resumes bit-identically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
-import multiprocessing
-import os
 import signal
 import sys
 import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.budget import Budget
@@ -90,6 +88,7 @@ from repro.experiments.config import SweepSettings
 from repro.experiments.journal import RunJournal
 from repro.perf import PerfCounters, merge_global
 from repro.verify.faults import SweepFault, trigger_sweep_fault
+from repro.workers import SpawnPool, watchdog_allowance
 
 #: Journal/result key of one work item: ``(point_index, sample_index)``.
 ItemKey = Tuple[int, int]
@@ -100,21 +99,9 @@ ItemResult = Tuple[float, Tuple[bool, ...]]
 #: Upper bound on any single backoff sleep, seconds.
 BACKOFF_CAP = 2.0
 
-#: Seconds between a pool worker's checks that its parent still lives.
-PARENT_POLL_SECONDS = 0.5
-
 #: Poll granularity of the supervision loop, seconds.  Bounds both the
 #: watchdog's detection latency and the reaction time to SIGINT/SIGTERM.
 _WAIT_TICK = 0.2
-
-#: Watchdog-fallback multiplier on the per-sample budget: a chunk whose
-#: cooperative budgets should have fired long ago is declared hung once it
-#: exceeds ``sample_budget x chunk size x factor + grace`` seconds.
-BUDGET_WATCHDOG_FACTOR = 4.0
-
-#: Constant slack added to the derived watchdog allowance (absorbs worker
-#: spawn and import time for tiny budgets).
-BUDGET_WATCHDOG_GRACE = 5.0
 
 
 @dataclass(frozen=True)
@@ -201,66 +188,33 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _prepare_context(
-    evaluate, platform, variants, generation, items, perf
-) -> Optional[Dict]:
-    """Build the optional shared evaluation context for a batch of items.
+def run_chunk(state: Tuple, chunk) -> Tuple[List[Tuple], PerfCounters]:
+    """Evaluate one chunk of ``(item, attempt)`` pairs.
 
-    The context protocol: an ``evaluate`` callable may declare
-    ``evaluate.supports_context = True`` to receive a keyword-only
-    ``context`` argument, and may additionally expose
-    ``evaluate.prewarm(platform, variants, generation, items, perf,
-    context)`` to pre-populate the context for a whole chunk (e.g.
-    batch-compiling every task set of a sweep point at once).  Prewarming
-    is strictly an optimisation — a failing hook is ignored and the
-    per-item evaluation recomputes whatever is missing, so results never
-    depend on it.
+    ``state`` is the sweep's shared ``(evaluate, prewarm, platform,
+    variants, generation, fault, sample_budget)``.  Ordinary exceptions
+    are captured per sample — this function is the per-sample isolation
+    boundary — while crashes and hangs by their nature escape it and are
+    handled by the supervisor.  A ``prewarm`` hook first fills the chunk's
+    evaluation context (e.g. batch-compiling every task set of the
+    chunk); it is strictly an optimisation, so a failing one is ignored
+    and ``evaluate`` recomputes whatever is missing.  With a per-sample
+    budget each item gets a fresh :class:`~repro.budget.Budget`; a
+    cooperative abort is reported as a ``"budget"`` record so the
+    supervisor can quarantine it without charging retries.  Returns the
+    result list plus the chunk's perf counters for the parent to merge.
     """
-    if not getattr(evaluate, "supports_context", False):
-        return None
+    evaluate, prewarm, platform, variants, generation, fault, sample_budget = state
+    perf = PerfCounters()
     context: Dict = {}
-    prewarm = getattr(evaluate, "prewarm", None)
     if prewarm is not None:
         try:
-            prewarm(platform, variants, generation, items, perf, context)
+            prewarm(
+                platform, variants, generation,
+                [item for item, _attempt in chunk], perf, context,
+            )
         except Exception:  # noqa: BLE001 — prewarming must never fail a chunk
             context = {}
-    return context
-
-
-def _call_evaluate(
-    evaluate, platform, variants, generation, item, perf, budget, context
-):
-    """Invoke ``evaluate`` for one item, honouring the context protocol."""
-    if context is None:
-        return evaluate(
-            platform, item.utilization, variants, generation, item.seed,
-            perf, budget,
-        )
-    return evaluate(
-        platform, item.utilization, variants, generation, item.seed,
-        perf, budget, context=context,
-    )
-
-
-def run_chunk(args):
-    """Evaluate one chunk of ``(item, attempt)`` pairs (worker side).
-
-    Top-level so it is picklable under the spawn start method.  Ordinary
-    exceptions are captured per sample — this function is the per-sample
-    isolation boundary — while crashes and hangs by their nature escape it
-    and are handled by the supervisor.  With a per-sample budget each item
-    gets a fresh :class:`~repro.budget.Budget`; a cooperative abort is
-    reported as a ``"budget"`` record so the supervisor can quarantine it
-    without charging retries.  Returns the result list plus the chunk's
-    perf counters for the parent to merge.
-    """
-    evaluate, platform, variants, generation, chunk, fault, sample_budget = args
-    perf = PerfCounters()
-    context = _prepare_context(
-        evaluate, platform, variants, generation,
-        [item for item, _attempt in chunk], perf,
-    )
     results: List[Tuple] = []
     for item, attempt in chunk:
         budget = (
@@ -270,9 +224,9 @@ def run_chunk(args):
         )
         try:
             trigger_sweep_fault(fault, item.point, item.sample, attempt)
-            weight, verdicts = _call_evaluate(
-                evaluate, platform, variants, generation, item, perf, budget,
-                context,
+            weight, verdicts = evaluate(
+                platform, item.utilization, variants, generation, item.seed,
+                perf, budget, context=context,
             )
             results.append(("ok", item.key, weight, tuple(verdicts)))
         except AnalysisAborted as abort:
@@ -298,40 +252,16 @@ def run_chunk(args):
     return results, perf
 
 
-#: Worker-resident chunk arguments, installed once per worker process by
+#: Worker-resident sweep state, installed once per worker process by
 #: :func:`_worker_init` so per-chunk submissions carry only the chunk
-#: payload instead of re-pickling the shared platform/variants/generation
-#: state (and the evaluate reference) with every chunk.
+#: payload instead of re-pickling the shared state with every chunk.
 _WORKER_STATE: Optional[Tuple] = None
 
 
-def exit_with_parent() -> None:
-    """Start a daemon thread that ends this pool worker once its parent dies.
-
-    A spawn worker holds both ends of its pool's call-queue pipe, so after
-    its parent is SIGKILLed it waits for work forever, and the
-    multiprocessing resource tracker, whose pipe it also holds, lives on
-    with it.  The thread exits the process as soon as ``os.getppid()`` no
-    longer names the parent that spawned the worker.  Every spawn pool
-    calls it from its initializer: the sweep's :func:`_worker_init` and
-    the analysis service's pool.
-    """
-    spawner = multiprocessing.parent_process()
-    parent = spawner.pid if spawner is not None else os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(PARENT_POLL_SECONDS)
-        os._exit(1)
-
-    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
-
-
-def _worker_init(evaluate, platform, variants, generation, fault, sample_budget):
+def _worker_init(state: Tuple) -> None:
     """Pool initializer: park the sweep's shared state in the worker."""
     global _WORKER_STATE
-    exit_with_parent()
-    _WORKER_STATE = (evaluate, platform, variants, generation, fault, sample_budget)
+    _WORKER_STATE = state
 
 
 def run_resident_chunk(payload):
@@ -344,10 +274,28 @@ def run_resident_chunk(payload):
     every recovery path untouched: a respawned pool simply re-runs
     :func:`_worker_init` and starts with an empty plane.
     """
-    evaluate, platform, variants, generation, fault, sample_budget = _WORKER_STATE
-    return run_chunk(
-        (evaluate, platform, variants, generation, payload, fault, sample_budget)
-    )
+    return run_chunk(_WORKER_STATE, payload)
+
+
+class _InProcessPool:
+    """The ``jobs == 1`` stand-in for a :class:`~repro.workers.SpawnPool`.
+
+    ``submit`` runs the call here and now and hands back a finished
+    future, so the supervision loop absorbs it before any watchdog or
+    crash check; an exception the call raises propagates to the caller.
+    """
+
+    generation = 0
+
+    @staticmethod
+    def submit(fn: Callable, *args) -> Tuple[int, Future]:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return 0, future
+
+    @staticmethod
+    def close() -> None:
+        """Nothing to release."""
 
 
 def chunked(
@@ -361,7 +309,7 @@ def chunked(
     samples while the tail stays fine-grained enough for the work-stealing
     split in :meth:`SweepSupervisor._run_supervised` to even out stragglers.
     Chunks never span sweep points: each point's samples are split on
-    their own, so a chunk's prewarm hook (see :func:`_prepare_context`)
+    their own, so a chunk's prewarm hook (see :func:`run_chunk`)
     always sees task sets of a single point and the batch kernel compiles
     a whole point together.  Chunk boundaries are not part of the journal
     fingerprint — per-sample seeds make any partitioning (including the
@@ -388,12 +336,16 @@ class SweepSupervisor:
     Parameters mirror the worker contract: ``evaluate`` must be a
     module-level (picklable) callable with the signature
     ``evaluate(platform, utilization, variants, generation, seed, perf,
-    budget) -> (weight, verdicts)`` where ``budget`` is the item's
-    :class:`~repro.budget.Budget` or ``None`` when
-    ``settings.sample_budget`` is unset.  ``journal`` (optional) receives every
-    completed or quarantined item as it happens; ``fault`` (optional)
-    carries a deterministic :class:`~repro.verify.faults.SweepFault` into
-    the workers for recovery-path testing.
+    budget, *, context) -> (weight, verdicts)`` where ``budget`` is the
+    item's :class:`~repro.budget.Budget` or ``None`` when
+    ``settings.sample_budget`` is unset, and ``context`` is the chunk's
+    evaluation context dict.  ``prewarm`` (optional, module-level) is
+    called as ``prewarm(platform, variants, generation, items, perf,
+    context)`` once per chunk to fill that context.  ``journal``
+    (optional) receives every completed or quarantined item as it
+    happens; ``fault`` (optional) carries a deterministic
+    :class:`~repro.verify.faults.SweepFault` into the workers for
+    recovery-path testing.
     """
 
     def __init__(
@@ -405,8 +357,10 @@ class SweepSupervisor:
         settings: SweepSettings,
         journal: Optional[RunJournal] = None,
         fault: Optional[SweepFault] = None,
+        prewarm: Optional[Callable] = None,
     ) -> None:
         self.evaluate = evaluate
+        self.prewarm = prewarm
         self.platform = platform
         self.variants = tuple(variants)
         self.generation = generation
@@ -431,106 +385,26 @@ class SweepSupervisor:
         if not items:
             return {}, []
         with self._interruptible():
-            if self.settings.jobs == 1:
-                return self._run_inline(items)
             return self._run_supervised(items)
 
-    # -- inline execution (jobs == 1) ----------------------------------------
-
-    def _run_inline(
-        self, items: Sequence[WorkItem]
-    ) -> Tuple[Dict[ItemKey, ItemResult], List[SampleFailure]]:
-        """Sequential execution with per-sample isolation and retries.
-
-        No hang watchdog and no crash recovery are possible in-process;
-        use ``jobs >= 2`` for full supervision.  One shared evaluation
-        context (see :func:`_prepare_context`) survives the whole run,
-        prewarmed point by point as execution reaches it.
-        """
-        completed: Dict[ItemKey, ItemResult] = {}
-        failures: List[SampleFailure] = []
-        attempts: Dict[ItemKey, int] = {item.key: 0 for item in items}
-        by_key: Dict[ItemKey, WorkItem] = {item.key: item for item in items}
-        queue: Deque[WorkItem] = deque(items)
-        perf = PerfCounters()
-        supports_context = getattr(self.evaluate, "supports_context", False)
-        prewarm = (
-            getattr(self.evaluate, "prewarm", None) if supports_context else None
-        )
-        context: Optional[Dict] = {} if supports_context else None
-        prewarmed_points: set = set()
-        by_point: Dict[int, List[WorkItem]] = {}
-        if prewarm is not None:
-            for item in items:
-                by_point.setdefault(item.point, []).append(item)
-        while queue:
-            self._check_interrupt()
-            item = queue.popleft()
-            attempt = attempts[item.key]
-            if prewarm is not None and item.point not in prewarmed_points:
-                prewarmed_points.add(item.point)
-                try:
-                    prewarm(
-                        self.platform, self.variants, self.generation,
-                        by_point[item.point], perf, context,
-                    )
-                except Exception:  # noqa: BLE001 — prewarming is optional
-                    pass
-            budget = (
-                Budget(wall_seconds=self.settings.sample_budget)
-                if self.settings.sample_budget is not None
-                else None
-            )
-            try:
-                trigger_sweep_fault(self.fault, item.point, item.sample, attempt)
-                weight, verdicts = _call_evaluate(
-                    self.evaluate,
-                    self.platform,
-                    self.variants,
-                    self.generation,
-                    item,
-                    perf,
-                    budget,
-                    context,
-                )
-            except AnalysisAborted as abort:
-                # Budget aborts are deterministic for the sample: straight
-                # to quarantine, no retry budget consumed.
-                attempts[item.key] += 1
-                self._quarantine(
-                    item,
-                    "budget",
-                    type(abort).__name__,
-                    str(abort),
-                    _digest(traceback.format_exc()),
-                    attempts[item.key],
-                    failures,
-                )
-            except Exception as error:  # noqa: BLE001 — isolation boundary
-                attempts[item.key] += 1
-                if attempts[item.key] > self.settings.retries:
-                    self._quarantine(
-                        item,
-                        "exception",
-                        type(error).__name__,
-                        str(error),
-                        _digest(traceback.format_exc()),
-                        attempts[item.key],
-                        failures,
-                    )
-                else:
-                    time.sleep(self._backoff_delay(attempts[item.key]))
-                    queue.append(item)
-            else:
-                self._complete(item.key, weight, tuple(verdicts), completed)
-        merge_global(perf)
-        return completed, failures
-
-    # -- supervised parallel execution ---------------------------------------
+    # -- supervised execution -------------------------------------------------
 
     def _run_supervised(
         self, items: Sequence[WorkItem]
     ) -> Tuple[Dict[ItemKey, ItemResult], List[SampleFailure]]:
+        state = (
+            self.evaluate, self.prewarm, self.platform, self.variants,
+            self.generation, self.fault, self.settings.sample_budget,
+        )
+        if self.settings.jobs == 1:
+            pool, task = _InProcessPool(), functools.partial(run_chunk, state)
+        else:
+            # The initializer parks the shared state in each worker (see
+            # _worker_init) so chunk submissions ship only item payloads.
+            pool = SpawnPool(self.settings.jobs, _worker_init, (state,))
+            task = run_resident_chunk
+        # Generation of the executor every in-flight chunk was submitted to.
+        generation = pool.generation
         completed: Dict[ItemKey, ItemResult] = {}
         failures: List[SampleFailure] = []
         attempts: Dict[ItemKey, int] = {item.key: 0 for item in items}
@@ -542,7 +416,6 @@ class SweepSupervisor:
         suspects: Deque[Tuple[WorkItem, ...]] = deque()
         delayed: List[Tuple[float, int, Tuple[WorkItem, ...]]] = []
         tiebreak = itertools.count()
-        executor = self._new_executor()
         futures: Dict = {}
         try:
             while ready or suspects or delayed or futures:
@@ -583,7 +456,7 @@ class SweepSupervisor:
                         (item, attempts[item.key]) for item in chunk
                     )
                     try:
-                        future = executor.submit(run_resident_chunk, payload)
+                        generation, future = pool.submit(task, payload)
                     except BrokenProcessPool:
                         (suspects if solo else ready).appendleft(chunk)
                         broken = True
@@ -616,8 +489,9 @@ class SweepSupervisor:
                             broken_chunks,
                         )
                 if broken:
-                    executor = self._recover_broken_pool(
-                        executor,
+                    self._recover_broken_pool(
+                        pool,
+                        generation,
                         futures,
                         broken_chunks,
                         completed,
@@ -633,8 +507,9 @@ class SweepSupervisor:
                     self.settings.timeout is not None
                     or self.settings.sample_budget is not None
                 ):
-                    executor = self._enforce_timeout(
-                        executor,
+                    self._enforce_timeout(
+                        pool,
+                        generation,
                         futures,
                         completed,
                         failures,
@@ -645,44 +520,11 @@ class SweepSupervisor:
                         tiebreak,
                     )
         finally:
-            self._kill_executor(executor)
+            pool.close()
         merge_global(supervisor_perf)
         return completed, failures
 
     # -- helpers -------------------------------------------------------------
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        # Spawn, explicitly: identical worker semantics on Linux/macOS and
-        # no inherited signal handlers, fault flags or journal handles.
-        # The initializer parks the sweep's shared state in each worker
-        # (see _worker_init) so chunk submissions ship only item payloads.
-        return ProcessPoolExecutor(
-            max_workers=self.settings.jobs,
-            mp_context=get_context("spawn"),
-            initializer=_worker_init,
-            initargs=(
-                self.evaluate,
-                self.platform,
-                self.variants,
-                self.generation,
-                self.fault,
-                self.settings.sample_budget,
-            ),
-        )
-
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Forcibly stop an executor, terminating hung workers if needed.
-
-        ``shutdown`` alone never returns while a worker is hung; there is
-        no public kill switch, so this reaches for the internal process
-        map (stable across CPython 3.9-3.13) with a guard.
-        """
-        processes = getattr(executor, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                process.terminate()
-        executor.shutdown(wait=True, cancel_futures=True)
 
     def _backoff_delay(self, attempt: int) -> float:
         """Capped exponential backoff before the ``attempt``-th retry."""
@@ -700,12 +542,7 @@ class SweepSupervisor:
         if self.settings.timeout is not None:
             return self.settings.timeout
         if self.settings.sample_budget is not None:
-            return (
-                self.settings.sample_budget
-                * len(chunk)
-                * BUDGET_WATCHDOG_FACTOR
-                + BUDGET_WATCHDOG_GRACE
-            )
+            return watchdog_allowance(self.settings.sample_budget, len(chunk))
         return None
 
     def _complete(
@@ -884,7 +721,8 @@ class SweepSupervisor:
 
     def _recover_broken_pool(
         self,
-        executor: ProcessPoolExecutor,
+        pool: SpawnPool,
+        generation: int,
         futures: Dict,
         broken_chunks: List[Tuple[WorkItem, ...]],
         completed: Dict[ItemKey, ItemResult],
@@ -894,7 +732,7 @@ class SweepSupervisor:
         suspects: Deque,
         delayed: List,
         tiebreak,
-    ) -> ProcessPoolExecutor:
+    ) -> None:
         """Drain a broken pool, attribute guilt, and respawn it.
 
         Chunks that still completed are absorbed normally.  If exactly
@@ -911,7 +749,7 @@ class SweepSupervisor:
                 delayed, tiebreak, broken_chunks,
             )
         futures.clear()
-        executor.shutdown(wait=False, cancel_futures=True)
+        pool.respawn(generation, kill=False)
         if len(broken_chunks) == 1:
             self._recover_chunk(
                 broken_chunks[0], "crash", attempts, failures, suspects,
@@ -920,11 +758,11 @@ class SweepSupervisor:
         else:
             suspects.extend(broken_chunks)
         broken_chunks.clear()
-        return self._new_executor()
 
     def _enforce_timeout(
         self,
-        executor: ProcessPoolExecutor,
+        pool: SpawnPool,
+        generation: int,
         futures: Dict,
         completed: Dict[ItemKey, ItemResult],
         failures: List[SampleFailure],
@@ -933,7 +771,7 @@ class SweepSupervisor:
         ready: Deque,
         delayed: List,
         tiebreak,
-    ) -> ProcessPoolExecutor:
+    ) -> None:
         """Kill the pool if any in-flight chunk exceeded its allowance."""
         now = time.monotonic()
         overdue = set()
@@ -942,8 +780,8 @@ class SweepSupervisor:
             if allowance is not None and now - submitted > allowance:
                 overdue.add(future)
         if not overdue:
-            return executor
-        self._kill_executor(executor)
+            return
+        pool.respawn(generation, kill=True)
         for future, (chunk, _submitted) in list(futures.items()):
             if future in overdue:
                 self._recover_chunk(
@@ -959,7 +797,6 @@ class SweepSupervisor:
                 # Innocent collateral of the pool kill: resubmit as-is.
                 ready.append(chunk)
         futures.clear()
-        return self._new_executor()
 
     # -- interrupt handling ---------------------------------------------------
 

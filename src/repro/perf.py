@@ -104,11 +104,6 @@ class PerfCounters:
     #: Requests rejected because their propagated deadline had already
     #: expired on arrival (service side) or before a retry (router side).
     deadline_expired_rejects: int = 0
-    #: Hedge requests the router issued for idempotent analyses after the
-    #: measured-p95 delay elapsed without a primary response.
-    hedges_sent: int = 0
-    #: Hedged forwards where the hedge answered before the primary.
-    hedges_won: int = 0
     #: Requests the shard router forwarded to a backend successfully.
     router_forwards: int = 0
     #: Forward attempts retried after a dead, not-ready or timed-out shard.
@@ -242,11 +237,6 @@ class PerfCounters:
             lines.append(
                 f"  degraded answers  {self.degraded_responses:>12d}   "
                 f"ladder tier runs {self.ladder_tier_runs:>10d}"
-            )
-        if self.hedges_sent:
-            lines.append(
-                f"  hedges sent       {self.hedges_sent:>12d}   "
-                f"hedges won       {self.hedges_won:>10d}"
             )
         if self.router_forwards or self.router_retries:
             lines.append(

@@ -3,7 +3,10 @@
 A small, dependency-free daemon that accepts JSON analysis requests over
 HTTP, executes them in a supervised worker pool with per-request deadline
 budgets (see :mod:`repro.budget`), and degrades gracefully under every
-failure mode the resilience layer knows about:
+failure mode the resilience layer knows about.  The pool is a
+one-request client of :class:`repro.workers.SpawnPool`, the spawn
+substrate the sweep supervisor runs on too, so the service loads nothing
+from :mod:`repro.experiments`:
 
 * request validation mapped onto the :class:`~repro.errors.ModelError` /
   :class:`~repro.errors.AnalysisError` taxonomy (HTTP 400),
@@ -31,7 +34,8 @@ failure mode the resilience layer knows about:
   computation,
 * a fingerprint-sharded, health-checked router
   (``python -m repro.service.router``) that spreads requests across
-  several daemons and fails idempotent work over to surviving shards.
+  several daemons, fails idempotent work over to surviving shards and
+  tries a shard that sent ``Retry-After`` last until the hint expires.
 
 See ``docs/SERVICE.md`` for the protocol and operational guide,
 ``docs/CACHE.md`` for the durable cache and ``scripts/chaos_smoke.py``

@@ -33,7 +33,6 @@ with their request ids), and the process exits 0.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import signal
@@ -41,7 +40,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -60,6 +59,7 @@ from repro.service.breaker import CircuitBreaker, OPEN
 from repro.service.pool import AnalysisPool
 from repro.service.protocol import (
     AnalysisRequest,
+    JsonHandler,
     abort_response,
     degraded_response,
     error_response,
@@ -780,26 +780,10 @@ class AnalysisService:
 # -- HTTP front end -----------------------------------------------------------
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Routes HTTP verbs onto one shared :class:`AnalysisService`."""
 
     service: AnalysisService  # injected by serve()
-    quiet = True
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        if not self.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-    def _send(self, status: int, document: Dict) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        retry_after = document.get("retry_after")
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib casing
         if self.path == "/healthz":
@@ -811,17 +795,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(404, {"status": "not-found", "path": self.path})
 
-    def do_POST(self) -> None:  # noqa: N802 — stdlib casing
-        if self.path != "/analyze":
-            self._send(404, {"status": "not-found", "path": self.path})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            document = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError) as error:
-            self._send(400, error_response("", ModelError(f"bad JSON: {error}")))
-            return
-        if isinstance(document, dict) and "requests" not in document:
+    def analyze(self, document) -> Tuple[int, Dict]:
+        if isinstance(document, dict) and "requests" in document:
+            return self.service.handle_batch(document["requests"])
+        if isinstance(document, dict):
             # Transport-level deadline/priority: proxies that cannot edit
             # the body (or callers fronted by one) may send the end-to-end
             # deadline and priority class as headers; body fields win.
@@ -830,24 +807,17 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     document["deadline_ms"] = float(deadline)
                 except ValueError:
-                    self._send(
-                        400,
-                        error_response(
-                            document.get("id", ""),
-                            AnalysisError(
-                                f"X-Deadline-Ms must be a number of "
-                                f"milliseconds, got {deadline!r}"
-                            ),
+                    return 400, error_response(
+                        document.get("id", ""),
+                        AnalysisError(
+                            f"X-Deadline-Ms must be a number of "
+                            f"milliseconds, got {deadline!r}"
                         ),
                     )
-                    return
             priority = self.headers.get("X-Priority")
             if priority is not None and "priority" not in document:
                 document["priority"] = priority
-        if isinstance(document, dict) and "requests" in document:
-            self._send(*self.service.handle_batch(document["requests"]))
-        else:
-            self._send(*self.service.handle(document))
+        return self.service.handle(document)
 
 
 def serve(

@@ -1,33 +1,30 @@
-"""Supervised worker pool executing one analysis request per submission.
+"""Worker pool executing one analysis request per submission.
 
-Requests run in **spawn** worker processes (same rationale as the sweep
-supervisor: identical semantics on Linux/macOS, no inherited state).  Two
-protection layers wrap every execution:
+Requests run in the spawn workers of a :class:`~repro.workers.SpawnPool`,
+the substrate the sweep supervisor uses too.  Two protection layers wrap
+every execution:
 
 1. The request's own :class:`~repro.budget.Budget` (deadline seconds
    and/or iteration ceiling) aborts the analysis *cooperatively* at the
    next iteration boundary — the worker survives and returns a typed
    ``budget-exceeded`` / ``cancelled`` response.
 2. A watchdog **fallback** derived from that budget
-   (``budget x`` :data:`WATCHDOG_FACTOR` ``+`` :data:`WATCHDOG_GRACE`)
-   kills and respawns the pool if a worker hangs between budget
-   checkpoints, surfacing as
+   (:func:`~repro.workers.watchdog_allowance`) kills and respawns the
+   pool if a worker hangs between budget checkpoints, surfacing as
    :class:`~repro.errors.ChunkTimeoutError`.  A worker that dies outright
    surfaces as :class:`~repro.errors.WorkerCrashError`.  Both feed the
    daemon's circuit breaker.
 
-The pool is shared by the daemon's request-handler threads; respawning
-after a kill is serialised through a generation counter so concurrent
-failures respawn the pool once, not once per waiter.
+The pool is shared by the daemon's request-handler threads; the spawn
+pool's generation counter makes concurrent failures respawn it once, not
+once per waiter.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.ladder import (
@@ -43,7 +40,6 @@ from repro.errors import (
     ChunkTimeoutError,
     WorkerCrashError,
 )
-from repro.experiments.supervisor import exit_with_parent
 from repro.perf import PerfCounters
 from repro.service.protocol import (
     abort_response,
@@ -52,12 +48,7 @@ from repro.service.protocol import (
     ok_response,
     parse_request,
 )
-
-#: Watchdog allowance = budget seconds x factor + grace (see module doc).
-WATCHDOG_FACTOR = 4.0
-
-#: Constant watchdog slack absorbing worker spawn and import time.
-WATCHDOG_GRACE = 10.0
+from repro.workers import SpawnPool, watchdog_allowance
 
 #: Exit status of the test-only "crash" injection (mirrors SIGABRT deaths).
 CRASH_EXIT_STATUS = 134
@@ -163,40 +154,24 @@ def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
 
 
 class AnalysisPool:
-    """Spawn-based worker pool with a per-request watchdog fallback."""
+    """One-request client of a :class:`~repro.workers.SpawnPool`."""
 
     def __init__(
-        self,
-        workers: int = 1,
-        watchdog_factor: float = WATCHDOG_FACTOR,
-        watchdog_grace: float = WATCHDOG_GRACE,
-        default_watchdog: Optional[float] = None,
+        self, workers: int = 1, default_watchdog: Optional[float] = None
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.watchdog_factor = watchdog_factor
-        self.watchdog_grace = watchdog_grace
         #: Watchdog allowance for requests with no budget of their own
         #: (``None`` = wait forever — only their cooperative budget, if
         #: any, bounds them).
         self.default_watchdog = default_watchdog
-        self._lock = threading.Lock()
-        self._generation = 0
-        self._executor = self._new_executor()
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=get_context("spawn"),
-            initializer=exit_with_parent,
-        )
+        self._pool = SpawnPool(workers)
 
     def allowance_for(self, budget_seconds: Optional[float]) -> Optional[float]:
         """Watchdog seconds for a request with the given budget."""
         if budget_seconds is None:
             return self.default_watchdog
-        return budget_seconds * self.watchdog_factor + self.watchdog_grace
+        return watchdog_allowance(budget_seconds)
 
     def run(self, document: Dict) -> Tuple[Dict, PerfCounters]:
         """Execute one validated request document, enforcing the watchdog.
@@ -207,51 +182,26 @@ class AnalysisPool:
         a hung worker cannot be cancelled any other way).
         """
         allowance = self.allowance_for(document.get("budget_seconds"))
-        with self._lock:
-            generation = self._generation
-            executor = self._executor
         try:
-            future = executor.submit(service_worker, document)
+            generation, future = self._pool.submit(service_worker, document)
         except (BrokenProcessPool, RuntimeError) as error:
-            self._respawn(generation, kill=False)
             raise WorkerCrashError(
                 f"worker pool was broken at submission: {error}"
             ) from None
         try:
             return future.result(timeout=allowance)
         except FutureTimeout:
-            self._respawn(generation, kill=True)
+            self._pool.respawn(generation, kill=True)
             raise ChunkTimeoutError(
                 f"request exceeded its {allowance:.1f}s watchdog allowance "
                 f"(cooperative budget checkpoints never fired)"
             ) from None
         except BrokenProcessPool:
-            self._respawn(generation, kill=False)
+            self._pool.respawn(generation, kill=False)
             raise WorkerCrashError(
                 "worker process died while executing this request"
             ) from None
 
-    def _respawn(self, generation: int, kill: bool) -> None:
-        """Replace the executor once per failure generation."""
-        with self._lock:
-            if self._generation != generation:
-                return  # another thread already respawned it
-            self._generation += 1
-            old = self._executor
-            self._executor = self._new_executor()
-        self._shutdown(old, kill=kill)
-
-    @staticmethod
-    def _shutdown(executor: ProcessPoolExecutor, kill: bool) -> None:
-        if kill:
-            processes = getattr(executor, "_processes", None)
-            if processes:
-                for process in list(processes.values()):
-                    process.terminate()
-        executor.shutdown(wait=kill, cancel_futures=True)
-
     def close(self) -> None:
         """Terminate the pool (used on daemon shutdown)."""
-        with self._lock:
-            executor = self._executor
-        self._shutdown(executor, kill=True)
+        self._pool.close()

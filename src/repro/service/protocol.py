@@ -40,11 +40,17 @@ The test-only ``inject`` field (``"hang"`` spins cooperatively inside the
 request's budget; ``"crash"`` kills the worker process) exists so the
 recovery paths can be demonstrated end-to-end — see
 ``scripts/service_smoke.py``.
+
+:class:`JsonHandler` is the HTTP framing of this protocol, shared by the
+daemon's and the router's front ends.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.config import AnalysisConfig
@@ -157,6 +163,24 @@ def _parse_config(document) -> AnalysisConfig:
     return AnalysisConfig(**kwargs)
 
 
+def _positive_finite(document: Dict, key: str, what: str) -> Optional[float]:
+    """``document[key]`` as a positive finite float, ``None`` when absent.
+
+    ``json`` accepts ``Infinity``, and an infinite budget or deadline
+    would reach a timed wait that cannot take it.
+    """
+    value = document.get(key)
+    if value is None:
+        return None
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not (value > 0 and math.isfinite(value))
+    ):
+        raise AnalysisError(f"{key!r} must be {what}, got {value!r}")
+    return float(value)
+
+
 def parse_request(document) -> AnalysisRequest:
     """Validate a raw request document into an :class:`AnalysisRequest`.
 
@@ -176,16 +200,9 @@ def parse_request(document) -> AnalysisRequest:
         raise ModelError("request is missing the 'taskset' envelope")
     taskset, platform = _parse_taskset(document["taskset"])
     config = _parse_config(document.get("config"))
-    budget_seconds = document.get("budget_seconds")
-    if budget_seconds is not None:
-        if not isinstance(budget_seconds, (int, float)) or isinstance(
-            budget_seconds, bool
-        ) or not budget_seconds > 0:
-            raise AnalysisError(
-                f"'budget_seconds' must be a positive number, "
-                f"got {budget_seconds!r}"
-            )
-        budget_seconds = float(budget_seconds)
+    budget_seconds = _positive_finite(
+        document, "budget_seconds", "a positive finite number"
+    )
     max_iterations = document.get("max_iterations")
     if max_iterations is not None:
         if not isinstance(max_iterations, int) or isinstance(
@@ -200,16 +217,9 @@ def parse_request(document) -> AnalysisRequest:
         raise AnalysisError(
             f"unknown inject kind {inject!r}; known: {', '.join(INJECT_KINDS)}"
         )
-    deadline_ms = document.get("deadline_ms")
-    if deadline_ms is not None:
-        if not isinstance(deadline_ms, (int, float)) or isinstance(
-            deadline_ms, bool
-        ) or not deadline_ms > 0:
-            raise AnalysisError(
-                f"'deadline_ms' must be a positive number of milliseconds, "
-                f"got {deadline_ms!r}"
-            )
-        deadline_ms = float(deadline_ms)
+    deadline_ms = _positive_finite(
+        document, "deadline_ms", "a positive finite number of milliseconds"
+    )
     priority = document.get("priority", "interactive")
     if priority not in PRIORITIES:
         raise AnalysisError(
@@ -319,3 +329,50 @@ def error_response(request_id: str, error: Exception) -> Dict:
         "error": type(error).__name__,
         "message": str(error),
     }
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """HTTP framing shared by the daemon's and the router's handlers.
+
+    ``POST /analyze`` reads the JSON body and answers with
+    ``self.analyze(document) -> (status, body)``, which subclasses
+    implement; any other POST path is a 404.
+    """
+
+    quiet = True
+
+    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
+        if not self.quiet:  # pragma: no cover - debug aid
+            super().log_message(format, *args)
+
+    def _send(self, status: int, document: Dict) -> None:
+        body = json.dumps(document).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        retry_after = document.get("retry_after")
+        if retry_after is not None:
+            self.send_header("Retry-After", str(retry_after))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_POST(self) -> None:  # noqa: N802 — stdlib casing
+        if self.path != "/analyze":
+            self._send(404, {"status": "not-found", "path": self.path})
+            return
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            # ``rfile.read(-1)`` would block this thread until the client
+            # hangs up, so a negative length is refused before the read.
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            document = json.loads(self.rfile.read(length) or b"null")
+        except ValueError as error:  # JSONDecodeError is a ValueError
+            self._send(
+                400, error_response("", ModelError(f"bad request body: {error}"))
+            )
+            return
+        self._send(*self.analyze(document))
+
+    def analyze(self, document) -> Tuple[int, Dict]:
+        raise NotImplementedError

@@ -36,23 +36,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import queue
+import math
 import signal
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
-from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AnalysisError, ModelError
 from repro.exitcodes import EXIT_USAGE
 from repro.perf import PerfCounters
 from repro.resultcache import request_fingerprint
-from repro.service.protocol import error_response, parse_request, shed_response
+from repro.service.protocol import (
+    JsonHandler,
+    error_response,
+    parse_request,
+    shed_response,
+)
 
 #: Transport signature: ``(method, url, document, timeout) -> (status, body)``.
 #: Must raise :class:`OSError` (connection refused, socket timeout, reset)
@@ -107,15 +111,6 @@ class RouterConfig:
     #: end-to-end deadline propagation chain.  Retries never start when
     #: the remaining deadline could not absorb the backoff sleep.
     deadline_safety_ms: float = 25.0
-    #: Hedge the first attempt of an idempotent request: when the primary
-    #: has not answered within the measured p95 forward latency, send one
-    #: duplicate to the first backup shard and take whichever responds
-    #: first.  Analysis requests are pure functions of their payload, so
-    #: the duplicate is a no-op beyond the work it burns.
-    hedge_enabled: bool = True
-    #: Minimum recorded forward latencies before hedging engages (a cold
-    #: router has no p95 worth trusting).
-    hedge_min_samples: int = 16
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -150,10 +145,6 @@ class RouterConfig:
                 f"deadline_safety_ms must be non-negative, "
                 f"got {self.deadline_safety_ms}"
             )
-        if self.hedge_min_samples < 1:
-            raise AnalysisError(
-                f"hedge_min_samples must be >= 1, got {self.hedge_min_samples}"
-            )
 
 
 class ShardRouter:
@@ -169,8 +160,8 @@ class ShardRouter:
         self.config = config
         self.transport = transport
         self.sleep = sleep
-        #: Monotonic time source for deadlines, cooldowns and latency
-        #: measurement; injectable for deterministic tests.
+        #: Monotonic time source for deadlines and cooldowns; injectable
+        #: for deterministic tests.
         self._clock = clock
         self.perf = PerfCounters()
         self._lock = threading.Lock()
@@ -183,9 +174,6 @@ class ShardRouter:
         #: the back of the candidate list but are never removed — like
         #: the health map, the hint is advisory.
         self._cooldown_until: List[float] = [0.0] * len(config.shards)
-        #: Rolling window of successful forward latencies feeding the
-        #: hedging p95.
-        self._latencies: deque = deque(maxlen=128)
         self._poller: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._round_robin = 0
@@ -270,7 +258,6 @@ class ShardRouter:
             if isinstance(document, dict) and "deadline_ms" in document:
                 document = dict(document, deadline_ms=left * 1000.0)
         url = self.config.shards[shard] + "/analyze"
-        begun = self._clock()
         try:
             status, body = self.transport("POST", url, document, timeout)
         except OSError as error:
@@ -278,9 +265,6 @@ class ShardRouter:
             return None, (
                 f"shard {shard} ({self.config.shards[shard]}): {error}"
             )
-        if status == 200:
-            with self._lock:
-                self._latencies.append(self._clock() - begun)
         if status in (429, 503) and isinstance(body, dict):
             self._cool_down(shard, body.get("retry_after"))
         if status != 503:
@@ -288,63 +272,6 @@ class ShardRouter:
             # routing hint handled by the caller, not a health verdict.
             self._mark(shard, True, "ok")
         return (status, body), None
-
-    def _hedge_delay(self) -> Optional[float]:
-        """The p95 forward latency, or ``None`` while hedging is off."""
-        if not self.config.hedge_enabled:
-            return None
-        with self._lock:
-            if len(self._latencies) < self.config.hedge_min_samples:
-                return None
-            ordered = sorted(self._latencies)
-        return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-
-    def _hedged_first(
-        self,
-        document,
-        primary: int,
-        backup: int,
-        remaining: Callable[[], Optional[float]],
-        delay: float,
-    ) -> Tuple[int, Optional[Tuple[int, Dict]], Optional[str], int]:
-        """First attempt with a single hedge after ``delay`` seconds.
-
-        Sends the request to ``primary``; when no answer arrives within
-        the measured p95 latency, one duplicate goes to ``backup`` and the
-        first response wins (requests are pure functions of their
-        payload, so either answer is correct).  Returns
-        ``(shard, outcome, error, candidates_consumed)``.
-        """
-        results: "queue.Queue" = queue.Queue()
-
-        def attempt(shard: int) -> None:
-            outcome, error = self._attempt(shard, document, remaining)
-            results.put((shard, outcome, error))
-
-        threading.Thread(
-            target=attempt, args=(primary,), name="router-hedge-0", daemon=True
-        ).start()
-        try:
-            shard, outcome, error = results.get(timeout=delay)
-        except queue.Empty:
-            with self._lock:
-                self.perf.hedges_sent += 1
-            threading.Thread(
-                target=attempt,
-                args=(backup,),
-                name="router-hedge-1",
-                daemon=True,
-            ).start()
-            shard, outcome, error = results.get()
-            if outcome is None:
-                # The faster attempt died in transport; the slower one is
-                # still in flight and may yet answer.
-                shard, outcome, error = results.get()
-            if outcome is not None and shard == backup:
-                with self._lock:
-                    self.perf.hedges_won += 1
-            return shard, outcome, error, 2
-        return shard, outcome, error, 1
 
     def forward(self, document) -> Tuple[int, Dict]:
         """Route one request document to its shard; returns (status, body)."""
@@ -362,10 +289,13 @@ class ShardRouter:
         deadline_seconds: Optional[float] = None
         if isinstance(document, dict):
             raw = document.get("deadline_ms")
+            # Finite only: an infinite deadline would reach the socket as
+            # an infinite timeout, which ``settimeout`` refuses.
             if (
                 isinstance(raw, (int, float))
                 and not isinstance(raw, bool)
                 and raw > 0
+                and math.isfinite(raw)
             ):
                 deadline_seconds = float(raw) / 1000.0
 
@@ -384,11 +314,8 @@ class ShardRouter:
         backoff = self.config.backoff_base
         last_error: Optional[str] = None
         expired = False
-        index = 0
-        first = True
-        while index < len(candidates):
-            shard = candidates[index]
-            if not first:
+        for index, shard in enumerate(candidates):
+            if index:
                 if retries_left <= 0:
                     break
                 left = remaining()
@@ -408,34 +335,18 @@ class ShardRouter:
             if left is not None and left <= 0:
                 expired = True
                 break
-            outcome: Optional[Tuple[int, Dict]] = None
-            error: Optional[str] = None
-            consumed = 1
-            delay = (
-                self._hedge_delay()
-                if first and idempotent and index + 1 < len(candidates)
-                else None
-            )
-            if delay is not None:
-                shard, outcome, error, consumed = self._hedged_first(
-                    document, shard, candidates[index + 1], remaining, delay
-                )
-            else:
-                outcome, error = self._attempt(shard, document, remaining)
-            first = False
+            outcome, error = self._attempt(shard, document, remaining)
             if outcome is None:
                 last_error = error
-                index += consumed
                 continue
             status, body = outcome
-            if status == 503 and idempotent and index + consumed < len(candidates):
+            if status == 503 and idempotent and index + 1 < len(candidates):
                 # The shard is up but refusing (draining / breaker open);
                 # another shard can serve the identical request.
                 last_error = (
                     f"shard {shard} refused with 503 "
                     f"({body.get('status', 'unknown')})"
                 )
-                index += consumed
                 continue
             with self._lock:
                 self.perf.router_forwards += 1
@@ -559,13 +470,10 @@ class ShardRouter:
                     "forwards": self.perf.router_forwards,
                     "retries": self.perf.router_retries,
                     "failovers": self.perf.router_failovers,
-                    "hedges_sent": self.perf.hedges_sent,
-                    "hedges_won": self.perf.hedges_won,
                     "shed_requests": self.perf.shed_requests,
                     "deadline_expired_rejects": (
                         self.perf.deadline_expired_rejects
                     ),
-                    "latency_samples": len(self._latencies),
                 },
             }
 
@@ -573,26 +481,10 @@ class ShardRouter:
 # -- HTTP front end -----------------------------------------------------------
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonHandler):
     """Routes HTTP verbs onto one shared :class:`ShardRouter`."""
 
     router: ShardRouter  # injected by serve_router()
-    quiet = True
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        if not self.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-    def _send(self, status: int, document: Dict) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        retry_after = document.get("retry_after")
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib casing
         if self.path == "/healthz":
@@ -604,20 +496,10 @@ class _RouterHandler(BaseHTTPRequestHandler):
         else:
             self._send(404, {"status": "not-found", "path": self.path})
 
-    def do_POST(self) -> None:  # noqa: N802 — stdlib casing
-        if self.path != "/analyze":
-            self._send(404, {"status": "not-found", "path": self.path})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            document = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError) as error:
-            self._send(400, error_response("", ModelError(f"bad JSON: {error}")))
-            return
+    def analyze(self, document) -> Tuple[int, Dict]:
         if isinstance(document, dict) and "requests" in document:
-            self._send(*self.router.forward_batch(document["requests"]))
-        else:
-            self._send(*self.router.forward(document))
+            return self.router.forward_batch(document["requests"])
+        return self.router.forward(document)
 
 
 def serve_router(
@@ -730,19 +612,6 @@ def _parser() -> argparse.ArgumentParser:
         help="safety margin subtracted from a request's remaining "
         "deadline_ms before forwarding",
     )
-    parser.add_argument(
-        "--no-hedge",
-        action="store_true",
-        help="disable the single hedged duplicate of slow idempotent "
-        "first attempts",
-    )
-    parser.add_argument(
-        "--hedge-min-samples",
-        type=int,
-        default=16,
-        metavar="N",
-        help="recorded forward latencies required before hedging engages",
-    )
     return parser
 
 
@@ -759,8 +628,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backoff_base=args.backoff_base,
             backoff_cap=args.backoff_cap,
             deadline_safety_ms=args.deadline_safety_ms,
-            hedge_enabled=not args.no_hedge,
-            hedge_min_samples=args.hedge_min_samples,
         )
     except AnalysisError as error:
         print(f"repro-router: error: {error}", file=sys.stderr)

@@ -9,8 +9,10 @@ against a real daemon process is ``scripts/service_smoke.py`` (CI's
 
 import json
 import random
+import socket
 import threading
 import time
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.service import (
     parse_request,
 )
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.service.daemon import _Handler
 from repro.service.pool import service_worker
 
 
@@ -90,10 +93,15 @@ class TestProtocolValidation:
                 request_document(envelope, config={"turbo_mode": True})
             )
 
-    @pytest.mark.parametrize("value", [0, -1, "fast", True])
+    @pytest.mark.parametrize("value", [0, -1, "fast", True, float("inf")])
     def test_bad_budget_is_an_analysis_error(self, envelope, value):
         with pytest.raises(AnalysisError, match="budget_seconds"):
             parse_request(request_document(envelope, budget_seconds=value))
+
+    @pytest.mark.parametrize("value", [0, -1, "soon", True, float("inf")])
+    def test_bad_deadline_is_an_analysis_error(self, envelope, value):
+        with pytest.raises(AnalysisError, match="deadline_ms"):
+            parse_request(request_document(envelope, deadline_ms=value))
 
     @pytest.mark.parametrize("value", [0, -3, 1.5, True])
     def test_bad_iteration_ceiling_is_an_analysis_error(self, envelope, value):
@@ -918,3 +926,53 @@ class TestBrownout:
             # unknown-soundness marker.
             assert body["status"] == "budget-exceeded"
             assert body["degraded"]["soundness"] == "unknown"
+
+
+class TestHttpFraming:
+    """The daemon's HTTP handler over a raw socket, with a stub pool."""
+
+    @pytest.fixture
+    def url(self):
+        handler = type("BoundHandler", (_Handler,), {"service": make_service()})
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server.server_address[:2]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    @staticmethod
+    def post(address, headers, body=b""):
+        """Raw ``POST /analyze``; returns ``(status, body)`` within 5 s."""
+        head = "".join(f"{name}: {value}\r\n" for name, value in headers)
+        request = f"POST /analyze HTTP/1.0\r\n{head}\r\n".encode() + body
+        with socket.create_connection(address, timeout=5) as connection:
+            connection.sendall(request)
+            reply = b""
+            while chunk := connection.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        return int(status_line.split()[1]), json.loads(rest.split(b"\r\n\r\n", 1)[1])
+
+    def test_negative_content_length_is_refused_before_reading(self, url):
+        status, body = self.post(url, [("Content-Length", "-1")], b"{}")
+        assert status == 400
+        assert body["error"] == "ModelError"
+
+    @pytest.mark.parametrize("deadline", ["inf", "abc"])
+    def test_unusable_deadline_header_is_a_typed_400(
+        self, url, envelope, deadline
+    ):
+        payload = json.dumps(request_document(envelope)).encode()
+        status, body = self.post(
+            url,
+            [("Content-Length", str(len(payload))), ("X-Deadline-Ms", deadline)],
+            payload,
+        )
+        assert status == 400
+        assert body["error"] == "AnalysisError"
+        assert "deadline" in body["message"].lower()
