@@ -34,6 +34,7 @@ from repro.businterference.requests import (
     _bas_fast_p,
     _bas_multiset_b,
     _bas_multiset_p,
+    _w_sum_capped_b,
     _w_sum_fast_b,
     _w_sum_fast_p,
     _w_sum_multiset_p,
@@ -182,7 +183,9 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     same-core sum folds their multiset CRPD entries and CPRO overlap rows,
     the persistence-aware remote sums their CPRO overlap rows with
     carry-in.  Baseline remote sums read no multiset data and keep the
-    baseline rows.
+    baseline rows; the two the bound clamps, FP's persistence-oblivious
+    lower-priority term and RR's baseline per-core demand, stop at the
+    clamp (:func:`~repro.businterference.requests._w_sum_capped_b`).
     """
     if ctx.reference:
         return lambda t: total_bus_accesses(ctx, task_i, t)
@@ -216,32 +219,57 @@ def make_bat(ctx: AnalysisContext, task_i: Task):
     if policy is BusPolicy.RR:
         slot_size = ctx.platform.slot_size
         core_rows = per_core[form]
+        if not persistence:
+            # Each core's demand counts only up to the slot cap, so its
+            # sum stops there.
+
+            def bat(t: int) -> int:
+                own = own_sum(bas_rows, t, md_i, drop_pcb)
+                cap = slot_size * own
+                remote = 0
+                for rows in core_rows:
+                    remote += _w_sum_capped_b(est, rows, t, d_mem, cap)
+                return own + remote + blocking
+
+            return bat
 
         def bat(t: int) -> int:
             own = own_sum(bas_rows, t, md_i, drop_pcb)
             cap = slot_size * own
             remote = 0
             for rows in core_rows:
-                demand = w_sum(est, rows, t, d_mem, drop_pcb)
+                demand = aware_sum(est, rows, t, d_mem, drop_pcb)
                 remote += demand if demand < cap else cap
             return own + remote + blocking
 
         return bat
     # FP: the lower-priority term stays persistence oblivious unless
     # ``persistence_in_low`` extends it (see ``bao_low``).
-    low_aware = persistence and ctx.persistence_in_low
-    low_sum = aware_sum if low_aware else _w_sum_fast_b
     higher_rows = higher[form]
-    lower_rows = lower[0 if low_aware else 1]
+    if persistence and ctx.persistence_in_low:
+        lower_rows = lower[0]
+
+        def bat(t: int) -> int:
+            own = own_sum(bas_rows, t, md_i, drop_pcb)
+            low = aware_sum(est, lower_rows, t, d_mem, drop_pcb)
+            return (
+                own
+                + w_sum(est, higher_rows, t, d_mem, drop_pcb)
+                + blocking
+                + (own if own < low else low)
+            )
+
+        return bat
+    # The oblivious term counts only up to ``own``, so its sum stops there.
+    lower_rows = lower[1]
 
     def bat(t: int) -> int:
         own = own_sum(bas_rows, t, md_i, drop_pcb)
-        low = low_sum(est, lower_rows, t, d_mem, drop_pcb)
         return (
             own
             + w_sum(est, higher_rows, t, d_mem, drop_pcb)
             + blocking
-            + (own if own < low else low)
+            + _w_sum_capped_b(est, lower_rows, t, d_mem, own)
         )
 
     return bat

@@ -313,6 +313,30 @@ def _w_sum_fast_b(
     return total
 
 
+def _w_sum_capped_b(est: list, rows: tuple, t: int, d_mem: int, cap: int) -> int:
+    """``min(cap, _w_sum_fast_b(est, rows, t, d_mem))`` for ``cap >= 0``.
+
+    For the baseline sums the evaluator clamps (Eq. 7's lower-priority
+    term at ``own``, Eq. 8's per-core demand at ``s * own``).  Every row
+    adds a non-negative count, so the running total never falls and the
+    sum returns ``cap`` as soon as it gets there, skipping the rows left.
+    """
+    total = 0
+    for slot, period, jd, jdd in rows:
+        numerator = t + est[slot] - jdd
+        if numerator < 0:
+            continue
+        n_full = numerator // period
+        total += n_full * jd
+        remainder = numerator - n_full * period
+        if remainder > 0:
+            carry_out = -((-remainder) // d_mem)
+            total += carry_out if carry_out < jd else jd
+        if total >= cap:
+            return cap
+    return total
+
+
 def _w_sum_multiset_p(
     est: list, rows: tuple, t: int, d_mem: int, drop_pcb: bool
 ) -> int:

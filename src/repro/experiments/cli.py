@@ -82,8 +82,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print analysis-kernel perf counters (iterations, memo hit "
-        "ratios, phase timings) after each experiment",
+        help="print analysis-kernel perf counters (iterations, table "
+        "builds, dominance skips, state-plane hit ratio, phase timings) "
+        "after each experiment",
     )
     parser.add_argument(
         "--profile-cprofile",

@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import ceil as _ceil, log as _log
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cacheanalysis.extraction import extract_parameters_cached
@@ -146,27 +148,98 @@ def _hybrid_spec(row: BenchmarkSpec, platform: Platform) -> BenchmarkSpec:
     )
 
 
+def _sample(getrandbits, population: Sequence[int], k: int) -> List[int]:
+    """``random.Random.sample(population, k)``, transcribed.
+
+    Makes the same picks in the same order and leaves the generator in the
+    same state as CPython's ``sample`` (identical on 3.10-3.12), with
+    ``_randbelow`` inlined as a ``getrandbits`` rejection loop; callers
+    pass ``0 <= k <= len(population)``.  Task sets therefore stay those
+    that ``rng.sample`` drew, at about half the cost per call.
+    """
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** _ceil(_log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    selected = set()
+    bits = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
+def _skip_sample(getrandbits, n: int) -> None:
+    """Advance the generator as ``_sample(getrandbits, run, n)`` would.
+
+    Drawing all ``n`` members of a run always takes ``sample``'s pool
+    branch, one bounded draw below each of ``n, n - 1, ..., 1``; the
+    result is the run itself, so only the draws are needed.
+    """
+    for m in range(n, 0, -1):
+        bits = m.bit_length()
+        while getrandbits(bits) >= m:
+            pass
+
+
+@lru_cache(maxsize=None)
+def _whole_cache(num_sets: int) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
+    """The run covering the whole cache, shared by every task covering it."""
+    return tuple(range(num_sets)), frozenset(range(num_sets))
+
+
+def _subset(
+    getrandbits, run: Sequence[int], blocks: FrozenSet[int], count: int
+) -> FrozenSet[int]:
+    """``count`` random members of ``run`` (whose set is ``blocks``)."""
+    if count >= len(run):
+        _skip_sample(getrandbits, len(run))
+        return blocks
+    return frozenset(_sample(getrandbits, run, count))
+
+
 def _place_sets(
     rng: random.Random,
     spec: BenchmarkSpec,
     num_sets: int,
     placement: PlacementPolicy,
 ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-    """Materialise concrete (ecbs, ucbs, pcbs) cache-set placements."""
+    """Materialise concrete (ecbs, ucbs, pcbs) cache-set placements.
+
+    A UCB or PCB set that is the whole ECB run is the run's own
+    ``frozenset``, and a run that covers the whole cache is one
+    ``frozenset`` per cache size, so tasks share their block sets.
+    """
     if placement is PlacementPolicy.ZERO_START:
         start = 0
     else:
         start = rng.randrange(num_sets)
-    # The run start, start + 1, ... wraps past the last set to set 0; list
-    # the wrapped head first so the run comes out sorted.
     n_ecb = min(spec.n_ecb, num_sets)
-    ordered = list(range(max(start + n_ecb - num_sets, 0)))
-    ordered += range(start, min(start + n_ecb, num_sets))
-    ecbs = frozenset(ordered)
-    n_ucb = min(spec.n_ucb, len(ordered))
-    n_pcb = min(spec.n_pcb, len(ordered))
-    ucbs = frozenset(rng.sample(ordered, n_ucb))
-    pcbs = frozenset(rng.sample(ordered, n_pcb))
+    if n_ecb == num_sets:
+        run, ecbs = _whole_cache(num_sets)
+    else:
+        # The run start, start + 1, ... wraps past the last set to set 0;
+        # list the wrapped head first so the run comes out sorted.
+        run = list(range(max(start + n_ecb - num_sets, 0)))
+        run += range(start, min(start + n_ecb, num_sets))
+        ecbs = frozenset(run)
+    getrandbits = rng.getrandbits
+    ucbs = _subset(getrandbits, run, ecbs, spec.n_ucb)
+    pcbs = _subset(getrandbits, run, ecbs, spec.n_pcb)
     return ecbs, ucbs, pcbs
 
 

@@ -131,9 +131,17 @@ class InterferenceTable:
         self.pcb_mask: Dict[int, int] = {}
         for task in taskset:
             key = task.priority
-            self.ecb_mask[key] = blocks_to_mask(task.ecbs)
-            self.ucb_mask[key] = blocks_to_mask(task.ucbs)
-            self.pcb_mask[key] = blocks_to_mask(task.pcbs)
+            ecbs = task.ecbs
+            ecb = self.ecb_mask[key] = blocks_to_mask(ecbs)
+            # The generator and the parser hand a UCB or PCB set that
+            # covers the whole ECB run over as the ECB set itself; its
+            # mask is the ECB mask.
+            self.ucb_mask[key] = (
+                ecb if task.ucbs is ecbs else blocks_to_mask(task.ucbs)
+            )
+            self.pcb_mask[key] = (
+                ecb if task.pcbs is ecbs else blocks_to_mask(task.pcbs)
+            )
         #: Tasks of every core that has any, highest priority first.
         self.members: Dict[int, Tuple[Task, ...]] = {
             core: taskset.on_core(core) for core in taskset.cores

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
 from repro.atomicio import atomic_write_text
 from repro.errors import ModelError
@@ -91,7 +91,12 @@ def platform_from_dict(data: Dict) -> Platform:
 
 
 def task_to_dict(task: Task) -> Dict:
-    """Plain-dict form of a task."""
+    """Plain-dict form of a task.
+
+    A UCB or PCB set that is the ECB set itself (see
+    :func:`task_from_dict`) reuses the sorted ECB list.
+    """
+    ecbs = sorted(task.ecbs)
     return {
         "name": task.name,
         "pd": task.pd,
@@ -101,15 +106,41 @@ def task_to_dict(task: Task) -> Dict:
         "deadline": task.deadline,
         "priority": task.priority,
         "core": task.core,
-        "ecbs": sorted(task.ecbs),
-        "ucbs": sorted(task.ucbs),
-        "pcbs": sorted(task.pcbs),
+        "ecbs": ecbs,
+        "ucbs": ecbs if task.ucbs is task.ecbs else sorted(task.ucbs),
+        "pcbs": ecbs if task.pcbs is task.ecbs else sorted(task.pcbs),
     }
 
 
+def _cache_sets(data: Dict, key: str) -> FrozenSet[int]:
+    """``data[key]``, a list of cache set indices, as a set of ``int``.
+
+    A member that is not an ``int`` — a ``float``, a ``bool``, a string,
+    a nested list — is a :class:`~repro.errors.ModelError` here, where
+    both kernels see it, instead of a ``TypeError`` from whichever kernel
+    packs it first.  :class:`~repro.model.task.Task` rejects negative
+    indices, and :func:`tasks_from_dicts`, which knows the platform,
+    indices past the cache.
+    """
+    raw = data.get(key, ())
+    if isinstance(raw, (list, tuple)) and {int}.issuperset(map(type, raw)):
+        return frozenset(raw)
+    raise ModelError(
+        f"malformed task record {data.get('name')!r}: {key!r} must be a "
+        f"list of integer cache set indices"
+    )
+
+
 def task_from_dict(data: Dict) -> Task:
-    """Inverse of :func:`task_to_dict`."""
+    """Inverse of :func:`task_to_dict`.
+
+    A UCB or PCB set equal to the ECB set is the ECB set, as the
+    generator's whole-run sets are.
+    """
     try:
+        ecbs = _cache_sets(data, "ecbs")
+        ucbs = _cache_sets(data, "ucbs")
+        pcbs = _cache_sets(data, "pcbs")
         return Task(
             name=data["name"],
             pd=data["pd"],
@@ -119,12 +150,33 @@ def task_from_dict(data: Dict) -> Task:
             deadline=data["deadline"],
             priority=data["priority"],
             core=data.get("core", 0),
-            ecbs=frozenset(data.get("ecbs", ())),
-            ucbs=frozenset(data.get("ucbs", ())),
-            pcbs=frozenset(data.get("pcbs", ())),
+            ecbs=ecbs,
+            ucbs=ecbs if ucbs == ecbs else ucbs,
+            pcbs=ecbs if pcbs == ecbs else pcbs,
         )
     except KeyError as error:
         raise ModelError(f"malformed task record: missing {error}") from error
+
+
+def tasks_from_dicts(records, platform: Platform) -> List[Task]:
+    """:func:`task_from_dict` of each record, on ``platform``.
+
+    Every cache set index must name one of the platform's
+    ``cache.num_sets`` sets.  The production kernel packs each index as a
+    mask bit, so an index past the cache would make its masks as large as
+    the index, while the reference kernel, which packs no masks, would
+    analyse the task set anyway.
+    """
+    num_sets = platform.cache.num_sets
+    tasks = [task_from_dict(record) for record in records]
+    for task in tasks:
+        # UCBs and PCBs lie within the ECBs, so the ECBs' maximum bounds all.
+        if task.ecbs and max(task.ecbs) >= num_sets:
+            raise ModelError(
+                f"{task.name}: cache set index {max(task.ecbs)} is past "
+                f"the platform's {num_sets} sets"
+            )
+    return tasks
 
 
 def taskset_to_json(
@@ -156,7 +208,7 @@ def taskset_from_json(text: str) -> Tuple[TaskSet, Platform]:
             f"unsupported format version {document.get('version')!r}"
         )
     platform = platform_from_dict(document.get("platform", {}))
-    tasks = [task_from_dict(record) for record in document.get("tasks", [])]
+    tasks = tasks_from_dicts(document.get("tasks", []), platform)
     return TaskSet(tasks), platform
 
 

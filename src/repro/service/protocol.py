@@ -63,7 +63,7 @@ from repro.resultcache import result_payload
 from repro.serialization import (
     FORMAT_VERSION,
     platform_from_dict,
-    task_from_dict,
+    tasks_from_dicts,
 )
 
 #: Version stamped into every response document.
@@ -132,7 +132,7 @@ def _parse_taskset(document) -> Tuple[TaskSet, Platform]:
             f"unsupported taskset format version {document.get('version')!r}"
         )
     platform = platform_from_dict(document.get("platform", {}))
-    tasks = [task_from_dict(record) for record in document.get("tasks", [])]
+    tasks = tasks_from_dicts(document.get("tasks", []), platform)
     if not tasks:
         raise ModelError("taskset holds no tasks")
     return TaskSet(tasks), platform

@@ -35,8 +35,8 @@ from repro.persistence.cpro import CproApproach
 from repro.serialization import (
     platform_from_dict,
     platform_to_dict,
-    task_from_dict,
     task_to_dict,
+    tasks_from_dicts,
 )
 from repro.sim.scenario import ScenarioSpec
 
@@ -205,9 +205,10 @@ def case_from_dict(document: Dict):
         raise ModelError(f"unsupported case version {document.get('version')!r}")
     kind = document.get("kind")
     if kind == "taskset":
+        platform = platform_from_dict(document["platform"])
         return TasksetCase(
-            platform=platform_from_dict(document["platform"]),
-            tasks=tuple(task_from_dict(record) for record in document["tasks"]),
+            platform=platform,
+            tasks=tuple(tasks_from_dicts(document["tasks"], platform)),
             config=config_from_dict(document.get("config", {})),
         )
     if kind == "scenario":

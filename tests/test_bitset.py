@@ -16,11 +16,13 @@ import pytest
 from repro.crpd.approaches import CrpdApproach, CrpdCalculator
 from repro.crpd.multiset import multiset_pair_data
 from repro.errors import ModelError
+from repro.generation.taskset_gen import generate_taskset
 from repro.model.interference import (
     InterferenceTable,
     blocks_to_mask,
     mask_to_blocks,
 )
+from repro.model.platform import CacheGeometry, Platform
 from repro.model.task import Task, TaskSet
 from repro.persistence.cpro import (
     CproApproach,
@@ -177,6 +179,25 @@ class TestInterferenceTableEdges:
             calculator = CproCalculator(taskset, approach)
             assert calculator.eviction_count(solo0, solo0) == 0
             assert calculator.rho(solo0, solo0, 5) == 0
+
+    @pytest.mark.parametrize("num_sets", [64, 256])
+    def test_every_mask_packs_its_set(self, num_sets):
+        # Generated whole-run UCB/PCB sets are the ECB set itself and
+        # reuse its mask; every mask must still be its own set's packing.
+        platform = Platform(
+            num_cores=4, d_mem=10, cache=CacheGeometry(num_sets=num_sets)
+        )
+        shared = 0
+        for seed in range(6):
+            taskset = generate_taskset(random.Random(seed), platform, 0.5)
+            table = InterferenceTable(taskset)
+            for task in taskset:
+                key = task.priority
+                assert table.ecb_mask[key] == blocks_to_mask(task.ecbs)
+                assert table.ucb_mask[key] == blocks_to_mask(task.ucbs)
+                assert table.pcb_mask[key] == blocks_to_mask(task.pcbs)
+                shared += (task.ucbs is task.ecbs) + (task.pcbs is task.ecbs)
+        assert shared > 0
 
     def test_shared_table_is_built_once_per_taskset(self):
         taskset = TaskSet((_task("a", 1, ecbs={1}), _task("b", 2, ecbs={2})))

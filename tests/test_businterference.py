@@ -1,9 +1,12 @@
 """Unit tests for the request bounds (Eq. 1, 3-6, Lemmas 1-2)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.businterference.context import AnalysisContext
 from repro.businterference.requests import (
+    _w_sum_capped_b,
+    _w_sum_fast_b,
     _w_sum_fast_p,
     bao,
     bao_low,
@@ -234,3 +237,35 @@ class TestBaoLow:
         tightened.persistence_in_low = True
         t = 2000
         assert bao_low(tightened, 1, t2, t) <= bao_low(faithful, 1, t2, t)
+
+
+#: Baseline rows ``(slot, T, MD + gamma)``; the ``(MD + gamma) * d_mem``
+#: column is derived per example.  Demands up to 40 against windows and
+#: estimates up to 1,000 leave many rows with a negative numerator.
+_base_rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 600), st.integers(0, 40)),
+    max_size=8,
+)
+
+
+class TestCappedBaselineSum:
+    """``_w_sum_capped_b`` is ``min(cap, _w_sum_fast_b)``, row for row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=_base_rows,
+        est=st.lists(st.integers(0, 1000), min_size=4, max_size=4),
+        t=st.integers(0, 1000),
+        d_mem=st.integers(1, 20),
+        cap=st.integers(0, 300),
+    )
+    @example(rows=[], est=[0, 0, 0, 0], t=0, d_mem=10, cap=0)
+    @example(rows=[(0, 100, 5)], est=[0, 0, 0, 0], t=0, d_mem=10, cap=0)
+    @example(rows=[(0, 100, 5), (1, 50, 3)], est=[500, 0, 0, 0], t=10,
+             d_mem=10, cap=0)
+    def test_equals_min_of_cap_and_sum(self, rows, est, t, d_mem, cap):
+        rows = tuple(
+            (slot, period, jd, jd * d_mem) for slot, period, jd in rows
+        )
+        full = _w_sum_fast_b(est, rows, t, d_mem)
+        assert _w_sum_capped_b(est, rows, t, d_mem, cap) == min(cap, full)

@@ -1,15 +1,22 @@
 """Unit tests for task-set generation (UUnifast + placement + timing)."""
 
+import hashlib
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.data.benchmarks import benchmark_spec, benchmark_table
 from repro.errors import GenerationError
+from repro.experiments.config import PAPER_UTILIZATIONS, default_platform
+from repro.experiments.runner import _sample_seed
 from repro.generation.taskset_gen import (
     GenerationConfig,
     ParameterSource,
     PlacementPolicy,
+    _sample,
+    _skip_sample,
     generate_taskset,
 )
 from repro.generation.uunifast import uunifast
@@ -151,6 +158,140 @@ class TestPlacement:
         for task in taskset:
             assert task.ucbs <= task.ecbs
             assert task.pcbs <= task.ecbs
+
+
+class TestSharedBlockSets:
+    def test_whole_run_subsets_are_the_ecb_set(self, platform):
+        seen = set()
+        for seed in range(10):
+            for task in generate_taskset(random.Random(seed), platform, 0.5):
+                spec = benchmark_spec(task.name.split("#")[0])
+                subsets = ((task.ucbs, spec.n_ucb), (task.pcbs, spec.n_pcb))
+                for blocks, count in subsets:
+                    whole = count >= len(task.ecbs)
+                    seen.add(whole)
+                    assert (blocks is task.ecbs) == whole
+                    assert len(blocks) == min(count, len(task.ecbs))
+        assert seen == {True, False}
+
+    def test_whole_cache_run_is_one_object_across_task_sets(self):
+        at_64 = Platform(num_cores=4, d_mem=10, cache=CacheGeometry(num_sets=64))
+        runs = [
+            task.ecbs
+            for seed in range(5)
+            for task in generate_taskset(random.Random(seed), at_64, 0.5)
+            if len(task.ecbs) == 64
+        ]
+        assert len(runs) > 5
+        assert all(blocks is runs[0] for blocks in runs)
+        assert runs[0] == frozenset(range(64))
+
+
+def _setsize(k):
+    """``random.Random.sample``'s branch threshold for ``k`` picks."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+class TestSamplerDrawIdentity:
+    """The generator's sampler draws exactly what ``Random.sample`` draws.
+
+    Picks, their order and the generator's state afterwards all match, so
+    a change to CPython's ``sample`` fails here (CI runs every supported
+    Python) before it silently changes generated task sets.
+    """
+
+    def _cases(self):
+        master = random.Random(2020)
+        # n = 1, k = 0, k = n and the empty run, then random shapes.
+        cases = [(1, 0, 1), (1, 1, 2), (0, 0, 3), (300, 0, 4), (300, 300, 5)]
+        while len(cases) < 3200:
+            n = master.randrange(1, 400)
+            k = master.choice(
+                (0, n, master.randrange(n + 1), min(n, master.randrange(8)))
+            )
+            cases.append((n, k, master.randrange(1 << 32)))
+        return cases
+
+    def test_same_picks_and_state_as_sample(self):
+        branches = set()
+        for n, k, seed in self._cases():
+            population = list(range(1000, 1000 + n))
+            expected, actual = random.Random(seed), random.Random(seed)
+            picks = _sample(actual.getrandbits, population, k)
+            assert picks == expected.sample(population, k), (n, k, seed)
+            assert actual.random() == expected.random(), (n, k, seed)
+            branches.add("pool" if n <= _setsize(k) else "rejection")
+        assert branches == {"pool", "rejection"}
+
+    def test_whole_run_skip_draws_like_sample(self):
+        for n, _, seed in self._cases():
+            expected, actual = random.Random(seed), random.Random(seed)
+            expected.sample(range(n), n)
+            _skip_sample(actual.getrandbits, n)
+            assert actual.random() == expected.random(), (n, seed)
+
+
+def _content_digest(tasksets) -> str:
+    """Short SHA-256 over everything generation decides for each task."""
+    digest = hashlib.sha256()
+    for taskset in tasksets:
+        for task in taskset:
+            digest.update(repr((
+                task.name, task.period, task.priority, task.core,
+                task.pd, task.md, task.md_r,
+                sorted(task.ecbs), sorted(task.ucbs), sorted(task.pcbs),
+            )).encode())
+    return digest.hexdigest()[:16]
+
+
+def _generated(case: str):
+    """The task sets of one pinned generation case."""
+    base = default_platform()
+    at_64 = replace(base, cache=CacheGeometry(num_sets=64, block_size=32))
+    at_128 = replace(base, cache=CacheGeometry(num_sets=128, block_size=32))
+    if case == "fig2":
+        # Fig. 2's sample seeds at U = 0.1, 0.5 and 1.0.
+        draws = [
+            (base, GenerationConfig(), PAPER_UTILIZATIONS[point],
+             _sample_seed(2020, point, sample))
+            for point in (1, 9, 19) for sample in range(20)
+        ]
+    elif case == "64-set":
+        draws = [(at_64, GenerationConfig(), u, seed)
+                 for u in (0.3, 0.7) for seed in range(20)]
+    elif case == "zero-start":
+        config = GenerationConfig(placement=PlacementPolicy.ZERO_START)
+        draws = [(base, config, 0.5, seed) for seed in range(20)]
+    else:
+        source = {"models@128": ParameterSource.MODELS,
+                  "hybrid@128": ParameterSource.HYBRID}[case]
+        config = GenerationConfig(parameter_source=source)
+        draws = [(at_128, config, 0.5, seed) for seed in range(15)]
+    return [
+        generate_taskset(random.Random(seed), platform, utilization, config)
+        for platform, config, utilization, seed in draws
+    ]
+
+
+class TestGeneratedContentIsPinned:
+    """Generated task sets are exactly those ``rng.sample`` drew.
+
+    The digests were recorded while ``rng.sample`` drew the UCBs and PCBs,
+    so they pin identity with that generator, not self-consistency.  A
+    digest that changes means every reported figure may change.
+    """
+
+    DIGESTS = {
+        "fig2": "472ccfd8740359d5",
+        "64-set": "581edb24687907c1",
+        "zero-start": "44ba25565ae95fde",
+        "models@128": "7531e0b7e299ded6",
+        "hybrid@128": "e1061449c96e4359",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_digest(self, case):
+        assert _content_digest(_generated(case)) == self.DIGESTS[case]
 
 
 class TestParameterSources:

@@ -63,6 +63,20 @@ class TestTaskValidation:
         with pytest.raises(ModelError):
             make_task(pcbs=frozenset({99}))
 
+    def test_rejects_negative_cache_set_index(self):
+        with pytest.raises(ModelError, match="non-negative"):
+            make_task(
+                ecbs=frozenset({-1, 2}), ucbs=frozenset(), pcbs=frozenset()
+            )
+        # A negative UCB or PCB index lies outside the ECBs.
+        with pytest.raises(ModelError):
+            make_task(ucbs=frozenset({-1}))
+
+    def test_whole_run_subsets_may_be_the_ecb_set(self):
+        ecbs = frozenset({1, 2, 3})
+        task = make_task(ecbs=ecbs, ucbs=ecbs, pcbs=ecbs)
+        assert task.ucbs is task.ecbs and task.pcbs is task.ecbs
+
     def test_sets_coerced_to_frozenset(self):
         task = make_task(ecbs={1, 2, 3}, ucbs={1}, pcbs={2})
         assert isinstance(task.ecbs, frozenset)

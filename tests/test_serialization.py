@@ -79,6 +79,78 @@ class TestTaskRoundTrip:
         assert task.ecbs == frozenset()
 
 
+def _record(**sets):
+    record = {
+        "name": "t", "pd": 1, "md": 2, "period": 10, "deadline": 10,
+        "priority": 1, "ecbs": [1, 2, 3], "ucbs": [1], "pcbs": [2],
+    }
+    record.update(sets)
+    return record
+
+
+class TestCacheSetIndices:
+    """Only non-negative ``int`` indices parse, whatever kernel runs next."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[-1, 2], [1.5, 2], [True, 2], [0, False], [1, True], [2, 2.0],
+         ["3"], [[1]], None, 7, "12", {"1": 2}],
+        ids=repr,
+    )
+    def test_malformed_ecbs_rejected(self, blocks):
+        with pytest.raises(ModelError):
+            task_from_dict(_record(ecbs=blocks, ucbs=[], pcbs=[]))
+
+    @pytest.mark.parametrize("key", ["ucbs", "pcbs"])
+    @pytest.mark.parametrize(
+        "blocks",
+        # The last two equal the ECB list [1, 2, 3] as Python lists.
+        [[1.0], [True], [-1], [1, 1.0], [1.0, 2.0, 3.0], [True, 2, 3]],
+        ids=repr,
+    )
+    def test_malformed_subsets_rejected(self, key, blocks):
+        with pytest.raises(ModelError):
+            task_from_dict(_record(**{key: blocks}))
+
+    def test_repeated_index_is_one_member(self):
+        task = task_from_dict(_record(ecbs=[3, 1, 3, 2], ucbs=[1, 1]))
+        assert task.ecbs == frozenset({1, 2, 3})
+        assert task.ucbs == frozenset({1})
+
+    def test_whole_run_lists_share_the_ecb_set(self):
+        task = task_from_dict(_record(ucbs=[1, 2, 3], pcbs=[1, 2, 3]))
+        assert task.ucbs is task.ecbs and task.pcbs is task.ecbs
+        task = task_from_dict(_record())
+        assert task.ucbs is not task.ecbs and task.pcbs is not task.ecbs
+
+    @pytest.mark.parametrize("index", [128, 129, 2**70], ids=repr)
+    def test_index_past_the_cache_rejected(self, taskset, platform, index):
+        document = json.loads(taskset_to_json(taskset, platform))
+        document["tasks"][0].update(ecbs=[index, 2], ucbs=[2], pcbs=[])
+        with pytest.raises(ModelError, match="past the platform's 128 sets"):
+            taskset_from_json(json.dumps(document))
+
+    def test_last_set_of_the_cache_parses(self, taskset, platform):
+        document = json.loads(taskset_to_json(taskset, platform))
+        document["tasks"][0].update(ecbs=[0, 127], ucbs=[127], pcbs=[0])
+        loaded, _ = taskset_from_json(json.dumps(document))
+        name = document["tasks"][0]["name"]
+        (task,) = [task for task in loaded if task.name == name]
+        assert task.ecbs == frozenset({0, 127})
+
+    def test_round_trip_keeps_sharing(self, taskset):
+        shared = 0
+        for task in taskset:
+            record = task_to_dict(task)
+            clone = task_from_dict(record)
+            for label in ("ucbs", "pcbs"):
+                is_shared = getattr(task, label) is task.ecbs
+                assert (record[label] is record["ecbs"]) == is_shared
+                assert (getattr(clone, label) is clone.ecbs) == is_shared
+                shared += is_shared
+        assert shared > 0
+
+
 class TestTasksetRoundTrip:
     def test_full_round_trip(self, taskset, platform):
         text = taskset_to_json(taskset, platform)

@@ -157,6 +157,22 @@ class TestServiceWorker:
         assert response["status"] == "error"
         assert response["error"] == "ModelError"
 
+    @pytest.mark.parametrize(
+        "ecbs", [[-1, 2], [1.5, 2], [256, 2], [2**70, 2]], ids=repr
+    )
+    def test_malformed_cache_set_index_is_one_typed_error(self, envelope, ecbs):
+        # The reference kernel packs no masks, so only a check before
+        # either kernel runs gives both the same answer.
+        document = json.loads(json.dumps(envelope))
+        document["tasks"][0].update(ecbs=ecbs, ucbs=[], pcbs=[])
+        responses = [
+            service_worker(request_document(document, config=config))[0]
+            for config in ({}, {"memoization": False})
+        ]
+        assert responses[0]["status"] == "error"
+        assert responses[0]["error"] == "ModelError"
+        assert responses[1] == responses[0]
+
 
 class FakeClock:
     def __init__(self) -> None:
