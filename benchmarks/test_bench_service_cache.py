@@ -6,12 +6,13 @@ in-process worker pool, so the numbers isolate the service core from
 process-spawn and HTTP costs:
 
 * **cold** — every round starts with the task set's result-cache entry
-  invalidated.  The worker analyses the task set it parsed from the
-  request, so nothing else can replay the previous round: the request is
-  fingerprinted, analysed from scratch (no warm start, asserted per
-  round) and written back to disk;
+  invalidated.  The worker analyses the task set the daemon parsed from
+  the request, so nothing else can replay the previous round: the
+  request is fingerprinted, parsed, analysed from scratch (no warm
+  start, asserted per round) and written back to disk;
 * **warm** — the entry is primed once and every round is a durable cache
-  hit: fingerprint, disk read, checksum re-validation, id rewrite.
+  hit: fingerprint, disk read, checksum re-validation, id rewrite, and
+  no parse.
 
 The warm median is gated by the bench-smoke job
 (``benchmarks/thresholds.json``): the whole point of the result cache is
@@ -32,14 +33,14 @@ from repro.resultcache import request_fingerprint
 from repro.serialization import taskset_to_json
 from repro.service import AnalysisService, ServiceConfig
 from repro.service.pool import service_worker
-from repro.service.protocol import parse_request
+from repro.service.protocol import read_request
 
 
 class InProcessPool:
     """Runs the worker function inline (no processes, no watchdog)."""
 
-    def run(self, document):
-        return service_worker(document)
+    def run(self, request):
+        return service_worker(request)
 
     def allowance_for(self, budget_seconds):
         return None
@@ -66,8 +67,10 @@ def service(tmp_path):
 
 
 def _fingerprint(document):
-    request = parse_request(document)
-    return request_fingerprint(request.taskset, request.platform, request.config)
+    request = read_request(document)
+    return request_fingerprint(
+        request.envelope["tasks"], request.envelope["platform"], request.config
+    )
 
 
 def test_bench_service_cache_cold(benchmark, service, document):

@@ -67,7 +67,7 @@ from repro.resultcache import (  # noqa: E402
     request_fingerprint,
 )
 from repro.serialization import taskset_to_json  # noqa: E402
-from repro.service.protocol import parse_request  # noqa: E402
+from repro.service.protocol import read_request  # noqa: E402
 from tests.proctree import alive, descendants  # noqa: E402
 
 ENV = dict(
@@ -188,8 +188,10 @@ def envelope_for(seed, utilization=0.3):
 
 def fingerprint_of(envelope):
     """Client-side fingerprint, computed exactly as the daemon computes it."""
-    request = parse_request({"id": "fp", "taskset": envelope})
-    return request_fingerprint(request.taskset, request.platform, request.config)
+    request = read_request({"id": "fp", "taskset": envelope})
+    return request_fingerprint(
+        request.envelope["tasks"], request.envelope["platform"], request.config
+    )
 
 
 def entry_path(cache_dir, fingerprint):
@@ -718,14 +720,14 @@ def deadline_storm_scenario():
             return self.now
 
     class SpyPool:
-        """In-process pool recording every admitted document."""
+        """In-process pool recording every admitted request."""
 
         def __init__(self):
-            self.documents = []
+            self.requests = []
 
-        def run(self, document):
-            self.documents.append(document)
-            return service_worker(document)
+        def run(self, request):
+            self.requests.append(request)
+            return service_worker(request)
 
         def allowance_for(self, budget_seconds):
             return None
@@ -754,21 +756,21 @@ def deadline_storm_scenario():
             and body["status"] == "deadline-expired",
             "expired-on-arrival request is shed with a typed 504",
         )
-        expect(not pool.documents, "the shed request never reached the pool")
+        expect(not pool.requests, "the shed request never reached the pool")
 
         status, body = service.handle(
             {"id": "tight", "taskset": envelope, "deadline_ms": 30}
         )
         expect(status == 200, "near-zero deadline request is admitted")
         expect(
-            abs(pool.documents[-1]["budget_seconds"] - floor) < 1e-9,
+            abs(pool.requests[-1].budget_seconds - floor) < 1e-9,
             f"near-zero deadline clamps to the {floor:g}s budget floor",
         )
 
         shed = served = 0
         for index, deadline_ms in enumerate((5, 10, 24, 26, 40, 100, 1_000, 10_000)):
             clock.now += 0.001
-            admitted_before = len(pool.documents)
+            admitted_before = len(pool.requests)
             status, body = service.handle(
                 {
                     "id": f"storm-{index}",
@@ -783,7 +785,7 @@ def deadline_storm_scenario():
                     f"typed shed",
                 )
                 expect(
-                    len(pool.documents) == admitted_before,
+                    len(pool.requests) == admitted_before,
                     f"deadline_ms={deadline_ms}: shed without a pool "
                     f"round-trip",
                 )
@@ -794,16 +796,16 @@ def deadline_storm_scenario():
                     f"deadline_ms={deadline_ms}: admitted request completes "
                     f"typed (got {status})",
                 )
-                document = pool.documents[-1]
+                request = pool.requests[-1]
                 allowed = max(deadline_ms / 1000.0 - safety_seconds, floor)
                 expect(
-                    document["budget_seconds"] <= allowed + 1e-9,
+                    request.budget_seconds <= allowed + 1e-9,
                     f"deadline_ms={deadline_ms}: budget "
-                    f"{document['budget_seconds']:.3f}s never exceeds the "
+                    f"{request.budget_seconds:.3f}s never exceeds the "
                     f"propagated deadline",
                 )
                 expect(
-                    document["deadline_ms"] <= deadline_ms,
+                    request.deadline_ms <= deadline_ms,
                     f"deadline_ms={deadline_ms}: forwarded deadline is "
                     f"decremented, never inflated",
                 )

@@ -11,7 +11,11 @@ guarantees ``docs/SERVICE.md`` promises (runnable locally and as the
    concurrent requests complete normally.
 2. **Result cache** — an identical repeat request is served from the
    persistent content-addressed cache bit-identically, and ``/stats``
-   reports the cache/coalescing counters.
+   reports the cache/coalescing counters.  The cache key is over the
+   request's own records: a ``NaN`` field is a typed 400 that leaves the
+   daemon serving, an envelope with unsorted indices is analysed on
+   first arrival and hits on repeat, and the same envelope with ``true``
+   in place of a ``1`` gets its 400, never the cached body.
 3. **Circuit breaker** — repeated ``inject: crash`` requests kill their
    workers until the breaker trips (503 + ``/readyz`` not ready); after
    the cool-down a healthy probe closes it again.
@@ -284,6 +288,63 @@ def cache_scenario(url, envelope, cache_dir):
     )
 
 
+def records_scenario(url):
+    """Keys over the request's records; invalid records are typed 400s."""
+    envelope = next(
+        candidate
+        for candidate in map(taskset_envelope, range(1, 100))
+        if any(1 in record["ecbs"] for record in candidate["tasks"])
+    )
+    poisoned = json.loads(json.dumps(envelope))
+    poisoned["tasks"][0]["pd"] = float("nan")
+    status, body = http(
+        "POST", f"{url}/analyze", {"id": "nan", "taskset": poisoned}
+    )
+    expect(
+        status == 400 and body.get("error") == "ModelError",
+        f"a NaN pd is a typed 400 ({status} {body.get('error')})",
+    )
+    status, body = http(
+        "POST", f"{url}/analyze",
+        {"id": "after-nan", "taskset": taskset_envelope(seed=9)},
+    )
+    expect(
+        status == 200 and body["status"] == "ok",
+        "the daemon still serves the next request",
+    )
+
+    unsorted = json.loads(json.dumps(envelope))
+    position = next(
+        index for index, record in enumerate(unsorted["tasks"])
+        if 1 in record["ecbs"]
+    )
+    unsorted["tasks"][position]["ecbs"].reverse()
+    status, first = http(
+        "POST", f"{url}/analyze", {"id": "unsorted-1", "taskset": unsorted}
+    )
+    expect(
+        status == 200 and first["status"] == "ok" and "cache" not in first,
+        "an envelope with unsorted indices is analysed on first arrival",
+    )
+    status, again = http(
+        "POST", f"{url}/analyze", {"id": "unsorted-2", "taskset": unsorted}
+    )
+    expect(
+        status == 200 and again.get("cache") == "hit",
+        "the same unsorted envelope hits on repeat",
+    )
+    ecbs = unsorted["tasks"][position]["ecbs"]
+    ecbs[ecbs.index(1)] = True
+    status, body = http(
+        "POST", f"{url}/analyze", {"id": "true-for-1", "taskset": unsorted}
+    )
+    expect(
+        status == 400 and body.get("error") == "ModelError"
+        and "cache" not in body,
+        "true in place of a 1 gets its 400, not the cached body",
+    )
+
+
 def drain_scenario(process, url, envelope):
     """SIGTERM with a request in flight: clean drain, exit 0."""
     result = {}
@@ -326,6 +387,7 @@ def main():
         expect(status == 200 and body["status"] == "ok", "daemon is live")
         budget_scenario(url, envelope)
         cache_scenario(url, envelope, cache_dir)
+        records_scenario(url)
         breaker_scenario(url, envelope)
         drain_scenario(process, url, envelope)
     finally:

@@ -35,6 +35,7 @@ from repro.resultcache import (
     result_from_payload,
     result_payload,
 )
+from repro.serialization import platform_to_dict, task_to_dict
 
 
 @dataclass
@@ -67,7 +68,11 @@ def _analyze(
     """
     if result_cache is None:
         return analyze_taskset(taskset, platform, config, perf=perf, budget=budget)
-    fingerprint = request_fingerprint(taskset, platform, config)
+    fingerprint = request_fingerprint(
+        [task_to_dict(task) for task in taskset],
+        platform_to_dict(platform),
+        config,
+    )
     payload = result_cache.get(fingerprint, perf=perf)
     if payload is not None:
         try:

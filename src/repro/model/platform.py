@@ -16,6 +16,7 @@ units convention documented in ``DESIGN.md`` we model the processor at
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ModelError
@@ -157,12 +158,14 @@ class Platform:
     slot_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.num_cores <= 0:
-            raise ModelError(f"num_cores must be positive, got {self.num_cores}")
-        if self.d_mem <= 0:
-            raise ModelError(f"d_mem must be positive, got {self.d_mem}")
-        if self.slot_size <= 0:
-            raise ModelError(f"slot_size must be positive, got {self.slot_size}")
+        # ``not 0 < x < inf`` also rejects NaN, which compares false both
+        # ways.
+        for name in ("num_cores", "d_mem", "slot_size"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ModelError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if not isinstance(self.bus_policy, BusPolicy):
             raise ModelError(f"bus_policy must be a BusPolicy, got {self.bus_policy!r}")
 

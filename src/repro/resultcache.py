@@ -10,12 +10,23 @@ bit-identical ``--resume`` (see :mod:`repro.experiments.journal`) keys a
 persistent result cache shared by the service daemon and the sweep
 runner:
 
-* :func:`request_fingerprint` hashes the canonical JSON of the task set,
-  the platform and the *outcome-determining* analysis knobs.  Invisible
-  optimisation knobs (``memoization``, ``bitset_kernel``,
-  ``array_kernel``, ``warm_start``) and iteration ceilings are excluded,
-  exactly as the journal excludes execution parameters: an entry computed
-  under any kernel serves every kernel.
+* :func:`request_fingerprint` hashes the canonical JSON of the task and
+  platform *records* — the plain dicts of a ``repro-taskset`` envelope —
+  and the *outcome-determining* analysis knobs.  The service hashes the
+  records it decoded from the request, before it builds any model
+  object; a caller holding a model passes its
+  :func:`~repro.serialization.task_to_dict` and
+  :func:`~repro.serialization.platform_to_dict` records.  Because
+  :func:`~repro.serialization.taskset_to_json` writes exactly those
+  records, a model and its serialised envelope share one key.  An
+  envelope that writes the same model differently (unsorted or duplicate
+  indices, ``1.0`` for ``1``, a missing ``md_r``) gets a key of its own.
+  That costs a recompute, never a wrong answer: equal canonical records
+  parse to equal models.  Invisible optimisation knobs
+  (``memoization``, ``bitset_kernel``, ``array_kernel``, ``warm_start``)
+  and iteration ceilings are excluded, exactly as the journal excludes
+  execution parameters: an entry computed under any kernel serves every
+  kernel.
 * :class:`ResultCache` stores one JSON file per fingerprint under
   ``entries/``, written via :func:`repro.atomicio.atomic_write_text`
   (tmp + fsync + rename) so a crash mid-write can never leave a partial
@@ -52,16 +63,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import WcrtResult
 from repro.atomicio import atomic_write_text
 from repro.errors import CacheError, ModelError
-from repro.model.platform import Platform
 from repro.model.task import TaskSet
 from repro.perf import PerfCounters
-from repro.serialization import canonical_json, platform_to_dict, task_to_dict
+from repro.serialization import canonical_json
 
 PathLike = Union[str, Path]
 
@@ -101,14 +111,14 @@ _FANOUT_DIGITS = 2
 
 
 def request_description(
-    taskset: TaskSet, platform: Platform, config: AnalysisConfig
+    tasks: Sequence[Dict], platform: Dict, config: AnalysisConfig
 ) -> Dict:
     """The plain-JSON document a request fingerprint is computed over."""
     return {
         "format": REQUEST_TAG,
         "version": CACHE_VERSION,
-        "platform": platform_to_dict(platform),
-        "tasks": [task_to_dict(task) for task in taskset],
+        "platform": platform,
+        "tasks": tasks,
         "config": {
             name: getattr(
                 getattr(config, name), "value", getattr(config, name)
@@ -119,14 +129,18 @@ def request_description(
 
 
 def request_fingerprint(
-    taskset: TaskSet, platform: Platform, config: AnalysisConfig
+    tasks: Sequence[Dict], platform: Dict, config: AnalysisConfig
 ) -> str:
     """Hex SHA-256 identifying one analysis request's outcome.
 
-    Two requests share a fingerprint exactly when the analysis bounds are
-    guaranteed bit-identical, so a cached result may serve either.
+    ``tasks`` and ``platform`` are the task and platform records of a
+    ``repro-taskset`` envelope (see the module docstring).  Two requests
+    share a fingerprint only when the analysis bounds are guaranteed
+    bit-identical, so a cached result may serve either.  Raises
+    :class:`~repro.errors.ModelError` when the records hold a value
+    canonical JSON cannot encode, such as ``NaN``.
     """
-    text = canonical_json(request_description(taskset, platform, config))
+    text = canonical_json(request_description(tasks, platform, config))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

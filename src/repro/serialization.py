@@ -46,13 +46,14 @@ def canonical_json(document) -> str:
     to hash for content addressing and run fingerprints (see
     :func:`repro.experiments.journal.sweep_fingerprint`).  ``NaN`` and
     infinities are rejected: they would not round-trip through strict JSON
-    parsers and a fingerprint must never be ambiguous.
+    parsers and a fingerprint must never be ambiguous.  So is a value that
+    is not JSON data at all, such as a set.
     """
     try:
         return json.dumps(
             document, sort_keys=True, separators=(",", ":"), allow_nan=False
         )
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         raise ModelError(
             f"document is not canonically serialisable: {error}"
         ) from error
@@ -86,7 +87,7 @@ def platform_from_dict(data: Dict) -> Platform:
             bus_policy=BusPolicy(data["bus_policy"]),
             slot_size=data["slot_size"],
         )
-    except (KeyError, ValueError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise ModelError(f"malformed platform record: {error}") from error
 
 
@@ -135,8 +136,15 @@ def task_from_dict(data: Dict) -> Task:
     """Inverse of :func:`task_to_dict`.
 
     A UCB or PCB set equal to the ECB set is the ECB set, as the
-    generator's whole-run sets are.
+    generator's whole-run sets are.  A record that is not an object, a
+    name that is not a string and a field of a type the task's checks
+    cannot compare raise :class:`~repro.errors.ModelError` too.
     """
+    if not isinstance(data, dict) or not isinstance(data.get("name"), str):
+        raise ModelError(
+            f"malformed task record: expected an object with a string "
+            f"'name', got {data!r:.80}"
+        )
     try:
         ecbs = _cache_sets(data, "ecbs")
         ucbs = _cache_sets(data, "ucbs")
@@ -156,6 +164,10 @@ def task_from_dict(data: Dict) -> Task:
         )
     except KeyError as error:
         raise ModelError(f"malformed task record: missing {error}") from error
+    except TypeError as error:
+        raise ModelError(
+            f"malformed task record {data['name']!r}: {error}"
+        ) from error
 
 
 def tasks_from_dicts(records, platform: Platform) -> List[Task]:

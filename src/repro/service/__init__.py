@@ -52,6 +52,7 @@ from repro.service.protocol import (
     degraded_response,
     error_response,
     parse_request,
+    read_request,
     shed_response,
 )
 from repro.service.router import RouterConfig, ShardRouter, serve_router
@@ -69,6 +70,7 @@ __all__ = [
     "degraded_response",
     "error_response",
     "parse_request",
+    "read_request",
     "shed_response",
     "serve",
     "serve_router",

@@ -39,7 +39,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -64,6 +64,7 @@ from repro.service.protocol import (
     degraded_response,
     error_response,
     parse_request,
+    read_request,
     shed_response,
 )
 
@@ -251,10 +252,12 @@ class AnalysisService:
     The request path is layered so every tier degrades independently:
 
     1. **Durable cache** — deterministic requests are fingerprinted
-       (:func:`repro.resultcache.request_fingerprint`) and served from
-       the persistent :class:`~repro.resultcache.ResultCache` when
-       possible.  Hits bypass the breaker entirely: cached results stay
-       available even while the worker pool is tripped.
+       (:func:`repro.resultcache.request_fingerprint`) over the task and
+       platform records they carry, before any task is built, and served
+       from the persistent :class:`~repro.resultcache.ResultCache` when
+       possible.  Only a request whose key is not cached is parsed into
+       model objects.  Hits bypass the breaker entirely: cached results
+       stay available even while the worker pool is tripped.
     2. **Coalescing** — N identical concurrent requests run *one*
        analysis; the others wait on the leader's flight and share its
        outcome (including failures and budget aborts).
@@ -331,6 +334,14 @@ class AnalysisService:
         4. batch-priority overload shed -> 429 (lowest class first)
         5. admission queue full -> 429
         6. admitted: deadline-derived budget, optional brownout, pool
+
+        Validation reads every field but the task records first, then
+        fingerprints the records and builds the tasks only when the
+        result cache does not hold that key.  A cached key needs no
+        parse: the cache holds only verdicts of requests that parsed and
+        finished their analysis, and equal canonical records parse to
+        equal models.  So an invalid request always misses and fails
+        validation here, before admission, whether the cache is on or not.
         """
         arrival = self._clock()
         if self._draining.is_set():
@@ -341,7 +352,15 @@ class AnalysisService:
                 "message": "service is shutting down; retry elsewhere",
             }
         try:
-            request = parse_request(document)
+            request = read_request(document)
+            fingerprint = self._fingerprint(request)
+            cached = (
+                fingerprint is not None
+                and self.cache is not None
+                and fingerprint in self.cache
+            )
+            if not cached:
+                request = parse_request(request)
         except (ModelError, AnalysisError) as error:
             with self._lock:
                 self.stats.validation_errors += 1
@@ -349,12 +368,10 @@ class AnalysisService:
                 document.get("id", "") if isinstance(document, dict) else "",
                 error,
             )
-        effective = dict(document)
-        if (
-            request.budget_seconds is None
-            and self.config.default_budget is not None
-        ):
-            effective["budget_seconds"] = self.config.default_budget
+        budget_seconds = request.budget_seconds
+        if budget_seconds is None:
+            budget_seconds = self.config.default_budget
+        deadline_ms = None
         safety = self.config.deadline_safety_ms / 1000.0
         if request.deadline_ms is not None:
             # This hop's elapsed time plus the safety margin comes off the
@@ -381,13 +398,17 @@ class AnalysisService:
             # admitted request must at least be able to return its typed
             # abort.  The caller's own budget, if tighter, still wins.
             deadline_budget = max(remaining, self.config.min_budget_seconds)
-            current = effective.get("budget_seconds")
-            effective["budget_seconds"] = (
+            budget_seconds = (
                 deadline_budget
-                if current is None
-                else min(current, deadline_budget)
+                if budget_seconds is None
+                else min(budget_seconds, deadline_budget)
             )
-            effective["deadline_ms"] = remaining * 1000.0
+            deadline_ms = remaining * 1000.0
+        # The request as the pool runs it: this hop's effective budget
+        # and remaining deadline replace the caller's.
+        effective = replace(
+            request, budget_seconds=budget_seconds, deadline_ms=deadline_ms
+        )
         with self._lock:
             in_flight = len(self._active)
             if (
@@ -440,28 +461,39 @@ class AnalysisService:
                 )
             )
         try:
-            return self._execute(request, effective, brownout=brownout)
+            return self._execute(effective, fingerprint, brownout=brownout)
         finally:
             with self._lock:
                 self._active.pop(token, None)
 
+    def _fingerprint(self, request: AnalysisRequest) -> Optional[str]:
+        """Cache and coalescing key of a read request, or ``None``.
+
+        ``None`` when neither layer is on, for the test-only inject
+        faults (the one nondeterministic input, which must never share
+        work), and for records canonical JSON cannot encode, such as a
+        ``NaN`` (those are analysed uncached, if they parse at all).
+        """
+        if request.inject is not None or (
+            self.cache is None and not self.config.coalesce
+        ):
+            return None
+        envelope = request.envelope
+        try:
+            return request_fingerprint(
+                envelope["tasks"], envelope["platform"], request.config
+            )
+        except ModelError:
+            return None
+
     def _execute(
         self,
         request: AnalysisRequest,
-        document: Dict,
+        fingerprint: Optional[str],
         brownout: bool = False,
     ) -> Tuple[int, Dict]:
         """Cache, coalesce and run one admitted request."""
         request_id = request.request_id
-        fingerprint = None
-        if request.inject is None and (
-            self.cache is not None or self.config.coalesce
-        ):
-            # Deterministic requests only: the test-only inject faults are
-            # the one nondeterministic input and must never share work.
-            fingerprint = request_fingerprint(
-                request.taskset, request.platform, request.config
-            )
         if fingerprint is not None and self.cache is not None:
             payload = self.cache.get(fingerprint)
             if payload is not None:
@@ -470,12 +502,21 @@ class AnalysisService:
                 with self._lock:
                     self.stats.completed += 1
                 return 200, dict(payload, id=request_id, cache="hit")
+        if request.taskset is None:
+            # The key was cached when handle() looked but the entry went
+            # away before this read (evicted or quarantined): parse now.
+            try:
+                request = parse_request(request)
+            except (ModelError, AnalysisError) as error:
+                with self._lock:
+                    self.stats.validation_errors += 1
+                return 400, error_response(request_id, error)
         if brownout:
             # Overload (queue nearly full or breaker open): answer from
             # the coarse ladder tier on this thread instead of queueing
             # on the pool — cheap, sound, typed.  Cache hits above still
             # serve exact results; inject faults never get here.
-            return self._brownout(request, document)
+            return self._brownout(request)
         flight: Optional[_Flight] = None
         if fingerprint is not None and self.config.coalesce:
             with self._lock:
@@ -485,7 +526,9 @@ class AnalysisService:
                 else:
                     leader_flight = self._flights[fingerprint] = _Flight()
             if leader_flight is None:
-                return self._await_flight(request_id, document, flight)
+                return self._await_flight(
+                    request_id, request.budget_seconds, flight
+                )
             flight = leader_flight
         status = 500
         body: Dict = error_response(
@@ -493,7 +536,7 @@ class AnalysisService:
             WorkerCrashError("computation died before producing a response"),
         )
         try:
-            status, body = self._run_pool(request_id, document)
+            status, body = self._run_pool(request)
             return status, body
         finally:
             if flight is not None:
@@ -521,9 +564,7 @@ class AnalysisService:
                 }
                 self.cache.put(fingerprint, payload)
 
-    def _brownout(
-        self, request: AnalysisRequest, document: Dict
-    ) -> Tuple[int, Dict]:
+    def _brownout(self, request: AnalysisRequest) -> Tuple[int, Dict]:
         """Serve one admitted request from the coarse tier, pool-free.
 
         Brownout mode answers on the handler thread with the ladder's
@@ -535,8 +576,8 @@ class AnalysisService:
         request_id = request.request_id
         local = PerfCounters()
         budget: Optional[Budget] = None
-        budget_seconds = document.get("budget_seconds")
-        max_iterations = document.get("max_iterations")
+        budget_seconds = request.budget_seconds
+        max_iterations = request.max_iterations
         if budget_seconds is not None or max_iterations is not None:
             budget = Budget(
                 wall_seconds=budget_seconds,
@@ -584,10 +625,13 @@ class AnalysisService:
         return 200, body
 
     def _await_flight(
-        self, request_id: str, document: Dict, flight: _Flight
+        self,
+        request_id: str,
+        budget_seconds: Optional[float],
+        flight: _Flight,
     ) -> Tuple[int, Dict]:
         """Share the outcome of an identical in-flight computation."""
-        allowance = self.pool.allowance_for(document.get("budget_seconds"))
+        allowance = self.pool.allowance_for(budget_seconds)
         timeout = None if allowance is None else allowance + COALESCE_GRACE
         if not flight.done.wait(timeout):
             with self._lock:
@@ -618,8 +662,9 @@ class AnalysisService:
             self._quarantine(request_id, outcome)
         return status, body
 
-    def _run_pool(self, request_id: str, document: Dict) -> Tuple[int, Dict]:
+    def _run_pool(self, request: AnalysisRequest) -> Tuple[int, Dict]:
         """Run one leading request through the breaker and pool."""
+        request_id = request.request_id
         if not self.breaker.allow():
             with self._lock:
                 self.stats.rejected_breaker += 1
@@ -636,7 +681,7 @@ class AnalysisService:
                 "retry_after": retry_after,
             }
         try:
-            response, perf = self.pool.run(document)
+            response, perf = self.pool.run(request)
         except WorkerCrashError as error:
             self.breaker.record_failure()
             with self._lock:

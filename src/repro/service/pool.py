@@ -42,11 +42,11 @@ from repro.errors import (
 )
 from repro.perf import PerfCounters
 from repro.service.protocol import (
+    AnalysisRequest,
     abort_response,
     degraded_response,
     error_response,
     ok_response,
-    parse_request,
 )
 from repro.workers import SpawnPool, watchdog_allowance
 
@@ -54,24 +54,20 @@ from repro.workers import SpawnPool, watchdog_allowance
 CRASH_EXIT_STATUS = 134
 
 
-def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
-    """Execute one raw request document (worker side).
+def service_worker(request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
+    """Execute one parsed request (worker side).
 
-    Top-level so it pickles by reference into spawn workers.  The document
-    was already validated by the daemon; it is re-parsed here because the
-    worker is a separate process and the model objects do not travel.
-    Each request analyses the task set it parsed: repeats are served by
-    the daemon's result cache, never by state kept in the worker.
-    Returns ``(response document, perf counters)`` — analysis failures of
-    every kind are *data* in the response, never exceptions, so the only
-    exceptional outcomes the parent sees are real worker deaths.
+    Top-level so it pickles by reference into spawn workers.  The daemon
+    validated and parsed the request and set its effective budget and
+    deadline; it arrives pickled, its task set rebuilt around the
+    unpickled tasks, so the worker parses nothing.  Each request analyses
+    its own task set: repeats are served by the daemon's result cache,
+    never by state kept in the worker.  Returns ``(response document,
+    perf counters)`` — analysis failures of every kind are *data* in the
+    response, never exceptions, so the only exceptional outcomes the
+    parent sees are real worker deaths.
     """
     perf = PerfCounters()
-    try:
-        request = parse_request(document)
-    except Exception as error:  # noqa: BLE001 — isolate validation failures
-        request_id = document.get("id", "") if isinstance(document, dict) else ""
-        return error_response(request_id, error), perf
     budget: Optional[Budget] = None
     if request.budget_seconds is not None or request.max_iterations is not None:
         budget = Budget(
@@ -146,11 +142,11 @@ def service_worker(document: Dict) -> Tuple[Dict, PerfCounters]:
             perf=perf,
             budget=budget,
         )
+        return ok_response(request.request_id, result), perf
     except AnalysisAborted as abort:
         return abort_response(request.request_id, abort), perf
     except Exception as error:  # noqa: BLE001 — isolate analysis failures
         return error_response(request.request_id, error), perf
-    return ok_response(request.request_id, result), perf
 
 
 class AnalysisPool:
@@ -173,17 +169,17 @@ class AnalysisPool:
             return self.default_watchdog
         return watchdog_allowance(budget_seconds)
 
-    def run(self, document: Dict) -> Tuple[Dict, PerfCounters]:
-        """Execute one validated request document, enforcing the watchdog.
+    def run(self, request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
+        """Execute one parsed request, enforcing the watchdog.
 
         Raises :class:`~repro.errors.WorkerCrashError` when the worker
         process died and :class:`~repro.errors.ChunkTimeoutError` when the
         watchdog allowance expired (the pool is killed and respawned —
         a hung worker cannot be cancelled any other way).
         """
-        allowance = self.allowance_for(document.get("budget_seconds"))
+        allowance = self.allowance_for(request.budget_seconds)
         try:
-            generation, future = self._pool.submit(service_worker, document)
+            generation, future = self._pool.submit(service_worker, request)
         except (BrokenProcessPool, RuntimeError) as error:
             raise WorkerCrashError(
                 f"worker pool was broken at submission: {error}"

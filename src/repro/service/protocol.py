@@ -26,6 +26,13 @@ budgets, unknown config fields or injection kinds) raise
 :class:`~repro.errors.AnalysisError`.  The daemon converts both into
 HTTP 400 with a typed body.
 
+Validation runs in two steps.  :func:`read_request` checks every field
+but the task records, which is cheap, and keeps the decoded envelope;
+:func:`parse_request` then builds the :class:`~repro.model.task.Task`
+objects.  The daemon fingerprints the envelope's records between the two
+steps and skips the second one when the result cache already holds that
+key (see :mod:`repro.resultcache`).
+
 Responses always carry ``id``, ``status`` and the protocol ``version``.
 ``status`` is one of ``"ok"`` (with the WCRT verdict),
 ``"budget-exceeded"`` / ``"cancelled"`` (with the partial estimates,
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 
@@ -95,10 +102,17 @@ _CONFIG_FIELDS = {
 
 @dataclass(frozen=True)
 class AnalysisRequest:
-    """One validated analysis request."""
+    """One validated analysis request.
+
+    A request :func:`read_request` returned has no ``taskset`` yet; its
+    ``envelope`` holds the decoded ``repro-taskset`` envelope, whose
+    ``platform`` and ``tasks`` records the daemon fingerprints.
+    :func:`parse_request` builds the task set and drops the envelope, so
+    a parsed request pickles as its model objects alone.
+    """
 
     request_id: str
-    taskset: TaskSet
+    taskset: Optional[TaskSet]
     platform: Platform
     config: AnalysisConfig
     budget_seconds: Optional[float] = None
@@ -113,10 +127,15 @@ class AnalysisRequest:
     #: Explicit degradation-ladder opt in/out; ``None`` = derived
     #: (on iff the request carries a deadline).
     degrade: Optional[bool] = None
+    #: The decoded ``repro-taskset`` envelope until the task set is built.
+    envelope: Optional[Dict] = None
 
 
-def _parse_taskset(document) -> Tuple[TaskSet, Platform]:
-    """Parse the embedded ``repro-taskset`` envelope (dict form)."""
+def _check_envelope(document) -> Platform:
+    """Check the embedded ``repro-taskset`` envelope but its task records.
+
+    Returns the envelope's parsed platform.
+    """
     if not isinstance(document, dict):
         raise ModelError(
             f"'taskset' must be a repro-taskset object, "
@@ -132,10 +151,15 @@ def _parse_taskset(document) -> Tuple[TaskSet, Platform]:
             f"unsupported taskset format version {document.get('version')!r}"
         )
     platform = platform_from_dict(document.get("platform", {}))
-    tasks = tasks_from_dicts(document.get("tasks", []), platform)
+    tasks = document.get("tasks", [])
+    if not isinstance(tasks, (list, tuple)):
+        raise ModelError(
+            f"'tasks' must be an array of task records, "
+            f"got {type(tasks).__name__}"
+        )
     if not tasks:
         raise ModelError("taskset holds no tasks")
-    return TaskSet(tasks), platform
+    return platform
 
 
 def _parse_config(document) -> AnalysisConfig:
@@ -181,13 +205,13 @@ def _positive_finite(document: Dict, key: str, what: str) -> Optional[float]:
     return float(value)
 
 
-def parse_request(document) -> AnalysisRequest:
-    """Validate a raw request document into an :class:`AnalysisRequest`.
+def read_request(document) -> AnalysisRequest:
+    """Validate every field of a raw request document but its task records.
 
-    Raises :class:`~repro.errors.ModelError` for structural problems and
-    :class:`~repro.errors.AnalysisError` for invalid parameter values, so
-    the daemon (and any other front end) can map validation failures onto
-    the library's taxonomy without string matching.
+    The returned request has no ``taskset``; its ``envelope`` holds the
+    decoded ``repro-taskset`` envelope, whose platform has been parsed and
+    whose ``tasks`` is a non-empty array.  :func:`parse_request` finishes
+    the validation.  Raises like :func:`parse_request`.
     """
     if not isinstance(document, dict):
         raise ModelError(
@@ -198,7 +222,8 @@ def parse_request(document) -> AnalysisRequest:
         raise ModelError(f"'id' must be a string, got {request_id!r}")
     if "taskset" not in document:
         raise ModelError("request is missing the 'taskset' envelope")
-    taskset, platform = _parse_taskset(document["taskset"])
+    envelope = document["taskset"]
+    platform = _check_envelope(envelope)
     config = _parse_config(document.get("config"))
     budget_seconds = _positive_finite(
         document, "budget_seconds", "a positive finite number"
@@ -232,7 +257,7 @@ def parse_request(document) -> AnalysisRequest:
         )
     return AnalysisRequest(
         request_id=request_id,
-        taskset=taskset,
+        taskset=None,
         platform=platform,
         config=config,
         budget_seconds=budget_seconds,
@@ -241,7 +266,28 @@ def parse_request(document) -> AnalysisRequest:
         deadline_ms=deadline_ms,
         priority=priority,
         degrade=degrade,
+        envelope=envelope,
     )
+
+
+def parse_request(document) -> AnalysisRequest:
+    """Validate a raw request document into an :class:`AnalysisRequest`.
+
+    ``document`` may also be a request :func:`read_request` returned, in
+    which case only its task records are still checked.  Raises
+    :class:`~repro.errors.ModelError` for structural problems and
+    :class:`~repro.errors.AnalysisError` for invalid parameter values, so
+    the daemon (and any other front end) can map validation failures onto
+    the library's taxonomy without string matching.
+    """
+    if isinstance(document, AnalysisRequest):
+        request = document
+    else:
+        request = read_request(document)
+    if request.taskset is not None:
+        return request
+    tasks = tasks_from_dicts(request.envelope["tasks"], request.platform)
+    return replace(request, taskset=TaskSet(tasks), envelope=None)
 
 
 def ok_response(request_id: str, result) -> Dict:

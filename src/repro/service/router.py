@@ -54,7 +54,7 @@ from repro.resultcache import request_fingerprint
 from repro.service.protocol import (
     JsonHandler,
     error_response,
-    parse_request,
+    read_request,
     shed_response,
 )
 
@@ -187,20 +187,28 @@ class ShardRouter:
     def _fingerprint_of(self, document) -> Optional[str]:
         """Fingerprint when the request is deterministic, else ``None``.
 
-        ``None`` covers the test-only ``inject`` faults (non-idempotent —
-        they kill or hang a worker, so a replay is not a no-op) and
-        documents that fail validation (any shard returns the same typed
-        400, so they round-robin).
+        The key is the daemon's: the records fingerprint of the request
+        as :func:`~repro.service.protocol.read_request` checks it, so the
+        router builds no task.  ``None`` covers the test-only ``inject``
+        faults (non-idempotent — they kill or hang a worker, so a replay
+        is not a no-op) and documents that fail that check or whose
+        records cannot be hashed (any shard answers them alike, so they
+        round-robin).
         """
         try:
-            request = parse_request(document)
+            request = read_request(document)
         except (ModelError, AnalysisError):
             return None
         if request.inject is not None:
             return None
-        return request_fingerprint(
-            request.taskset, request.platform, request.config
-        )
+        try:
+            return request_fingerprint(
+                request.envelope["tasks"],
+                request.envelope["platform"],
+                request.config,
+            )
+        except ModelError:
+            return None
 
     def _candidates(self, primary: int, idempotent: bool) -> List[int]:
         """Shard indices in try-order: primary first, then the ring.

@@ -109,6 +109,12 @@ class TestPlatform:
         with pytest.raises(ModelError):
             Platform(bus_policy="fp")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["num_cores", "d_mem", "slot_size"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ModelError, match=f"{field} must be .*finite"):
+            Platform(**{field: value})
+
 
 class TestBusPolicy:
     def test_work_conserving_classification(self):

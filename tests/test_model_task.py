@@ -1,8 +1,15 @@
 """Unit tests for the task and task-set model."""
 
+import pickle
+import random
+
 import pytest
 
+from repro.analysis.config import AnalysisConfig
+from repro.analysis.wcrt import analyze_taskset
 from repro.errors import ModelError
+from repro.experiments import default_platform
+from repro.generation import generate_taskset
 from repro.model.task import (
     Task,
     TaskSet,
@@ -50,6 +57,16 @@ class TestTaskValidation:
     def test_rejects_non_positive_period(self):
         with pytest.raises(ModelError):
             make_task(period=0, deadline=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["pd", "md", "period", "deadline"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        # NaN compares false both ways, so a bare sign check passes it.
+        overrides = {field: value}
+        if field == "period":
+            overrides["deadline"] = 1000
+        with pytest.raises(ModelError, match=f"{field} must be .*finite"):
+            make_task(**overrides)
 
     def test_rejects_negative_core(self):
         with pytest.raises(ModelError):
@@ -173,6 +190,34 @@ class TestTaskSet:
 
     def test_bus_utilization_residual_is_lower(self):
         assert self.ts.bus_utilization(10, residual=True) < self.ts.bus_utilization(10)
+
+    def test_survives_pickling(self):
+        # Membership is by id(), so the copy must be rebuilt around the
+        # unpickled tasks rather than keep the original ids.
+        clone = pickle.loads(pickle.dumps(self.ts))
+        assert [t.name for t in clone] == ["t1", "t2", "t3", "t4"]
+        assert all(task in clone for task in clone)
+        assert self.t1 not in clone
+        t1, t2, t3, t4 = clone
+        assert clone.hp(t3) == (t1, t2)
+        assert clone.on_core(1) == (t3, t4)
+        assert clone.aff(t4, t1) == (t2, t3, t4)
+
+    def test_pickled_task_set_analyses_identically(self):
+        platform = default_platform()
+        taskset = generate_taskset(random.Random(3), platform, 0.5)
+        clone = pickle.loads(pickle.dumps(taskset))
+        original = analyze_taskset(taskset, platform, AnalysisConfig())
+        copied = analyze_taskset(clone, platform, AnalysisConfig())
+        assert copied.schedulable == original.schedulable
+        assert copied.outer_iterations == original.outer_iterations
+        assert [copied.response_times[t] for t in clone] == [
+            original.response_times[t] for t in taskset
+        ]
+        # Whole-run UCB/PCB sets stay the ECB set itself.
+        for mine, theirs in zip(taskset, clone):
+            assert (theirs.ucbs is theirs.ecbs) == (mine.ucbs is mine.ecbs)
+            assert (theirs.pcbs is theirs.ecbs) == (mine.pcbs is mine.ecbs)
 
 
 class TestPriorityAssignment:

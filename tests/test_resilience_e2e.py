@@ -120,8 +120,16 @@ POOL_HOLDERS = {
             "-c",
             "import time\n"
             "from repro.service.pool import AnalysisPool\n"
+            "from repro.service.protocol import parse_request\n"
+            "platform = {'num_cores': 1, 'cache': {'num_sets': 16,\n"
+            "            'block_size': 32}, 'd_mem': 10,\n"
+            "            'bus_policy': 'fp', 'slot_size': 1}\n"
+            "task = {'name': 't', 'pd': 1, 'md': 0, 'period': 10,\n"
+            "        'deadline': 10, 'priority': 1}\n"
             "pool = AnalysisPool(workers=1)\n"
-            "pool.run({'id': 'probe'})\n"
+            "pool.run(parse_request({'id': 'probe', 'taskset': {\n"
+            "    'format': 'repro-taskset', 'version': 1,\n"
+            "    'platform': platform, 'tasks': [task]}}))\n"
             "print('ready', flush=True)\n"
             "time.sleep(600)\n",
         ],

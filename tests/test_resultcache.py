@@ -15,17 +15,24 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.schedulability import check_schedulability
 from repro.analysis.wcrt import analyze_taskset
 from repro.budget import Budget
+from repro.crpd.approaches import CrpdApproach
 from repro.errors import BudgetExceeded, CacheError, ModelError
 from repro.experiments import default_platform
+from repro.experiments.runner import _sample_seed
 from repro.generation import generate_taskset
+from repro.generation.taskset_gen import GenerationConfig, ParameterSource
+from repro.model.platform import BusPolicy, CacheGeometry
 from repro.perf import PerfCounters
+from repro.persistence.cpro import CproApproach
 from repro.resultcache import (
     CHAOS_FAULT_ENV,
     CHAOS_KILL_STATUS,
@@ -34,7 +41,27 @@ from repro.resultcache import (
     result_from_payload,
     result_payload,
 )
-from repro.serialization import canonical_json
+from repro.serialization import (
+    canonical_json,
+    platform_to_dict,
+    task_to_dict,
+    taskset_to_json,
+)
+
+
+def model_fingerprint(taskset, platform, config):
+    """The fingerprint of a model: over the records it serialises to."""
+    return request_fingerprint(
+        [task_to_dict(task) for task in taskset],
+        platform_to_dict(platform),
+        config,
+    )
+
+
+def records_fingerprint(taskset, platform, config):
+    """The fingerprint the service computes from the decoded envelope."""
+    envelope = json.loads(taskset_to_json(taskset, platform, indent=None))
+    return request_fingerprint(envelope["tasks"], envelope["platform"], config)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +81,7 @@ def result(taskset, platform):
 
 @pytest.fixture(scope="module")
 def fingerprint(taskset, platform):
-    return request_fingerprint(taskset, platform, AnalysisConfig())
+    return model_fingerprint(taskset, platform, AnalysisConfig())
 
 
 class TestFingerprint:
@@ -73,17 +100,112 @@ class TestFingerprint:
             AnalysisConfig(warm_start=False),
             AnalysisConfig(array_kernel=False),
         ):
-            assert request_fingerprint(taskset, platform, variant) == fingerprint
+            assert model_fingerprint(taskset, platform, variant) == fingerprint
 
     def test_outcome_determining_knobs_change_it(
         self, taskset, platform, fingerprint
     ):
         loose = AnalysisConfig(persistence=False)
-        assert request_fingerprint(taskset, platform, loose) != fingerprint
+        assert model_fingerprint(taskset, platform, loose) != fingerprint
 
     def test_different_tasksets_differ(self, taskset, platform, fingerprint):
         other = generate_taskset(random.Random(8), platform, 0.3)
-        assert request_fingerprint(other, platform, AnalysisConfig()) != fingerprint
+        assert model_fingerprint(other, platform, AnalysisConfig()) != fingerprint
+
+    def test_unencodable_records_are_a_model_error(self, taskset, platform):
+        records = [dict(task_to_dict(task)) for task in taskset]
+        records[0]["pd"] = float("nan")
+        with pytest.raises(ModelError, match="canonically serialisable"):
+            request_fingerprint(
+                records, platform_to_dict(platform), AnalysisConfig()
+            )
+
+
+_CONFIGS = {
+    "aware": AnalysisConfig(),
+    "baseline": AnalysisConfig(persistence=False),
+    "mcrpd": AnalysisConfig(crpd_approach=CrpdApproach.ECB_UNION_MULTISET),
+}
+
+
+def _sweep_taskset(num_sets, source, point, sample, utilization, bus):
+    """The task set of one Fig. 2 sample (sweep seed 2020) on a cache."""
+    platform = replace(
+        default_platform(),
+        cache=CacheGeometry(num_sets=num_sets, block_size=32),
+        bus_policy=BusPolicy(bus),
+    )
+    generation = GenerationConfig(parameter_source=ParameterSource(source))
+    rng = random.Random(_sample_seed(2020, point, sample))
+    return generate_taskset(rng, platform, utilization, generation), platform
+
+
+class TestFingerprintStability:
+    """Keys survive the move from model to records fingerprints.
+
+    The table was computed by the model fingerprint of the previous
+    release, so existing cache directories keep serving, and the
+    property checks that a canonical envelope's records hash to its
+    model's key.
+    """
+
+    @pytest.mark.parametrize(
+        "num_sets, source, point, sample, utilization, bus, config, key",
+        [
+            (256, "table", 0, 0, 0.3, "fp", "aware",
+             "b49d18c2a77d4a67f6d36038a2759be2451f04c5ef05b34192b259ce994e852e"),
+            (256, "table", 4, 7, 0.5, "rr", "aware",
+             "8e9a5d59b9a12252d2d466a6e74685cb87be7656cf288f010140a4f3f239ce35"),
+            (256, "table", 8, 1, 0.9, "tdma", "baseline",
+             "15daaf849824d0dfab1d7731345380539d28dd354700132d64af21e52bc3baad"),
+            (256, "models", 2, 3, 0.4, "fp", "aware",
+             "e3709384c530d53369b68f32dd6bf2c31fdbc9f8599611e76e3a313adeb47dbe"),
+            (256, "models", 6, 0, 0.7, "perfect", "baseline",
+             "218107d4ba526bbf46442d3671ec14adca295dce388f6704184df32b4621f864"),
+            (64, "table", 0, 5, 0.1, "fp", "mcrpd",
+             "a9ee3b3182d7b20a140c50850b91615b6f8dab23b09368c4bbb3d4fcebecff21"),
+            (64, "table", 3, 2, 0.4, "rr", "aware",
+             "fb795cef169d54546c83cd51ed5e4b76596b4637bbe6139979636a562c5727ff"),
+            (64, "models", 1, 9, 0.2, "fp", "aware",
+             "186a8f5124c847d9b15841781c151ccc65f728c4062bbe2681342d50fef08fc4"),
+            (64, "models", 7, 4, 0.8, "tdma", "mcrpd",
+             "c325c36f30afb10a388c937ec1077432dbb31c5afdbe4288ef8f63ae4e399c98"),
+        ],
+    )
+    def test_keys_are_pinned(
+        self, num_sets, source, point, sample, utilization, bus, config, key
+    ):
+        taskset, platform = _sweep_taskset(
+            num_sets, source, point, sample, utilization, bus
+        )
+        assert model_fingerprint(taskset, platform, _CONFIGS[config]) == key
+        assert records_fingerprint(taskset, platform, _CONFIGS[config]) == key
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_sets=st.sampled_from([64, 256]),
+        source=st.sampled_from(["table", "models"]),
+        point=st.integers(min_value=0, max_value=9),
+        sample=st.integers(min_value=0, max_value=199),
+        utilization=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        bus=st.sampled_from(["fp", "rr", "tdma", "perfect"]),
+        persistence=st.booleans(),
+        crpd=st.sampled_from(list(CrpdApproach)),
+        cpro=st.sampled_from(list(CproApproach)),
+    )
+    def test_records_fingerprint_is_the_model_fingerprint(
+        self, num_sets, source, point, sample, utilization, bus,
+        persistence, crpd, cpro,
+    ):
+        taskset, platform = _sweep_taskset(
+            num_sets, source, point, sample, utilization, bus
+        )
+        config = AnalysisConfig(
+            persistence=persistence, crpd_approach=crpd, cpro_approach=cpro
+        )
+        assert records_fingerprint(taskset, platform, config) == (
+            model_fingerprint(taskset, platform, config)
+        )
 
 
 class TestPayloadRoundtrip:

@@ -16,9 +16,10 @@ import pytest
 from repro.errors import AnalysisError
 from repro.experiments import default_platform
 from repro.generation import generate_taskset
+from repro.model.task import Task
 from repro.resultcache import request_fingerprint
 from repro.serialization import taskset_to_json
-from repro.service.protocol import parse_request
+from repro.service.protocol import read_request
 from repro.service.router import RouterConfig, ShardRouter
 
 
@@ -37,8 +38,10 @@ def request_document(envelope, **extra):
 
 def fingerprint_of(document):
     """The exact server-side fingerprint computation."""
-    request = parse_request(document)
-    return request_fingerprint(request.taskset, request.platform, request.config)
+    request = read_request(document)
+    return request_fingerprint(
+        request.envelope["tasks"], request.envelope["platform"], request.config
+    )
 
 
 class FakeTransport:
@@ -152,6 +155,32 @@ class TestSharding:
         router, _transport, _sleeps = make_router(num_shards=3)
         shards = [router.forward({"id": f"bad-{i}"})[1]["shard"] for i in range(3)]
         assert shards == [0, 1, 2]
+
+    def test_unhashable_records_round_robin(self, envelope):
+        # Canonical JSON has no NaN, so these records have no key.
+        router, _transport, _sleeps = make_router(num_shards=3)
+        odd = json.loads(json.dumps(envelope))
+        odd["tasks"][0]["note"] = float("nan")
+        shards = [
+            router.forward(request_document(odd, id=f"odd-{i}"))[1]["shard"]
+            for i in range(3)
+        ]
+        assert shards == [0, 1, 2]
+
+    def test_sharding_builds_no_task(self, envelope, monkeypatch):
+        built = []
+        post_init = Task.__post_init__
+
+        def counting(task):
+            built.append(task.name)
+            post_init(task)
+
+        monkeypatch.setattr(Task, "__post_init__", counting)
+        router, _transport, _sleeps = make_router(num_shards=4)
+        document = request_document(envelope)
+        shard = router.forward(document)[1]["shard"]
+        assert shard == router.shard_for(fingerprint_of(document))
+        assert built == []
 
 
 class TestForwarding:

@@ -51,6 +51,20 @@ class TestPlatformRoundTrip:
         with pytest.raises(ModelError):
             platform_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda data: [1],
+            lambda data: dict(data, cache=[64, 32]),
+            lambda data: dict(data, cache=dict(data["cache"], num_sets=1e400)),
+            lambda data: dict(data, d_mem="10"),
+        ],
+        ids=["list", "cache-list", "infinite-sets", "string-d_mem"],
+    )
+    def test_wrongly_typed_record_is_a_model_error(self, platform, mutate):
+        with pytest.raises(ModelError, match="platform"):
+            platform_from_dict(mutate(platform_to_dict(platform)))
+
 
 class TestTaskRoundTrip:
     def test_all_fields_survive(self):
@@ -86,6 +100,21 @@ def _record(**sets):
     }
     record.update(sets)
     return record
+
+
+class TestWronglyTypedTaskRecords:
+    """A record the task's checks cannot compare is a ModelError too."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [7, [1], "t", _record(name=[1]), _record(name=None),
+         _record(core=None), _record(pd="x"), _record(period=None)],
+        ids=["int", "list", "str", "list-name", "null-name", "null-core",
+             "string-pd", "null-period"],
+    )
+    def test_rejected(self, record):
+        with pytest.raises(ModelError, match="malformed task record"):
+            task_from_dict(record)
 
 
 class TestCacheSetIndices:

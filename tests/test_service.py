@@ -8,14 +8,17 @@ against a real daemon process is ``scripts/service_smoke.py`` (CI's
 """
 
 import json
+import pickle
 import random
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from http.server import ThreadingHTTPServer
 
 import pytest
 
+from repro import serialization
 from repro.errors import (
     AnalysisError,
     ChunkTimeoutError,
@@ -24,6 +27,7 @@ from repro.errors import (
 )
 from repro.experiments import default_platform
 from repro.generation import generate_taskset
+from repro.model.task import Task
 from repro.perf import PerfCounters
 from repro.serialization import taskset_to_json
 from repro.service import (
@@ -33,7 +37,9 @@ from repro.service import (
     PROTOCOL_VERSION,
     ServiceConfig,
     parse_request,
+    read_request,
 )
+from repro.service import pool as service_pool
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.daemon import _Handler
 from repro.service.pool import service_worker
@@ -50,6 +56,16 @@ def request_document(envelope, **extra):
     document = {"id": "req-1", "taskset": envelope}
     document.update(extra)
     return document
+
+
+def shipped(request):
+    """``request`` as a pool worker receives it: pickled and unpickled."""
+    return pickle.loads(pickle.dumps(request))
+
+
+def shipped_document(envelope, **extra):
+    """A parsed request document as a pool worker receives it."""
+    return shipped(parse_request(request_document(envelope, **extra)))
 
 
 class TestProtocolValidation:
@@ -112,12 +128,36 @@ class TestProtocolValidation:
         with pytest.raises(AnalysisError, match="inject"):
             parse_request(request_document(envelope, inject="segfault"))
 
+    def test_read_request_leaves_the_task_records_unparsed(self, envelope):
+        broken = json.loads(json.dumps(envelope))
+        broken["tasks"][0]["pd"] = -1
+        request = read_request(request_document(broken, budget_seconds=2.0))
+        assert request.taskset is None
+        assert request.envelope is broken
+        assert request.budget_seconds == 2.0
+        with pytest.raises(ModelError, match="pd must be"):
+            parse_request(request)
+
+    def test_parse_request_finishes_a_read_request(self, envelope):
+        request = parse_request(read_request(request_document(envelope)))
+        assert len(request.taskset) == len(envelope["tasks"])
+        assert request.envelope is None
+        # Already parsed: returned as is.
+        assert parse_request(request) is request
+
+    @pytest.mark.parametrize("tasks", [{"a": 1}, 7, [1], [["t"]]], ids=repr)
+    def test_task_records_that_are_not_objects_are_model_errors(
+        self, envelope, tasks
+    ):
+        with pytest.raises(ModelError):
+            parse_request(request_document(dict(envelope, tasks=tasks)))
+
 
 class TestServiceWorker:
     """The worker function itself, run in-process for speed."""
 
     def test_ok_response(self, envelope):
-        response, perf = service_worker(request_document(envelope))
+        response, perf = service_worker(shipped_document(envelope))
         assert response["status"] == "ok"
         assert response["version"] == PROTOCOL_VERSION
         assert response["id"] == "req-1"
@@ -129,8 +169,8 @@ class TestServiceWorker:
     def test_each_request_analyses_the_task_set_it_parsed(self, envelope):
         # The worker keeps no task sets between requests: a repeat is a
         # full cold analysis with a bit-identical body, never a replay.
-        first, first_perf = service_worker(request_document(envelope))
-        again, again_perf = service_worker(request_document(envelope))
+        first, first_perf = service_worker(shipped_document(envelope))
+        again, again_perf = service_worker(shipped_document(envelope))
         assert again == first
         for perf in (first_perf, again_perf):
             assert perf.analyses == 1
@@ -140,20 +180,36 @@ class TestServiceWorker:
 
     def test_budget_abort_response_carries_partials(self, envelope):
         response, perf = service_worker(
-            request_document(envelope, max_iterations=2)
+            shipped_document(envelope, max_iterations=2)
         )
         assert response["status"] == "budget-exceeded"
         assert response["iterations"] == 3
         assert response["partial_response_times"]
         assert perf.budget_aborts == 1
 
-    def test_analysis_failure_is_data_not_an_exception(self, envelope):
-        # Validation runs inside the worker too (the document crosses a
-        # process boundary in production) — a bad document must come back
-        # as an error *response*, never as a raised exception.
-        response, _perf = service_worker(
+    def test_analysis_failure_is_data_not_an_exception(
+        self, envelope, monkeypatch
+    ):
+        # An exception inside the analysis must come back as an error
+        # *response*: the parent treats raised exceptions as worker deaths.
+        def broken(*args, **kwargs):
+            raise ModelError("analysis blew up")
+
+        monkeypatch.setattr(service_pool, "analyze_taskset", broken)
+        response, _perf = service_worker(shipped_document(envelope))
+        assert response["status"] == "error"
+        assert response["error"] == "ModelError"
+
+
+class TestRequestValidation:
+    """Validation through ``AnalysisService.handle``: the daemon parses
+    every request it analyses, and the worker parses nothing."""
+
+    def test_invalid_document_is_a_typed_error_response(self):
+        status, response = make_service().handle(
             {"id": "bad", "taskset": {"format": "nope"}}
         )
+        assert status == 400
         assert response["status"] == "error"
         assert response["error"] == "ModelError"
 
@@ -166,9 +222,11 @@ class TestServiceWorker:
         document = json.loads(json.dumps(envelope))
         document["tasks"][0].update(ecbs=ecbs, ucbs=[], pcbs=[])
         responses = [
-            service_worker(request_document(document, config=config))[0]
+            make_service().handle(request_document(document, config=config))
             for config in ({}, {"memoization": False})
         ]
+        assert [status for status, _body in responses] == [400, 400]
+        responses = [body for _status, body in responses]
         assert responses[0]["status"] == "error"
         assert responses[0]["error"] == "ModelError"
         assert responses[1] == responses[0]
@@ -241,24 +299,29 @@ class TestCircuitBreaker:
 
 
 class StubPool:
-    """In-process stand-in for :class:`AnalysisPool`."""
+    """In-process stand-in for :class:`AnalysisPool`.
+
+    Requests cross a pickle round trip, as they cross the process
+    boundary to a real pool worker.
+    """
 
     def __init__(self, outcome=None):
         #: Either a (response, perf) tuple, an exception to raise, or a
-        #: callable(document) deciding per request.
+        #: callable(request) deciding per request.
         self.outcome = outcome
         self.calls = 0
         self.closed = False
 
-    def run(self, document):
+    def run(self, request):
         self.calls += 1
+        request = shipped(request)
         outcome = self.outcome
         if callable(outcome):
-            outcome = outcome(document)
+            outcome = outcome(request)
         if isinstance(outcome, Exception):
             raise outcome
         if outcome is None:
-            return service_worker(document)
+            return service_worker(request)
         return outcome
 
     def allowance_for(self, budget_seconds):
@@ -332,9 +395,9 @@ class TestServiceHandle:
     def test_default_budget_applies_when_request_has_none(self, envelope):
         seen = {}
 
-        def spy(document):
-            seen.update(document)
-            return service_worker(document)
+        def spy(request):
+            seen.update(vars(request))
+            return service_worker(request)
 
         service = make_service(pool=StubPool(spy), default_budget=7.5)
         service.handle(request_document(envelope))
@@ -372,10 +435,10 @@ class TestServiceHandle:
         gate = threading.Event()
         release = threading.Event()
 
-        def blocking(document):
+        def blocking(request):
             gate.set()
             release.wait(timeout=30)
-            return service_worker(document)
+            return service_worker(request)
 
         service = make_service(pool=StubPool(blocking), max_in_flight=1)
         results = {}
@@ -511,24 +574,26 @@ class TestResultCacheIntegration:
         assert status == 200 and body["cache"] == "hit"
 
     def test_recomputations_carry_no_warm_seed(self, tmp_path, envelope):
-        documents = []
+        requests = []
 
-        def spy(document):
-            documents.append(dict(document))
-            return service_worker(document)
+        def spy(request):
+            requests.append(request)
+            return service_worker(request)
 
         service = self.make_cached_service(tmp_path, pool=StubPool(spy))
         status, first = service.handle(request_document(envelope))
         assert status == 200 and first["status"] == "ok"
         # Recompute the same fingerprint after dropping its cache entry:
         # the pool gets the request as sent, with no converged map, and
-        # the worker analyses the task set it parsed from scratch.
+        # the worker analyses the task set the daemon parsed from scratch.
         fingerprint = next(iter(service.cache.fingerprints()))
         service.cache.invalidate(fingerprint)
         status, again = service.handle(request_document(envelope, id="re-run"))
         assert status == 200 and "cache" not in again
-        assert [document["id"] for document in documents] == ["req-1", "re-run"]
-        assert all("warm_seed" not in document for document in documents)
+        assert [request.request_id for request in requests] == [
+            "req-1", "re-run"
+        ]
+        assert all(not hasattr(request, "warm_seed") for request in requests)
         assert service.perf.warm_starts == 0
         assert dict(again, id="req-1") == first
         assert not (tmp_path / "seeds").exists()
@@ -560,6 +625,234 @@ class TestResultCacheIntegration:
         assert "entries" not in bare
 
 
+def _one_index(envelope):
+    """``(task position, ecbs position)`` of a cache set index equal to 1."""
+    for position, record in enumerate(envelope["tasks"]):
+        if 1 in record["ecbs"]:
+            return position, record["ecbs"].index(1)
+    raise AssertionError("no task of the envelope uses cache set 1")
+
+
+def _index_one_as(value):
+    def mutate(document):
+        task, index = _one_index(document)
+        document["tasks"][task]["ecbs"][index] = value
+    return mutate
+
+
+def _core_one_as(value):
+    def mutate(document):
+        record = next(r for r in document["tasks"] if r["core"] == 1)
+        record["core"] = value
+    return mutate
+
+
+def _permute_indices(document):
+    document["tasks"][0]["ecbs"].reverse()
+
+
+def _duplicate_an_index(document):
+    ecbs = document["tasks"][0]["ecbs"]
+    ecbs.insert(0, ecbs[0])
+
+
+def _drop_md_r(document):
+    for record in document["tasks"]:
+        del record["md_r"]
+
+
+def _drop_core(document):
+    for record in document["tasks"]:
+        del record["core"]
+
+
+class TestParseOnlyOnAMiss:
+    """The request path hashes the request's records and builds the task
+    model only when the result cache does not hold that key."""
+
+    @pytest.fixture(scope="class")
+    def indexed(self):
+        """An envelope in which some task uses cache set 1."""
+        platform = default_platform()
+        for seed in range(100):
+            envelope = json.loads(
+                taskset_to_json(
+                    generate_taskset(random.Random(seed), platform, 0.3),
+                    platform,
+                )
+            )
+            if any(1 in record["ecbs"] for record in envelope["tasks"]):
+                return envelope
+        raise AssertionError("no seed placed a task on cache set 1")
+
+    @staticmethod
+    def count_model_builds(monkeypatch):
+        """Count ``Task`` constructions and ``task_from_dict`` calls."""
+        counts = {"tasks": 0, "records": 0}
+        post_init = Task.__post_init__
+        from_dict = serialization.task_from_dict
+
+        def counting_post_init(task):
+            counts["tasks"] += 1
+            post_init(task)
+
+        def counting_from_dict(record):
+            counts["records"] += 1
+            return from_dict(record)
+
+        monkeypatch.setattr(Task, "__post_init__", counting_post_init)
+        monkeypatch.setattr(serialization, "task_from_dict", counting_from_dict)
+        return counts
+
+    def test_a_hit_builds_no_task(self, tmp_path, envelope, monkeypatch):
+        pool = StubPool()
+        service = make_service(pool=pool, cache_dir=str(tmp_path))
+        service.handle(request_document(envelope))
+        counts = self.count_model_builds(monkeypatch)
+        status, body = service.handle(request_document(envelope, id="again"))
+        assert (status, body["cache"]) == (200, "hit")
+        assert counts == {"tasks": 0, "records": 0}
+        assert pool.calls == 1
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["bare", "cache"])
+    def test_a_miss_parses_each_task_once(
+        self, tmp_path, envelope, monkeypatch, cached
+    ):
+        # The stub pool runs the worker in this process, so a parse on
+        # either side of the pool would be counted.
+        pool = StubPool()
+        service = make_service(
+            pool=pool, cache_dir=str(tmp_path) if cached else None
+        )
+        counts = self.count_model_builds(monkeypatch)
+        status, body = service.handle(request_document(envelope))
+        assert (status, body["status"]) == (200, "ok")
+        assert "cache" not in body
+        assert pool.calls == 1
+        assert counts["records"] == len(envelope["tasks"])
+        assert counts["tasks"] == len(envelope["tasks"])
+
+    def test_the_pool_receives_the_parsed_request(self, envelope):
+        received = []
+
+        def spy(request):
+            received.append(request)
+            return service_worker(request)
+
+        service = make_service(
+            pool=StubPool(spy), default_budget=30.0, clock=FakeClock()
+        )
+        status, _body = service.handle(
+            request_document(envelope, deadline_ms=10_000)
+        )
+        assert status == 200
+        (request,) = received
+        assert isinstance(request, AnalysisRequest)
+        assert len(request.taskset) == len(envelope["tasks"])
+        assert request.envelope is None  # no raw records cross the pool
+        # The effective budget and the decremented deadline travel with it.
+        assert request.budget_seconds == pytest.approx(9.975)
+        assert request.deadline_ms == pytest.approx(9_975.0)
+
+    @pytest.mark.parametrize(
+        "mutate, status",
+        [
+            (_index_one_as(True), 400),
+            (_index_one_as(1.0), 400),
+            (_core_one_as(True), 200),
+            (_core_one_as(1.0), 200),
+            (_permute_indices, 200),
+            (_duplicate_an_index, 200),
+        ],
+        ids=["index-true", "index-1.0", "core-true", "core-1.0",
+             "permuted", "duplicated"],
+    )
+    def test_a_rewritten_envelope_never_gets_the_cached_body(
+        self, tmp_path, indexed, mutate, status
+    ):
+        pool = StubPool()
+        service = make_service(pool=pool, cache_dir=str(tmp_path))
+        _status, cached = service.handle(request_document(indexed))
+        assert service.handle(request_document(indexed))[1]["cache"] == "hit"
+        rewritten = json.loads(json.dumps(indexed))
+        mutate(rewritten)
+        got, body = service.handle(request_document(rewritten))
+        assert got == status
+        assert "cache" not in body
+        if status == 200:
+            # The same model gets its own key, analysed to the same verdict.
+            assert pool.calls == 2
+            assert body == cached
+        else:
+            assert body["error"] == "ModelError"
+            assert pool.calls == 1
+
+    @pytest.mark.parametrize(
+        "drop, field, status",
+        [(_drop_md_r, "md_r", 200), (_drop_core, "core", 400)],
+        ids=["md_r", "core"],
+    )
+    def test_null_for_a_missing_field_never_gets_the_cached_body(
+        self, tmp_path, envelope, drop, field, status
+    ):
+        pool = StubPool()
+        service = make_service(pool=pool, cache_dir=str(tmp_path))
+        sparse = json.loads(json.dumps(envelope))
+        drop(sparse)
+        _status, cached = service.handle(request_document(sparse))
+        assert service.handle(request_document(sparse))[1]["cache"] == "hit"
+        nulled = json.loads(json.dumps(sparse))
+        for record in nulled["tasks"]:
+            record[field] = None
+        got, body = service.handle(request_document(nulled))
+        assert got == status
+        assert "cache" not in body
+        if status == 200:
+            assert body == cached
+        else:
+            assert body["error"] == "ModelError"
+
+    def test_an_entry_gone_before_the_read_is_parsed_and_analysed(
+        self, tmp_path, envelope
+    ):
+        pool = StubPool()
+        service = make_service(pool=pool, cache_dir=str(tmp_path))
+        _status, first = service.handle(request_document(envelope))
+        (fingerprint,) = service.cache.fingerprints()
+        get = service.cache.get
+
+        def vanishing(key, perf=None):
+            service.cache.invalidate(key)  # evicted by a sibling process
+            return get(key, perf)
+
+        service.cache.get = vanishing
+        status, body = service.handle(request_document(envelope))
+        assert (status, body) == (200, first)
+        assert pool.calls == 2
+
+    def test_an_invalid_request_fails_before_deadline_and_admission(
+        self, tmp_path, envelope
+    ):
+        service = make_service(
+            cache_dir=str(tmp_path), clock=FakeClock(), max_in_flight=1
+        )
+        broken = json.loads(json.dumps(envelope))
+        broken["tasks"][0]["period"] = -5
+        # Expired deadline: validation still answers first.
+        status, body = service.handle(request_document(broken, deadline_ms=1))
+        assert (status, body["error"]) == (400, "ModelError")
+        # A cached request with an expired deadline is shed, not served.
+        service.handle(request_document(envelope))
+        status, body = service.handle(request_document(envelope, deadline_ms=1))
+        assert (status, body["status"]) == (504, "deadline-expired")
+        # A full admission queue: validation still answers first.
+        service._active[-1] = "occupant"
+        status, body = service.handle(request_document(broken))
+        assert (status, body["error"]) == (400, "ModelError")
+        status, body = service.handle(request_document(envelope))
+        assert (status, body["status"]) == (429, "busy")
+
+
 class TestCoalescing:
     """The request-coalescing tier (works with or without the cache)."""
 
@@ -587,12 +880,12 @@ class TestCoalescing:
         return results
 
     def blocking_pool(self, entered, release, after=None):
-        def blocked(document):
+        def blocked(request):
             entered.set()
             assert release.wait(timeout=30)
             if isinstance(after, Exception):
                 raise after
-            return service_worker(document)
+            return service_worker(request)
 
         return StubPool(blocked)
 
@@ -630,11 +923,11 @@ class TestCoalescing:
         entered, release = threading.Event(), threading.Event()
         calls = threading.Semaphore(0)
 
-        def counted(document):
+        def counted(request):
             calls.release()
             entered.set()
             assert release.wait(timeout=30)
-            return service_worker(document)
+            return service_worker(request)
 
         pool = StubPool(counted)
         service = make_service(pool=pool, coalesce=False)
@@ -670,9 +963,9 @@ class TestDrain:
     def test_drain_waits_for_in_flight_work(self, envelope):
         release = threading.Event()
 
-        def slow(document):
+        def slow(request):
             release.wait(timeout=30)
-            return service_worker(document)
+            return service_worker(request)
 
         service = make_service(pool=StubPool(slow))
         worker = threading.Thread(
@@ -688,9 +981,9 @@ class TestDrain:
     def test_expired_drain_quarantines_stragglers(self, envelope):
         release = threading.Event()
 
-        def stuck(document):
+        def stuck(request):
             release.wait(timeout=30)
-            return service_worker(document)
+            return service_worker(request)
 
         service = make_service(pool=StubPool(stuck))
         worker = threading.Thread(
@@ -736,9 +1029,9 @@ class TestDeadlinePropagation:
     def test_near_zero_deadline_clamps_to_the_minimum_budget(self, envelope):
         seen = {}
 
-        def spy(document):
-            seen.update(document)
-            return service_worker(document)
+        def spy(request):
+            seen.update(vars(request))
+            return service_worker(request)
 
         service = make_service(pool=StubPool(spy), clock=FakeClock())
         # 30ms deadline - 25ms safety = 5ms remaining: admitted, but the
@@ -754,9 +1047,9 @@ class TestDeadlinePropagation:
     def test_tighter_caller_budget_wins(self, envelope):
         seen = {}
 
-        def spy(document):
-            seen.update(document)
-            return service_worker(document)
+        def spy(request):
+            seen.update(vars(request))
+            return service_worker(request)
 
         service = make_service(pool=StubPool(spy), clock=FakeClock())
         service.handle(
@@ -771,9 +1064,9 @@ class TestDeadlinePropagation:
     ):
         seen = {}
 
-        def spy(document):
-            seen.update(document)
-            return service_worker(document)
+        def spy(request):
+            seen.update(vars(request))
+            return service_worker(request)
 
         service = make_service(pool=StubPool(spy), clock=FakeClock())
         service.handle(request_document(envelope, deadline_ms=2_025))
@@ -787,19 +1080,19 @@ class TestOverloadControl:
         lock = threading.Lock()
         blocked = []
 
-        def blocking(document):
+        def blocking(request):
             # Only the two admitted requests block (``gate`` opens once
             # both are in the pool), so the interactive probe at the end
             # returns at once.
             with lock:
                 block = len(blocked) < 2
                 if block:
-                    blocked.append(document)
+                    blocked.append(request)
                     if len(blocked) == 2:
                         gate.set()
             if block:
                 release.wait(timeout=30)
-            return service_worker(document)
+            return service_worker(request)
 
         # batch_cap defaults to max_in_flight // 2 = 2.  Without coalescing
         # each admitted request makes its own pool call.
@@ -843,10 +1136,10 @@ class TestOverloadControl:
         gate = threading.Event()
         release = threading.Event()
 
-        def blocking(document):
+        def blocking(request):
             gate.set()
             release.wait(timeout=30)
-            return service_worker(document)
+            return service_worker(request)
 
         service = make_service(
             pool=StubPool(blocking), max_in_flight=1, rng=random.Random(0)
@@ -944,22 +1237,29 @@ class TestBrownout:
             assert body["degraded"]["soundness"] == "unknown"
 
 
+@contextmanager
+def serving(service):
+    """``service`` behind the daemon's HTTP handler; yields its address."""
+    handler = type("BoundHandler", (_Handler,), {"service": service})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
 class TestHttpFraming:
     """The daemon's HTTP handler over a raw socket, with a stub pool."""
 
     @pytest.fixture
     def url(self):
-        handler = type("BoundHandler", (_Handler,), {"service": make_service()})
-        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        server.daemon_threads = True
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield server.server_address[:2]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+        with serving(make_service()) as address:
+            yield address
 
     @staticmethod
     def post(address, headers, body=b""):
@@ -992,3 +1292,35 @@ class TestHttpFraming:
         assert status == 400
         assert body["error"] == "AnalysisError"
         assert "deadline" in body["message"].lower()
+
+
+class TestHttpNonFiniteNumbers:
+    """JSON's ``NaN``/``Infinity`` in a model field over real HTTP."""
+
+    @pytest.fixture(params=[False, True], ids=["bare", "cache"])
+    def url(self, request, tmp_path):
+        cache_dir = str(tmp_path) if request.param else None
+        with serving(make_service(cache_dir=cache_dir)) as address:
+            yield address
+
+    @pytest.mark.parametrize(
+        "where, field, token",
+        [("task", "pd", "NaN"), ("task", "period", "Infinity"),
+         ("task", "deadline", "NaN"), ("platform", "d_mem", "Infinity"),
+         ("platform", "slot_size", "NaN")],
+    )
+    def test_is_a_typed_400_and_the_next_request_is_served(
+        self, url, envelope, where, field, token
+    ):
+        document = json.loads(json.dumps(envelope))
+        record = document["tasks"][0] if where == "task" else document["platform"]
+        record[field] = float(token.lower().replace("infinity", "inf"))
+        payload = json.dumps(request_document(document)).encode()
+        assert token.encode() in payload
+        post = TestHttpFraming.post
+        status, body = post(url, [("Content-Length", str(len(payload)))], payload)
+        assert (status, body["error"]) == (400, "ModelError")
+        assert "finite" in body["message"]
+        payload = json.dumps(request_document(envelope)).encode()
+        status, body = post(url, [("Content-Length", str(len(payload)))], payload)
+        assert (status, body["status"]) == (200, "ok")
