@@ -21,12 +21,13 @@ job):
    SIGKILLed (dead), idempotent requests fail over to the surviving
    shard with capped backoff; the router stays ready until *every*
    shard is gone, then degrades to a typed 503.
-6. **Overload storm** — a real daemon driven at 4x its admission cap
-   with mixed priority classes: every response is typed (no 5xx without
-   a ``shed``/``degraded`` marker), batch requests are shed first with a
-   jittered ``Retry-After``, admitted interactive requests answer within
-   their propagated deadline (many via the brownout coarse tier), and
-   ``/stats`` counts every shed and degraded outcome.
+6. **Overload storm** — a real daemon driven at over 3x its admission
+   cap of 3 with mixed priority classes: every response is typed (no 5xx
+   without a ``shed``/``degraded`` marker), batch requests are shed first
+   with a jittered ``Retry-After``, admitted interactive requests answer
+   within their propagated deadline (via the brownout coarse tier at the
+   last admission slot), and ``/stats`` counts every shed and degraded
+   outcome and echoes the thresholds derived from the cap.
 7. **Deadline storm** — the HTTP-free service core under an injected
    clock: expired-on-arrival requests are shed before the pool, near-zero
    deadlines clamp to the minimum budget, and no admitted request ever
@@ -537,12 +538,13 @@ def router_scenario(workdir):
 
 
 def overload_storm_scenario(workdir):
-    """Drive a real daemon at 4x its admission cap with mixed priorities.
+    """Drive a real daemon past its admission cap with mixed priorities.
 
-    Two ``inject: hang`` blockers pin the (single) pool worker and hold the
-    admission queue near its cap, then eight concurrent requests — four
+    Two ``inject: hang`` blockers pin the (single) pool worker and take two
+    of the three admission slots, then eight concurrent requests — four
     interactive with a propagated deadline, four batch — storm the daemon.
-    Every outcome must be typed: batch work sheds first with a jittered
+    With a cap of 3 the batch cap is 1 and brownout starts at slot 3, so
+    every outcome must be typed: batch work sheds first with a jittered
     ``Retry-After``, admitted interactive work answers inside its deadline
     (via the brownout coarse tier while the pool is pinned), and nothing
     surfaces as an unmarked 5xx.
@@ -550,8 +552,7 @@ def overload_storm_scenario(workdir):
     print("[6] overload storm", flush=True)
     daemon, url = start_process([
         sys.executable, "-m", "repro.service",
-        "--port", "0", "--workers", "1", "--max-in-flight", "4",
-        "--brownout-in-flight", "2", "--batch-max-in-flight", "2",
+        "--port", "0", "--workers", "1", "--max-in-flight", "3",
         "--cache-dir", str(workdir / "overload-cache"),
     ])
     blockers = []
@@ -687,9 +688,9 @@ def overload_storm_scenario(workdir):
             f"perf counters track the degradation ladder ({perf})",
         )
         expect(
-            stats["overload"]["brownout_threshold"] == 2
-            and stats["overload"]["batch_cap"] == 2,
-            "/stats exposes the overload-control configuration",
+            stats["overload"]["brownout_threshold"] == 3
+            and stats["overload"]["batch_cap"] == 1,
+            "/stats echoes the thresholds derived from --max-in-flight 3",
         )
     finally:
         for thread in blockers:
@@ -709,8 +710,13 @@ def deadline_storm_scenario():
     a budget exceeding its propagated deadline.
     """
     print("[7] deadline storm (injected clock)", flush=True)
-    from repro.service.daemon import AnalysisService, ServiceConfig
+    from repro.service.daemon import (
+        MIN_BUDGET_SECONDS,
+        AnalysisService,
+        ServiceConfig,
+    )
     from repro.service.pool import service_worker
+    from repro.service.protocol import DEADLINE_SAFETY_MS
 
     class Clock:
         def __init__(self):
@@ -743,8 +749,8 @@ def deadline_storm_scenario():
         clock=clock,
         rng=random.Random(0),
     )
-    safety_seconds = service.config.deadline_safety_ms / 1000.0
-    floor = service.config.min_budget_seconds
+    safety_seconds = DEADLINE_SAFETY_MS / 1000.0
+    floor = MIN_BUDGET_SECONDS
     try:
         envelope = envelope_for(seed=61)
         status, body = service.handle(

@@ -50,6 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.experiments import default_platform  # noqa: E402
 from repro.generation import generate_taskset  # noqa: E402
 from repro.serialization import taskset_to_json  # noqa: E402
+from repro.service.breaker import RESET_SECONDS  # noqa: E402
 
 ENV = dict(
     os.environ,
@@ -87,10 +88,6 @@ def start_daemon(cache_dir=None):
         "2",
         "--max-in-flight",
         "8",
-        "--breaker-threshold",
-        "2",
-        "--breaker-reset",
-        "2",
         "--drain-grace",
         "60",
     ]
@@ -216,7 +213,7 @@ def breaker_scenario(url, envelope):
         status == 503 and body["status"] == "breaker-open",
         "/readyz reports not-ready while the breaker is open",
     )
-    time.sleep(2.5)  # cool-down (matches --breaker-reset 2)
+    time.sleep(RESET_SECONDS + 0.5)  # the breaker's cool-down
     # A *fresh* task set: a cached fingerprint would be served without
     # touching the pool, and the half-open breaker only closes on a real
     # computation's success.

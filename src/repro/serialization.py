@@ -177,11 +177,16 @@ def tasks_from_dicts(records, platform: Platform) -> List[Task]:
     ``cache.num_sets`` sets.  The production kernel packs each index as a
     mask bit, so an index past the cache would make its masks as large as
     the index, while the reference kernel, which packs no masks, would
-    analyse the task set anyway.
+    analyse the task set anyway.  No two tasks may share a name: verdicts
+    report response times by task name, so one of them would vanish.
     """
     num_sets = platform.cache.num_sets
     tasks = [task_from_dict(record) for record in records]
+    names = set()
     for task in tasks:
+        if task.name in names:
+            raise ModelError(f"{task.name}: two tasks share this name")
+        names.add(task.name)
         # UCBs and PCBs lie within the ECBs, so the ECBs' maximum bounds all.
         if task.ecbs and max(task.ecbs) >= num_sets:
             raise ModelError(

@@ -10,24 +10,31 @@ from :mod:`repro.experiments`:
 
 * request validation mapped onto the :class:`~repro.errors.ModelError` /
   :class:`~repro.errors.AnalysisError` taxonomy (HTTP 400),
+* one admission policy (:data:`repro.service.daemon.REFUSALS`): every
+  refusal — ``draining`` 503, ``deadline-expired`` 504, ``overload-shed``
+  and ``busy`` 429, ``breaker-open`` 503 — comes from one table that
+  names its HTTP code, ``shed`` marker, counters and ``Retry-After``,
+  and every overload threshold derives from ``--max-in-flight``,
 * bounded admission with backpressure (HTTP 429 + ``Retry-After``),
-* a circuit breaker around the worker pool that trips on repeated
-  :class:`~repro.errors.WorkerCrashError` and recovers through half-open
-  probes (HTTP 503 while open),
+* a circuit breaker around the worker pool that trips after 3 consecutive
+  :class:`~repro.errors.WorkerCrashError` or watchdog kills and recovers
+  through one half-open probe after a 5 s cool-down (HTTP 503 while open),
 * ``/healthz`` / ``/readyz`` / ``/stats`` endpoints wired to
   :class:`~repro.perf.PerfCounters`,
 * SIGTERM graceful drain that finishes or quarantines in-flight requests
   before exiting 0,
 * end-to-end deadline propagation (``deadline_ms`` in the body or the
   ``X-Deadline-Ms`` header): each hop subtracts its elapsed time plus a
-  safety margin, expired requests are shed with a typed 504 before they
-  touch the pool, and admitted ones run under a deadline-derived budget,
+  25 ms safety margin, expired requests are shed with a typed 504 before
+  they touch the pool, and admitted ones run under a deadline-derived
+  budget of at least 50 ms,
 * a graceful-degradation ladder (:mod:`repro.analysis.ladder`) behind
   ``degrade``/``deadline_ms``: exact -> baseline -> coarse, each tier on
   a slice of the request budget, plus a daemon-side brownout mode that
-  answers from the coarse tier when the queue or breaker indicates
-  overload, and priority classes (``interactive``/``batch``) shed
-  lowest-first at admission,
+  answers from the coarse tier when a request takes the last admission
+  slot or the breaker is open, and priority classes
+  (``interactive``/``batch``) shed lowest-first at admission (``batch``
+  once half the slots are taken),
 * an optional persistent content-addressed result cache
   (:mod:`repro.resultcache`), the service's only replay of earlier
   verdicts, and coalescing of identical concurrent requests onto one
@@ -53,7 +60,7 @@ from repro.service.protocol import (
     error_response,
     parse_request,
     read_request,
-    shed_response,
+    refusal_response,
 )
 from repro.service.router import RouterConfig, ShardRouter, serve_router
 
@@ -71,7 +78,7 @@ __all__ = [
     "error_response",
     "parse_request",
     "read_request",
-    "shed_response",
+    "refusal_response",
     "serve",
     "serve_router",
     "service_worker",

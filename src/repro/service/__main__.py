@@ -5,6 +5,14 @@ Starts the batch-analysis daemon (see :mod:`repro.service` and
 
     python -m repro.service --port 8421 --workers 2 --default-budget 10
 
+The options are deployment and resource settings only.  The admission
+policy derives its thresholds from ``--max-in-flight`` (brownout at the
+last slot, batch-priority shed at half of them) and keeps the rest
+constant: a 25 ms per-hop deadline margin, a 50 ms budget floor, a 1 s
+``Retry-After`` base, and a circuit breaker that trips after 3
+consecutive pool failures and probes once after a 5 s cool-down (see
+``docs/SERVICE.md``).
+
 Exit codes follow :mod:`repro.exitcodes`: 0 after a clean drain, 2 for an
 invalid command line.
 """
@@ -40,7 +48,9 @@ def _parser() -> argparse.ArgumentParser:
         "--max-in-flight",
         type=int,
         default=4,
-        help="admission bound; further requests get 429 + Retry-After",
+        help="admission bound; further requests get 429 + Retry-After "
+        "(batch-priority requests at half of it; degradable requests "
+        "brown out at the last slot)",
     )
     parser.add_argument(
         "--default-budget",
@@ -57,19 +67,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="watchdog allowance for requests without any budget "
         "(default: wait forever)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        help="consecutive worker crashes that trip the circuit breaker",
-    )
-    parser.add_argument(
-        "--breaker-reset",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="cool-down before the tripped breaker admits half-open probes",
     )
     parser.add_argument(
         "--drain-grace",
@@ -103,45 +100,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable coalescing of identical concurrent requests",
     )
-    parser.add_argument(
-        "--deadline-safety-ms",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="safety margin subtracted from a request's remaining "
-        "deadline_ms on arrival",
-    )
-    parser.add_argument(
-        "--min-budget",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="floor of the deadline-derived analysis budget for admitted "
-        "requests",
-    )
-    parser.add_argument(
-        "--brownout-in-flight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-flight count at which brownout (cache + coarse tier "
-        "only) engages (default: --max-in-flight)",
-    )
-    parser.add_argument(
-        "--batch-max-in-flight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission cap of batch-priority requests (default: half of "
-        "--max-in-flight)",
-    )
-    parser.add_argument(
-        "--retry-after-base",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="base of the jittered, load-derived Retry-After on 429",
-    )
     return parser
 
 
@@ -155,18 +113,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_in_flight=args.max_in_flight,
             default_budget=args.default_budget,
             default_watchdog=args.default_watchdog,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset_seconds=args.breaker_reset,
             drain_grace_seconds=args.drain_grace,
             cache_dir=args.cache_dir,
             cache_max_entries=args.cache_max_entries,
             cache_max_bytes=args.cache_max_bytes,
             coalesce=not args.no_coalesce,
-            deadline_safety_ms=args.deadline_safety_ms,
-            min_budget_seconds=args.min_budget,
-            brownout_in_flight=args.brownout_in_flight,
-            batch_max_in_flight=args.batch_max_in_flight,
-            retry_after_base=args.retry_after_base,
         )
     except AnalysisError as error:
         print(f"repro-service: error: {error}", file=sys.stderr)

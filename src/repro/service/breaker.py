@@ -3,13 +3,17 @@
 Classic three-state breaker (Nygard, *Release It!*):
 
 * **CLOSED** — requests flow; consecutive pool failures are counted and
-  ``failure_threshold`` of them trip the breaker.
+  ``failure_threshold`` of them (:data:`FAILURE_THRESHOLD`) trip the
+  breaker.
 * **OPEN** — requests are refused outright (the daemon answers 503) so a
   crashing worker pool is not hammered while it respawns; after
-  ``reset_seconds`` the breaker lets probes through.
-* **HALF_OPEN** — up to ``half_open_probes`` requests are admitted; the
-  first success closes the breaker again, any failure re-opens it and
-  restarts the cool-down.
+  ``reset_seconds`` (:data:`RESET_SECONDS`) the breaker lets one probe
+  through.
+* **HALF_OPEN** — one probe request is admitted; its success closes the
+  breaker again, its failure re-opens it and restarts the cool-down.
+
+The daemon runs the defaults; the parameters exist so tests can inject a
+breaker that trips sooner.
 
 The clock is injectable so the OPEN→HALF_OPEN transition is testable
 without sleeping.  All transitions happen under one lock: the daemon calls
@@ -27,15 +31,19 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Consecutive pool failures that trip the breaker.
+FAILURE_THRESHOLD = 3
+#: Cool-down (seconds) before a tripped breaker admits its probe.
+RESET_SECONDS = 5.0
+
 
 class CircuitBreaker:
     """Thread-safe circuit breaker with an injectable clock."""
 
     def __init__(
         self,
-        failure_threshold: int = 3,
-        reset_seconds: float = 30.0,
-        half_open_probes: int = 1,
+        failure_threshold: int = FAILURE_THRESHOLD,
+        reset_seconds: float = RESET_SECONDS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
@@ -46,19 +54,14 @@ class CircuitBreaker:
             raise ValueError(
                 f"reset_seconds must be positive, got {reset_seconds}"
             )
-        if half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {half_open_probes}"
-            )
         self.failure_threshold = failure_threshold
         self.reset_seconds = reset_seconds
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_issued = 0
+        self._probe_issued = False
         #: Telemetry: how often the breaker tripped (exposed via /stats).
         self.trips = 0
 
@@ -72,15 +75,15 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """Whether one request may proceed to the pool right now.
 
-        In HALF_OPEN this *consumes* a probe slot, so callers must follow
-        up with :meth:`record_success` or :meth:`record_failure`.
+        In HALF_OPEN this *consumes* the probe, so callers must follow up
+        with :meth:`record_success` or :meth:`record_failure`.
         """
         with self._lock:
             self._maybe_half_open()
             if self._state == CLOSED:
                 return True
-            if self._state == HALF_OPEN and self._probes_issued < self.half_open_probes:
-                self._probes_issued += 1
+            if self._state == HALF_OPEN and not self._probe_issued:
+                self._probe_issued = True
                 return True
             return False
 
@@ -90,7 +93,6 @@ class CircuitBreaker:
             self._consecutive_failures = 0
             if self._state == HALF_OPEN:
                 self._state = CLOSED
-                self._probes_issued = 0
 
     def record_failure(self) -> None:
         """Note a pool failure (worker crash or watchdog kill)."""
@@ -109,7 +111,6 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = self._clock()
         self._consecutive_failures = 0
-        self._probes_issued = 0
         self.trips += 1
 
     def _maybe_half_open(self) -> None:
@@ -118,4 +119,4 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.reset_seconds
         ):
             self._state = HALF_OPEN
-            self._probes_issued = 0
+            self._probe_issued = False

@@ -20,9 +20,10 @@ endpoint     method  behaviour
 
 Status mapping: 200 processed (including typed ``budget-exceeded`` /
 ``cancelled`` outcomes — aborts are results, not transport failures), 400
-invalid request, 404 unknown path, 429 admission queue full (with
-``Retry-After``), 500 worker crash or internal analysis error, 503
-draining or breaker open, 504 watchdog kill.
+invalid request, 404 unknown path, 500 worker crash or internal analysis
+error, 504 watchdog kill, and the refusals of :data:`REFUSALS`: 429
+``busy`` / ``overload-shed``, 503 ``draining`` / ``breaker-open``, 504
+``deadline-expired``.
 
 SIGTERM/SIGINT starts a graceful drain: readiness flips to 503 so load
 balancers stop sending work, in-flight requests get
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass, replace
 from http.server import ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.ladder import SOUND_DEGRADED, TIER_COARSE, coarse_bound
 from repro.budget import Budget
@@ -58,24 +59,84 @@ from repro.resultcache import ResultCache, request_fingerprint
 from repro.service.breaker import CircuitBreaker, OPEN
 from repro.service.pool import AnalysisPool
 from repro.service.protocol import (
+    DEADLINE_SAFETY_MS,
     AnalysisRequest,
     JsonHandler,
-    abort_response,
     degraded_response,
     error_response,
+    exhausted_response,
     parse_request,
     read_request,
-    shed_response,
+    refusal_response,
 )
 
 #: Extra wait a coalesced request grants the leading computation beyond
 #: the leader's own watchdog allowance before giving up.
 COALESCE_GRACE = 5.0
 
+#: Floor for the deadline-derived analysis budget: a request admitted
+#: with almost no deadline left still gets this many seconds (the
+#: alternative — a zero budget — could not even return its typed abort).
+#: Requests whose deadline already expired are shed instead.
+MIN_BUDGET_SECONDS = 0.05
+
+#: Base of the jittered, load-derived ``Retry-After`` of ``busy`` and
+#: ``overload-shed`` refusals, in seconds.
+RETRY_AFTER_BASE = 1.0
+
+
+class Refusal(NamedTuple):
+    """How the daemon answers one kind of refused request."""
+
+    #: HTTP status of the reply.
+    code: int
+    #: Whether the body carries the ``"shed": true`` load-shedding marker.
+    shed: bool
+    #: The :class:`ServiceStats` counter the refusal bumps.
+    counter: str
+    #: :class:`~repro.perf.PerfCounters` fields it bumps too.
+    perf: Tuple[str, ...] = ()
+    #: What scales its jittered ``Retry-After``: ``"load"`` (the
+    #: admission queue's fill ratio), ``"cool-down"`` (the breaker's) or
+    #: ``None`` for no ``Retry-After``.
+    retry: Optional[str] = None
+
+
+#: Every refusal of the admission policy, by response ``status``, in the
+#: order :meth:`AnalysisService.handle` checks them (``breaker-open`` is
+#: decided by the coalescing leader, just before the pool).
+REFUSALS: Dict[str, Refusal] = {
+    "draining": Refusal(503, False, "rejected_draining"),
+    "deadline-expired": Refusal(
+        504,
+        True,
+        "shed_expired",
+        ("shed_requests", "deadline_expired_rejects"),
+    ),
+    "overload-shed": Refusal(
+        429, True, "shed_overload", ("shed_requests",), "load"
+    ),
+    "busy": Refusal(429, False, "rejected_busy", retry="load"),
+    "breaker-open": Refusal(503, False, "rejected_breaker", retry="cool-down"),
+}
+
+#: :class:`ServiceStats` counter of each finished outcome that is not a
+#: refusal; any other status is an analysis error.
+_OUTCOME_COUNTERS = {
+    "ok": "completed",
+    "budget-exceeded": "budget_aborted",
+    "cancelled": "cancelled",
+}
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Operational knobs of the daemon, validated eagerly."""
+    """Deployment and resource settings of the daemon, validated eagerly.
+
+    The admission policy has no settings of its own: its thresholds
+    derive from ``max_in_flight`` and the rest is constant (see
+    :meth:`AnalysisService.handle`).
+    """
 
     host: str = "127.0.0.1"
     port: int = 8421
@@ -87,9 +148,6 @@ class ServiceConfig:
     default_budget: Optional[float] = None
     #: Watchdog allowance for requests with no budget at all.
     default_watchdog: Optional[float] = None
-    breaker_threshold: int = 3
-    breaker_reset_seconds: float = 5.0
-    breaker_probes: int = 1
     #: How long a SIGTERM drain waits for in-flight requests.
     drain_grace_seconds: float = 30.0
     #: Root of the persistent content-addressed result cache
@@ -101,25 +159,6 @@ class ServiceConfig:
     cache_max_bytes: Optional[int] = None
     #: Coalesce identical concurrent requests onto one computation.
     coalesce: bool = True
-    #: Safety margin (milliseconds) this hop subtracts from a request's
-    #: remaining ``deadline_ms`` before handing it on, covering its own
-    #: serialisation and scheduling overhead.
-    deadline_safety_ms: float = 25.0
-    #: Floor for the deadline-derived analysis budget: a request admitted
-    #: with almost no deadline left still gets this many seconds (the
-    #: alternative — a zero budget — could not even return its typed
-    #: abort).  Requests whose deadline already expired are shed instead.
-    min_budget_seconds: float = 0.05
-    #: In-flight count at which brownout mode engages (cache hits and the
-    #: coarse ladder tier only; the pool is left to drain).  ``None``
-    #: defaults to ``max_in_flight`` — the last admission slot browns out.
-    brownout_in_flight: Optional[int] = None
-    #: Admission cap for ``"batch"``-priority requests; under load they
-    #: are shed before any ``"interactive"`` request is.  ``None``
-    #: defaults to half of ``max_in_flight`` (at least 1).
-    batch_max_in_flight: Optional[int] = None
-    #: Base of the jittered, load-derived ``Retry-After`` on 429 replies.
-    retry_after_base: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
@@ -141,15 +180,6 @@ class ServiceConfig:
                     f"{name} must be a positive number of seconds (or "
                     f"None), got {value!r}"
                 )
-        if self.breaker_threshold < 1:
-            raise AnalysisError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_reset_seconds <= 0:
-            raise AnalysisError(
-                f"breaker_reset_seconds must be positive, "
-                f"got {self.breaker_reset_seconds}"
-            )
         if self.drain_grace_seconds < 0:
             raise AnalysisError(
                 f"drain_grace_seconds must be non-negative, "
@@ -164,47 +194,10 @@ class ServiceConfig:
                 f"cache_max_bytes must be >= 1 (or None for unbounded), "
                 f"got {self.cache_max_bytes}"
             )
-        if self.deadline_safety_ms < 0:
-            raise AnalysisError(
-                f"deadline_safety_ms must be non-negative, "
-                f"got {self.deadline_safety_ms}"
-            )
-        if self.min_budget_seconds <= 0:
-            raise AnalysisError(
-                f"min_budget_seconds must be positive, "
-                f"got {self.min_budget_seconds}"
-            )
-        if self.brownout_in_flight is not None and self.brownout_in_flight < 1:
-            raise AnalysisError(
-                f"brownout_in_flight must be >= 1 (or None for the "
-                f"default), got {self.brownout_in_flight}"
-            )
-        if (
-            self.batch_max_in_flight is not None
-            and self.batch_max_in_flight < 1
-        ):
-            raise AnalysisError(
-                f"batch_max_in_flight must be >= 1 (or None for the "
-                f"default), got {self.batch_max_in_flight}"
-            )
-        if self.retry_after_base <= 0:
-            raise AnalysisError(
-                f"retry_after_base must be positive, "
-                f"got {self.retry_after_base}"
-            )
-
-    @property
-    def brownout_threshold(self) -> int:
-        """Effective in-flight count at which brownout engages."""
-        if self.brownout_in_flight is not None:
-            return self.brownout_in_flight
-        return self.max_in_flight
 
     @property
     def batch_cap(self) -> int:
-        """Effective admission cap of ``"batch"``-priority requests."""
-        if self.batch_max_in_flight is not None:
-            return self.batch_max_in_flight
+        """Admission cap of ``"batch"``-priority requests: half the slots."""
         return max(1, self.max_in_flight // 2)
 
 
@@ -246,6 +239,12 @@ class _Flight:
         self.outcome: Optional[Tuple[int, Dict]] = None
 
 
+def _document_id(document) -> str:
+    """The ``id`` of a raw request document, for replies made before or
+    without reading it."""
+    return document.get("id", "") if isinstance(document, dict) else ""
+
+
 class AnalysisService:
     """HTTP-agnostic service core: validation, admission, cache, breaker.
 
@@ -258,9 +257,10 @@ class AnalysisService:
        possible.  Only a request whose key is not cached is parsed into
        model objects.  Hits bypass the breaker entirely: cached results
        stay available even while the worker pool is tripped.
-    2. **Coalescing** — N identical concurrent requests run *one*
-       analysis; the others wait on the leader's flight and share its
-       outcome (including failures and budget aborts).
+    2. **Coalescing** — N identical concurrent requests that equally
+       accept (or refuse) a degraded answer run *one* analysis; the
+       others wait on the leader's flight and share its outcome
+       (including failures and budget aborts).
     3. **Pool** — the leader runs through the circuit breaker and worker
        pool as before.  Only completed ``"ok"`` results are written back
        to the cache; aborted partials never are.
@@ -279,17 +279,13 @@ class AnalysisService:
         #: tests (and the chaos deadline-storm scenario) drive expiry
         #: deterministically.
         self._clock = clock
-        #: Jitter source of the load-derived ``Retry-After``; injectable
-        #: for deterministic tests.
+        #: Jitter source of the ``Retry-After`` hints; injectable for
+        #: deterministic tests.
         self._rng = rng or random.Random()
         self.pool = pool or AnalysisPool(
             workers=config.workers, default_watchdog=config.default_watchdog
         )
-        self.breaker = breaker or CircuitBreaker(
-            failure_threshold=config.breaker_threshold,
-            reset_seconds=config.breaker_reset_seconds,
-            half_open_probes=config.breaker_probes,
-        )
+        self.breaker = breaker or CircuitBreaker()
         self.stats = ServiceStats()
         self.perf = PerfCounters()
         self.cache: Optional[ResultCache] = None
@@ -303,37 +299,95 @@ class AnalysisService:
         self._lock = threading.Lock()
         self._tokens = itertools.count()
         self._active: Dict[int, str] = {}
-        self._flights: Dict[str, _Flight] = {}
+        self._flights: Dict[Tuple[str, bool], _Flight] = {}
         self._draining = threading.Event()
         #: Requests that could not be completed normally: budget aborts,
         #: watchdog kills and drain stragglers, with their reasons.
         self.quarantined: List[Dict[str, str]] = []
 
-    # -- request handling ----------------------------------------------------
+    # -- admission policy ----------------------------------------------------
 
-    def _retry_after(self, load: float) -> float:
-        """Jittered, load-derived Retry-After seconds (call under lock).
+    def _count(self, status: Optional[str]) -> None:
+        """Bump the counters of one response ``status`` (call under lock).
 
-        Scales with the admission queue's fill ratio so a saturated
-        daemon pushes clients further away, and jitters uniformly over
-        [0.5, 1.5)x so synchronized clients do not stampede back in one
-        wave.  Deterministic in tests via the injected ``rng``.
+        A refusal bumps what :data:`REFUSALS` names, a finished outcome
+        its :data:`_OUTCOME_COUNTERS` entry, anything else
+        ``analysis_errors``.
         """
-        base = self.config.retry_after_base
-        return round(base * (0.5 + load) * (0.5 + self._rng.random()), 3)
+        refusal = REFUSALS.get(status)
+        if refusal is None:
+            counter = _OUTCOME_COUNTERS.get(status, "analysis_errors")
+            bumps = [(self.stats, counter)]
+        else:
+            bumps = [(self.stats, refusal.counter)]
+            bumps += [(self.perf, name) for name in refusal.perf]
+        for counters, name in bumps:
+            setattr(counters, name, getattr(counters, name) + 1)
+
+    def _refuse(
+        self, status: str, request_id: str, message: str, load: float = 0.0
+    ) -> Tuple[int, Dict]:
+        """The reply to a request refused as ``status`` in :data:`REFUSALS`.
+
+        ``load`` is the admission queue's fill ratio when the refusal
+        was decided.  A ``Retry-After`` scales with it (or with the
+        breaker's cool-down) and jitters uniformly over [0.5, 1.5)x, so a
+        saturated daemon pushes clients further away and synchronized
+        clients do not stampede back in one wave.
+        """
+        refusal = REFUSALS[status]
+        retry_after = None
+        with self._lock:
+            self._count(status)
+            if refusal.retry is not None:
+                scale = (
+                    RETRY_AFTER_BASE * (0.5 + load)
+                    if refusal.retry == "load"
+                    else self.breaker.reset_seconds
+                )
+                retry_after = round(scale * (0.5 + self._rng.random()), 3)
+        return refusal.code, refusal_response(
+            request_id, status, message, refusal.shed, retry_after
+        )
+
+    def _settle(self, body: Dict) -> None:
+        """Count one finished body and quarantine it if it aborted.
+
+        The one mapping from a body to :class:`ServiceStats`, shared by
+        cache hits, the pool leader, coalesced waiters and brownout.
+        """
+        status = body.get("status")
+        with self._lock:
+            self._count(status)
+            if status == "ok" and "degraded" in body:
+                self.stats.degraded += 1
+                if body.get("brownout"):
+                    self.stats.brownout_served += 1
+        if status in ("budget-exceeded", "cancelled"):
+            self._quarantine(body["id"], status)
+
+    # -- request handling ----------------------------------------------------
 
     def handle(self, document) -> Tuple[int, Dict]:
         """Process one raw request document; returns (HTTP status, body).
 
-        Order of the admission ladder (each step is a typed, counted
+        The admission policy, in order (each step is a typed, counted
         outcome — nothing is dropped silently):
 
-        1. draining -> 503
+        1. draining -> 503 ``draining``
         2. validation -> 400
-        3. deadline expired on arrival -> 504 (shed before the pool)
-        4. batch-priority overload shed -> 429 (lowest class first)
-        5. admission queue full -> 429
-        6. admitted: deadline-derived budget, optional brownout, pool
+        3. deadline expired on arrival, after this hop's
+           :data:`~repro.service.protocol.DEADLINE_SAFETY_MS` -> 504
+           ``deadline-expired`` (shed before the pool)
+        4. ``batch`` priority with half the slots
+           (:attr:`ServiceConfig.batch_cap`) taken -> 429
+           ``overload-shed``
+        5. every one of ``max_in_flight`` slots taken -> 429 ``busy``
+        6. admitted, under a deadline-derived budget of at least
+           :data:`MIN_BUDGET_SECONDS`.  A degradable request that takes
+           the last slot, or meets an open breaker, browns out; any other
+           request that reaches the pool while the breaker is open gets
+           503 ``breaker-open``.
 
         Validation reads every field but the task records first, then
         fingerprints the records and builds the tasks only when the
@@ -345,12 +399,11 @@ class AnalysisService:
         """
         arrival = self._clock()
         if self._draining.is_set():
-            with self._lock:
-                self.stats.rejected_draining += 1
-            return 503, {
-                "status": "draining",
-                "message": "service is shutting down; retry elsewhere",
-            }
+            return self._refuse(
+                "draining",
+                _document_id(document),
+                "service is shutting down; retry elsewhere",
+            )
         try:
             request = read_request(document)
             fingerprint = self._fingerprint(request)
@@ -364,15 +417,11 @@ class AnalysisService:
         except (ModelError, AnalysisError) as error:
             with self._lock:
                 self.stats.validation_errors += 1
-            return 400, error_response(
-                document.get("id", "") if isinstance(document, dict) else "",
-                error,
-            )
+            return 400, error_response(_document_id(document), error)
         budget_seconds = request.budget_seconds
         if budget_seconds is None:
             budget_seconds = self.config.default_budget
         deadline_ms = None
-        safety = self.config.deadline_safety_ms / 1000.0
         if request.deadline_ms is not None:
             # This hop's elapsed time plus the safety margin comes off the
             # caller's remaining deadline; an already-expired request is
@@ -380,24 +429,19 @@ class AnalysisService:
             remaining = (
                 request.deadline_ms / 1000.0
                 - (self._clock() - arrival)
-                - safety
+                - DEADLINE_SAFETY_MS / 1000.0
             )
             if remaining <= 0:
-                with self._lock:
-                    self.stats.shed_expired += 1
-                    self.perf.shed_requests += 1
-                    self.perf.deadline_expired_rejects += 1
-                return 504, shed_response(
-                    request.request_id,
+                return self._refuse(
                     "deadline-expired",
+                    request.request_id,
                     f"deadline_ms={request.deadline_ms:g} already expired "
-                    f"on arrival (safety margin "
-                    f"{self.config.deadline_safety_ms:g}ms)",
+                    f"on arrival (safety margin {DEADLINE_SAFETY_MS:g}ms)",
                 )
             # Near-zero remainders are clamped to the minimum budget: an
             # admitted request must at least be able to return its typed
             # abort.  The caller's own budget, if tighter, still wins.
-            deadline_budget = max(remaining, self.config.min_budget_seconds)
+            deadline_budget = max(remaining, MIN_BUDGET_SECONDS)
             budget_seconds = (
                 deadline_budget
                 if budget_seconds is None
@@ -409,56 +453,38 @@ class AnalysisService:
         effective = replace(
             request, budget_seconds=budget_seconds, deadline_ms=deadline_ms
         )
+        cap = self.config.max_in_flight
+        batch_cap = self.config.batch_cap
         with self._lock:
             in_flight = len(self._active)
-            if (
-                request.priority == "batch"
-                and in_flight >= self.config.batch_cap
-            ):
-                self.stats.shed_overload += 1
-                self.perf.shed_requests += 1
-                return 429, shed_response(
-                    request.request_id,
+            if request.priority == "batch" and in_flight >= batch_cap:
+                refused = (
                     "overload-shed",
-                    f"batch-priority admission cap reached "
-                    f"({self.config.batch_cap} in flight); "
-                    f"interactive requests are still admitted",
-                    retry_after=self._retry_after(
-                        in_flight / self.config.max_in_flight
-                    ),
+                    f"batch-priority admission cap reached ({batch_cap} in "
+                    f"flight); interactive requests are still admitted",
                 )
-            if in_flight >= self.config.max_in_flight:
-                self.stats.rejected_busy += 1
-                return 429, {
-                    "status": "busy",
-                    "id": request.request_id,
-                    "message": (
-                        f"admission queue full "
-                        f"({self.config.max_in_flight} in flight)"
-                    ),
-                    "retry_after": self._retry_after(
-                        in_flight / self.config.max_in_flight
-                    ),
-                }
-            token = next(self._tokens)
-            self._active[token] = request.request_id
-            self.stats.accepted += 1
-            # Brownout only applies to requests that accept degraded
-            # answers (explicit ``degrade`` or a propagated deadline);
-            # everything else keeps the exact pre-pressure semantics,
-            # including the 503 a tripped breaker would return.
-            degradable = (
-                request.degrade
-                if request.degrade is not None
-                else request.deadline_ms is not None
-            )
-            brownout = (
-                request.inject is None
-                and degradable
-                and (
-                    len(self._active) >= self.config.brownout_threshold
-                    or self.breaker.state == OPEN
+            elif in_flight >= cap:
+                refused = ("busy", f"admission queue full ({cap} in flight)")
+            else:
+                refused = None
+                token = next(self._tokens)
+                self._active[token] = request.request_id
+                self.stats.accepted += 1
+                # Only degradable requests brown out; everything else
+                # keeps the exact pre-pressure semantics, including the
+                # 503 a tripped breaker would return.
+                brownout = (
+                    request.inject is None
+                    and request.degradable
+                    and (
+                        len(self._active) >= cap
+                        or self.breaker.state == OPEN
+                    )
                 )
+        if refused is not None:
+            status, message = refused
+            return self._refuse(
+                status, request.request_id, message, in_flight / cap
             )
         try:
             return self._execute(effective, fingerprint, brownout=brownout)
@@ -499,9 +525,9 @@ class AnalysisService:
             if payload is not None:
                 # Served without touching the breaker: cached results stay
                 # available even while the worker pool is tripped open.
-                with self._lock:
-                    self.stats.completed += 1
-                return 200, dict(payload, id=request_id, cache="hit")
+                body = dict(payload, id=request_id, cache="hit")
+                self._settle(body)
+                return 200, body
         if request.taskset is None:
             # The key was cached when handle() looked but the entry went
             # away before this read (evicted or quarantined): parse now.
@@ -512,19 +538,22 @@ class AnalysisService:
                     self.stats.validation_errors += 1
                 return 400, error_response(request_id, error)
         if brownout:
-            # Overload (queue nearly full or breaker open): answer from
-            # the coarse ladder tier on this thread instead of queueing
-            # on the pool — cheap, sound, typed.  Cache hits above still
+            # Overload (last slot taken or breaker open): answer from the
+            # coarse ladder tier on this thread instead of queueing on
+            # the pool — cheap, sound, typed.  Cache hits above still
             # serve exact results; inject faults never get here.
             return self._brownout(request)
         flight: Optional[_Flight] = None
+        # A degradable and a non-degradable request never share a flight:
+        # the latter must not get an answer the former would accept.
+        flight_key = (fingerprint, request.degradable)
         if fingerprint is not None and self.config.coalesce:
             with self._lock:
-                flight = self._flights.get(fingerprint)
+                flight = self._flights.get(flight_key)
                 if flight is not None:
                     leader_flight = None
                 else:
-                    leader_flight = self._flights[fingerprint] = _Flight()
+                    leader_flight = self._flights[flight_key] = _Flight()
             if leader_flight is None:
                 return self._await_flight(
                     request_id, request.budget_seconds, flight
@@ -541,7 +570,7 @@ class AnalysisService:
         finally:
             if flight is not None:
                 with self._lock:
-                    self._flights.pop(fingerprint, None)
+                    self._flights.pop(flight_key, None)
                 flight.outcome = (status, body)
                 flight.done.set()
             if (
@@ -584,6 +613,7 @@ class AnalysisService:
                 max_iterations=max_iterations,
                 clock=self._clock,
             )
+        status = 200
         try:
             result = coarse_bound(
                 request.taskset,
@@ -593,36 +623,22 @@ class AnalysisService:
                 budget=budget,
             )
         except AnalysisAborted as abort:
-            body = abort_response(request_id, abort)
-            body["degraded"] = {
-                "tier": None,
-                "soundness": "unknown",
-                "tiers_tried": [TIER_COARSE],
-            }
-            body["brownout"] = True
-            with self._lock:
-                self.perf.merge(local)
-                self.perf.ladder_tier_runs += 1
-                self.stats.budget_aborted += 1
-            self._quarantine(request_id, "budget-exceeded")
-            return 200, body
+            body = exhausted_response(request_id, abort, (TIER_COARSE,))
+            local.ladder_tier_runs += 1
         except Exception as error:  # noqa: BLE001 — typed 500, never a hang
-            with self._lock:
-                self.perf.merge(local)
-                self.stats.analysis_errors += 1
-            return 500, error_response(request_id, error)
-        body = degraded_response(
-            request_id, result, TIER_COARSE, SOUND_DEGRADED, (TIER_COARSE,)
-        )
-        body["brownout"] = True
+            status, body = 500, error_response(request_id, error)
+        else:
+            body = degraded_response(
+                request_id, result, TIER_COARSE, SOUND_DEGRADED, (TIER_COARSE,)
+            )
+            local.ladder_tier_runs += 1
+            local.degraded_responses += 1
+        if status == 200:
+            body["brownout"] = True
         with self._lock:
             self.perf.merge(local)
-            self.perf.ladder_tier_runs += 1
-            self.perf.degraded_responses += 1
-            self.stats.completed += 1
-            self.stats.degraded += 1
-            self.stats.brownout_served += 1
-        return 200, body
+        self._settle(body)
+        return status, body
 
     def _await_flight(
         self,
@@ -645,41 +661,21 @@ class AnalysisService:
             )
         status, shared = flight.outcome
         body = dict(shared, id=request_id, cache="coalesced")
-        outcome = body.get("status")
         with self._lock:
             self.perf.coalesced_requests += 1
-            if outcome == "ok":
-                self.stats.completed += 1
-            elif outcome == "budget-exceeded":
-                self.stats.budget_aborted += 1
-            elif outcome == "cancelled":
-                self.stats.cancelled += 1
-            elif outcome == "breaker-open":
-                self.stats.rejected_breaker += 1
-            else:
-                self.stats.analysis_errors += 1
-        if outcome in ("budget-exceeded", "cancelled"):
-            self._quarantine(request_id, outcome)
+        self._settle(body)
         return status, body
 
     def _run_pool(self, request: AnalysisRequest) -> Tuple[int, Dict]:
         """Run one leading request through the breaker and pool."""
         request_id = request.request_id
         if not self.breaker.allow():
-            with self._lock:
-                self.stats.rejected_breaker += 1
-                retry_after = round(
-                    self.breaker.reset_seconds * (0.5 + self._rng.random()), 3
-                )
-            return 503, {
-                "status": "breaker-open",
-                "id": request_id,
-                "message": (
-                    "worker pool circuit breaker is open after repeated "
-                    "crashes; retry after the cool-down"
-                ),
-                "retry_after": retry_after,
-            }
+            return self._refuse(
+                "breaker-open",
+                request_id,
+                "worker pool circuit breaker is open after repeated "
+                "crashes; retry after the cool-down",
+            )
         try:
             response, perf = self.pool.run(request)
         except WorkerCrashError as error:
@@ -696,23 +692,8 @@ class AnalysisService:
         self.breaker.record_success()
         with self._lock:
             self.perf.merge(perf)
-            status = response.get("status")
-            if status == "ok":
-                self.stats.completed += 1
-                if "degraded" in response:
-                    self.stats.degraded += 1
-            elif status == "budget-exceeded":
-                self.stats.budget_aborted += 1
-            elif status == "cancelled":
-                self.stats.cancelled += 1
-            else:
-                self.stats.analysis_errors += 1
-        if status in ("budget-exceeded", "cancelled"):
-            self._quarantine(request_id, status)
-            return 200, response
-        if status == "error":
-            return 500, response
-        return 200, response
+        self._settle(response)
+        return (500 if response.get("status") == "error" else 200), response
 
     def handle_batch(self, documents) -> Tuple[int, Dict]:
         """Process ``{"requests": [...]}`` sequentially; always 200."""
@@ -770,10 +751,10 @@ class AnalysisService:
                 "draining": self._draining.is_set(),
                 "overload": {
                     "max_in_flight": self.config.max_in_flight,
-                    "brownout_threshold": self.config.brownout_threshold,
+                    "brownout_threshold": self.config.max_in_flight,
                     "batch_cap": self.config.batch_cap,
-                    "deadline_safety_ms": self.config.deadline_safety_ms,
-                    "min_budget_seconds": self.config.min_budget_seconds,
+                    "deadline_safety_ms": DEADLINE_SAFETY_MS,
+                    "min_budget_seconds": MIN_BUDGET_SECONDS,
                 },
                 "breaker": {
                     "state": self.breaker.state,

@@ -46,6 +46,7 @@ from repro.service.protocol import (
     abort_response,
     degraded_response,
     error_response,
+    exhausted_response,
     ok_response,
 )
 from repro.workers import SpawnPool, watchdog_allowance
@@ -90,15 +91,7 @@ def service_worker(request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
         # The degradation ladder engages when the daemon (or the caller)
         # asked for it and there is a budget to degrade under; without
         # pressure the exact path runs exactly as before, bit for bit.
-        use_ladder = (
-            budget is not None
-            and (
-                request.degrade
-                if request.degrade is not None
-                else request.deadline_ms is not None
-            )
-        )
-        if use_ladder:
+        if budget is not None and request.degradable:
             outcome = run_ladder(
                 request.taskset,
                 request.platform,
@@ -128,13 +121,12 @@ def service_worker(request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
                 )
                 abort.iterations = budget.iterations
                 abort.elapsed = budget.elapsed()
-            body = abort_response(request.request_id, abort)
-            body["degraded"] = {
-                "tier": None,
-                "soundness": SOUND_UNKNOWN,
-                "tiers_tried": list(outcome.tiers_tried),
-            }
-            return body, perf
+            return (
+                exhausted_response(
+                    request.request_id, abort, outcome.tiers_tried
+                ),
+                perf,
+            )
         result = analyze_taskset(
             request.taskset,
             request.platform,

@@ -37,11 +37,13 @@ Responses always carry ``id``, ``status`` and the protocol ``version``.
 ``status`` is one of ``"ok"`` (with the WCRT verdict),
 ``"budget-exceeded"`` / ``"cancelled"`` (with the partial estimates,
 iterations spent and elapsed seconds), ``"error"`` (with the error class
-and message), or one of the typed shed markers ``"deadline-expired"`` /
-``"overload-shed"`` (with ``"shed": true``).  An ``"ok"`` answer produced
-by a degraded ladder tier additionally carries a ``"degraded"`` object
-naming the tier, its soundness class and the tiers tried — see
-:mod:`repro.analysis.ladder` and :func:`degraded_response`.
+and message), or a refusal built by :func:`refusal_response`: the
+daemon's ``"draining"``, ``"busy"`` and ``"breaker-open"``, and the load
+sheds ``"deadline-expired"`` / ``"overload-shed"`` (with ``"shed":
+true``).  An ``"ok"`` answer produced by a degraded ladder tier
+additionally carries a ``"degraded"`` object naming the tier, its
+soundness class and the tiers tried — see :mod:`repro.analysis.ladder`,
+:func:`degraded_response` and :func:`exhausted_response`.
 
 The test-only ``inject`` field (``"hang"`` spins cooperatively inside the
 request's budget; ``"crash"`` kills the worker process) exists so the
@@ -61,6 +63,7 @@ from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.config import AnalysisConfig
+from repro.analysis.ladder import SOUND_UNKNOWN
 from repro.crpd.approaches import CrpdApproach
 from repro.errors import AnalysisAborted, AnalysisError, Cancelled, ModelError
 from repro.model.platform import Platform
@@ -82,6 +85,11 @@ INJECT_KINDS = ("hang", "crash")
 #: Priority classes, highest first.  Under overload the daemon sheds the
 #: lowest class first at admission.
 PRIORITIES = ("interactive", "batch")
+
+#: Safety margin (milliseconds) every hop, router and daemon alike,
+#: subtracts from a request's remaining ``deadline_ms`` before handing it
+#: on, covering its own serialisation and scheduling overhead.
+DEADLINE_SAFETY_MS = 25.0
 
 _TASKSET_TAG = "repro-taskset"
 
@@ -129,6 +137,17 @@ class AnalysisRequest:
     degrade: Optional[bool] = None
     #: The decoded ``repro-taskset`` envelope until the task set is built.
     envelope: Optional[Dict] = None
+
+    @property
+    def degradable(self) -> bool:
+        """Whether the request accepts a degraded answer.
+
+        Its explicit ``degrade`` when set, else whether it carries a
+        deadline.  Everything else keeps the exact pre-pressure semantics.
+        """
+        if self.degrade is not None:
+            return self.degrade
+        return self.deadline_ms is not None
 
 
 def _check_envelope(document) -> Platform:
@@ -325,24 +344,24 @@ def degraded_response(
     return body
 
 
-def shed_response(
+def refusal_response(
     request_id: str,
     status: str,
     message: str,
+    shed: bool = False,
     retry_after: Optional[float] = None,
 ) -> Dict:
-    """Typed load-shedding response (``deadline-expired`` / ``overload-shed``).
+    """A request refused before (or instead of) its analysis.
 
-    ``"shed": true`` is the machine-readable marker the overload-storm
+    ``"shed": true`` marks load shedding (``deadline-expired`` /
+    ``overload-shed``), the machine-readable marker the overload-storm
     chaos scenario asserts on: no request may be dropped without it.
+    ``retry_after`` (seconds) tells the caller when to come back.
     """
-    body = {
-        "version": PROTOCOL_VERSION,
-        "id": request_id,
-        "status": status,
-        "shed": True,
-        "message": message,
-    }
+    body = {"version": PROTOCOL_VERSION, "id": request_id, "status": status}
+    if shed:
+        body["shed"] = True
+    body["message"] = message
     if retry_after is not None:
         body["retry_after"] = retry_after
     return body
@@ -364,6 +383,23 @@ def abort_response(request_id: str, abort: AnalysisAborted) -> Dict:
             else {}
         ),
     }
+
+
+def exhausted_response(
+    request_id: str, abort: AnalysisAborted, tiers_tried
+) -> Dict:
+    """Typed abort of a degradation ladder none of whose tiers finished.
+
+    The :func:`abort_response` partials plus a ``degraded`` marker of
+    ``unknown`` soundness naming the tiers tried.
+    """
+    body = abort_response(request_id, abort)
+    body["degraded"] = {
+        "tier": None,
+        "soundness": SOUND_UNKNOWN,
+        "tiers_tried": list(tiers_tried),
+    }
+    return body
 
 
 def error_response(request_id: str, error: Exception) -> Dict:
@@ -398,7 +434,10 @@ class JsonHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         retry_after = document.get("retry_after")
         if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
+            # The header takes whole seconds (RFC 9110 delay-seconds); the
+            # body keeps the jittered float, which the router reads.
+            seconds = max(1, math.ceil(retry_after))
+            self.send_header("Retry-After", str(seconds))
         self.end_headers()
         self.wfile.write(body)
 

@@ -52,10 +52,11 @@ from repro.exitcodes import EXIT_USAGE
 from repro.perf import PerfCounters
 from repro.resultcache import request_fingerprint
 from repro.service.protocol import (
+    DEADLINE_SAFETY_MS,
     JsonHandler,
     error_response,
     read_request,
-    shed_response,
+    refusal_response,
 )
 
 #: Transport signature: ``(method, url, document, timeout) -> (status, body)``.
@@ -106,11 +107,6 @@ class RouterConfig:
     #: First backoff sleep; doubles per retry up to :attr:`backoff_cap`.
     backoff_base: float = 0.05
     backoff_cap: float = 1.0
-    #: Safety margin (milliseconds) the router subtracts from a request's
-    #: remaining ``deadline_ms`` before forwarding — its share of the
-    #: end-to-end deadline propagation chain.  Retries never start when
-    #: the remaining deadline could not absorb the backoff sleep.
-    deadline_safety_ms: float = 25.0
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -139,11 +135,6 @@ class RouterConfig:
             raise AnalysisError(
                 f"need 0 <= backoff_base <= backoff_cap, got "
                 f"{self.backoff_base} / {self.backoff_cap}"
-            )
-        if self.deadline_safety_ms < 0:
-            raise AnalysisError(
-                f"deadline_safety_ms must be non-negative, "
-                f"got {self.deadline_safety_ms}"
             )
 
 
@@ -255,9 +246,10 @@ class ShardRouter:
 
         Deadline propagation happens here: the forwarded copy carries the
         *decremented* ``deadline_ms`` (the caller's deadline minus this
-        hop's elapsed time and safety margin) and the transport timeout
-        never exceeds what is left — a shard cannot be waited on past the
-        point where its answer would be useless.
+        hop's elapsed time and the safety margin
+        :data:`~repro.service.protocol.DEADLINE_SAFETY_MS`) and the
+        transport timeout never exceeds what is left — a shard cannot be
+        waited on past the point where its answer would be useless.
         """
         left = remaining()
         timeout = self.config.forward_timeout
@@ -314,7 +306,7 @@ class ShardRouter:
             return (
                 deadline_seconds
                 - (self._clock() - started)
-                - self.config.deadline_safety_ms / 1000.0
+                - DEADLINE_SAFETY_MS / 1000.0
             )
 
         candidates = self._candidates(primary, idempotent)
@@ -368,22 +360,21 @@ class ShardRouter:
             with self._lock:
                 self.perf.shed_requests += 1
                 self.perf.deadline_expired_rejects += 1
-            return 504, shed_response(
+            return 504, refusal_response(
                 request_id,
                 "deadline-expired",
                 f"caller deadline expired at the router after "
                 f"{self._clock() - started:.3f}s "
                 f"(last error: {last_error or 'no attempt failed'})",
+                shed=True,
             )
-        return 503, {
-            "status": "no-shards",
-            "id": request_id,
-            "message": (
-                f"no shard could serve this request "
-                f"(last error: {last_error or 'none tried'})"
-            ),
-            "retry_after": 1,
-        }
+        return 503, refusal_response(
+            request_id,
+            "no-shards",
+            f"no shard could serve this request "
+            f"(last error: {last_error or 'none tried'})",
+            retry_after=1,
+        )
 
     def forward_batch(self, documents) -> Tuple[int, Dict]:
         """Split a ``{"requests": [...]}`` batch across its shards."""
@@ -612,14 +603,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="retry backoff ceiling",
     )
-    parser.add_argument(
-        "--deadline-safety-ms",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="safety margin subtracted from a request's remaining "
-        "deadline_ms before forwarding",
-    )
     return parser
 
 
@@ -635,7 +618,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_retries=args.max_retries,
             backoff_base=args.backoff_base,
             backoff_cap=args.backoff_cap,
-            deadline_safety_ms=args.deadline_safety_ms,
         )
     except AnalysisError as error:
         print(f"repro-router: error: {error}", file=sys.stderr)

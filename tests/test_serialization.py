@@ -16,6 +16,7 @@ from repro.serialization import (
     save_taskset,
     task_from_dict,
     task_to_dict,
+    tasks_from_dicts,
     taskset_from_json,
     taskset_to_json,
 )
@@ -220,6 +221,17 @@ class TestTasksetRoundTrip:
     def test_invalid_json_rejected(self):
         with pytest.raises(ModelError):
             taskset_from_json("{nope")
+
+    def test_duplicate_task_name_rejected(self, taskset, platform):
+        # Verdicts key response times by task name: a repeated name would
+        # silently drop one task's bound.
+        document = json.loads(taskset_to_json(taskset, platform))
+        first, second = document["tasks"][:2]
+        second["name"] = first["name"]
+        with pytest.raises(ModelError, match="share this name"):
+            tasks_from_dicts(document["tasks"], platform)
+        with pytest.raises(ModelError, match=first["name"]):
+            taskset_from_json(json.dumps(document))
 
     def test_file_round_trip(self, taskset, platform, tmp_path):
         path = tmp_path / "set.json"

@@ -7,7 +7,9 @@ against a real daemon process is ``scripts/service_smoke.py`` (CI's
 ``service-smoke`` job).
 """
 
+import dataclasses
 import json
+import math
 import pickle
 import random
 import socket
@@ -40,8 +42,9 @@ from repro.service import (
     read_request,
 )
 from repro.service import pool as service_pool
+from repro.service.__main__ import main as service_main
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
-from repro.service.daemon import _Handler
+from repro.service.daemon import REFUSALS, _Handler
 from repro.service.pool import service_worker
 
 
@@ -231,6 +234,22 @@ class TestRequestValidation:
         assert responses[0]["error"] == "ModelError"
         assert responses[1] == responses[0]
 
+    def test_duplicate_task_name_is_a_400_and_nothing_is_cached(
+        self, tmp_path, envelope
+    ):
+        document = json.loads(json.dumps(envelope))
+        document["tasks"][1]["name"] = document["tasks"][0]["name"]
+        pool = StubPool()
+        service = make_service(pool=pool, cache_dir=str(tmp_path))
+        status, body = service.handle(request_document(document))
+        assert (status, body["status"], body["error"]) == (
+            400, "error", "ModelError"
+        )
+        assert "share this name" in body["message"]
+        assert service.stats.validation_errors == 1
+        assert pool.calls == 0
+        assert len(service.cache) == 0
+
 
 class FakeClock:
     def __init__(self) -> None:
@@ -294,8 +313,10 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(reset_seconds=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_probes=0)
+
+    def test_the_daemon_breaker_trips_at_three_and_cools_down_for_5s(self):
+        breaker = make_service().breaker
+        assert (breaker.failure_threshold, breaker.reset_seconds) == (3, 5.0)
 
 
 class StubPool:
@@ -354,14 +375,48 @@ class TestServiceConfig:
             ServiceConfig(max_in_flight=0)
         with pytest.raises(AnalysisError):
             ServiceConfig(default_budget=-2.0)
-        with pytest.raises(AnalysisError):
-            ServiceConfig(breaker_reset_seconds=0)
 
     def test_rejects_invalid_cache_knobs(self):
         with pytest.raises(AnalysisError):
             ServiceConfig(cache_max_entries=0)
         with pytest.raises(AnalysisError):
             ServiceConfig(cache_max_bytes=0)
+
+    def test_holds_deployment_and_resource_settings_only(self):
+        assert [field.name for field in dataclasses.fields(ServiceConfig)] == [
+            "host", "port", "workers", "max_in_flight", "default_budget",
+            "default_watchdog", "drain_grace_seconds", "cache_dir",
+            "cache_max_entries", "cache_max_bytes", "coalesce",
+        ]
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--breaker-threshold", "--breaker-reset", "--deadline-safety-ms",
+         "--min-budget", "--brownout-in-flight", "--batch-max-in-flight",
+         "--retry-after-base"],
+    )
+    def test_overload_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            service_main([flag, "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "max_in_flight, batch_cap", [(1, 1), (3, 1), (4, 2), (9, 4)]
+    )
+    def test_overload_thresholds_derive_from_the_admission_cap(
+        self, max_in_flight, batch_cap
+    ):
+        overload = make_service(max_in_flight=max_in_flight).stats_document()[
+            "overload"
+        ]
+        assert overload == {
+            "max_in_flight": max_in_flight,
+            "brownout_threshold": max_in_flight,
+            "batch_cap": batch_cap,
+            "deadline_safety_ms": 25.0,
+            "min_budget_seconds": 0.05,
+        }
 
 
 class TestServiceHandle:
@@ -409,7 +464,7 @@ class TestServiceHandle:
     def test_worker_crash_is_500_and_feeds_the_breaker(self, envelope):
         service = make_service(
             pool=StubPool(WorkerCrashError("worker died")),
-            breaker_threshold=2,
+            breaker=CircuitBreaker(failure_threshold=2),
         )
         status, body = service.handle(request_document(envelope))
         assert (status, body["error"]) == (500, "WorkerCrashError")
@@ -556,7 +611,9 @@ class TestResultCacheIntegration:
         assert len(service.cache) == 0  # and never stored
 
     def test_hits_bypass_an_open_breaker(self, tmp_path, envelope):
-        service = self.make_cached_service(tmp_path, breaker_threshold=1)
+        service = self.make_cached_service(
+            tmp_path, breaker=CircuitBreaker(failure_threshold=1)
+        )
         service.handle(request_document(envelope))
         service.breaker.record_failure()
         assert service.breaker.state == OPEN
@@ -919,6 +976,68 @@ class TestCoalescing:
         assert status == 500 and body["error"] == "WorkerCrashError"
         assert pool.calls == 1  # the waiter did not retry the crash
 
+    def test_a_non_degradable_request_never_shares_a_degraded_flight(
+        self, envelope
+    ):
+        # The degradable leader's pool answer is a degraded body; the
+        # identical non-degradable request arriving while it runs must
+        # get its own exact analysis, not that body.
+        entered, release = threading.Event(), threading.Event()
+        degraded = {
+            "version": PROTOCOL_VERSION,
+            "id": "lead-1",
+            "status": "ok",
+            "schedulable": True,
+            "outer_iterations": 1,
+            "response_times": {},
+            "degraded": {
+                "tier": "baseline",
+                "soundness": "degraded-sound",
+                "tiers_tried": ["exact", "baseline"],
+            },
+        }
+
+        def blocked(request):
+            entered.set()
+            assert release.wait(timeout=30)
+            if request.degradable:
+                return dict(degraded), PerfCounters()
+            return service_worker(request)
+
+        pool = StubPool(blocked)
+        service = make_service(pool=pool)
+        results = {}
+
+        def submit(name, **extra):
+            results[name] = service.handle(
+                request_document(envelope, id=name, **extra)
+            )
+
+        leader = threading.Thread(
+            target=submit,
+            args=("lead-1",),
+            kwargs={"degrade": True, "budget_seconds": 0.005},
+        )
+        leader.start()
+        assert entered.wait(timeout=30)
+        exact = threading.Thread(
+            target=submit, args=("exact-1",), kwargs={"degrade": False}
+        )
+        exact.start()
+        deadline = time.monotonic() + 10
+        while pool.calls < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release.set()
+        leader.join(timeout=30)
+        exact.join(timeout=30)
+        assert pool.calls == 2
+        status, body = results["exact-1"]
+        assert (status, body["status"]) == (200, "ok")
+        assert "degraded" not in body and "cache" not in body
+        assert results["lead-1"][1]["degraded"]["tier"] == "baseline"
+        assert service.perf.coalesced_requests == 0
+        assert service._flights == {}
+
     def test_coalescing_can_be_disabled(self, envelope):
         entered, release = threading.Event(), threading.Event()
         calls = threading.Semaphore(0)
@@ -950,6 +1069,72 @@ class TestCoalescing:
         assert pool.calls == 2
         assert all(body["status"] == "ok" for _s, body in results.values())
         assert service.perf.coalesced_requests == 0
+
+
+def _refused_service(status):
+    """A service that refuses ``request_document(envelope)`` as ``status``,
+    and the extra request fields that make it do so."""
+    if status == "draining":
+        service = make_service()
+        service.begin_drain()
+        return service, {}
+    if status == "deadline-expired":
+        # 10ms of deadline minus the 25ms safety margin is already gone.
+        return make_service(clock=FakeClock()), {"deadline_ms": 10}
+    if status == "breaker-open":
+        breaker = CircuitBreaker(failure_threshold=1, clock=FakeClock())
+        breaker.record_failure()
+        return make_service(breaker=breaker), {}
+    # One slot taken: a batch request is shed at half of two slots, and
+    # one slot of one is a full queue for everyone.
+    service = make_service(max_in_flight=2 if status == "overload-shed" else 1)
+    service._active[-1] = "occupant"
+    return service, {"priority": "batch"} if status == "overload-shed" else {}
+
+
+class TestRefusals:
+    """Each refusal of the admission policy, from its one table."""
+
+    @pytest.mark.parametrize(
+        "status, code, shed, retry",
+        [
+            ("draining", 503, False, False),
+            ("deadline-expired", 504, True, False),
+            ("overload-shed", 429, True, True),
+            ("busy", 429, False, True),
+            ("breaker-open", 503, False, True),
+        ],
+    )
+    def test_carries_id_version_and_its_table_row(
+        self, envelope, status, code, shed, retry
+    ):
+        refusal = REFUSALS[status]
+        assert (refusal.code, refusal.shed, refusal.retry is not None) == (
+            code, shed, retry
+        )
+        pool = StubPool()
+        service, extra = _refused_service(status)
+        service.pool = pool
+        got, body = service.handle(request_document(envelope, **extra))
+        assert (got, body["status"]) == (code, status)
+        assert body["id"] == "req-1"
+        assert body["version"] == PROTOCOL_VERSION
+        assert body["message"]
+        assert body.get("shed", False) is shed
+        assert ("retry_after" in body) is retry
+        if retry:
+            assert body["retry_after"] > 0
+        assert getattr(service.stats, refusal.counter) == 1
+        for name in refusal.perf:
+            assert getattr(service.perf, name) == 1
+        assert service.stats.accepted == (1 if status == "breaker-open" else 0)
+        assert pool.calls == 0
+
+    def test_table_covers_the_five_refusals(self):
+        assert set(REFUSALS) == {
+            "draining", "deadline-expired", "overload-shed", "busy",
+            "breaker-open",
+        }
 
 
 class TestDrain:
@@ -1166,10 +1351,9 @@ class TestOverloadControl:
 class TestBrownout:
     def test_brownout_serves_the_coarse_tier_without_the_pool(self, envelope):
         pool = StubPool()
-        # brownout_in_flight=1: the very first admitted slot browns out.
-        service = make_service(
-            pool=pool, max_in_flight=4, brownout_in_flight=1
-        )
+        # One admission slot: the very first admitted request takes the
+        # last slot and browns out.
+        service = make_service(pool=pool, max_in_flight=1)
         status, body = service.handle(
             request_document(envelope, degrade=True)
         )
@@ -1201,11 +1385,7 @@ class TestBrownout:
         assert (status, body["status"]) == (503, "breaker-open")
 
     def test_degraded_answers_never_enter_the_cache(self, envelope, tmp_path):
-        service = make_service(
-            max_in_flight=4,
-            brownout_in_flight=1,
-            cache_dir=str(tmp_path),
-        )
+        service = make_service(max_in_flight=1, cache_dir=str(tmp_path))
         first = service.handle(request_document(envelope, degrade=True))[1]
         assert first["brownout"] is True
         # A second identical request must not be served from the cache:
@@ -1262,8 +1442,9 @@ class TestHttpFraming:
             yield address
 
     @staticmethod
-    def post(address, headers, body=b""):
-        """Raw ``POST /analyze``; returns ``(status, body)`` within 5 s."""
+    def exchange(address, headers, body=b""):
+        """Raw ``POST /analyze``; returns ``(status, headers, body)``
+        within 5 s."""
         head = "".join(f"{name}: {value}\r\n" for name, value in headers)
         request = f"POST /analyze HTTP/1.0\r\n{head}\r\n".encode() + body
         with socket.create_connection(address, timeout=5) as connection:
@@ -1271,8 +1452,18 @@ class TestHttpFraming:
             reply = b""
             while chunk := connection.recv(65536):
                 reply += chunk
-        status_line, _, rest = reply.partition(b"\r\n")
-        return int(status_line.split()[1]), json.loads(rest.split(b"\r\n\r\n", 1)[1])
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in lines)
+        return int(status_line.split()[1]), fields, json.loads(payload)
+
+    @staticmethod
+    def post(address, headers, body=b""):
+        """Raw ``POST /analyze``; returns ``(status, body)`` within 5 s."""
+        status, _fields, document = TestHttpFraming.exchange(
+            address, headers, body
+        )
+        return status, document
 
     def test_negative_content_length_is_refused_before_reading(self, url):
         status, body = self.post(url, [("Content-Length", "-1")], b"{}")
@@ -1292,6 +1483,35 @@ class TestHttpFraming:
         assert status == 400
         assert body["error"] == "AnalysisError"
         assert "deadline" in body["message"].lower()
+
+    @pytest.mark.parametrize(
+        "status, seed, header",
+        # Breaker: 5s cool-down x (0.5 + 0.844) = 6.722s -> 7.  Batch shed
+        # at half load: 1s x (0.5 + 0.5) x (0.5 + 0.134) = 0.634s -> 1.
+        [("breaker-open", 0, "7"), ("overload-shed", 1, "1")],
+    )
+    def test_retry_after_header_is_whole_seconds(
+        self, envelope, status, seed, header
+    ):
+        breaker = CircuitBreaker(failure_threshold=1)
+        if status == "breaker-open":
+            breaker.record_failure()
+        service = make_service(breaker=breaker, rng=random.Random(seed))
+        extra = {}
+        if status == "overload-shed":
+            service._active.update({-1: "one", -2: "two"})
+            extra = {"priority": "batch"}
+        payload = json.dumps(request_document(envelope, **extra)).encode()
+        with serving(service) as address:
+            code, fields, body = self.exchange(
+                address, [("Content-Length", str(len(payload)))], payload
+            )
+        assert (code, body["status"]) == (REFUSALS[status].code, status)
+        assert fields["Retry-After"] == header
+        seconds = max(1, math.ceil(body["retry_after"]))
+        assert fields["Retry-After"] == str(seconds)
+        # The body keeps the jittered float the router reads.
+        assert body["retry_after"] != int(body["retry_after"])
 
 
 class TestHttpNonFiniteNumbers:
