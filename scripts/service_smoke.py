@@ -12,8 +12,9 @@ guarantees ``docs/SERVICE.md`` promises (runnable locally and as the
 2. **Result cache** — an identical repeat request is served from the
    persistent content-addressed cache bit-identically, and ``/stats``
    reports the cache/coalescing counters.  The cache key is over the
-   request's own records: a ``NaN`` field is a typed 400 that leaves the
-   daemon serving, an envelope with unsorted indices is analysed on
+   request's own records: a ``NaN`` field and a cache set index of
+   ``2**70`` are typed 400s that leave the daemon serving, an envelope
+   with unsorted indices is analysed on
    first arrival and hits on repeat, and the same envelope with ``true``
    in place of a ``1`` gets its 400, never the cached body.
 3. **Circuit breaker** — repeated ``inject: crash`` requests kill their
@@ -308,6 +309,25 @@ def records_scenario(url):
     expect(
         status == 200 and body["status"] == "ok",
         "the daemon still serves the next request",
+    )
+
+    # An index far past the cache is refused where the records are
+    # parsed, before it is packed into a mask bit.
+    huge = json.loads(json.dumps(envelope))
+    huge["tasks"][0].update(ecbs=[2**70, 2], ucbs=[2], pcbs=[])
+    status, body = http("POST", f"{url}/analyze", {"id": "2**70", "taskset": huge})
+    expect(
+        status == 400 and body.get("error") == "ModelError"
+        and "past the platform's" in body.get("message", ""),
+        f"cache set index 2**70 is a typed 400 ({status} {body.get('error')})",
+    )
+    status, body = http(
+        "POST", f"{url}/analyze",
+        {"id": "after-2**70", "taskset": taskset_envelope(seed=10)},
+    )
+    expect(
+        status == 200 and body["status"] == "ok",
+        "the daemon still serves the request after the 2**70 index",
     )
 
     unsorted = json.loads(json.dumps(envelope))

@@ -38,7 +38,8 @@ class AnalysisConfig:
             :mod:`repro.businterference.arbiters`).  Any of them off runs
             the reference (:attr:`reference`): the per-term transcription
             of Eq. (1)-(18) in :mod:`repro.businterference.requests` over
-            the ``frozenset`` CRPD/CPRO calculators, which builds no table.
+            the CRPD/CPRO calculators' ``frozenset`` views of the block
+            sets, which builds no table.
             Results are bit-identical either way (the ``kernel-identity``
             oracle of :mod:`repro.verify`).  The three names stay, although
             only their conjunction matters, because outside readers name

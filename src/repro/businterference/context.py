@@ -13,7 +13,8 @@ set's :class:`~repro.model.interference.InterferenceTable` (``make_bat`` in
 indexed by each task's slot.  A reference context (``reference=True``,
 selected by :attr:`repro.analysis.config.AnalysisConfig.reference`) runs
 the per-term functions of :mod:`repro.businterference.requests` over the
-``frozenset`` CRPD/CPRO calculators and builds no table.  Both give
+CRPD/CPRO calculators, which compute over ``frozenset`` views of the
+block sets, and builds no table.  Both give
 bit-identical results; the ``kernel-identity`` oracle checks it.
 
 The context keeps one estimate-revision counter (*epoch*) per core plus a

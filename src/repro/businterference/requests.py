@@ -20,8 +20,9 @@ pitfalls.
 
 Two evaluations of the same equations live here.  :func:`bas`,
 :func:`bao` and :func:`bao_low` are the reference: sums of
-:func:`pair_terms`, a term-by-term transcription over the ``frozenset``
-CRPD/CPRO calculators that evaluates Eq. (10) + (14) through
+:func:`pair_terms`, a term-by-term transcription over the CRPD/CPRO
+calculators, which compute over ``frozenset`` views of the block sets,
+that evaluates Eq. (10) + (14) through
 :func:`~repro.persistence.demand.multi_job_demand` and ``rho_window``.
 The ``_bas_*`` / ``_w_sum_*`` bodies are the production kernel's fused
 sums over the integer rows of

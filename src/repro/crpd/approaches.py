@@ -19,7 +19,9 @@ Two classic coarser bounds are provided for ablation studies:
   task touches: :math:`|ECB_j|`.
 
 All three return *numbers of memory requests*; the response-time analysis
-multiplies by ``d_mem`` where needed.
+multiplies by ``d_mem`` where needed.  They serve the reference kernel and
+evaluate over the task set's ``frozenset`` views
+(:meth:`~repro.model.task.TaskSet.frozen_blocks`).
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def crpd_ecb_union(taskset: TaskSet, task_i: Task, task_j: Task) -> int:
     if not affected:
         return 0
     evicting: FrozenSet[int] = taskset.hep_ecb_union(task_j, core)
-    return max(len(t.ucbs & evicting) for t in affected)
+    return max(
+        len(taskset.frozen_blocks(t).ucbs & evicting) for t in affected
+    )
 
 
 def crpd_ucb_only(taskset: TaskSet, task_i: Task, task_j: Task) -> int:
@@ -71,7 +75,7 @@ def crpd_ucb_only(taskset: TaskSet, task_i: Task, task_j: Task) -> int:
     affected = taskset.aff_on_core(task_i, task_j, core)
     if not affected:
         return 0
-    return max(len(t.ucbs) for t in affected)
+    return max(len(taskset.frozen_blocks(t).ucbs) for t in affected)
 
 
 def crpd_ecb_only(taskset: TaskSet, task_i: Task, task_j: Task) -> int:
@@ -85,7 +89,7 @@ def crpd_ecb_only(taskset: TaskSet, task_i: Task, task_j: Task) -> int:
     affected = taskset.aff_on_core(task_i, task_j, core)
     if not affected:
         return 0
-    return len(task_j.ecbs)
+    return len(taskset.frozen_blocks(task_j).ecbs)
 
 
 _APPROACHES: Dict[CrpdApproach, Callable[[TaskSet, Task, Task], int]] = {
@@ -104,9 +108,12 @@ class CrpdCalculator:
 
     The WCRT fixed point evaluates :math:`\\gamma_{i,j,x}` for the same task
     pairs at every iteration; the values only depend on the (static) task
-    set, so they are computed once per pair with ``frozenset`` algebra and
-    cached.  The production kernel reads the same values from the task
-    set's :class:`~repro.model.interference.InterferenceTable` instead.
+    set, so they are computed once per pair with ``frozenset`` algebra over
+    the task set's views, built on the first value asked for, and cached.
+    The production kernel, whose contexts construct a calculator too,
+    reads the same values from the task set's
+    :class:`~repro.model.interference.InterferenceTable` instead and asks
+    for none.
     """
 
     def __init__(

@@ -79,7 +79,7 @@ def multiset_pair_data(
     entries = [
         (cost, int(task_g.period), task_g)
         for task_g in affected
-        if (cost := len(task_g.ucbs & evicting)) > 0
+        if (cost := len(taskset.frozen_blocks(task_g).ucbs & evicting)) > 0
     ]
     entries.sort(key=lambda entry: entry[0], reverse=True)
     return tuple(entries)

@@ -24,14 +24,14 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil as _ceil, log as _log
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cacheanalysis.extraction import extract_parameters_cached
 from repro.data.benchmarks import BenchmarkSpec, benchmark_table
 from repro.errors import GenerationError
 from repro.generation.uunifast import uunifast
+from repro.model.blocks import BlockSet
 from repro.model.platform import Platform
 from repro.model.task import Task, TaskSet
 from repro.program.malardalen import benchmark_program, reference_geometry
@@ -196,20 +196,25 @@ def _skip_sample(getrandbits, n: int) -> None:
             pass
 
 
-@lru_cache(maxsize=None)
-def _whole_cache(num_sets: int) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
-    """The run covering the whole cache, shared by every task covering it."""
-    return tuple(range(num_sets)), frozenset(range(num_sets))
-
-
 def _subset(
-    getrandbits, run: Sequence[int], blocks: FrozenSet[int], count: int
-) -> FrozenSet[int]:
-    """``count`` random members of ``run`` (whose set is ``blocks``)."""
-    if count >= len(run):
-        _skip_sample(getrandbits, len(run))
-        return blocks
-    return frozenset(_sample(getrandbits, run, count))
+    getrandbits, ecbs: BlockSet, n: int, head: int, start: int, count: int
+) -> BlockSet:
+    """``count`` random sets of the ECB run ``ecbs`` of ``n`` sets.
+
+    Draws exactly as ``sample(run, count)`` over the run's sets in
+    ascending order would: the picks are positions in that order, the
+    ``head`` sets wrapped to the front (``0 .. head - 1``) first, then
+    the sets from ``start`` on.  A subset that is the whole run is
+    ``ecbs`` itself.
+    """
+    if count >= n:
+        _skip_sample(getrandbits, n)
+        return ecbs
+    picks = 0
+    for position in _sample(getrandbits, range(n), count):
+        picks |= 1 << position
+    wrapped = picks & ((1 << head) - 1)
+    return BlockSet.from_mask(wrapped | (picks ^ wrapped) >> head << start)
 
 
 def _place_sets(
@@ -217,29 +222,24 @@ def _place_sets(
     spec: BenchmarkSpec,
     num_sets: int,
     placement: PlacementPolicy,
-) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
+) -> Tuple[BlockSet, BlockSet, BlockSet]:
     """Materialise concrete (ecbs, ucbs, pcbs) cache-set placements.
 
-    A UCB or PCB set that is the whole ECB run is the run's own
-    ``frozenset``, and a run that covers the whole cache is one
-    ``frozenset`` per cache size, so tasks share their block sets.
+    The ECB run is ``n_ecb`` consecutive sets from ``start``, wrapping
+    past the last set to set 0, packed by shifts; a UCB or PCB set that
+    is the whole run is the ECB set itself.
     """
     if placement is PlacementPolicy.ZERO_START:
         start = 0
     else:
         start = rng.randrange(num_sets)
     n_ecb = min(spec.n_ecb, num_sets)
-    if n_ecb == num_sets:
-        run, ecbs = _whole_cache(num_sets)
-    else:
-        # The run start, start + 1, ... wraps past the last set to set 0;
-        # list the wrapped head first so the run comes out sorted.
-        run = list(range(max(start + n_ecb - num_sets, 0)))
-        run += range(start, min(start + n_ecb, num_sets))
-        ecbs = frozenset(run)
+    run = ((1 << n_ecb) - 1) << start
+    ecbs = BlockSet.from_mask((run | run >> num_sets) & ((1 << num_sets) - 1))
+    head = max(start + n_ecb - num_sets, 0)
     getrandbits = rng.getrandbits
-    ucbs = _subset(getrandbits, run, ecbs, spec.n_ucb)
-    pcbs = _subset(getrandbits, run, ecbs, spec.n_pcb)
+    ucbs = _subset(getrandbits, ecbs, n_ecb, head, start, spec.n_ucb)
+    pcbs = _subset(getrandbits, ecbs, n_ecb, head, start, spec.n_pcb)
     return ecbs, ucbs, pcbs
 
 

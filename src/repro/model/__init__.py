@@ -9,11 +9,8 @@ from repro.model.platform import (
     cycles_to_microseconds,
     microseconds_to_cycles,
 )
-from repro.model.interference import (
-    InterferenceTable,
-    blocks_to_mask,
-    mask_to_blocks,
-)
+from repro.model.blocks import MAX_CACHE_SETS, BlockSet
+from repro.model.interference import InterferenceTable
 from repro.model.task import (
     Task,
     TaskSet,
@@ -22,9 +19,9 @@ from repro.model.task import (
 )
 
 __all__ = [
+    "BlockSet",
     "InterferenceTable",
-    "blocks_to_mask",
-    "mask_to_blocks",
+    "MAX_CACHE_SETS",
     "BusPolicy",
     "CacheGeometry",
     "Platform",

@@ -3,21 +3,17 @@
 Every cardinality the analysis evaluates — the CPRO union bound of
 Eq. (14), the ECB-union CRPD of Eq. (2), the per-pair reload costs of the
 multiset refinement — is at bottom ``|A ∩ (B_1 ∪ ... ∪ B_k)|`` over sets of
-*cache set indices*.  Python ``frozenset`` algebra evaluates these with
-per-element hashing; the classic trick of the CRPD tooling lineage
-(Altmeyer & Davis's ECB/UCB analyses) is to pack each block set into an
-integer bitmask — bit ``b`` set iff cache set ``b`` is touched — so an
-intersection cardinality becomes one ``&`` plus one popcount
-(``int.bit_count()``), and a union over a task group becomes a fold of
-``|``.  Python's arbitrary-precision integers make this exact for any
-cache size: indices beyond 63 simply spill into further limbs of the same
-integer, so nothing special happens at the 64-bit word boundary.
+*cache set indices*.  Every task holds its block sets as packed
+:class:`~repro.model.blocks.BlockSet` masks, so such a cardinality is one
+``&`` plus one popcount (``int.bit_count()``) and a union over a task
+group a fold of ``|``.
 
 :class:`InterferenceTable` is the per-task-set compilation of that idea.
-Besides the per-task ``ecb``/``ucb``/``pcb`` masks it holds the two
-per-pair quantities the fixed point reads: :math:`\\gamma` of Eq. (2)
-(and its UCB-only / ECB-only ablations) and the CPRO eviction count of
-Eq. (14) (and its global ablation).  Both depend on the analysed task
+Besides the per-task ``ecb``/``ucb``/``pcb`` masks, read off the tasks'
+block sets as they are, it holds the two per-pair quantities the fixed
+point reads: :math:`\\gamma` of Eq. (2) (and its UCB-only / ECB-only
+ablations) and the CPRO eviction count of Eq. (14) (and its global
+ablation).  Both depend on the analysed task
 :math:`\\tau_i` only through its **priority cut** on the other task's
 core — the number of that core's tasks whose priority is at least
 :math:`\\tau_i`'s (:attr:`InterferenceTable.cut`): :math:`aff(i, j)` on
@@ -44,16 +40,17 @@ only from this table.  The ``frozenset`` implementations in
 :mod:`repro.persistence.cpro`, :mod:`repro.crpd.approaches` and
 :mod:`repro.crpd.multiset` serve the reference kernel
 (:attr:`repro.analysis.config.AnalysisConfig.reference`), which builds no
-table; the ``kernel-identity`` oracle of :mod:`repro.verify.oracles`
-checks that the two agree on every fuzz case and corpus entry.
+table and evaluates over ``frozenset`` views of the block sets
+(:meth:`~repro.model.task.TaskSet.frozen_blocks`); the
+``kernel-identity`` oracle of :mod:`repro.verify.oracles` checks that the
+two set implementations agree on every fuzz case and corpus entry.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.errors import ModelError
 from repro.model.task import Task, TaskSet
 
 #: Values of one core member at every cut ``0..len(core)`` of its core.
@@ -72,36 +69,6 @@ OverlapGroups = Tuple[Tuple[int, Tuple[int, ...]], ...]
 #: ``(cost, period_g, slot_g)`` (see
 #: :meth:`InterferenceTable.crpd_multiset_cuts`).
 MultisetEntries = Tuple[Tuple[int, int, int], ...]
-
-
-def blocks_to_mask(blocks: Iterable[int]) -> int:
-    """Pack a set of cache-set indices into an integer bitmask.
-
-    Bit ``b`` of the result is set iff ``b`` is in ``blocks``.  Arbitrary
-    indices are supported (Python integers have no word-size limit);
-    negative indices are rejected — a cache set index is a non-negative
-    position in the cache.
-    """
-    mask = 0
-    for block in blocks:
-        if block < 0:
-            raise ModelError(
-                f"cache set indices must be non-negative, got {block}"
-            )
-        mask |= 1 << block
-    return mask
-
-
-def mask_to_blocks(mask: int) -> FrozenSet[int]:
-    """Inverse of :func:`blocks_to_mask` (testing / debugging aid)."""
-    blocks = []
-    index = 0
-    while mask:
-        if mask & 1:
-            blocks.append(index)
-        mask >>= 1
-        index += 1
-    return frozenset(blocks)
 
 
 def estimate_slots(taskset: TaskSet) -> Dict[int, int]:
@@ -131,17 +98,9 @@ class InterferenceTable:
         self.pcb_mask: Dict[int, int] = {}
         for task in taskset:
             key = task.priority
-            ecbs = task.ecbs
-            ecb = self.ecb_mask[key] = blocks_to_mask(ecbs)
-            # The generator and the parser hand a UCB or PCB set that
-            # covers the whole ECB run over as the ECB set itself; its
-            # mask is the ECB mask.
-            self.ucb_mask[key] = (
-                ecb if task.ucbs is ecbs else blocks_to_mask(task.ucbs)
-            )
-            self.pcb_mask[key] = (
-                ecb if task.pcbs is ecbs else blocks_to_mask(task.pcbs)
-            )
+            self.ecb_mask[key] = task.ecbs.mask
+            self.ucb_mask[key] = task.ucbs.mask
+            self.pcb_mask[key] = task.pcbs.mask
         #: Tasks of every core that has any, highest priority first.
         self.members: Dict[int, Tuple[Task, ...]] = {
             core: taskset.on_core(core) for core in taskset.cores

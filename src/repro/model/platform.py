@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ModelError
+from repro.model.blocks import MAX_CACHE_SETS
 
 #: Processor frequency assumed by the units convention (cycles per second).
 #: 2 MHz puts the paper's default memory latency of 5 us at 10 cycles, which
@@ -108,6 +109,11 @@ class CacheGeometry:
         if self.block_size & (self.block_size - 1):
             raise ModelError(
                 f"block_size must be a power of two, got {self.block_size}"
+            )
+        if self.num_sets > MAX_CACHE_SETS:
+            # Every set index of the cache must pack into a block set.
+            raise ModelError(
+                f"num_sets must be at most {MAX_CACHE_SETS}, got {self.num_sets}"
             )
 
     @property

@@ -51,13 +51,18 @@ class CproApproach(enum.Enum):
     NONE = "none"
 
 
-def evicting_ecb_union(tasks: Iterable[Task]) -> FrozenSet[int]:
+def evicting_ecb_union(
+    taskset: TaskSet, tasks: Iterable[Task]
+) -> FrozenSet[int]:
     """Union of the ECBs of ``tasks`` — the eviction set of Eq. (14).
 
     The single place both reference eviction counts build their evicting
-    set from; an empty task group yields the empty set (nothing to evict).
+    set from, over ``taskset``'s ``frozenset`` views
+    (:meth:`~repro.model.task.TaskSet.frozen_blocks`) of its members
+    ``tasks``; an empty task group yields the empty set (nothing to
+    evict).
     """
-    return frozenset().union(*(t.ecbs for t in tasks))
+    return frozenset().union(*(taskset.frozen_blocks(t).ecbs for t in tasks))
 
 
 def cpro_eviction_count_union(
@@ -75,7 +80,10 @@ def cpro_eviction_count_union(
     ]
     if not others:
         return 0
-    return len(task_j.pcbs & evicting_ecb_union(others))
+    return len(
+        taskset.frozen_blocks(task_j).pcbs
+        & evicting_ecb_union(taskset, others)
+    )
 
 
 def cpro_eviction_count_global(
@@ -90,7 +98,10 @@ def cpro_eviction_count_global(
     others = [t for t in taskset.on_core(core) if t is not task_j]
     if not others:
         return 0
-    return len(task_j.pcbs & evicting_ecb_union(others))
+    return len(
+        taskset.frozen_blocks(task_j).pcbs
+        & evicting_ecb_union(taskset, others)
+    )
 
 
 def cpro_multiset_window(
@@ -117,11 +128,12 @@ def cpro_multiset_window(
     if not others:
         return 0
     extra = 1 if carry_in else 0
+    frozen = taskset.frozen_blocks
     total = 0
-    for pcb_set in task_j.pcbs:
+    for pcb_set in frozen(task_j).pcbs:
         opportunities = 0
         for evictor in others:
-            if pcb_set in evictor.ecbs:
+            if pcb_set in frozen(evictor).ecbs:
                 opportunities += -((-window) // int(evictor.period)) + extra
         total += min(n_jobs - 1, opportunities)
     return total
@@ -172,8 +184,11 @@ class CproCalculator:
     """Memoising front-end over the CPRO approaches (the reference kernel).
 
     Only the per-window-per-task eviction *count* is cached, computed once
-    per pair with ``frozenset`` algebra; the job count multiplier of
-    Eq. (14) varies with the window length and is applied in :meth:`rho`.
+    per pair with ``frozenset`` algebra over the task set's views (built
+    on the first value asked for, so the production kernel, whose
+    contexts construct a calculator too, builds none); the job count
+    multiplier of Eq. (14) varies with the window length and is applied
+    in :meth:`rho`.
     For the ``MULTISET`` approach the per-PCB evictor-overlap scan is
     precomputed too, so the per-call work of :meth:`rho_window` is a pure
     arithmetic fold.  The production kernel reads the same values from the
@@ -249,14 +264,15 @@ class CproCalculator:
         if not others:
             table = None
         else:
+            frozen = self._taskset.frozen_blocks
             table = tuple(
                 periods
-                for pcb in task_j.pcbs
+                for pcb in frozen(task_j).pcbs
                 if (
                     periods := tuple(
                         int(evictor.period)
                         for evictor in others
-                        if pcb in evictor.ecbs
+                        if pcb in frozen(evictor).ecbs
                     )
                 )
             )

@@ -15,14 +15,14 @@ and store experiment outputs.  The format is plain JSON with an explicit
 
 Round-trip fidelity is exact: every field of :class:`~repro.model.task.Task`
 and :class:`~repro.model.platform.Platform` survives, with cache-set sets
-stored as sorted lists.
+stored as ascending lists.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.atomicio import atomic_write_text
 from repro.errors import ModelError
@@ -92,12 +92,12 @@ def platform_from_dict(data: Dict) -> Platform:
 
 
 def task_to_dict(task: Task) -> Dict:
-    """Plain-dict form of a task.
+    """Plain-dict form of a task, its block sets as ascending index lists.
 
     A UCB or PCB set that is the ECB set itself (see
-    :func:`task_from_dict`) reuses the sorted ECB list.
+    :func:`task_from_dict`) reuses the ECB list.
     """
-    ecbs = sorted(task.ecbs)
+    ecbs = list(task.ecbs)
     return {
         "name": task.name,
         "pd": task.pd,
@@ -108,37 +108,60 @@ def task_to_dict(task: Task) -> Dict:
         "priority": task.priority,
         "core": task.core,
         "ecbs": ecbs,
-        "ucbs": ecbs if task.ucbs is task.ecbs else sorted(task.ucbs),
-        "pcbs": ecbs if task.pcbs is task.ecbs else sorted(task.pcbs),
+        "ucbs": ecbs if task.ucbs is task.ecbs else list(task.ucbs),
+        "pcbs": ecbs if task.pcbs is task.ecbs else list(task.pcbs),
     }
 
 
-def _cache_sets(data: Dict, key: str) -> FrozenSet[int]:
-    """``data[key]``, a list of cache set indices, as a set of ``int``.
+def _cache_sets(
+    data: Dict,
+    key: str,
+    num_sets: Optional[int],
+    ecbs: Optional[List[int]] = None,
+) -> List[int]:
+    """``data[key]``, a list of cache set indices, checked against the cache.
 
-    A member that is not an ``int`` — a ``float``, a ``bool``, a string,
-    a nested list — is a :class:`~repro.errors.ModelError` here, where
-    both kernels see it, instead of a ``TypeError`` from whichever kernel
-    packs it first.  :class:`~repro.model.task.Task` rejects negative
-    indices, and :func:`tasks_from_dicts`, which knows the platform,
-    indices past the cache.
+    Given the platform's ``num_sets``, an index at or past the cache is a
+    :class:`~repro.errors.ModelError` here, before
+    :class:`~repro.model.task.Task` packs the list into a mask as large
+    as its largest index.  ``max`` runs on the members as they were
+    decoded: numbers it orders, and members it cannot order make the
+    list malformed.  ``Task`` then rejects any other member that is not
+    an ``int`` (a ``float``, a ``bool``) and a negative index, so both
+    kernels see the same error and each list is scanned for its types
+    once.  A list of exactly the checked ``ecbs`` list's ``int`` indices
+    is that list (``1.0 == 1``, so equal lists may differ in type).
     """
     raw = data.get(key, ())
-    if isinstance(raw, (list, tuple)) and {int}.issuperset(map(type, raw)):
-        return frozenset(raw)
-    raise ModelError(
-        f"malformed task record {data.get('name')!r}: {key!r} must be a "
-        f"list of integer cache set indices"
-    )
+    if ecbs is not None and raw == ecbs and {int}.issuperset(map(type, raw)):
+        return ecbs
+    try:
+        past = bool(raw) and num_sets is not None and max(raw) >= num_sets
+    except TypeError:
+        past = None
+    if past is None or not isinstance(raw, (list, tuple)):
+        raise ModelError(
+            f"malformed task record {data.get('name')!r}: {key!r} must be a "
+            f"list of integer cache set indices"
+        )
+    if past:
+        raise ModelError(
+            f"{data['name']}: a cache set index is past the platform's "
+            f"{num_sets} sets"
+        )
+    return raw
 
 
-def task_from_dict(data: Dict) -> Task:
+def task_from_dict(data: Dict, num_sets: Optional[int] = None) -> Task:
     """Inverse of :func:`task_to_dict`.
 
-    A UCB or PCB set equal to the ECB set is the ECB set, as the
-    generator's whole-run sets are.  A record that is not an object, a
-    name that is not a string and a field of a type the task's checks
-    cannot compare raise :class:`~repro.errors.ModelError` too.
+    Given ``num_sets``, every cache set index must name one of that many
+    cache sets (see :func:`tasks_from_dicts`).  A UCB or PCB list equal
+    to the ECB list is handed over as the ECB list, so the task packs it
+    once and holds the ECB set, as the generator's whole-run sets are.  A
+    record that is not an object, a name that is not a string and a
+    field of a type the task's checks cannot compare raise
+    :class:`~repro.errors.ModelError` too.
     """
     if not isinstance(data, dict) or not isinstance(data.get("name"), str):
         raise ModelError(
@@ -146,9 +169,7 @@ def task_from_dict(data: Dict) -> Task:
             f"'name', got {data!r:.80}"
         )
     try:
-        ecbs = _cache_sets(data, "ecbs")
-        ucbs = _cache_sets(data, "ucbs")
-        pcbs = _cache_sets(data, "pcbs")
+        ecbs = _cache_sets(data, "ecbs", num_sets)
         return Task(
             name=data["name"],
             pd=data["pd"],
@@ -159,8 +180,8 @@ def task_from_dict(data: Dict) -> Task:
             priority=data["priority"],
             core=data.get("core", 0),
             ecbs=ecbs,
-            ucbs=ecbs if ucbs == ecbs else ucbs,
-            pcbs=ecbs if pcbs == ecbs else pcbs,
+            ucbs=_cache_sets(data, "ucbs", num_sets, ecbs),
+            pcbs=_cache_sets(data, "pcbs", num_sets, ecbs),
         )
     except KeyError as error:
         raise ModelError(f"malformed task record: missing {error}") from error
@@ -174,25 +195,18 @@ def tasks_from_dicts(records, platform: Platform) -> List[Task]:
     """:func:`task_from_dict` of each record, on ``platform``.
 
     Every cache set index must name one of the platform's
-    ``cache.num_sets`` sets.  The production kernel packs each index as a
-    mask bit, so an index past the cache would make its masks as large as
-    the index, while the reference kernel, which packs no masks, would
-    analyse the task set anyway.  No two tasks may share a name: verdicts
-    report response times by task name, so one of them would vanish.
+    ``cache.num_sets`` sets, checked before the index is packed into a
+    mask bit: an index past the cache would make the task's masks as
+    large as the index.  No two tasks may share a name: verdicts report
+    response times by task name, so one of them would vanish.
     """
     num_sets = platform.cache.num_sets
-    tasks = [task_from_dict(record) for record in records]
+    tasks = [task_from_dict(record, num_sets) for record in records]
     names = set()
     for task in tasks:
         if task.name in names:
             raise ModelError(f"{task.name}: two tasks share this name")
         names.add(task.name)
-        # UCBs and PCBs lie within the ECBs, so the ECBs' maximum bounds all.
-        if task.ecbs and max(task.ecbs) >= num_sets:
-            raise ModelError(
-                f"{task.name}: cache set index {max(task.ecbs)} is past "
-                f"the platform's {num_sets} sets"
-            )
     return tasks
 
 

@@ -71,8 +71,11 @@ from repro.service.protocol import (
 )
 
 #: Extra wait a coalesced request grants the leading computation beyond
-#: the leader's own watchdog allowance before giving up.
+#: the watchdog allowance of its own budget before giving up.
 COALESCE_GRACE = 5.0
+
+#: Statuses of a cooperative abort: partial estimates, quarantined.
+ABORTED = ("budget-exceeded", "cancelled")
 
 #: Floor for the deadline-derived analysis budget: a request admitted
 #: with almost no deadline left still gets this many seconds (the
@@ -232,11 +235,32 @@ class ServiceStats:
 class _Flight:
     """One in-flight computation identical concurrent requests share."""
 
-    __slots__ = ("done", "outcome")
+    __slots__ = ("done", "outcome", "budget_seconds", "max_iterations")
 
-    def __init__(self) -> None:
+    def __init__(self, leader: AnalysisRequest) -> None:
         self.done = threading.Event()
         self.outcome: Optional[Tuple[int, Dict]] = None
+        # The leader's limits, which decide an aborted or degraded body.
+        self.budget_seconds = leader.budget_seconds
+        self.max_iterations = leader.max_iterations
+
+    def binds(self, request: AnalysisRequest) -> bool:
+        """Whether ``request``'s limits are no looser than the leader's,
+        so a body the leader's limits aborted or degraded is its answer."""
+        return _within(request.budget_seconds, self.budget_seconds) and (
+            _within(request.max_iterations, self.max_iterations)
+        )
+
+
+def _within(own, leader) -> bool:
+    """Whether the limit ``own`` is no looser than ``leader``
+    (``None`` is no limit)."""
+    return leader is None or (own is not None and own <= leader)
+
+
+def _less(limit: Optional[float], spent: float) -> Optional[float]:
+    """What is left of ``limit`` after ``spent`` (``None`` is no limit)."""
+    return None if limit is None else limit - spent
 
 
 def _document_id(document) -> str:
@@ -259,8 +283,11 @@ class AnalysisService:
        stay available even while the worker pool is tripped.
     2. **Coalescing** — N identical concurrent requests that equally
        accept (or refuse) a degraded answer run *one* analysis; the
-       others wait on the leader's flight and share its outcome
-       (including failures and budget aborts).
+       others wait on the leader's flight and share its exact verdict or
+       its failure.  A budget abort or degraded answer, which the
+       leader's own limits decided, is shared only with waiters whose
+       limits are no looser; the others run again under their own, less
+       the time they waited.
     3. **Pool** — the leader runs through the circuit breaker and worker
        pool as before.  Only completed ``"ok"`` results are written back
        to the cache; aborted partials never are.
@@ -363,7 +390,7 @@ class AnalysisService:
                 self.stats.degraded += 1
                 if body.get("brownout"):
                     self.stats.brownout_served += 1
-        if status in ("budget-exceeded", "cancelled"):
+        if status in ABORTED:
             self._quarantine(body["id"], status)
 
     # -- request handling ----------------------------------------------------
@@ -547,18 +574,15 @@ class AnalysisService:
         # A degradable and a non-degradable request never share a flight:
         # the latter must not get an answer the former would accept.
         flight_key = (fingerprint, request.degradable)
-        if fingerprint is not None and self.config.coalesce:
+        while fingerprint is not None and self.config.coalesce:
             with self._lock:
-                flight = self._flights.get(flight_key)
-                if flight is not None:
-                    leader_flight = None
-                else:
-                    leader_flight = self._flights[flight_key] = _Flight()
-            if leader_flight is None:
-                return self._await_flight(
-                    request_id, request.budget_seconds, flight
-                )
-            flight = leader_flight
+                shared = self._flights.get(flight_key)
+                if shared is None:
+                    flight = self._flights[flight_key] = _Flight(request)
+                    break
+            answer, request = self._await_flight(request, shared)
+            if answer is not None:
+                return answer
         status = 500
         body: Dict = error_response(
             request_id,
@@ -641,30 +665,69 @@ class AnalysisService:
         return status, body
 
     def _await_flight(
-        self,
-        request_id: str,
-        budget_seconds: Optional[float],
-        flight: _Flight,
-    ) -> Tuple[int, Dict]:
-        """Share the outcome of an identical in-flight computation."""
-        allowance = self.pool.allowance_for(budget_seconds)
+        self, request: AnalysisRequest, flight: _Flight
+    ) -> Tuple[Optional[Tuple[int, Dict]], AnalysisRequest]:
+        """Wait for an identical in-flight computation and share its body.
+
+        The waiter takes the exact verdict, the body the cache stores,
+        and a failure (a crash, a watchdog kill, an error, a refusal), so
+        that an input which just killed or hung a worker is not run
+        again at once.  An aborted partial or a degraded answer was
+        decided by the leader's budget and iteration ceiling: the waiter
+        takes it when its own limits, less the time it waited, are no
+        looser (:meth:`_Flight.binds`).  Otherwise the answer is ``None``
+        and ``request`` comes back with the wait charged against its
+        budget and deadline, to run under its own limits; a request
+        whose deadline the wait used up is answered 504
+        ``deadline-expired`` instead.  Returns ``(answer, request)``.
+        """
+        request_id = request.request_id
+        started = self._clock()
+        allowance = self.pool.allowance_for(request.budget_seconds)
         timeout = None if allowance is None else allowance + COALESCE_GRACE
         if not flight.done.wait(timeout):
             with self._lock:
                 self.stats.analysis_errors += 1
-            return 500, error_response(
-                request_id,
-                ChunkTimeoutError(
-                    "coalesced request timed out waiting for the identical "
-                    "in-flight computation"
+            return (
+                500,
+                error_response(
+                    request_id,
+                    ChunkTimeoutError(
+                        "coalesced request timed out waiting for the "
+                        "identical in-flight computation"
+                    ),
                 ),
-            )
+            ), request
         status, shared = flight.outcome
+        waited = self._clock() - started
+        charged = replace(
+            request,
+            budget_seconds=_less(request.budget_seconds, waited),
+            deadline_ms=_less(request.deadline_ms, waited * 1000.0),
+        )
+        limited = shared.get("status") in ABORTED or "degraded" in shared
+        if limited and not flight.binds(charged):
+            if charged.deadline_ms is not None and charged.deadline_ms <= 0:
+                return self._refuse(
+                    "deadline-expired",
+                    request_id,
+                    "deadline expired while an identical request with "
+                    "tighter limits ran",
+                ), charged
+            if charged.budget_seconds is not None:
+                # Like admission's floor: the rerun can at least return
+                # its typed abort, unless the caller asked for less.
+                floor = min(request.budget_seconds, MIN_BUDGET_SECONDS)
+                charged = replace(
+                    charged,
+                    budget_seconds=max(charged.budget_seconds, floor),
+                )
+            return None, charged
         body = dict(shared, id=request_id, cache="coalesced")
         with self._lock:
             self.perf.coalesced_requests += 1
         self._settle(body)
-        return status, body
+        return (status, body), request
 
     def _run_pool(self, request: AnalysisRequest) -> Tuple[int, Dict]:
         """Run one leading request through the breaker and pool."""

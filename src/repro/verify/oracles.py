@@ -8,7 +8,7 @@ fuzz noise:
 ``kernel-identity``
     The production kernel (fused rows of the packed-bitmask
     :class:`~repro.model.interference.InterferenceTable`) and the reference
-    kernel (per-term evaluation over ``frozenset`` calculators,
+    kernel (per-term evaluation over calculators with ``frozenset`` views,
     :attr:`~repro.analysis.config.AnalysisConfig.reference`) return
     bit-identical :class:`~repro.analysis.wcrt.WcrtResult`\\ s.  Flagged
     ``always_replay``: corpus replay runs it on every task-set entry,

@@ -1,7 +1,7 @@
 """Unit tests of the packed-bitmask interference table.
 
 The bitmask kernel (:mod:`repro.model.interference`) must agree with the
-``frozenset`` reference path on *every* input, including the edges where a
+reference path's ``frozenset`` views on *every* input, including the edges where a
 packed-integer implementation classically goes wrong: empty block sets,
 cache-set indices crossing the 64-bit word boundary, and degenerate task
 groups (a core with a single task has nobody to evict anything).  The
@@ -17,11 +17,8 @@ from repro.crpd.approaches import CrpdApproach, CrpdCalculator
 from repro.crpd.multiset import multiset_pair_data
 from repro.errors import ModelError
 from repro.generation.taskset_gen import generate_taskset
-from repro.model.interference import (
-    InterferenceTable,
-    blocks_to_mask,
-    mask_to_blocks,
-)
+from repro.model.blocks import BlockSet
+from repro.model.interference import InterferenceTable
 from repro.model.platform import CacheGeometry, Platform
 from repro.model.task import Task, TaskSet
 from repro.persistence.cpro import (
@@ -64,32 +61,45 @@ def _evictable(table, approach, task_j, task_i):
 
 
 class TestMaskPacking:
+    """Edge cases of packing a block set into its mask."""
+
     def test_round_trip_small_indices(self):
         blocks = frozenset({0, 3, 17})
-        assert mask_to_blocks(blocks_to_mask(blocks)) == blocks
+        packed = BlockSet(blocks)
+        assert packed.mask == 0b100000000000001001
+        assert BlockSet.from_mask(packed.mask) == blocks
 
     def test_empty_set_packs_to_zero(self):
-        assert blocks_to_mask(()) == 0
-        assert mask_to_blocks(0) == frozenset()
+        assert BlockSet(()).mask == 0 == BlockSet().mask
+        assert BlockSet.from_mask(0) == frozenset()
+        assert list(BlockSet()) == [] and len(BlockSet()) == 0
 
     def test_word_boundary_indices(self):
         # Indices straddling the 64-bit limb boundary and far beyond it:
         # Python ints have no word size, so nothing special may happen.
         blocks = frozenset({0, 63, 64, 127, 128, 1000})
-        mask = blocks_to_mask(blocks)
-        assert mask.bit_count() == len(blocks)
-        assert mask_to_blocks(mask) == blocks
+        packed = BlockSet(blocks)
+        assert packed.mask.bit_count() == len(blocks)
+        assert packed.mask >> 63 & 0b11 == 0b11
+        assert list(packed) == sorted(blocks)
+        assert BlockSet.from_mask(packed.mask) == blocks
+
+    def test_index_256_past_the_paper_cache(self):
+        # The first index past the paper's 256-set cache packs like any
+        # other, with its neighbours on either side of the boundary.
+        assert BlockSet([255]).mask == 1 << 255
+        assert BlockSet([256]).mask == 1 << 256
+        assert BlockSet([256, 255, 0]).mask == 0b11 << 255 | 1
+        assert list(BlockSet([256, 0])) == [0, 256]
 
     def test_intersection_cardinality_across_words(self):
-        a = blocks_to_mask({63, 64, 65, 500})
-        b = blocks_to_mask({64, 500, 501})
-        assert (a & b).bit_count() == len(
-            frozenset({63, 64, 65, 500}) & frozenset({64, 500, 501})
-        )
+        a, b = {63, 64, 65, 500}, {64, 500, 501}
+        assert len(BlockSet(a) & BlockSet(b)) == len(a & b) == 2
+        assert (BlockSet(a).mask & BlockSet(b).mask).bit_count() == 2
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ModelError):
-            blocks_to_mask({1, -1})
+        with pytest.raises(ModelError, match="non-negative"):
+            BlockSet({1, -1})
 
 
 class TestInterferenceTableEdges:
@@ -121,7 +131,7 @@ class TestInterferenceTableEdges:
         )
         taskset = TaskSet(tasks)
         table = InterferenceTable(taskset)
-        assert table.pcb_mask[3] == blocks_to_mask({5})
+        assert table.pcb_mask[3] == 1 << 5
         a, _, c = tasks
         assert table.eviction_cuts(CproApproach.UNION)[3] == (0, 0, 0, 0)
         for approach in CproApproach:
@@ -182,8 +192,9 @@ class TestInterferenceTableEdges:
 
     @pytest.mark.parametrize("num_sets", [64, 256])
     def test_every_mask_packs_its_set(self, num_sets):
-        # Generated whole-run UCB/PCB sets are the ECB set itself and
-        # reuse its mask; every mask must still be its own set's packing.
+        # The generator builds its block sets as masks, by shifts, and
+        # hands a whole-run UCB/PCB set over as the ECB set itself; every
+        # mask the table reads must still be its own set's members.
         platform = Platform(
             num_cores=4, d_mem=10, cache=CacheGeometry(num_sets=num_sets)
         )
@@ -193,9 +204,14 @@ class TestInterferenceTableEdges:
             table = InterferenceTable(taskset)
             for task in taskset:
                 key = task.priority
-                assert table.ecb_mask[key] == blocks_to_mask(task.ecbs)
-                assert table.ucb_mask[key] == blocks_to_mask(task.ucbs)
-                assert table.pcb_mask[key] == blocks_to_mask(task.pcbs)
+                for mask, blocks in (
+                    (table.ecb_mask[key], task.ecbs),
+                    (table.ucb_mask[key], task.ucbs),
+                    (table.pcb_mask[key], task.pcbs),
+                ):
+                    members = frozenset(blocks)
+                    assert mask == sum(1 << b for b in members)
+                    assert max(members, default=0) < num_sets
                 shared += (task.ucbs is task.ecbs) + (task.pcbs is task.ecbs)
         assert shared > 0
 
@@ -207,8 +223,11 @@ class TestInterferenceTableEdges:
 
     def test_evicting_union_helper_matches_manual_fold(self):
         tasks = (_task("a", 1, ecbs={1, 64}), _task("b", 2, ecbs={64, 200}))
-        assert evicting_ecb_union(tasks) == frozenset({1, 64, 200})
-        assert evicting_ecb_union(()) == frozenset()
+        taskset = TaskSet(tasks)
+        union = evicting_ecb_union(taskset, tasks)
+        assert union == frozenset({1, 64, 200})
+        assert type(union) is frozenset
+        assert evicting_ecb_union(taskset, ()) == frozenset()
 
 
 #: Job counts and windows the multiset CPRO rows are evaluated at: the
@@ -254,7 +273,7 @@ def _pin_multiset_tables(taskset):
                 evictors = [t for t in members[:k] if t is not task_j]
                 assert all(count > 0 and periods for count, periods in groups)
                 assert sum(count for count, _ in groups) == len(
-                    task_j.pcbs & evicting_ecb_union(evictors)
+                    task_j.pcbs & evicting_ecb_union(taskset, evictors)
                 )
                 for n_jobs in _JOB_COUNTS:
                     for window in _WINDOWS:
@@ -482,3 +501,9 @@ class TestKernelSelection:
         )
         assert crpd.approach is CrpdApproach.ECB_UNION
         assert "interference-table" not in taskset._derived
+        # Nor are the reference's frozenset views built before a
+        # reference value is asked for.
+        assert "frozen-blocks" not in taskset._derived
+        low, high = reversed(taskset)
+        assert crpd.gamma(low, high) == 0
+        assert "frozen-blocks" in taskset._derived

@@ -162,6 +162,8 @@ class TestPlacement:
 
 class TestSharedBlockSets:
     def test_whole_run_subsets_are_the_ecb_set(self, platform):
+        # Free to share: the whole run's subset is the ECB set already
+        # built, so the generator packs nothing more for it.
         seen = set()
         for seed in range(10):
             for task in generate_taskset(random.Random(seed), platform, 0.5):
@@ -174,7 +176,10 @@ class TestSharedBlockSets:
                     assert len(blocks) == min(count, len(task.ecbs))
         assert seen == {True, False}
 
-    def test_whole_cache_run_is_one_object_across_task_sets(self):
+    def test_whole_cache_runs_are_the_whole_cache(self):
+        # Runs of any start that cover the cache pack to the same mask;
+        # each task holds its own block set (sharing one across tasks
+        # would save about a hundred bytes).
         at_64 = Platform(num_cores=4, d_mem=10, cache=CacheGeometry(num_sets=64))
         runs = [
             task.ecbs
@@ -183,8 +188,8 @@ class TestSharedBlockSets:
             if len(task.ecbs) == 64
         ]
         assert len(runs) > 5
-        assert all(blocks is runs[0] for blocks in runs)
-        assert runs[0] == frozenset(range(64))
+        assert all(blocks.mask == (1 << 64) - 1 for blocks in runs)
+        assert all(blocks == frozenset(range(64)) for blocks in runs)
 
 
 def _setsize(k):

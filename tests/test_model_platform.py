@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
+from repro.model.blocks import MAX_CACHE_SETS
 from repro.model.platform import (
     BusPolicy,
     CacheGeometry,
@@ -59,6 +60,12 @@ class TestCacheGeometry:
     def test_rejects_non_positive_sets(self):
         with pytest.raises(ModelError):
             CacheGeometry(num_sets=0)
+
+    def test_every_set_index_packs(self):
+        # A set index must pack into a block set, so the cache is bounded.
+        assert CacheGeometry(num_sets=MAX_CACHE_SETS).num_sets == MAX_CACHE_SETS
+        with pytest.raises(ModelError, match="at most"):
+            CacheGeometry(num_sets=2 * MAX_CACHE_SETS)
 
     def test_rejects_negative_address(self):
         with pytest.raises(ModelError):

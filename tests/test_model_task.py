@@ -10,6 +10,7 @@ from repro.analysis.wcrt import analyze_taskset
 from repro.errors import ModelError
 from repro.experiments import default_platform
 from repro.generation import generate_taskset
+from repro.model.blocks import MAX_CACHE_SETS, BlockSet
 from repro.model.task import (
     Task,
     TaskSet,
@@ -89,16 +90,50 @@ class TestTaskValidation:
         with pytest.raises(ModelError):
             make_task(ucbs=frozenset({-1}))
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (-1, "non-negative"),
+            (-(2**70), "non-negative"),
+            (1.0, "must be ints"),
+            (True, "must be ints"),
+            ("3", "must be ints"),
+            (None, "must be ints"),
+            (MAX_CACHE_SETS, "too large to pack"),
+            (10**10, "too large to pack"),
+            (2**70, "too large to pack"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("label", ["ecbs", "ucbs", "pcbs"])
+    def test_unpackable_index_is_a_typed_error(self, label, index, message):
+        # Rejected before any shift: 10**10 would be a 1.25 GB mask.
+        sets = dict(ecbs=[1, 2, 3], ucbs=[], pcbs=[])
+        sets[label] = [2, index] if label == "ecbs" else [index]
+        with pytest.raises(ModelError, match=f"^t: .*{message}"):
+            make_task(**sets)
+
+    def test_last_packable_index_is_accepted(self):
+        last = MAX_CACHE_SETS - 1
+        task = make_task(ecbs=[0, last], ucbs=[last], pcbs=[])
+        assert task.ecbs.mask == 1 | 1 << last and max(task.ucbs) == last
+
     def test_whole_run_subsets_may_be_the_ecb_set(self):
         ecbs = frozenset({1, 2, 3})
         task = make_task(ecbs=ecbs, ucbs=ecbs, pcbs=ecbs)
         assert task.ucbs is task.ecbs and task.pcbs is task.ecbs
+        # Equal but distinct arguments pack into equal block sets.
+        task = make_task(ecbs=ecbs, ucbs=set(ecbs), pcbs=[3, 2, 1])
+        assert task.ucbs == task.ecbs == task.pcbs == ecbs
 
-    def test_sets_coerced_to_frozenset(self):
+    def test_sets_packed_into_block_sets(self):
         task = make_task(ecbs={1, 2, 3}, ucbs={1}, pcbs={2})
-        assert isinstance(task.ecbs, frozenset)
-        assert isinstance(task.ucbs, frozenset)
-        assert isinstance(task.pcbs, frozenset)
+        assert type(task.ecbs) is BlockSet and task.ecbs.mask == 0b1110
+        assert type(task.ucbs) is BlockSet and task.ucbs.mask == 0b10
+        assert type(task.pcbs) is BlockSet and task.pcbs.mask == 0b100
+        # A block set is taken as it is, not packed again.
+        packed = BlockSet({1, 2, 3})
+        assert make_task(ecbs=packed, ucbs=(), pcbs=()).ecbs is packed
 
 
 class TestTaskMetrics:

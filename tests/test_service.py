@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import pickle
+import pickletools
 import random
 import socket
 import threading
@@ -29,6 +30,7 @@ from repro.errors import (
 )
 from repro.experiments import default_platform
 from repro.generation import generate_taskset
+from repro.model.blocks import BlockSet
 from repro.model.task import Task
 from repro.perf import PerfCounters
 from repro.serialization import taskset_to_json
@@ -46,6 +48,7 @@ from repro.service.__main__ import main as service_main
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.daemon import REFUSALS, _Handler
 from repro.service.pool import service_worker
+from repro.service.protocol import DEADLINE_SAFETY_MS
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,21 @@ class TestProtocolValidation:
 class TestServiceWorker:
     """The worker function itself, run in-process for speed."""
 
+    def test_shipped_request_carries_block_sets_as_masks(self, envelope):
+        # The daemon pickles the parsed request to the pool worker: each
+        # block set crosses as its int mask, never as a frozenset.
+        request = parse_request(request_document(envelope))
+        payload = pickle.dumps(request)
+        for opcode, argument, _ in pickletools.genops(payload):
+            assert opcode.name != "FROZENSET"
+            assert argument != "frozenset"
+        clone = pickle.loads(payload)
+        for mine, theirs in zip(request.taskset, clone.taskset):
+            assert type(theirs.ecbs) is BlockSet
+            assert (theirs.ecbs, theirs.ucbs, theirs.pcbs) == (
+                mine.ecbs, mine.ucbs, mine.pcbs
+            )
+
     def test_ok_response(self, envelope):
         response, perf = service_worker(shipped_document(envelope))
         assert response["status"] == "ok"
@@ -217,7 +235,9 @@ class TestRequestValidation:
         assert response["error"] == "ModelError"
 
     @pytest.mark.parametrize(
-        "ecbs", [[-1, 2], [1.5, 2], [256, 2], [2**70, 2]], ids=repr
+        "ecbs",
+        [[-1, 2], [1.5, 2], [256, 2], [2**70, 2], [1e20, 2], [math.inf, 2]],
+        ids=repr,
     )
     def test_malformed_cache_set_index_is_one_typed_error(self, envelope, ecbs):
         # The reference kernel packs no masks, so only a check before
@@ -753,9 +773,9 @@ class TestParseOnlyOnAMiss:
             counts["tasks"] += 1
             post_init(task)
 
-        def counting_from_dict(record):
+        def counting_from_dict(record, *args):
             counts["records"] += 1
-            return from_dict(record)
+            return from_dict(record, *args)
 
         monkeypatch.setattr(Task, "__post_init__", counting_post_init)
         monkeypatch.setattr(serialization, "task_from_dict", counting_from_dict)
@@ -913,24 +933,40 @@ class TestParseOnlyOnAMiss:
 class TestCoalescing:
     """The request-coalescing tier (works with or without the cache)."""
 
-    def run_pair(self, service, envelope, entered, release):
-        """Start a leader, then a waiter on the identical document."""
+    def run_pair(
+        self,
+        service,
+        envelope,
+        entered,
+        release,
+        leader=None,
+        waiter=None,
+        before_release=None,
+    ):
+        """Start a leader, then a waiter on the identical document, each
+        with its own extra request fields."""
         results = {}
 
-        def submit(name, request_id):
+        def submit(name, request_id, extra):
             results[name] = service.handle(
-                request_document(envelope, id=request_id)
+                request_document(envelope, id=request_id, **extra)
             )
 
-        leader = threading.Thread(target=submit, args=("leader", "lead-1"))
+        leader = threading.Thread(
+            target=submit, args=("leader", "lead-1", leader or {})
+        )
         leader.start()
         assert entered.wait(timeout=30)  # the leader owns the flight
-        waiter = threading.Thread(target=submit, args=("waiter", "wait-1"))
+        waiter = threading.Thread(
+            target=submit, args=("waiter", "wait-1", waiter or {})
+        )
         waiter.start()
         deadline = time.monotonic() + 30
         while not service._flights and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.1)  # let the waiter reach flight.done.wait()
+        if before_release is not None:
+            before_release()
         release.set()
         leader.join(timeout=30)
         waiter.join(timeout=30)
@@ -1036,6 +1072,196 @@ class TestCoalescing:
         assert "degraded" not in body and "cache" not in body
         assert results["lead-1"][1]["degraded"]["tier"] == "baseline"
         assert service.perf.coalesced_requests == 0
+        assert service._flights == {}
+
+    def test_an_unlimited_request_never_takes_a_capped_leaders_partials(
+        self, envelope
+    ):
+        # Iteration ceilings and budgets are not part of the key, so the
+        # unlimited request waits on the capped leader's flight; the
+        # leader's budget-exceeded body is its own, and the waiter then
+        # runs under its own (absent) limits.
+        entered, release = threading.Event(), threading.Event()
+        pool = self.blocking_pool(entered, release)
+        service = make_service(pool=pool)
+        results = {}
+
+        def submit(name, **extra):
+            results[name] = service.handle(
+                request_document(envelope, id=name, **extra)
+            )
+
+        capped = threading.Thread(
+            target=submit, args=("capped",), kwargs={"max_iterations": 2}
+        )
+        capped.start()
+        assert entered.wait(timeout=30)  # the capped request leads
+        unlimited = threading.Thread(target=submit, args=("unlimited",))
+        unlimited.start()
+        time.sleep(0.1)  # let the waiter reach flight.done.wait()
+        assert pool.calls == 1
+        release.set()
+        capped.join(timeout=30)
+        unlimited.join(timeout=30)
+        assert results["capped"][1]["status"] == "budget-exceeded"
+        status, body = results["unlimited"]
+        assert (status, body["status"]) == (200, "ok")
+        assert "cache" not in body and "partial_response_times" not in body
+        assert pool.calls == 2
+        assert [entry["id"] for entry in service.quarantined] == ["capped"]
+        assert service.perf.coalesced_requests == 0
+        assert service._flights == {}
+
+    @pytest.mark.parametrize(
+        "leader, waiter",
+        [
+            ({"max_iterations": 2}, {"max_iterations": 2}),
+            ({"max_iterations": 2}, {"max_iterations": 1}),
+            (
+                {"max_iterations": 2, "budget_seconds": 20},
+                {"max_iterations": 2, "budget_seconds": 20},
+            ),
+        ],
+        ids=["same-cap", "tighter-cap", "same-cap-and-budget"],
+    )
+    def test_a_waiter_no_looser_than_the_leader_shares_its_abort(
+        self, envelope, leader, waiter
+    ):
+        # The leader's limits aborted its run, and the waiter's own, less
+        # its wait, are no looser: its own run would abort as well.
+        entered, release = threading.Event(), threading.Event()
+        pool = self.blocking_pool(entered, release)
+        service = make_service(pool=pool)
+        results = self.run_pair(
+            service, envelope, entered, release, leader=leader, waiter=waiter
+        )
+        assert results["leader"][1]["status"] == "budget-exceeded"
+        status, body = results["waiter"]
+        assert (status, body["status"], body["cache"]) == (
+            200, "budget-exceeded", "coalesced"
+        )
+        assert pool.calls == 1
+        assert service.perf.coalesced_requests == 1
+        assert [entry["id"] for entry in service.quarantined] == [
+            "lead-1", "wait-1"
+        ]
+        assert service._flights == {}
+
+    def test_a_looser_budget_runs_again(self, envelope):
+        entered, release = threading.Event(), threading.Event()
+        pool = self.blocking_pool(entered, release)
+        service = make_service(pool=pool)
+        results = self.run_pair(
+            service,
+            envelope,
+            entered,
+            release,
+            leader={"max_iterations": 2, "budget_seconds": 20},
+            waiter={"max_iterations": 2, "budget_seconds": 60},
+        )
+        status, body = results["waiter"]
+        assert (status, body["status"]) == (200, "budget-exceeded")
+        assert "cache" not in body
+        assert pool.calls == 2
+        assert service.perf.coalesced_requests == 0
+
+    def clocked_pair(self, envelope, waiter, wait_seconds):
+        """A degradable capped leader and ``waiter`` on a fake clock that
+        moves ``wait_seconds`` while the waiter waits; returns the
+        results, the requests the pool ran and the service."""
+        now = [100.0]
+        ran = []
+        entered, release = threading.Event(), threading.Event()
+
+        def blocked(request):
+            ran.append(request)
+            entered.set()
+            assert release.wait(timeout=30)
+            return service_worker(request)
+
+        service = make_service(pool=StubPool(blocked), clock=lambda: now[0])
+        results = self.run_pair(
+            service,
+            envelope,
+            entered,
+            release,
+            leader={"max_iterations": 2, "degrade": True},
+            waiter=waiter,
+            before_release=lambda: now.__setitem__(0, now[0] + wait_seconds),
+        )
+        assert results["leader"][1]["status"] == "budget-exceeded"
+        return results, ran, service
+
+    def test_a_rerun_is_charged_the_time_it_waited(self, envelope):
+        # The waiter has no iteration cap, so it runs again, under what
+        # is left of its deadline after one second of waiting.
+        results, ran, _service = self.clocked_pair(
+            envelope, {"deadline_ms": 10_000}, wait_seconds=1.0
+        )
+        status, body = results["waiter"]
+        assert (status, body["status"]) == (200, "ok")
+        assert "cache" not in body
+        assert len(ran) == 2
+        admitted = 10.0 - DEADLINE_SAFETY_MS / 1000.0
+        assert ran[1].deadline_ms == pytest.approx((admitted - 1.0) * 1000)
+        assert ran[1].budget_seconds == pytest.approx(admitted - 1.0)
+
+    def test_a_deadline_the_wait_used_up_is_a_504(self, envelope):
+        results, ran, service = self.clocked_pair(
+            envelope, {"deadline_ms": 500}, wait_seconds=1.0
+        )
+        status, body = results["waiter"]
+        assert (status, body["status"]) == (504, "deadline-expired")
+        assert len(ran) == 1
+        assert service.stats.shed_expired == 1
+        assert [entry["id"] for entry in service.quarantined] == ["lead-1"]
+
+    def test_rerunning_waiters_coalesce_with_each_other(self, envelope):
+        # Neither unlimited request takes the capped leader's partials;
+        # one of them leads the rerun and the other shares its verdict.
+        entered, release, rerun = (threading.Event() for _ in range(3))
+
+        def blocked(request):
+            entered.set()
+            gate = release if request.max_iterations else rerun
+            assert gate.wait(timeout=30)
+            return service_worker(request)
+
+        pool = StubPool(blocked)
+        service = make_service(pool=pool)
+        results = {}
+
+        def submit(name, **extra):
+            results[name] = service.handle(
+                request_document(envelope, id=name, **extra)
+            )
+
+        capped = threading.Thread(
+            target=submit, args=("capped",), kwargs={"max_iterations": 2}
+        )
+        capped.start()
+        assert entered.wait(timeout=30)
+        waiters = [
+            threading.Thread(target=submit, args=(name,)) for name in "ab"
+        ]
+        for thread in waiters:
+            thread.start()
+        time.sleep(0.1)  # let both reach flight.done.wait()
+        release.set()
+        deadline = time.monotonic() + 30
+        while pool.calls < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # let the other waiter join the rerun's flight
+        rerun.set()
+        for thread in [capped, *waiters]:
+            thread.join(timeout=30)
+        assert pool.calls == 2
+        bodies = [results[name][1] for name in "ab"]
+        assert [body["status"] for body in bodies] == ["ok", "ok"]
+        assert sorted(body.get("cache", "") for body in bodies) == [
+            "", "coalesced"
+        ]
+        assert [entry["id"] for entry in service.quarantined] == ["capped"]
         assert service._flights == {}
 
     def test_coalescing_can_be_disabled(self, envelope):
