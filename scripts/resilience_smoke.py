@@ -14,7 +14,10 @@ the ``resilience-smoke`` CI job):
    run.
 3. **Kill + resume** — a journaled sweep is SIGTERMed mid-flight (exit
    130, journal flushed), resumed with ``--resume``, and the resumed
-   report must be bit-identical to an uninterrupted run.
+   report must be bit-identical to an uninterrupted run.  A last
+   ``--resume --profile`` over the completed journal must print the same
+   report and run no analysis (``analyses 0``): the journal is the
+   sweep's one durable replay.
 
 Exits non-zero with a diagnostic on the first violated expectation.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -52,8 +56,9 @@ def run(args, check=True):
 
 
 def figure_lines(text):
-    """Report lines without the wall-clock timing footers."""
-    return [line for line in text.splitlines() if not line.startswith("[")]
+    """Report lines without the wall-clock timing footers or a profile."""
+    report = text.split("Performance profile:")[0]
+    return [line for line in report.splitlines() if not line.startswith("[")]
 
 
 def expect(condition, message):
@@ -141,20 +146,20 @@ def kill_resume_scenario(samples):
             expect(victim.returncode == 0, "victim run neither finished nor 130")
         journal_files = list(pathlib.Path(journal).glob("*.jsonl"))
         expect(bool(journal_files), "journal file exists after the kill")
-        resumed = run(
-            BASE
-            + [
-                "fig2",
-                "--samples",
-                samples,
-                "--journal",
-                journal,
-                "--resume",
-            ]
-        )
+        resume = args + ["--resume"]
+        resumed = run(resume)
         expect(
             figure_lines(resumed.stdout) == figure_lines(uninterrupted.stdout),
             "resumed sweep is bit-identical to an uninterrupted run",
+        )
+        replayed = run(resume + ["--profile"])
+        expect(
+            figure_lines(replayed.stdout) == figure_lines(uninterrupted.stdout),
+            "a resume of the completed journal prints the same report",
+        )
+        expect(
+            re.search(r"^  analyses +0 ", replayed.stdout, re.MULTILINE),
+            "a resume of the completed journal runs no analysis",
         )
 
 

@@ -25,17 +25,9 @@ from typing import Optional
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import WcrtResult, analyze_taskset
 from repro.budget import Budget
-from repro.errors import ModelError
 from repro.perf import PerfCounters
 from repro.model.platform import BusPolicy, Platform
 from repro.model.task import TaskSet
-from repro.resultcache import (
-    ResultCache,
-    request_fingerprint,
-    result_from_payload,
-    result_payload,
-)
-from repro.serialization import platform_to_dict, task_to_dict
 
 
 @dataclass
@@ -48,52 +40,12 @@ class SchedulabilityVerdict:
     reason: str = ""
 
 
-def _analyze(
-    taskset: TaskSet,
-    platform: Platform,
-    config: AnalysisConfig,
-    perf: Optional[PerfCounters],
-    budget: Optional[Budget],
-    result_cache: Optional[ResultCache],
-) -> WcrtResult:
-    """Run (or durably recall) one WCRT analysis.
-
-    With a ``result_cache`` the request is fingerprinted
-    (:func:`repro.resultcache.request_fingerprint`) and served from disk
-    when a valid entry exists — the rebuilt result is bit-identical to a
-    cold compute because the bounds are deterministic functions of the
-    fingerprinted triple.  Completed verdicts are written back; budget
-    aborts raise out of :func:`analyze_taskset` before the store, so
-    partials never land in the cache.
-    """
-    if result_cache is None:
-        return analyze_taskset(taskset, platform, config, perf=perf, budget=budget)
-    fingerprint = request_fingerprint(
-        [task_to_dict(task) for task in taskset],
-        platform_to_dict(platform),
-        config,
-    )
-    payload = result_cache.get(fingerprint, perf=perf)
-    if payload is not None:
-        try:
-            return result_from_payload(taskset, payload)
-        except ModelError:
-            # An entry that validated but does not line up with this task
-            # set (possible only under fingerprint collision or a foreign
-            # file renamed into place): drop it and recompute.
-            result_cache.invalidate(fingerprint)
-    result = analyze_taskset(taskset, platform, config, perf=perf, budget=budget)
-    result_cache.put(fingerprint, result_payload(result), perf=perf)
-    return result
-
-
 def check_schedulability(
     taskset: TaskSet,
     platform: Platform,
     config: AnalysisConfig = AnalysisConfig(),
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    result_cache: Optional[ResultCache] = None,
 ) -> SchedulabilityVerdict:
     """Full schedulability verdict with the underlying WCRT result.
 
@@ -104,9 +56,7 @@ def check_schedulability(
     :func:`repro.analysis.wcrt.analyze_taskset`), so re-checking a verdict
     is much cheaper than the first check — and bit-identical to it.
     ``budget`` threads a :class:`~repro.budget.Budget` through the WCRT
-    analysis (see :mod:`repro.budget`); ``result_cache`` consults a
-    persistent :class:`~repro.resultcache.ResultCache` before running the
-    WCRT iteration and stores completed verdicts back into it.
+    analysis (see :mod:`repro.budget`).
     """
     d_mem = platform.d_mem
 
@@ -128,7 +78,9 @@ def check_schedulability(
                 bus_utilization=bus_util,
                 reason="bus utilisation exceeds 1",
             )
-        result = _analyze(taskset, platform, config, perf, budget, result_cache)
+        result = analyze_taskset(
+            taskset, platform, config, perf=perf, budget=budget
+        )
         return SchedulabilityVerdict(
             schedulable=result.schedulable,
             wcrt=result,
@@ -136,7 +88,7 @@ def check_schedulability(
             reason="" if result.schedulable else "deadline miss (perfect bus)",
         )
 
-    result = _analyze(taskset, platform, config, perf, budget, result_cache)
+    result = analyze_taskset(taskset, platform, config, perf=perf, budget=budget)
     if result.schedulable:
         return SchedulabilityVerdict(schedulable=True, wcrt=result)
     failed = result.failed_task.name if result.failed_task else "<outer loop>"
@@ -153,10 +105,8 @@ def is_schedulable(
     config: AnalysisConfig = AnalysisConfig(),
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    result_cache: Optional[ResultCache] = None,
 ) -> bool:
     """Boolean schedulability predicate used by the experiment sweeps."""
     return check_schedulability(
-        taskset, platform, config, perf=perf, budget=budget,
-        result_cache=result_cache,
+        taskset, platform, config, perf=perf, budget=budget
     ).schedulable

@@ -144,21 +144,18 @@ class Budget:
         """Whether :meth:`start` has been called."""
         return self._started_at is not None
 
-    def child(
-        self, fraction: float, min_seconds: Optional[float] = None
-    ) -> "Budget":
+    def child(self, fraction: float) -> "Budget":
         """Slice off a child budget covering ``fraction`` of what is left.
 
         The degradation ladder (:mod:`repro.analysis.ladder`) gives each
         tier a slice of the request's remaining budget so an expensive
         tier cannot starve the cheaper fallbacks behind it.  Guarantees:
 
-        * A child can never exceed its parent: its wall allowance is
-          capped at the parent's *remaining* seconds (``min_seconds``, a
-          floor for admitted-but-nearly-expired requests, is likewise
-          capped), its iteration ceiling at the parent's remaining ticks,
-          and every child tick also charges the parent — so the parent's
-          own limits fire inside the child the moment they are reached.
+        * A child can never exceed its parent: its wall allowance is a
+          fraction of the parent's *remaining* seconds, its iteration
+          ceiling of the parent's remaining ticks, and every child tick
+          also charges the parent — so the parent's own limits fire
+          inside the child the moment they are reached.
         * The cancel token, clock and stride are shared, so cancellation
           and injected test clocks behave identically at every depth.
         * An unlimited parent dimension stays unlimited in the child.
@@ -182,8 +179,6 @@ class Budget:
                     f"{self.wall_seconds}s wall-clock allowance"
                 )
             wall = remaining * fraction
-            if min_seconds is not None:
-                wall = max(wall, min(min_seconds, remaining))
         ceiling: Optional[int] = None
         if self.max_iterations is not None:
             left = self.max_iterations - self.iterations

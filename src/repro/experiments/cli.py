@@ -30,7 +30,6 @@ line or model/validation error, 3 analysis error, 4 execution error
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -38,13 +37,12 @@ from typing import List, Optional
 from repro.errors import AnalysisError, ReproError, SweepInterrupted
 from repro.exitcodes import EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, exit_code_for
 from repro.experiments.config import settings_from_environment
+from repro.experiments.faults import parse_sweep_fault, sweep_fault_kinds
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3a, run_fig3b, run_fig3c, run_fig3d
-from repro.experiments.runner import RESULT_CACHE_ENV
 from repro.experiments.table1 import run_table1
 from repro.perf import global_counters, reset_global_counters
-from repro.verify.faults import parse_sweep_fault, sweep_fault_kinds
 
 _EXPERIMENTS = ("table1", "fig1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d")
 
@@ -141,14 +139,6 @@ def _parser() -> argparse.ArgumentParser:
         f"({', '.join(sweep_fault_kinds())}; optionally "
         "'KIND:POINT,SAMPLE') to prove the recovery paths work",
     )
-    parser.add_argument(
-        "--result-cache",
-        metavar="DIR",
-        default=None,
-        help="serve repeated analyses from a persistent content-addressed "
-        "result cache in DIR (shared with the service daemon; verdicts "
-        "are bit-identical with or without it)",
-    )
     return parser
 
 
@@ -181,11 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # that carried them (see repro.exitcodes).
         print(f"repro-experiments: error: {error}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.result_cache is not None:
-        # Exported (not passed) so spawn workers inherit it — see
-        # repro.experiments.runner.RESULT_CACHE_ENV.
-        os.environ[RESULT_CACHE_ENV] = args.result_cache
 
     sweep_kwargs = {
         "journal_dir": args.journal,

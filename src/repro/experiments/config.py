@@ -113,9 +113,8 @@ class SweepSettings:
     chunks near the schedulability cliff can be arbitrarily slow); when
     only ``sample_budget`` is set, a generous watchdog allowance is derived
     from it as a fallback for non-cooperative hangs (see the supervisor).
-    ``retries`` is the per-sample retry budget for transient failures;
-    ``backoff`` the base of the capped exponential backoff between
-    retries.
+    ``retries`` is the per-sample retry budget for transient failures
+    (spaced by the supervisor's capped exponential backoff).
 
     Every parameter is validated eagerly at construction with a typed
     :class:`~repro.errors.ReproError` subclass, so misconfiguration
@@ -132,7 +131,6 @@ class SweepSettings:
     timeout: Optional[float] = None
     sample_budget: Optional[float] = None
     retries: int = 2
-    backoff: float = 0.05
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -171,11 +169,6 @@ class SweepSettings:
         if self.retries < 0:
             raise AnalysisError(
                 f"retries must be non-negative, got {self.retries}"
-            )
-        if not (math.isfinite(self.backoff) and self.backoff >= 0):
-            raise AnalysisError(
-                f"backoff must be a finite non-negative number of seconds, "
-                f"got {self.backoff}"
             )
 
 

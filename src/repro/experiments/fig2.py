@@ -17,11 +17,11 @@ from repro.experiments.config import (
     default_platform,
     standard_variants,
 )
+from repro.experiments.faults import SweepFault
 from repro.experiments.report import format_coverage, format_gaps, format_table
 from repro.experiments.runner import max_gap, run_curve, schedulability_ratios
 from repro.experiments.supervisor import SampleFailure
 from repro.model.platform import Platform
-from repro.verify.faults import SweepFault
 
 
 @dataclass

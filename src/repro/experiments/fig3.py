@@ -26,12 +26,12 @@ from repro.experiments.config import (
     slot_variants,
     standard_variants,
 )
+from repro.experiments.faults import SweepFault
 from repro.experiments.report import format_coverage, format_table
 from repro.experiments.runner import run_curve, weighted_measures
 from repro.experiments.supervisor import SampleFailure
 from repro.generation.taskset_gen import ParameterSource
 from repro.model.platform import CacheGeometry, Platform, microseconds_to_cycles
-from repro.verify.faults import SweepFault
 
 
 @dataclass

@@ -11,16 +11,17 @@ recovery half):
   outcomes: platform, variants (policy + analysis configuration),
   samples, seed, utilisation grid, generation config and point offset.
   Execution parameters that cannot change results (``jobs``, ``profile``,
-  ``timeout``, ``retries``, ``backoff``) are deliberately excluded, so a
-  run interrupted at ``--jobs 8`` can resume at ``--jobs 2``.
+  ``timeout``, ``retries``) are deliberately excluded, so a run
+  interrupted at ``--jobs 8`` can resume at ``--jobs 2``.
 * **JSONL records, appended and flushed one at a time.**  The first line
   is a header carrying the fingerprint; every further line checkpoints one
   completed ``(point, sample)`` item — either a ``sample`` record with its
   weight and verdicts or a ``failure`` record quarantining a poison
   sample with its reproducer seed.  Because a kill can only truncate the
-  *last* line mid-write, the loader tolerates exactly one trailing partial
-  record and rejects any other corruption as
-  :class:`~repro.errors.JournalError`.
+  *last* line mid-write, the loader drops whatever follows the last
+  newline — cutting it from the file before anything is appended, and
+  writing a fresh header when no line survived — and rejects any other
+  corruption as :class:`~repro.errors.JournalError`.
 * **Bit-identical resume.**  Weights are floats serialised via
   ``repr``-round-tripping JSON and verdicts are booleans, so an outcome
   read back from the journal compares equal to the freshly computed one;
@@ -34,6 +35,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -163,18 +165,22 @@ class RunJournal:
         """Open (creating if needed) the journal for ``fingerprint``.
 
         An existing file is validated and its records loaded so the caller
-        can skip completed items; a fresh file gets a header line first.
+        can skip completed items.  A torn final line is cut off so the
+        next record starts a line of its own, and a file without a whole
+        header line (new, empty or torn inside the header) gets a header
+        line first.
         """
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         path = root / f"{fingerprint[:_FILENAME_DIGITS]}.jsonl"
         completed: Dict[ItemKey, Tuple[float, Tuple[bool, ...]]] = {}
         failures: Dict[ItemKey, Dict] = {}
+        intact = 0
         if path.exists():
-            completed, failures = cls._load(path, fingerprint)
-            handle = path.open("a", encoding="utf-8")
-        else:
-            handle = path.open("a", encoding="utf-8")
+            completed, failures, intact = cls._load(path, fingerprint)
+            os.truncate(path, intact)
+        handle = path.open("a", encoding="utf-8")
+        if not intact:
             header = {
                 "kind": "header",
                 "format": JOURNAL_TAG,
@@ -233,19 +239,23 @@ class RunJournal:
     @staticmethod
     def _load(
         path: Path, fingerprint: str
-    ) -> Tuple[Dict[ItemKey, Tuple[float, Tuple[bool, ...]]], Dict[ItemKey, Dict]]:
-        lines = path.read_text(encoding="utf-8").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+    ) -> Tuple[
+        Dict[ItemKey, Tuple[float, Tuple[bool, ...]]], Dict[ItemKey, Dict], int
+    ]:
+        """Records of ``path`` and the byte length of its whole lines.
+
+        Every record is written with its newline, so bytes after the last
+        newline are an append a kill cut short: they are not loaded, and
+        that item simply re-runs on resume.
+        """
+        data = path.read_bytes()
+        intact = data.rfind(b"\n") + 1
+        lines = data[:intact].decode("utf-8").split("\n")[:-1]
         records: List[Dict] = []
         for number, line in enumerate(lines):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
-                if number == len(lines) - 1:
-                    # A kill mid-append can truncate only the final line;
-                    # that item simply re-runs on resume.
-                    break
                 raise JournalError(
                     f"journal {path} line {number + 1} is corrupt: {error}"
                 ) from error
@@ -256,7 +266,7 @@ class RunJournal:
             records.append(record)
         if not records:
             # Header lost to truncation: treat as a fresh (empty) journal.
-            return {}, {}
+            return {}, {}, 0
         header = records[0]
         if header.get("kind") != "header" or header.get("format") != JOURNAL_TAG:
             raise JournalError(f"journal {path} has no valid header line")
@@ -299,4 +309,4 @@ class RunJournal:
                 raise JournalError(
                     f"journal {path} has a record of unknown kind {kind!r}"
                 )
-        return completed, failures
+        return completed, failures, intact

@@ -33,7 +33,6 @@ sweep.
 from __future__ import annotations
 
 import gc
-import os
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ from repro.analysis.weighted import weighted_schedulability
 from repro.budget import Budget
 from repro.errors import AnalysisError, JournalError
 from repro.experiments.config import SweepSettings, Variant
+from repro.experiments.faults import SweepFault
 from repro.experiments.journal import RunJournal, sweep_description, sweep_fingerprint
 from repro.experiments.stateplane import resident_plane
 from repro.experiments.supervisor import SampleFailure, SweepSupervisor, WorkItem
@@ -51,30 +51,6 @@ from repro.generation.taskset_gen import GenerationConfig, generate_taskset
 from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, Platform
 from repro.perf import PerfCounters
-from repro.resultcache import ResultCache
-from repro.verify.faults import SweepFault
-
-#: Environment variable pointing sweep workers at a shared persistent
-#: result cache (see :mod:`repro.resultcache`).  An env var rather than a
-#: parameter because the evaluation functions pickle by reference into
-#: spawn workers: the variable is inherited by every worker process, and
-#: each lazily opens its own handle on first use.  Verdicts are
-#: bit-identical with or without the cache (the bounds are deterministic),
-#: so this knob — like the journal — never changes results.
-RESULT_CACHE_ENV = "REPRO_RESULT_CACHE_DIR"
-
-_RESULT_CACHE: Optional[ResultCache] = None
-_RESULT_CACHE_ROOT: Optional[str] = None
-
-
-def _result_cache() -> Optional[ResultCache]:
-    """Process-local handle on the env-configured result cache (if any)."""
-    global _RESULT_CACHE, _RESULT_CACHE_ROOT
-    root = os.environ.get(RESULT_CACHE_ENV) or None
-    if root != _RESULT_CACHE_ROOT:
-        _RESULT_CACHE = ResultCache(root) if root is not None else None
-        _RESULT_CACHE_ROOT = root
-    return _RESULT_CACHE
 
 
 @dataclass(frozen=True)
@@ -253,7 +229,6 @@ def evaluate_sample(
         # Both skip rules are checked in either order; the order only
         # decides which evidence exists by the time a variant comes up.
         order = loose_order
-    result_cache = _result_cache()
     verdicts: List[bool] = [False] * len(variants)
     missed: List[bool] = [False] * len(variants)
     gc_was_enabled = gc.isenabled()
@@ -281,7 +256,6 @@ def evaluate_sample(
                 variant.analysis,
                 perf=perf,
                 budget=budget,
-                result_cache=result_cache,
             )
             verdicts[index] = verdict.schedulable
             wcrt = verdict.wcrt

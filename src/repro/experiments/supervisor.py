@@ -85,9 +85,9 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tu
 from repro.budget import Budget
 from repro.errors import AnalysisAborted, SweepInterrupted
 from repro.experiments.config import SweepSettings
+from repro.experiments.faults import SweepFault, trigger_sweep_fault
 from repro.experiments.journal import RunJournal
 from repro.perf import PerfCounters, merge_global
-from repro.verify.faults import SweepFault, trigger_sweep_fault
 from repro.workers import SpawnPool, watchdog_allowance
 
 #: Journal/result key of one work item: ``(point_index, sample_index)``.
@@ -95,6 +95,9 @@ ItemKey = Tuple[int, int]
 
 #: ``(weight, per-variant verdicts)`` — the raw payload of one outcome.
 ItemResult = Tuple[float, Tuple[bool, ...]]
+
+#: First backoff sleep before a retry, seconds; doubles per attempt.
+BACKOFF_BASE = 0.05
 
 #: Upper bound on any single backoff sleep, seconds.
 BACKOFF_CAP = 2.0
@@ -344,7 +347,7 @@ class SweepSupervisor:
     context)`` once per chunk to fill that context.  ``journal``
     (optional) receives every completed or quarantined item as it
     happens; ``fault`` (optional) carries a deterministic
-    :class:`~repro.verify.faults.SweepFault` into the workers for
+    :class:`~repro.experiments.faults.SweepFault` into the workers for
     recovery-path testing.
     """
 
@@ -528,7 +531,7 @@ class SweepSupervisor:
 
     def _backoff_delay(self, attempt: int) -> float:
         """Capped exponential backoff before the ``attempt``-th retry."""
-        return min(self.settings.backoff * (2 ** (attempt - 1)), BACKOFF_CAP)
+        return min(BACKOFF_BASE * (2 ** (attempt - 1)), BACKOFF_CAP)
 
     def _chunk_allowance(self, chunk: Tuple[WorkItem, ...]) -> Optional[float]:
         """Wall-clock seconds this chunk may run before the watchdog fires.

@@ -56,9 +56,7 @@ def _pack(indices: Iterable[int]) -> int:
         for index in indices:
             mask |= 1 << index
     except ValueError:  # a negative shift count
-        raise ModelError(
-            f"cache set indices must be non-negative, got {min(indices)}"
-        ) from None
+        raise ModelError("cache set indices must be non-negative") from None
     return mask
 
 

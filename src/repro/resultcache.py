@@ -6,9 +6,9 @@ kernels and warm starts are pinned bit-identical by the differential
 oracles, and a completed budgeted run equals an uncapped one.  That
 determinism makes durable memoization sound — the same canonical-JSON
 fingerprinting the sweep journal relies on for
-bit-identical ``--resume`` (see :mod:`repro.experiments.journal`) keys a
-persistent result cache shared by the service daemon and the sweep
-runner:
+bit-identical ``--resume`` (see :mod:`repro.experiments.journal`) keys the
+analysis daemon's persistent result cache.  Sweeps do not read it: their
+one durable replay is the run journal.
 
 * :func:`request_fingerprint` hashes the canonical JSON of the task and
   platform *records* — the plain dicts of a ``repro-taskset`` envelope —
@@ -68,8 +68,7 @@ from typing import Dict, Iterable, Optional, Sequence, Union
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import WcrtResult
 from repro.atomicio import atomic_write_text
-from repro.errors import CacheError, ModelError
-from repro.model.task import TaskSet
+from repro.errors import CacheError
 from repro.perf import PerfCounters
 from repro.serialization import canonical_json
 
@@ -152,8 +151,8 @@ def result_payload(result: WcrtResult) -> Dict:
 
     This is exactly the service's ``"ok"`` response body minus the
     caller-chosen ``id`` (see :func:`repro.service.protocol.ok_response`,
-    which builds on this function), so entries written by the sweep
-    runner serve service requests byte-for-byte and vice versa.
+    which builds on this function), so a stored entry serves a later
+    request byte-for-byte.
     """
     return {
         "version": CACHE_VERSION,
@@ -165,34 +164,6 @@ def result_payload(result: WcrtResult) -> Dict:
             task.name: bound for task, bound in result.response_times.items()
         },
     }
-
-
-def result_from_payload(taskset: TaskSet, payload: Dict) -> WcrtResult:
-    """Rebuild a :class:`~repro.analysis.wcrt.WcrtResult` from a payload.
-
-    Task objects are resolved by name against ``taskset`` (names are
-    unique within a serialised task set, and the fingerprint guarantees
-    the entry was computed for this exact task set).  Raises
-    :class:`~repro.errors.ModelError` on any mismatch so callers can fall
-    back to a recompute.
-    """
-    tasks = {task.name: task for task in taskset}
-    try:
-        response_times = {
-            tasks[name]: int(bound)
-            for name, bound in payload["response_times"].items()
-        }
-        failed_name = payload["failed_task"]
-        return WcrtResult(
-            schedulable=bool(payload["schedulable"]),
-            response_times=response_times,
-            failed_task=tasks[failed_name] if failed_name else None,
-            outer_iterations=int(payload["outer_iterations"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise ModelError(
-            f"cached payload does not match the task set: {error!r}"
-        ) from error
 
 
 # -- fault injection (TEST ONLY) ----------------------------------------------
@@ -279,15 +250,10 @@ class ResultCache:
 
     # -- counters ------------------------------------------------------------
 
-    def _count(self, name: str, perf: Optional[PerfCounters] = None) -> None:
-        """Add one to counter ``name`` of the cache's and the caller's perf."""
-        targets = []
+    def _count(self, name: str) -> None:
+        """Add one to counter ``name`` of the cache's perf, if it has one."""
         if self._perf is not None:
-            targets.append(self._perf)
-        if perf is not None and perf is not self._perf:
-            targets.append(perf)
-        for target in targets:
-            setattr(target, name, getattr(target, name) + 1)
+            setattr(self._perf, name, getattr(self._perf, name) + 1)
 
     # -- layout --------------------------------------------------------------
 
@@ -390,9 +356,7 @@ class ResultCache:
 
     # -- the cache interface -------------------------------------------------
 
-    def get(
-        self, fingerprint: str, perf: Optional[PerfCounters] = None
-    ) -> Optional[Dict]:
+    def get(self, fingerprint: str) -> Optional[Dict]:
         """Payload stored for ``fingerprint``, or ``None``.
 
         Reads the entry file afresh on every hit (so callers may mutate
@@ -404,29 +368,24 @@ class ResultCache:
         with self._lock:
             entry = self._index.get(fingerprint)
             if entry is None:
-                self._count("result_cache_misses", perf)
+                self._count("result_cache_misses")
                 return None
             try:
                 _fingerprint, payload = self._load_file(entry.path)
             except _BadEntry as bad:
                 self._index.pop(fingerprint, None)
                 self._quarantine(entry.path, bad.args[0])
-                self._count("result_cache_misses", perf)
+                self._count("result_cache_misses")
                 return None
             self._index.move_to_end(fingerprint)
             try:
                 os.utime(entry.path)
             except OSError:
                 pass  # recency refresh is best-effort
-            self._count("result_cache_hits", perf)
+            self._count("result_cache_hits")
             return payload
 
-    def put(
-        self,
-        fingerprint: str,
-        payload: Dict,
-        perf: Optional[PerfCounters] = None,
-    ) -> bool:
+    def put(self, fingerprint: str, payload: Dict) -> bool:
         """Store ``payload`` under ``fingerprint``; ``False`` if refused.
 
         Refusal (rather than an exception) is the contract for payloads
@@ -456,8 +415,8 @@ class ResultCache:
                 path=path, size=len(text.encode("utf-8"))
             )
             self._index.move_to_end(fingerprint)
-            self._count("result_cache_stores", perf)
-            self._evict_if_needed(perf)
+            self._count("result_cache_stores")
+            self._evict_if_needed()
         return True
 
     def invalidate(self, fingerprint: str) -> bool:
@@ -470,7 +429,7 @@ class ResultCache:
             path.unlink(missing_ok=True)
             return existed or entry is not None
 
-    def _evict_if_needed(self, perf: Optional[PerfCounters] = None) -> None:
+    def _evict_if_needed(self) -> None:
         while len(self._index) > self.max_entries or (
             self.max_bytes is not None
             and sum(entry.size for entry in self._index.values())
@@ -479,7 +438,7 @@ class ResultCache:
         ):
             _fingerprint, entry = self._index.popitem(last=False)
             entry.path.unlink(missing_ok=True)
-            self._count("result_cache_evictions", perf)
+            self._count("result_cache_evictions")
 
     # -- introspection -------------------------------------------------------
 

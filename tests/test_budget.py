@@ -277,15 +277,6 @@ class TestBudgetChild:
         assert child.started  # anchored at the slice point
         assert child.remaining() == pytest.approx(3.0)
 
-    def test_min_seconds_floor_is_capped_at_the_remaining(self):
-        clock = FakeClock()
-        parent = Budget(wall_seconds=10.0, clock=clock).start()
-        clock.now = 9.0  # 1 second left
-        child = parent.child(0.5, min_seconds=5.0)
-        # The floor lifts the slice above 0.5s but can never mint time
-        # the parent does not have.
-        assert child.wall_seconds == pytest.approx(1.0)
-
     def test_iteration_slice_of_the_remaining_ceiling(self):
         parent = Budget(max_iterations=100)
         for _ in range(40):
@@ -316,7 +307,7 @@ class TestBudgetChild:
             wall_seconds=10.0, clock=clock, wall_check_stride=1
         ).start()
         clock.now = 6.0
-        child = parent.child(1.0, min_seconds=100.0)
+        child = parent.child(1.0)
         # The child's own allowance is capped at the 4s left; advancing
         # past the parent's deadline aborts through the chained check.
         clock.now = 10.5

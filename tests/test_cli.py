@@ -88,6 +88,23 @@ class TestResilienceCli:
         assert _figure_lines(journaled) == _figure_lines(plain)
         assert _figure_lines(resumed) == _figure_lines(plain)
 
+    def test_result_cache_flag_is_rejected(self, tmp_path):
+        # The journal is a sweep's one durable replay.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig2", "--samples", "2", "--result-cache", str(tmp_path)])
+        assert exit_info.value.code == 2
+
+    def test_result_cache_env_var_is_ignored(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        assert main(["fig2", "--samples", "2"]) == 0
+        plain = capsys.readouterr().out
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(cache))
+        assert main(["fig2", "--samples", "2"]) == 0
+        assert _figure_lines(capsys.readouterr().out) == _figure_lines(plain)
+        assert not cache.exists()
+
     def test_nonempty_journal_without_resume_is_refused(self, capsys, tmp_path):
         assert main(["fig2", "--samples", "2", "--journal", str(tmp_path)]) == 0
         capsys.readouterr()

@@ -71,10 +71,8 @@ class TestConfig:
             SweepSettings(timeout=float("nan"))
         with pytest.raises(AnalysisError, match="retries"):
             SweepSettings(retries=-1)
-        with pytest.raises(AnalysisError, match="backoff"):
-            SweepSettings(backoff=-0.1)
         # The defaults and explicit sane values pass.
-        SweepSettings(timeout=10.0, retries=0, backoff=0.0)
+        SweepSettings(timeout=10.0, retries=0)
 
     def test_jobs_zero_resolves_to_cpu_count(self):
         import os

@@ -54,7 +54,6 @@ class TestFingerprint:
             replace(SETTINGS, profile=True),
             replace(SETTINGS, timeout=5.0),
             replace(SETTINGS, retries=0),
-            replace(SETTINGS, backoff=1.0),
         ],
     )
     def test_insensitive_to_execution_parameters(self, changed):
@@ -124,10 +123,19 @@ class TestRunJournal:
             path = journal.path
         text = path.read_text()
         path.write_text(text[:-9])  # SIGKILL mid-append
-        reopened = RunJournal.open(tmp_path, fp)
-        # The torn record simply re-runs on resume.
-        assert reopened.completed == {(0, 0): (1.0, (True,))}
-        reopened.close()
+        with RunJournal.open(tmp_path, fp) as reopened:
+            # The torn record simply re-runs on resume.
+            assert reopened.completed == {(0, 0): (1.0, (True,))}
+            reopened.record_sample(0, 1, 2.0, (False,))
+            reopened.record_sample(0, 2, 3.0, (True,))
+        # Nothing was glued onto the torn line, so the next resume reads
+        # every record back.
+        with RunJournal.open(tmp_path, fp) as again:
+            assert again.completed == {
+                (0, 0): (1.0, (True,)),
+                (0, 1): (2.0, (False,)),
+                (0, 2): (3.0, (True,)),
+            }
 
     def test_rejects_mid_file_corruption(self, tmp_path):
         fp = fingerprint()
@@ -159,13 +167,19 @@ class TestRunJournal:
         with pytest.raises(JournalError, match="unknown kind"):
             RunJournal.open(tmp_path, fp)
 
-    def test_headerless_file_treated_as_fresh(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ['{"kind": "hea', ""], ids=["torn-header", "empty"]
+    )
+    def test_headerless_file_treated_as_fresh(self, tmp_path, text):
         fp = fingerprint()
         path = tmp_path / f"{fp[:16]}.jsonl"
-        path.write_text('{"kind": "hea')  # only the torn header survived
-        journal = RunJournal.open(tmp_path, fp)
-        assert journal.completed == {} and journal.failures == {}
-        journal.close()
+        path.write_text(text)  # only a torn header, or nothing, survived
+        with RunJournal.open(tmp_path, fp) as journal:
+            assert journal.completed == {} and journal.failures == {}
+            journal.record_sample(0, 0, 1.0, (True,))
+        # The file got a fresh header line, so the record reads back.
+        with RunJournal.open(tmp_path, fp) as reopened:
+            assert reopened.completed == {(0, 0): (1.0, (True,))}
 
 
 class TestResume:
@@ -198,6 +212,12 @@ class TestResume:
         assert resumed == dict(reference)
         assert resumed.failures == []
         assert resumed.coverage == 1.0
+        # The resume cut the torn line before appending, so the journal it
+        # completed replays in full.
+        again = run_curve(
+            PLATFORM, VARIANTS, SETTINGS, journal_dir=str(tmp_path), resume=True
+        )
+        assert again == dict(reference)
 
     def test_resume_works_across_different_jobs(self, tmp_path):
         reference = run_curve(PLATFORM, VARIANTS, SETTINGS)

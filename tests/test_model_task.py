@@ -95,6 +95,8 @@ class TestTaskValidation:
         [
             (-1, "non-negative"),
             (-(2**70), "non-negative"),
+            # Too many digits to format into a message.
+            pytest.param(-(10**5000), "non-negative", id="-10**5000"),
             (1.0, "must be ints"),
             (True, "must be ints"),
             ("3", "must be ints"),

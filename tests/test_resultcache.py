@@ -1,8 +1,8 @@
 """Unit tests of the persistent content-addressed result cache.
 
 Covers the soundness-critical invariants of :mod:`repro.resultcache`:
-fingerprints only hash the outcome-determining knobs, payloads round-trip
-bit-identically, aborted partials are refused at the store layer,
+fingerprints only hash the outcome-determining knobs, stored payloads
+read back unchanged, aborted partials are refused at the store layer,
 corruption of every flavour is quarantined (never crashes, never served),
 and a kill mid-write — exercised in a real subprocess — leaves committed
 state untouched.  The end-to-end counterpart against real daemon
@@ -21,11 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.schedulability import check_schedulability
 from repro.analysis.wcrt import analyze_taskset
-from repro.budget import Budget
 from repro.crpd.approaches import CrpdApproach
-from repro.errors import BudgetExceeded, CacheError, ModelError
+from repro.errors import CacheError, ModelError
 from repro.experiments import default_platform
 from repro.experiments.runner import _sample_seed
 from repro.generation import generate_taskset
@@ -38,7 +36,6 @@ from repro.resultcache import (
     CHAOS_KILL_STATUS,
     ResultCache,
     request_fingerprint,
-    result_from_payload,
     result_payload,
 )
 from repro.serialization import (
@@ -208,21 +205,6 @@ class TestFingerprintStability:
         )
 
 
-class TestPayloadRoundtrip:
-    def test_result_round_trips_bit_identically(self, taskset, result):
-        rebuilt = result_from_payload(taskset, result_payload(result))
-        assert rebuilt == result
-
-    def test_payload_survives_json(self, taskset, result):
-        payload = json.loads(json.dumps(result_payload(result)))
-        assert result_from_payload(taskset, payload) == result
-
-    def test_mismatched_payload_raises_model_error(self, taskset, result):
-        payload = dict(result_payload(result), response_times={"ghost": 1})
-        with pytest.raises(ModelError):
-            result_from_payload(taskset, payload)
-
-
 class TestResultCache:
     def test_round_trip_and_reopen(self, tmp_path, result, fingerprint):
         cache = ResultCache(tmp_path)
@@ -377,7 +359,7 @@ class TestOlderCacheLayout:
         ids=["valid", "truncated", "empty"],
     )
     def test_seeds_subtree_is_ignored_and_left_untouched(
-        self, tmp_path, taskset, result, fingerprint, seed_text
+        self, tmp_path, result, fingerprint, seed_text
     ):
         payload = result_payload(result)
         ResultCache(tmp_path).put(fingerprint, payload)
@@ -416,8 +398,7 @@ class TestOlderCacheLayout:
         assert cache.quarantined_files == 0
         assert list(cache.fingerprints()) == [fingerprint]
         served = cache.get(fingerprint)
-        assert served == payload
-        assert result_from_payload(taskset, served) == result
+        assert served == payload == result_payload(result)
         assert entry.read_bytes() == entry_bytes
         assert not any((tmp_path / "quarantine").iterdir())
         assert {
@@ -476,46 +457,3 @@ print("survived")  # must never be reached under the fault
         assert completed.returncode == 0
         assert "survived" in completed.stdout
         assert ResultCache(tmp_path).get("ab" * 32) is not None
-
-
-class TestSchedulabilityWithCache:
-    def test_cached_verdict_is_bit_identical(self, tmp_path, taskset, platform):
-        cache = ResultCache(tmp_path)
-        perf = PerfCounters()
-        cold = check_schedulability(
-            taskset, platform, perf=perf, result_cache=cache
-        )
-        analyses_after_cold = perf.analyses
-        assert perf.result_cache_stores == 1
-        warm = check_schedulability(
-            taskset, platform, perf=perf, result_cache=cache
-        )
-        assert perf.result_cache_hits == 1
-        assert perf.analyses == analyses_after_cold  # no second analysis ran
-        assert warm.schedulable == cold.schedulable
-        assert warm.wcrt == cold.wcrt
-        bare = check_schedulability(taskset, platform)
-        assert bare.schedulable == warm.schedulable
-        assert bare.wcrt == warm.wcrt
-
-    def test_budget_abort_is_never_cached(self, tmp_path, platform):
-        heavy = generate_taskset(random.Random(12), platform, 0.8)
-        cache = ResultCache(tmp_path)
-        with pytest.raises(BudgetExceeded):
-            check_schedulability(
-                heavy,
-                platform,
-                budget=Budget(max_iterations=1),
-                result_cache=cache,
-            )
-        assert len(cache) == 0
-        # The identical uncapped request computes, completes and stores.
-        perf = PerfCounters()
-        full = check_schedulability(
-            heavy, platform, perf=perf, result_cache=cache
-        )
-        assert perf.result_cache_hits == 0
-        assert perf.result_cache_stores == 1
-        assert len(cache) == 1
-        again = check_schedulability(heavy, platform, result_cache=cache)
-        assert again.wcrt == full.wcrt

@@ -898,9 +898,9 @@ class TestParseOnlyOnAMiss:
         (fingerprint,) = service.cache.fingerprints()
         get = service.cache.get
 
-        def vanishing(key, perf=None):
+        def vanishing(key):
             service.cache.invalidate(key)  # evicted by a sibling process
-            return get(key, perf)
+            return get(key)
 
         service.cache.get = vanishing
         status, body = service.handle(request_document(envelope))

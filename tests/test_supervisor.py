@@ -1,7 +1,7 @@
 """Recovery-path tests for the fault-tolerant sweep supervisor.
 
 Every path is exercised with *deterministic* fault injection
-(:class:`repro.verify.faults.SweepFault` specs carried into the workers):
+(:class:`repro.experiments.faults.SweepFault` specs carried into the workers):
 injected worker crash -> chunk bisection quarantines exactly the poison
 seed; injected hang -> pool kill + retry recovers bit-identically;
 injected transient exception -> per-sample retry with backoff.
@@ -17,19 +17,19 @@ from repro.experiments.config import (
     default_platform,
     standard_variants,
 )
-from repro.experiments.runner import (
-    _sample_seed,
-    run_curve,
-    schedulability_ratios,
-)
-from repro.experiments.supervisor import SampleFailure, WorkItem, chunked
-from repro.verify.faults import (
+from repro.experiments.faults import (
     SweepFault,
     TransientWorkerFault,
     parse_sweep_fault,
     sweep_fault_kinds,
     trigger_sweep_fault,
 )
+from repro.experiments.runner import (
+    _sample_seed,
+    run_curve,
+    schedulability_ratios,
+)
+from repro.experiments.supervisor import SampleFailure, WorkItem, chunked
 
 #: Two utilisation points x 4 samples; retries=1 keeps recovery cycles short.
 SETTINGS = SweepSettings(
@@ -38,7 +38,6 @@ SETTINGS = SweepSettings(
     utilizations=(0.2, 0.4),
     jobs=2,
     retries=1,
-    backoff=0.01,
 )
 
 VARIANTS = standard_variants(include_perfect=False)[:2]

@@ -103,15 +103,33 @@ class TestSpawnPool:
         assert fake_executor.created[1].shutdowns == [(True, True)]
 
 
-def test_service_loads_no_sweep_or_verify_module():
+@pytest.mark.parametrize(
+    "imports, foreign",
+    [
+        pytest.param(
+            "repro.service, repro.service.daemon, repro.service.pool, "
+            "repro.service.router, repro.service.__main__",
+            ("repro.experiments", "repro.verify"),
+            id="service",
+        ),
+        pytest.param(
+            "repro.experiments, repro.experiments.cli",
+            ("repro.service", "repro.resultcache", "repro.verify"),
+            id="sweep",
+        ),
+    ],
+)
+def test_service_and_sweep_load_nothing_of_each_other(imports, foreign):
     # Daemon and pool workers import only what serving needs: the spawn
-    # substrate lives in repro.workers, not in repro.experiments.
+    # substrate lives in repro.workers, not in repro.experiments.  A sweep
+    # and its spawn workers load no result cache, daemon or fuzzer: the
+    # journal is the sweep's one replay, and its fault injectors live in
+    # repro.experiments.faults.
     code = (
         "import sys\n"
-        "import repro.service, repro.service.daemon, repro.service.pool\n"
-        "import repro.service.router, repro.service.__main__\n"
+        f"import {imports}\n"
         "print(sorted(m for m in sys.modules if m.startswith("
-        "('repro.experiments', 'repro.verify'))))\n"
+        f"{foreign!r})))\n"
     )
     env = dict(
         os.environ,
