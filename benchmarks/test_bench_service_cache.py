@@ -42,9 +42,6 @@ class InProcessPool:
     def run(self, request):
         return service_worker(request)
 
-    def allowance_for(self, budget_seconds):
-        return None
-
     def close(self):
         pass
 

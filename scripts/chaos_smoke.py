@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Chaos harness for the crash-safe cache, coalescing and shard router.
+"""Chaos harness for the crash-safe cache and the daemon's overload policy.
 
 Proves, against *real* processes with injected faults, the claims
 ``docs/CACHE.md`` makes (runnable locally and as the ``chaos-smoke`` CI
@@ -14,21 +14,18 @@ job):
 3. **Corruption quarantine** — truncated, bit-flipped and empty entry
    files are quarantined (moved aside, never deleted) on restart; the
    affected requests recompute, everything else still hits.
-4. **Coalescing** — N identical concurrent requests run exactly one
-   analysis; a budget-aborted request never poisons the cache and an
-   identical uncapped rerun computes, completes and caches.
-5. **Shard router failover** — with one shard SIGSTOPped (slow) or
-   SIGKILLed (dead), idempotent requests fail over to the surviving
-   shard with capped backoff; the router stays ready until *every*
-   shard is gone, then degrades to a typed 503.
-6. **Overload storm** — a real daemon driven at over 3x its admission
+4. **Identical concurrent requests** — N identical concurrent requests
+   all complete bit-identically, each analysed or served from the cache;
+   a budget-aborted request never poisons the cache and an identical
+   uncapped rerun computes, completes and caches.
+5. **Overload storm** — a real daemon driven at over 3x its admission
    cap of 3 with mixed priority classes: every response is typed (no 5xx
    without a ``shed``/``degraded`` marker), batch requests are shed first
    with a jittered ``Retry-After``, admitted interactive requests answer
    within their propagated deadline (via the brownout coarse tier at the
    last admission slot), and ``/stats`` counts every shed and degraded
    outcome and echoes the thresholds derived from the cap.
-7. **Deadline storm** — the HTTP-free service core under an injected
+6. **Deadline storm** — the HTTP-free service core under an injected
    clock: expired-on-arrival requests are shed before the pool, near-zero
    deadlines clamp to the minimum budget, and no admitted request ever
    carries a budget exceeding its propagated deadline.
@@ -141,13 +138,6 @@ def record_descendants(process):
     DESCENDANTS.update(descendants(process.pid))
 
 
-def kill(process):
-    """SIGKILL ``process`` after recording its descendants, and reap it."""
-    record_descendants(process)
-    process.kill()
-    process.wait(timeout=30)
-
-
 def expect_no_orphans(timeout=10.0):
     """Every recorded descendant exits (or is a zombie) within ``timeout``."""
 
@@ -200,8 +190,8 @@ def entry_path(cache_dir, fingerprint):
 
 
 def comparable(body):
-    """Response body minus routing/caching markers and the caller id."""
-    return {k: v for k, v in body.items() if k not in ("id", "cache", "shard")}
+    """Response body minus the cache marker and the caller id."""
+    return {k: v for k, v in body.items() if k not in ("id", "cache")}
 
 
 # -- scenario 1: differential cache oracle ------------------------------------
@@ -370,11 +360,11 @@ def corruption_scenario(cache_dir, probes):
         stop(process, expect_code=0)
 
 
-# -- scenario 4: coalescing and abort non-poisoning ---------------------------
+# -- scenario 4: identical concurrent requests and abort non-poisoning --------
 
 
-def coalesce_scenario(cache_dir):
-    print("[4] request coalescing", flush=True)
+def identical_requests_scenario(cache_dir):
+    print("[4] identical concurrent requests", flush=True)
     envelope = envelope_for(seed=44, utilization=0.4)
     process, url = start_daemon(cache_dir)
     try:
@@ -400,13 +390,13 @@ def coalesce_scenario(cache_dir):
         )
         _status, after = http("GET", f"{url}/stats")
         ran = after["perf"]["analyses"] - before["perf"]["analyses"]
-        shared = (
-            after["perf"]["coalesced_requests"] - before["perf"]["coalesced_requests"]
-        ) + (
+        hits = (
             after["perf"]["result_cache_hits"] - before["perf"]["result_cache_hits"]
         )
-        expect(ran == 1, f"exactly one analysis ran for 6 requests (ran {ran})")
-        expect(shared == 5, f"the other 5 were coalesced or cache hits ({shared})")
+        expect(
+            ran + hits == 6,
+            f"each request was analysed or hit ({ran} analysed, {hits} hits)",
+        )
 
         # Budget aborts must never poison the cache: a capped request
         # aborts, an identical uncapped request *computes* (no hit) and
@@ -444,97 +434,7 @@ def coalesce_scenario(cache_dir):
         stop(process, expect_code=0)
 
 
-# -- scenario 5: shard router failover ----------------------------------------
-
-
-def router_scenario(workdir):
-    print("[5] shard router failover", flush=True)
-    shard_a, url_a = start_daemon(workdir / "shard-a")
-    shard_b, url_b = start_daemon(workdir / "shard-b")
-    router, url = start_process(
-        [
-            sys.executable, "-m", "repro.service.router",
-            "--port", "0", "--shard", url_a, "--shard", url_b,
-            "--health-interval", "0.2", "--forward-timeout", "5",
-            "--backoff-base", "0.05", "--backoff-cap", "0.5",
-        ]
-    )
-    shards = [shard_a, shard_b]
-    try:
-        # Find one envelope per primary shard (deterministic client-side
-        # fingerprints — the same hash the router computes server-side).
-        by_shard = {}
-        for seed in range(100, 200):
-            envelope = envelope_for(seed=seed)
-            primary = int(fingerprint_of(envelope)[:16], 16) % 2
-            if primary not in by_shard:
-                by_shard[primary] = envelope
-            if len(by_shard) == 2:
-                break
-        expect(len(by_shard) == 2, "found envelopes routing to both shards")
-        for shard, envelope in sorted(by_shard.items()):
-            status, body = http(
-                "POST", f"{url}/analyze", {"id": f"route-{shard}", "taskset": envelope}
-            )
-            expect(
-                status == 200 and body["status"] == "ok" and body["shard"] == shard,
-                f"request lands on its primary shard {shard}",
-            )
-        status, body = http("GET", f"{url}/readyz")
-        expect(status == 200, "router ready with both shards up")
-
-        # Slow shard: SIGSTOP shard 0; its requests time out and fail over.
-        os.kill(shard_a.pid, signal.SIGSTOP)
-        try:
-            status, body = http(
-                "POST", f"{url}/analyze", {"id": "slow", "taskset": by_shard[0]}
-            )
-            expect(
-                status == 200 and body["status"] == "ok" and body["shard"] == 1,
-                "request to the SIGSTOPped shard fails over (timeout path)",
-            )
-        finally:
-            os.kill(shard_a.pid, signal.SIGCONT)
-
-        # Dead shard: SIGKILL shard 1; its requests fail over to shard 0.
-        kill(shard_b)
-        status, body = http(
-            "POST", f"{url}/analyze", {"id": "dead", "taskset": by_shard[1]}
-        )
-        expect(
-            status == 200 and body["status"] == "ok" and body["shard"] == 0,
-            "request to the SIGKILLed shard fails over (dead path)",
-        )
-        status, body = http("GET", f"{url}/readyz")
-        expect(status == 200, "router stays ready with one shard down")
-        _status, stats = http("GET", f"{url}/stats")
-        expect(
-            stats["router"]["failovers"] >= 2 and stats["router"]["retries"] >= 2,
-            f"router counted its retries and failovers ({stats['router']})",
-        )
-
-        # Total loss: kill the last shard; the router degrades typed.
-        kill(shard_a)
-        status, body = http(
-            "POST", f"{url}/analyze", {"id": "nobody", "taskset": by_shard[0]}
-        )
-        expect(
-            status == 503 and body["status"] == "no-shards",
-            "router returns a typed 503 with every shard down",
-        )
-        deadline = time.monotonic() + 10
-        ready = 200
-        while time.monotonic() < deadline and ready == 200:
-            ready, _body = http("GET", f"{url}/readyz")
-            time.sleep(0.2)
-        expect(ready == 503, "router /readyz flips to 503 once the poller notices")
-    finally:
-        for process in (*shards, router):
-            if process.poll() is None:
-                kill(process)
-
-
-# -- scenario 6: overload storm ------------------------------------------------
+# -- scenario 5: overload storm ------------------------------------------------
 
 
 def overload_storm_scenario(workdir):
@@ -549,7 +449,7 @@ def overload_storm_scenario(workdir):
     (via the brownout coarse tier while the pool is pinned), and nothing
     surfaces as an unmarked 5xx.
     """
-    print("[6] overload storm", flush=True)
+    print("[5] overload storm", flush=True)
     daemon, url = start_process([
         sys.executable, "-m", "repro.service",
         "--port", "0", "--workers", "1", "--max-in-flight", "3",
@@ -698,7 +598,7 @@ def overload_storm_scenario(workdir):
         stop(daemon, expect_code=0)
 
 
-# -- scenario 7: deadline storm ------------------------------------------------
+# -- scenario 6: deadline storm ------------------------------------------------
 
 
 def deadline_storm_scenario():
@@ -709,7 +609,7 @@ def deadline_storm_scenario():
     remainders clamp to the minimum budget, and no admitted request carries
     a budget exceeding its propagated deadline.
     """
-    print("[7] deadline storm (injected clock)", flush=True)
+    print("[6] deadline storm (injected clock)", flush=True)
     from repro.service.daemon import (
         MIN_BUDGET_SECONDS,
         AnalysisService,
@@ -734,9 +634,6 @@ def deadline_storm_scenario():
         def run(self, request):
             self.requests.append(request)
             return service_worker(request)
-
-        def allowance_for(self, budget_seconds):
-            return None
 
         def close(self):
             pass
@@ -850,11 +747,10 @@ def main():
             cache_dir,
             [(committed_envelope, committed_body), (victim_envelope, victim_body)],
         )
-        coalesce_scenario(cache_dir)
-        router_scenario(workdir)
+        identical_requests_scenario(cache_dir)
         overload_storm_scenario(workdir)
         deadline_storm_scenario()
-        print("[8] no orphaned processes", flush=True)
+        print("[7] no orphaned processes", flush=True)
         expect_no_orphans()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -250,12 +250,11 @@ class RunJournal:
         """
         data = path.read_bytes()
         intact = data.rfind(b"\n") + 1
-        lines = data[:intact].decode("utf-8").split("\n")[:-1]
         records: List[Dict] = []
-        for number, line in enumerate(lines):
+        for number, line in enumerate(data[:intact].split(b"\n")[:-1]):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
+                record = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise JournalError(
                     f"journal {path} line {number + 1} is corrupt: {error}"
                 ) from error

@@ -89,9 +89,6 @@ class PerfCounters:
     #: Corrupt cache files moved aside by the tolerant loader
     #: (truncated JSON, checksum mismatches, empty files, foreign tags).
     result_cache_quarantines: int = 0
-    #: Requests that joined an identical in-flight computation instead of
-    #: running their own analysis (see the service daemon's coalescing).
-    coalesced_requests: int = 0
     #: Requests shed before running any analysis: expired on arrival,
     #: or dropped at admission by the priority-class overload policy.
     shed_requests: int = 0
@@ -101,15 +98,9 @@ class PerfCounters:
     #: Ladder tier executions, one per attempted tier (exact, baseline
     #: and coarse all count; see :mod:`repro.analysis.ladder`).
     ladder_tier_runs: int = 0
-    #: Requests rejected because their propagated deadline had already
-    #: expired on arrival (service side) or before a retry (router side).
+    #: Requests the service rejected because their propagated deadline
+    #: had already expired on arrival.
     deadline_expired_rejects: int = 0
-    #: Requests the shard router forwarded to a backend successfully.
-    router_forwards: int = 0
-    #: Forward attempts retried after a dead, not-ready or timed-out shard.
-    router_retries: int = 0
-    #: Requests that succeeded on a non-primary shard after failover.
-    router_failovers: int = 0
     verify_cases: int = 0
     verify_shrink_steps: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -224,10 +215,6 @@ class PerfCounters:
                 f"evictions {self.result_cache_evictions:>7d}   "
                 f"quarantines {self.result_cache_quarantines:>4d}"
             )
-        if self.coalesced_requests:
-            lines.append(
-                f"  coalesced         {self.coalesced_requests:>12d}"
-            )
         if self.shed_requests or self.deadline_expired_rejects:
             lines.append(
                 f"  shed requests     {self.shed_requests:>12d}   "
@@ -237,12 +224,6 @@ class PerfCounters:
             lines.append(
                 f"  degraded answers  {self.degraded_responses:>12d}   "
                 f"ladder tier runs {self.ladder_tier_runs:>10d}"
-            )
-        if self.router_forwards or self.router_retries:
-            lines.append(
-                f"  router forwards   {self.router_forwards:>12d}   "
-                f"retries {self.router_retries:>9d}   "
-                f"failovers {self.router_failovers:>7d}"
             )
         if self.verify_cases:
             lines.append(

@@ -3,7 +3,9 @@
 A small, dependency-free daemon that accepts JSON analysis requests over
 HTTP, executes them in a supervised worker pool with per-request deadline
 budgets (see :mod:`repro.budget`), and degrades gracefully under every
-failure mode the resilience layer knows about.  The pool is a
+failure mode the resilience layer knows about.  One daemon is the whole
+service (``--workers N`` is its only scale), and every request takes one
+path: parse, fingerprint, cache, admission, breaker, pool.  The pool is a
 one-request client of :class:`repro.workers.SpawnPool`, the spawn
 substrate the sweep supervisor runs on too, so the service loads nothing
 from :mod:`repro.experiments`:
@@ -24,10 +26,10 @@ from :mod:`repro.experiments`:
 * SIGTERM graceful drain that finishes or quarantines in-flight requests
   before exiting 0,
 * end-to-end deadline propagation (``deadline_ms`` in the body or the
-  ``X-Deadline-Ms`` header): each hop subtracts its elapsed time plus a
-  25 ms safety margin, expired requests are shed with a typed 504 before
-  they touch the pool, and admitted ones run under a deadline-derived
-  budget of at least 50 ms,
+  ``X-Deadline-Ms`` header): the daemon subtracts its elapsed time plus
+  a 25 ms safety margin, expired requests are shed with a typed 504
+  before they touch the pool, and admitted ones run under a
+  deadline-derived budget of at least 50 ms,
 * a graceful-degradation ladder (:mod:`repro.analysis.ladder`) behind
   ``degrade``/``deadline_ms``: exact -> baseline -> coarse, each tier on
   a slice of the request budget, plus a daemon-side brownout mode that
@@ -37,12 +39,7 @@ from :mod:`repro.experiments`:
   once half the slots are taken),
 * an optional persistent content-addressed result cache
   (:mod:`repro.resultcache`), the service's only replay of earlier
-  verdicts, and coalescing of identical concurrent requests onto one
-  computation,
-* a fingerprint-sharded, health-checked router
-  (``python -m repro.service.router``) that spreads requests across
-  several daemons, fails idempotent work over to surviving shards and
-  tries a shard that sent ``Retry-After`` last until the hint expires.
+  verdicts.
 
 See ``docs/SERVICE.md`` for the protocol and operational guide,
 ``docs/CACHE.md`` for the durable cache and ``scripts/chaos_smoke.py``
@@ -62,7 +59,6 @@ from repro.service.protocol import (
     read_request,
     refusal_response,
 )
-from repro.service.router import RouterConfig, ShardRouter, serve_router
 
 __all__ = [
     "AnalysisPool",
@@ -71,15 +67,12 @@ __all__ = [
     "CircuitBreaker",
     "PRIORITIES",
     "PROTOCOL_VERSION",
-    "RouterConfig",
     "ServiceConfig",
-    "ShardRouter",
     "degraded_response",
     "error_response",
     "parse_request",
     "read_request",
     "refusal_response",
     "serve",
-    "serve_router",
     "service_worker",
 ]

@@ -8,7 +8,7 @@ Starts the batch-analysis daemon (see :mod:`repro.service` and
 The options are deployment and resource settings only.  The admission
 policy derives its thresholds from ``--max-in-flight`` (brownout at the
 last slot, batch-priority shed at half of them) and keeps the rest
-constant: a 25 ms per-hop deadline margin, a 50 ms budget floor, a 1 s
+constant: a 25 ms deadline safety margin, a 50 ms budget floor, a 1 s
 ``Retry-After`` base, and a circuit breaker that trips after 3
 consecutive pool failures and probes once after a 5 s cool-down (see
 ``docs/SERVICE.md``).
@@ -95,11 +95,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="byte budget of the result cache (default: unbounded)",
     )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable coalescing of identical concurrent requests",
-    )
     return parser
 
 
@@ -117,7 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=args.cache_dir,
             cache_max_entries=args.cache_max_entries,
             cache_max_bytes=args.cache_max_bytes,
-            coalesce=not args.no_coalesce,
         )
     except AnalysisError as error:
         print(f"repro-service: error: {error}", file=sys.stderr)

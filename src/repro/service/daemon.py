@@ -34,6 +34,7 @@ with their request ids), and the process exits 0.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import signal
@@ -41,7 +42,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, replace
-from http.server import ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -61,7 +62,6 @@ from repro.service.pool import AnalysisPool
 from repro.service.protocol import (
     DEADLINE_SAFETY_MS,
     AnalysisRequest,
-    JsonHandler,
     degraded_response,
     error_response,
     exhausted_response,
@@ -69,10 +69,6 @@ from repro.service.protocol import (
     read_request,
     refusal_response,
 )
-
-#: Extra wait a coalesced request grants the leading computation beyond
-#: the watchdog allowance of its own budget before giving up.
-COALESCE_GRACE = 5.0
 
 #: Statuses of a cooperative abort: partial estimates, quarantined.
 ABORTED = ("budget-exceeded", "cancelled")
@@ -107,7 +103,7 @@ class Refusal(NamedTuple):
 
 #: Every refusal of the admission policy, by response ``status``, in the
 #: order :meth:`AnalysisService.handle` checks them (``breaker-open`` is
-#: decided by the coalescing leader, just before the pool).
+#: decided last, just before the pool).
 REFUSALS: Dict[str, Refusal] = {
     "draining": Refusal(503, False, "rejected_draining"),
     "deadline-expired": Refusal(
@@ -160,8 +156,6 @@ class ServiceConfig:
     cache_max_entries: int = 4096
     #: Optional byte budget of the result cache (``None`` = unbounded).
     cache_max_bytes: Optional[int] = None
-    #: Coalesce identical concurrent requests onto one computation.
-    coalesce: bool = True
 
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
@@ -232,37 +226,6 @@ class ServiceStats:
         return dict(self.__dict__)
 
 
-class _Flight:
-    """One in-flight computation identical concurrent requests share."""
-
-    __slots__ = ("done", "outcome", "budget_seconds", "max_iterations")
-
-    def __init__(self, leader: AnalysisRequest) -> None:
-        self.done = threading.Event()
-        self.outcome: Optional[Tuple[int, Dict]] = None
-        # The leader's limits, which decide an aborted or degraded body.
-        self.budget_seconds = leader.budget_seconds
-        self.max_iterations = leader.max_iterations
-
-    def binds(self, request: AnalysisRequest) -> bool:
-        """Whether ``request``'s limits are no looser than the leader's,
-        so a body the leader's limits aborted or degraded is its answer."""
-        return _within(request.budget_seconds, self.budget_seconds) and (
-            _within(request.max_iterations, self.max_iterations)
-        )
-
-
-def _within(own, leader) -> bool:
-    """Whether the limit ``own`` is no looser than ``leader``
-    (``None`` is no limit)."""
-    return leader is None or (own is not None and own <= leader)
-
-
-def _less(limit: Optional[float], spent: float) -> Optional[float]:
-    """What is left of ``limit`` after ``spent`` (``None`` is no limit)."""
-    return None if limit is None else limit - spent
-
-
 def _document_id(document) -> str:
     """The ``id`` of a raw request document, for replies made before or
     without reading it."""
@@ -272,25 +235,22 @@ def _document_id(document) -> str:
 class AnalysisService:
     """HTTP-agnostic service core: validation, admission, cache, breaker.
 
-    The request path is layered so every tier degrades independently:
+    Every request takes one path: parse, fingerprint, cache, admission,
+    breaker, pool.
 
-    1. **Durable cache** — deterministic requests are fingerprinted
-       (:func:`repro.resultcache.request_fingerprint`) over the task and
-       platform records they carry, before any task is built, and served
-       from the persistent :class:`~repro.resultcache.ResultCache` when
-       possible.  Only a request whose key is not cached is parsed into
-       model objects.  Hits bypass the breaker entirely: cached results
-       stay available even while the worker pool is tripped.
-    2. **Coalescing** — N identical concurrent requests that equally
-       accept (or refuse) a degraded answer run *one* analysis; the
-       others wait on the leader's flight and share its exact verdict or
-       its failure.  A budget abort or degraded answer, which the
-       leader's own limits decided, is shared only with waiters whose
-       limits are no looser; the others run again under their own, less
-       the time they waited.
-    3. **Pool** — the leader runs through the circuit breaker and worker
-       pool as before.  Only completed ``"ok"`` results are written back
-       to the cache; aborted partials never are.
+    1. **Durable cache** — when the cache is on, deterministic requests
+       are fingerprinted (:func:`repro.resultcache.request_fingerprint`)
+       over the task and platform records they carry, before any task is
+       built, and served from the persistent
+       :class:`~repro.resultcache.ResultCache` when possible.  Only a
+       request whose key is not cached is parsed into model objects.
+       Hits bypass the breaker entirely: cached results stay available
+       even while the worker pool is tripped.
+    2. **Pool** — every admitted miss runs through the circuit breaker
+       and worker pool, identical concurrent misses included; the
+       cache's atomic put makes their racing writes safe.  Only completed
+       ``"ok"`` results are written back to the cache; aborted partials
+       never are.
     """
 
     def __init__(
@@ -326,7 +286,6 @@ class AnalysisService:
         self._lock = threading.Lock()
         self._tokens = itertools.count()
         self._active: Dict[int, str] = {}
-        self._flights: Dict[Tuple[str, bool], _Flight] = {}
         self._draining = threading.Event()
         #: Requests that could not be completed normally: budget aborts,
         #: watchdog kills and drain stragglers, with their reasons.
@@ -381,7 +340,7 @@ class AnalysisService:
         """Count one finished body and quarantine it if it aborted.
 
         The one mapping from a body to :class:`ServiceStats`, shared by
-        cache hits, the pool leader, coalesced waiters and brownout.
+        cache hits, pool answers and brownout.
         """
         status = body.get("status")
         with self._lock:
@@ -434,11 +393,7 @@ class AnalysisService:
         try:
             request = read_request(document)
             fingerprint = self._fingerprint(request)
-            cached = (
-                fingerprint is not None
-                and self.cache is not None
-                and fingerprint in self.cache
-            )
+            cached = fingerprint is not None and fingerprint in self.cache
             if not cached:
                 request = parse_request(request)
         except (ModelError, AnalysisError) as error:
@@ -520,16 +475,14 @@ class AnalysisService:
                 self._active.pop(token, None)
 
     def _fingerprint(self, request: AnalysisRequest) -> Optional[str]:
-        """Cache and coalescing key of a read request, or ``None``.
+        """Cache key of a read request, or ``None``.
 
-        ``None`` when neither layer is on, for the test-only inject
-        faults (the one nondeterministic input, which must never share
-        work), and for records canonical JSON cannot encode, such as a
-        ``NaN`` (those are analysed uncached, if they parse at all).
+        ``None`` when the cache is off, for the test-only inject faults
+        (the one nondeterministic input, which must never be replayed),
+        and for records canonical JSON cannot encode, such as a ``NaN``
+        (those are analysed uncached, if they parse at all).
         """
-        if request.inject is not None or (
-            self.cache is None and not self.config.coalesce
-        ):
+        if request.inject is not None or self.cache is None:
             return None
         envelope = request.envelope
         try:
@@ -545,9 +498,9 @@ class AnalysisService:
         fingerprint: Optional[str],
         brownout: bool = False,
     ) -> Tuple[int, Dict]:
-        """Cache, coalesce and run one admitted request."""
+        """Serve one admitted request from the cache, brownout or pool."""
         request_id = request.request_id
-        if fingerprint is not None and self.cache is not None:
+        if fingerprint is not None:
             payload = self.cache.get(fingerprint)
             if payload is not None:
                 # Served without touching the breaker: cached results stay
@@ -570,52 +523,26 @@ class AnalysisService:
             # the pool — cheap, sound, typed.  Cache hits above still
             # serve exact results; inject faults never get here.
             return self._brownout(request)
-        flight: Optional[_Flight] = None
-        # A degradable and a non-degradable request never share a flight:
-        # the latter must not get an answer the former would accept.
-        flight_key = (fingerprint, request.degradable)
-        while fingerprint is not None and self.config.coalesce:
-            with self._lock:
-                shared = self._flights.get(flight_key)
-                if shared is None:
-                    flight = self._flights[flight_key] = _Flight(request)
-                    break
-            answer, request = self._await_flight(request, shared)
-            if answer is not None:
-                return answer
-        status = 500
-        body: Dict = error_response(
-            request_id,
-            WorkerCrashError("computation died before producing a response"),
-        )
-        try:
-            status, body = self._run_pool(request)
-            return status, body
-        finally:
-            if flight is not None:
-                with self._lock:
-                    self._flights.pop(flight_key, None)
-                flight.outcome = (status, body)
-                flight.done.set()
-            if (
-                fingerprint is not None
-                and self.cache is not None
-                and status == 200
-                and body.get("status") == "ok"
-                and "degraded" not in body
-            ):
-                # Degraded bodies never enter the cache: the fingerprint
-                # names the *exact* result, and a looser-but-sound bound
-                # must not be replayed as it once the pressure is gone.
-                # Only completed results are durable; the cache's own
-                # validator additionally refuses anything else, so aborted
-                # partials can never poison it.
-                payload = {
-                    key: value
-                    for key, value in body.items()
-                    if key not in ("id", "cache")
-                }
-                self.cache.put(fingerprint, payload)
+        status, body = self._run_pool(request)
+        if (
+            fingerprint is not None
+            and status == 200
+            and body.get("status") == "ok"
+            and "degraded" not in body
+        ):
+            # Degraded bodies never enter the cache: the fingerprint
+            # names the *exact* result, and a looser-but-sound bound
+            # must not be replayed as it once the pressure is gone.
+            # Only completed results are durable; the cache's own
+            # validator additionally refuses anything else, so aborted
+            # partials can never poison it.
+            payload = {
+                key: value
+                for key, value in body.items()
+                if key not in ("id", "cache")
+            }
+            self.cache.put(fingerprint, payload)
+        return status, body
 
     def _brownout(self, request: AnalysisRequest) -> Tuple[int, Dict]:
         """Serve one admitted request from the coarse tier, pool-free.
@@ -664,73 +591,8 @@ class AnalysisService:
         self._settle(body)
         return status, body
 
-    def _await_flight(
-        self, request: AnalysisRequest, flight: _Flight
-    ) -> Tuple[Optional[Tuple[int, Dict]], AnalysisRequest]:
-        """Wait for an identical in-flight computation and share its body.
-
-        The waiter takes the exact verdict, the body the cache stores,
-        and a failure (a crash, a watchdog kill, an error, a refusal), so
-        that an input which just killed or hung a worker is not run
-        again at once.  An aborted partial or a degraded answer was
-        decided by the leader's budget and iteration ceiling: the waiter
-        takes it when its own limits, less the time it waited, are no
-        looser (:meth:`_Flight.binds`).  Otherwise the answer is ``None``
-        and ``request`` comes back with the wait charged against its
-        budget and deadline, to run under its own limits; a request
-        whose deadline the wait used up is answered 504
-        ``deadline-expired`` instead.  Returns ``(answer, request)``.
-        """
-        request_id = request.request_id
-        started = self._clock()
-        allowance = self.pool.allowance_for(request.budget_seconds)
-        timeout = None if allowance is None else allowance + COALESCE_GRACE
-        if not flight.done.wait(timeout):
-            with self._lock:
-                self.stats.analysis_errors += 1
-            return (
-                500,
-                error_response(
-                    request_id,
-                    ChunkTimeoutError(
-                        "coalesced request timed out waiting for the "
-                        "identical in-flight computation"
-                    ),
-                ),
-            ), request
-        status, shared = flight.outcome
-        waited = self._clock() - started
-        charged = replace(
-            request,
-            budget_seconds=_less(request.budget_seconds, waited),
-            deadline_ms=_less(request.deadline_ms, waited * 1000.0),
-        )
-        limited = shared.get("status") in ABORTED or "degraded" in shared
-        if limited and not flight.binds(charged):
-            if charged.deadline_ms is not None and charged.deadline_ms <= 0:
-                return self._refuse(
-                    "deadline-expired",
-                    request_id,
-                    "deadline expired while an identical request with "
-                    "tighter limits ran",
-                ), charged
-            if charged.budget_seconds is not None:
-                # Like admission's floor: the rerun can at least return
-                # its typed abort, unless the caller asked for less.
-                floor = min(request.budget_seconds, MIN_BUDGET_SECONDS)
-                charged = replace(
-                    charged,
-                    budget_seconds=max(charged.budget_seconds, floor),
-                )
-            return None, charged
-        body = dict(shared, id=request_id, cache="coalesced")
-        with self._lock:
-            self.perf.coalesced_requests += 1
-        self._settle(body)
-        return (status, body), request
-
     def _run_pool(self, request: AnalysisRequest) -> Tuple[int, Dict]:
-        """Run one leading request through the breaker and pool."""
+        """Run one request through the breaker and pool."""
         request_id = request.request_id
         if not self.breaker.allow():
             return self._refuse(
@@ -801,11 +663,7 @@ class AnalysisService:
                 name: getattr(self.perf, name)
                 for name in PerfCounters._INT_FIELDS
             }
-            cache = {
-                "enabled": self.cache is not None,
-                "coalesce": self.config.coalesce,
-                "coalescing_flights": len(self._flights),
-            }
+            cache = {"enabled": self.cache is not None}
             if self.cache is not None:
                 cache.update(self.cache.stats())
             return {
@@ -869,10 +727,31 @@ class AnalysisService:
 # -- HTTP front end -----------------------------------------------------------
 
 
-class _Handler(JsonHandler):
-    """Routes HTTP verbs onto one shared :class:`AnalysisService`."""
+class _Handler(BaseHTTPRequestHandler):
+    """Routes HTTP verbs onto one shared :class:`AnalysisService`.
+
+    ``POST /analyze`` reads the JSON body and answers with
+    :meth:`analyze`; any other POST path is a 404.
+    """
 
     service: AnalysisService  # injected by serve()
+
+    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
+        """Write no per-request access line to stderr."""
+
+    def _send(self, status: int, document: Dict) -> None:
+        body = json.dumps(document).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        retry_after = document.get("retry_after")
+        if retry_after is not None:
+            # The header takes whole seconds (RFC 9110 delay-seconds); the
+            # body keeps the jittered float.
+            seconds = max(1, math.ceil(retry_after))
+            self.send_header("Retry-After", str(seconds))
+        self.end_headers()
+        self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib casing
         if self.path == "/healthz":
@@ -883,6 +762,24 @@ class _Handler(JsonHandler):
             self._send(200, self.service.stats_document())
         else:
             self._send(404, {"status": "not-found", "path": self.path})
+
+    def do_POST(self) -> None:  # noqa: N802 — stdlib casing
+        if self.path != "/analyze":
+            self._send(404, {"status": "not-found", "path": self.path})
+            return
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            # ``rfile.read(-1)`` would block this thread until the client
+            # hangs up, so a negative length is refused before the read.
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            document = json.loads(self.rfile.read(length) or b"null")
+        except ValueError as error:  # JSONDecodeError is a ValueError
+            self._send(
+                400, error_response("", ModelError(f"bad request body: {error}"))
+            )
+            return
+        self._send(*self.analyze(document))
 
     def analyze(self, document) -> Tuple[int, Dict]:
         if isinstance(document, dict) and "requests" in document:

@@ -155,12 +155,6 @@ class AnalysisPool:
         self.default_watchdog = default_watchdog
         self._pool = SpawnPool(workers)
 
-    def allowance_for(self, budget_seconds: Optional[float]) -> Optional[float]:
-        """Watchdog seconds for a request with the given budget."""
-        if budget_seconds is None:
-            return self.default_watchdog
-        return watchdog_allowance(budget_seconds)
-
     def run(self, request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
         """Execute one parsed request, enforcing the watchdog.
 
@@ -169,7 +163,11 @@ class AnalysisPool:
         watchdog allowance expired (the pool is killed and respawned —
         a hung worker cannot be cancelled any other way).
         """
-        allowance = self.allowance_for(request.budget_seconds)
+        allowance = (
+            self.default_watchdog
+            if request.budget_seconds is None
+            else watchdog_allowance(request.budget_seconds)
+        )
         try:
             generation, future = self._pool.submit(service_worker, request)
         except (BrokenProcessPool, RuntimeError) as error:

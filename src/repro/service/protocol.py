@@ -49,18 +49,13 @@ The test-only ``inject`` field (``"hang"`` spins cooperatively inside the
 request's budget; ``"crash"`` kills the worker process) exists so the
 recovery paths can be demonstrated end-to-end — see
 ``scripts/service_smoke.py``.
-
-:class:`JsonHandler` is the HTTP framing of this protocol, shared by the
-daemon's and the router's front ends.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from http.server import BaseHTTPRequestHandler
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.ladder import SOUND_UNKNOWN
@@ -86,9 +81,9 @@ INJECT_KINDS = ("hang", "crash")
 #: lowest class first at admission.
 PRIORITIES = ("interactive", "batch")
 
-#: Safety margin (milliseconds) every hop, router and daemon alike,
-#: subtracts from a request's remaining ``deadline_ms`` before handing it
-#: on, covering its own serialisation and scheduling overhead.
+#: Safety margin (milliseconds) the daemon subtracts from a request's
+#: remaining ``deadline_ms`` before handing it to the pool, covering its
+#: own serialisation and scheduling overhead.
 DEADLINE_SAFETY_MS = 25.0
 
 _TASKSET_TAG = "repro-taskset"
@@ -126,9 +121,9 @@ class AnalysisRequest:
     budget_seconds: Optional[float] = None
     max_iterations: Optional[int] = None
     inject: Optional[str] = None
-    #: Remaining end-to-end deadline in milliseconds, as seen by the hop
-    #: that sent the request (each hop forwards it minus its own elapsed
-    #: time and a safety margin).
+    #: Remaining end-to-end deadline in milliseconds, as the caller sent
+    #: it (the daemon hands it to the pool minus its own elapsed time and
+    #: a safety margin).
     deadline_ms: Optional[float] = None
     #: Priority class; ``"batch"`` is shed first under overload.
     priority: str = "interactive"
@@ -411,53 +406,3 @@ def error_response(request_id: str, error: Exception) -> Dict:
         "error": type(error).__name__,
         "message": str(error),
     }
-
-
-class JsonHandler(BaseHTTPRequestHandler):
-    """HTTP framing shared by the daemon's and the router's handlers.
-
-    ``POST /analyze`` reads the JSON body and answers with
-    ``self.analyze(document) -> (status, body)``, which subclasses
-    implement; any other POST path is a 404.
-    """
-
-    quiet = True
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        if not self.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-    def _send(self, status: int, document: Dict) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        retry_after = document.get("retry_after")
-        if retry_after is not None:
-            # The header takes whole seconds (RFC 9110 delay-seconds); the
-            # body keeps the jittered float, which the router reads.
-            seconds = max(1, math.ceil(retry_after))
-            self.send_header("Retry-After", str(seconds))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib casing
-        if self.path != "/analyze":
-            self._send(404, {"status": "not-found", "path": self.path})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            # ``rfile.read(-1)`` would block this thread until the client
-            # hangs up, so a negative length is refused before the read.
-            if length < 0:
-                raise ValueError(f"negative Content-Length {length}")
-            document = json.loads(self.rfile.read(length) or b"null")
-        except ValueError as error:  # JSONDecodeError is a ValueError
-            self._send(
-                400, error_response("", ModelError(f"bad request body: {error}"))
-            )
-            return
-        self._send(*self.analyze(document))
-
-    def analyze(self, document) -> Tuple[int, Dict]:
-        raise NotImplementedError

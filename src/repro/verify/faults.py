@@ -36,11 +36,6 @@ def fault_names() -> Tuple[str, ...]:
     return tuple(sorted(FAULT_REGISTRY))
 
 
-def any_fault_active() -> bool:
-    """Whether any registered fault flag is currently set."""
-    return any(getattr(FAULTS, attr) for attr, _ in FAULT_REGISTRY.values())
-
-
 @contextmanager
 def inject_fault(name: str) -> Iterator[None]:
     """Enable the named fault for the duration of the ``with`` block.

@@ -114,6 +114,21 @@ class TestResilienceCli:
         err = capsys.readouterr().err
         assert "repro-experiments: error:" in err and "--resume" in err
 
+    def test_resume_of_a_journal_with_a_flipped_byte_is_refused(
+        self, capsys, tmp_path
+    ):
+        assert main(["fig2", "--samples", "2", "--journal", str(tmp_path)]) == 0
+        capsys.readouterr()
+        [path] = tmp_path.glob("*.jsonl")
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 2] = 0xFF  # inside the first record
+        path.write_bytes(bytes(data))
+        argv = ["fig2", "--samples", "2", "--journal", str(tmp_path), "--resume"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "repro-experiments: error:" in err
+        assert f"{path} line 2 is corrupt" in err
+
     def test_resume_without_journal_is_refused(self, capsys):
         assert main(["fig2", "--samples", "2", "--resume"]) == 2
         err = capsys.readouterr().err

@@ -137,16 +137,71 @@ class TestRunJournal:
                 (0, 2): (3.0, (True,)),
             }
 
-    def test_rejects_mid_file_corruption(self, tmp_path):
+    @pytest.mark.parametrize(
+        "inserted",
+        [
+            b"{ not json",
+            b'{"kind": "\xff"}',
+            b'{"kind": "\x80"}',
+            b'{"kind": "\xc0\xaf"}',
+            b'{"kind": "\xed\xa0\x80"}',
+            b'{"kind": "\xe2\x82"}',
+        ],
+        ids=[
+            "json", "utf8", "lone-continuation", "overlong", "surrogate",
+            "cut-sequence",
+        ],
+    )
+    def test_rejects_mid_file_corruption(self, tmp_path, inserted):
         fp = fingerprint()
         with RunJournal.open(tmp_path, fp) as journal:
             journal.record_sample(0, 0, 1.0, (True,))
             path = journal.path
-        lines = path.read_text().splitlines()
-        lines.insert(1, "{ not json")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalError, match="corrupt"):
+        lines = path.read_bytes().splitlines()
+        lines.insert(1, inserted)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(JournalError, match="line 2 is corrupt"):
             RunJournal.open(tmp_path, fp)
+
+    @pytest.mark.parametrize("flip", [0, 1], ids=["header", "record"])
+    def test_a_flipped_byte_names_the_file_and_changes_nothing(
+        self, tmp_path, flip
+    ):
+        # One byte of line ``flip + 1`` turned to 0xff: a typed error
+        # naming the file, and the file is left as it was for inspection.
+        fp = fingerprint()
+        with RunJournal.open(tmp_path, fp) as journal:
+            journal.record_sample(0, 0, 1.0, (True,))
+            path = journal.path
+        data = bytearray(path.read_bytes())
+        data[sum(len(line) for line in data.splitlines(True)[:flip]) + 2] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError) as error:
+            RunJournal.open(tmp_path, fp)
+        assert str(path) in str(error.value)
+        assert f"line {flip + 1} is corrupt" in str(error.value)
+        assert path.read_bytes() == bytes(data)
+
+    @pytest.mark.parametrize(
+        "torn", [b'{"kind": "sample", "\xff', b'{"kind": "\xe2\x82'],
+        ids=["invalid-byte", "cut-sequence"],
+    )
+    def test_an_undecodable_torn_tail_is_cut_off(self, tmp_path, torn):
+        # Bytes after the last newline are never decoded: a kill that
+        # cut a record inside a multi-byte character loses that record
+        # only.
+        fp = fingerprint()
+        with RunJournal.open(tmp_path, fp) as journal:
+            journal.record_sample(0, 0, 1.0, (True,))
+            path = journal.path
+        intact = path.read_bytes()
+        path.write_bytes(intact + torn)
+        with RunJournal.open(tmp_path, fp) as reopened:
+            assert reopened.completed == {(0, 0): (1.0, (True,))}
+            assert path.read_bytes() == intact
+            reopened.record_sample(0, 1, 2.0, (False,))
+        with RunJournal.open(tmp_path, fp) as again:
+            assert set(again.completed) == {(0, 0), (0, 1)}
 
     def test_rejects_foreign_fingerprint(self, tmp_path):
         fp = fingerprint()

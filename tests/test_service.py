@@ -16,6 +16,8 @@ import random
 import socket
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from http.server import ThreadingHTTPServer
 
@@ -43,12 +45,12 @@ from repro.service import (
     parse_request,
     read_request,
 )
+from repro.service import daemon as service_daemon
 from repro.service import pool as service_pool
 from repro.service.__main__ import main as service_main
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.daemon import REFUSALS, _Handler
 from repro.service.pool import service_worker
-from repro.service.protocol import DEADLINE_SAFETY_MS
 
 
 @pytest.fixture(scope="module")
@@ -365,11 +367,6 @@ class StubPool:
             return service_worker(request)
         return outcome
 
-    def allowance_for(self, budget_seconds):
-        # Coalesced waiters derive their wait from the leader's watchdog
-        # allowance; the stub has no watchdog, so waiters wait forever.
-        return None
-
     def close(self):
         self.closed = True
 
@@ -406,14 +403,14 @@ class TestServiceConfig:
         assert [field.name for field in dataclasses.fields(ServiceConfig)] == [
             "host", "port", "workers", "max_in_flight", "default_budget",
             "default_watchdog", "drain_grace_seconds", "cache_dir",
-            "cache_max_entries", "cache_max_bytes", "coalesce",
+            "cache_max_entries", "cache_max_bytes",
         ]
 
     @pytest.mark.parametrize(
         "flag",
         ["--breaker-threshold", "--breaker-reset", "--deadline-safety-ms",
          "--min-budget", "--brownout-in-flight", "--batch-max-in-flight",
-         "--retry-after-base"],
+         "--retry-after-base", "--no-coalesce"],
     )
     def test_overload_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -627,7 +624,7 @@ class TestResultCacheIntegration:
                 request_document(envelope, inject="crash")
             )
             assert status == 200 and "cache" not in body
-        assert pool.calls == 2  # never coalesced, never served from disk
+        assert pool.calls == 2  # never served from disk
         assert len(service.cache) == 0  # and never stored
 
     def test_hits_bypass_an_open_breaker(self, tmp_path, envelope):
@@ -691,8 +688,7 @@ class TestResultCacheIntegration:
         service = self.make_cached_service(tmp_path)
         service.handle(request_document(envelope))
         cache = service.stats_document()["cache"]
-        assert cache["enabled"] and cache["coalesce"]
-        assert cache["coalescing_flights"] == 0
+        assert cache["enabled"]
         assert cache["entries"] == 1 and cache["bytes"] > 0
         assert "seeds" not in cache
         perf = service.stats_document()["perf"]
@@ -930,352 +926,18 @@ class TestParseOnlyOnAMiss:
         assert (status, body["status"]) == (429, "busy")
 
 
-class TestCoalescing:
-    """The request-coalescing tier (works with or without the cache)."""
-
-    def run_pair(
-        self,
-        service,
-        envelope,
-        entered,
-        release,
-        leader=None,
-        waiter=None,
-        before_release=None,
-    ):
-        """Start a leader, then a waiter on the identical document, each
-        with its own extra request fields."""
-        results = {}
-
-        def submit(name, request_id, extra):
-            results[name] = service.handle(
-                request_document(envelope, id=request_id, **extra)
-            )
-
-        leader = threading.Thread(
-            target=submit, args=("leader", "lead-1", leader or {})
-        )
-        leader.start()
-        assert entered.wait(timeout=30)  # the leader owns the flight
-        waiter = threading.Thread(
-            target=submit, args=("waiter", "wait-1", waiter or {})
-        )
-        waiter.start()
-        deadline = time.monotonic() + 30
-        while not service._flights and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.1)  # let the waiter reach flight.done.wait()
-        if before_release is not None:
-            before_release()
-        release.set()
-        leader.join(timeout=30)
-        waiter.join(timeout=30)
-        return results
-
-    def blocking_pool(self, entered, release, after=None):
-        def blocked(request):
-            entered.set()
-            assert release.wait(timeout=30)
-            if isinstance(after, Exception):
-                raise after
-            return service_worker(request)
-
-        return StubPool(blocked)
-
-    def test_identical_concurrent_requests_share_one_computation(
-        self, envelope
-    ):
-        entered, release = threading.Event(), threading.Event()
-        pool = self.blocking_pool(entered, release)
-        service = make_service(pool=pool)
-        results = self.run_pair(service, envelope, entered, release)
-        status, lead_body = results["leader"]
-        assert status == 200 and lead_body["status"] == "ok"
-        assert "cache" not in lead_body
-        status, wait_body = results["waiter"]
-        assert status == 200 and wait_body["cache"] == "coalesced"
-        assert wait_body["id"] == "wait-1"
-        assert pool.calls == 1
-        assert service.perf.coalesced_requests == 1
-        assert service.stats.completed == 2
-        assert service._flights == {}  # the flight was cleaned up
-
-    def test_leader_failure_is_shared_too(self, envelope):
-        entered, release = threading.Event(), threading.Event()
-        pool = self.blocking_pool(
-            entered, release, after=WorkerCrashError("boom")
-        )
-        service = make_service(pool=pool)
-        results = self.run_pair(service, envelope, entered, release)
-        assert results["leader"][0] == 500
-        status, body = results["waiter"]
-        assert status == 500 and body["error"] == "WorkerCrashError"
-        assert pool.calls == 1  # the waiter did not retry the crash
-
-    def test_a_non_degradable_request_never_shares_a_degraded_flight(
-        self, envelope
-    ):
-        # The degradable leader's pool answer is a degraded body; the
-        # identical non-degradable request arriving while it runs must
-        # get its own exact analysis, not that body.
-        entered, release = threading.Event(), threading.Event()
-        degraded = {
-            "version": PROTOCOL_VERSION,
-            "id": "lead-1",
-            "status": "ok",
-            "schedulable": True,
-            "outer_iterations": 1,
-            "response_times": {},
-            "degraded": {
-                "tier": "baseline",
-                "soundness": "degraded-sound",
-                "tiers_tried": ["exact", "baseline"],
-            },
-        }
-
-        def blocked(request):
-            entered.set()
-            assert release.wait(timeout=30)
-            if request.degradable:
-                return dict(degraded), PerfCounters()
-            return service_worker(request)
-
-        pool = StubPool(blocked)
-        service = make_service(pool=pool)
-        results = {}
-
-        def submit(name, **extra):
-            results[name] = service.handle(
-                request_document(envelope, id=name, **extra)
-            )
-
-        leader = threading.Thread(
-            target=submit,
-            args=("lead-1",),
-            kwargs={"degrade": True, "budget_seconds": 0.005},
-        )
-        leader.start()
-        assert entered.wait(timeout=30)
-        exact = threading.Thread(
-            target=submit, args=("exact-1",), kwargs={"degrade": False}
-        )
-        exact.start()
-        deadline = time.monotonic() + 10
-        while pool.calls < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        release.set()
-        leader.join(timeout=30)
-        exact.join(timeout=30)
-        assert pool.calls == 2
-        status, body = results["exact-1"]
-        assert (status, body["status"]) == (200, "ok")
-        assert "degraded" not in body and "cache" not in body
-        assert results["lead-1"][1]["degraded"]["tier"] == "baseline"
-        assert service.perf.coalesced_requests == 0
-        assert service._flights == {}
-
-    def test_an_unlimited_request_never_takes_a_capped_leaders_partials(
-        self, envelope
-    ):
-        # Iteration ceilings and budgets are not part of the key, so the
-        # unlimited request waits on the capped leader's flight; the
-        # leader's budget-exceeded body is its own, and the waiter then
-        # runs under its own (absent) limits.
-        entered, release = threading.Event(), threading.Event()
-        pool = self.blocking_pool(entered, release)
-        service = make_service(pool=pool)
-        results = {}
-
-        def submit(name, **extra):
-            results[name] = service.handle(
-                request_document(envelope, id=name, **extra)
-            )
-
-        capped = threading.Thread(
-            target=submit, args=("capped",), kwargs={"max_iterations": 2}
-        )
-        capped.start()
-        assert entered.wait(timeout=30)  # the capped request leads
-        unlimited = threading.Thread(target=submit, args=("unlimited",))
-        unlimited.start()
-        time.sleep(0.1)  # let the waiter reach flight.done.wait()
-        assert pool.calls == 1
-        release.set()
-        capped.join(timeout=30)
-        unlimited.join(timeout=30)
-        assert results["capped"][1]["status"] == "budget-exceeded"
-        status, body = results["unlimited"]
-        assert (status, body["status"]) == (200, "ok")
-        assert "cache" not in body and "partial_response_times" not in body
-        assert pool.calls == 2
-        assert [entry["id"] for entry in service.quarantined] == ["capped"]
-        assert service.perf.coalesced_requests == 0
-        assert service._flights == {}
-
-    @pytest.mark.parametrize(
-        "leader, waiter",
-        [
-            ({"max_iterations": 2}, {"max_iterations": 2}),
-            ({"max_iterations": 2}, {"max_iterations": 1}),
-            (
-                {"max_iterations": 2, "budget_seconds": 20},
-                {"max_iterations": 2, "budget_seconds": 20},
-            ),
-        ],
-        ids=["same-cap", "tighter-cap", "same-cap-and-budget"],
-    )
-    def test_a_waiter_no_looser_than_the_leader_shares_its_abort(
-        self, envelope, leader, waiter
-    ):
-        # The leader's limits aborted its run, and the waiter's own, less
-        # its wait, are no looser: its own run would abort as well.
-        entered, release = threading.Event(), threading.Event()
-        pool = self.blocking_pool(entered, release)
-        service = make_service(pool=pool)
-        results = self.run_pair(
-            service, envelope, entered, release, leader=leader, waiter=waiter
-        )
-        assert results["leader"][1]["status"] == "budget-exceeded"
-        status, body = results["waiter"]
-        assert (status, body["status"], body["cache"]) == (
-            200, "budget-exceeded", "coalesced"
-        )
-        assert pool.calls == 1
-        assert service.perf.coalesced_requests == 1
-        assert [entry["id"] for entry in service.quarantined] == [
-            "lead-1", "wait-1"
-        ]
-        assert service._flights == {}
-
-    def test_a_looser_budget_runs_again(self, envelope):
-        entered, release = threading.Event(), threading.Event()
-        pool = self.blocking_pool(entered, release)
-        service = make_service(pool=pool)
-        results = self.run_pair(
-            service,
-            envelope,
-            entered,
-            release,
-            leader={"max_iterations": 2, "budget_seconds": 20},
-            waiter={"max_iterations": 2, "budget_seconds": 60},
-        )
-        status, body = results["waiter"]
-        assert (status, body["status"]) == (200, "budget-exceeded")
-        assert "cache" not in body
-        assert pool.calls == 2
-        assert service.perf.coalesced_requests == 0
-
-    def clocked_pair(self, envelope, waiter, wait_seconds):
-        """A degradable capped leader and ``waiter`` on a fake clock that
-        moves ``wait_seconds`` while the waiter waits; returns the
-        results, the requests the pool ran and the service."""
-        now = [100.0]
-        ran = []
-        entered, release = threading.Event(), threading.Event()
-
-        def blocked(request):
-            ran.append(request)
-            entered.set()
-            assert release.wait(timeout=30)
-            return service_worker(request)
-
-        service = make_service(pool=StubPool(blocked), clock=lambda: now[0])
-        results = self.run_pair(
-            service,
-            envelope,
-            entered,
-            release,
-            leader={"max_iterations": 2, "degrade": True},
-            waiter=waiter,
-            before_release=lambda: now.__setitem__(0, now[0] + wait_seconds),
-        )
-        assert results["leader"][1]["status"] == "budget-exceeded"
-        return results, ran, service
-
-    def test_a_rerun_is_charged_the_time_it_waited(self, envelope):
-        # The waiter has no iteration cap, so it runs again, under what
-        # is left of its deadline after one second of waiting.
-        results, ran, _service = self.clocked_pair(
-            envelope, {"deadline_ms": 10_000}, wait_seconds=1.0
-        )
-        status, body = results["waiter"]
-        assert (status, body["status"]) == (200, "ok")
-        assert "cache" not in body
-        assert len(ran) == 2
-        admitted = 10.0 - DEADLINE_SAFETY_MS / 1000.0
-        assert ran[1].deadline_ms == pytest.approx((admitted - 1.0) * 1000)
-        assert ran[1].budget_seconds == pytest.approx(admitted - 1.0)
-
-    def test_a_deadline_the_wait_used_up_is_a_504(self, envelope):
-        results, ran, service = self.clocked_pair(
-            envelope, {"deadline_ms": 500}, wait_seconds=1.0
-        )
-        status, body = results["waiter"]
-        assert (status, body["status"]) == (504, "deadline-expired")
-        assert len(ran) == 1
-        assert service.stats.shed_expired == 1
-        assert [entry["id"] for entry in service.quarantined] == ["lead-1"]
-
-    def test_rerunning_waiters_coalesce_with_each_other(self, envelope):
-        # Neither unlimited request takes the capped leader's partials;
-        # one of them leads the rerun and the other shares its verdict.
-        entered, release, rerun = (threading.Event() for _ in range(3))
-
-        def blocked(request):
-            entered.set()
-            gate = release if request.max_iterations else rerun
-            assert gate.wait(timeout=30)
-            return service_worker(request)
-
-        pool = StubPool(blocked)
-        service = make_service(pool=pool)
-        results = {}
-
-        def submit(name, **extra):
-            results[name] = service.handle(
-                request_document(envelope, id=name, **extra)
-            )
-
-        capped = threading.Thread(
-            target=submit, args=("capped",), kwargs={"max_iterations": 2}
-        )
-        capped.start()
-        assert entered.wait(timeout=30)
-        waiters = [
-            threading.Thread(target=submit, args=(name,)) for name in "ab"
-        ]
-        for thread in waiters:
-            thread.start()
-        time.sleep(0.1)  # let both reach flight.done.wait()
-        release.set()
-        deadline = time.monotonic() + 30
-        while pool.calls < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.1)  # let the other waiter join the rerun's flight
-        rerun.set()
-        for thread in [capped, *waiters]:
-            thread.join(timeout=30)
-        assert pool.calls == 2
-        bodies = [results[name][1] for name in "ab"]
-        assert [body["status"] for body in bodies] == ["ok", "ok"]
-        assert sorted(body.get("cache", "") for body in bodies) == [
-            "", "coalesced"
-        ]
-        assert [entry["id"] for entry in service.quarantined] == ["capped"]
-        assert service._flights == {}
-
-    def test_coalescing_can_be_disabled(self, envelope):
-        entered, release = threading.Event(), threading.Event()
+class TestIdenticalConcurrentMisses:
+    def test_identical_concurrent_misses_each_run(self, envelope):
+        release = threading.Event()
         calls = threading.Semaphore(0)
 
         def counted(request):
             calls.release()
-            entered.set()
             assert release.wait(timeout=30)
             return service_worker(request)
 
         pool = StubPool(counted)
-        service = make_service(pool=pool, coalesce=False)
+        service = make_service(pool=pool)
         results = {}
 
         def submit(name):
@@ -1293,8 +955,186 @@ class TestCoalescing:
         for thread in threads:
             thread.join(timeout=30)
         assert pool.calls == 2
-        assert all(body["status"] == "ok" for _s, body in results.values())
-        assert service.perf.coalesced_requests == 0
+        assert [body["status"] for _s, body in results.values()] == ["ok", "ok"]
+
+    @staticmethod
+    def gated_pool(outcome=None):
+        """A stub pool whose calls each signal ``arrived`` and then block
+        until ``release``; ``outcome(request)`` answers, by default the
+        real worker."""
+        arrived, release = threading.Semaphore(0), threading.Event()
+
+        def gated(request):
+            arrived.release()
+            assert release.wait(timeout=30)
+            if outcome is None:
+                return service_worker(request)
+            return outcome(request)
+
+        return StubPool(gated), arrived, release
+
+    @staticmethod
+    def run_together(service, envelope, arrived, release, requests):
+        """Send ``requests`` (id -> extra fields) at once, release them
+        only when every one is inside the pool; returns id -> reply."""
+        results = {}
+
+        def submit(name, extra):
+            results[name] = service.handle(
+                request_document(envelope, id=name, **extra)
+            )
+
+        threads = [
+            threading.Thread(target=submit, args=item)
+            for item in requests.items()
+        ]
+        for thread in threads:
+            thread.start()
+        for _ in threads:
+            assert arrived.acquire(timeout=30)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        return results
+
+    def test_a_worker_crash_is_not_shared(self, envelope):
+        # Each crash is its own 500 and its own breaker failure.
+        pool, arrived, release = self.gated_pool(
+            lambda request: WorkerCrashError("boom")
+        )
+        service = make_service(
+            pool=pool, breaker=CircuitBreaker(failure_threshold=2)
+        )
+        results = self.run_together(
+            service, envelope, arrived, release, {"a": {}, "b": {}}
+        )
+        for status, body in results.values():
+            assert (status, body["error"]) == (500, "WorkerCrashError")
+        assert pool.calls == 2
+        assert service.stats.worker_crashes == 2
+        assert (service.breaker.state, service.breaker.trips) == (OPEN, 1)
+
+    def test_a_non_degradable_request_gets_its_own_exact_answer(
+        self, envelope
+    ):
+        # The degradable request's pool answer is a degraded body; the
+        # identical non-degradable request in flight beside it gets its
+        # own exact analysis.
+        degraded = {
+            "version": PROTOCOL_VERSION,
+            "id": "lead",
+            "status": "ok",
+            "schedulable": True,
+            "outer_iterations": 1,
+            "response_times": {},
+            "degraded": {
+                "tier": "baseline",
+                "soundness": "degraded-sound",
+                "tiers_tried": ["exact", "baseline"],
+            },
+        }
+
+        def answer(request):
+            if request.degradable:
+                return dict(degraded), PerfCounters()
+            return service_worker(request)
+
+        pool, arrived, release = self.gated_pool(answer)
+        service = make_service(pool=pool)
+        results = self.run_together(
+            service,
+            envelope,
+            arrived,
+            release,
+            {"lead": {"degrade": True, "budget_seconds": 5}, "exact": {}},
+        )
+        status, body = results["exact"]
+        assert (status, body["status"]) == (200, "ok")
+        assert "degraded" not in body and "cache" not in body
+        assert results["lead"][1]["degraded"]["tier"] == "baseline"
+        assert pool.calls == 2
+        assert service.stats.degraded == 1
+
+    def test_an_unlimited_request_gets_its_own_verdict(self, envelope):
+        # Iteration ceilings are not part of the cache key: the capped
+        # request's partials stay its own.
+        pool, arrived, release = self.gated_pool()
+        service = make_service(pool=pool)
+        results = self.run_together(
+            service,
+            envelope,
+            arrived,
+            release,
+            {"capped": {"max_iterations": 2}, "unlimited": {}},
+        )
+        assert results["capped"][1]["status"] == "budget-exceeded"
+        status, body = results["unlimited"]
+        assert (status, body["status"]) == (200, "ok")
+        assert "partial_response_times" not in body
+        assert pool.calls == 2
+        assert [entry["id"] for entry in service.quarantined] == ["capped"]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"max_iterations": 2}, {"max_iterations": 2}),
+            ({"max_iterations": 2}, {"max_iterations": 1}),
+            (
+                {"max_iterations": 2, "budget_seconds": 20},
+                {"max_iterations": 2, "budget_seconds": 20},
+            ),
+        ],
+        ids=["same-cap", "tighter-cap", "same-cap-and-budget"],
+    )
+    def test_each_capped_request_reports_its_own_abort(
+        self, envelope, first, second
+    ):
+        pool, arrived, release = self.gated_pool()
+        service = make_service(pool=pool)
+        results = self.run_together(
+            service, envelope, arrived, release, {"a": first, "b": second}
+        )
+        for name, (status, body) in results.items():
+            assert (status, body["status"], body["id"]) == (
+                200, "budget-exceeded", name
+            )
+            assert "cache" not in body
+        assert pool.calls == 2
+        assert sorted(entry["id"] for entry in service.quarantined) == [
+            "a", "b"
+        ]
+
+    def test_with_the_cache_both_run_and_one_entry_is_kept(
+        self, tmp_path, envelope
+    ):
+        # Both misses store the same key; the cache's atomic put keeps
+        # one entry, which the next repeat hits.
+        pool, arrived, release = self.gated_pool()
+        service = make_service(pool=pool, cache_dir=str(tmp_path))
+        results = self.run_together(
+            service, envelope, arrived, release, {"a": {}, "b": {}}
+        )
+        bodies = [results[name][1] for name in "ab"]
+        assert [body["status"] for body in bodies] == ["ok", "ok"]
+        assert all("cache" not in body for body in bodies)
+        assert dict(bodies[1], id="a") == bodies[0]
+        assert pool.calls == 2
+        assert len(service.cache) == 1
+        status, warm = service.handle(request_document(envelope, id="c"))
+        assert (status, warm["cache"]) == (200, "hit")
+        assert dict(warm, id="a", cache=None) == dict(bodies[0], cache=None)
+        assert pool.calls == 2
+
+    def test_without_the_cache_nothing_is_fingerprinted(
+        self, envelope, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fingerprinted without a cache")
+
+        monkeypatch.setattr(service_daemon, "request_fingerprint", forbidden)
+        service = make_service()
+        status, body = service.handle(request_document(envelope))
+        assert (status, body["status"]) == (200, "ok")
 
 
 def _refused_service(status):
@@ -1505,11 +1345,9 @@ class TestOverloadControl:
                 release.wait(timeout=30)
             return service_worker(request)
 
-        # batch_cap defaults to max_in_flight // 2 = 2.  Without coalescing
-        # each admitted request makes its own pool call.
-        service = make_service(
-            pool=StubPool(blocking), max_in_flight=4, coalesce=False
-        )
+        # batch_cap defaults to max_in_flight // 2 = 2.  Each admitted
+        # request makes its own pool call, identical ones included.
+        service = make_service(pool=StubPool(blocking), max_in_flight=4)
         results = {}
         workers = [
             threading.Thread(
@@ -1668,11 +1506,11 @@ class TestHttpFraming:
             yield address
 
     @staticmethod
-    def exchange(address, headers, body=b""):
-        """Raw ``POST /analyze``; returns ``(status, headers, body)``
-        within 5 s."""
+    def exchange(address, headers, body=b"", method="POST", path="/analyze"):
+        """Raw ``METHOD PATH``, ``POST /analyze`` by default; returns
+        ``(status, headers, body)`` within 5 s."""
         head = "".join(f"{name}: {value}\r\n" for name, value in headers)
-        request = f"POST /analyze HTTP/1.0\r\n{head}\r\n".encode() + body
+        request = f"{method} {path} HTTP/1.0\r\n{head}\r\n".encode() + body
         with socket.create_connection(address, timeout=5) as connection:
             connection.sendall(request)
             reply = b""
@@ -1736,8 +1574,314 @@ class TestHttpFraming:
         assert fields["Retry-After"] == header
         seconds = max(1, math.ceil(body["retry_after"]))
         assert fields["Retry-After"] == str(seconds)
-        # The body keeps the jittered float the router reads.
+        # The body keeps the jittered float.
         assert body["retry_after"] != int(body["retry_after"])
+
+
+class TestHttpEndpoints:
+    """Each endpoint and header of the daemon's HTTP handler."""
+
+    @pytest.fixture
+    def url(self):
+        with serving(make_service()) as address:
+            yield address
+
+    @staticmethod
+    def get(address, path):
+        return TestHttpFraming.exchange(address, [], method="GET", path=path)
+
+    @staticmethod
+    def post_json(address, document, headers=()):
+        """``POST /analyze`` of ``document``; returns ``(status, body)``."""
+        payload = json.dumps(document).encode()
+        return TestHttpFraming.post(
+            address, [("Content-Length", str(len(payload))), *headers], payload
+        )
+
+    @staticmethod
+    def half_loaded():
+        """A service with one of its two slots taken: batch-priority
+        requests are shed, interactive ones admitted."""
+        service = make_service(max_in_flight=2)
+        service._active[-1] = "occupant"
+        return service
+
+    @staticmethod
+    def spied():
+        """A service on a stopped clock and the requests its pool ran."""
+        seen = []
+
+        def spy(request):
+            seen.append(request)
+            return service_worker(request)
+
+        return make_service(pool=StubPool(spy), clock=FakeClock()), seen
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [("/healthz", {"status": "ok"}), ("/readyz", {"status": "ready"})],
+    )
+    def test_probes_answer_json(self, url, path, expected):
+        status, _fields, body = self.get(url, path)
+        assert (status, body) == (200, expected)
+
+    @pytest.mark.parametrize("reason", ["draining", "breaker-open"])
+    def test_readyz_is_503_when_not_ready(self, reason):
+        breaker = CircuitBreaker(failure_threshold=1, clock=FakeClock())
+        service = make_service(breaker=breaker)
+        if reason == "draining":
+            service.begin_drain()
+        else:
+            breaker.record_failure()
+        with serving(service) as address:
+            status, _fields, body = self.get(address, "/readyz")
+            assert (status, body) == (503, {"status": reason})
+            # Liveness does not depend on readiness.
+            assert self.get(address, "/healthz")[0] == 200
+
+    def test_stats_is_the_stats_document(self, envelope):
+        service = make_service()
+        service.handle(request_document(envelope))
+        with serving(service) as address:
+            status, _fields, body = self.get(address, "/stats")
+        assert status == 200
+        assert body == json.loads(json.dumps(service.stats_document()))
+        assert body["requests"]["completed"] == 1
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [("GET", "/"), ("GET", "/analyze"), ("GET", "/stats/"),
+         ("POST", "/"), ("POST", "/healthz"), ("POST", "/analyze/")],
+    )
+    def test_an_unknown_path_is_a_404(self, url, method, path):
+        headers = [("Content-Length", "0")] if method == "POST" else []
+        status, _fields, body = TestHttpFraming.exchange(
+            url, headers, method=method, path=path
+        )
+        assert (status, body) == (404, {"status": "not-found", "path": path})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"id": "x"', b"not json", b'{"id": "\xff"}'],
+        ids=["truncated", "not-json", "not-utf8"],
+    )
+    def test_an_undecodable_body_is_a_typed_400(self, url, payload):
+        status, body = TestHttpFraming.post(
+            url, [("Content-Length", str(len(payload)))], payload
+        )
+        assert (status, body["error"], body["id"]) == (400, "ModelError", "")
+        assert body["message"].startswith("bad request body")
+
+    def test_a_non_integer_content_length_is_a_typed_400(self, url):
+        status, body = TestHttpFraming.post(url, [("Content-Length", "ten")])
+        assert (status, body["error"]) == (400, "ModelError")
+        assert body["message"].startswith("bad request body")
+
+    def test_a_missing_body_is_a_typed_400(self, url):
+        # No body reads as JSON null, which is not a request object.
+        status, body = TestHttpFraming.post(url, [])
+        assert (status, body["error"]) == (400, "ModelError")
+        assert "JSON object" in body["message"]
+
+    def test_replies_are_json_with_their_length(self, url, envelope):
+        payload = json.dumps(request_document(envelope)).encode()
+        status, fields, body = TestHttpFraming.exchange(
+            url, [("Content-Length", str(len(payload)))], payload
+        )
+        assert (status, body["status"]) == (200, "ok")
+        assert fields["Content-Type"] == "application/json"
+        assert int(fields["Content-Length"]) == len(json.dumps(body).encode())
+        assert "Retry-After" not in fields
+
+    def test_an_answer_is_the_service_core_body(self, url, envelope):
+        status, body = self.post_json(url, request_document(envelope))
+        direct_status, direct = make_service().handle(request_document(envelope))
+        assert status == direct_status == 200
+        assert body == json.loads(json.dumps(direct))
+
+    def test_a_batch_answers_every_document_in_order(self, url, envelope):
+        documents = [
+            request_document(envelope, id="one"),
+            {"id": "bad"},
+            request_document(envelope, id="two"),
+        ]
+        status, body = self.post_json(url, {"requests": documents})
+        assert status == 200
+        assert [(reply["id"], reply["status"]) for reply in body["responses"]] == [
+            ("one", "ok"), ("bad", "error"), ("two", "ok")
+        ]
+
+    def test_batch_requests_must_be_an_array(self, url):
+        status, body = self.post_json(url, {"requests": {"id": "x"}})
+        assert (status, body["error"]) == (400, "ModelError")
+        assert "array" in body["message"]
+
+    def test_a_deadline_header_fills_a_missing_body_field(self, envelope):
+        service, seen = self.spied()
+        with serving(service) as address:
+            status, body = self.post_json(
+                address, request_document(envelope), [("X-Deadline-Ms", "2025")]
+            )
+        assert (status, body["status"]) == (200, "ok")
+        assert seen[0].deadline_ms == pytest.approx(2_000.0)
+        assert seen[0].budget_seconds == pytest.approx(2.0)
+
+    def test_the_body_deadline_wins_over_the_header(self, envelope):
+        service, seen = self.spied()
+        with serving(service) as address:
+            status, _body = self.post_json(
+                address,
+                request_document(envelope, deadline_ms=10_025),
+                [("X-Deadline-Ms", "2025")],
+            )
+        assert status == 200
+        assert seen[0].deadline_ms == pytest.approx(10_000.0)
+
+    def test_a_priority_header_fills_a_missing_body_field(self, envelope):
+        with serving(self.half_loaded()) as address:
+            status, body = self.post_json(
+                address, request_document(envelope), [("X-Priority", "batch")]
+            )
+        assert (status, body["status"]) == (429, "overload-shed")
+
+    def test_the_body_priority_wins_over_the_header(self, envelope):
+        with serving(self.half_loaded()) as address:
+            status, body = self.post_json(
+                address,
+                request_document(envelope, priority="interactive"),
+                [("X-Priority", "batch")],
+            )
+        assert (status, body["status"]) == (200, "ok")
+
+    def test_an_unknown_priority_header_is_a_typed_400(self, url, envelope):
+        status, body = self.post_json(
+            url, request_document(envelope), [("X-Priority", "urgent")]
+        )
+        assert (status, body["error"]) == (400, "AnalysisError")
+        assert "priority" in body["message"]
+
+    def test_headers_do_not_reach_batched_documents(self, envelope):
+        # Applied, either header would refuse the document: a batch
+        # priority is shed at half load, and 1ms is expired on arrival.
+        with serving(self.half_loaded()) as address:
+            status, body = self.post_json(
+                address,
+                {"requests": [request_document(envelope)]},
+                [("X-Priority", "batch"), ("X-Deadline-Ms", "1")],
+            )
+        assert status == 200
+        assert [reply["status"] for reply in body["responses"]] == ["ok"]
+
+    def test_a_refusal_without_retry_after_sends_no_header(self, envelope):
+        service = make_service()
+        service.begin_drain()
+        payload = json.dumps(request_document(envelope)).encode()
+        with serving(service) as address:
+            status, fields, body = TestHttpFraming.exchange(
+                address, [("Content-Length", str(len(payload)))], payload
+            )
+        assert (status, body["status"]) == (503, "draining")
+        assert "retry_after" not in body and "Retry-After" not in fields
+
+    def test_requests_write_no_access_line(self, url, envelope, capfd):
+        capfd.readouterr()
+        assert self.post_json(url, request_document(envelope))[0] == 200
+        assert self.get(url, "/healthz")[0] == 200
+        assert capfd.readouterr().err == ""
+
+
+class FakeFuture:
+    """A settled future: ``result`` returns or raises ``outcome``."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.timeouts = []
+
+    def result(self, timeout=None):
+        self.timeouts.append(timeout)
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
+
+
+class FakeSpawnPool:
+    """Process-free stand-in for :class:`repro.workers.SpawnPool`."""
+
+    generation = 7
+
+    def __init__(self, outcome=None, refuse=None):
+        self.future = FakeFuture(outcome)
+        #: Exception ``submit`` raises instead of accepting the call.
+        self.refuse = refuse
+        self.submitted = []
+        self.respawns = []
+
+    def submit(self, fn, *args):
+        if self.refuse is not None:
+            raise self.refuse
+        self.submitted.append((fn, args))
+        return self.generation, self.future
+
+    def respawn(self, generation, kill):
+        self.respawns.append((generation, kill))
+
+
+class TestAnalysisPool:
+    """:meth:`AnalysisPool.run`: the watchdog and the failure mapping."""
+
+    @staticmethod
+    def make_pool(monkeypatch, default_watchdog=None, **fake):
+        spawn = FakeSpawnPool(**fake)
+        monkeypatch.setattr(service_pool, "SpawnPool", lambda workers: spawn)
+        return service_pool.AnalysisPool(default_watchdog=default_watchdog)
+
+    @pytest.mark.parametrize(
+        "budget, default_watchdog, allowance",
+        [
+            (2.0, 60.0, service_pool.watchdog_allowance(2.0)),
+            (None, 60.0, 60.0),
+            (None, None, None),
+        ],
+        ids=["budget", "default", "unbounded"],
+    )
+    def test_waits_the_watchdog_allowance(
+        self, monkeypatch, envelope, budget, default_watchdog, allowance
+    ):
+        answer = ({"status": "ok"}, PerfCounters())
+        pool = self.make_pool(monkeypatch, default_watchdog, outcome=answer)
+        extra = {} if budget is None else {"budget_seconds": budget}
+        request = parse_request(request_document(envelope, **extra))
+        assert pool.run(request) is answer
+        assert pool._pool.submitted == [(service_worker, (request,))]
+        assert pool._pool.future.timeouts == [allowance]
+        assert pool._pool.respawns == []
+
+    def test_an_expired_watchdog_kills_and_respawns(self, monkeypatch, envelope):
+        pool = self.make_pool(monkeypatch, outcome=FutureTimeout())
+        request = parse_request(request_document(envelope, budget_seconds=1.0))
+        with pytest.raises(ChunkTimeoutError, match="watchdog allowance"):
+            pool.run(request)
+        assert pool._pool.respawns == [(7, True)]
+
+    def test_a_dead_worker_respawns_without_a_kill(self, monkeypatch, envelope):
+        pool = self.make_pool(monkeypatch, outcome=BrokenProcessPool())
+        with pytest.raises(WorkerCrashError, match="died"):
+            pool.run(parse_request(request_document(envelope)))
+        assert pool._pool.respawns == [(7, False)]
+
+    @pytest.mark.parametrize(
+        "error",
+        [BrokenProcessPool("broken"), RuntimeError("shut down")],
+        ids=["broken", "shut-down"],
+    )
+    def test_a_refused_submission_is_a_worker_crash(
+        self, monkeypatch, envelope, error
+    ):
+        pool = self.make_pool(monkeypatch, refuse=error)
+        with pytest.raises(WorkerCrashError, match="at submission"):
+            pool.run(parse_request(request_document(envelope)))
+        # The spawn pool's own submit respawns a refused generation.
+        assert pool._pool.respawns == []
 
 
 class TestHttpNonFiniteNumbers:

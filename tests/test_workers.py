@@ -108,8 +108,8 @@ class TestSpawnPool:
     [
         pytest.param(
             "repro.service, repro.service.daemon, repro.service.pool, "
-            "repro.service.router, repro.service.__main__",
-            ("repro.experiments", "repro.verify"),
+            "repro.service.__main__",
+            ("repro.experiments", "repro.verify", "urllib.request"),
             id="service",
         ),
         pytest.param(
@@ -121,7 +121,8 @@ class TestSpawnPool:
 )
 def test_service_and_sweep_load_nothing_of_each_other(imports, foreign):
     # Daemon and pool workers import only what serving needs: the spawn
-    # substrate lives in repro.workers, not in repro.experiments.  A sweep
+    # substrate lives in repro.workers, not in repro.experiments, and the
+    # one daemon is a server, never an HTTP client.  A sweep
     # and its spawn workers load no result cache, daemon or fuzzer: the
     # journal is the sweep's one replay, and its fault injectors live in
     # repro.experiments.faults.
