@@ -576,7 +576,6 @@ def overload_storm_scenario(workdir):
         perf = stats["perf"]
         expect(
             requests_stats["shed_overload"] >= sheds
-            and requests_stats["brownout_served"] >= brownouts
             and requests_stats["degraded"] >= brownouts,
             f"/stats counts every shed and degraded outcome "
             f"({requests_stats})",
@@ -585,7 +584,7 @@ def overload_storm_scenario(workdir):
             perf["shed_requests"] >= sheds
             and perf["degraded_responses"] >= brownouts
             and perf["ladder_tier_runs"] >= brownouts,
-            f"perf counters track the degradation ladder ({perf})",
+            f"perf counters track the brownout answers ({perf})",
         )
         expect(
             stats["overload"]["brownout_threshold"] == 3

@@ -5,7 +5,7 @@ Drives a real ``python -m repro.service`` process over HTTP through the
 guarantees ``docs/SERVICE.md`` promises (runnable locally and as the
 ``service-smoke`` CI job):
 
-1. **Budget cancellation** — a batch containing one hang-poisoned request
+1. **Budget abort** — a batch containing one hang-poisoned request
    (cooperative spin) with a small deadline budget: the poisoned request
    must come back ``budget-exceeded`` and be quarantined while the healthy
    concurrent requests complete normally.
@@ -166,7 +166,7 @@ def budget_scenario(url, envelope):
     status, body = results["poisoned"]
     expect(
         status == 200 and body["status"] == "budget-exceeded",
-        "poisoned request is cancelled by its deadline budget "
+        "poisoned request is aborted by its budget "
         f"(status={body.get('status')})",
     )
     expect(

@@ -33,8 +33,8 @@ from repro.analysis import (
     weighted_schedulability,
 )
 from repro.atomicio import atomic_write_json, atomic_write_text
-from repro.budget import Budget, CancelToken
-from repro.errors import AnalysisAborted, BudgetExceeded, Cancelled
+from repro.budget import Budget
+from repro.errors import AnalysisAborted, BudgetExceeded
 from repro.serialization import load_taskset, save_taskset
 from repro.model import (
     BusPolicy,
@@ -60,8 +60,6 @@ __all__ = [
     "AnalysisAborted",
     "Budget",
     "BudgetExceeded",
-    "CancelToken",
-    "Cancelled",
     "breakdown_d_mem",
     "breakdown_period_scale",
     "decompose_taskset",

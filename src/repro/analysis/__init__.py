@@ -6,20 +6,13 @@ from repro.analysis.decomposition import (
     decompose,
     decompose_taskset,
 )
-from repro.analysis.ladder import (
-    AnalysisLadder,
-    LadderResult,
-    LadderTier,
-    coarse_bound,
-    run_ladder,
-)
 from repro.analysis.sensitivity import breakdown_d_mem, breakdown_period_scale
 from repro.analysis.schedulability import (
     SchedulabilityVerdict,
     check_schedulability,
     is_schedulable,
 )
-from repro.analysis.wcrt import WcrtResult, analyze_taskset
+from repro.analysis.wcrt import WcrtResult, analyze_taskset, coarse_bound
 from repro.analysis.weighted import weighted_schedulability
 
 __all__ = [
@@ -34,12 +27,8 @@ __all__ = [
     "SchedulabilityVerdict",
     "check_schedulability",
     "is_schedulable",
-    "AnalysisLadder",
-    "LadderResult",
-    "LadderTier",
-    "coarse_bound",
-    "run_ladder",
     "WcrtResult",
     "analyze_taskset",
+    "coarse_bound",
     "weighted_schedulability",
 ]

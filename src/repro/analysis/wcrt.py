@@ -40,7 +40,7 @@ item 2 of ``ROADMAP.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.config import AnalysisConfig
@@ -194,10 +194,10 @@ def analyze_taskset(
     them into a caller-owned aggregate, e.g. across a sweep.
 
     ``budget`` (optional) threads a :class:`~repro.budget.Budget` through
-    the fixed points: every inner iteration ticks it, so an over-budget or
-    cancelled analysis aborts at the next iteration boundary with a typed
-    :class:`~repro.errors.BudgetExceeded` / :class:`~repro.errors.Cancelled`
-    whose ``partial`` attribute holds the estimates reached so far.  A
+    the fixed points: every inner iteration ticks it, so an over-budget
+    analysis aborts at the next iteration boundary with a typed
+    :class:`~repro.errors.BudgetExceeded` whose ``partial`` attribute
+    holds the estimates reached so far.  A
     budget generous enough for the analysis to finish is invisible: the
     result is bit-identical to a budget-less run, and all shared caches
     (derived tables, calculator caches, warm-start seeds) stay exactly as
@@ -396,3 +396,99 @@ def _analyze(
         failed_task=None,
         outer_iterations=outer,
     )
+
+
+def coarse_bound(
+    taskset: TaskSet,
+    platform: Platform,
+    config: AnalysisConfig = AnalysisConfig(),
+    perf: Optional[PerfCounters] = None,
+    budget: Optional[Budget] = None,
+) -> WcrtResult:
+    """Single-outer-round coarse sufficient test (the service's brownout).
+
+    Pins every response-time estimate at its task's deadline — the
+    largest value any schedulable fixed point can reach — and runs each
+    task's inner Eq. (19) fixed point once against that frozen context.
+    Because the baseline's interference terms are non-decreasing in the
+    remote estimates, each resting value dominates the task's exact
+    bound, so
+
+    * every resting value under its deadline ⇒ ``schedulable`` with
+      sound per-task bounds (the exact analysis agrees), while
+    * any task overrunning is reported with the *conservative* verdict
+      shape (``schedulable=False, failed_task=None``) the rest of the
+      code base uses for exhausted outer loops: "not provably
+      schedulable by this bound", not "provably unschedulable".
+
+    The one genuinely exact negative — a task whose contention-free
+    isolated WCET already overruns — is reported with its ``failed_task``
+    set, exactly as the full analysis would.  The context is never
+    updated between tasks, so the test is order-independent and costs at
+    most one inner fixed point per task.  ``persistence=False`` and
+    ``warm_start=False`` keep it cheap and seed-free.  The
+    ``ladder-dominance`` oracle of :mod:`repro.verify.oracles` checks the
+    dominance claims.
+    """
+    counters = PerfCounters()
+    counters.analyses += 1
+    if budget is not None:
+        budget.start()
+    coarse_config = replace(config, persistence=False, warm_start=False)
+    ctx = _make_context(taskset, platform, coarse_config, counters, budget)
+    d_mem = platform.d_mem
+    try:
+        with counters.phase("analysis"):
+            for task in taskset:
+                isolated = int(task.pd) + task.md * d_mem
+                if isolated > task.deadline:
+                    ctx.set_response_time(task, isolated)
+                    result = WcrtResult(
+                        schedulable=False,
+                        response_times=dict(ctx.response_times),
+                        failed_task=task,
+                    )
+                    break
+            else:
+                for task in taskset:
+                    ctx.set_response_time(task, int(task.deadline))
+                counters.outer_iterations += 1
+                bounds = {}
+                overrun = False
+                for task in taskset:
+                    isolated = int(task.pd) + task.md * d_mem
+                    value = _task_fixed_point(
+                        ctx, task, isolated, coarse_config
+                    )
+                    if value is None:
+                        bounds[task] = int(task.deadline) + 1
+                        overrun = True
+                        break
+                    bounds[task] = value
+                if overrun:
+                    for task in taskset:
+                        bounds.setdefault(task, int(task.deadline))
+                result = WcrtResult(
+                    schedulable=not overrun,
+                    response_times=bounds,
+                    failed_task=None,
+                    outer_iterations=1,
+                )
+    except AnalysisAborted as error:
+        counters.budget_aborts += 1
+        error.partial = WcrtResult(
+            schedulable=False,
+            response_times=dict(ctx.response_times),
+            outer_iterations=counters.outer_iterations,
+            perf=counters,
+        )
+        if budget is not None:
+            error.iterations = budget.iterations
+            error.elapsed = budget.elapsed()
+        if perf is not None:
+            perf.merge(counters)
+        raise
+    result.perf = counters
+    if perf is not None:
+        perf.merge(counters)
+    return result

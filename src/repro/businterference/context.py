@@ -69,7 +69,7 @@ class AnalysisContext:
         perf: counters recording iteration counts.
         budget: optional :class:`~repro.budget.Budget` ticked at every
             inner fixed-point iteration (and checked inside the expensive
-            window folds), so an over-budget or cancelled analysis aborts
+            window folds), so an over-budget analysis aborts
             cooperatively.  ``None`` — the default — removes every check;
             a present budget never alters any computed value.
     """

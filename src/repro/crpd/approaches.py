@@ -177,8 +177,8 @@ class CrpdCalculator:
 
         The static data (reload costs, periods) is extracted once per pair,
         so only the window-dependent greedy sum runs per call.  ``budget``
-        adds one cooperative cancellation point per fold without affecting
-        the computed value.
+        adds one wall-clock budget check per fold without affecting the
+        computed value.
         """
         if budget is not None:
             budget.check()

@@ -33,15 +33,15 @@ class ConvergenceError(AnalysisError):
 class AnalysisAborted(AnalysisError):
     """An analysis stopped cooperatively at an iteration boundary.
 
-    Base class of :class:`BudgetExceeded` and :class:`Cancelled`.  The
-    abort is *typed data*, not a crash: :attr:`partial` carries the
-    estimates reached so far (a ``WcrtResult`` with
-    ``schedulable=False`` when the abort happened inside the WCRT kernel,
-    ``None`` for aborts in budget-only layers such as the simulator),
-    :attr:`iterations` the budget ticks spent and :attr:`elapsed` the
-    wall-clock seconds consumed.  All shared caches (derived interference
-    tables, calculator caches, warm-start seeds) are left in a state where
-    a rerun is bit-identical to a cold run — see :mod:`repro.budget`.
+    Base class of :class:`BudgetExceeded`.  The abort is *typed data*,
+    not a crash: :attr:`partial` carries the estimates reached so far (a
+    ``WcrtResult`` with ``schedulable=False`` when the abort happened
+    inside the WCRT kernel, ``None`` for aborts in budget-only layers
+    such as the simulator), :attr:`iterations` the budget ticks spent and
+    :attr:`elapsed` the wall-clock seconds consumed.  All shared caches
+    (derived interference tables, calculator caches, warm-start seeds)
+    are left in a state where a rerun is bit-identical to a cold run —
+    see :mod:`repro.budget`.
     """
 
     def __init__(self, message: str = "") -> None:
@@ -56,10 +56,6 @@ class AnalysisAborted(AnalysisError):
 
 class BudgetExceeded(AnalysisAborted):
     """The analysis ran out of its wall-clock or iteration budget."""
-
-
-class Cancelled(AnalysisAborted):
-    """The analysis observed its :class:`~repro.budget.CancelToken`."""
 
 
 class ProgramError(ReproError):

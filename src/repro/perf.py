@@ -73,7 +73,7 @@ class PerfCounters:
     #: Queued multi-item chunks split in two by the supervisor's
     #: work-stealing scheduler so idle workers could pick up the half.
     chunks_stolen: int = 0
-    #: Analyses aborted cooperatively by a budget or cancel token (see
+    #: Analyses aborted cooperatively by their budget (see
     #: :mod:`repro.budget`) instead of running to a verdict.
     budget_aborts: int = 0
     #: Requests served from the persistent content-addressed result cache
@@ -92,11 +92,11 @@ class PerfCounters:
     #: Requests shed before running any analysis: expired on arrival,
     #: or dropped at admission by the priority-class overload policy.
     shed_requests: int = 0
-    #: Responses produced by a degraded ladder tier (baseline or coarse)
-    #: instead of the exact configuration — including brownout answers.
+    #: Brownout answers: degraded responses from the daemon's coarse
+    #: bound instead of the exact analysis.
     degraded_responses: int = 0
-    #: Ladder tier executions, one per attempted tier (exact, baseline
-    #: and coarse all count; see :mod:`repro.analysis.ladder`).
+    #: Brownout coarse-bound runs, completed or aborted (see
+    #: :func:`repro.analysis.wcrt.coarse_bound`).
     ladder_tier_runs: int = 0
     #: Requests the service rejected because their propagated deadline
     #: had already expired on arrival.

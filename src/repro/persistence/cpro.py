@@ -293,8 +293,8 @@ class CproCalculator:
         Evaluates the multiset bound of :func:`cpro_multiset_window` for
         the ``MULTISET`` approach, from the per-pair overlap table, and the
         window-oblivious :meth:`rho` otherwise.  The multiset value never
-        exceeds the union value.  ``budget`` adds one cooperative
-        cancellation point per fold without affecting the computed value.
+        exceeds the union value.  ``budget`` adds one wall-clock budget
+        check per fold without affecting the computed value.
         """
         if budget is not None:
             budget.check()

@@ -39,11 +39,11 @@ one durable replay is the run journal.
   A stored verdict is the only replay the service has: a miss runs a
   cold analysis of the parsed request.
 
-Only completed results are cacheable.  ``budget-exceeded`` / ``cancelled``
-partials are *rejected at the store layer* (:meth:`ResultCache.put`
-refuses any payload whose status is not ``"ok"``), so an aborted request
-can never poison the cache — the caller-side discipline is backed by an
-enforced invariant.
+Only completed results are cacheable.  ``budget-exceeded`` partials are
+*rejected at the store layer* (:meth:`ResultCache.put` refuses any
+payload whose status is not ``"ok"``), so an aborted request can never
+poison the cache — the caller-side discipline is backed by an enforced
+invariant.
 
 Fault injection (TEST ONLY): when the environment variable
 :data:`CHAOS_FAULT_ENV` is ``"kill-mid-write"``, the next store leaves a

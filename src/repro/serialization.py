@@ -59,6 +59,38 @@ def canonical_json(document) -> str:
         ) from error
 
 
+def check_tagged(document, tag: str, version: int = FORMAT_VERSION) -> Dict:
+    """``document``, checked to be a JSON object tagged ``tag`` at ``version``.
+
+    The one check of every tagged document the package reads, so a
+    document of the wrong JSON type is a :class:`~repro.errors.ModelError`
+    like a wrong tag or version.
+    """
+    if not isinstance(document, dict):
+        raise ModelError(
+            f"a {tag!r} document must be a JSON object, "
+            f"got {type(document).__name__}"
+        )
+    if document.get("format") != tag:
+        raise ModelError(
+            f"unexpected format tag {document.get('format')!r}; "
+            f"expected {tag!r}"
+        )
+    if document.get("version") != version:
+        raise ModelError(
+            f"unsupported {tag!r} version {document.get('version')!r}"
+        )
+    return document
+
+
+def decode_json(text: str):
+    """The document JSON ``text`` holds; invalid JSON is a ``ModelError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ModelError(f"not valid JSON: {error}") from error
+
+
 def platform_to_dict(platform: Platform) -> Dict:
     """Plain-dict form of a platform."""
     return {
@@ -223,24 +255,31 @@ def taskset_to_json(
     return json.dumps(document, indent=indent)
 
 
+def taskset_envelope(document) -> Platform:
+    """Check a ``repro-taskset`` envelope but its task records.
+
+    The envelope must pass :func:`check_tagged` and hold a platform
+    record and a non-empty ``tasks`` array.  Returns the parsed platform;
+    :func:`tasks_from_dicts` checks the records.
+    """
+    check_tagged(document, _TASKSET_TAG)
+    platform = platform_from_dict(document.get("platform", {}))
+    tasks = document.get("tasks", [])
+    if not isinstance(tasks, (list, tuple)):
+        raise ModelError(
+            f"'tasks' must be an array of task records, "
+            f"got {type(tasks).__name__}"
+        )
+    if not tasks:
+        raise ModelError("taskset holds no tasks")
+    return platform
+
+
 def taskset_from_json(text: str) -> Tuple[TaskSet, Platform]:
     """Inverse of :func:`taskset_to_json`."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ModelError(f"not valid JSON: {error}") from error
-    if document.get("format") != _TASKSET_TAG:
-        raise ModelError(
-            f"unexpected format tag {document.get('format')!r}; "
-            f"expected {_TASKSET_TAG!r}"
-        )
-    if document.get("version") != FORMAT_VERSION:
-        raise ModelError(
-            f"unsupported format version {document.get('version')!r}"
-        )
-    platform = platform_from_dict(document.get("platform", {}))
-    tasks = tasks_from_dicts(document.get("tasks", []), platform)
-    return TaskSet(tasks), platform
+    document = decode_json(text)
+    platform = taskset_envelope(document)
+    return TaskSet(tasks_from_dicts(document["tasks"], platform)), platform
 
 
 def wcrt_result_to_dict(result) -> Dict:
@@ -279,20 +318,7 @@ def wcrt_result_from_json(text: str) -> Dict:
     names, not parameters), so the dict form is the archival surface:
     ``response_times`` maps task names to bounds.
     """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ModelError(f"not valid JSON: {error}") from error
-    if document.get("format") != _WCRT_TAG:
-        raise ModelError(
-            f"unexpected format tag {document.get('format')!r}; "
-            f"expected {_WCRT_TAG!r}"
-        )
-    if document.get("version") != FORMAT_VERSION:
-        raise ModelError(
-            f"unsupported format version {document.get('version')!r}"
-        )
-    return document
+    return check_tagged(decode_json(text), _WCRT_TAG)
 
 
 def save_taskset(

@@ -30,11 +30,11 @@ from :mod:`repro.experiments`:
   a 25 ms safety margin, expired requests are shed with a typed 504
   before they touch the pool, and admitted ones run under a
   deadline-derived budget of at least 50 ms,
-* a graceful-degradation ladder (:mod:`repro.analysis.ladder`) behind
-  ``degrade``/``deadline_ms``: exact -> baseline -> coarse, each tier on
-  a slice of the request budget, plus a daemon-side brownout mode that
-  answers from the coarse tier when a request takes the last admission
-  slot or the breaker is open, and priority classes
+* every request the pool runs gets the exact analysis under its whole
+  budget; the one degraded answer is a daemon-side brownout that serves
+  a degradable request (``degrade``, or implicitly ``deadline_ms``) from
+  :func:`~repro.analysis.wcrt.coarse_bound` when it takes the last
+  admission slot or the breaker is open, and priority classes
   (``interactive``/``batch``) shed lowest-first at admission (``batch``
   once half the slots are taken),
 * an optional persistent content-addressed result cache

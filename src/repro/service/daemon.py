@@ -18,10 +18,10 @@ endpoint     method  behaviour
                      aggregated :class:`~repro.perf.PerfCounters`
 ===========  ======  ====================================================
 
-Status mapping: 200 processed (including typed ``budget-exceeded`` /
-``cancelled`` outcomes — aborts are results, not transport failures), 400
-invalid request, 404 unknown path, 500 worker crash or internal analysis
-error, 504 watchdog kill, and the refusals of :data:`REFUSALS`: 429
+Status mapping: 200 processed (including typed ``budget-exceeded``
+outcomes — aborts are results, not transport failures), 400 invalid
+request, 404 unknown path, 500 worker crash or internal analysis error,
+504 watchdog kill, and the refusals of :data:`REFUSALS`: 429
 ``busy`` / ``overload-shed``, 503 ``draining`` / ``breaker-open``, 504
 ``deadline-expired``.
 
@@ -46,7 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.analysis.ladder import SOUND_DEGRADED, TIER_COARSE, coarse_bound
+from repro.analysis.wcrt import coarse_bound
 from repro.budget import Budget
 from repro.errors import (
     AnalysisAborted,
@@ -70,8 +70,8 @@ from repro.service.protocol import (
     refusal_response,
 )
 
-#: Statuses of a cooperative abort: partial estimates, quarantined.
-ABORTED = ("budget-exceeded", "cancelled")
+#: Status of a cooperative abort: partial estimates, quarantined.
+ABORTED = "budget-exceeded"
 
 #: Floor for the deadline-derived analysis budget: a request admitted
 #: with almost no deadline left still gets this many seconds (the
@@ -123,8 +123,7 @@ REFUSALS: Dict[str, Refusal] = {
 #: refusal; any other status is an analysis error.
 _OUTCOME_COUNTERS = {
     "ok": "completed",
-    "budget-exceeded": "budget_aborted",
-    "cancelled": "cancelled",
+    ABORTED: "budget_aborted",
 }
 
 
@@ -205,7 +204,6 @@ class ServiceStats:
     accepted: int = 0
     completed: int = 0
     budget_aborted: int = 0
-    cancelled: int = 0
     analysis_errors: int = 0
     validation_errors: int = 0
     rejected_busy: int = 0
@@ -217,10 +215,8 @@ class ServiceStats:
     shed_expired: int = 0
     #: ``batch``-priority requests shed by the overload policy.
     shed_overload: int = 0
-    #: 200 answers produced by a degraded ladder tier (pool or brownout).
+    #: 200 answers served by the daemon-side brownout's coarse tier.
     degraded: int = 0
-    #: Degraded answers served by the daemon-side brownout coarse tier.
-    brownout_served: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -347,9 +343,7 @@ class AnalysisService:
             self._count(status)
             if status == "ok" and "degraded" in body:
                 self.stats.degraded += 1
-                if body.get("brownout"):
-                    self.stats.brownout_served += 1
-        if status in ABORTED:
+        if status == ABORTED:
             self._quarantine(body["id"], status)
 
     # -- request handling ----------------------------------------------------
@@ -519,9 +513,9 @@ class AnalysisService:
                 return 400, error_response(request_id, error)
         if brownout:
             # Overload (last slot taken or breaker open): answer from the
-            # coarse ladder tier on this thread instead of queueing on
-            # the pool — cheap, sound, typed.  Cache hits above still
-            # serve exact results; inject faults never get here.
+            # coarse bound on this thread instead of queueing on the
+            # pool — cheap, sound, typed.  Cache hits above still serve
+            # exact results; inject faults never get here.
             return self._brownout(request)
         status, body = self._run_pool(request)
         if (
@@ -547,11 +541,12 @@ class AnalysisService:
     def _brownout(self, request: AnalysisRequest) -> Tuple[int, Dict]:
         """Serve one admitted request from the coarse tier, pool-free.
 
-        Brownout mode answers on the handler thread with the ladder's
-        cheapest rung (one inner fixed point per task) instead of queueing
-        on a saturated or breaker-tripped pool.  The answer is typed: a
-        ``degraded`` marker naming the coarse tier plus ``brownout: true``
-        so clients and the chaos harness can tell it from a pool answer.
+        Brownout mode answers on the handler thread with
+        :func:`~repro.analysis.wcrt.coarse_bound` (one inner fixed point
+        per task) instead of queueing on a saturated or breaker-tripped
+        pool.  The answer is typed: a ``degraded`` marker naming the
+        coarse tier plus ``brownout: true`` so clients and the chaos
+        harness can tell it from a pool answer.
         """
         request_id = request.request_id
         local = PerfCounters()
@@ -574,18 +569,14 @@ class AnalysisService:
                 budget=budget,
             )
         except AnalysisAborted as abort:
-            body = exhausted_response(request_id, abort, (TIER_COARSE,))
+            body = exhausted_response(request_id, abort)
             local.ladder_tier_runs += 1
         except Exception as error:  # noqa: BLE001 — typed 500, never a hang
             status, body = 500, error_response(request_id, error)
         else:
-            body = degraded_response(
-                request_id, result, TIER_COARSE, SOUND_DEGRADED, (TIER_COARSE,)
-            )
+            body = degraded_response(request_id, result)
             local.ladder_tier_runs += 1
             local.degraded_responses += 1
-        if status == 200:
-            body["brownout"] = True
         with self._lock:
             self.perf.merge(local)
         self._settle(body)

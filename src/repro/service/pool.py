@@ -7,7 +7,7 @@ every execution:
 1. The request's own :class:`~repro.budget.Budget` (deadline seconds
    and/or iteration ceiling) aborts the analysis *cooperatively* at the
    next iteration boundary — the worker survives and returns a typed
-   ``budget-exceeded`` / ``cancelled`` response.
+   ``budget-exceeded`` response.
 2. A watchdog **fallback** derived from that budget
    (:func:`~repro.workers.watchdog_allowance`) kills and respawns the
    pool if a worker hangs between budget checkpoints, surfacing as
@@ -27,26 +27,14 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.ladder import (
-    SOUND_UNKNOWN,
-    TIER_EXACT,
-    run_ladder,
-)
 from repro.analysis.wcrt import analyze_taskset
 from repro.budget import Budget
-from repro.errors import (
-    AnalysisAborted,
-    BudgetExceeded,
-    ChunkTimeoutError,
-    WorkerCrashError,
-)
+from repro.errors import AnalysisAborted, ChunkTimeoutError, WorkerCrashError
 from repro.perf import PerfCounters
 from repro.service.protocol import (
     AnalysisRequest,
     abort_response,
-    degraded_response,
     error_response,
-    exhausted_response,
     ok_response,
 )
 from repro.workers import SpawnPool, watchdog_allowance
@@ -61,12 +49,13 @@ def service_worker(request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
     Top-level so it pickles by reference into spawn workers.  The daemon
     validated and parsed the request and set its effective budget and
     deadline; it arrives pickled, its task set rebuilt around the
-    unpickled tasks, so the worker parses nothing.  Each request analyses
-    its own task set: repeats are served by the daemon's result cache,
-    never by state kept in the worker.  Returns ``(response document,
-    perf counters)`` — analysis failures of every kind are *data* in the
-    response, never exceptions, so the only exceptional outcomes the
-    parent sees are real worker deaths.
+    unpickled tasks, so the worker parses nothing.  Every request, degradable
+    or not, runs :func:`~repro.analysis.wcrt.analyze_taskset` on its own
+    task set under its whole budget: repeats are served by the daemon's
+    result cache, never by state kept in the worker.  Returns ``(response
+    document, perf counters)`` — analysis failures of every kind are
+    *data* in the response, never exceptions, so the only exceptional
+    outcomes the parent sees are real worker deaths.
     """
     perf = PerfCounters()
     budget: Optional[Budget] = None
@@ -88,45 +77,6 @@ def service_worker(request: AnalysisRequest) -> Tuple[Dict, PerfCounters]:
             while True:
                 if budget is not None:
                     budget.tick()
-        # The degradation ladder engages when the daemon (or the caller)
-        # asked for it and there is a budget to degrade under; without
-        # pressure the exact path runs exactly as before, bit for bit.
-        if budget is not None and request.degradable:
-            outcome = run_ladder(
-                request.taskset,
-                request.platform,
-                request.config,
-                budget=budget,
-                perf=perf,
-            )
-            if outcome.soundness != SOUND_UNKNOWN:
-                if outcome.tier == TIER_EXACT:
-                    return ok_response(request.request_id, outcome.result), perf
-                perf.degraded_responses += 1
-                return (
-                    degraded_response(
-                        request.request_id,
-                        outcome.result,
-                        outcome.tier,
-                        outcome.soundness,
-                        outcome.tiers_tried,
-                    ),
-                    perf,
-                )
-            abort = outcome.abort
-            if abort is None:  # pragma: no cover - defensive
-                abort = BudgetExceeded(
-                    "analysis budget exhausted before any ladder tier "
-                    "completed"
-                )
-                abort.iterations = budget.iterations
-                abort.elapsed = budget.elapsed()
-            return (
-                exhausted_response(
-                    request.request_id, abort, outcome.tiers_tried
-                ),
-                perf,
-            )
         result = analyze_taskset(
             request.taskset,
             request.platform,

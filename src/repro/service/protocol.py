@@ -14,8 +14,9 @@ One request analyses one task set::
                                            # caller will still wait
       "priority": "interactive",           # "interactive" (default) or
                                            # "batch"; batch sheds first
-      "degrade": true                      # opt in/out of the degradation
-                                           # ladder (default: on iff a
+      "degrade": true                      # opt in/out of a brownout
+                                           # answer under overload
+                                           # (default: on iff a
                                            # deadline_ms is present)
     }
 
@@ -35,15 +36,17 @@ key (see :mod:`repro.resultcache`).
 
 Responses always carry ``id``, ``status`` and the protocol ``version``.
 ``status`` is one of ``"ok"`` (with the WCRT verdict),
-``"budget-exceeded"`` / ``"cancelled"`` (with the partial estimates,
-iterations spent and elapsed seconds), ``"error"`` (with the error class
-and message), or a refusal built by :func:`refusal_response`: the
-daemon's ``"draining"``, ``"busy"`` and ``"breaker-open"``, and the load
-sheds ``"deadline-expired"`` / ``"overload-shed"`` (with ``"shed":
-true``).  An ``"ok"`` answer produced by a degraded ladder tier
-additionally carries a ``"degraded"`` object naming the tier, its
-soundness class and the tiers tried — see :mod:`repro.analysis.ladder`,
-:func:`degraded_response` and :func:`exhausted_response`.
+``"budget-exceeded"`` (with the partial estimates, iterations spent and
+elapsed seconds), ``"error"`` (with the error class and message), or a
+refusal built by :func:`refusal_response`: the daemon's ``"draining"``,
+``"busy"`` and ``"breaker-open"``, and the load sheds
+``"deadline-expired"`` / ``"overload-shed"`` (with ``"shed": true``).
+Every request the worker pool runs gets the exact analysis under its
+whole budget.  The one degraded answer is the daemon's brownout, from
+:func:`~repro.analysis.wcrt.coarse_bound`; its body carries
+``"brownout": true`` and a ``"degraded"`` object naming the tier, its
+soundness class and the tiers tried — see :func:`degraded_response` and
+:func:`exhausted_response`.
 
 The test-only ``inject`` field (``"hang"`` spins cooperatively inside the
 request's budget; ``"crash"`` kills the worker process) exists so the
@@ -58,18 +61,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.ladder import SOUND_UNKNOWN
 from repro.crpd.approaches import CrpdApproach
-from repro.errors import AnalysisAborted, AnalysisError, Cancelled, ModelError
+from repro.errors import AnalysisAborted, AnalysisError, ModelError
 from repro.model.platform import Platform
 from repro.model.task import TaskSet
 from repro.persistence.cpro import CproApproach
 from repro.resultcache import result_payload
-from repro.serialization import (
-    FORMAT_VERSION,
-    platform_from_dict,
-    tasks_from_dicts,
-)
+from repro.serialization import taskset_envelope, tasks_from_dicts
 
 #: Version stamped into every response document.
 PROTOCOL_VERSION = 1
@@ -86,7 +84,13 @@ PRIORITIES = ("interactive", "batch")
 #: own serialisation and scheduling overhead.
 DEADLINE_SAFETY_MS = 25.0
 
-_TASKSET_TAG = "repro-taskset"
+#: The tier of a brownout answer (:func:`~repro.analysis.wcrt.coarse_bound`).
+TIER_COARSE = "coarse"
+
+#: Soundness of a ``degraded`` marker: a completed brownout's bounds are
+#: sound over-approximations; an aborted one's partials are unknown.
+SOUND_DEGRADED = "degraded-sound"
+SOUND_UNKNOWN = "unknown"
 
 #: AnalysisConfig fields settable through the wire protocol, with their
 #: converters.  Iteration ceilings are deliberately absent: the service's
@@ -127,15 +131,15 @@ class AnalysisRequest:
     deadline_ms: Optional[float] = None
     #: Priority class; ``"batch"`` is shed first under overload.
     priority: str = "interactive"
-    #: Explicit degradation-ladder opt in/out; ``None`` = derived
-    #: (on iff the request carries a deadline).
+    #: Explicit brownout opt in/out; ``None`` = derived (on iff the
+    #: request carries a deadline).
     degrade: Optional[bool] = None
     #: The decoded ``repro-taskset`` envelope until the task set is built.
     envelope: Optional[Dict] = None
 
     @property
     def degradable(self) -> bool:
-        """Whether the request accepts a degraded answer.
+        """Whether the request accepts a brownout answer under overload.
 
         Its explicit ``degrade`` when set, else whether it carries a
         deadline.  Everything else keeps the exact pre-pressure semantics.
@@ -143,37 +147,6 @@ class AnalysisRequest:
         if self.degrade is not None:
             return self.degrade
         return self.deadline_ms is not None
-
-
-def _check_envelope(document) -> Platform:
-    """Check the embedded ``repro-taskset`` envelope but its task records.
-
-    Returns the envelope's parsed platform.
-    """
-    if not isinstance(document, dict):
-        raise ModelError(
-            f"'taskset' must be a repro-taskset object, "
-            f"got {type(document).__name__}"
-        )
-    if document.get("format") != _TASKSET_TAG:
-        raise ModelError(
-            f"unexpected taskset format tag {document.get('format')!r}; "
-            f"expected {_TASKSET_TAG!r}"
-        )
-    if document.get("version") != FORMAT_VERSION:
-        raise ModelError(
-            f"unsupported taskset format version {document.get('version')!r}"
-        )
-    platform = platform_from_dict(document.get("platform", {}))
-    tasks = document.get("tasks", [])
-    if not isinstance(tasks, (list, tuple)):
-        raise ModelError(
-            f"'tasks' must be an array of task records, "
-            f"got {type(tasks).__name__}"
-        )
-    if not tasks:
-        raise ModelError("taskset holds no tasks")
-    return platform
 
 
 def _parse_config(document) -> AnalysisConfig:
@@ -237,7 +210,7 @@ def read_request(document) -> AnalysisRequest:
     if "taskset" not in document:
         raise ModelError("request is missing the 'taskset' envelope")
     envelope = document["taskset"]
-    platform = _check_envelope(envelope)
+    platform = taskset_envelope(envelope)
     config = _parse_config(document.get("config"))
     budget_seconds = _positive_finite(
         document, "budget_seconds", "a positive finite number"
@@ -315,27 +288,22 @@ def ok_response(request_id: str, result) -> Dict:
     return dict(result_payload(result), id=request_id)
 
 
-def degraded_response(
-    request_id: str,
-    result,
-    tier: str,
-    soundness: str,
-    tiers_tried,
-) -> Dict:
-    """An ``"ok"`` answer produced by a degraded ladder tier.
+def degraded_response(request_id: str, result) -> Dict:
+    """A brownout's ``"ok"`` answer, from its coarse bound's ``result``.
 
     The body is the normal :func:`ok_response` plus a typed ``degraded``
-    marker; the marker keeps degraded answers out of the result cache
-    (their bounds are sound but not the exact fingerprinted result) and
-    lets clients and the chaos harness tell a
+    marker and ``"brownout": true``; the marker keeps degraded answers
+    out of the result cache (their bounds are sound but not the exact
+    fingerprinted result) and lets clients and the chaos harness tell a
     weaker-but-sound verdict from an exact one.
     """
     body = ok_response(request_id, result)
     body["degraded"] = {
-        "tier": tier,
-        "soundness": soundness,
-        "tiers_tried": list(tiers_tried),
+        "tier": TIER_COARSE,
+        "soundness": SOUND_DEGRADED,
+        "tiers_tried": [TIER_COARSE],
     }
+    body["brownout"] = True
     return body
 
 
@@ -363,12 +331,12 @@ def refusal_response(
 
 
 def abort_response(request_id: str, abort: AnalysisAborted) -> Dict:
-    """Typed partial result of a budget-exceeded or cancelled analysis."""
+    """Typed partial result of a budget-exceeded analysis."""
     partial = abort.partial
     return {
         "version": PROTOCOL_VERSION,
         "id": request_id,
-        "status": "cancelled" if isinstance(abort, Cancelled) else "budget-exceeded",
+        "status": "budget-exceeded",
         "message": str(abort),
         "iterations": abort.iterations,
         "elapsed_seconds": abort.elapsed,
@@ -380,20 +348,19 @@ def abort_response(request_id: str, abort: AnalysisAborted) -> Dict:
     }
 
 
-def exhausted_response(
-    request_id: str, abort: AnalysisAborted, tiers_tried
-) -> Dict:
-    """Typed abort of a degradation ladder none of whose tiers finished.
+def exhausted_response(request_id: str, abort: AnalysisAborted) -> Dict:
+    """Typed abort of a brownout whose coarse bound ran out of budget.
 
     The :func:`abort_response` partials plus a ``degraded`` marker of
-    ``unknown`` soundness naming the tiers tried.
+    ``unknown`` soundness and ``"brownout": true``.
     """
     body = abort_response(request_id, abort)
     body["degraded"] = {
         "tier": None,
         "soundness": SOUND_UNKNOWN,
-        "tiers_tried": list(tiers_tried),
+        "tiers_tried": [TIER_COARSE],
     }
+    body["brownout"] = True
     return body
 
 

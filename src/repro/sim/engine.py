@@ -119,8 +119,8 @@ class MulticoreSimulator:
         self.platform = platform
         self.duration = duration
         #: Optional :class:`~repro.budget.Budget`, ticked once per event:
-        #: an over-budget or cancelled simulation aborts between events
-        #: with the typed error instead of running to its horizon.
+        #: an over-budget simulation aborts between events with the typed
+        #: error instead of running to its horizon.
         self.budget = budget
         self.horizon = horizon if horizon is not None else 4 * duration
         self._releases = releases or periodic_releases(workload.taskset, duration)

@@ -33,6 +33,8 @@ from repro.model.platform import Platform
 from repro.model.task import Task, TaskSet
 from repro.persistence.cpro import CproApproach
 from repro.serialization import (
+    check_tagged,
+    decode_json,
     platform_from_dict,
     platform_to_dict,
     task_to_dict,
@@ -196,13 +198,7 @@ def case_to_json(case) -> str:
 
 def case_from_dict(document: Dict):
     """Inverse of :func:`case_to_dict`."""
-    if document.get("format") != CASE_TAG:
-        raise ModelError(
-            f"unexpected format tag {document.get('format')!r}; "
-            f"expected {CASE_TAG!r}"
-        )
-    if document.get("version") != CASE_VERSION:
-        raise ModelError(f"unsupported case version {document.get('version')!r}")
+    check_tagged(document, CASE_TAG, CASE_VERSION)
     kind = document.get("kind")
     if kind == "taskset":
         platform = platform_from_dict(document["platform"])
@@ -239,12 +235,7 @@ def case_from_dict(document: Dict):
 
 def case_from_json(text: str):
     """Inverse of :func:`case_to_json`."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ModelError(f"not valid JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise ModelError("a case document must be a JSON object")
+    document = decode_json(text)
     try:
         return case_from_dict(document)
     except KeyError as error:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.atomicio import atomic_write_text
-from repro.errors import ModelError
+from repro.serialization import check_tagged, decode_json
 from repro.verify.cases import case_from_dict, case_to_dict
 from repro.verify.oracles import always_replay_oracles, run_oracles
 
@@ -58,20 +58,11 @@ class CorpusEntry:
 
 
 def entry_from_json(text: str) -> CorpusEntry:
-    """Parse one corpus entry; raises :class:`ModelError` when malformed."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ModelError(f"not valid JSON: {error}") from error
-    if document.get("format") != CORPUS_TAG:
-        raise ModelError(
-            f"unexpected format tag {document.get('format')!r}; "
-            f"expected {CORPUS_TAG!r}"
-        )
-    if document.get("version") != CORPUS_VERSION:
-        raise ModelError(
-            f"unsupported corpus version {document.get('version')!r}"
-        )
+    """Parse one corpus entry.
+
+    Raises :class:`~repro.errors.ModelError` when it is malformed.
+    """
+    document = check_tagged(decode_json(text), CORPUS_TAG, CORPUS_VERSION)
     case = case_from_dict(document.get("case", {}))
     return CorpusEntry(
         case=case,

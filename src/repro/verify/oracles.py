@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.wcrt import WcrtResult, analyze_taskset
+from repro.analysis.wcrt import WcrtResult, analyze_taskset, coarse_bound
 from repro.cacheanalysis.extraction import extract_parameters_cached
 from repro.cacheanalysis.simulator import simulate_trace
 from repro.model.platform import BusPolicy, CacheGeometry
@@ -256,39 +256,14 @@ def _check_warm_start_identity(case: TasksetCase) -> List[str]:
 @register(
     "ladder-dominance",
     ("taskset",),
-    "degraded ladder tiers over-approximate the exact analysis, degraded "
-    "'schedulable' verdicts agree with it, and an unpressured ladder is "
-    "bit-identical to the exact analysis",
+    "the baseline and the brownout's coarse bound over-approximate the "
+    "exact analysis, and their 'schedulable' verdicts agree with it",
     always_replay=True,
 )
 def _check_ladder_dominance(case: TasksetCase) -> List[str]:
-    from repro.analysis.ladder import (
-        SOUND_EXACT,
-        TIER_EXACT,
-        coarse_bound,
-        run_ladder,
-    )
-
     taskset = case.taskset()
     exact = analyze_taskset(taskset, case.platform, case.config)
     messages: List[str] = []
-
-    # An unpressured ladder (no budget) must be the exact path, bit for bit.
-    unpressured = run_ladder(case.taskset(), case.platform, case.config)
-    if unpressured.tier != TIER_EXACT or unpressured.soundness != SOUND_EXACT:
-        messages.append(
-            f"unpressured ladder did not answer from the exact tier: "
-            f"tier={unpressured.tier!r} soundness={unpressured.soundness!r}"
-        )
-    elif unpressured.result != exact:
-        messages.append(
-            "unpressured ladder result differs from the direct exact "
-            f"analysis: schedulable {unpressured.result.schedulable} vs "
-            f"{exact.schedulable}, outer "
-            f"{unpressured.result.outer_iterations} vs "
-            f"{exact.outer_iterations}, response times equal: "
-            f"{unpressured.result.response_times == exact.response_times}"
-        )
 
     degraded = []
     if case.config.persistence:

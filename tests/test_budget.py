@@ -1,4 +1,4 @@
-"""Deadline-budget and cooperative-cancellation tests.
+"""Deadline-budget tests.
 
 Pins the three guarantees :mod:`repro.budget` makes:
 
@@ -12,18 +12,15 @@ Pins the three guarantees :mod:`repro.budget` makes:
    run — the property test walks every single boundary of one analysis.
 """
 
+import inspect
 import random
 
 import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.wcrt import analyze_taskset
-from repro.budget import Budget, CancelToken, DEFAULT_WALL_CHECK_STRIDE
-from repro.errors import (
-    AnalysisError,
-    BudgetExceeded,
-    Cancelled,
-)
+from repro.budget import Budget, DEFAULT_WALL_CHECK_STRIDE
+from repro.errors import AnalysisError, BudgetExceeded
 from repro.experiments.config import default_platform
 from repro.generation.taskset_gen import generate_taskset
 
@@ -89,15 +86,6 @@ class TestBudgetUnit:
         with pytest.raises(BudgetExceeded):
             budget.tick()
 
-    def test_cancel_token_fires_cancelled(self):
-        token = CancelToken()
-        budget = Budget(token=token, wall_check_stride=1)
-        budget.tick()
-        token.cancel()
-        assert token.cancelled
-        with pytest.raises(Cancelled):
-            budget.tick()
-
     def test_check_does_not_charge_iterations(self):
         budget = Budget(max_iterations=1)
         budget.check()
@@ -112,6 +100,34 @@ class TestBudgetUnit:
         budget.start()  # must not re-arm the deadline
         assert budget.elapsed() == pytest.approx(3.0)
         assert budget.remaining() == pytest.approx(2.0)
+
+    def test_an_unstarted_budget_has_its_whole_allowance(self):
+        # The wall-clock deadline runs from start(), not from construction.
+        clock = FakeClock()
+        budget = Budget(wall_seconds=5.0, clock=clock, wall_check_stride=1)
+        clock.now = 100.0
+        assert budget.elapsed() == 0.0
+        assert budget.remaining() == pytest.approx(5.0)
+        budget.check()
+        budget.tick()
+        budget.start()
+        clock.now = 104.0
+        assert budget.remaining() == pytest.approx(1.0)
+
+    def test_remaining_is_never_negative(self):
+        clock = FakeClock()
+        budget = Budget(wall_seconds=1.0, clock=clock).start()
+        clock.now = 7.5
+        assert budget.remaining() == 0.0
+        with pytest.raises(BudgetExceeded):
+            budget.check()
+
+    def test_a_budget_is_one_flat_allowance(self):
+        # One request, one budget: nothing slices it, chains it to a
+        # parent or cancels it from outside.
+        assert "token" not in inspect.signature(Budget).parameters
+        for name in ("child", "started"):
+            assert not hasattr(Budget(), name), name
 
 
 def _fresh(seed=11, utilization=0.45):
@@ -163,18 +179,6 @@ class TestBudgetedAnalysis:
         assert abort.partial.response_times  # estimates reached so far
         assert abort.iterations == 4  # the boundary that fired
         assert abort.elapsed >= 0.0
-
-    def test_cancellation_aborts_the_analysis(self):
-        taskset, platform = _fresh()
-        token = CancelToken()
-        token.cancel()
-        with pytest.raises(Cancelled):
-            analyze_taskset(
-                taskset,
-                platform,
-                AnalysisConfig(),
-                budget=Budget(token=token, wall_check_stride=1),
-            )
 
     def test_wall_abort_with_injected_clock(self):
         taskset, platform = _fresh()
@@ -257,90 +261,3 @@ class TestAbortLeavesCachesSound:
                 (info.value.iterations, _canonical(info.value.partial))
             )
         assert len(set(partials)) == 1
-
-
-class TestBudgetChild:
-    """Slices of a budget can never exceed their parent."""
-
-    def test_fraction_validation(self):
-        budget = Budget(max_iterations=10)
-        for bad in (0, -0.5, 1.5):
-            with pytest.raises(AnalysisError):
-                budget.child(bad)
-
-    def test_wall_slice_of_the_remaining_allowance(self):
-        clock = FakeClock()
-        parent = Budget(wall_seconds=10.0, clock=clock).start()
-        clock.now = 4.0  # 6 seconds left
-        child = parent.child(0.5)
-        assert child.wall_seconds == pytest.approx(3.0)
-        assert child.started  # anchored at the slice point
-        assert child.remaining() == pytest.approx(3.0)
-
-    def test_iteration_slice_of_the_remaining_ceiling(self):
-        parent = Budget(max_iterations=100)
-        for _ in range(40):
-            parent.tick()
-        child = parent.child(0.5)
-        assert child.max_iterations == 30  # half of the 60 left
-
-    def test_child_ticks_charge_the_parent(self):
-        parent = Budget(max_iterations=100)
-        child = parent.child(0.5)
-        for _ in range(10):
-            child.tick()
-        assert parent.iterations == 10
-
-    def test_parent_ceiling_fires_inside_the_child(self):
-        parent = Budget(max_iterations=10)
-        for _ in range(8):
-            parent.tick()
-        child = parent.child(1.0)  # 2 iterations left in the parent
-        child.tick()
-        child.tick()
-        with pytest.raises(BudgetExceeded, match="ceiling of 10"):
-            child.tick()
-
-    def test_parent_wall_fires_inside_the_child(self):
-        clock = FakeClock()
-        parent = Budget(
-            wall_seconds=10.0, clock=clock, wall_check_stride=1
-        ).start()
-        clock.now = 6.0
-        child = parent.child(1.0)
-        # The child's own allowance is capped at the 4s left; advancing
-        # past the parent's deadline aborts through the chained check.
-        clock.now = 10.5
-        with pytest.raises(BudgetExceeded):
-            child.tick()
-
-    def test_exhausted_parent_cannot_be_sliced(self):
-        clock = FakeClock()
-        parent = Budget(wall_seconds=5.0, clock=clock).start()
-        clock.now = 6.0
-        with pytest.raises(BudgetExceeded, match="exhausted"):
-            parent.child(0.5)
-        drained = Budget(max_iterations=1)
-        drained.tick()
-        with pytest.raises(BudgetExceeded, match="exhausted"):
-            drained.child(0.5)
-
-    def test_unlimited_parent_stays_unlimited(self):
-        child = Budget().child(0.25)
-        assert child.wall_seconds is None
-        assert child.max_iterations is None
-
-    def test_cancel_token_is_shared(self):
-        token = CancelToken()
-        parent = Budget(max_iterations=100, token=token)
-        child = parent.child(0.5)
-        token.cancel()
-        with pytest.raises(Cancelled):
-            child.tick()
-
-    def test_grandchild_chains_to_the_root(self):
-        root = Budget(max_iterations=100)
-        grandchild = root.child(0.5).child(0.5)
-        for _ in range(5):
-            grandchild.tick()
-        assert root.iterations == 5

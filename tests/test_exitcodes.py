@@ -14,7 +14,6 @@ from repro.errors import (
     AnalysisAborted,
     AnalysisError,
     BudgetExceeded,
-    Cancelled,
     ChunkTimeoutError,
     ConvergenceError,
     ExecutionError,
@@ -64,7 +63,6 @@ class TestExitCodeMapping:
             SimulationError,
             AnalysisAborted,
             BudgetExceeded,
-            Cancelled,
         ],
     )
     def test_analysis_errors_map_to_analysis(self, error_type):

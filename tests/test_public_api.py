@@ -37,6 +37,22 @@ class TestImportSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_no_cancellation_or_ladder_surface(self):
+        import importlib.util
+
+        import repro.analysis
+        from repro import errors
+        from repro.analysis import wcrt
+
+        for name in ("CancelToken", "Cancelled"):
+            assert name not in repro.__all__, name
+            assert not hasattr(errors, name), name
+        for name in ("AnalysisLadder", "LadderTier", "LadderResult", "run_ladder"):
+            assert name not in repro.analysis.__all__, name
+        assert importlib.util.find_spec("repro.analysis.ladder") is None
+        # The brownout's bound lives with the analysis it bounds.
+        assert repro.analysis.coarse_bound is wcrt.coarse_bound
+
     @pytest.mark.parametrize("module_name", SUBPACKAGES[:-2])
     def test_subpackage_all_resolves(self, module_name):
         module = importlib.import_module(module_name)

@@ -19,7 +19,9 @@ from repro.serialization import (
     tasks_from_dicts,
     taskset_from_json,
     taskset_to_json,
+    wcrt_result_from_json,
 )
+from repro.verify.corpus import entry_from_json
 
 
 @pytest.fixture()
@@ -221,6 +223,18 @@ class TestTasksetRoundTrip:
     def test_invalid_json_rejected(self):
         with pytest.raises(ModelError):
             taskset_from_json("{nope")
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"x"'])
+    @pytest.mark.parametrize(
+        "loader",
+        [taskset_from_json, wcrt_result_from_json, entry_from_json],
+        ids=lambda loader: loader.__name__,
+    )
+    def test_a_document_that_is_not_an_object_is_a_model_error(
+        self, loader, text
+    ):
+        with pytest.raises(ModelError, match="must be a JSON object"):
+            loader(text)
 
     def test_duplicate_task_name_rejected(self, taskset, platform):
         # Verdicts key response times by task name: a repeated name would

@@ -201,6 +201,24 @@ class TestServiceWorker:
             assert (perf.resident_table_hits, perf.resident_table_misses) == (0, 0)
         assert again_perf.inner_iterations == first_perf.inner_iterations
 
+    @pytest.mark.parametrize(
+        "limits",
+        [{}, {"max_iterations": 10_000_000}, {"budget_seconds": 3600.0}],
+        ids=["unbudgeted", "iteration-ceiling", "wall-clock"],
+    )
+    def test_a_degradable_request_runs_the_exact_analysis(
+        self, envelope, limits
+    ):
+        # Degradability only matters to the daemon's brownout: in the
+        # worker a degradable request is the exact analysis, bit-identical
+        # to an unbudgeted plain one, and no degraded tier runs.
+        plain, _perf = service_worker(shipped_document(envelope))
+        body, perf = service_worker(
+            shipped_document(envelope, degrade=True, **limits)
+        )
+        assert body == plain
+        assert (perf.ladder_tier_runs, perf.degraded_responses) == (0, 0)
+
     def test_budget_abort_response_carries_partials(self, envelope):
         response, perf = service_worker(
             shipped_document(envelope, max_iterations=2)
@@ -547,6 +565,21 @@ class TestServiceHandle:
         service.handle(request_document(envelope))
         document = service.stats_document()
         assert document["requests"]["completed"] == 1
+        assert list(document["requests"]) == [
+            "accepted",
+            "completed",
+            "budget_aborted",
+            "analysis_errors",
+            "validation_errors",
+            "rejected_busy",
+            "rejected_breaker",
+            "rejected_draining",
+            "worker_crashes",
+            "watchdog_kills",
+            "shed_expired",
+            "shed_overload",
+            "degraded",
+        ]
         assert document["in_flight"] == 0
         assert document["breaker"]["state"] == CLOSED
         assert document["perf"]["analyses"] == 1
@@ -1427,7 +1460,6 @@ class TestBrownout:
         assert body["degraded"]["tier"] == "coarse"
         assert body["degraded"]["soundness"] == "degraded-sound"
         assert pool.calls == 0
-        assert service.stats.brownout_served == 1
         assert service.stats.degraded == 1
         assert service.perf.degraded_responses == 1
         assert service.perf.ladder_tier_runs == 1
@@ -1460,25 +1492,71 @@ class TestBrownout:
         assert second.get("cache") != "hit"
         assert second["brownout"] is True
 
-    def test_ladder_degrades_through_the_pool_path(self, envelope):
-        # A starved iteration budget with degrade=True: the pool worker
-        # runs the ladder and answers from a degraded tier instead of
-        # aborting, and the daemon counts it.
-        service = make_service(max_in_flight=4)
+    def test_a_starved_brownout_is_a_typed_abort_of_unknown_soundness(
+        self, envelope
+    ):
+        pool = StubPool()
+        service = make_service(pool=pool, max_in_flight=1)
         status, body = service.handle(
+            request_document(envelope, degrade=True, max_iterations=1)
+        )
+        assert (status, body["status"]) == (200, "budget-exceeded")
+        assert body["brownout"] is True
+        assert body["degraded"] == {
+            "tier": None,
+            "soundness": "unknown",
+            "tiers_tried": ["coarse"],
+        }
+        assert pool.calls == 0
+        assert service.stats.budget_aborted == 1
+        assert service.stats.degraded == 0
+        assert service.perf.degraded_responses == 0
+        assert service.perf.ladder_tier_runs == 1
+
+    def test_a_generous_budget_leaves_the_brownout_unchanged(self, envelope):
+        service = make_service(max_in_flight=1)
+        _status, free = service.handle(
+            request_document(envelope, id="f", degrade=True)
+        )
+        _status, budgeted = service.handle(
             request_document(
-                envelope, degrade=True, max_iterations=50
+                envelope, id="b", degrade=True, max_iterations=10_000_000
             )
         )
-        assert status == 200
-        if body["status"] == "ok":
-            assert body["degraded"]["tier"] in ("baseline", "coarse")
-            assert service.stats.degraded == 1
-        else:
-            # Even the coarse tier did not fit: typed abort with the
-            # unknown-soundness marker.
-            assert body["status"] == "budget-exceeded"
-            assert body["degraded"]["soundness"] == "unknown"
+        assert free["brownout"] is True
+        assert dict(budgeted, id="f") == free
+
+    def test_a_starved_degradable_request_is_a_typed_abort(self, envelope):
+        # A degradable request that is not browned out runs the exact
+        # analysis alone under its whole budget: starved, it gets the
+        # typed abort with its partial estimates, like any other request.
+        service = make_service(max_in_flight=4)
+        status, body = service.handle(
+            request_document(envelope, degrade=True, max_iterations=50)
+        )
+        assert (status, body["status"]) == (200, "budget-exceeded")
+        assert body["partial_response_times"]
+        assert "degraded" not in body
+        assert service.stats.budget_aborted == 1
+        assert service.stats.degraded == 0
+
+    def test_a_degradable_request_gets_its_whole_budget(self, envelope):
+        # An iteration ceiling of exactly the cold analysis's inner
+        # iterations is enough for the exact answer, degradable or not.
+        _body, perf = service_worker(shipped_document(envelope))
+        ceiling = perf.inner_iterations
+        service = make_service(max_in_flight=4)
+        _status, degradable = service.handle(
+            request_document(
+                envelope, id="d", degrade=True, max_iterations=ceiling
+            )
+        )
+        _status, exact = service.handle(
+            request_document(envelope, id="e", max_iterations=ceiling)
+        )
+        assert exact["status"] == "ok" and "degraded" not in exact
+        assert dict(degradable, id="e") == exact
+        assert service.stats.completed == 2
 
 
 @contextmanager

@@ -6,6 +6,7 @@ unsoundness (dropping the ``|PCB|`` term from Eq. 10) the campaign both
 *catches* the bug and *shrinks* it to a reproducer of at most 3 tasks.
 """
 
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.errors import AnalysisError
 from repro.model.platform import BusPolicy
 from repro.perf import PerfCounters
 from repro.persistence.demand import FAULTS, multi_job_demand
+from repro.verify import oracles
 from repro.verify.cases import CASE_KINDS
 from repro.verify.cli import main, parse_budget
 from repro.verify.corpus import replay_corpus
@@ -112,6 +114,70 @@ class TestOracleRegistry:
     def test_unknown_oracle_rejected(self):
         with pytest.raises(KeyError):
             get_oracle("no-such-oracle")
+
+
+def _tightened(result):
+    """``result`` claiming every bound one cycle tighter than it is."""
+    return dataclasses.replace(
+        result,
+        response_times={
+            task: bound - 1 for task, bound in result.response_times.items()
+        },
+    )
+
+
+class TestLadderDominance:
+    """The oracle's baseline and coarse clauses each catch an unsound tier."""
+
+    @pytest.fixture()
+    def case(self):
+        # A persistence-aware case the exact analysis proves schedulable,
+        # so both clauses compare bounds pointwise.
+        case = generate_case("taskset", random.Random(8))
+        assert case.config.persistence
+        assert oracles.analyze_taskset(
+            case.taskset(), case.platform, case.config
+        ).schedulable
+        return case
+
+    def test_a_healthy_library_passes(self, case):
+        assert run_oracles(case, names=["ladder-dominance"]) == {
+            "ladder-dominance": []
+        }
+
+    def test_catches_a_coarse_bound_below_the_exact_analysis(
+        self, case, monkeypatch
+    ):
+        def too_tight(taskset, platform, config, **kwargs):
+            return _tightened(oracles.analyze_taskset(taskset, platform, config))
+
+        monkeypatch.setattr(oracles, "coarse_bound", too_tight)
+        messages = run_oracles(case, names=["ladder-dominance"])[
+            "ladder-dominance"
+        ]
+        assert messages
+        assert all(message.startswith("exact > coarse") for message in messages)
+
+    def test_catches_a_baseline_below_the_exact_analysis(
+        self, case, monkeypatch
+    ):
+        exact = oracles.analyze_taskset
+
+        def tight_baseline(taskset, platform, config, **kwargs):
+            if config.persistence:
+                return exact(taskset, platform, config, **kwargs)
+            return _tightened(
+                exact(taskset, platform, case.config, **kwargs)
+            )
+
+        monkeypatch.setattr(oracles, "analyze_taskset", tight_baseline)
+        messages = run_oracles(case, names=["ladder-dominance"])[
+            "ladder-dominance"
+        ]
+        assert messages
+        assert all(
+            message.startswith("exact > baseline") for message in messages
+        )
 
 
 class TestFaultInjection:
@@ -230,6 +296,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "corpus replay: PASS" in out
+
+    @pytest.mark.parametrize("text", ["[]", "{nope"])
+    def test_replay_of_a_malformed_entry_is_a_usage_error(
+        self, tmp_path, capsys, text
+    ):
+        (tmp_path / "entry.json").write_text(text)
+        code = main(["replay", "--corpus", str(tmp_path)])
+        assert code == 2
+        assert "repro-verify: error" in capsys.readouterr().err
 
     def test_replay_missing_corpus_is_empty_pass(self, tmp_path, capsys):
         code = main(["replay", "--corpus", str(tmp_path / "nope")])

@@ -1,10 +1,15 @@
 """Unit tests for the WCRT fixed point (Eq. 19) and its outer loop."""
 
+import random
+
 import pytest
 
 from repro.analysis.config import AnalysisConfig, BASELINE, PERSISTENCE_AWARE
-from repro.analysis.wcrt import analyze_taskset
-from repro.errors import AnalysisError
+from repro.analysis.wcrt import analyze_taskset, coarse_bound
+from repro.budget import Budget
+from repro.errors import AnalysisError, BudgetExceeded
+from repro.experiments.config import default_platform
+from repro.generation.taskset_gen import generate_taskset
 from repro.model.platform import BusPolicy, Platform
 from repro.model.task import Task, TaskSet
 
@@ -254,10 +259,6 @@ class TestNoReferenceCycles:
     @pytest.mark.parametrize("policy", list(BusPolicy))
     def test_analysis_leaves_nothing_for_the_collector(self, overrides, policy):
         import gc
-        import random
-
-        from repro.experiments.config import default_platform
-        from repro.generation.taskset_gen import generate_taskset
 
         platform = default_platform().with_bus_policy(policy)
         config = AnalysisConfig(**overrides)
@@ -271,3 +272,59 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestCoarseBound:
+    """The brownout's single-outer-round sufficient test."""
+
+    @pytest.fixture(scope="class")
+    def platform(self):
+        return default_platform()
+
+    @pytest.fixture(scope="class")
+    def taskset(self, platform):
+        return generate_taskset(random.Random(5), platform, 0.3)
+
+    def test_dominates_the_exact_analysis(self, taskset, platform):
+        exact = analyze_taskset(taskset, platform)
+        coarse = coarse_bound(taskset, platform)
+        if coarse.schedulable:
+            # A coarse "schedulable" verdict is sound: the exact analysis
+            # agrees and its bounds are pointwise tighter.
+            assert exact.schedulable
+            for task, bound in exact.response_times.items():
+                assert coarse.response_times[task] >= bound
+
+    def test_dominates_the_baseline_analysis(self, taskset, platform):
+        # Each resting value of the frozen-context round bounds the
+        # baseline's exact fixed point from above.
+        baseline = analyze_taskset(taskset, platform, BASELINE)
+        coarse = coarse_bound(taskset, platform, BASELINE)
+        assert baseline.schedulable and coarse.schedulable
+        for task, bound in baseline.response_times.items():
+            assert coarse.response_times[task] >= bound
+
+    def test_runs_one_outer_round(self, taskset, platform):
+        coarse = coarse_bound(taskset, platform)
+        assert coarse.outer_iterations <= 1
+
+    def test_conservative_failure_has_no_failed_task(self, platform):
+        # Build an overloaded set the coarse bound cannot prove
+        # schedulable; its negative verdict must use the conservative
+        # shape (failed_task=None) unless the overrun is the exact
+        # isolated-WCET case.
+        taskset = generate_taskset(random.Random(11), platform, 0.95)
+        coarse = coarse_bound(taskset, platform)
+        if not coarse.schedulable and coarse.failed_task is not None:
+            # failed_task set = an exact negative: isolated WCET alone
+            # overruns, which the full analysis would report identically.
+            exact = analyze_taskset(taskset, platform)
+            assert not exact.schedulable
+
+    def test_respects_its_budget(self, taskset, platform):
+        with pytest.raises(BudgetExceeded):
+            coarse_bound(
+                taskset,
+                platform,
+                budget=Budget(max_iterations=1).start(),
+            )
