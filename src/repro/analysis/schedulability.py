@@ -40,6 +40,25 @@ class SchedulabilityVerdict:
     reason: str = ""
 
 
+def residual_bus_check(taskset: TaskSet, d_mem: int) -> SchedulabilityVerdict:
+    """The perfect bus's bus-utilisation condition.
+
+    Schedulable iff the long-run bus utilisation, each task charged its
+    residual demand ``MDr``, is at most 1.  :func:`check_schedulability`
+    runs it before the perfect bus's WCRT analysis; a sweep whose other
+    variants already prove the analysis schedulable runs it alone (see
+    :func:`repro.experiments.runner.evaluate_sample`).
+    """
+    bus_util = taskset.bus_utilization(d_mem, residual=True)
+    if bus_util > 1.0:
+        return SchedulabilityVerdict(
+            schedulable=False,
+            bus_utilization=bus_util,
+            reason="bus utilisation exceeds 1",
+        )
+    return SchedulabilityVerdict(schedulable=True, bus_utilization=bus_util)
+
+
 def check_schedulability(
     taskset: TaskSet,
     platform: Platform,
@@ -71,20 +90,16 @@ def check_schedulability(
             )
 
     if platform.bus_policy is BusPolicy.PERFECT:
-        bus_util = taskset.bus_utilization(d_mem, residual=True)
-        if bus_util > 1.0:
-            return SchedulabilityVerdict(
-                schedulable=False,
-                bus_utilization=bus_util,
-                reason="bus utilisation exceeds 1",
-            )
+        bus = residual_bus_check(taskset, d_mem)
+        if not bus.schedulable:
+            return bus
         result = analyze_taskset(
             taskset, platform, config, perf=perf, budget=budget
         )
         return SchedulabilityVerdict(
             schedulable=result.schedulable,
             wcrt=result,
-            bus_utilization=bus_util,
+            bus_utilization=bus.bus_utilization,
             reason="" if result.schedulable else "deadline miss (perfect bus)",
         )
 

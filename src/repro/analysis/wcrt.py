@@ -35,7 +35,9 @@ no monotonicity; they do the following:
   :func:`_warm_verify`).
 
 The argument that the resulting bounds are sound without monotonicity is
-item 2 of ``ROADMAP.md``.
+item 2 of ``ROADMAP.md``.  Ordering two analyses needs monotonicity on one
+side only; DESIGN.md §6 gives that argument, which the sweep's dominance
+skips rely on.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.schedulability import check_schedulability
+from repro.analysis.schedulability import check_schedulability, residual_bus_check
 from repro.analysis.weighted import weighted_schedulability
 from repro.budget import Budget
 from repro.errors import AnalysisError, JournalError
@@ -68,31 +68,62 @@ def _sample_seed(seed: int, point_index: int, sample_index: int) -> int:
 
 # -- variant dominance -------------------------------------------------------
 #
-# The catalogue's variants are not independent: a persistence-aware bound is
-# pointwise at most its baseline counterpart on the same bus (the
-# ``persistence-tightens`` oracle), and the perfect bus lower-bounds every
-# arbiter (the ``perfect-dominance`` oracle).  The implication cuts both
-# ways.  When a *tighter* variant already failed with a genuine deadline
-# miss, every variant it dominates must miss the same deadline — its WCRT
-# bound can only be larger — so the sweep records ``False`` without running
-# the analysis.  Conversely, when a *looser* variant is schedulable, every
-# variant dominating it is schedulable too (its bounds are pointwise
-# smaller), and the sweep records ``True`` for free.  Which direction pays
-# depends on where the sample sits: below the schedulability cliff almost
-# everything passes, so evaluating the loose (cheap) baselines first lets
-# their successes discharge the expensive persistence-aware analyses; above
-# the cliff almost everything fails, so evaluating the tight variants first
-# lets their deadline misses discharge the rest.  ``evaluate_sample`` picks
-# the order from the point's utilisation — a deterministic function of the
-# work item, and pure perf: the verdicts are bit-identical in either order.
+# The catalogue's variants are not independent.  Variant ``a`` dominates
+# ``b`` (``_dominates``) when, at equal response-time estimates, ``a``'s
+# Eq. (19) right-hand side is at most ``b``'s for every task and window:
 #
-# Failure skips fire only on an actual deadline miss (``failed_task`` set):
-# utilisation prechecks, bus-overload rejections and outer-loop exhaustion
-# carry no cross-variant implication and are never used as skip evidence.
-# Success skips fire on any schedulable verdict of a dominated variant, but
-# never *for* a perfect-bus variant: the perfect bus has its own
-# bus-overload precheck, whose rejection no other variant's success can
-# rule out, so its verdict always comes from ``check_schedulability``.
+# * on one bus, a persistence-aware bound is at most its baseline
+#   counterpart (Lemmas 1-2 take a ``min`` with the baseline charge; the
+#   ``persistence-tightens`` oracle);
+# * the perfect bus's BAT is the BAS alone, a term of every arbiter's BAT
+#   (Eq. 7-9; the ``perfect-dominance`` oracle);
+# * RR's BAT is at most TDMA's: Eq. (8) charges each of the ``L - 1``
+#   remote cores at most ``s * BAS`` and Eq. (9) exactly that, with the
+#   same BAS and blocking term (the ``rr-tdma-dominance`` oracle).
+#
+# Pointwise dominance alone does not order the fixed points, because the
+# persistence-aware remote term is not monotone in the remote estimates
+# (see ``repro.analysis.wcrt``).  It does when one side is monotone.  Let
+# ``f_A <= f_B`` at equal estimates, let B converge to ``R_B`` within its
+# deadlines, and let A start from the same isolated WCETs.  For an A
+# iterate ``s <= R_B`` at A's estimates ``E <= R_B``: if B is monotone,
+# ``f_A(s, E) <= f_B(s, E) <= f_B(R_B, R_B) <= R_B``; if A is,
+# ``f_A(s, E) <= f_A(R_B, R_B) <= f_B(R_B, R_B) <= R_B``.  By induction
+# over the inner and the outer loop, A's estimates never pass ``R_B``, so
+# A never misses a deadline.  The monotone side is the baseline for the
+# same-bus persistence pairs, the perfect bus (BAS alone, which reads no
+# remote estimate) for its pairs, and TDMA (no remote estimate either)
+# for RR <= TDMA.  Two persistence-aware FP variants that differ only in
+# ``persistence_in_low`` have no monotone side, so ``_dominates`` does
+# not relate them.  DESIGN.md ("Why the dominance skips are sound")
+# states the cases in full.
+#
+# So B schedulable implies A schedulable, and A's genuine deadline miss
+# implies B unschedulable.  ``evaluate_sample`` uses both without running
+# the other analysis: a dominated variant's success discharges the
+# variants dominating it, and a dominating variant's deadline miss
+# condemns the variants it dominates.  A skip can disagree with running
+# the analysis in one way only: a success skip reports "schedulable" for
+# an A whose outer loop would have used up all its
+# ``max_outer_iterations`` rounds and answered the conservative
+# "unschedulable".  A failure skip never disagrees: B is unschedulable
+# whether it misses a deadline or runs out of rounds.
+#
+# Failure skips fire only on an actual deadline miss (``failed_task``
+# set): utilisation prechecks, bus-overload rejections and outer-loop
+# exhaustion carry no cross-variant implication.  Success skips fire on
+# any schedulable verdict of a dominated variant.  A perfect-bus variant
+# that takes one still owes the residual bus-utilisation check
+# (:func:`~repro.analysis.schedulability.residual_bus_check`), which no
+# other variant's success rules out, and records its outcome.
+#
+# Which evidence exists depends on the order.  Below the schedulability
+# cliff almost everything passes, so the loose (cheap) baselines run
+# first and their successes discharge the tighter analyses; above it
+# almost everything fails, so the tight variants run first and their
+# deadline misses condemn the rest.  The perfect bus runs last in both
+# orders: it schedules nearly every set up to U = 0.9, so its failures
+# are rare evidence, while any other variant's success discharges it.
 
 
 def _dominates(a: Variant, b: Variant) -> bool:
@@ -108,17 +139,27 @@ def _dominates(a: Variant, b: Variant) -> bool:
         return False
     if ca.tdma_slot_alignment and not cb.tdma_slot_alignment:
         return False  # a charges extra TDMA waiting that b does not
-    return a.policy is b.policy or a.policy is BusPolicy.PERFECT
+    if (
+        a.policy is b.policy is BusPolicy.FP
+        and cb.persistence
+        and ca.persistence_in_low != cb.persistence_in_low
+    ):
+        return False  # two persistence-aware FP bounds: neither is monotone
+    return (
+        a.policy is b.policy
+        or a.policy is BusPolicy.PERFECT
+        or (a.policy is BusPolicy.RR and b.policy is BusPolicy.TDMA)
+    )
 
 
-_Plan = Tuple[
-    Tuple[int, ...],
-    Tuple[Tuple[int, ...], ...],
-    Tuple[int, ...],
-    Tuple[Tuple[int, ...], ...],
+#: One evaluation order plus, per variant, the indices of the variants
+#: run before it that dominate it (failure evidence) and that it dominates
+#: (success evidence).
+_Order = Tuple[
+    Tuple[int, ...], Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]
 ]
 
-_PLAN_CACHE: Dict[Tuple[Variant, ...], _Plan] = {}
+_PLAN_CACHE: Dict[Tuple[Variant, ...], Tuple[_Order, _Order]] = {}
 
 #: Utilisation at or below which ``evaluate_sample`` runs the loosest
 #: variants first (harvesting success skips); above it the tightest run
@@ -128,56 +169,55 @@ _PLAN_CACHE: Dict[Tuple[Variant, ...], _Plan] = {}
 _SUCCESS_ORDER_UTILIZATION = 0.5
 
 
-def _dominance_plan(variants: Tuple[Variant, ...]) -> _Plan:
-    """Evaluation orders plus per-variant skip-evidence indices.
+def _evidence(variants: Tuple[Variant, ...], order: Tuple[int, ...]) -> _Order:
+    """``order`` with each variant's skip evidence among earlier variants."""
+    dominators: List[Tuple[int, ...]] = [()] * len(variants)
+    dominated: List[Tuple[int, ...]] = [()] * len(variants)
+    for rank, index in enumerate(order):
+        earlier = order[:rank]
+        variant = variants[index]
+        dominators[index] = tuple(
+            j for j in earlier if _dominates(variants[j], variant)
+        )
+        dominated[index] = tuple(
+            j for j in earlier if _dominates(variant, variants[j])
+        )
+    return order, tuple(dominators), tuple(dominated)
 
-    Returns ``(tight_order, dominators, loose_order, dominated)``.
-    ``tight_order`` puts tighter variants first (perfect bus, then
-    persistence-aware, then baseline); ``loose_order`` is its reverse.
-    ``dominators[i]`` names the variants dominating ``i`` that run earlier
-    in ``tight_order`` (failure evidence), ``dominated[i]`` the variants
-    ``i`` dominates that run earlier in ``loose_order`` (success
-    evidence; empty for perfect-bus variants, whose bus-overload precheck
-    no other variant's success can rule out).  Both lists only name
-    variants evaluated *earlier* in their order, so each plan is
-    cycle-free by construction even for duplicate variants.  Verdicts are
-    always reported in the caller's original variant order.
+
+def _dominance_plan(variants: Tuple[Variant, ...]) -> Tuple[_Order, _Order]:
+    """The tight and the loose evaluation order with their skip evidence.
+
+    The tight order runs tighter variants first (persistence-aware before
+    baseline, RR before TDMA), the loose order the arbiters in reverse;
+    both end with the perfect-bus variants.  In either order a variant
+    takes failure evidence from the earlier variants dominating it and
+    success evidence from the earlier variants it dominates.  Evidence
+    only ever names earlier variants, so each plan is cycle-free by
+    construction, duplicate variants included.  Verdicts are always
+    reported in the caller's original variant order.
     """
     plan = _PLAN_CACHE.get(variants)
     if plan is None:
-        order = tuple(
-            sorted(
-                range(len(variants)),
-                key=lambda i: (
-                    variants[i].policy is not BusPolicy.PERFECT,
-                    not variants[i].analysis.persistence,
-                    not variants[i].analysis.persistence_in_low,
-                    variants[i].analysis.tdma_slot_alignment,
-                    i,
-                ),
+
+        def tightness(index: int):
+            variant = variants[index]
+            return (
+                variant.policy is BusPolicy.PERFECT,
+                not variant.analysis.persistence,
+                not variant.analysis.persistence_in_low,
+                variant.analysis.tdma_slot_alignment,
+                variant.policy is BusPolicy.TDMA,
+                index,
             )
+
+        tight = sorted(range(len(variants)), key=tightness)
+        perfect = [i for i in tight if variants[i].policy is BusPolicy.PERFECT]
+        arbiters = tight[: len(tight) - len(perfect)]
+        plan = (
+            _evidence(variants, tuple(tight)),
+            _evidence(variants, tuple(arbiters[::-1] + perfect[::-1])),
         )
-        position = {index: rank for rank, index in enumerate(order)}
-        dominators = tuple(
-            tuple(
-                j
-                for j in order
-                if position[j] < position[i] and _dominates(variants[j], variants[i])
-            )
-            for i in range(len(variants))
-        )
-        loose_order = tuple(reversed(order))
-        dominated = tuple(
-            ()
-            if variants[i].policy is BusPolicy.PERFECT
-            else tuple(
-                j
-                for j in loose_order
-                if position[j] > position[i] and _dominates(variants[i], variants[j])
-            )
-            for i in range(len(variants))
-        )
-        plan = (order, dominators, loose_order, dominated)
         _PLAN_CACHE[variants] = plan
     return plan
 
@@ -199,10 +239,12 @@ def evaluate_sample(
     arbitration policy) and shared across variants; passing ``taskset``
     skips the generation (the sweep layer pre-generates whole points and
     compiles their interference tables together).  Variants are evaluated in
-    dominance order: once a tighter variant fails with a genuine deadline
-    miss, the variants it dominates are recorded unschedulable without
-    running their analyses (``perf.dominance_skips``) — the verdict tuple,
-    reported in the caller's variant order, is bit-identical either way.
+    one of the two dominance orders of :func:`_dominance_plan`, chosen by
+    the utilisation: a variant whose verdict the earlier variants already
+    settle (a dominated variant's success, a dominating variant's deadline
+    miss) is recorded without running its analysis
+    (``perf.dominance_skips``) — the verdict tuple, reported in the
+    caller's variant order, is bit-identical either way.
 
     The cyclic garbage collector is paused for the variant loop and
     restored to its previous state afterwards, also when an analysis
@@ -221,14 +263,10 @@ def evaluate_sample(
         taskset = generate_taskset(rng, base_platform, utilization, generation)
     weight = taskset.total_utilization(base_platform.d_mem)
     variants = tuple(variants)
-    order, dominators, loose_order, dominated = _dominance_plan(variants)
-    if utilization <= _SUCCESS_ORDER_UTILIZATION:
-        # Below the cliff most variants pass: run the loose (cheap)
-        # baselines first so their successes discharge the tighter
-        # analyses.  Above it, tightest-first failure skips pay instead.
-        # Both skip rules are checked in either order; the order only
-        # decides which evidence exists by the time a variant comes up.
-        order = loose_order
+    tight, loose = _dominance_plan(variants)
+    order, dominators, dominated = (
+        loose if utilization <= _SUCCESS_ORDER_UTILIZATION else tight
+    )
     verdicts: List[bool] = [False] * len(variants)
     missed: List[bool] = [False] * len(variants)
     gc_was_enabled = gc.isenabled()
@@ -237,10 +275,15 @@ def evaluate_sample(
         for index in order:
             variant = variants[index]
             if any(verdicts[dom] for dom in dominated[index]):
-                # A dominated variant is schedulable: this variant's
-                # (pointwise smaller) WCRT bounds converge below the same
-                # deadlines.
-                verdicts[index] = True
+                # A dominated variant is schedulable: this variant's fixed
+                # points converge below the same deadlines.  The perfect
+                # bus still owes its bus-overload check.
+                verdicts[index] = (
+                    variant.policy is not BusPolicy.PERFECT
+                    or residual_bus_check(
+                        taskset, base_platform.d_mem
+                    ).schedulable
+                )
                 if perf is not None:
                     perf.dominance_skips += 1
                 continue

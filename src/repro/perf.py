@@ -97,7 +97,7 @@ class PerfCounters:
     degraded_responses: int = 0
     #: Brownout coarse-bound runs, completed or aborted (see
     #: :func:`repro.analysis.wcrt.coarse_bound`).
-    ladder_tier_runs: int = 0
+    brownout_runs: int = 0
     #: Requests the service rejected because their propagated deadline
     #: had already expired on arrival.
     deadline_expired_rejects: int = 0
@@ -220,10 +220,10 @@ class PerfCounters:
                 f"  shed requests     {self.shed_requests:>12d}   "
                 f"deadline expired {self.deadline_expired_rejects:>10d}"
             )
-        if self.degraded_responses or self.ladder_tier_runs:
+        if self.degraded_responses or self.brownout_runs:
             lines.append(
                 f"  degraded answers  {self.degraded_responses:>12d}   "
-                f"ladder tier runs {self.ladder_tier_runs:>10d}"
+                f"brownout runs    {self.brownout_runs:>10d}"
             )
         if self.verify_cases:
             lines.append(

@@ -570,12 +570,12 @@ class AnalysisService:
             )
         except AnalysisAborted as abort:
             body = exhausted_response(request_id, abort)
-            local.ladder_tier_runs += 1
+            local.brownout_runs += 1
         except Exception as error:  # noqa: BLE001 — typed 500, never a hang
             status, body = 500, error_response(request_id, error)
         else:
             body = degraded_response(request_id, result)
-            local.ladder_tier_runs += 1
+            local.brownout_runs += 1
             local.degraded_responses += 1
         with self._lock:
             self.perf.merge(local)
@@ -663,7 +663,6 @@ class AnalysisService:
                 "draining": self._draining.is_set(),
                 "overload": {
                     "max_in_flight": self.config.max_in_flight,
-                    "brownout_threshold": self.config.max_in_flight,
                     "batch_cap": self.config.batch_cap,
                     "deadline_safety_ms": DEADLINE_SAFETY_MS,
                     "min_budget_seconds": MIN_BUDGET_SECONDS,

@@ -64,6 +64,11 @@ def config_to_dict(config: AnalysisConfig) -> Dict:
 
 def config_from_dict(data: Dict) -> AnalysisConfig:
     """Inverse of :func:`config_to_dict` (absent keys keep defaults)."""
+    if not isinstance(data, dict):
+        raise ModelError(
+            f"malformed analysis config record: expected an object, "
+            f"got {type(data).__name__}"
+        )
     defaults = AnalysisConfig()
     try:
         return AnalysisConfig(
@@ -197,8 +202,21 @@ def case_to_json(case) -> str:
 
 
 def case_from_dict(document: Dict):
-    """Inverse of :func:`case_to_dict`."""
+    """Inverse of :func:`case_to_dict`.
+
+    A malformed record — a missing field, or a record of the wrong JSON
+    type where an object belongs — raises :class:`~repro.errors.ModelError`.
+    """
     check_tagged(document, CASE_TAG, CASE_VERSION)
+    try:
+        return _case_from_checked(document)
+    except KeyError as error:
+        raise ModelError(f"malformed case record: missing {error}") from error
+    except TypeError as error:
+        raise ModelError(f"malformed case record: {error}") from error
+
+
+def _case_from_checked(document: Dict):
     kind = document.get("kind")
     if kind == "taskset":
         platform = platform_from_dict(document["platform"])
@@ -235,11 +253,7 @@ def case_from_dict(document: Dict):
 
 def case_from_json(text: str):
     """Inverse of :func:`case_to_json`."""
-    document = decode_json(text)
-    try:
-        return case_from_dict(document)
-    except KeyError as error:
-        raise ModelError(f"malformed case record: missing {error}") from error
+    return case_from_dict(decode_json(text))
 
 
 #: Kinds accepted by the generators / CLI, in default generation order.

@@ -24,6 +24,9 @@ fuzz noise:
     unschedulable.
 ``perfect-dominance``
     The contention-free perfect bus lower-bounds every real arbiter.
+``rr-tdma-dominance``
+    The round-robin bus's bounds never exceed TDMA's: Eq. (8) charges
+    each remote core at most the ``s * BAS`` that Eq. (9) charges.
 ``mono-period-shrink``
     Shrinking one task's period (and deadline) adds interference: on the
     perfect bus every bound weakly increases, and an unschedulable set
@@ -184,6 +187,28 @@ def _compare_pointwise(
             )
 
 
+def _dominance_violations(
+    lower: WcrtResult, upper: WcrtResult, rejects: str, label: str
+) -> List[str]:
+    """Violations of the claim that ``lower``'s bounds sit below ``upper``'s.
+
+    ``rejects`` describes ``lower`` rejecting a set ``upper`` schedules,
+    ``label`` prefixes each task whose ``lower`` bound exceeds its
+    ``upper`` one.  Skipped when either analysis exhausted its outer
+    loop: that verdict is conservative, not a fixed point, so ordering
+    arguments do not apply to it.
+    """
+    if _exhausted(lower) or _exhausted(upper):
+        return []
+    messages: List[str] = []
+    if upper.schedulable and not lower.schedulable:
+        failed = lower.failed_task and lower.failed_task.name
+        messages.append(f"{rejects} (failed task {failed!r})")
+    if upper.schedulable and lower.schedulable:
+        _compare_pointwise(label, lower, upper, messages)
+    return messages
+
+
 # ---------------------------------------------------------------------------
 # Analytical oracles (taskset cases)
 # ---------------------------------------------------------------------------
@@ -286,18 +311,15 @@ def _check_ladder_dominance(case: TasksetCase) -> List[str]:
             "trivially infeasible but the exact analysis is schedulable"
         )
     for label, tier in degraded:
-        if _exhausted(exact) or _exhausted(tier):
-            # Conservative exhausted verdicts are not fixed points;
-            # ordering arguments do not apply to them.
-            continue
-        if tier.schedulable and not exact.schedulable:
-            messages.append(
+        messages.extend(
+            _dominance_violations(
+                exact,
+                tier,
                 f"{label} tier claims schedulable but the exact analysis "
-                f"rejects the set (failed task "
-                f"{exact.failed_task and exact.failed_task.name!r})"
+                "rejects the set",
+                f"exact > {label}",
             )
-        if tier.schedulable and exact.schedulable:
-            _compare_pointwise(f"exact > {label}", exact, tier, messages)
+        )
     return messages
 
 
@@ -314,19 +336,12 @@ def _check_persistence_tightens(case: TasksetCase) -> List[str]:
     baseline = analyze_taskset(
         taskset, case.platform, replace(case.config, persistence=False)
     )
-    if _exhausted(aware) or _exhausted(baseline):
-        return []
-    messages: List[str] = []
-    if baseline.schedulable and not aware.schedulable:
-        messages.append(
-            "persistence-aware analysis rejects a baseline-schedulable set "
-            f"(failed task {aware.failed_task and aware.failed_task.name!r})"
-        )
-    if baseline.schedulable and aware.schedulable:
-        _compare_pointwise(
-            "persistence-aware > baseline", aware, baseline, messages
-        )
-    return messages
+    return _dominance_violations(
+        aware,
+        baseline,
+        "persistence-aware analysis rejects a baseline-schedulable set",
+        "persistence-aware > baseline",
+    )
 
 
 @register(
@@ -344,22 +359,33 @@ def _check_perfect_dominance(case: TasksetCase) -> List[str]:
         case.platform.with_bus_policy(BusPolicy.PERFECT),
         case.config,
     )
-    if _exhausted(contended) or _exhausted(perfect):
+    policy = case.platform.bus_policy.value
+    return _dominance_violations(
+        perfect,
+        contended,
+        f"perfect bus rejects a set schedulable under {policy}",
+        f"perfect > {policy}",
+    )
+
+
+@register(
+    "rr-tdma-dominance",
+    ("taskset",),
+    "the round-robin bus's bounds never exceed TDMA's (Eq. 8 vs Eq. 9)",
+)
+def _check_rr_tdma_dominance(case: TasksetCase) -> List[str]:
+    if case.platform.bus_policy not in (BusPolicy.RR, BusPolicy.TDMA):
         return []
-    messages: List[str] = []
-    if contended.schedulable and not perfect.schedulable:
-        messages.append(
-            f"perfect bus rejects a set schedulable under "
-            f"{case.platform.bus_policy.value}"
-        )
-    if contended.schedulable and perfect.schedulable:
-        _compare_pointwise(
-            f"perfect > {case.platform.bus_policy.value}",
-            perfect,
-            contended,
-            messages,
-        )
-    return messages
+    taskset = case.taskset()
+    rr = analyze_taskset(
+        taskset, case.platform.with_bus_policy(BusPolicy.RR), case.config
+    )
+    tdma = analyze_taskset(
+        taskset, case.platform.with_bus_policy(BusPolicy.TDMA), case.config
+    )
+    return _dominance_violations(
+        rr, tdma, "RR rejects a set schedulable under TDMA", "rr > tdma"
+    )
 
 
 def _metamorphic_compare(
@@ -383,14 +409,12 @@ def _metamorphic_compare(
     platform = replace(case.platform, bus_policy=BusPolicy.PERFECT)
     base = analyze_taskset(TaskSet(base_tasks), platform, case.config)
     mutated = analyze_taskset(TaskSet(mutated_tasks), platform, case.config)
-    if _exhausted(base) or _exhausted(mutated):
-        return []
-    messages: List[str] = []
-    if not base.schedulable and mutated.schedulable:
-        messages.append(f"{label}: unschedulable set became schedulable")
-    if base.schedulable and mutated.schedulable:
-        _compare_pointwise(f"{label}: base > mutated", base, mutated, messages)
-    return messages
+    return _dominance_violations(
+        base,
+        mutated,
+        f"{label}: unschedulable set became schedulable",
+        f"{label}: base > mutated",
+    )
 
 
 @register(

@@ -41,7 +41,9 @@ from repro.budget import Budget
 from repro.crpd.approaches import CrpdApproach
 from repro.experiments.config import (
     SweepSettings,
+    Variant,
     default_platform,
+    slot_variants,
     standard_variants,
 )
 from repro.experiments.runner import _sample_seed, evaluate_sample, run_curve
@@ -415,34 +417,104 @@ class TestBisectionProbesAreIndependent:
             )
 
 
+def _dominance_catalogues():
+    """``(platform, variants)`` catalogues whose plans relate variants in
+    every way ``runner._dominates`` can: same-bus persistence pairs, the
+    perfect bus, RR <= TDMA, slot alignment, ``persistence_in_low``,
+    the multiset approach pairs and duplicate variants."""
+    base = default_platform()
+    standard = standard_variants(True)
+    aware = AnalysisConfig()
+    baseline = AnalysisConfig(persistence=False)
+    aligned = AnalysisConfig(tdma_slot_alignment=True)
+    aligned_baseline = replace(baseline, tdma_slot_alignment=True)
+    low = AnalysisConfig(persistence_in_low=True)
+    both = AnalysisConfig(
+        crpd_approach=CrpdApproach.ECB_UNION_MULTISET,
+        cpro_approach=CproApproach.MULTISET,
+    )
+    both_baseline = replace(both, persistence=False)
+    return {
+        "standard": (base, standard),
+        "slot-variants": (base, slot_variants()),
+        "aligned-tdma": (
+            base,
+            (
+                Variant("RR-P", BusPolicy.RR, aware),
+                Variant("RR", BusPolicy.RR, baseline),
+                Variant("RR-aligned", BusPolicy.RR, aligned_baseline),
+                Variant("TDMA-P-aligned", BusPolicy.TDMA, aligned),
+                Variant("TDMA-aligned", BusPolicy.TDMA, aligned_baseline),
+                Variant("TDMA", BusPolicy.TDMA, baseline),
+                Variant("Perfect", BusPolicy.PERFECT, aware),
+            ),
+        ),
+        "persistence-in-low": (
+            base,
+            (
+                Variant("FP-P-low", BusPolicy.FP, low),
+                Variant("FP-P", BusPolicy.FP, aware),
+                Variant("FP", BusPolicy.FP, baseline),
+                Variant("RR-P-low", BusPolicy.RR, low),
+                Variant("TDMA", BusPolicy.TDMA, baseline),
+                Variant("Perfect-low", BusPolicy.PERFECT, low),
+            ),
+        ),
+        "multiset-64-sets": (
+            replace(base, cache=CacheGeometry(num_sets=64, block_size=32)),
+            (
+                Variant("FP-P", BusPolicy.FP, both),
+                Variant("FP", BusPolicy.FP, both_baseline),
+                Variant("RR-P", BusPolicy.RR, both),
+                Variant("RR", BusPolicy.RR, both_baseline),
+                Variant("TDMA-P", BusPolicy.TDMA, both),
+                Variant("TDMA", BusPolicy.TDMA, both_baseline),
+                Variant("Perfect", BusPolicy.PERFECT, both),
+            ),
+        ),
+        "duplicates": (
+            base,
+            standard + (standard[0], standard[3], standard[5], standard[6]),
+        ),
+    }
+
+
+DOMINANCE_CATALOGUES = _dominance_catalogues()
+
+
 class TestDominanceSkipsAreInvisible:
     """Skipped analyses report the verdict brute force would have."""
 
-    #: Low utilisations exercise the loosest-first success-skip order,
-    #: high ones the tightest-first failure-skip order (see
-    #: ``_SUCCESS_ORDER_UTILIZATION`` in repro.experiments.runner).
-    @pytest.mark.parametrize("utilization", [0.3, 0.45, 0.6, 0.8])
-    def test_verdicts_match_brute_force(self, utilization):
-        base = default_platform()
-        variants = standard_variants(True)
+    #: The grid spans both orders of the plan (the loosest-first success
+    #: order up to ``_SUCCESS_ORDER_UTILIZATION`` in
+    #: repro.experiments.runner, the tightest-first failure order above).
+    UTILIZATIONS = tuple(round(0.1 * step, 1) for step in range(1, 11))
+    SAMPLES = 8
+
+    @pytest.mark.parametrize("catalogue", sorted(DOMINANCE_CATALOGUES))
+    def test_verdicts_match_brute_force(self, catalogue):
+        base, variants = DOMINANCE_CATALOGUES[catalogue]
         generation = GenerationConfig()
-        for i in range(6):
-            seed = _sample_seed(2020, int(utilization * 100), i)
-            outcome = evaluate_sample(
-                base, utilization, variants, generation, seed
-            )
-            brute_set = generate_taskset(
-                random.Random(seed), base, utilization, generation
-            )
-            brute = tuple(
-                check_schedulability(
-                    brute_set,
-                    base.with_bus_policy(variant.policy),
-                    variant.analysis,
-                ).schedulable
-                for variant in variants
-            )
-            assert outcome.verdicts == brute
+        perf = PerfCounters()
+        for point, utilization in enumerate(self.UTILIZATIONS):
+            for i in range(self.SAMPLES):
+                seed = _sample_seed(2020, point, i)
+                outcome = evaluate_sample(
+                    base, utilization, variants, generation, seed, perf
+                )
+                brute_set = generate_taskset(
+                    random.Random(seed), base, utilization, generation
+                )
+                brute = tuple(
+                    check_schedulability(
+                        brute_set,
+                        base.with_bus_policy(variant.policy),
+                        variant.analysis,
+                    ).schedulable
+                    for variant in variants
+                )
+                assert outcome.verdicts == brute, (utilization, i)
+        assert perf.dominance_skips > 0
 
     def test_curve_matches_per_sample_evaluation(self):
         base = default_platform()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.config import AnalysisConfig
+from repro.crpd.approaches import CrpdApproach
 from repro.experiments.config import (
     PAPER_UTILIZATIONS,
     SweepSettings,
@@ -152,6 +154,164 @@ class TestRunner:
     def test_max_gap_over_unknown_label_is_typed_error(self):
         with pytest.raises(AnalysisError, match="unknown variant label"):
             max_gap({"A": [0.5]}, "A", "missing")
+
+
+def _variant(label, policy, **analysis):
+    return Variant(label, policy, AnalysisConfig(**analysis))
+
+
+class TestDominanceRule:
+    """``runner._dominates``: which variant's bounds sit below which."""
+
+    RR = _variant("RR", BusPolicy.RR, persistence=False)
+    RR_P = _variant("RR-P", BusPolicy.RR)
+    TDMA = _variant("TDMA", BusPolicy.TDMA, persistence=False)
+    TDMA_P = _variant("TDMA-P", BusPolicy.TDMA)
+    FP = _variant("FP", BusPolicy.FP, persistence=False)
+    FP_P = _variant("FP-P", BusPolicy.FP)
+    FP_P_LOW = _variant("FP-P-low", BusPolicy.FP, persistence_in_low=True)
+    PERFECT = _variant("Perfect", BusPolicy.PERFECT)
+
+    @pytest.mark.parametrize(
+        "tight, loose, expected",
+        [
+            (RR, TDMA, True),
+            (RR_P, TDMA, True),
+            (RR_P, TDMA_P, True),
+            (
+                RR,
+                _variant("TDMA-aligned", BusPolicy.TDMA, persistence=False,
+                         tdma_slot_alignment=True),
+                True,
+            ),
+            (TDMA, RR, False),
+            (TDMA_P, RR_P, False),
+            (FP, RR, False),
+            (RR, FP, False),
+            (FP_P, RR_P, False),
+            (RR, TDMA_P, False),
+            (
+                _variant("RR-aligned", BusPolicy.RR, persistence=False,
+                         tdma_slot_alignment=True),
+                TDMA,
+                False,
+            ),
+            (
+                _variant("RR-multiset", BusPolicy.RR, persistence=False,
+                         crpd_approach=CrpdApproach.ECB_UNION_MULTISET),
+                TDMA,
+                False,
+            ),
+            (FP_P, FP, True),
+            (FP, FP_P, False),
+            (PERFECT, FP_P, True),
+            (PERFECT, TDMA, True),
+            (FP_P, PERFECT, False),
+            (FP_P_LOW, FP, True),
+            # Both persistence-aware FP bounds are non-monotone in the
+            # remote estimates, so pointwise dominance orders no fixed
+            # points there.
+            (FP_P_LOW, FP_P, False),
+            (_variant("RR-P-low", BusPolicy.RR, persistence_in_low=True),
+             RR_P, True),
+        ],
+        ids=lambda value: value.label if isinstance(value, Variant) else None,
+    )
+    def test_truth_table(self, tight, loose, expected):
+        from repro.experiments.runner import _dominates
+
+        assert _dominates(tight, loose) is expected
+
+    def test_standard_plan_runs_the_perfect_bus_last(self):
+        from repro.experiments.runner import _dominance_plan
+
+        variants = standard_variants(True)
+        labels = [v.label for v in variants]
+        perfect = labels.index("Perfect")
+        tight, loose = _dominance_plan(variants)
+        assert [labels[i] for i in tight[0]] == [
+            "FP-P", "RR-P", "TDMA-P", "FP", "RR", "TDMA", "Perfect",
+        ]
+        assert [labels[i] for i in loose[0]] == [
+            "TDMA", "RR", "FP", "TDMA-P", "RR-P", "FP-P", "Perfect",
+        ]
+        for order, dominators, dominated in (tight, loose):
+            # Every arbiter's success discharges the perfect bus, and
+            # nothing but a perfect bus could condemn it.
+            assert sorted(dominated[perfect]) == sorted(
+                set(range(len(variants))) - {perfect}
+            )
+            assert dominators[perfect] == ()
+            for rank, index in enumerate(order):
+                earlier = set(order[:rank])
+                assert set(dominators[index]) <= earlier
+                assert set(dominated[index]) <= earlier
+
+    def test_rr_and_tdma_exchange_evidence(self):
+        from repro.experiments.runner import _dominance_plan
+
+        variants = standard_variants(True)
+        labels = [v.label for v in variants]
+        tight, loose = _dominance_plan(variants)
+        rr, rr_p, tdma, tdma_p = (
+            labels.index(label) for label in ("RR", "RR-P", "TDMA", "TDMA-P")
+        )
+        # An RR deadline miss condemns TDMA; RR-P's condemns TDMA-P too.
+        assert set(tight[1][tdma]) == {rr_p, tdma_p, rr}
+        assert tight[1][tdma_p] == (rr_p,)
+        # A schedulable TDMA set discharges RR, and RR-P.
+        assert loose[2][rr] == (tdma,)
+        assert set(loose[2][rr_p]) == {tdma, rr, tdma_p}
+
+
+class TestPerfectBusSuccessSkip:
+    """A perfect-bus variant discharged by an arbiter's success records
+    the residual bus-utilisation check and runs no analysis."""
+
+    VARIANTS = standard_variants(True)
+    PERFECT = [v.label for v in VARIANTS].index("Perfect")
+
+    def _evaluate(self):
+        from repro.experiments.runner import evaluate_sample
+        from repro.generation.taskset_gen import GenerationConfig
+
+        # U = 0.3, seed 5: every arbiter but TDMA schedules the set.
+        return evaluate_sample(
+            default_platform(), 0.3, self.VARIANTS, GenerationConfig(), 5
+        )
+
+    def test_runs_no_perfect_bus_analysis(self, monkeypatch):
+        from repro.experiments import runner
+
+        policies = []
+        check = runner.check_schedulability
+
+        def spy(taskset, platform, *args, **kwargs):
+            policies.append(platform.bus_policy)
+            return check(taskset, platform, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "check_schedulability", spy)
+        outcome = self._evaluate()
+        assert outcome.verdicts[self.PERFECT]
+        assert BusPolicy.PERFECT not in policies
+
+    def test_records_the_bus_check(self, monkeypatch):
+        from repro.analysis.schedulability import SchedulabilityVerdict
+        from repro.experiments import runner
+
+        healthy = self._evaluate()
+        checked = []
+
+        def overloaded(taskset, d_mem):
+            checked.append(d_mem)
+            return SchedulabilityVerdict(schedulable=False, bus_utilization=1.5)
+
+        monkeypatch.setattr(runner, "residual_bus_check", overloaded)
+        outcome = self._evaluate()
+        assert checked == [default_platform().d_mem]
+        assert healthy.verdicts[self.PERFECT]
+        assert outcome.verdicts[self.PERFECT] is False
+        assert outcome.verdicts[: self.PERFECT] == healthy.verdicts[: self.PERFECT]
 
 
 class TestEvaluateSampleCollector:

@@ -7,6 +7,7 @@ Invariants covered:
 * Eq. (10) multi-job demand (dominance, monotonicity, subadditivity);
 * Lemmas 1-2 (persistence-aware bounds never exceed baselines; BAS is
   monotone in the window length, baseline BAO too);
+* Eq. (8) vs (9) (RR's bus-access total never exceeds TDMA's);
 * UUnifast (sums, positivity);
 * structural extraction vs exact trace simulation on random branch-free
   programs.
@@ -16,14 +17,17 @@ import random as _random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.businterference.arbiters import make_bat
 from repro.businterference.context import AnalysisContext
 from repro.businterference.requests import bao, bas
 from repro.cacheanalysis.extraction import extract_parameters
 from repro.cacheanalysis.simulator import simulate_trace
 from repro.cacheanalysis.state import DirectMappedCache
+from repro.crpd.approaches import CrpdApproach, CrpdCalculator
 from repro.generation.uunifast import uunifast
 from repro.model.platform import BusPolicy, CacheGeometry, Platform
 from repro.model.task import Task, TaskSet
+from repro.persistence.cpro import CproApproach, CproCalculator
 from repro.persistence.demand import multi_job_demand
 from repro.program.cfg import Block, Loop, Program, Seq
 
@@ -169,6 +173,68 @@ class TestBoundProperties:
         ctx = AnalysisContext(taskset=taskset, platform=platform, persistence=True)
         for task in taskset:
             assert bas(ctx, task, t) >= task.md
+
+
+#: CRPD/CPRO approach pairs of the fused kernel: window oblivious, and
+#: each multiset side alone and together.
+APPROACH_PAIRS = (
+    (CrpdApproach.ECB_UNION, CproApproach.UNION),
+    (CrpdApproach.ECB_UNION_MULTISET, CproApproach.UNION),
+    (CrpdApproach.ECB_UNION, CproApproach.MULTISET),
+    (CrpdApproach.ECB_UNION_MULTISET, CproApproach.MULTISET),
+)
+
+
+def three_core_taskset_strategy():
+    return st.builds(
+        lambda *tasks: TaskSet(tasks),
+        *(task_strategy(priority, (priority - 1) // 2) for priority in range(1, 7)),
+    )
+
+
+class TestRoundRobinNeverExceedsTdma:
+    """Eq. (8) charges each of the ``L - 1`` remote cores at most
+    ``s * BAS``, Eq. (9) exactly that, over the same BAS and blocking term:
+    RR's BAT is at most TDMA's at every window and estimate, the premise
+    of the sweep's RR <= TDMA dominance skip."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        taskset=three_core_taskset_strategy(),
+        estimates=st.lists(
+            st.integers(min_value=0, max_value=50_000), min_size=6, max_size=6
+        ),
+        t=windows,
+        slot_size=st.integers(min_value=1, max_value=4),
+        persistence=st.booleans(),
+        aligned=st.booleans(),
+        approaches=st.sampled_from(APPROACH_PAIRS),
+        reference=st.booleans(),
+    )
+    def test_rr_bat_at_most_tdma_bat(
+        self, taskset, estimates, t, slot_size, persistence, aligned,
+        approaches, reference,
+    ):
+        crpd, cpro = approaches
+        bats = {}
+        for policy in (BusPolicy.RR, BusPolicy.TDMA):
+            ctx = AnalysisContext(
+                taskset=taskset,
+                platform=Platform(
+                    num_cores=3, d_mem=10, bus_policy=policy,
+                    slot_size=slot_size,
+                ),
+                persistence=persistence,
+                crpd=CrpdCalculator.shared(taskset, crpd),
+                cpro=CproCalculator.shared(taskset, cpro),
+                tdma_slot_alignment=aligned,
+                reference=reference,
+            )
+            for task, estimate in zip(taskset, estimates):
+                ctx.set_response_time(task, estimate)
+            bats[policy] = {task: make_bat(ctx, task)(t) for task in taskset}
+        for task in taskset:
+            assert bats[BusPolicy.RR][task] <= bats[BusPolicy.TDMA][task]
 
 
 class TestDemandProperties:

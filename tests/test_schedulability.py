@@ -3,7 +3,11 @@
 import pytest
 
 from repro.analysis.config import BASELINE, PERSISTENCE_AWARE
-from repro.analysis.schedulability import check_schedulability, is_schedulable
+from repro.analysis.schedulability import (
+    check_schedulability,
+    is_schedulable,
+    residual_bus_check,
+)
 from repro.analysis.weighted import weighted_schedulability
 from repro.errors import AnalysisError
 from repro.model.platform import BusPolicy, Platform
@@ -63,6 +67,27 @@ class TestPerfectBus:
         verdict = check_schedulability(TaskSet(tasks), platform)
         assert verdict.schedulable
         assert 0 <= verdict.bus_utilization <= 1
+
+    def test_residual_bus_check_is_the_perfect_bus_precheck(self):
+        saturated = TaskSet([
+            make_task(f"t{i}", i, i - 1, pd=10, md=90, md_r=90, period=1000)
+            for i in range(1, 5)
+        ])
+        light = TaskSet([make_task("a", 1, 0), make_task("b", 2, 1)])
+        platform = Platform(num_cores=4, d_mem=10, bus_policy=BusPolicy.PERFECT)
+        overloaded = residual_bus_check(saturated, platform.d_mem)
+        assert overloaded == check_schedulability(saturated, platform)
+        assert overloaded.bus_utilization == pytest.approx(3.6)
+        fits = residual_bus_check(light, platform.d_mem)
+        assert fits.schedulable and fits.wcrt is None
+        full = check_schedulability(light, platform)
+        assert full.bus_utilization == fits.bus_utilization
+        # Residual demand: MDr, not MD, is charged to the bus.
+        persistent = TaskSet([
+            make_task(f"t{i}", i, i - 1, pd=10, md=90, md_r=10, period=1000)
+            for i in range(1, 5)
+        ])
+        assert residual_bus_check(persistent, 10).schedulable
 
     def test_perfect_dominates_real_arbiters(self):
         tasks = [

@@ -217,7 +217,7 @@ class TestServiceWorker:
             shipped_document(envelope, degrade=True, **limits)
         )
         assert body == plain
-        assert (perf.ladder_tier_runs, perf.degraded_responses) == (0, 0)
+        assert (perf.brownout_runs, perf.degraded_responses) == (0, 0)
 
     def test_budget_abort_response_carries_partials(self, envelope):
         response, perf = service_worker(
@@ -447,7 +447,6 @@ class TestServiceConfig:
         ]
         assert overload == {
             "max_in_flight": max_in_flight,
-            "brownout_threshold": max_in_flight,
             "batch_cap": batch_cap,
             "deadline_safety_ms": 25.0,
             "min_budget_seconds": 0.05,
@@ -1462,7 +1461,7 @@ class TestBrownout:
         assert pool.calls == 0
         assert service.stats.degraded == 1
         assert service.perf.degraded_responses == 1
-        assert service.perf.ladder_tier_runs == 1
+        assert service.perf.brownout_runs == 1
 
     def test_open_breaker_browns_out_degradable_requests(self, envelope):
         pool = StubPool()
@@ -1511,7 +1510,7 @@ class TestBrownout:
         assert service.stats.budget_aborted == 1
         assert service.stats.degraded == 0
         assert service.perf.degraded_responses == 0
-        assert service.perf.ladder_tier_runs == 1
+        assert service.perf.brownout_runs == 1
 
     def test_a_generous_budget_leaves_the_brownout_unchanged(self, envelope):
         service = make_service(max_in_flight=1)

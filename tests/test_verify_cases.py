@@ -39,6 +39,15 @@ from repro.verify.corpus import (
 )
 from repro.verify.generators import generate_case
 
+#: A well-formed platform record, for case records malformed elsewhere.
+_PLATFORM = {
+    "num_cores": 2,
+    "cache": {"num_sets": 16, "block_size": 32},
+    "d_mem": 10,
+    "bus_policy": "fp",
+    "slot_size": 1,
+}
+
 
 def _cases(seed=0):
     rng = random.Random(seed)
@@ -100,6 +109,36 @@ class TestCaseRoundTrip:
         good["kind"] = "unheard-of"
         with pytest.raises(ModelError):
             case_from_dict(good)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "taskset"},
+            {"kind": "taskset", "tasks": []},
+            {"kind": "taskset", "platform": _PLATFORM},
+            {"kind": "taskset", "platform": _PLATFORM, "tasks": [],
+             "config": [1]},
+            {"kind": "scenario", "platform": _PLATFORM, "specs": [3]},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"core": 0}]},
+            {"kind": "demand", "n_jobs": 2},
+        ],
+        ids=[
+            "taskset-without-platform",
+            "taskset-with-tasks-without-platform",
+            "taskset-without-tasks",
+            "config-not-an-object",
+            "spec-not-an-object",
+            "spec-without-benchmark",
+            "demand-without-benchmark",
+        ],
+    )
+    def test_malformed_records_are_model_errors(self, fields):
+        document = {"format": "repro-verify-case", "version": 1, **fields}
+        with pytest.raises(ModelError, match="malformed"):
+            case_from_dict(document)
+        with pytest.raises(ModelError, match="malformed"):
+            case_from_json(json.dumps(document))
 
 
 class TestCorpusEntries:

@@ -7,6 +7,7 @@ unsoundness (dropping the ``|PCB|`` term from Eq. 10) the campaign both
 """
 
 import dataclasses
+import json
 import random
 import re
 from pathlib import Path
@@ -31,6 +32,18 @@ from repro.verify.oracles import (
     run_oracles,
 )
 from repro.verify.shrink import shrink_case
+
+
+def _corpus_entry(case_fields):
+    """A corpus entry's JSON text around a case record of ``case_fields``."""
+    return json.dumps(
+        {
+            "format": "repro-verify-corpus",
+            "version": 1,
+            "oracles": [],
+            "case": {"format": "repro-verify-case", "version": 1, **case_fields},
+        }
+    )
 
 
 class TestFuzzCampaign:
@@ -87,6 +100,7 @@ class TestOracleRegistry:
             "kernel-identity",
             "persistence-tightens",
             "perfect-dominance",
+            "rr-tdma-dominance",
             "mono-period-shrink",
             "mono-mdr-raise",
             "fixed-point-sanity",
@@ -178,6 +192,86 @@ class TestLadderDominance:
         assert all(
             message.startswith("exact > baseline") for message in messages
         )
+
+
+class TestRrTdmaDominance:
+    """The oracle catches RR bounds above TDMA's, and RR rejections of
+    sets TDMA schedules."""
+
+    @pytest.fixture(params=[8, 2], ids=["rr-case", "tdma-case"])
+    def case(self, request):
+        # Generated cases on an RR (seed 8) and a TDMA (seed 2) bus that
+        # both buses prove schedulable, so the oracle compares bounds.
+        case = generate_case("taskset", random.Random(request.param))
+        assert case.platform.bus_policy in (BusPolicy.RR, BusPolicy.TDMA)
+        for policy in (BusPolicy.RR, BusPolicy.TDMA):
+            assert oracles.analyze_taskset(
+                case.taskset(), case.platform.with_bus_policy(policy),
+                case.config,
+            ).schedulable
+        return case
+
+    def test_a_healthy_library_passes(self, case):
+        assert run_oracles(case, names=["rr-tdma-dominance"]) == {
+            "rr-tdma-dominance": []
+        }
+
+    def test_skips_other_buses(self, case, monkeypatch):
+        fp_case = dataclasses.replace(
+            case, platform=case.platform.with_bus_policy(BusPolicy.FP)
+        )
+        monkeypatch.setattr(oracles, "analyze_taskset", None)  # never called
+        assert run_oracles(fp_case, names=["rr-tdma-dominance"]) == {
+            "rr-tdma-dominance": []
+        }
+
+    @staticmethod
+    def _overshooting_rr(monkeypatch, overshoot):
+        exact = oracles.analyze_taskset
+
+        def rr_above_tdma(taskset, platform, config, **kwargs):
+            if platform.bus_policy is not BusPolicy.RR:
+                return exact(taskset, platform, config, **kwargs)
+            tdma = exact(
+                taskset, platform.with_bus_policy(BusPolicy.TDMA), config,
+                **kwargs,
+            )
+            return overshoot(tdma)
+
+        monkeypatch.setattr(oracles, "analyze_taskset", rr_above_tdma)
+
+    def test_catches_rr_bounds_above_tdma(self, case, monkeypatch):
+        self._overshooting_rr(
+            monkeypatch,
+            lambda tdma: dataclasses.replace(
+                tdma,
+                response_times={
+                    task: bound + 1
+                    for task, bound in tdma.response_times.items()
+                },
+            ),
+        )
+        messages = run_oracles(case, names=["rr-tdma-dominance"])[
+            "rr-tdma-dominance"
+        ]
+        assert len(messages) == case.task_count
+        assert all(message.startswith("rr > tdma") for message in messages)
+
+    def test_catches_an_rr_rejection_of_a_tdma_schedulable_set(
+        self, case, monkeypatch
+    ):
+        def missed(tdma):
+            task = next(iter(tdma.response_times))
+            return dataclasses.replace(
+                tdma, schedulable=False, failed_task=task
+            )
+
+        self._overshooting_rr(monkeypatch, missed)
+        messages = run_oracles(case, names=["rr-tdma-dominance"])[
+            "rr-tdma-dominance"
+        ]
+        assert len(messages) == 1
+        assert messages[0].startswith("RR rejects a set schedulable under TDMA")
 
 
 class TestFaultInjection:
@@ -297,7 +391,28 @@ class TestCli:
         assert code == 0
         assert "corpus replay: PASS" in out
 
-    @pytest.mark.parametrize("text", ["[]", "{nope"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "{nope",
+            _corpus_entry({"kind": "taskset"}),
+            _corpus_entry(
+                {
+                    "kind": "scenario",
+                    "platform": {
+                        "num_cores": 2,
+                        "cache": {"num_sets": 16, "block_size": 32},
+                        "d_mem": 10,
+                        "bus_policy": "fp",
+                        "slot_size": 1,
+                    },
+                    "specs": [3],
+                }
+            ),
+        ],
+        ids=["[]", "{nope", "case-without-platform", "spec-not-an-object"],
+    )
     def test_replay_of_a_malformed_entry_is_a_usage_error(
         self, tmp_path, capsys, text
     ):
