@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.wcrt import WcrtResult, analyze_taskset
+from repro.analysis.wcrt import WcrtResult, analyze_taskset, check_task_cores
 from repro.budget import Budget
 from repro.perf import PerfCounters
 from repro.model.platform import BusPolicy, Platform
@@ -75,8 +75,10 @@ def check_schedulability(
     :func:`repro.analysis.wcrt.analyze_taskset`), so re-checking a verdict
     is much cheaper than the first check — and bit-identical to it.
     ``budget`` threads a :class:`~repro.budget.Budget` through the WCRT
-    analysis (see :mod:`repro.budget`).
+    analysis (see :mod:`repro.budget`).  A task on a core the platform
+    does not have raises :class:`~repro.errors.AnalysisError`.
     """
+    check_task_cores(taskset, platform)
     d_mem = platform.d_mem
 
     # Quick necessary condition: the processing-plus-memory demand of every

@@ -50,7 +50,7 @@ from repro.budget import Budget
 from repro.businterference.arbiters import make_bat
 from repro.businterference.context import AnalysisContext
 from repro.crpd.approaches import CrpdCalculator
-from repro.errors import AnalysisAborted, ConvergenceError
+from repro.errors import AnalysisAborted, AnalysisError, ConvergenceError
 from repro.model.interference import prefill_batch
 from repro.model.platform import BusPolicy, Platform
 from repro.model.task import Task, TaskSet
@@ -145,6 +145,27 @@ def _task_fixed_point(
     )
 
 
+def check_task_cores(taskset: TaskSet, platform: Platform) -> None:
+    """Raise :class:`~repro.errors.AnalysisError` for a task on a core
+    ``platform`` does not have.
+
+    The remote terms of Eq. (3)-(9) sum over the platform's cores, so the
+    accesses of a task on any other core would reach no other task's
+    bound, and the RR <= TDMA dominance skip (DESIGN.md §6) assumes every
+    task sits on a platform core.  :func:`analyze_taskset`,
+    :func:`coarse_bound` and
+    :func:`~repro.analysis.schedulability.check_schedulability` call it
+    before any precheck or iteration.
+    """
+    cores = taskset.cores
+    if cores and cores[-1] >= platform.num_cores:
+        task = next(t for t in taskset if t.core >= platform.num_cores)
+        raise AnalysisError(
+            f"{task.name}: core {task.core} is not one of the platform's "
+            f"{platform.num_cores} cores"
+        )
+
+
 def _make_context(
     taskset: TaskSet,
     platform: Platform,
@@ -179,7 +200,9 @@ def analyze_taskset(
     Implements the outer loop of Sec. IV.  Analysis stops early — reporting
     the set unschedulable — as soon as any task's iterate exceeds its
     deadline; a sufficient test may always answer "unschedulable" (see the
-    module docstring for what the loops rely on).
+    module docstring for what the loops rely on).  A task on a core the
+    platform does not have raises :class:`~repro.errors.AnalysisError`
+    (:func:`check_task_cores`).
 
     With ``config.warm_start`` (the default), a repeat analysis of the same
     (task set, platform, config) triple replays the stored result of the
@@ -206,12 +229,13 @@ def analyze_taskset(
     consistent after an abort as after a cold start — aborted runs never
     record a warm-start seed.
     """
+    check_task_cores(taskset, platform)
     counters = PerfCounters()
     if not config.reference:
         # Build (or fetch) the task set's interference table and its cut
         # tables up front so the compilation is attributed to this run's
         # counters rather than hiding inside the first context (a no-op
-        # when the sweep layer already compiled this task set).
+        # when an earlier analysis of this task set compiled them).
         prefill_batch(
             (taskset,), config.crpd_approach, config.cpro_approach, perf=counters
         )
@@ -432,6 +456,7 @@ def coarse_bound(
     ``ladder-dominance`` oracle of :mod:`repro.verify.oracles` checks the
     dominance claims.
     """
+    check_task_cores(taskset, platform)
     counters = PerfCounters()
     counters.analyses += 1
     if budget is not None:

@@ -28,6 +28,11 @@ completed item so an interrupted campaign resumes bit-identically
 processes also return their :class:`repro.perf.PerfCounters`, which are
 merged into the parent's global counters so ``--profile`` sees the whole
 sweep.
+
+A work item is one call: :func:`evaluate_item` runs
+:func:`evaluate_sample` on the sample's task set from the worker's
+resident :mod:`~repro.experiments.stateplane`, and each analysis compiles
+the interference table it reads on first use.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import gc
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.schedulability import check_schedulability, residual_bus_check
@@ -45,10 +50,10 @@ from repro.errors import AnalysisError, JournalError
 from repro.experiments.config import SweepSettings, Variant
 from repro.experiments.faults import SweepFault
 from repro.experiments.journal import RunJournal, sweep_description, sweep_fingerprint
-from repro.experiments.stateplane import resident_plane
+from repro.experiments.stateplane import StatePlane, resident_plane
 from repro.experiments.supervisor import SampleFailure, SweepSupervisor, WorkItem
 from repro.generation.taskset_gen import GenerationConfig, generate_taskset
-from repro.model.interference import prefill_batch
+from repro.model import interference
 from repro.model.platform import BusPolicy, Platform
 from repro.perf import PerfCounters
 
@@ -107,7 +112,11 @@ def _sample_seed(seed: int, point_index: int, sample_index: int) -> int:
 # an A whose outer loop would have used up all its
 # ``max_outer_iterations`` rounds and answered the conservative
 # "unschedulable".  A failure skip never disagrees: B is unschedulable
-# whether it misses a deadline or runs out of rounds.
+# whether it misses a deadline or runs out of rounds.  With different
+# iteration caps that one way becomes common (an A capped at one outer
+# round answers "unschedulable" for most sets B schedules), so
+# ``_dominates`` relates two variants only when their
+# ``max_outer_iterations`` and ``max_inner_iterations`` are equal.
 #
 # Failure skips fire only on an actual deadline miss (``failed_task``
 # set): utilisation prechecks, bus-overload rejections and outer-loop
@@ -129,6 +138,10 @@ def _sample_seed(seed: int, point_index: int, sample_index: int) -> int:
 def _dominates(a: Variant, b: Variant) -> bool:
     """``True`` when ``a``'s WCRT bounds are pointwise at most ``b``'s."""
     ca, cb = a.analysis, b.analysis
+    if (ca.max_outer_iterations, ca.max_inner_iterations) != (
+        cb.max_outer_iterations, cb.max_inner_iterations
+    ):
+        return False  # different caps: see the comment above
     if ca.crpd_approach is not cb.crpd_approach:
         return False
     if ca.cpro_approach is not cb.cpro_approach:
@@ -230,38 +243,38 @@ def evaluate_sample(
     sample_seed: int,
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    taskset=None,
+    plane: Optional[StatePlane] = None,
 ) -> SampleOutcome:
-    """Generate one task set and test it under every variant.
+    """Take one task set and test it under every variant.
 
-    The task set is generated once from ``base_platform`` (generation only
-    depends on ``d_mem``, the cache geometry and the core count, not on the
-    arbitration policy) and shared across variants; passing ``taskset``
-    skips the generation (the sweep layer pre-generates whole points and
-    compiles their interference tables together).  Variants are evaluated in
-    one of the two dominance orders of :func:`_dominance_plan`, chosen by
-    the utilisation: a variant whose verdict the earlier variants already
-    settle (a dominated variant's success, a dominating variant's deadline
-    miss) is recorded without running its analysis
-    (``perf.dominance_skips``) — the verdict tuple, reported in the
-    caller's variant order, is bit-identical either way.
+    The task set comes from ``base_platform`` (generation only depends on
+    ``d_mem``, the cache geometry and the core count, not on the
+    arbitration policy) and is shared across variants: from ``plane``,
+    which returns the resident object of an earlier visit, or generated
+    afresh when no plane is given.  Either way it is the same value.
+    Each analysis compiles the interference table it reads on first use,
+    so a sample that the prechecks settle compiles none.  Variants are
+    evaluated in one of the two dominance orders of
+    :func:`_dominance_plan`, chosen by the utilisation: a variant whose
+    verdict the earlier variants already settle (a dominated variant's
+    success, a dominating variant's deadline miss) is recorded without
+    running its analysis (``perf.dominance_skips``) — the verdict tuple,
+    reported in the caller's variant order, is bit-identical either way.
 
-    The cyclic garbage collector is paused for the variant loop and
-    restored to its previous state afterwards, also when an analysis
-    raises.  The loop allocates many small objects but no reference
-    cycles (contexts, closures and the task set's derived stores are
-    acyclic), so the generational collections it would trigger only
-    re-traverse the live sweep state; see docs/PERFORMANCE.md.
+    The cyclic garbage collector is paused for the whole sample (plane
+    lookup or generation, table compilation, analyses) and restored to
+    its previous state afterwards, also when generation or an analysis
+    raises.  The sample allocates many small objects but no reference
+    cycles (task sets, contexts, closures and the task set's derived
+    stores are acyclic), so the generational collections it would
+    trigger only re-traverse the live sweep state; see
+    docs/PERFORMANCE.md.
 
     ``budget`` (one :class:`~repro.budget.Budget` covering *all* variants
     of the sample) lets an over-budget analysis abort cooperatively with
     :class:`~repro.errors.BudgetExceeded` instead of running on until the
     supervisor's process-kill watchdog fires.
     """
-    if taskset is None:
-        rng = random.Random(sample_seed)
-        taskset = generate_taskset(rng, base_platform, utilization, generation)
-    weight = taskset.total_utilization(base_platform.d_mem)
     variants = tuple(variants)
     tight, loose = _dominance_plan(variants)
     order, dominators, dominated = (
@@ -272,6 +285,16 @@ def evaluate_sample(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        if plane is None:
+            taskset = generate_taskset(
+                random.Random(sample_seed), base_platform, utilization,
+                generation,
+            )
+        else:
+            taskset = plane.taskset(
+                base_platform, generation, utilization, sample_seed, perf
+            )
+        weight = taskset.total_utilization(base_platform.d_mem)
         for index in order:
             variant = variants[index]
             if any(verdicts[dom] for dom in dominated[index]):
@@ -309,58 +332,6 @@ def evaluate_sample(
     return SampleOutcome(weight=weight, verdicts=tuple(verdicts))
 
 
-def prewarm_items(
-    base_platform: Platform,
-    variants: Sequence[Variant],
-    generation: GenerationConfig,
-    items: Sequence[WorkItem],
-    perf: Optional[PerfCounters],
-    context: Dict,
-) -> Dict:
-    """Pre-generate a chunk's task sets and compile their interference tables.
-
-    Fills ``context["tasksets"]`` (seed-keyed) so :func:`evaluate_item`
-    skips per-sample generation, then runs one
-    :func:`~repro.model.interference.prefill_batch` per distinct
-    CRPD/CPRO approach pair among the bitmask-kernel variants, compiling
-    every task set's per-cut CRPD/CPRO values and fused rows before the
-    first analysis.
-    Task sets come from the worker-resident
-    :func:`~repro.experiments.stateplane.resident_plane`, so a chunk
-    re-visiting a sample another chunk of this worker already touched
-    reuses the same object — generation, compiled tables and
-    warm-start seeds included (``perf.resident_table_hits``); the
-    re-prefill of a resident task set is an idempotent no-op.  Purely an
-    optimisation: every step is idempotent and the analyses recompute
-    anything missing, so a skipped or failed prewarm never changes
-    results.  Returns ``context``.
-    """
-    tasksets = context.setdefault("tasksets", {})
-    plane = resident_plane()
-    fresh = []
-    for item in items:
-        if item.seed not in tasksets:
-            taskset = plane.taskset(
-                base_platform, generation, item.utilization, item.seed, perf
-            )
-            tasksets[item.seed] = taskset
-            fresh.append(taskset)
-    if fresh:
-        combos = {
-            (variant.analysis.crpd_approach, variant.analysis.cpro_approach)
-            for variant in variants
-            if not variant.analysis.reference
-        }
-        for crpd_approach, cpro_approach in sorted(
-            combos, key=lambda pair: (pair[0].name, pair[1].name)
-        ):
-            prefill_batch(
-                tuple(fresh), crpd_approach, cpro_approach, perf=perf,
-                d_mem=base_platform.d_mem,
-            )
-    return context
-
-
 def evaluate_item(
     base_platform: Platform,
     utilization: float,
@@ -369,29 +340,27 @@ def evaluate_item(
     sample_seed: int,
     perf: Optional[PerfCounters] = None,
     budget: Optional[Budget] = None,
-    *,
-    context: Optional[Dict] = None,
 ) -> Tuple[float, Tuple[bool, ...]]:
     """Supervisor-facing adapter: :func:`evaluate_sample` as raw payload.
 
-    Module-level so it pickles by reference into spawn workers.  The
-    keyword-only ``context`` is the supervisor's per-chunk evaluation
-    context: it carries the pre-generated task sets of
-    :func:`prewarm_items`, consumed here, one use each.
+    Module-level so it pickles by reference into spawn workers.  The task
+    set comes from the process's
+    :func:`~repro.experiments.stateplane.resident_plane`, so a worker that
+    meets a sample again (a repeat sweep, a retry) reuses its task set
+    with the compiled tables and warm-start seeds recorded against it.
     """
-    taskset = None
-    if context is not None:
-        taskset = context.setdefault("tasksets", {}).pop(sample_seed, None)
     outcome = evaluate_sample(
         base_platform, utilization, variants, generation, sample_seed, perf,
-        budget=budget, taskset=taskset,
+        budget=budget, plane=resident_plane(),
     )
     return outcome.weight, outcome.verdicts
 
 
-#: ``perfbench/tracing.py`` wraps this name; it is the only user and
-#: nothing in the program calls it.
+#: ``perfbench/tracing.py`` wraps these names; it is their only user and
+#: nothing in the program calls them (each analysis compiles its own
+#: table through :func:`~repro.analysis.wcrt.analyze_taskset`).
 check_schedulability_batch = check_schedulability
+prefill_batch = interference.prefill_batch
 
 
 class CurveOutcomes(Dict[float, List[SampleOutcome]]):
@@ -433,27 +402,16 @@ def run_point(
     settings: SweepSettings,
     point_index: int,
 ) -> List[SampleOutcome]:
-    """All sample outcomes for one (platform, utilisation) point."""
-    items = [
-        WorkItem(
-            point=point_index,
-            sample=i,
-            utilization=utilization,
-            seed=_sample_seed(settings.seed, point_index, i),
-        )
-        for i in range(settings.samples)
-    ]
-    supervisor = SweepSupervisor(
-        evaluate_item, base_platform, tuple(variants), settings.generation,
-        settings, prewarm=prewarm_items,
-    )
-    completed, _failures = supervisor.run(items)
-    return [
-        SampleOutcome(weight=weight, verdicts=verdicts)
-        for weight, verdicts in (
-            completed[item.key] for item in items if item.key in completed
-        )
-    ]
+    """All sample outcomes for one (platform, utilisation) point.
+
+    The one-point sweep of :func:`run_curve` at offset ``point_index``,
+    which draws the same sample seeds as point ``point_index`` of a
+    whole-grid sweep.
+    """
+    one_point = replace(settings, utilizations=(utilization,))
+    return run_curve(
+        base_platform, variants, one_point, point_offset=point_index
+    )[utilization]
 
 
 def run_curve(
@@ -533,7 +491,6 @@ def run_curve(
             settings,
             journal=journal,
             fault=fault,
-            prewarm=prewarm_items,
         )
         fresh, failures = supervisor.run(pending)
     completed = {**prior, **fresh}

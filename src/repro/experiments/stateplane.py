@@ -1,21 +1,18 @@
 """Worker-resident state plane: compiled sweep state that outlives chunks.
 
-A parallel sweep deals point-aligned chunks of ``(point, sample)`` items to
-spawn workers.  Before this module each chunk arrived stateless: the worker
-re-generated every task set, re-compiled its
-:class:`~repro.model.interference.InterferenceTable` and re-derived every
-warm-start seed from scratch, even when the previous chunk
-it ran — or a neighbouring chunk of the same sweep — had already paid for
-identical state.  The :class:`StatePlane` is a small fingerprint-keyed LRU
-that keeps exactly that state resident in the worker process across chunks:
-task sets, keyed by the full generation fingerprint
-``(platform, generation, utilization, seed)``.  Generation is a pure
-function of the key (the RNG is seeded from ``seed`` alone), so a cached
-task set is *the same value* a fresh generation would produce — along
-with every ``TaskSet.derived`` store hanging off it: the interference
-table with its compiled per-cut values and rows, warm-start seeds.  A
-plane hit therefore replaces generation + compile + cold fixed points with
-the (re-verified, bit-identical) warm-start path.
+A sweep deals point-aligned chunks of ``(point, sample)`` items to its
+workers, and every sample takes its task set from the worker's plane
+(:func:`repro.experiments.runner.evaluate_item`).  The :class:`StatePlane`
+is a small fingerprint-keyed LRU that keeps that state resident in the
+worker process across chunks: task sets, keyed by the full generation
+fingerprint ``(platform, generation, utilization, seed)``.  Generation is
+a pure function of the key (the RNG is seeded from ``seed`` alone), so a
+cached task set is *the same value* a fresh generation would produce —
+along with every ``TaskSet.derived`` store hanging off it: the
+:class:`~repro.model.interference.InterferenceTable` with the per-cut
+values and rows its analyses compiled, warm-start seeds.  A plane hit
+therefore replaces generation + compile + cold fixed points with the
+(re-verified, bit-identical) warm-start path.
 
 Everything the plane caches is a pure function of its key (warm-start
 seeds are verified before use), so the plane is invisible in results by

@@ -194,30 +194,18 @@ def _digest(text: str) -> str:
 def run_chunk(state: Tuple, chunk) -> Tuple[List[Tuple], PerfCounters]:
     """Evaluate one chunk of ``(item, attempt)`` pairs.
 
-    ``state`` is the sweep's shared ``(evaluate, prewarm, platform,
-    variants, generation, fault, sample_budget)``.  Ordinary exceptions
-    are captured per sample — this function is the per-sample isolation
+    ``state`` is the sweep's shared ``(evaluate, platform, variants,
+    generation, fault, sample_budget)``.  Ordinary exceptions are
+    captured per sample — this function is the per-sample isolation
     boundary — while crashes and hangs by their nature escape it and are
-    handled by the supervisor.  A ``prewarm`` hook first fills the chunk's
-    evaluation context (e.g. batch-compiling every task set of the
-    chunk); it is strictly an optimisation, so a failing one is ignored
-    and ``evaluate`` recomputes whatever is missing.  With a per-sample
-    budget each item gets a fresh :class:`~repro.budget.Budget`; a
-    cooperative abort is reported as a ``"budget"`` record so the
-    supervisor can quarantine it without charging retries.  Returns the
-    result list plus the chunk's perf counters for the parent to merge.
+    handled by the supervisor.  With a per-sample budget each item gets a
+    fresh :class:`~repro.budget.Budget`; a cooperative abort is reported
+    as a ``"budget"`` record so the supervisor can quarantine it without
+    charging retries.  Returns the result list plus the chunk's perf
+    counters for the parent to merge.
     """
-    evaluate, prewarm, platform, variants, generation, fault, sample_budget = state
+    evaluate, platform, variants, generation, fault, sample_budget = state
     perf = PerfCounters()
-    context: Dict = {}
-    if prewarm is not None:
-        try:
-            prewarm(
-                platform, variants, generation,
-                [item for item, _attempt in chunk], perf, context,
-            )
-        except Exception:  # noqa: BLE001 — prewarming must never fail a chunk
-            context = {}
     results: List[Tuple] = []
     for item, attempt in chunk:
         budget = (
@@ -229,7 +217,7 @@ def run_chunk(state: Tuple, chunk) -> Tuple[List[Tuple], PerfCounters]:
             trigger_sweep_fault(fault, item.point, item.sample, attempt)
             weight, verdicts = evaluate(
                 platform, item.utilization, variants, generation, item.seed,
-                perf, budget, context=context,
+                perf, budget,
             )
             results.append(("ok", item.key, weight, tuple(verdicts)))
         except AnalysisAborted as abort:
@@ -308,13 +296,13 @@ def chunked(
 
     Chunk sizes are *guided*: within each point the leading chunks are
     large (``remaining / (2 x jobs)``) and later ones shrink towards a
-    floor, so early dispatches amortise batch compilation over many
-    samples while the tail stays fine-grained enough for the work-stealing
-    split in :meth:`SweepSupervisor._run_supervised` to even out stragglers.
+    floor, so the leading chunks amortise each submission and counter
+    merge over many samples while the tail stays fine-grained enough for
+    the work-stealing split in
+    :meth:`SweepSupervisor._run_supervised` to even out stragglers.
     Chunks never span sweep points: each point's samples are split on
-    their own, so a chunk's prewarm hook (see :func:`run_chunk`)
-    always sees task sets of a single point and the batch kernel compiles
-    a whole point together.  Chunk boundaries are not part of the journal
+    their own, the chunk shape the ``fig2-jobs2`` perfbench workload
+    measures.  Chunk boundaries are not part of the journal
     fingerprint — per-sample seeds make any partitioning (including the
     adaptive sizes and any stealing splits) bit-identical and any journal
     resumable under a different ``jobs`` value.
@@ -339,14 +327,11 @@ class SweepSupervisor:
     Parameters mirror the worker contract: ``evaluate`` must be a
     module-level (picklable) callable with the signature
     ``evaluate(platform, utilization, variants, generation, seed, perf,
-    budget, *, context) -> (weight, verdicts)`` where ``budget`` is the
-    item's :class:`~repro.budget.Budget` or ``None`` when
-    ``settings.sample_budget`` is unset, and ``context`` is the chunk's
-    evaluation context dict.  ``prewarm`` (optional, module-level) is
-    called as ``prewarm(platform, variants, generation, items, perf,
-    context)`` once per chunk to fill that context.  ``journal``
-    (optional) receives every completed or quarantined item as it
-    happens; ``fault`` (optional) carries a deterministic
+    budget) -> (weight, verdicts)`` where ``budget`` is the item's
+    :class:`~repro.budget.Budget` or ``None`` when
+    ``settings.sample_budget`` is unset.  ``journal`` (optional)
+    receives every completed or quarantined item as it happens;
+    ``fault`` (optional) carries a deterministic
     :class:`~repro.experiments.faults.SweepFault` into the workers for
     recovery-path testing.
     """
@@ -360,10 +345,8 @@ class SweepSupervisor:
         settings: SweepSettings,
         journal: Optional[RunJournal] = None,
         fault: Optional[SweepFault] = None,
-        prewarm: Optional[Callable] = None,
     ) -> None:
         self.evaluate = evaluate
-        self.prewarm = prewarm
         self.platform = platform
         self.variants = tuple(variants)
         self.generation = generation
@@ -396,8 +379,8 @@ class SweepSupervisor:
         self, items: Sequence[WorkItem]
     ) -> Tuple[Dict[ItemKey, ItemResult], List[SampleFailure]]:
         state = (
-            self.evaluate, self.prewarm, self.platform, self.variants,
-            self.generation, self.fault, self.settings.sample_budget,
+            self.evaluate, self.platform, self.variants, self.generation,
+            self.fault, self.settings.sample_budget,
         )
         if self.settings.jobs == 1:
             pool, task = _InProcessPool(), functools.partial(run_chunk, state)

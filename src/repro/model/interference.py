@@ -372,20 +372,18 @@ def prefill_batch(
     crpd_approach,
     cpro_approach,
     perf: Optional[object] = None,
-    d_mem: Optional[int] = None,
 ) -> int:
     """Compile the per-cut tables of ``tasksets`` for one approach pair.
 
-    The compile entry point: sweeps call it once per chunk of task sets,
-    :func:`~repro.analysis.wcrt.analyze_taskset` once per analysis.  It
-    compiles the :math:`\\gamma` and eviction-count cuts, only for a pair
-    that reads them the multiset CPRO rows and multiset CRPD entries, and,
-    given ``d_mem``, the fused evaluator's :meth:`~InterferenceTable.rows`
-    (analyses otherwise build those on first use).  Idempotent per (task
-    set, approach pair, ``d_mem``) — already-compiled task sets cost a few
-    dict probes — so the fused rows and every later call read the same
-    table.  Bumps ``perf.batch_analyses`` by the number of
-    task sets compiled here, and returns it.
+    The compile entry point, which
+    :func:`~repro.analysis.wcrt.analyze_taskset` calls once per analysis.
+    It compiles the :math:`\\gamma` and eviction-count cuts and, only for
+    a pair that reads them, the multiset CPRO rows and multiset CRPD
+    entries; an analysis context builds the fused evaluator's
+    :meth:`~InterferenceTable.rows` for its own ``d_mem`` on first use.
+    Idempotent per (task set, approach pair) — already-compiled task sets
+    cost a few dict probes.  Bumps ``perf.batch_analyses`` by the number
+    of task sets compiled here, and returns it.
     """
     multiset_cpro = cpro_approach.name == "MULTISET"
     multiset_crpd = crpd_approach.name == "ECB_UNION_MULTISET"
@@ -397,10 +395,6 @@ def prefill_batch(
             or cpro_approach not in table._evictions
             or (multiset_cpro and table._overlaps is None)
             or (multiset_crpd and table._multiset is None)
-            or (
-                d_mem is not None
-                and (crpd_approach, cpro_approach, d_mem) not in table._rows
-            )
         ):
             table.gamma_cuts(crpd_approach)
             table.eviction_cuts(cpro_approach)
@@ -408,8 +402,6 @@ def prefill_batch(
                 table.cpro_multiset_cuts()
             if multiset_crpd:
                 table.crpd_multiset_cuts()
-            if d_mem is not None:
-                table.rows(crpd_approach, cpro_approach, d_mem)
             compiled += 1
     if perf is not None:
         perf.batch_analyses += compiled

@@ -89,18 +89,10 @@ class PerfCounters:
     #: Corrupt cache files moved aside by the tolerant loader
     #: (truncated JSON, checksum mismatches, empty files, foreign tags).
     result_cache_quarantines: int = 0
-    #: Requests shed before running any analysis: expired on arrival,
-    #: or dropped at admission by the priority-class overload policy.
-    shed_requests: int = 0
-    #: Brownout answers: degraded responses from the daemon's coarse
-    #: bound instead of the exact analysis.
-    degraded_responses: int = 0
     #: Brownout coarse-bound runs, completed or aborted (see
-    #: :func:`repro.analysis.wcrt.coarse_bound`).
+    #: :func:`repro.analysis.wcrt.coarse_bound`).  The daemon's
+    #: ``/stats`` -> ``requests`` counts its shed and degraded answers.
     brownout_runs: int = 0
-    #: Requests the service rejected because their propagated deadline
-    #: had already expired on arrival.
-    deadline_expired_rejects: int = 0
     verify_cases: int = 0
     verify_shrink_steps: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -215,16 +207,8 @@ class PerfCounters:
                 f"evictions {self.result_cache_evictions:>7d}   "
                 f"quarantines {self.result_cache_quarantines:>4d}"
             )
-        if self.shed_requests or self.deadline_expired_rejects:
-            lines.append(
-                f"  shed requests     {self.shed_requests:>12d}   "
-                f"deadline expired {self.deadline_expired_rejects:>10d}"
-            )
-        if self.degraded_responses or self.brownout_runs:
-            lines.append(
-                f"  degraded answers  {self.degraded_responses:>12d}   "
-                f"brownout runs    {self.brownout_runs:>10d}"
-            )
+        if self.brownout_runs:
+            lines.append(f"  brownout runs     {self.brownout_runs:>12d}")
         if self.verify_cases:
             lines.append(
                 f"  verify cases      {self.verify_cases:>12d}   "

@@ -230,7 +230,9 @@ def tasks_from_dicts(records, platform: Platform) -> List[Task]:
     ``cache.num_sets`` sets, checked before the index is packed into a
     mask bit: an index past the cache would make the task's masks as
     large as the index.  No two tasks may share a name: verdicts report
-    response times by task name, so one of them would vanish.
+    response times by task name, so one of them would vanish.  Every task
+    must sit on one of the platform's ``num_cores`` cores (see
+    :func:`repro.analysis.wcrt.check_task_cores`).
     """
     num_sets = platform.cache.num_sets
     tasks = [task_from_dict(record, num_sets) for record in records]
@@ -238,6 +240,11 @@ def tasks_from_dicts(records, platform: Platform) -> List[Task]:
     for task in tasks:
         if task.name in names:
             raise ModelError(f"{task.name}: two tasks share this name")
+        if task.core >= platform.num_cores:
+            raise ModelError(
+                f"{task.name}: core {task.core} is not one of the "
+                f"platform's {platform.num_cores} cores"
+            )
         names.add(task.name)
     return tasks
 

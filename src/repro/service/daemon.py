@@ -93,8 +93,6 @@ class Refusal(NamedTuple):
     shed: bool
     #: The :class:`ServiceStats` counter the refusal bumps.
     counter: str
-    #: :class:`~repro.perf.PerfCounters` fields it bumps too.
-    perf: Tuple[str, ...] = ()
     #: What scales its jittered ``Retry-After``: ``"load"`` (the
     #: admission queue's fill ratio), ``"cool-down"`` (the breaker's) or
     #: ``None`` for no ``Retry-After``.
@@ -106,15 +104,8 @@ class Refusal(NamedTuple):
 #: decided last, just before the pool).
 REFUSALS: Dict[str, Refusal] = {
     "draining": Refusal(503, False, "rejected_draining"),
-    "deadline-expired": Refusal(
-        504,
-        True,
-        "shed_expired",
-        ("shed_requests", "deadline_expired_rejects"),
-    ),
-    "overload-shed": Refusal(
-        429, True, "shed_overload", ("shed_requests",), "load"
-    ),
+    "deadline-expired": Refusal(504, True, "shed_expired"),
+    "overload-shed": Refusal(429, True, "shed_overload", retry="load"),
     "busy": Refusal(429, False, "rejected_busy", retry="load"),
     "breaker-open": Refusal(503, False, "rejected_breaker", retry="cool-down"),
 }
@@ -290,21 +281,18 @@ class AnalysisService:
     # -- admission policy ----------------------------------------------------
 
     def _count(self, status: Optional[str]) -> None:
-        """Bump the counters of one response ``status`` (call under lock).
+        """Bump the counter of one response ``status`` (call under lock).
 
-        A refusal bumps what :data:`REFUSALS` names, a finished outcome
-        its :data:`_OUTCOME_COUNTERS` entry, anything else
-        ``analysis_errors``.
+        A refusal bumps the :class:`ServiceStats` counter :data:`REFUSALS`
+        names, a finished outcome its :data:`_OUTCOME_COUNTERS` entry,
+        anything else ``analysis_errors``.
         """
         refusal = REFUSALS.get(status)
         if refusal is None:
             counter = _OUTCOME_COUNTERS.get(status, "analysis_errors")
-            bumps = [(self.stats, counter)]
         else:
-            bumps = [(self.stats, refusal.counter)]
-            bumps += [(self.perf, name) for name in refusal.perf]
-        for counters, name in bumps:
-            setattr(counters, name, getattr(counters, name) + 1)
+            counter = refusal.counter
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def _refuse(
         self, status: str, request_id: str, message: str, load: float = 0.0
@@ -576,7 +564,6 @@ class AnalysisService:
         else:
             body = degraded_response(request_id, result)
             local.brownout_runs += 1
-            local.degraded_responses += 1
         with self._lock:
             self.perf.merge(local)
         self._settle(body)

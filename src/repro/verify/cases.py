@@ -23,6 +23,7 @@ sorted lists — making file contents byte-stable and content-addressable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -204,8 +205,9 @@ def case_to_json(case) -> str:
 def case_from_dict(document: Dict):
     """Inverse of :func:`case_to_dict`.
 
-    A malformed record — a missing field, or a record of the wrong JSON
-    type where an object belongs — raises :class:`~repro.errors.ModelError`.
+    A malformed record — a missing field, a record of the wrong JSON type
+    where an object belongs, or a demand or scenario field of the wrong
+    scalar type — raises :class:`~repro.errors.ModelError`.
     """
     check_tagged(document, CASE_TAG, CASE_VERSION)
     try:
@@ -214,6 +216,32 @@ def case_from_dict(document: Dict):
         raise ModelError(f"malformed case record: missing {error}") from error
     except TypeError as error:
         raise ModelError(f"malformed case record: {error}") from error
+
+
+_REQUIRED = object()
+
+#: What each kind of scalar field of a demand or scenario case must be.
+_SCALARS = {
+    "a string": lambda value: isinstance(value, str),
+    "an integer": lambda value: (
+        isinstance(value, int) and not isinstance(value, bool)
+    ),
+    "a finite number": lambda value: not isinstance(value, bool) and (
+        isinstance(value, int)
+        or (isinstance(value, float) and math.isfinite(value))
+    ),
+}
+
+
+def _scalar(record: Dict, name: str, kind: str, default=_REQUIRED):
+    """``record[name]`` (``default`` when absent), checked to be ``kind``."""
+    value = record[name] if default is _REQUIRED or name in record else default
+    if not _SCALARS[kind](value):
+        raise ModelError(
+            f"malformed case record: {name!r} must be {kind}, "
+            f"got {type(value).__name__}"
+        )
+    return value
 
 
 def _case_from_checked(document: Dict):
@@ -230,23 +258,25 @@ def _case_from_checked(document: Dict):
             platform=platform_from_dict(document["platform"]),
             specs=tuple(
                 ScenarioSpec(
-                    benchmark=record["benchmark"],
-                    core=record["core"],
-                    period_factor=record.get("period_factor", 6.0),
-                    scale=record.get("scale", 1.0),
+                    benchmark=_scalar(record, "benchmark", "a string"),
+                    core=_scalar(record, "core", "an integer"),
+                    period_factor=_scalar(
+                        record, "period_factor", "a finite number", 6.0
+                    ),
+                    scale=_scalar(record, "scale", "a finite number", 1.0),
                 )
                 for record in document["specs"]
             ),
-            layout_seed=document.get("layout_seed", 0),
-            hyperperiods=document.get("hyperperiods", 8),
+            layout_seed=_scalar(document, "layout_seed", "an integer", 0),
+            hyperperiods=_scalar(document, "hyperperiods", "an integer", 8),
             config=config_from_dict(document.get("config", {})),
         )
     if kind == "demand":
         return DemandCase(
-            benchmark=document["benchmark"],
-            n_jobs=document["n_jobs"],
-            num_sets=document.get("num_sets", 256),
-            scale=document.get("scale", 1.0),
+            benchmark=_scalar(document, "benchmark", "a string"),
+            n_jobs=_scalar(document, "n_jobs", "an integer"),
+            num_sets=_scalar(document, "num_sets", "an integer", 256),
+            scale=_scalar(document, "scale", "a finite number", 1.0),
         )
     raise ModelError(f"unknown case kind {kind!r}")
 

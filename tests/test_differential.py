@@ -15,8 +15,8 @@ iteration counts):
   bisections with warm starts versus without;
 * the dominance-ordered variant evaluation of ``evaluate_sample`` (both
   the tightest-first and loosest-first orders) versus brute-forcing every
-  variant independently, and the supervised sweep and its prewarmed
-  per-chunk path versus evaluating each sample on its own;
+  variant independently, and the supervised sweep and its resident
+  per-item path versus evaluating each sample on its own;
 * the worker-resident state plane
   (:class:`repro.experiments.stateplane.StatePlane` replaying resident
   task sets through re-verified warm starts) versus residency disabled
@@ -536,45 +536,41 @@ class TestDominanceSkipsAreInvisible:
                 assert outcome.weight == cold.weight
 
 
-class TestPrewarmedItemsAreInvisible:
-    """The supervisor's per-chunk path matches evaluating each sample alone."""
+class TestResidentItemsAreInvisible:
+    """The supervisor's per-item path matches evaluating each sample alone."""
 
     @pytest.mark.parametrize("utilization", [0.3, 0.6])
-    def test_prewarmed_items_match_per_sample_path(self, utilization):
-        from repro.experiments.runner import evaluate_item, prewarm_items
+    def test_resident_items_match_fresh_samples(self, utilization):
+        from repro.experiments.runner import evaluate_item
         from repro.experiments.stateplane import reset_resident_plane
-        from repro.experiments.supervisor import WorkItem
 
         base = default_platform()
         variants = standard_variants(True)
         generation = GenerationConfig()
-        items = [
-            WorkItem(0, i, utilization, _sample_seed(55, 0, i))
-            for i in range(6)
-        ]
+        seeds = [_sample_seed(55, 0, i) for i in range(6)]
         expected = [
-            evaluate_sample(base, utilization, variants, generation, item.seed)
-            for item in items
+            (outcome.weight, outcome.verdicts)
+            for outcome in (
+                evaluate_sample(base, utilization, variants, generation, seed)
+                for seed in seeds
+            )
         ]
         reset_resident_plane()
         try:
-            # The second visit replays the worker-resident task sets, with
-            # their compiled tables and warm-start seeds.
-            for visit in range(2):
+            # The first visit generates every task set into the
+            # worker-resident plane; the second replays them, with the
+            # tables their analyses compiled and their warm-start seeds.
+            for misses, hits in ((len(seeds), 0), (0, len(seeds))):
                 perf = PerfCounters()
-                context = prewarm_items(
-                    base, variants, generation, items, perf, context={}
-                )
-                if visit == 0:
-                    assert perf.resident_table_misses == len(items)
-                else:
-                    assert perf.resident_table_hits == len(items)
-                for item, outcome in zip(items, expected):
-                    assert evaluate_item(
-                        base, utilization, variants, generation, item.seed,
-                        perf, context=context,
-                    ) == (outcome.weight, outcome.verdicts)
-                assert context["tasksets"] == {}  # each consumed once
+                assert [
+                    evaluate_item(
+                        base, utilization, variants, generation, seed, perf
+                    )
+                    for seed in seeds
+                ] == expected
+                assert (
+                    perf.resident_table_misses, perf.resident_table_hits
+                ) == (misses, hits)
         finally:
             reset_resident_plane()
 

@@ -214,6 +214,23 @@ class TestDominanceRule:
             (FP_P_LOW, FP_P, False),
             (_variant("RR-P-low", BusPolicy.RR, persistence_in_low=True),
              RR_P, True),
+            # Different iteration caps: the capped side can run out of
+            # rounds where the other converges, so no verdict carries over.
+            (_variant("FP-P-1-round", BusPolicy.FP, max_outer_iterations=1),
+             FP, False),
+            (FP_P,
+             _variant("FP-1-round", BusPolicy.FP, persistence=False,
+                      max_outer_iterations=1),
+             False),
+            (_variant("RR-P-short", BusPolicy.RR, max_inner_iterations=100),
+             RR, False),
+            (_variant("Perfect-1-round", BusPolicy.PERFECT,
+                      max_outer_iterations=1),
+             TDMA, False),
+            (_variant("FP-P-1-round", BusPolicy.FP, max_outer_iterations=1),
+             _variant("FP-1-round", BusPolicy.FP, persistence=False,
+                      max_outer_iterations=1),
+             True),
         ],
         ids=lambda value: value.label if isinstance(value, Variant) else None,
     )
@@ -221,6 +238,35 @@ class TestDominanceRule:
         from repro.experiments.runner import _dominates
 
         assert _dominates(tight, loose) is expected
+
+    def test_a_capped_variant_runs_its_own_analysis(self):
+        # FP-P capped at one outer round runs out of it on these sets,
+        # which FP schedules: FP's success must not discharge it.
+        import random
+
+        from repro.analysis.schedulability import check_schedulability
+        from repro.experiments.runner import evaluate_sample
+        from repro.generation.taskset_gen import (
+            GenerationConfig,
+            generate_taskset,
+        )
+
+        base = default_platform()
+        capped = _variant("FP-P-1-round", BusPolicy.FP, max_outer_iterations=1)
+        variants = (self.FP, capped)
+        generation = GenerationConfig()
+        for seed in range(3):
+            outcome = evaluate_sample(base, 0.3, variants, generation, seed)
+            taskset = generate_taskset(
+                random.Random(seed), base, 0.3, generation
+            )
+            brute = tuple(
+                check_schedulability(
+                    taskset, base.with_bus_policy(v.policy), v.analysis
+                ).schedulable
+                for v in variants
+            )
+            assert outcome.verdicts == brute == (True, False), seed
 
     def test_standard_plan_runs_the_perfect_bus_last(self):
         from repro.experiments.runner import _dominance_plan
@@ -353,6 +399,45 @@ class TestEvaluateSampleCollector:
         assert seen and not any(seen)
         assert gc.isenabled() is collector
 
+    @pytest.mark.parametrize("resident", [False, True], ids=["fresh", "plane"])
+    def test_paused_while_the_task_set_is_generated(
+        self, collector, monkeypatch, resident
+    ):
+        import gc
+
+        from repro.experiments import runner, stateplane
+        from repro.generation.taskset_gen import GenerationConfig
+
+        seen = []
+        module = stateplane if resident else runner
+        generate = module.generate_taskset
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(module, "generate_taskset", spy)
+        runner.evaluate_sample(
+            default_platform(), 0.6, standard_variants(True),
+            GenerationConfig(), 5,
+            plane=stateplane.StatePlane(capacity=0) if resident else None,
+        )
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_restored_when_generation_raises(self, collector, monkeypatch):
+        import gc
+
+        from repro.experiments import runner
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("generation failed")
+
+        monkeypatch.setattr(runner, "generate_taskset", boom)
+        with pytest.raises(RuntimeError, match="generation failed"):
+            self._evaluate()
+        assert gc.isenabled() is collector
+
     def test_restored_when_an_analysis_raises(self, collector, monkeypatch):
         import gc
 
@@ -375,6 +460,82 @@ class TestEvaluateSampleCollector:
         with pytest.raises(AnalysisAborted):
             self._evaluate(budget=Budget(max_iterations=1))
         assert gc.isenabled() is collector
+
+
+class TestEachAnalysisCompilesItsOwnTable:
+    """A sweep sample compiles only the tables its analyses read, inside
+    the sample's collector pause."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_state(self):
+        from repro.experiments.stateplane import reset_resident_plane
+        from repro.perf import reset_global_counters
+
+        reset_resident_plane()
+        reset_global_counters()
+        yield
+        reset_resident_plane()
+        reset_global_counters()
+
+    def test_samples_the_prechecks_settle_compile_nothing(self):
+        from repro.experiments.runner import run_point
+        from repro.perf import global_counters
+
+        # Point 9 of the Fig. 2 grid is U = 1.0: the core-utilisation
+        # precheck settles 38 of these 40 sets for every variant.
+        outcomes = run_point(
+            default_platform(), 1.0, standard_variants(True),
+            SweepSettings(samples=40, seed=2020, jobs=1), 9,
+        )
+        assert len(outcomes) == 40
+        assert global_counters().batch_analyses == 2
+
+    def test_run_point_is_its_point_of_the_curve(self):
+        from repro.experiments.runner import run_point
+
+        settings = SweepSettings(samples=3, seed=31, utilizations=(0.3, 0.6))
+        curve = run_curve(default_platform(), standard_variants(True), settings)
+        for index, utilization in enumerate(settings.utilizations):
+            point = run_point(
+                default_platform(), utilization, standard_variants(True),
+                settings, index,
+            )
+            assert point == curve[utilization]
+
+    def test_table_parts_build_with_the_collector_paused(self, monkeypatch):
+        import gc
+
+        from repro.model.interference import InterferenceTable
+        from repro.persistence.cpro import CproApproach
+
+        seen = []
+        for name in (
+            "__init__", "gamma_cuts", "eviction_cuts", "cpro_multiset_cuts",
+            "crpd_multiset_cuts", "rows",
+        ):
+            method = getattr(InterferenceTable, name)
+
+            def spy(*args, _method=method, **kwargs):
+                seen.append(gc.isenabled())
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(InterferenceTable, name, spy)
+        multiset = _variant(
+            "FP-P-multiset", BusPolicy.FP,
+            crpd_approach=CrpdApproach.ECB_UNION_MULTISET,
+            cpro_approach=CproApproach.MULTISET,
+        )
+        settings = SweepSettings(samples=3, seed=11, utilizations=(0.3, 0.6))
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            run_curve(
+                default_platform(), standard_variants(True) + (multiset,),
+                settings,
+            )
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen and not any(seen)
 
 
 class TestFig2:

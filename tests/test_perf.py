@@ -209,6 +209,12 @@ class TestNamesTheBenchmarkHarnessReads:
 
         assert runner.check_schedulability_batch is runner.check_schedulability
 
+    def test_prefill_batch_is_the_compile_entry_point(self):
+        from repro.experiments import runner
+        from repro.model.interference import prefill_batch
+
+        assert runner.prefill_batch is prefill_batch
+
     @pytest.mark.parametrize("policy", list(BusPolicy))
     def test_lockstep_kernel_is_inert(self, policy):
         taskset, base = _taskset(seed=3, utilization=0.55)

@@ -247,6 +247,15 @@ class TestTasksetRoundTrip:
         with pytest.raises(ModelError, match=first["name"]):
             taskset_from_json(json.dumps(document))
 
+    def test_task_on_a_missing_core_rejected(self, taskset, platform):
+        document = json.loads(taskset_to_json(taskset, platform))
+        document["tasks"][1]["core"] = platform.num_cores
+        name = document["tasks"][1]["name"]
+        with pytest.raises(ModelError, match=f"{name}: core 3 is not one"):
+            tasks_from_dicts(document["tasks"], platform)
+        with pytest.raises(ModelError, match="is not one of the platform"):
+            taskset_from_json(json.dumps(document))
+
     def test_file_round_trip(self, taskset, platform, tmp_path):
         path = tmp_path / "set.json"
         save_taskset(taskset, platform, path)

@@ -217,7 +217,7 @@ class TestServiceWorker:
             shipped_document(envelope, degrade=True, **limits)
         )
         assert body == plain
-        assert (perf.brownout_runs, perf.degraded_responses) == (0, 0)
+        assert perf.brownout_runs == 0
 
     def test_budget_abort_response_carries_partials(self, envelope):
         response, perf = service_worker(
@@ -289,6 +289,23 @@ class TestRequestValidation:
         assert service.stats.validation_errors == 1
         assert pool.calls == 0
         assert len(service.cache) == 0
+
+    def test_task_on_a_missing_core_is_a_400_and_the_next_request_runs(
+        self, envelope
+    ):
+        document = json.loads(json.dumps(envelope))
+        document["tasks"][0]["core"] = 5
+        pool = StubPool()
+        service = make_service(pool=pool)
+        status, body = service.handle(request_document(document))
+        assert (status, body["status"], body["error"]) == (
+            400, "error", "ModelError"
+        )
+        assert "core 5 is not one of the platform" in body["message"]
+        assert pool.calls == 0
+        status, body = service.handle(request_document(envelope, id="req-2"))
+        assert (status, body["status"]) == (200, "ok")
+        assert pool.calls == 1
 
 
 class FakeClock:
@@ -1223,8 +1240,6 @@ class TestRefusals:
         if retry:
             assert body["retry_after"] > 0
         assert getattr(service.stats, refusal.counter) == 1
-        for name in refusal.perf:
-            assert getattr(service.perf, name) == 1
         assert service.stats.accepted == (1 if status == "breaker-open" else 0)
         assert pool.calls == 0
 
@@ -1305,9 +1320,7 @@ class TestDeadlinePropagation:
         assert body["status"] == "deadline-expired"
         assert body["shed"] is True
         assert pool.calls == 0  # shed without a pool round-trip
-        assert service.stats.shed_expired == 1
-        assert service.perf.shed_requests == 1
-        assert service.perf.deadline_expired_rejects == 1
+        assert service.stats_document()["requests"]["shed_expired"] == 1
 
     def test_near_zero_deadline_clamps_to_the_minimum_budget(self, envelope):
         seen = {}
@@ -1403,8 +1416,7 @@ class TestOverloadControl:
             assert body["status"] == "overload-shed"
             assert body["shed"] is True
             assert body["retry_after"] > 0
-            assert service.stats.shed_overload == 1
-            assert service.perf.shed_requests == 1
+            assert service.stats_document()["requests"]["shed_overload"] == 1
             # Interactive requests are still admitted at this load.
             status, body = service.handle(request_document(envelope))
             assert status == 200
@@ -1459,8 +1471,7 @@ class TestBrownout:
         assert body["degraded"]["tier"] == "coarse"
         assert body["degraded"]["soundness"] == "degraded-sound"
         assert pool.calls == 0
-        assert service.stats.degraded == 1
-        assert service.perf.degraded_responses == 1
+        assert service.stats_document()["requests"]["degraded"] == 1
         assert service.perf.brownout_runs == 1
 
     def test_open_breaker_browns_out_degradable_requests(self, envelope):
@@ -1508,8 +1519,7 @@ class TestBrownout:
         }
         assert pool.calls == 0
         assert service.stats.budget_aborted == 1
-        assert service.stats.degraded == 0
-        assert service.perf.degraded_responses == 0
+        assert service.stats_document()["requests"]["degraded"] == 0
         assert service.perf.brownout_runs == 1
 
     def test_a_generous_budget_leaves_the_brownout_unchanged(self, envelope):

@@ -113,10 +113,10 @@ class TestDroppedStateIsFreedByRefcount:
         try:
             refs = []
             for seed in range(4):
-                taskset = plane.taskset(platform, generation, 0.45, seed)
                 evaluate_sample(
-                    platform, 0.45, variants, generation, seed, taskset=taskset
+                    platform, 0.45, variants, generation, seed, plane=plane
                 )
+                taskset = plane.taskset(platform, generation, 0.45, seed)
                 analyze_taskset(taskset, platform, multiset)
                 refs.append(weakref.ref(taskset))
                 del taskset

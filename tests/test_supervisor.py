@@ -104,8 +104,8 @@ class TestChunking:
         chunks = chunked(items, jobs=jobs)
         assert [item for chunk in chunks for item in chunk] == items
         assert all(chunks)
-        # Chunks never span sweep points (prewarm compiles one point's
-        # task sets together).
+        # Chunks never span sweep points: each point's samples are
+        # split on their own.
         for chunk in chunks:
             assert len({item.point for item in chunk}) == 1
         # Within a point the guided sizes never grow head-to-tail.

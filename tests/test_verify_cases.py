@@ -122,6 +122,40 @@ class TestCaseRoundTrip:
             {"kind": "scenario", "platform": _PLATFORM,
              "specs": [{"core": 0}]},
             {"kind": "demand", "n_jobs": 2},
+            {"kind": "demand", "benchmark": 3, "n_jobs": 2},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": "2"},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": True},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2.0},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2,
+             "num_sets": "x"},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2,
+             "num_sets": False},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2,
+             "scale": "1.0"},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2,
+             "scale": float("nan")},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2,
+             "scale": float("inf")},
+            {"kind": "demand", "benchmark": "cnt", "n_jobs": 2,
+             "scale": True},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": "0"}]},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": False}]},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": 0,
+                        "period_factor": "6"}]},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": 0,
+                        "period_factor": float("-inf")}]},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": 0, "scale": None}]},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": 0}],
+             "layout_seed": 1.5},
+            {"kind": "scenario", "platform": _PLATFORM,
+             "specs": [{"benchmark": "cnt", "core": 0}],
+             "hyperperiods": True},
         ],
         ids=[
             "taskset-without-platform",
@@ -131,6 +165,23 @@ class TestCaseRoundTrip:
             "spec-not-an-object",
             "spec-without-benchmark",
             "demand-without-benchmark",
+            "benchmark-not-a-string",
+            "n_jobs-a-string",
+            "n_jobs-a-bool",
+            "n_jobs-a-float",
+            "num_sets-a-string",
+            "num_sets-a-bool",
+            "scale-a-string",
+            "scale-nan",
+            "scale-infinite",
+            "scale-a-bool",
+            "core-a-string",
+            "core-a-bool",
+            "period_factor-a-string",
+            "period_factor-infinite",
+            "spec-scale-null",
+            "layout_seed-a-float",
+            "hyperperiods-a-bool",
         ],
     )
     def test_malformed_records_are_model_errors(self, fields):

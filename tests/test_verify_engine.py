@@ -421,6 +421,24 @@ class TestCli:
         assert code == 2
         assert "repro-verify: error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_sets", "x"), ("n_jobs", True), ("scale", "1.0")],
+    )
+    def test_replay_of_a_mistyped_case_field_is_a_usage_error(
+        self, tmp_path, capsys, field, value
+    ):
+        entry = json.loads(
+            Path("tests/corpus/demand-eq10-demand-220ff22074.json").read_text()
+        )
+        entry["case"][field] = value
+        (tmp_path / "entry.json").write_text(json.dumps(entry))
+        code = main(["replay", "--corpus", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "repro-verify: error" in err
+        assert repr(field) in err
+
     def test_replay_missing_corpus_is_empty_pass(self, tmp_path, capsys):
         code = main(["replay", "--corpus", str(tmp_path / "nope")])
         assert code == 0

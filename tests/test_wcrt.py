@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.analysis.config import AnalysisConfig, BASELINE, PERSISTENCE_AWARE
+from repro.analysis.schedulability import check_schedulability
 from repro.analysis.wcrt import analyze_taskset, coarse_bound
 from repro.budget import Budget
 from repro.errors import AnalysisError, BudgetExceeded
@@ -123,6 +124,26 @@ class TestCrossCoreInterference:
         result = analyze_taskset(TaskSet(tasks), platform)
         assert result.schedulable
         assert result.outer_iterations >= 1
+
+
+class TestTasksOnMissingCores:
+    """A task on a core the platform lacks is rejected, not analysed."""
+
+    @pytest.mark.parametrize("policy", list(BusPolicy))
+    @pytest.mark.parametrize(
+        "entry",
+        [analyze_taskset, check_schedulability, coarse_bound],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_every_entry_point_raises(self, entry, policy):
+        tasks = TaskSet([
+            make_task("a", 1, 0, period=400),
+            make_task("b", 2, 1, period=400),
+            make_task("c", 3, 5, period=400),
+        ])
+        platform = Platform(num_cores=2, d_mem=10, bus_policy=policy)
+        with pytest.raises(AnalysisError, match="c: core 5 is not one"):
+            entry(tasks, platform)
 
 
 class TestUnschedulableDetection:
